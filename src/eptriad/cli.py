@@ -16,6 +16,7 @@ import csv
 import datetime
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import __version__
 from .errors import AmbiguousMatch, EptriadError, FitDiverged, NoConvergence, NotAGroup
 from .locate import refine_ep, seed_eps_in_slice, trace_ea
 from .loops import PRESET_NAMES, interpolate_loop, preset_loop
-from .model import ParamPoint, discriminant_formula, eigensystem
+from .model import ParamPoint, PhysicalScale, discriminant_formula, eigensystem
 from .permutations import all_elements, element, identify, to_matrix, verify_group
 from .spectral import (
     CavityConfig,
@@ -253,21 +254,24 @@ def cmd_ea(args) -> int:
 
 
 def _lab_config(args) -> tuple[CavityConfig, FitConfig]:
-    cav = CavityConfig()
-    fit = FitConfig(seed=args.seed)
-    if args.config:
-        doc = json.loads(Path(args.config).read_text())
-        if "n_positions_per_cavity" in doc or "n_frequencies" in doc:
-            cav = CavityConfig(
-                n_positions_per_cavity=doc.get("n_positions_per_cavity", 7),
-                n_frequencies=doc.get("n_frequencies", 31),
-            )
-        fit = FitConfig(
-            population=doc.get("population", 64),
-            generations=doc.get("generations", 200),
-            seed=args.seed,
-        )
-    return cav, fit
+    """Cavity and fit settings: ``--config`` may set any CavityConfig field and
+    the DE budget; any other key is a config error."""
+    doc = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(doc, dict):
+        raise ValueError("lab config must be a JSON object")
+    cav_keys = {f.name for f in fields(CavityConfig)}
+    fit_keys = {"population", "generations"}
+    unknown = sorted(set(doc) - cav_keys - fit_keys)
+    if unknown:
+        raise ValueError(f"unknown lab config key(s): {', '.join(unknown)}")
+    cav = {k: v for k, v in doc.items() if k in cav_keys}
+    fit = {k: v for k, v in doc.items() if k in fit_keys}
+    try:
+        if "scale" in cav:
+            cav["scale"] = PhysicalScale(**cav["scale"])
+        return CavityConfig(**cav), FitConfig(seed=args.seed, **fit)
+    except TypeError as exc:      # a misnamed scale key or a value of the wrong type
+        raise ValueError(f"lab config: {exc}") from exc
 
 
 def cmd_lab(args) -> int:

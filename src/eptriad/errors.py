@@ -13,6 +13,10 @@ class DegenerateEigensystem(EptriadError):
         super().__init__(f"minimum eigenvalue gap {min_gap:.3e} below threshold")
 
 
+class InaccurateEigensystem(EptriadError):
+    """Eigenpairs returned by the solver fail the residual check H v = w v."""
+
+
 class NoConvergence(EptriadError):
     """Iterative refinement failed to reach tolerance."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateEigensystem, RegimeWarning
+from .errors import DegenerateEigensystem, InaccurateEigensystem, RegimeWarning
 
 SQRT2 = math.sqrt(2.0)
 
@@ -193,7 +193,8 @@ def eigensystem(p: ParamPoint) -> Eigensystem:
 
     Right vectors have unit Euclidean norm; left rows satisfy L @ R = I
     away from degeneracies.  Raises nothing at EPs: the degenerate flag is
-    set and left vectors fall back to plain (unscaled) transposes.
+    set and left vectors fall back to plain (unscaled) transposes.  Raises
+    InaccurateEigensystem when an eigenpair fails the residual check.
     """
     h = build_h_ep(p)
     w, v = np.linalg.eig(h)
@@ -220,7 +221,7 @@ def eigensystem(p: ParamPoint) -> Eigensystem:
     for j in range(3):
         resid = np.linalg.norm(h @ v[:, j] - w[j] * v[:, j]) / max(hnorm, 1.0)
         if resid > 1e-10:
-            raise ArithmeticError(f"eigen residual {resid:.2e} at {p}")
+            raise InaccurateEigensystem(f"eigen residual {resid:.2e} at {p}")
     return Eigensystem(
         point=p,
         eigenvalues=w,

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from eptriad.cli import EXIT_CONFIG, EXIT_OK, main
+import eptriad.model
+from eptriad.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
 def run(argv):
@@ -125,6 +126,32 @@ class TestLabCommand:
         doc = json.loads((tmp_path / "dataset.json").read_text())
         assert len(doc["steps"]) == 9
 
+    def test_synth_applies_every_cavity_key(self, tmp_path):
+        cfg = tmp_path / "lab.json"
+        cfg.write_text(json.dumps({"frequency_window": 300.0, "source_site": 1}))
+        code = run([
+            "lab", "synth", "--config", str(cfg), "--noise", "0.0", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "dataset.json").read_text())
+        assert doc["config"]["frequency_window"] == 300.0
+        assert doc["config"]["source_site"] == 1
+        assert doc["config"]["n_frequencies"] == 31
+
+    @pytest.mark.parametrize("bad", [
+        {"frequency_windw": 300.0},
+        {"seed": 4},
+        {"scale": {"omega": 19729.0}},
+        {"n_frequencies": "31"},
+        [1, 2],
+    ])
+    def test_bad_config_is_config_error(self, tmp_path, bad):
+        cfg = tmp_path / "lab.json"
+        cfg.write_text(json.dumps(bad))
+        code = run(["lab", "synth", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert not (tmp_path / "dataset.json").exists()
+
     def test_fit_rejects_malformed_dataset(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"not\": \"a dataset\"}")
@@ -144,3 +171,18 @@ class TestArcsCommand:
         for arc in doc["arcs"]:
             assert arc["terminated"] == "boundary"
             assert all(pt["order"] == 2 for pt in arc["points"])
+
+
+class TestNumericalFailures:
+    def test_inaccurate_eigenvectors_exit_numerical(self, tmp_path, monkeypatch):
+        eig = np.linalg.eig
+
+        def bad_eig(h):
+            w, v = eig(h)
+            v = v.copy()
+            v[:, 0] = v[:, 1]
+            return w, v
+
+        monkeypatch.setattr(eptriad.model.np.linalg, "eig", bad_eig)
+        code = run(["loop", "--preset", "mu1", "--steps-per-segment", "8", "--out", str(tmp_path)])
+        assert code == EXIT_NUMERICAL

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import eptriad.spectral as spectral
 from conftest import circular_distance
-from eptriad.errors import IdentifiabilityWarning, PoleProximity
+from eptriad.errors import FitDiverged, IdentifiabilityWarning, PoleProximity
 from eptriad.locate import refine_ep
 from eptriad.model import ParamPoint, PhysicalScale, eigensystem, to_physical
 from eptriad.spectral import (
@@ -143,6 +146,68 @@ class TestSynthesis:
         assert abs(freqs[np.argmax(total)] - sharp.real) <= spacing
 
 
+def _scalar_response(theta, freqs, n_pos, src):
+    """Reference forward model: one Hamiltonian and one eig per parameter vector."""
+    w0, g0, kap, eta, zeta, xi, g = theta
+    s2 = np.sqrt(2.0)
+    h = -np.array(
+        [
+            [s2 * (1j + eta) + 1j * s2 * g, 1.0, 0.0],
+            [1.0, 1j * zeta + xi, 1.0],
+            [0.0, 1.0, -s2 * (1j + eta) - 1j * s2 * g],
+        ],
+        dtype=complex,
+    )
+    w, v = np.linalg.eig(h)
+    v = v / np.linalg.norm(v, axis=0)
+    bil = np.sum(v * v, axis=0)
+    wphys = (w0 + 1j * g0) + abs(kap) * w
+    z = (np.arange(1, n_pos + 1) - 0.5) / n_pos
+    phi = np.cos(2 * np.pi * z)
+    phi = phi / np.linalg.norm(phi)
+    num = v * (v[src, :] / bil)[None, :]
+    gcol = num @ (1.0 / (freqs[None, :] - wphys[:, None]))
+    return (phi[:, None] * gcol[:, None, :]).reshape(3 * n_pos, len(freqs)) * phi[-1]
+
+
+def _thetas(size):
+    """(7, S) parameter columns; the model scalars reach |p| = 1.5, past the validated regime."""
+    scale_lo, scale_hi = (19600.0, 30.0, -75.0), (19860.0, 140.0, 75.0)
+    rows = [hnp.arrays(float, size, elements=st.floats(lo, hi)) for lo, hi in zip(scale_lo, scale_hi)]
+    rows += [hnp.arrays(float, size, elements=st.floats(-1.5, 1.5)) for _ in range(4)]
+    return st.tuples(*rows).map(np.array)
+
+
+class TestBatchedForwardModel:
+    @given(st.sampled_from([1, 64]).flatmap(_thetas), st.sampled_from([0, 1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_population_equals_single_vectors(self, thetas, src):
+        freqs = CavityConfig().frequencies()
+        batch = spectral._response_matrix(thetas, freqs, 7, src)
+        assert batch.shape == (thetas.shape[1], 21, len(freqs))
+        for k in range(thetas.shape[1]):
+            single = spectral._response_matrix(thetas[:, k], freqs, 7, src)
+            assert np.array_equal(batch[k], single)
+            assert np.array_equal(single, _scalar_response(thetas[:, k], freqs, 7, src))
+
+    def test_synthesize_mu1_matches_scalar_reference(self):
+        from eptriad.loops import preset_loop
+
+        cfg = CavityConfig()
+        freqs = cfg.frequencies()
+        pts = list(preset_loop("mu1", steps_per_segment=1).steps)
+        noise = NoiseSpec(0.01, 23)
+        ds = synthesize(pts, cfg, noise)
+        for k, (p, step) in enumerate(zip(pts, ds.steps)):
+            theta = np.array([cfg.scale.omega0, cfg.scale.gamma0, cfg.scale.kappa, p.eta, p.zeta, p.xi, p.g])
+            want = _scalar_response(theta, freqs, cfg.n_positions_per_cavity, cfg.source_site - 1)
+            rng = np.random.default_rng([noise.seed, k])
+            want = want * (1.0 + noise.relative_amplitude * (
+                rng.standard_normal(want.shape) + 1j * rng.standard_normal(want.shape)
+            ) / np.sqrt(2.0))
+            assert step.responses.tobytes() == want.tobytes()
+
+
 class TestDatasetIO:
     def test_bit_exact_round_trip(self, tmp_path):
         pts = [ParamPoint(0.33, 0.1, -0.2, G), ParamPoint(0.33, 0.2, -0.1, G)]
@@ -191,6 +256,23 @@ class TestFitStep:
             fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FAST_FIT)
         assert fit.identifiability_warning
 
+    @pytest.mark.parametrize("kappa", [49.5, -49.5])
+    def test_reports_negative_kappa_whatever_the_polish_sign(self, monkeypatch, kappa):
+        p = ParamPoint(0.33, 0.0, 0.0, G)
+        ds = synthesize([p], noise=NoiseSpec(0.0, 0))
+        polished = np.array([19729.0, 83.5, kappa, p.eta, p.zeta, p.xi, p.g])
+        monkeypatch.setattr(spectral, "_gauss_newton", lambda *args: (polished, 0.0))
+        fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FitConfig(population=8, generations=1))
+        assert fit.scale.kappa == -49.5
+
+    def test_zero_kappa_diverges(self, monkeypatch):
+        p = ParamPoint(0.33, 0.0, 0.0, G)
+        ds = synthesize([p], noise=NoiseSpec(0.0, 0))
+        polished = np.array([19729.0, 83.5, 0.0, p.eta, p.zeta, p.xi, p.g])
+        monkeypatch.setattr(spectral, "_gauss_newton", lambda *args: (polished, 0.0))
+        with pytest.raises(FitDiverged):
+            fit_step(ds.steps[0].responses, ds.config, fit_config=FitConfig(population=8, generations=1))
+
     def test_rejects_bad_input(self):
         resp = np.full((21, 31), np.nan, dtype=complex)
         with pytest.raises(ValueError):
@@ -228,6 +310,17 @@ class TestFittedCompositeLoops:
             _, res = fit_loop(ds, fit_config=FAST_FIT)
             perms[name] = res.permutation.as_string()
         assert perms == {"rho1": "231", "rho2": "312"}
+
+
+@pytest.mark.slow
+def test_lab_mu1_seed_23_recovers_132():
+    """The lab pipeline's mu1 fit at 1% noise and seed 23 once ended in FitDiverged."""
+    from eptriad.loops import preset_loop
+
+    pts = list(preset_loop("mu1", steps_per_segment=1).steps)
+    ds = synthesize(pts, CavityConfig(), NoiseSpec(0.01, 23))
+    _, res = fit_loop(ds, fit_config=FitConfig(seed=23))
+    assert res.permutation.as_string() == "132"
 
 
 @pytest.mark.slow
