@@ -1,17 +1,14 @@
 #!/usr/bin/env python3
 """Transport every bundled loop preset and print a one-line summary each.
 
-Writes the full JSON reports under --out (default out/loops).
+Runs ``eptriad loop --preset NAME`` once per preset, writing each full JSON
+report (and its manifest) under --out/NAME (default out/loops).
 """
 import argparse
-import json
 from pathlib import Path
 
-import numpy as np
-
-from eptriad.loops import PRESET_NAMES, preset_loop
-from eptriad.permutations import identify
-from eptriad.transport import cycles_to_identity, transport, vorticity_table
+from eptriad.cli import main as eptriad_main
+from eptriad.loops import PRESET_NAMES
 
 
 def main() -> int:
@@ -19,28 +16,14 @@ def main() -> int:
     ap.add_argument("--steps-per-segment", type=int, default=200)
     ap.add_argument("--out", default="out/loops")
     args = ap.parse_args()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     for name in PRESET_NAMES:
-        res = transport(preset_loop(name, steps_per_segment=args.steps_per_segment))
-        doc = {
-            "label": name,
-            "permutation": res.permutation.as_string(),
-            "permutation_label": identify(res.permutation),
-            "theta": res.berry_phase,
-            "nabp_abs": np.abs(res.holonomy).round(10).tolist(),
-            "nabp_phase": np.angle(res.holonomy).round(10).tolist(),
-            "min_overlap": res.min_overlap,
-            "cycles_to_identity": cycles_to_identity(res),
-            "vorticity": vorticity_table(res),
-        }
-        (out / f"{name}.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
-        print(
-            f"{name:5s} -> {res.permutation.as_string()} ({identify(res.permutation):4s}) "
-            f"theta={res.berry_phase:+.4f} cycles={cycles_to_identity(res)} "
-            f"min_ov={res.min_overlap:.3f}"
-        )
+        code = eptriad_main([
+            "loop", "--preset", name,
+            "--steps-per-segment", str(args.steps_per_segment),
+            "--out", str(Path(args.out) / name),
+        ])
+        if code:
+            return code
     return 0
 
 

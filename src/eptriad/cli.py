@@ -23,8 +23,9 @@ import numpy as np
 
 from . import __version__
 from .errors import AmbiguousMatch, EptriadError, FitDiverged, NoConvergence, NotAGroup
-from .locate import refine_ep, seed_eps_in_slice, trace_ea
+from .locate import refine_ep, seed_eps_in_slice, trace_ea, track_sheets
 from .loops import PRESET_NAMES, interpolate_loop, preset_loop
+# eigensystem and match_assignment stay importable here for the benchmark's tracer
 from .model import ParamPoint, PhysicalScale, discriminant_formula, eigensystem
 from .permutations import all_elements, element, identify, to_matrix, verify_group
 from .spectral import (
@@ -108,56 +109,26 @@ def cmd_surface(args) -> int:
         + [f"im_omega_{k}" for k in (1, 2, 3)]
         + ["abs_disc"]
     )
-    if args.window[0] >= args.window[1] or args.window[2] >= args.window[3]:
-        path = out / "surface.csv"
-        with path.open("w", newline="") as fh:
-            csv.writer(fh).writerow(header)
-        _write_manifest(out, "surface", vars(args) | {"out": str(out)}, None)
-        print(f"wrote {path} (empty window, header only)")
-        return EXIT_OK
-    zz = np.linspace(args.window[0], args.window[1], nz)
-    xx = np.linspace(args.window[2], args.window[3], nx)
+    empty = args.window[0] >= args.window[1] or args.window[2] >= args.window[3]
     rows = []
-    prev_row_first = None
-    for z in zz:
-        es = eigensystem(ParamPoint(args.eta, z, xx[0], args.g))
-        if prev_row_first is not None:
-            order, _, _ = match_assignment(prev_row_first, es)
-            es = _reorder_es(es, order)
-        prev_row_first = es
-        cur = es
-        _emit_surface_row(rows, cur, z, xx[0], args)
-        for x in xx[1:]:
-            es2 = eigensystem(ParamPoint(args.eta, z, x, args.g))
-            order, _, _ = match_assignment(cur, es2)
-            cur = _reorder_es(es2, order)
-            _emit_surface_row(rows, cur, z, x, args)
+    if not empty:
+        zz = np.linspace(args.window[0], args.window[1], nz)
+        xx = np.linspace(args.window[2], args.window[3], nx)
+        tracked = track_sheets(args.eta, args.g, zz, xx)
+        rows = [_surface_row(tracked[a, b], z, x, args) for a, z in enumerate(zz) for b, x in enumerate(xx)]
     path = out / "surface.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     _write_manifest(out, "surface", vars(args) | {"out": str(out)}, None)
-    print(f"wrote {path} ({len(rows)} rows)")
+    print(f"wrote {path} " + ("(empty window, header only)" if empty else f"({len(rows)} rows)"))
     return EXIT_OK
 
 
-def _reorder_es(es, order):
-    from dataclasses import replace
-
-    idx = list(order)
-    return replace(
-        es,
-        eigenvalues=es.eigenvalues[idx],
-        right_vectors=es.right_vectors[:, idx],
-        left_vectors=es.left_vectors[idx, :],
-    )
-
-
-def _emit_surface_row(rows, es, z, x, args):
-    w = es.eigenvalues
+def _surface_row(w, z, x, args) -> list[str]:
     d = abs(discriminant_formula(ParamPoint(args.eta, z, x, args.g)))
-    rows.append(
+    return (
         [f"{z:.10g}", f"{x:.10g}"]
         + [f"{w[k].real:.12g}" for k in range(3)]
         + [f"{w[k].imag:.12g}" for k in range(3)]
@@ -266,6 +237,9 @@ def _lab_config(args) -> tuple[CavityConfig, FitConfig]:
         raise ValueError(f"unknown lab config key(s): {', '.join(unknown)}")
     cav = {k: v for k, v in doc.items() if k in cav_keys}
     fit = {k: v for k, v in doc.items() if k in fit_keys}
+    for k, v in fit.items():
+        if type(v) is not int:
+            raise ValueError(f"lab config: {k} must be an integer, got {v!r}")
     try:
         if "scale" in cav:
             cav["scale"] = PhysicalScale(**cav["scale"])

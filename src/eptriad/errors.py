@@ -25,10 +25,6 @@ class NotAnEP(EptriadError):
     """Point does not satisfy the discriminant-zero criterion."""
 
 
-class JacobianRankDeficient(EptriadError):
-    """Continuation Jacobian lost rank (arcs meet, e.g. at the nexus)."""
-
-
 class PathTouchesEP(EptriadError):
     """A loop step is too close to a degeneracy for safe transport."""
 

@@ -10,12 +10,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import model, transport  # track_sheets looks names up here at call time, so rebinds reach it
 from .errors import NoConvergence, NotAnEP
 from .model import (
     ParamPoint,
     char_poly,
     discriminant_formula,
     discriminant_gradient,
+    discriminant_values,
 )
 
 EP_RESIDUAL_TOL = 1e-12
@@ -55,14 +57,6 @@ class EAPolyline:
         return np.array([[q.point.eta, q.point.zeta, q.point.xi] for q in self.points])
 
 
-def _disc_on_grid(eta: float, g: float, zz: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    b = xx[None, :] + 1j * zz[:, None]
-    u = g - 1j * eta
-    c = 2 * u * (2 + u)
-    d = 2 * b * (1 + u) ** 2
-    return 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
-
-
 def seed_eps_in_slice(
     eta: float,
     g: float,
@@ -79,7 +73,7 @@ def seed_eps_in_slice(
     (zlo, zhi), (xlo, xhi) = window
     zz = np.linspace(zlo, zhi, resolution)
     xx = np.linspace(xlo, xhi, resolution)
-    vals = _disc_on_grid(eta, g, zz, xx)
+    vals = discriminant_values(eta, zz[:, None], xx[None, :], g)
 
     def _cell_flips(f: np.ndarray) -> np.ndarray:
         corners = np.stack([f[:-1, :-1], f[1:, :-1], f[:-1, 1:], f[1:, 1:]])
@@ -312,6 +306,29 @@ def verify_arc(arc: EAPolyline) -> float:
     return max((q.residual for q in arc.points), default=0.0)
 
 
+def track_sheets(eta: float, g: float, zz: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Eigenvalues on a (zeta, xi) grid, continued sheet by sheet.
+
+    Each point takes the band order that :func:`transport.match_assignment`
+    finds against its left neighbour; the first point of a row matches the
+    first point of the row above.  Returns a (len(zz), len(xx), 3) array.
+    """
+    tracked = np.empty((len(zz), len(xx), 3), dtype=complex)
+    row_start = None
+    for a, z in enumerate(zz):
+        prev = row_start
+        for b, x in enumerate(xx):
+            es = model.eigensystem(ParamPoint(eta, z, x, g))
+            if prev is not None:
+                order, _, _ = transport.match_assignment(prev, es)
+                es = transport._reorder(es, order)
+            if b == 0:
+                row_start = es
+            prev = es
+            tracked[a, b] = es.eigenvalues
+    return tracked
+
+
 def branch_cut_trace(
     eta: float,
     g: float,
@@ -321,61 +338,24 @@ def branch_cut_trace(
 ) -> np.ndarray:
     """Locus of Re w_i = Re w_j for continuously tracked sheets on a slice.
 
-    Bands are labeled by continuation along grid rows (first column is
-    continued downward), so the locus follows the sheets across cuts.
-    Returns an (n, 2) array of (zeta, xi) crossing points for plotting;
-    empty when the tracked sheets never cross in real part.
+    Bands are labeled by :func:`track_sheets`, so the locus follows the
+    sheets across cuts.  Returns an (n, 2) array of (zeta, xi) crossing
+    points for plotting; empty when the tracked sheets never cross in real
+    part.
     """
-    from .transport import match_assignment  # local import to avoid a cycle
-
-    from .model import eigensystem
-
     (zlo, zhi), (xlo, xhi) = window
     zz = np.linspace(zlo, zhi, resolution)
     xx = np.linspace(xlo, xhi, resolution)
     i, j = band_pair[0] - 1, band_pair[1] - 1
-
-    tracked = np.empty((resolution, resolution, 3), dtype=complex)
-    prev_row_first = None
-    for a, z in enumerate(zz):
-        es = eigensystem(ParamPoint(eta, z, xx[0], g))
-        if prev_row_first is None:
-            order = (0, 1, 2)
-        else:
-            order, _, _ = match_assignment(prev_row_first, es)
-        row_sys = _reorder(es, order)
-        prev_row_first = row_sys
-        tracked[a, 0] = row_sys.eigenvalues
-        cur = row_sys
-        for b, x in enumerate(xx[1:], start=1):
-            es = eigensystem(ParamPoint(eta, z, x, g))
-            order, _, _ = match_assignment(cur, es)
-            cur = _reorder(es, order)
-            tracked[a, b] = cur.eigenvalues
+    tracked = track_sheets(eta, g, zz, xx)
 
     f = tracked[:, :, i].real - tracked[:, :, j].real
-    pts = []
-    for a in range(resolution):
-        for b in range(resolution):
-            if b + 1 < resolution and f[a, b] * f[a, b + 1] < 0:
-                t = f[a, b] / (f[a, b] - f[a, b + 1])
-                pts.append((zz[a], xx[b] + t * (xx[b + 1] - xx[b])))
-            if a + 1 < resolution and f[a, b] * f[a + 1, b] < 0:
-                t = f[a, b] / (f[a, b] - f[a + 1, b])
-                pts.append((zz[a] + t * (zz[a + 1] - zz[a]), xx[b]))
+    a, b = np.nonzero(f[:, :-1] * f[:, 1:] < 0)          # sign flips along xi
+    t = f[a, b] / (f[a, b] - f[a, b + 1])
+    pts = list(zip(zz[a], xx[b] + t * (xx[b + 1] - xx[b])))
+    a, b = np.nonzero(f[:-1, :] * f[1:, :] < 0)          # sign flips along zeta
+    t = f[a, b] / (f[a, b] - f[a + 1, b])
+    pts += list(zip(zz[a] + t * (zz[a + 1] - zz[a]), xx[b]))
     if not pts:
         return np.empty((0, 2))
-    out = np.array(sorted(pts))
-    return out
-
-
-def _reorder(es, order):
-    from dataclasses import replace
-
-    idx = list(order)
-    return replace(
-        es,
-        eigenvalues=es.eigenvalues[idx],
-        right_vectors=es.right_vectors[:, idx],
-        left_vectors=es.left_vectors[idx, :],
-    )
+    return np.array(sorted(pts))

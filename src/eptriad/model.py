@@ -133,12 +133,17 @@ def build_h_ep(p: ParamPoint) -> np.ndarray:
     return kappa * (m + gain)
 
 
+def _poly_coeffs(eta, zeta, xi, g):
+    """(a2, a1, a0) of det(wI - H); broadcasts over array arguments."""
+    b = xi + 1j * zeta
+    a1 = -2.0 * (eta + 1j * g) * (eta + 1j * (2.0 + g))
+    a0 = -2.0 * b * (eta + 1j * (1.0 + g)) ** 2
+    return b, a1, a0
+
+
 def char_poly(p: ParamPoint) -> PolyCoeffs:
     """Coefficients of det(wI - H) for the kappa = -1 Hamiltonian."""
-    b = p.xi + 1j * p.zeta
-    a1 = -2.0 * (p.eta + 1j * p.g) * (p.eta + 1j * (2.0 + p.g))
-    a0 = -2.0 * b * (p.eta + 1j * (1.0 + p.g)) ** 2
-    return PolyCoeffs(a3=1.0 + 0j, a2=b, a1=a1, a0=a0)
+    return PolyCoeffs(1.0 + 0j, *_poly_coeffs(p.eta, p.zeta, p.xi, p.g))
 
 
 def _cbrt_principal(z: complex) -> complex:
@@ -264,15 +269,19 @@ def discriminant(p: ParamPoint) -> complex:
     return sign * np.linalg.det(sylvester_matrix(coeffs))
 
 
+def discriminant_values(eta, zeta, xi, g):
+    """Monic-cubic discriminant 18bcd - 4b^3 d + b^2 c^2 - 4c^3 - 27d^2; broadcasts."""
+    b, c, d = _poly_coeffs(eta, zeta, xi, g)
+    return 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
+
+
 def discriminant_formula(p: ParamPoint) -> complex:
-    """Expanded monic-cubic discriminant 18bcd - 4b^3 d + b^2 c^2 - 4c^3 - 27d^2.
+    """:func:`discriminant_values` at one point.
 
     Same value as :func:`discriminant` but cheap and exactly differentiable;
     used by the locator's Newton iterations.
     """
-    co = char_poly(p)
-    b, c, d = co.a2, co.a1, co.a0
-    return 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
+    return discriminant_values(p.eta, p.zeta, p.xi, p.g)
 
 
 def discriminant_gradient(p: ParamPoint) -> dict[str, complex]:

@@ -23,6 +23,7 @@ from .model import (
     ParamPoint,
     PhysicalScale,
     build_h_ep,
+    eigensystem,
     to_physical,
 )
 
@@ -87,27 +88,15 @@ def onsite_profile(config: CavityConfig) -> ModeProfile:
     return ModeProfile(samples=v / norm)
 
 
-def _eig_biorthonormal(p: ParamPoint):
-    """Eigenvalues plus right vectors and bilinear weights for residues."""
-    h = build_h_ep(p)
-    w, v = np.linalg.eig(h)
-    v = v / np.linalg.norm(v, axis=0)
-    bil = np.sum(v * v, axis=0)
-    return w, v, bil
-
-
 def greens_3site(omega: complex, p: ParamPoint, scale: PhysicalScale | None = None) -> np.ndarray:
     """Site-basis Green's function sum_j |R_j><L_j| / (omega - w_j), physical units."""
     s = scale if scale is not None else PhysicalScale()
-    w, v, bil = _eig_biorthonormal(p)
-    wphys = to_physical(w, s)
+    es = eigensystem(p)
+    wphys = to_physical(es.eigenvalues, s)
     gaps = np.abs(omega - wphys)
     if gaps.min() < 1e-6 * abs(s.kappa):
         raise PoleProximity(f"omega within {gaps.min():.3e} rad/s of a pole")
-    g = np.zeros((3, 3), dtype=complex)
-    for j in range(3):
-        g += np.outer(v[:, j], v[:, j]) / bil[j] / (omega - wphys[j])
-    return g
+    return (es.right_vectors / (omega - wphys)) @ es.left_vectors
 
 
 def isolated_cavity_pole(cavity: str, p: ParamPoint, scale: PhysicalScale | None = None) -> complex:
@@ -338,10 +327,7 @@ def fit_step(
     point = ParamPoint(eta, zeta, xi, g)
     # the model sees only |kappa|, so the unbounded polish may cross 0
     scale = PhysicalScale(omega0=w0, gamma0=g0, kappa=-abs(kap))
-    w, v, bil = _eig_biorthonormal(point)
-    order = np.argsort(w.real, kind="stable")
-    w, v, bil = w[order], v[:, order], bil[order]
-    wphys = to_physical(w, scale)
+    wphys = to_physical(eigensystem(point).eigenvalues, scale)
 
     spacing = freqs[1] - freqs[0]
     gaps = [abs(wphys[i] - wphys[j]) for i in range(3) for j in range(i + 1, 3)]

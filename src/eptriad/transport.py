@@ -78,23 +78,22 @@ class TransportResult:
 def match_assignment(es_from: Eigensystem, es_to: Eigensystem):
     """Best band assignment between neighboring eigensystems.
 
-    Returns (assignment, matched_abs, margin): assignment[j] is the band of
-    ``es_to`` continuing band j of ``es_from``; margin is the gap in total
-    squared overlap to the runner-up assignment.
+    Returns (assignment, overlap, margin): assignment[j] is the band of
+    ``es_to`` continuing band j of ``es_from``; overlap is the biorthogonal
+    overlap matrix L_from @ R_to; margin is the gap in total squared overlap
+    to the runner-up assignment.
     """
     overlap = es_from.left_vectors @ es_to.right_vectors
     scores = [sum(abs(overlap[j, pm[j]]) ** 2 for j in range(3)) for pm in _PERMS]
     order = np.argsort(scores)
-    best = _PERMS[order[-1]]
-    margin = scores[order[-1]] - scores[order[-2]]
-    matched = np.array([abs(overlap[j, best[j]]) for j in range(3)])
-    return best, matched, margin
+    return _PERMS[order[-1]], overlap, scores[order[-1]] - scores[order[-2]]
 
 
 def _reorder(es: Eigensystem, order, phases=None) -> Eigensystem:
+    """``es`` with its bands in ``order``, each optionally rotated by -phase."""
     idx = list(order)
-    right = es.right_vectors[:, idx].copy()
-    left = es.left_vectors[idx, :].copy()
+    right = es.right_vectors[:, idx]
+    left = es.left_vectors[idx, :]
     if phases is not None:
         for j in range(3):
             right[:, j] *= np.exp(-1j * phases[j])
@@ -126,7 +125,9 @@ def transport_eigensystems(
 
     When ``refine`` is set and the sequence came from parameter points,
     ambiguous steps are bisected by inserting interpolated points (up to 8
-    levels) before giving up with AmbiguousMatch.
+    levels) before giving up with AmbiguousMatch.  Θ is not checked for
+    unimodularity (fitted frames are only near-biorthonormal), but a
+    singular final frame raises NonUnimodularDeterminant.
     """
     work = list(systems)
     depth = [0] * (len(work) - 1)
@@ -147,11 +148,7 @@ def transport_eigensystems(
     l = 0
     while l < len(work) - 1:
         nxt = work[l + 1]
-        overlap = tracked.left_vectors @ nxt.right_vectors
-        scores = [sum(abs(overlap[j, pm[j]]) ** 2 for j in range(3)) for pm in _PERMS]
-        order = np.argsort(scores)
-        assign = _PERMS[order[-1]]
-        margin = scores[order[-1]] - scores[order[-2]]
+        assign, overlap, margin = match_assignment(tracked, nxt)
         if margin < ambiguity_margin:
             if refine and depth[l] < MAX_BISECTIONS:
                 mid_params = 0.5 * (tracked.point.as_array() + nxt.point.as_array())
@@ -184,7 +181,9 @@ def transport_eigensystems(
     holonomy = anchor.left_vectors @ tracked.right_vectors
     det = complex(np.linalg.det(holonomy))
     parity = float(np.linalg.det(to_matrix(permutation)))
-    theta = _principal(-cmath.log(parity * det).imag) if det != 0 else float("nan")
+    if det == 0:
+        raise NonUnimodularDeterminant("det U = 0: the tracked frame lost rank")
+    theta = _principal(-cmath.log(parity * det).imag)
 
     return TransportResult(
         loop=loop,

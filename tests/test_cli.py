@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import eptriad.model
-from eptriad.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from eptriad.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from eptriad.locate import refine_ep
+from eptriad.model import ParamPoint
 
 
 def run(argv):
@@ -144,6 +146,8 @@ class TestLabCommand:
         {"scale": {"omega": 19729.0}},
         {"n_frequencies": "31"},
         [1, 2],
+        {"population": "x"},
+        {"generations": 2.5},
     ])
     def test_bad_config_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "lab.json"
@@ -186,3 +190,42 @@ class TestNumericalFailures:
         monkeypatch.setattr(eptriad.model.np.linalg, "eig", bad_eig)
         code = run(["loop", "--preset", "mu1", "--steps-per-segment", "8", "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
+
+
+def _argv_group(tmp_path):
+    return ["group", "--out", str(tmp_path)]
+
+
+def _argv_bad_lab_config(tmp_path):
+    cfg = tmp_path / "lab.json"
+    cfg.write_text(json.dumps({"population": "x"}))
+    return ["lab", "pipeline", "--config", str(cfg), "--out", str(tmp_path)]
+
+
+def _argv_loop_through_ep(tmp_path):
+    ep = refine_ep(ParamPoint(0.33, 0.54, 0.40, 0.61)).point
+    cfg = {
+        "label": "through-ep",
+        "g": 0.61,
+        "waypoints": [[0.33, 0.3, 0.2], [ep.eta, ep.zeta, ep.xi], [0.33, 0.3, 0.5], [0.33, 0.3, 0.2]],
+        "steps_per_segment": 8,
+    }
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(cfg))
+    return ["loop", "--config", str(path), "--out", str(tmp_path)]
+
+
+def _argv_out_is_file(tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    return ["group", "--out", str(blocker)]
+
+
+@pytest.mark.parametrize("make_argv, code", [
+    (_argv_group, EXIT_OK),
+    (_argv_bad_lab_config, EXIT_CONFIG),
+    (_argv_loop_through_ep, EXIT_NUMERICAL),     # PathTouchesEP
+    (_argv_out_is_file, EXIT_IO),
+])
+def test_exit_code_matrix(tmp_path, make_argv, code):
+    assert run(make_argv(tmp_path)) == code

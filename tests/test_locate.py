@@ -8,9 +8,10 @@ from eptriad.locate import (
     refine_ep,
     seed_eps_in_slice,
     trace_ea,
+    track_sheets,
     verify_arc,
 )
-from eptriad.model import ParamPoint, discriminant_formula
+from eptriad.model import ParamPoint, discriminant_formula, eigensystem
 
 G = 0.61
 
@@ -196,3 +197,42 @@ class TestBranchCuts:
     def test_empty_for_quiet_window(self):
         pts = branch_cut_trace(0.9, G, (1, 2), ((0.55, 0.95), (0.55, 0.95)), 41)
         assert pts.shape[0] == 0
+
+
+class TestTrackSheets:
+    def test_each_point_is_a_permutation_of_the_spectrum(self):
+        zz, xx = np.linspace(-1, 1, 9), np.linspace(-1, 1, 7)
+        tracked = track_sheets(0.33, G, zz, xx)
+        assert tracked.shape == (9, 7, 3)
+        assert np.array_equal(tracked[0, 0], eigensystem(ParamPoint(0.33, -1.0, -1.0, G)).eigenvalues)
+        for a, z in enumerate(zz):
+            for b, x in enumerate(xx):
+                w = eigensystem(ParamPoint(0.33, z, x, G)).eigenvalues
+                assert sorted(tracked[a, b].tolist(), key=lambda c: (c.real, c.imag)) == sorted(
+                    w.tolist(), key=lambda c: (c.real, c.imag)
+                )
+
+    def test_branch_cut_trace_matches_the_pointwise_crossing_scan(self):
+        zz, xx = np.linspace(-1, 1, 31), np.linspace(-1, 1, 31)
+        f = track_sheets(0.33, G, zz, xx)
+        f = f[:, :, 0].real - f[:, :, 1].real
+        pts = []
+        for a in range(31):
+            for b in range(31):
+                if b + 1 < 31 and f[a, b] * f[a, b + 1] < 0:
+                    t = f[a, b] / (f[a, b] - f[a, b + 1])
+                    pts.append((zz[a], xx[b] + t * (xx[b + 1] - xx[b])))
+                if a + 1 < 31 and f[a, b] * f[a + 1, b] < 0:
+                    t = f[a, b] / (f[a, b] - f[a + 1, b])
+                    pts.append((zz[a] + t * (zz[a + 1] - zz[a]), xx[b]))
+        assert len(pts) > 0
+        assert np.array_equal(branch_cut_trace(0.33, G, (1, 2), resolution=31), np.array(sorted(pts)))
+
+    def test_sheets_continue_across_a_re_crossing(self):
+        """Away from EPs neighbouring tracked values stay close, even where
+        the Re-sorted labels swap."""
+        zz, xx = np.linspace(-1, 1, 41), np.linspace(-0.3, 0.3, 41)
+        tracked = track_sheets(0.0, G, zz, xx)
+        sorted_w = np.sort_complex(tracked.real + 0j)
+        assert np.any(tracked.real != sorted_w.real)     # some label swaps happened
+        assert np.max(np.abs(np.diff(tracked, axis=1))) < 0.2

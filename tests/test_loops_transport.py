@@ -12,6 +12,7 @@ from eptriad.transport import (
     cycles_to_identity,
     discriminant_winding,
     eigenvalue_vorticity,
+    match_assignment,
     mu2_decomposition_run,
     nabp,
     transport,
@@ -293,6 +294,35 @@ class TestErrorPaths:
         with pytest.raises(AmbiguousMatch):
             transport_eigensystems([es, rotated, es], refine=False)
 
+    def test_singular_final_frame_raises(self):
+        from dataclasses import replace
+
+        es = eigensystem(ParamPoint(0.33, 0.1, 0.1, G))
+        v = es.right_vectors.copy()
+        v[:, 2] = 0.0
+        singular = replace(es, right_vectors=v)
+        with pytest.raises(NonUnimodularDeterminant):
+            transport_eigensystems([es, es, es, singular], refine=False)
+
     def test_nabp_requires_reliable_result(self):
         res = transport(preset_loop("mu1", 200))
         assert nabp(res) is res.holonomy
+
+
+class TestMatchAssignment:
+    def test_returns_overlap_matrix(self):
+        a = eigensystem(ParamPoint(0.33, 0.1, 0.1, G))
+        b = eigensystem(ParamPoint(0.33, 0.11, 0.1, G))
+        assign, overlap, margin = match_assignment(a, b)
+        assert assign == (0, 1, 2)
+        assert np.array_equal(overlap, a.left_vectors @ b.right_vectors)
+        assert 1.5 < margin <= 2.0 + 1e-9
+
+    def test_transport_logs_the_matched_overlaps(self):
+        res = transport(preset_loop("mu1", 16))
+        assert res.step_transfer.shape == (res.tracked_eigenvalues.shape[0] - 1, 3, 3)
+        assert res.step_overlaps.min() == res.min_overlap
+        for transfer, matched in zip(res.step_transfer, res.step_overlaps):
+            # one matched entry per row, each in its own column
+            cols = [int(np.argmin(np.abs(np.abs(row) - m))) for row, m in zip(transfer, matched)]
+            assert sorted(cols) == [0, 1, 2]

@@ -14,6 +14,7 @@ from eptriad.model import (
     discriminant_formula,
     discriminant_gradient,
     discriminant_small_param,
+    discriminant_values,
     eigensystem,
     eigenvalues,
     sylvester_matrix,
@@ -255,6 +256,13 @@ class TestDiscriminant:
         p = ParamPoint(eta, zeta, xi, g)
         a, b = discriminant(p), discriminant_formula(p)
         assert abs(a - b) < 1e-10 * max(1.0, abs(a))
+
+    def test_grid_values_equal_the_pointwise_formula(self):
+        zz, xx = np.linspace(-1.2, 1.2, 17), np.linspace(-1.2, 1.2, 13)
+        grid = discriminant_values(0.33, zz[:, None], xx[None, :], 0.61)
+        pointwise = [[discriminant_formula(ParamPoint(0.33, z, x, 0.61)) for x in xx] for z in zz]
+        # numpy rounds array and scalar complex powers apart in the last bit
+        np.testing.assert_allclose(grid, pointwise, rtol=1e-14, atol=1e-14)
 
     @given(params, params, params, params)
     @settings(max_examples=100, deadline=None)
