@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 
 from .model import (
     Eigensystem,
+    EigensystemStack,
     ParamPoint,
     PhysicalScale,
     PolyCoeffs,
@@ -15,6 +16,7 @@ from .model import (
     discriminant,
     discriminant_small_param,
     eigensystem,
+    eigensystems,
     eigenvalues,
     to_physical,
 )

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model, transport  # track_sheets looks names up here at call time, so rebinds reach it
+from . import model, transport
 from .errors import NoConvergence, NotAnEP
 from .model import (
     ParamPoint,
@@ -309,24 +309,25 @@ def verify_arc(arc: EAPolyline) -> float:
 def track_sheets(eta: float, g: float, zz: np.ndarray, xx: np.ndarray) -> np.ndarray:
     """Eigenvalues on a (zeta, xi) grid, continued sheet by sheet.
 
-    Each point takes the band order that :func:`transport.match_assignment`
+    Each point takes the band order that :func:`transport.best_assignments`
     finds against its left neighbour; the first point of a row matches the
-    first point of the row above.  Returns a (len(zz), len(xx), 3) array.
+    first point of the row above.  Each row is solved in one batch (a
+    whole-grid batch would hold ~1.5 kB of temporaries per point).
+    Returns a (len(zz), len(xx), 3) array.
     """
-    tracked = np.empty((len(zz), len(xx), 3), dtype=complex)
-    row_start = None
+    w = np.empty((len(zz), len(xx), 3), dtype=complex)
+    if not w.size:
+        return w
+    along = np.empty((len(zz), len(xx) - 1), dtype=np.intp)
+    left, right = np.empty((2, len(zz), 3, 3), dtype=complex)    # frames at column 0
     for a, z in enumerate(zz):
-        prev = row_start
-        for b, x in enumerate(xx):
-            es = model.eigensystem(ParamPoint(eta, z, x, g))
-            if prev is not None:
-                order, _, _ = transport.match_assignment(prev, es)
-                es = transport._reorder(es, order)
-            if b == 0:
-                row_start = es
-            prev = es
-            tracked[a, b] = es.eigenvalues
-    return tracked
+        row = model.eigensystems([(eta, z, x, g) for x in xx])
+        along[a], _ = transport.best_assignments(row.left_vectors[:-1] @ row.right_vectors[1:])
+        w[a], left[a], right[a] = row.eigenvalues, row.left_vectors[0], row.right_vectors[0]
+    down, _ = transport.best_assignments(left[:-1] @ right[1:])
+    column = transport.chain_assignments(down)                       # (nz, 3)
+    rows = transport.chain_assignments(along.T).swapaxes(0, 1)        # (nz, nx, 3), from column 0
+    return np.take_along_axis(w, np.take_along_axis(rows, column[:, None, :], axis=2), axis=2)
 
 
 def branch_cut_trace(

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AnchorMismatch, PathTouchesEP
-from .model import ParamPoint, discriminant_formula
+# discriminant_formula stays importable here for the benchmark's tracer
+from .model import ParamPoint, discriminant_formula, discriminant_values
 
 #: loop steps must keep |disc| above this bound
 EP_CLEARANCE = 1e-8
@@ -18,28 +21,39 @@ EP_CLEARANCE = 1e-8
 MIN_STEPS = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoopPath:
+    """A closed loop: its waypoints and the (L, 4) array of its steps.
+
+    Row l of ``params`` is step l as (eta, zeta, xi, g); the first and last
+    rows coincide.
+    """
+
     g: float
     waypoints: tuple[ParamPoint, ...]
-    steps: tuple[ParamPoint, ...]
+    params: np.ndarray
     label: str = ""
 
     def __post_init__(self):
         if self.waypoints[0] != self.waypoints[-1]:
             raise ValueError("loop waypoints must close (first == last)")
-        if self.steps[0] != self.steps[-1]:
+        if not np.array_equal(self.params[0], self.params[-1]):
             raise ValueError("loop steps must close (first == last)")
-        if len(self.steps) < MIN_STEPS:
-            raise ValueError(f"need at least {MIN_STEPS} steps, got {len(self.steps)}")
-        for q in self.steps:
-            d = abs(discriminant_formula(q))
-            if d < EP_CLEARANCE:
-                raise PathTouchesEP(f"|disc| = {d:.2e} at {q}")
+        if len(self.params) < MIN_STEPS:
+            raise ValueError(f"need at least {MIN_STEPS} steps, got {len(self.params)}")
+        disc = np.abs(discriminant_values(*self.params.T))
+        close = np.flatnonzero(disc < EP_CLEARANCE)
+        if len(close):
+            l = close[0]
+            raise PathTouchesEP(f"|disc| = {disc[l]:.2e} at {ParamPoint(*self.params[l])}")
+
+    @property
+    def steps(self) -> tuple[ParamPoint, ...]:
+        return tuple(ParamPoint(*row) for row in self.params)
 
     @property
     def n_steps(self) -> int:
-        return len(self.steps)
+        return len(self.params)
 
 
 def interpolate_loop(
@@ -61,15 +75,12 @@ def interpolate_loop(
     gs = {p.g for p in pts}
     if len(gs) != 1:
         raise ValueError("all waypoints must share g")
-    steps: list[ParamPoint] = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        va, vb = a.as_array(), b.as_array()
-        for s in range(steps_per_segment):
-            f = s / steps_per_segment
-            v = (1 - f) * va + f * vb
-            steps.append(ParamPoint(*v))
-    steps.append(pts[-1])
-    return LoopPath(g=pts[0].g, waypoints=pts, steps=tuple(steps), label=label)
+    ends = np.array([p.as_array() for p in pts])
+    # range() rejects a non-integer step count
+    f = (np.array(range(steps_per_segment), dtype=float) / steps_per_segment)[None, :, None]
+    segments = (1 - f) * ends[:-1, None, :] + f * ends[1:, None, :]
+    params = np.vstack([segments.reshape(-1, 4), ends[-1:]])
+    return LoopPath(g=pts[0].g, waypoints=pts, params=params, label=label)
 
 
 def concat_loops(a: LoopPath, b: LoopPath) -> LoopPath:
@@ -83,16 +94,16 @@ def concat_loops(a: LoopPath, b: LoopPath) -> LoopPath:
     if a.waypoints[0] != b.waypoints[0]:
         raise AnchorMismatch(f"anchors differ: {a.waypoints[0]} vs {b.waypoints[0]}")
     waypoints = b.waypoints[:-1] + a.waypoints
-    steps = b.steps[:-1] + a.steps
+    params = np.vstack([b.params[:-1], a.params])
     label = f"{a.label or 'a'}_after_{b.label or 'b'}"
-    return LoopPath(g=a.g, waypoints=waypoints, steps=steps, label=label)
+    return LoopPath(g=a.g, waypoints=waypoints, params=params, label=label)
 
 
 def reverse_loop(loop: LoopPath) -> LoopPath:
     return LoopPath(
         g=loop.g,
         waypoints=tuple(reversed(loop.waypoints)),
-        steps=tuple(reversed(loop.steps)),
+        params=loop.params[::-1],
         label=f"{loop.label}-reversed" if loop.label else "reversed",
     )
 

@@ -12,6 +12,7 @@ Conventions used throughout the toolkit:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -46,10 +47,12 @@ class ParamPoint:
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"non-finite parameters {vals}")
         if not self.in_validated_regime:
+            # one text for every point, so the default filter reports each
+            # constructing line once instead of once per point
             warnings.warn(
-                f"parameters {vals} outside the validated regime |p| <= 1",
+                "parameters outside the validated regime |p| <= 1",
                 RegimeWarning,
-                stacklevel=2,
+                stacklevel=_outside_stacklevel(),
             )
 
     @property
@@ -63,6 +66,18 @@ class ParamPoint:
         d = {"eta": self.eta, "zeta": self.zeta, "xi": self.xi, "g": self.g}
         d.update(kw)
         return ParamPoint(**d)
+
+
+def _outside_stacklevel() -> int:
+    """``stacklevel`` naming the first caller outside this module.
+
+    Counted from the function that calls :func:`warnings.warn`; it skips the
+    dataclass-generated ``__init__`` and helpers such as ``replace``.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    return level
 
 
 @dataclass(frozen=True)
@@ -120,17 +135,29 @@ class Eigensystem:
 
 def build_h_ep(p: ParamPoint) -> np.ndarray:
     """Assemble the 3x3 dimensionless Hamiltonian (kappa = -1, sites B,A,C)."""
+    return _hamiltonians(p.as_array()[None])[0]
+
+
+#: the off-diagonal part of kappa * (m + gain), its zeros signed as that product signs them
+_H_HOPPING = -1.0 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+_BANDS = np.arange(3)
+_PAIR_I, _PAIR_J = np.array([0, 0, 1]), np.array([1, 2, 2])
+
+
+def _hamiltonians(params: np.ndarray) -> np.ndarray:
+    """The (L, 3, 3) Hamiltonians at the rows (eta, zeta, xi, g) of ``params``.
+
+    Each diagonal entry is kappa * (onsite + gain), rounded as the one-matrix
+    form kappa * (m + gain) rounds it.
+    """
+    eta, zeta, xi, g = params.T
     kappa = -1.0
-    m = np.array(
-        [
-            [SQRT2 * (1j + p.eta), 1.0, 0.0],
-            [1.0, 1j * p.zeta + p.xi, 1.0],
-            [0.0, 1.0, -SQRT2 * (1j + p.eta)],
-        ],
-        dtype=complex,
-    )
-    gain = 1j * SQRT2 * np.diag([p.g, 0.0, -p.g]).astype(complex)
-    return kappa * (m + gain)
+    onsite = 1j + eta
+    h = np.repeat(_H_HOPPING[None], len(params), axis=0)
+    h[:, 0, 0] = kappa * (SQRT2 * onsite + 1j * SQRT2 * g)
+    h[:, 1, 1] = kappa * ((1j * zeta + xi) + 0j)
+    h[:, 2, 2] = kappa * (-SQRT2 * onsite + 1j * SQRT2 * -g)
+    return h
 
 
 def _poly_coeffs(eta, zeta, xi, g):
@@ -194,47 +221,104 @@ def eigenvalues(p: ParamPoint) -> np.ndarray:
 
 
 def eigensystem(p: ParamPoint) -> Eigensystem:
-    """Full eigensystem, ordered by ascending real part.
+    """Full eigensystem at one point: :func:`eigensystems` on a single row."""
+    return eigensystems(p.as_array()[None]).row(0, p)
 
-    Right vectors have unit Euclidean norm; left rows satisfy L @ R = I
-    away from degeneracies.  Raises nothing at EPs: the degenerate flag is
-    set and left vectors fall back to plain (unscaled) transposes.  Raises
-    InaccurateEigensystem when an eigenpair fails the residual check.
+
+def eigensystems(params) -> "EigensystemStack":
+    """Eigensystems at the rows (eta, zeta, xi, g) of an (L, 4) array.
+
+    One stacked ``np.linalg.eig`` call; each row is ordered by ascending real
+    part.  Right vectors have unit Euclidean norm; left rows satisfy
+    L @ R = I away from degeneracies.  Raises nothing at EPs: the degenerate
+    flag is set and left vectors whose bilinear norm vanishes fall back to
+    plain (unscaled) transposes.  Raises InaccurateEigensystem when an
+    eigenpair of any row fails the residual check.
     """
-    h = build_h_ep(p)
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 2 or params.shape[1] != 4:
+        raise ValueError(f"expected an (L, 4) parameter array, got shape {params.shape}")
+    if not np.isfinite(params).all():
+        raise ValueError("non-finite parameters")
+    h = _hamiltonians(params)
     w, v = np.linalg.eig(h)
-    order = np.argsort(w.real, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    v = v / np.linalg.norm(v, axis=0)
+    at = np.arange(len(params))[:, None]
+    order = np.argsort(w.real, axis=1, kind="stable")
+    w = w[at, order]
+    v = v[at[:, None], _BANDS[:, None], order[:, None, :]]
+    v = v / np.linalg.norm(v, axis=1)[:, None, :]
 
-    gaps = [abs(w[i] - w[j]) for i in range(3) for j in range(i + 1, 3)]
-    min_gap = min(gaps)
+    gaps = w[:, _PAIR_I] - w[:, _PAIR_J]
+    min_gap = np.hypot(gaps.real, gaps.imag).min(axis=1)    # rounds as abs() of one scalar
+    degenerate = min_gap < DEGENERACY_GAP
     # an exact EP splits numerically by ~eps^(1/2) or eps^(1/3), so the gap
-    # test alone can miss it; the discriminant vanishes analytically there
-    degenerate = min_gap < DEGENERACY_GAP or abs(discriminant_formula(p)) < 1e-12
+    # test alone can miss it; the discriminant vanishes analytically there.
+    # It is the product of the squared gaps, so a row whose smallest gap is
+    # 0.1 or more has |disc| >= 1e-6 and needs no evaluation.
+    near = np.flatnonzero(min_gap < 0.1)
+    if len(near):
+        degenerate[near] |= np.abs(discriminant_values(*params[near].T)) < 1e-12
 
-    left = np.empty((3, 3), dtype=complex)
-    for j in range(3):
-        bil = v[:, j] @ v[:, j]
-        if degenerate and abs(bil) < 1e-12:
-            left[j, :] = v[:, j]
-        else:
-            left[j, :] = v[:, j] / bil
+    rows = v.transpose(0, 2, 1)                             # rows[l, j] = right vector j
+    bil = (rows[:, :, None, :] @ rows[:, :, :, None])[:, :, 0, 0]
+    plain = degenerate[:, None] & (np.abs(bil) < 1e-12)
+    left = np.divide(rows, bil[:, :, None], out=rows.copy(), where=~plain[:, :, None])
 
-    hnorm = np.linalg.norm(h)
-    for j in range(3):
-        resid = np.linalg.norm(h @ v[:, j] - w[j] * v[:, j]) / max(hnorm, 1.0)
-        if resid > 1e-10:
-            raise InaccurateEigensystem(f"eigen residual {resid:.2e} at {p}")
-    return Eigensystem(
-        point=p,
-        eigenvalues=w,
-        right_vectors=v,
-        left_vectors=left,
-        is_degenerate=degenerate,
-        min_gap=min_gap,
-    )
+    # squared residual norms against (1e-10 * max(||H||_F, 1))^2
+    r = h @ v - v * w[:, None, :]
+    resid2 = (r.real**2 + r.imag**2).sum(axis=1) / np.maximum((h.real**2 + h.imag**2).sum(axis=(1, 2)), 1.0)[:, None]
+    if (resid2 > 1e-20).any():
+        l, j = np.argwhere(resid2 > 1e-20)[0]
+        raise InaccurateEigensystem(f"eigen residual {np.sqrt(resid2[l, j]):.2e} at {ParamPoint(*params[l])}")
+    return EigensystemStack(params, w, v, left, degenerate, min_gap)
+
+
+@dataclass(frozen=True, eq=False)
+class EigensystemStack:
+    """Eigensystems at L parameter points, stacked along a leading axis.
+
+    Row l holds what :func:`eigensystem` returns at the point ``params[l]``.
+    """
+
+    params: np.ndarray             # (L, 4) rows (eta, zeta, xi, g)
+    eigenvalues: np.ndarray        # (L, 3) complex
+    right_vectors: np.ndarray      # (L, 3, 3) complex, columns
+    left_vectors: np.ndarray       # (L, 3, 3) complex, rows
+    is_degenerate: np.ndarray      # (L,) bool
+    min_gap: np.ndarray            # (L,)
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    @classmethod
+    def of(cls, systems) -> "EigensystemStack":
+        """Stack per-point eigensystems, e.g. fitted frames."""
+        return cls(
+            np.array([es.point.as_array() for es in systems]),
+            np.array([es.eigenvalues for es in systems]),
+            np.array([es.right_vectors for es in systems]),
+            np.array([es.left_vectors for es in systems]),
+            np.array([es.is_degenerate for es in systems]),
+            np.array([es.min_gap for es in systems]),
+        )
+
+    def row(self, l: int, point: ParamPoint | None = None) -> Eigensystem:
+        """Row ``l`` as an :class:`Eigensystem` (``point`` defaults to ``params[l]``)."""
+        return Eigensystem(
+            point=ParamPoint(*self.params[l]) if point is None else point,
+            eigenvalues=self.eigenvalues[l],
+            right_vectors=self.right_vectors[l],
+            left_vectors=self.left_vectors[l],
+            is_degenerate=bool(self.is_degenerate[l]),
+            min_gap=float(self.min_gap[l]),
+        )
+
+    def insert(self, index, other: "EigensystemStack") -> "EigensystemStack":
+        """A new stack with the rows of ``other`` inserted before rows ``index``."""
+        return EigensystemStack(*(
+            np.insert(getattr(self, f), index, getattr(other, f), axis=0)
+            for f in ("params", "eigenvalues", "right_vectors", "left_vectors", "is_degenerate", "min_gap")
+        ))
 
 
 def require_biorthonormal(es: Eigensystem) -> None:

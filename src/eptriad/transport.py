@@ -6,6 +6,11 @@ band assignment maximizing the total squared overlap is chosen, and the
 arbitrary per-step excitation phase Im[ln <L_j | R_j'>] is compensated so
 each band stays phase-continuous.
 
+All steps are scored at once on the raw (Re-sorted, unrotated) frames: a
+score and its margin do not change when the tracked frame's rows are
+permuted or rotated in phase, so the tracked order follows by chaining the
+raw best assignments.  Only the phase compensation runs step by step.
+
 Two holonomy-level quantities are reported:
 
 * ``holonomy`` -- the matrix U with columns <L_i(anchor) | tracked_j(end)>.
@@ -21,16 +26,29 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AmbiguousMatch, NonUnimodularDeterminant
 from .loops import LoopPath
-from .model import Eigensystem, ParamPoint, discriminant_formula, eigensystem
+# eigensystem and discriminant_formula stay importable here for the benchmark's tracer
+from .model import (
+    Eigensystem,
+    EigensystemStack,
+    ParamPoint,
+    discriminant_formula,
+    discriminant_values,
+    eigensystem,
+    eigensystems,
+)
 from .permutations import PermutationElement, to_matrix
 
 _PERMS = tuple(itertools.permutations(range(3)))
+_PERM_ROWS = np.array(_PERMS)
+_BANDS = np.arange(3)
+#: _COMPOSE[b, a] indexes the permutation j -> _PERMS[b][_PERMS[a][j]]
+_COMPOSE = np.array([[_PERMS.index(tuple(pb[k] for k in pa)) for pa in _PERMS] for pb in _PERMS])
 
 DEFAULT_OVERLAP_FLOOR = 0.5
 DEFAULT_AMBIGUITY_MARGIN = 1e-3
@@ -75,6 +93,36 @@ class TransportResult:
         return len(self.events)
 
 
+def best_assignments(overlaps: np.ndarray):
+    """Best band assignment for each overlap matrix of a stack.
+
+    ``overlaps[..., i, k]`` is the biorthogonal overlap of band i of one frame
+    with band k of the next.  Returns (best, margin): ``_PERMS[best]`` maps
+    each band to the band continuing it, maximizing the total squared
+    overlap; margin is the gap to the runner-up assignment's total.
+    """
+    weights = np.abs(overlaps) ** 2
+    scores = weights[..., _BANDS, _PERM_ROWS].sum(axis=-1)      # (..., 6)
+    ranked = np.sort(scores, axis=-1)
+    # of tied maxima take the last, as a stable ascending sort ranks them
+    best = len(_PERMS) - 1 - np.argmax(scores[..., ::-1], axis=-1)
+    return best, ranked[..., -1] - ranked[..., -2]
+
+
+def chain_assignments(best) -> np.ndarray:
+    """Tracked band orders along a path of best raw assignments.
+
+    ``best[l]`` (from :func:`best_assignments`) relates the raw frames l and
+    l + 1.  Returns ``m`` with ``m[l, ..., j]`` the raw band that tracked
+    band j occupies at frame l: m[0] is the identity and m[l + 1][j] =
+    _PERMS[best[l]][m[l][j]].  Trailing axes of ``best`` are independent paths.
+    """
+    k = np.zeros((len(best) + 1,) + np.shape(best)[1:], dtype=np.intp)
+    for l, b in enumerate(best):
+        k[l + 1] = _COMPOSE[b, k[l]]
+    return _PERM_ROWS[k]
+
+
 def match_assignment(es_from: Eigensystem, es_to: Eigensystem):
     """Best band assignment between neighboring eigensystems.
 
@@ -84,21 +132,8 @@ def match_assignment(es_from: Eigensystem, es_to: Eigensystem):
     to the runner-up assignment.
     """
     overlap = es_from.left_vectors @ es_to.right_vectors
-    scores = [sum(abs(overlap[j, pm[j]]) ** 2 for j in range(3)) for pm in _PERMS]
-    order = np.argsort(scores)
-    return _PERMS[order[-1]], overlap, scores[order[-1]] - scores[order[-2]]
-
-
-def _reorder(es: Eigensystem, order, phases=None) -> Eigensystem:
-    """``es`` with its bands in ``order``, each optionally rotated by -phase."""
-    idx = list(order)
-    right = es.right_vectors[:, idx]
-    left = es.left_vectors[idx, :]
-    if phases is not None:
-        for j in range(3):
-            right[:, j] *= np.exp(-1j * phases[j])
-            left[j, :] *= np.exp(1j * phases[j])
-    return replace(es, eigenvalues=es.eigenvalues[idx], right_vectors=right, left_vectors=left)
+    best, margin = best_assignments(overlap)
+    return _PERMS[best], overlap, margin
 
 
 def _principal(theta: float) -> float:
@@ -113,95 +148,112 @@ def berry_phase(u: np.ndarray) -> float:
     return -cmath.log(det).imag
 
 
+def _resolve_steps(stack: EigensystemStack, ambiguity_margin: float, refine: bool):
+    """Raw overlaps and best assignments of every step of ``stack``.
+
+    Ambiguous steps are bisected level by level: each level inserts the
+    midpoints of all steps still ambiguous, solved in one batch.  A step's
+    margin depends only on its two end frames, so this inserts the same
+    points as bisecting one step at a time.  Returns the refined stack too.
+    """
+    for level in range(MAX_BISECTIONS + 1):
+        overlap = stack.left_vectors[:-1] @ stack.right_vectors[1:]
+        best, margin = best_assignments(overlap)
+        ambiguous = np.flatnonzero(margin < ambiguity_margin)
+        if not len(ambiguous):
+            return stack, overlap, best
+        if not refine or level == MAX_BISECTIONS:
+            l = ambiguous[0]
+            raise AmbiguousMatch(
+                f"assignment margin {margin[l]:.2e} at step {l} "
+                f"({ParamPoint(*stack.params[l])} -> {ParamPoint(*stack.params[l + 1])})"
+            )
+        mids = eigensystems(0.5 * (stack.params[ambiguous] + stack.params[ambiguous + 1]))
+        stack = stack.insert(ambiguous + 1, mids)
+
+
 def transport_eigensystems(
-    systems: list[Eigensystem],
+    systems,
     label: str = "",
     loop: LoopPath | None = None,
     overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
     ambiguity_margin: float = DEFAULT_AMBIGUITY_MARGIN,
     refine: bool = True,
 ) -> TransportResult:
-    """Parallel transport over a precomputed closed eigensystem sequence.
+    """Parallel transport over a closed eigensystem sequence.
 
-    When ``refine`` is set and the sequence came from parameter points,
-    ambiguous steps are bisected by inserting interpolated points (up to 8
-    levels) before giving up with AmbiguousMatch.  Θ is not checked for
-    unimodularity (fitted frames are only near-biorthonormal), but a
-    singular final frame raises NonUnimodularDeterminant.
+    ``systems`` is an :class:`EigensystemStack` or a list of
+    :class:`Eigensystem` (fitted frames), which is stacked first.  When
+    ``refine`` is set, ambiguous steps are bisected by inserting
+    interpolated parameter points (up to 8 levels) before giving up with
+    AmbiguousMatch.  Θ is not checked for unimodularity (fitted frames are
+    only near-biorthonormal), but a singular final frame raises
+    NonUnimodularDeterminant.
     """
-    work = list(systems)
-    depth = [0] * (len(work) - 1)
+    if isinstance(systems, EigensystemStack):
+        stack, anchor = systems, systems.row(0)
+    else:
+        stack, anchor = EigensystemStack.of(systems), systems[0]
+    stack, overlap, best = _resolve_steps(stack, ambiguity_margin, refine)
 
-    anchor = work[0]
-    tracked = anchor
-    m = (0, 1, 2)
-    events: list[ExchangeEvent] = []
-    tracked_w = [anchor.eigenvalues.copy()]
-    tracked_r = [anchor.right_vectors.copy()]
-    transfer_log: list[np.ndarray] = []
-    overlaps_log: list[np.ndarray] = []
-    theta_log: list[np.ndarray] = []
-    min_overlap = 1.0
-    min_gap = anchor.min_gap
-    disc_vals = [discriminant_formula(anchor.point)]
+    # m[l, j]: the raw (Re-sorted) band that tracked band j occupies at step l
+    m = chain_assignments(best.tolist())
+    at = np.arange(len(m))[:, None]
+    left = stack.left_vectors[at, m]                        # rows in tracked order
+    right = stack.right_vectors
+    # The phase of step l + 1 is read off the product of the phase-rotated
+    # tracked rows with the next frame, rotated before the product and step
+    # by step: the holonomy's off-pattern entries are rounding residues
+    # whose phases depend on every bit of this sweep, and reports pin them.
+    turn = np.zeros((len(m), 3), dtype=complex)             # i * phi
+    phi = turn.imag
+    transfer = np.empty_like(overlap)
+    flat = 3 * _BANDS + m[1:]                               # matched entries of each step
+    for l in range(len(overlap)):
+        np.matmul(left[l] * np.exp(turn[l])[:, None], right[l + 1], out=transfer[l])
+        z = transfer[l].take(flat[l])
+        phi[l + 1] = np.arctan2(z.imag, z.real)
+    matched = transfer[at[:-1], _BANDS, m[1:]]
+    matched = np.hypot(matched.real, matched.imag)          # rounds as abs() of one scalar
+    tracked_w = stack.eigenvalues[at, m]
+    tracked_r = right[at[:, None], _BANDS[:, None], m[:, None, :]] * np.exp(-1j * phi)[:, None, :]
 
-    l = 0
-    while l < len(work) - 1:
-        nxt = work[l + 1]
-        assign, overlap, margin = match_assignment(tracked, nxt)
-        if margin < ambiguity_margin:
-            if refine and depth[l] < MAX_BISECTIONS:
-                mid_params = 0.5 * (tracked.point.as_array() + nxt.point.as_array())
-                mid = eigensystem(ParamPoint(*mid_params))
-                work.insert(l + 1, mid)
-                depth[l : l + 1] = [depth[l] + 1, depth[l] + 1]
-                continue
-            raise AmbiguousMatch(
-                f"assignment margin {margin:.2e} at step {l} ({tracked.point} -> {nxt.point})"
-            )
-        matched = np.array([abs(overlap[j, assign[j]]) for j in range(3)])
-        phases = np.array([np.angle(overlap[j, assign[j]]) for j in range(3)])
-        # tracked band j continues as the Re-sorted band assign[j] of the
-        # next step, so the raw-rank occupancy map is the assignment itself
-        if assign != m:
-            events.append(ExchangeEvent(step=l + 1, point=nxt.point, before=m, after=assign))
-            m = assign
-        tracked = _reorder(nxt, assign, phases)
-        tracked_w.append(tracked.eigenvalues.copy())
-        tracked_r.append(tracked.right_vectors.copy())
-        transfer_log.append(overlap)
-        overlaps_log.append(matched)
-        theta_log.append(phases)
-        min_overlap = min(min_overlap, float(matched.min()))
-        min_gap = min(min_gap, nxt.min_gap)
-        disc_vals.append(discriminant_formula(nxt.point))
-        l += 1
-
-    permutation = PermutationElement(tuple(r + 1 for r in m))
-    holonomy = anchor.left_vectors @ tracked.right_vectors
+    changed = np.flatnonzero((m[1:] != m[:-1]).any(axis=1))
+    events = [
+        ExchangeEvent(
+            step=int(l) + 1,
+            point=ParamPoint(*stack.params[l + 1]),
+            before=tuple(m[l].tolist()),
+            after=tuple(m[l + 1].tolist()),
+        )
+        for l in changed
+    ]
+    permutation = PermutationElement(tuple(int(r) + 1 for r in m[-1]))
+    holonomy = anchor.left_vectors @ tracked_r[-1]
     det = complex(np.linalg.det(holonomy))
     parity = float(np.linalg.det(to_matrix(permutation)))
     if det == 0:
         raise NonUnimodularDeterminant("det U = 0: the tracked frame lost rank")
     theta = _principal(-cmath.log(parity * det).imag)
+    min_overlap = float(matched.min(initial=1.0))
 
     return TransportResult(
         loop=loop,
         label=label,
         anchor=anchor,
-        tracked_eigenvalues=np.array(tracked_w),
-        tracked_right_vectors=np.array(tracked_r),
-        step_transfer=np.array(transfer_log),
-        step_overlaps=np.array(overlaps_log),
-        theta_log=np.array(theta_log),
+        tracked_eigenvalues=tracked_w,
+        tracked_right_vectors=tracked_r,
+        step_transfer=transfer,
+        step_overlaps=matched,
+        theta_log=phi[1:].copy(),
         events=events,
         permutation=permutation,
         holonomy=holonomy,
         berry_phase=theta,
         min_overlap=min_overlap,
         reliable=min_overlap > overlap_floor,
-        min_gap=min_gap,
-        disc_values=np.array(disc_vals),
+        min_gap=float(stack.min_gap.min()),
+        disc_values=discriminant_values(*stack.params.T),
     )
 
 
@@ -211,9 +263,8 @@ def transport(
     ambiguity_margin: float = DEFAULT_AMBIGUITY_MARGIN,
 ) -> TransportResult:
     """Transport the band frame around a LoopPath (band 1 = lowest Re at anchor)."""
-    systems = [eigensystem(q) for q in loop.steps]
     return transport_eigensystems(
-        systems,
+        eigensystems(loop.params),
         label=loop.label,
         loop=loop,
         overlap_floor=overlap_floor,

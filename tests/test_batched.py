@@ -1,0 +1,347 @@
+"""Differential gate for the batched eigensystem layer.
+
+The references below are the one-point-at-a-time implementations that the
+batched layer replaced: the scalar eigensystem, the sequential transport
+sweep (match, reorder and bisect one step at a time), the per-step loop
+interpolation and the row sweep of the sheet tracker.  The batched code must
+make the same decisions (permutation, exchange steps, inserted points,
+reliability) and reproduce their numbers within 1e-12.
+"""
+import importlib
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from eptriad.errors import AmbiguousMatch, InaccurateEigensystem, PathTouchesEP
+from eptriad.locate import refine_ep, track_sheets
+from eptriad.loops import PRESET_NAMES, interpolate_loop, preset_loop, preset_waypoints
+from eptriad.model import (
+    DEGENERACY_GAP,
+    Eigensystem,
+    ParamPoint,
+    discriminant_formula,
+    eigensystem,
+    eigensystems,
+)
+from eptriad.permutations import PermutationElement, to_matrix
+from eptriad.transport import transport, transport_eigensystems
+
+# the package re-exports transport(), which shadows the module attribute
+transport_module = importlib.import_module("eptriad.transport")
+SQRT2 = np.sqrt(2.0)
+PERMS = tuple(itertools.permutations(range(3)))
+TOL = 1e-12
+G = 0.61
+
+
+# --------------------------------------------------------------------------
+# references: the scalar, sequential implementations
+
+
+def ref_hamiltonian(p):
+    kappa = -1.0
+    m = np.array(
+        [
+            [SQRT2 * (1j + p.eta), 1.0, 0.0],
+            [1.0, 1j * p.zeta + p.xi, 1.0],
+            [0.0, 1.0, -SQRT2 * (1j + p.eta)],
+        ],
+        dtype=complex,
+    )
+    gain = 1j * SQRT2 * np.diag([p.g, 0.0, -p.g]).astype(complex)
+    return kappa * (m + gain)
+
+
+def ref_eigensystem(p):
+    h = ref_hamiltonian(p)
+    w, v = np.linalg.eig(h)
+    order = np.argsort(w.real, kind="stable")
+    w = w[order]
+    v = v[:, order]
+    v = v / np.linalg.norm(v, axis=0)
+    min_gap = min(abs(w[i] - w[j]) for i in range(3) for j in range(i + 1, 3))
+    degenerate = min_gap < DEGENERACY_GAP or abs(discriminant_formula(p)) < 1e-12
+    left = np.empty((3, 3), dtype=complex)
+    for j in range(3):
+        bil = v[:, j] @ v[:, j]
+        left[j, :] = v[:, j] if degenerate and abs(bil) < 1e-12 else v[:, j] / bil
+    hnorm = np.linalg.norm(h)
+    for j in range(3):
+        resid = np.linalg.norm(h @ v[:, j] - w[j] * v[:, j]) / max(hnorm, 1.0)
+        assert resid <= 1e-10
+    return Eigensystem(p, w, v, left, degenerate, min_gap)
+
+
+def ref_match(es_from, es_to):
+    overlap = es_from.left_vectors @ es_to.right_vectors
+    scores = [sum(abs(overlap[j, pm[j]]) ** 2 for j in range(3)) for pm in PERMS]
+    order = np.argsort(scores)
+    return PERMS[order[-1]], overlap, scores[order[-1]] - scores[order[-2]]
+
+
+def ref_reorder(es, order, phases=None):
+    idx = list(order)
+    right = es.right_vectors[:, idx]
+    left = es.left_vectors[idx, :]
+    if phases is not None:
+        for j in range(3):
+            right[:, j] *= np.exp(-1j * phases[j])
+            left[j, :] *= np.exp(1j * phases[j])
+    return Eigensystem(es.point, es.eigenvalues[idx], right, left, es.is_degenerate, es.min_gap)
+
+
+def ref_transport(systems, ambiguity_margin=1e-3, refine=True):
+    """The sequential sweep: match each step against the tracked frame."""
+    work = list(systems)
+    depth = [0] * (len(work) - 1)
+    anchor = tracked = work[0]
+    m = (0, 1, 2)
+    events, tracked_w, min_overlap = [], [anchor.eigenvalues], 1.0
+    l = 0
+    while l < len(work) - 1:
+        nxt = work[l + 1]
+        assign, overlap, margin = ref_match(tracked, nxt)
+        if margin < ambiguity_margin:
+            if refine and depth[l] < transport_module.MAX_BISECTIONS:
+                mid = 0.5 * (tracked.point.as_array() + nxt.point.as_array())
+                work.insert(l + 1, ref_eigensystem(ParamPoint(*mid)))
+                depth[l : l + 1] = [depth[l] + 1, depth[l] + 1]
+                continue
+            raise AmbiguousMatch(f"at step {l}")
+        phases = np.array([np.angle(overlap[j, assign[j]]) for j in range(3)])
+        min_overlap = min(min_overlap, min(abs(overlap[j, assign[j]]) for j in range(3)))
+        if assign != m:
+            events.append((l + 1, tuple(nxt.point.as_array()), m, assign))
+            m = assign
+        tracked = ref_reorder(nxt, assign, phases)
+        tracked_w.append(tracked.eigenvalues)
+        l += 1
+    permutation = PermutationElement(tuple(r + 1 for r in m))
+    holonomy = anchor.left_vectors @ tracked.right_vectors
+    parity = float(np.linalg.det(to_matrix(permutation)))
+    theta = -np.angle(parity * np.linalg.det(holonomy))
+    return {
+        "permutation": permutation,
+        "events": events,
+        "tracked_w": np.array(tracked_w),
+        "holonomy": holonomy,
+        "theta": theta,
+        "min_overlap": min_overlap,
+        "reliable": min_overlap > transport_module.DEFAULT_OVERLAP_FLOOR,
+    }
+
+
+def ref_track_sheets(eta, g, zz, xx):
+    tracked = np.empty((len(zz), len(xx), 3), dtype=complex)
+    row_start = None
+    for a, z in enumerate(zz):
+        prev = row_start
+        for b, x in enumerate(xx):
+            es = ref_eigensystem(ParamPoint(eta, z, x, g))
+            if prev is not None:
+                es = ref_reorder(es, ref_match(prev, es)[0])
+            if b == 0:
+                row_start = es
+            prev = es
+            tracked[a, b] = es.eigenvalues
+    return tracked
+
+
+def ref_steps(waypoints, steps_per_segment):
+    steps = []
+    for a, b in zip(waypoints[:-1], waypoints[1:]):
+        va, vb = a.as_array(), b.as_array()
+        for s in range(steps_per_segment):
+            f = s / steps_per_segment
+            steps.append((1 - f) * va + f * vb)
+    steps.append(waypoints[-1].as_array())
+    return np.array(steps)
+
+
+def circular_distance(a, b):
+    d = (a - b) % (2 * np.pi)
+    return min(d, 2 * np.pi - d)
+
+
+def assert_same_transport(res, ref):
+    assert res.permutation == ref["permutation"]
+    got = [(e.step, tuple(e.point.as_array()), e.before, e.after) for e in res.events]
+    assert got == ref["events"]
+    assert res.reliable == ref["reliable"]
+    assert res.tracked_eigenvalues.shape == ref["tracked_w"].shape
+    assert np.max(np.abs(res.tracked_eigenvalues - ref["tracked_w"])) <= TOL
+    assert np.max(np.abs(res.holonomy - ref["holonomy"])) <= TOL
+    assert circular_distance(res.berry_phase, ref["theta"]) <= TOL
+    assert abs(res.min_overlap - ref["min_overlap"]) <= TOL
+
+
+def ref_loop_transport(loop, ambiguity_margin=1e-3):
+    return ref_transport([ref_eigensystem(q) for q in loop.steps], ambiguity_margin)
+
+
+# --------------------------------------------------------------------------
+# eigensystems
+
+
+def _probe_points():
+    rng = np.random.default_rng(11)
+    pts = list(rng.uniform(-1.0, 1.0, (64, 4)))
+    ep = refine_ep(ParamPoint(0.33, 0.54, 0.40, G)).point.as_array()
+    pts += [ep, ep + [0, 1e-9, 0, 0], ep + [0, 0, 1e-7, 0], ep + [0, 1e-5, -1e-5, 0]]
+    pts += [np.zeros(4), np.array([0.0, 0.0, 1e-9, 0.0])]             # the order-3 nexus
+    return np.array(pts)
+
+
+def test_batched_rows_equal_per_point_rows():
+    params = _probe_points()
+    batch = eigensystems(params)
+    assert len(batch) == len(params)
+    assert batch.is_degenerate[-2]
+    for l, row in enumerate(params):
+        p = ParamPoint(*row)
+        for single in (eigensystem(p), ref_eigensystem(p)):
+            assert np.array_equal(batch.eigenvalues[l], single.eigenvalues)
+            assert np.array_equal(batch.right_vectors[l], single.right_vectors)
+            assert np.array_equal(batch.left_vectors[l], single.left_vectors)
+            assert batch.is_degenerate[l] == single.is_degenerate
+            assert batch.min_gap[l] == single.min_gap
+
+
+def test_one_bad_row_fails_the_whole_batch(monkeypatch):
+    params = _probe_points()[:8]
+    eig = np.linalg.eig
+
+    def bad_eig(h):
+        w, v = eig(h)
+        v = v.copy()
+        v[3, :, 0] = v[3, :, 1]
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eig", bad_eig)
+    with pytest.raises(InaccurateEigensystem, match="residual") as info:
+        eigensystems(params)
+    assert str(ParamPoint(*params[3])) in str(info.value)
+
+
+def test_rejects_malformed_parameter_arrays():
+    with pytest.raises(ValueError):
+        eigensystems(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        eigensystems(np.array([[0.1, np.nan, 0.0, 0.0]]))
+
+
+# --------------------------------------------------------------------------
+# loops and transport
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_loop_params_equal_the_per_step_interpolation(name):
+    for n in (2, 64, 200):
+        loop = preset_loop(name, n)
+        assert np.array_equal(loop.params, ref_steps(preset_waypoints(name), n))
+        assert loop.steps[5] == ParamPoint(*loop.params[5])
+
+
+@pytest.mark.parametrize("n", (64, 160, 256))
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_match_the_sequential_sweep(name, n):
+    loop = preset_loop(name, n)
+    assert_same_transport(transport(loop), ref_loop_transport(loop))
+
+
+@given(
+    eta=st.sampled_from([0.0, 0.33]),
+    corner=st.tuples(st.floats(-0.9, 0.5), st.floats(-0.9, 0.5)),
+    size=st.tuples(st.floats(0.05, 0.8), st.floats(0.05, 0.8)),
+    n=st.integers(8, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_drawn_rectangles_match_the_sequential_sweep(eta, corner, size, n):
+    (z0, x0), (w, h) = corner, size
+    zx = [(z0, x0), (z0 + w, x0), (z0 + w, x0 + h), (z0, x0 + h), (z0, x0)]
+    try:
+        loop = interpolate_loop([ParamPoint(eta, z, x, G) for z, x in zx], n)
+    except PathTouchesEP:
+        assume(False)
+    try:
+        ref = ref_loop_transport(loop)
+    except AmbiguousMatch:
+        with pytest.raises(AmbiguousMatch):
+            transport(loop)
+        return
+    assert_same_transport(transport(loop), ref)
+
+
+def test_regauged_anchor_list_matches_the_sequential_sweep():
+    loop = preset_loop("mu1", 200)
+    systems = [eigensystem(q) for q in loop.steps]
+    phases = np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, 3))
+    anchor = systems[0]
+    regauged = Eigensystem(
+        anchor.point,
+        anchor.eigenvalues,
+        anchor.right_vectors * phases[None, :],
+        anchor.left_vectors / phases[:, None],
+        anchor.is_degenerate,
+        anchor.min_gap,
+    )
+    systems2 = [regauged] + systems[1:-1] + [regauged]
+    res = transport_eigensystems(systems2, refine=False)
+    assert_same_transport(res, ref_transport(systems2, refine=False))
+    assert res.anchor is regauged
+
+
+@pytest.mark.parametrize("name, n, margin", [("mu1", 2, 1.0), ("rho1", 4, 1.5), ("big", 2, 1.95)])
+def test_bisection_inserts_the_same_points(name, n, margin):
+    """A coarse loop with a wide ambiguity margin bisects, on several levels
+    for big; both sweeps must insert the same midpoints."""
+    loop = preset_loop(name, n)
+    ref = ref_loop_transport(loop, margin)
+    res = transport(loop, ambiguity_margin=margin)
+    assert res.tracked_eigenvalues.shape[0] > loop.n_steps
+    assert_same_transport(res, ref)
+
+
+def test_exhausted_bisection_raises_like_the_sequential_sweep():
+    loop = preset_loop("mu1", 2)
+    with pytest.raises(AmbiguousMatch, match="at step 0"):
+        ref_loop_transport(loop, 2.5)
+    with pytest.raises(AmbiguousMatch, match="at step 0 "):
+        transport(loop, ambiguity_margin=2.5)
+
+
+def test_a_mis_chained_copy_fails_the_gate(monkeypatch):
+    """Composing the raw assignments in the wrong order must not pass."""
+
+    def mis_chained(best):
+        k = [0]
+        for b in best:
+            k.append(int(transport_module._COMPOSE[k[-1], b]))
+        return transport_module._PERM_ROWS[k]
+
+    loop = preset_loop("rho1", 64)
+    ref = ref_loop_transport(loop)
+    monkeypatch.setattr(transport_module, "chain_assignments", mis_chained)
+    with pytest.raises(AssertionError):
+        assert_same_transport(transport(loop), ref)
+
+
+# --------------------------------------------------------------------------
+# sheet tracking
+
+
+@pytest.mark.parametrize(
+    "eta, g, zz, xx",
+    [
+        (0.33, G, np.linspace(-1, 1, 21), np.linspace(-1, 1, 21)),      # the golden slice
+        (0.0, 0.0, np.linspace(-1, 1, 41), np.linspace(-1, 1, 41)),      # through the nexus
+        (0.2, 0.3, np.linspace(-1, 1, 9), np.linspace(-0.5, 0.7, 7)),
+        (0.33, G, np.linspace(-1, 1, 4), np.linspace(-1, 1, 1)),
+        (0.33, G, np.linspace(-1, 1, 0), np.linspace(-1, 1, 5)),
+        (0.33, G, np.linspace(-1, 1, 5), np.linspace(-1, 1, 0)),
+    ],
+)
+def test_track_sheets_is_bit_equal_to_the_row_sweep(eta, g, zz, xx):
+    assert np.array_equal(track_sheets(eta, g, zz, xx), ref_track_sheets(eta, g, zz, xx))

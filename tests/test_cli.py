@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +233,20 @@ def _argv_out_is_file(tmp_path):
 ])
 def test_exit_code_matrix(tmp_path, make_argv, code):
     assert run(make_argv(tmp_path)) == code
+
+
+def test_regime_warnings_name_the_constructing_line(tmp_path):
+    """Out-of-regime points are reported once per constructing line of the
+    caller, not once per point from the dataclass-generated __init__."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    src = str(Path(eptriad.model.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eptriad", "ea", "--g", "0", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    sites = [line.split(": RegimeWarning")[0] for line in proc.stderr.splitlines() if "RegimeWarning" in line]
+    assert sites, proc.stderr
+    assert all(Path(site.rsplit(":", 1)[0]).name == "locate.py" for site in sites), sites
+    assert len(sites) == len(set(sites)) <= 8
