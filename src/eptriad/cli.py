@@ -170,7 +170,7 @@ def cmd_loop(args) -> int:
 def cmd_ea(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    arcs = []
+    unique, kept = [], []          # kept arcs and their coordinates
     found: list[ParamPoint] = []
     for eta in (-0.5, 0.0, 0.5):
         for cand in seed_eps_in_slice(eta, args.g, ((-1.2, 1.2), (-1.2, 1.2)), 64):
@@ -178,25 +178,22 @@ def cmd_ea(args) -> int:
                 ep = refine_ep(cand.center)
             except NoConvergence:
                 continue
-            if any(
-                np.linalg.norm(ep.point.as_array() - q.as_array()) < 1e-4 for q in found
-            ):
+            x = ep.point.as_array()
+            if any(np.linalg.norm(x - q.as_array()) < 1e-4 for q in found):
                 continue
             found.append(ep.point)
-            arcs.append(trace_ea(args.g, ep, step=args.step))
-    # drop duplicate arcs covering the same points
-    unique = []
-    for arc in arcs:
-        c = arc.coords()
-        dup = False
-        for other in unique:
-            oc = other.coords()
-            k = min(len(c), len(oc))
-            if k and np.min(np.linalg.norm(oc[:, None, :] - c[None, :k, :], axis=2)) < args.step:
-                dup = True
-                break
-        if not dup:
-            unique.append(arc)
+            # a seed within a step of a kept arc would trace that arc again
+            if any(np.min(np.linalg.norm(oc - x[:3], axis=1)) < args.step for oc in kept):
+                continue
+            arc = trace_ea(args.g, ep, step=args.step)
+            # drop an arc whose first points come within a step of a kept arc
+            c = arc.coords()
+            if not any(
+                np.min(np.linalg.norm(oc[:, None, :] - c[None, :len(oc), :], axis=2)) < args.step
+                for oc in kept
+            ):
+                unique.append(arc)
+                kept.append(c)
     doc = {
         "g": args.g,
         "arcs": [

@@ -14,6 +14,7 @@ from . import model, transport
 from .errors import NoConvergence, NotAnEP
 from .model import (
     ParamPoint,
+    PolyCoeffs,
     char_poly,
     discriminant_formula,
     discriminant_gradient,
@@ -140,22 +141,34 @@ def _newton_2d(
     raise NoConvergence(f"|disc| = {abs(val):.3e} after {max_iter} iterations")
 
 
-def repeated_root(p: ParamPoint) -> complex:
-    """The repeated eigenvalue at a (near-)EP: the root of p' minimizing |p|."""
-    co = char_poly(p)
+def _repeated_root(co: PolyCoeffs) -> complex:
     crit = np.roots([3 * co.a3, 2 * co.a2, co.a1])
     return complex(min(crit, key=lambda w: abs(co(w))))
 
 
+def repeated_root(p: ParamPoint) -> complex:
+    """The repeated eigenvalue at a (near-)EP: the root of p' minimizing |p|."""
+    return _repeated_root(char_poly(p))
+
+
+def _ep_point(p: ParamPoint) -> EPPoint:
+    """The EPPoint at p, with the residual and the repeated root computed once.
+
+    Raises NotAnEP when |disc| exceeds the membership tolerance; the order is
+    3 when p' and p'' both vanish at the repeated root, else 2.
+    """
+    residual = abs(discriminant_formula(p))
+    if residual > EP_MEMBERSHIP_TOL:
+        raise NotAnEP(f"|disc| = {residual:.3e} at {p}")
+    co = char_poly(p)
+    w = _repeated_root(co)
+    flat = abs(co.derivative(w)) < ORDER3_TOL and abs(co.second_derivative(w)) < ORDER3_TOL
+    return EPPoint(point=p, repeated_eigenvalue=w, order=3 if flat else 2, residual=residual)
+
+
 def ep_order(p: ParamPoint) -> int:
     """Classify an EP as order 2 or 3 from derivatives at the repeated root."""
-    if abs(discriminant_formula(p)) > EP_MEMBERSHIP_TOL:
-        raise NotAnEP(f"|disc| = {abs(discriminant_formula(p)):.3e} at {p}")
-    co = char_poly(p)
-    w = repeated_root(p)
-    if abs(co.derivative(w)) < ORDER3_TOL and abs(co.second_derivative(w)) < ORDER3_TOL:
-        return 3
-    return 2
+    return _ep_point(p).order
 
 
 def refine_ep(
@@ -167,9 +180,7 @@ def refine_ep(
     """Polish a seed to an EPPoint (|disc| < 1e-12) over the two free coordinates."""
     if abs(discriminant_formula(seed)) > basin_bound:
         raise NoConvergence(f"seed outside basin, |disc| = {abs(discriminant_formula(seed)):.3e}")
-    p = _newton_2d(seed, free, EP_RESIDUAL_TOL, max_iter)
-    w = repeated_root(p)
-    return EPPoint(point=p, repeated_eigenvalue=w, order=ep_order(p), residual=abs(discriminant_formula(p)))
+    return _ep_point(_newton_2d(seed, free, EP_RESIDUAL_TOL, max_iter))
 
 
 def _jac_2x3(p: ParamPoint) -> np.ndarray:
@@ -205,16 +216,6 @@ def _corrector_3d(x: np.ndarray, g: float, tangent: np.ndarray, tol=EP_RESIDUAL_
         if not improved:
             return x, False
     return x, abs(val) < tol
-
-
-def _make_ep(x: np.ndarray, g: float) -> EPPoint:
-    p = ParamPoint(float(x[0]), float(x[1]), float(x[2]), g)
-    return EPPoint(
-        point=p,
-        repeated_eigenvalue=repeated_root(p),
-        order=ep_order(p),
-        residual=abs(discriminant_formula(p)),
-    )
 
 
 def trace_ea(
@@ -268,7 +269,7 @@ def trace_ea(
                 term = "rank_deficient" if sv2 < 100 * rank_floor else "no_convergence"
                 break
             tn, sv2 = _tangent(xn)
-            side.append(_make_ep(xn, g))
+            side.append(_ep_point(ParamPoint(float(xn[0]), float(xn[1]), float(xn[2]), g)))
             if sv2 < rank_floor:
                 term = "rank_deficient"
                 break

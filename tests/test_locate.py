@@ -3,15 +3,18 @@ import pytest
 
 from eptriad.errors import NoConvergence, NotAnEP
 from eptriad.locate import (
+    ORDER3_TOL,
+    _ep_point,
     branch_cut_trace,
     ep_order,
     refine_ep,
+    repeated_root,
     seed_eps_in_slice,
     trace_ea,
     track_sheets,
     verify_arc,
 )
-from eptriad.model import ParamPoint, discriminant_formula, eigensystem
+from eptriad.model import ParamPoint, char_poly, discriminant_formula, eigensystem
 
 G = 0.61
 
@@ -93,6 +96,45 @@ class TestOrderClassification:
 def arcs_g061():
     eps = [refine_ep(c.center) for c in seed_eps_in_slice(0.0, G, ((-1, 1), (-1, 1)), 64)]
     return [trace_ea(G, e, step=0.02) for e in eps]
+
+
+class TestEPPointHelper:
+    """``_ep_point`` builds every EPPoint; it must equal the separate calls."""
+
+    @staticmethod
+    def assert_matches_separate_calls(p: ParamPoint, q) -> None:
+        co = char_poly(p)
+        w = repeated_root(p)
+        flat = abs(co.derivative(w)) < ORDER3_TOL and abs(co.second_derivative(w)) < ORDER3_TOL
+        assert q.point == p
+        assert q.repeated_eigenvalue == w
+        assert q.order == ep_order(p) == (3 if flat else 2)
+        assert q.residual == abs(discriminant_formula(p))
+
+    def test_arc_points(self, arcs_g061):
+        for arc in arcs_g061:
+            for q in arc.points[::25]:
+                assert q.order == 2
+                self.assert_matches_separate_calls(q.point, q)
+                self.assert_matches_separate_calls(q.point, _ep_point(q.point))
+
+    def test_refined_seed(self):
+        e = refine_ep(ParamPoint(0.33, 0.54, 0.40, G))
+        self.assert_matches_separate_calls(e.point, e)
+
+    def test_nexus(self):
+        p = ParamPoint(0, 0, 0, 0)
+        q = _ep_point(p)
+        assert q.order == 3
+        self.assert_matches_separate_calls(p, q)
+
+    def test_off_arc_raises_like_ep_order(self):
+        p = ParamPoint(0.33, 0, 0, G)
+        with pytest.raises(NotAnEP) as helper:
+            _ep_point(p)
+        with pytest.raises(NotAnEP) as order:
+            ep_order(p)
+        assert str(helper.value) == str(order.value) == f"|disc| = {abs(discriminant_formula(p)):.3e} at {p}"
 
 
 class TestArcTracing:
