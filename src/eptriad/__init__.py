@@ -13,11 +13,8 @@ from .model import (
     PolyCoeffs,
     build_h_ep,
     char_poly,
-    discriminant,
-    discriminant_small_param,
     eigensystem,
     eigensystems,
-    eigenvalues,
     to_physical,
 )
 from .locate import EPPoint, EAPolyline, branch_cut_trace, ep_order, refine_ep, seed_eps_in_slice, trace_ea
@@ -33,7 +30,6 @@ from .spectral import (
     fit_loop,
     fit_step,
     greens_3site,
-    isolated_cavity_pole,
     load_dataset,
     onsite_profile,
     save_dataset,
@@ -42,12 +38,9 @@ from .spectral import (
 from .transport import (
     TransportResult,
     berry_phase,
-    canonical_nabp,
     cycles_to_identity,
     discriminant_winding,
     eigenvalue_vorticity,
-    mu2_decomposition_run,
-    nabp,
     transport,
     transport_eigensystems,
 )

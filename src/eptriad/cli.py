@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__
 from .errors import AmbiguousMatch, EptriadError, FitDiverged, NoConvergence, NotAGroup
 from .locate import refine_ep, seed_eps_in_slice, trace_ea, track_sheets
-from .loops import PRESET_NAMES, interpolate_loop, preset_loop
+from .loops import PRESET_NAMES, LoopPath, interpolate_loop, preset_loop
 # eigensystem and match_assignment stay importable here for the benchmark's tracer
 from .model import ParamPoint, PhysicalScale, discriminant_formula, eigensystem
 from .permutations import all_elements, element, identify, to_matrix, verify_group
@@ -48,6 +49,19 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+
+class _ConfigError(Exception):
+    """A malformed command input: an argument, a config or a dataset file."""
+
+
+@contextlib.contextmanager
+def _reading_inputs():
+    """Report a malformed input read inside the block as a config error (exit 2)."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:      # json.JSONDecodeError is a ValueError
+        raise _ConfigError(exc) from exc
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, seed: int | None) -> None:
@@ -94,15 +108,19 @@ def _transport_report(result) -> dict:
 def _parse_grid(spec: str) -> tuple[int, int]:
     if "x" in spec.lower():
         a, b = spec.lower().split("x")
-        return int(a), int(b)
-    n = int(spec)
-    return n, n
+        nz, nx = int(a), int(b)
+    else:
+        nz = nx = int(spec)
+    if min(nz, nx) < 0:
+        raise ValueError(f"negative grid resolution {spec!r}")
+    return nz, nx
 
 
 def cmd_surface(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    nz, nx = _parse_grid(args.grid)
+    with _reading_inputs():
+        nz, nx = _parse_grid(args.grid)
     header = (
         ["zeta", "xi"]
         + [f"re_omega_{k}" for k in (1, 2, 3)]
@@ -136,27 +154,26 @@ def _surface_row(w, z, x, args) -> list[str]:
     )
 
 
+def _loop_from_args(args) -> tuple[LoopPath, str]:
+    """The loop ``eptriad loop`` transports, and its name: a preset or a JSON config."""
+    if args.preset:
+        return preset_loop(args.preset, steps_per_segment=args.steps_per_segment), args.preset
+    cfg = json.loads(Path(args.config).read_text())
+    g = cfg["g"]
+    if cfg.get("eta_mode", "per-point") == "fixed":
+        eta = cfg["eta"]
+        waypoints = [ParamPoint(eta, w[-2], w[-1], g) for w in cfg["waypoints"]]
+    else:
+        waypoints = [ParamPoint(w[0], w[1], w[2], g) for w in cfg["waypoints"]]
+    name = cfg.get("label", "loop")
+    return interpolate_loop(waypoints, cfg.get("steps_per_segment", args.steps_per_segment), label=name), name
+
+
 def cmd_loop(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.preset:
-        loop = preset_loop(args.preset, steps_per_segment=args.steps_per_segment)
-        name = args.preset
-    else:
-        cfg = json.loads(Path(args.config).read_text())
-        g = cfg["g"]
-        if cfg.get("eta_mode", "per-point") == "fixed":
-            eta = cfg["eta"]
-            waypoints = [
-                ParamPoint(eta, w[-2], w[-1], g) for w in cfg["waypoints"]
-            ]
-        else:
-            waypoints = [ParamPoint(w[0], w[1], w[2], g) for w in cfg["waypoints"]]
-        loop = interpolate_loop(
-            waypoints, cfg.get("steps_per_segment", args.steps_per_segment),
-            label=cfg.get("label", "loop"),
-        )
-        name = cfg.get("label", "loop")
+    with _reading_inputs():
+        loop, name = _loop_from_args(args)
     result = transport(loop)
     _dump_json(out / f"loop_{name}.json", _transport_report(result))
     _write_manifest(out, "loop", {k: v for k, v in vars(args).items() if k != "func"}, None)
@@ -248,7 +265,8 @@ def _lab_config(args) -> tuple[CavityConfig, FitConfig]:
 def cmd_lab(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cav, fitcfg = _lab_config(args)
+    with _reading_inputs():
+        cav, fitcfg = _lab_config(args)
     preset = args.loop_preset
     if args.subcommand in ("synth", "pipeline"):
         loop = preset_loop(preset, steps_per_segment=1)
@@ -257,7 +275,8 @@ def cmd_lab(args) -> int:
         save_dataset(dataset, out / "dataset.json")
         print(f"synthesized {len(points)} steps (noise {args.noise:g}, seed {args.seed})")
     if args.subcommand == "fit":
-        dataset = load_dataset(args.dataset)
+        with _reading_inputs():
+            dataset = load_dataset(args.dataset)
     if args.subcommand in ("fit", "pipeline"):
         fits, result = fit_loop(dataset, fit_config=fitcfg)
         report = {
@@ -372,7 +391,7 @@ def main(argv=None) -> int:
             print("lab fit: provide --dataset", file=sys.stderr)
             return EXIT_CONFIG
         return args.func(args)
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except _ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoConvergence, FitDiverged, AmbiguousMatch, NotAGroup) as exc:

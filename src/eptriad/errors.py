@@ -5,14 +5,6 @@ class EptriadError(Exception):
     """Base class for toolkit errors."""
 
 
-class DegenerateEigensystem(EptriadError):
-    """Eigenvalues too close for biorthonormalization; carries the offending gap."""
-
-    def __init__(self, min_gap: float):
-        self.min_gap = min_gap
-        super().__init__(f"minimum eigenvalue gap {min_gap:.3e} below threshold")
-
-
 class InaccurateEigensystem(EptriadError):
     """Eigenpairs returned by the solver fail the residual check H v = w v."""
 

@@ -25,6 +25,10 @@ EP_RESIDUAL_TOL = 1e-12
 EP_MEMBERSHIP_TOL = 1e-10
 ORDER3_TOL = 1e-6
 DOMAIN_BOUND = 1.5
+#: |disc| above which a seed is too far from any EP to refine
+BASIN_BOUND = 1e3
+#: the zeta and xi unit rows: refinement steps stay in the seed's slice
+_SLICE_PLANE = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 #: relative collapse of the Jacobian's second singular value that flags the
 #: approach to a rank-deficient (order-3) meeting point during tracing
 RANK_RATIO_TOL = 1e-2
@@ -43,7 +47,6 @@ class SeedCandidate:
     """A cluster of grid cells where both discriminant contours plausibly cross."""
 
     center: ParamPoint
-    cells: tuple[tuple[int, int], ...]
 
 
 @dataclass
@@ -99,46 +102,46 @@ def seed_eps_in_slice(
                     stack.append((a, b2))
         zc = float(np.mean([0.5 * (zz[i] + zz[i + 1]) for i, _ in cells]))
         xc = float(np.mean([0.5 * (xx[j] + xx[j + 1]) for _, j in cells]))
-        clusters.append(SeedCandidate(center=ParamPoint(eta, zc, xc, g), cells=tuple(cells)))
+        clusters.append(SeedCandidate(center=ParamPoint(eta, zc, xc, g)))
     return clusters
 
 
-_FREE_INDEX = {"eta": 0, "zeta": 1, "xi": 2, "g": 3}
+def _jac_2x3(x: np.ndarray, g: float) -> np.ndarray:
+    grads = discriminant_gradient(ParamPoint(x[0], x[1], x[2], g))
+    cols = [grads["eta"], grads["zeta"], grads["xi"]]
+    return np.array([[c.real for c in cols], [c.imag for c in cols]])
 
 
-def _newton_2d(
-    p: ParamPoint,
-    free: tuple[str, str],
-    tol: float,
-    max_iter: int,
-) -> ParamPoint:
-    """Damped Newton on (Re disc, Im disc) over two free coordinates."""
+def _disc_at(x: np.ndarray, g: float) -> complex:
+    return discriminant_formula(ParamPoint(x[0], x[1], x[2], g))
+
+
+def _newton(x: np.ndarray, g: float, basis: np.ndarray, max_iter: int = 25):
+    """Damped Newton on (Re disc, Im disc) = 0 over (eta, zeta, xi) at fixed g.
+
+    Steps stay in the plane spanned by the two rows of ``basis``: each solves
+    (J @ basis.T) y = -r and moves x by basis.T @ y, halved up to 20 times
+    until |disc| decreases.  Returns (x, converged).
+    """
+    val = _disc_at(x, g)
     for _ in range(max_iter):
-        val = discriminant_formula(p)
-        if abs(val) < tol:
-            return p
-        grads = discriminant_gradient(p)
-        jac = np.array(
-            [[grads[f].real for f in free], [grads[f].imag for f in free]]
-        )
-        rhs = -np.array([val.real, val.imag])
+        if abs(val) < EP_RESIDUAL_TOL:
+            return x, True
         try:
-            step = np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular Newton system at {p}") from exc
-        lam, improved = 1.0, False
+            step = basis.T @ np.linalg.solve(_jac_2x3(x, g) @ basis.T, [-val.real, -val.imag])
+        except np.linalg.LinAlgError:
+            return x, False
+        lam = 1.0
         for _ in range(20):
-            trial = p.replace(**{f: getattr(p, f) + lam * step[i] for i, f in enumerate(free)})
-            if abs(discriminant_formula(trial)) < abs(val):
-                p, improved = trial, True
+            trial = x + lam * step
+            tv = _disc_at(trial, g)
+            if abs(tv) < abs(val):
+                x, val = trial, tv
                 break
             lam *= 0.5
-        if not improved:
-            raise NoConvergence(f"no descent at {p}, |disc| = {abs(val):.3e}")
-    val = discriminant_formula(p)
-    if abs(val) < tol:
-        return p
-    raise NoConvergence(f"|disc| = {abs(val):.3e} after {max_iter} iterations")
+        else:
+            return x, False
+    return x, abs(val) < EP_RESIDUAL_TOL
 
 
 def _repeated_root(co: PolyCoeffs) -> complex:
@@ -171,51 +174,15 @@ def ep_order(p: ParamPoint) -> int:
     return _ep_point(p).order
 
 
-def refine_ep(
-    seed: ParamPoint,
-    free: tuple[str, str] = ("zeta", "xi"),
-    max_iter: int = 50,
-    basin_bound: float = 1e3,
-) -> EPPoint:
-    """Polish a seed to an EPPoint (|disc| < 1e-12) over the two free coordinates."""
-    if abs(discriminant_formula(seed)) > basin_bound:
-        raise NoConvergence(f"seed outside basin, |disc| = {abs(discriminant_formula(seed)):.3e}")
-    return _ep_point(_newton_2d(seed, free, EP_RESIDUAL_TOL, max_iter))
-
-
-def _jac_2x3(p: ParamPoint) -> np.ndarray:
-    grads = discriminant_gradient(p)
-    cols = [grads["eta"], grads["zeta"], grads["xi"]]
-    return np.array([[c.real for c in cols], [c.imag for c in cols]])
-
-
-def _disc_at(x: np.ndarray, g: float) -> complex:
-    return discriminant_formula(ParamPoint(x[0], x[1], x[2], g))
-
-
-def _corrector_3d(x: np.ndarray, g: float, tangent: np.ndarray, tol=EP_RESIDUAL_TOL, max_iter=25):
-    """Damped Newton correction in the plane orthogonal to the tangent."""
-    val = _disc_at(x, g)
-    for _ in range(max_iter):
-        if abs(val) < tol:
-            return x, True
-        p = ParamPoint(x[0], x[1], x[2], g)
-        mat = np.vstack([_jac_2x3(p), tangent])
-        try:
-            step = np.linalg.solve(mat, np.array([-val.real, -val.imag, 0.0]))
-        except np.linalg.LinAlgError:
-            return x, False
-        lam, improved = 1.0, False
-        for _ in range(20):
-            trial = x + lam * step
-            tv = _disc_at(trial, g)
-            if abs(tv) < abs(val):
-                x, val, improved = trial, tv, True
-                break
-            lam *= 0.5
-        if not improved:
-            return x, False
-    return x, abs(val) < tol
+def refine_ep(seed: ParamPoint, max_iter: int = 50) -> EPPoint:
+    """Polish a seed to an EPPoint (|disc| < 1e-12) within its (zeta, xi) slice."""
+    val = abs(discriminant_formula(seed))
+    if val > BASIN_BOUND:
+        raise NoConvergence(f"seed outside basin, |disc| = {val:.3e}")
+    x, ok = _newton(seed.as_array()[:3], seed.g, _SLICE_PLANE, max_iter)
+    if not ok:
+        raise NoConvergence(f"no EP reached from {seed}: |disc| = {abs(_disc_at(x, seed.g)):.3e}")
+    return _ep_point(ParamPoint(x[0], x[1], x[2], seed.g))
 
 
 def trace_ea(
@@ -237,12 +204,13 @@ def trace_ea(
     x0 = np.array([start.point.eta, start.point.zeta, start.point.xi])
     arc = EAPolyline(g=g)
 
-    def _tangent(x: np.ndarray) -> tuple[np.ndarray, float]:
-        p = ParamPoint(x[0], x[1], x[2], g)
-        _, sv, vt = np.linalg.svd(_jac_2x3(p))
-        return vt[-1], sv[1]
+    def _frame(x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Right singular vectors (the plane normal to the arc, then the
+        tangent) and the second singular value of the Jacobian."""
+        _, sv, vt = np.linalg.svd(_jac_2x3(x, g))
+        return vt, sv[1]
 
-    t0, sv2_start = _tangent(x0)
+    frame0, sv2_start = _frame(x0)
     # both Jacobian rows vanish together approaching the order-3 point, so a
     # collapse of the second singular value relative to its start marks it
     rank_floor = max(RANK_RATIO_TOL * sv2_start, 1e-10)
@@ -255,7 +223,7 @@ def trace_ea(
     sides: list[list[EPPoint]] = []
     terminations: list[str] = []
     for direction in (-1.0, 1.0):
-        x, t = x0.copy(), t0 * direction
+        x, frame, t = x0.copy(), frame0, frame0[2] * direction
         sv2 = sv2_start
         side: list[EPPoint] = []
         term = "max_points"
@@ -264,11 +232,12 @@ def trace_ea(
             # meeting point is resolved instead of hopped over
             eff = step * min(1.0, sv2 / (20.0 * rank_floor))
             xp = x + eff * t
-            xn, ok = _corrector_3d(xp, g, t)
+            xn, ok = _newton(xp, g, frame[:2])
             if not ok:
                 term = "rank_deficient" if sv2 < 100 * rank_floor else "no_convergence"
                 break
-            tn, sv2 = _tangent(xn)
+            frame, sv2 = _frame(xn)
+            tn = frame[2]
             side.append(_ep_point(ParamPoint(float(xn[0]), float(xn[1]), float(xn[2]), g)))
             if sv2 < rank_floor:
                 term = "rank_deficient"
@@ -288,23 +257,12 @@ def trace_ea(
     backward, forward = sides
     arc.points = list(reversed(backward)) + [start] + forward
     arc.closed = "closure" in terminations
-    if "rank_deficient" in terminations:
-        arc.terminated = "rank_deficient"
-    elif arc.closed:
-        arc.terminated = "closure"
-    elif "boundary" in terminations:
-        arc.terminated = "boundary"
-    elif "no_convergence" in terminations:
-        arc.terminated = "no_convergence"
+    reasons = ("rank_deficient", "closure", "boundary", "no_convergence")
+    arc.terminated = next((r for r in reasons if r in terminations), "max_points")
     if "rank_deficient" in terminations:
         pool = backward if terminations[0] == "rank_deficient" else forward
         arc.rank_deficient_at = pool[-1] if pool else start
     return arc
-
-
-def verify_arc(arc: EAPolyline) -> float:
-    """Max |disc| over the arc points (drift check after tracing)."""
-    return max((q.residual for q in arc.points), default=0.0)
 
 
 def track_sheets(eta: float, g: float, zz: np.ndarray, xx: np.ndarray) -> np.ndarray:

@@ -22,12 +22,9 @@ from .model import (
     Eigensystem,
     ParamPoint,
     PhysicalScale,
-    build_h_ep,
     eigensystem,
     to_physical,
 )
-
-SITES = ("B", "A", "C")
 
 
 @dataclass(frozen=True)
@@ -46,6 +43,7 @@ class CavityConfig:
             raise ValueError("need at least 7 frequencies")
         if self.frequency_window <= 0:
             raise ValueError("frequency window must be positive")
+        onsite_profile(self)        # the probe heights must resolve the mode
 
     def frequencies(self) -> np.ndarray:
         half = self.frequency_window / 2
@@ -97,14 +95,6 @@ def greens_3site(omega: complex, p: ParamPoint, scale: PhysicalScale | None = No
     if gaps.min() < 1e-6 * abs(s.kappa):
         raise PoleProximity(f"omega within {gaps.min():.3e} rad/s of a pole")
     return (es.right_vectors / (omega - wphys)) @ es.left_vectors
-
-
-def isolated_cavity_pole(cavity: str, p: ParamPoint, scale: PhysicalScale | None = None) -> complex:
-    """Resonance pole of one decoupled cavity: (omega0 + i gamma0) + kappa-scaled diagonal."""
-    s = scale if scale is not None else PhysicalScale()
-    h = build_h_ep(p)
-    idx = SITES.index(cavity)
-    return (s.omega0 + 1j * s.gamma0) + abs(s.kappa) * h[idx, idx]
 
 
 @dataclass(frozen=True)
@@ -186,7 +176,6 @@ def synthesize(
     cfg = config if config is not None else CavityConfig()
     ns = noise if noise is not None else NoiseSpec()
     freqs = cfg.frequencies()
-    onsite_profile(cfg)      # validates the sampling choice early
     steps = []
     for k, p in enumerate(points):
         theta = _truth_vector(p, cfg.scale)

@@ -78,7 +78,6 @@ class TransportResult:
     tracked_right_vectors: np.ndarray     # (L, 3, 3) complex, columns = tracked bands
     step_transfer: np.ndarray             # (L-1, 3, 3) overlap matrices per step
     step_overlaps: np.ndarray             # (L-1, 3) matched |O|
-    theta_log: np.ndarray                 # (L-1, 3) compensated phases
     events: list[ExchangeEvent]
     permutation: PermutationElement
     holonomy: np.ndarray                  # (3, 3) complex
@@ -245,7 +244,6 @@ def transport_eigensystems(
         tracked_right_vectors=tracked_r,
         step_transfer=transfer,
         step_overlaps=matched,
-        theta_log=phi[1:].copy(),
         events=events,
         permutation=permutation,
         holonomy=holonomy,
@@ -270,24 +268,6 @@ def transport(
         overlap_floor=overlap_floor,
         ambiguity_margin=ambiguity_margin,
     )
-
-
-def nabp(result: TransportResult) -> np.ndarray:
-    """The holonomy matrix U in the anchor eigenbasis.
-
-    |U| matches the 0/1 pattern of the extracted permutation; entry phases
-    are the accumulated transport phases and depend on the anchor gauge.
-    """
-    if not result.reliable:
-        raise AmbiguousMatch(
-            f"transport unreliable: min overlap {result.min_overlap:.3f}"
-        )
-    return result.holonomy
-
-
-def canonical_nabp(result: TransportResult) -> np.ndarray:
-    """The permutation-pattern NABP (unit entries), the printed convention."""
-    return to_matrix(result.permutation).astype(complex)
 
 
 def cycles_to_identity(result: TransportResult) -> int:
@@ -315,38 +295,3 @@ def vorticity_table(result: TransportResult) -> dict[str, float]:
     }
     table["discriminant"] = discriminant_winding(result)
     return table
-
-
-@dataclass
-class Mu2DecompositionReport:
-    eta: float
-    result: TransportResult
-    n_exchanges: int
-    exchange_points: list[ParamPoint]
-    swapped_rank_pairs: list[tuple[int, ...]]
-    permutation: str
-
-
-def mu2_decomposition_run(
-    eta: float = 0.055,
-    steps_per_segment: int = 200,
-    g: float = 0.61,
-) -> Mu2DecompositionReport:
-    """Run the outer-pair-swap loop shifted off the eta = 0 plane.
-
-    At eta = 0.055 the single merged crossing splits into three separate
-    branch-cut crossings whose transpositions compose to the same net
-    exchange of bands 1 and 3; at eta = 0 the crossings merge.
-    """
-    from .loops import preset_loop
-
-    loop = preset_loop("mu2", steps_per_segment=steps_per_segment, eta=eta, g=g)
-    res = transport(loop)
-    return Mu2DecompositionReport(
-        eta=eta,
-        result=res,
-        n_exchanges=res.n_exchanges,
-        exchange_points=[e.point for e in res.events],
-        swapped_rank_pairs=[e.swapped_ranks for e in res.events],
-        permutation=res.permutation.as_string(),
-    )

@@ -9,26 +9,19 @@ import numpy as np
 import pytest
 
 from conftest import circular_distance
-from eptriad.locate import ep_order, refine_ep, seed_eps_in_slice, trace_ea, verify_arc
+from eptriad.locate import ep_order, refine_ep, seed_eps_in_slice, trace_ea
 from eptriad.loops import concat_loops, interpolate_loop, preset_loop, reverse_loop
-from eptriad.model import (
-    ParamPoint,
-    discriminant,
-    discriminant_formula,
-    discriminant_small_param,
-    eigensystem,
-    eigenvalues,
-)
+from eptriad.model import ParamPoint, discriminant_formula, eigensystem
 from eptriad.permutations import PermutationElement, element, to_matrix, verify_group
 from eptriad.spectral import CavityConfig, FitConfig, NoiseSpec, fit_loop, fit_step, synthesize
 from eptriad.transport import (
     cycles_to_identity,
     discriminant_winding,
     eigenvalue_vorticity,
-    mu2_decomposition_run,
     transport,
     transport_eigensystems,
 )
+from oracles import discriminant, discriminant_small_param, eigenvalues
 
 G = 0.61
 PI = np.pi
@@ -65,7 +58,7 @@ def test_criterion_2_arc_splitting():
     assert all(not a.closed and a.terminated == "boundary" for a in arcs)
     a, b = (arc.coords() for arc in arcs)
     assert np.min(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)) > 0.5
-    assert max(verify_arc(arc) for arc in arcs) < 1e-10
+    assert max(q.residual for arc in arcs for q in arc.points) < 1e-10
     nexus_branch = refine_ep(ParamPoint(0.1, 0.03, -0.04, 0.0))
     arc0 = trace_ea(0.0, nexus_branch, step=0.02, max_points=600)
     assert arc0.terminated == "rank_deficient"
@@ -104,9 +97,9 @@ def test_criterion_5_outer_swap_and_decomposition(runs):
     assert res.permutation.as_string() == "321"
     assert np.max(np.abs(np.abs(res.holonomy) - to_matrix(element("mu2")))) < 0.05
     assert circular_distance(res.berry_phase, -PI) < 1e-3
-    rep = mu2_decomposition_run(eta=0.055, steps_per_segment=256)
-    assert rep.n_exchanges == 3
-    assert rep.permutation == "321"
+    shifted = transport(preset_loop("mu2", steps_per_segment=256, eta=0.055))
+    assert shifted.n_exchanges == 3
+    assert shifted.permutation.as_string() == "321"
     _ok(5, "mu2 = 321 at eta=0 (Theta=-pi); three exchanges compose to 321 at eta=0.055")
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eptriad.cli
 import eptriad.model
 from eptriad.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from eptriad.locate import refine_ep
@@ -152,6 +153,7 @@ class TestLabCommand:
         [1, 2],
         {"population": "x"},
         {"generations": 2.5},
+        {"n_positions_per_cavity": 2},
     ])
     def test_bad_config_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "lab.json"
@@ -196,17 +198,17 @@ class TestNumericalFailures:
         assert code == EXIT_NUMERICAL
 
 
-def _argv_group(tmp_path):
+def _argv_group(tmp_path, monkeypatch):
     return ["group", "--out", str(tmp_path)]
 
 
-def _argv_bad_lab_config(tmp_path):
+def _argv_bad_lab_config(tmp_path, monkeypatch):
     cfg = tmp_path / "lab.json"
     cfg.write_text(json.dumps({"population": "x"}))
     return ["lab", "pipeline", "--config", str(cfg), "--out", str(tmp_path)]
 
 
-def _argv_loop_through_ep(tmp_path):
+def _argv_loop_through_ep(tmp_path, monkeypatch):
     ep = refine_ep(ParamPoint(0.33, 0.54, 0.40, 0.61)).point
     cfg = {
         "label": "through-ep",
@@ -219,10 +221,18 @@ def _argv_loop_through_ep(tmp_path):
     return ["loop", "--config", str(path), "--out", str(tmp_path)]
 
 
-def _argv_out_is_file(tmp_path):
+def _argv_out_is_file(tmp_path, monkeypatch):
     blocker = tmp_path / "taken"
     blocker.write_text("")
     return ["group", "--out", str(blocker)]
+
+
+def _argv_fault_in_numerics(tmp_path, monkeypatch):
+    def broken(loop):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(eptriad.cli, "transport", broken)
+    return ["loop", "--preset", "mu1", "--steps-per-segment", "8", "--out", str(tmp_path)]
 
 
 @pytest.mark.parametrize("make_argv, code", [
@@ -230,9 +240,15 @@ def _argv_out_is_file(tmp_path):
     (_argv_bad_lab_config, EXIT_CONFIG),
     (_argv_loop_through_ep, EXIT_NUMERICAL),     # PathTouchesEP
     (_argv_out_is_file, EXIT_IO),
+    (_argv_fault_in_numerics, ValueError),      # a program fault, not a config error
 ])
-def test_exit_code_matrix(tmp_path, make_argv, code):
-    assert run(make_argv(tmp_path)) == code
+def test_exit_code_matrix(tmp_path, monkeypatch, make_argv, code):
+    argv = make_argv(tmp_path, monkeypatch)
+    if isinstance(code, type):
+        with pytest.raises(code):
+            run(argv)
+    else:
+        assert run(argv) == code
 
 
 def test_regime_warnings_name_the_constructing_line(tmp_path):

@@ -12,7 +12,6 @@ from eptriad.locate import (
     seed_eps_in_slice,
     trace_ea,
     track_sheets,
-    verify_arc,
 )
 from eptriad.model import ParamPoint, char_poly, discriminant_formula, eigensystem
 
@@ -71,6 +70,19 @@ class TestRefinement:
         e = refine_ep(ParamPoint(0, 0, 0, 0))
         assert e.order == 3
         assert abs(e.point.zeta) < 1e-12 and abs(e.point.xi) < 1e-12
+
+    @pytest.mark.parametrize("g", [-0.65, -0.3, 0.0, 0.13, 0.61])
+    def test_refined_point_keeps_the_seed_slice(self, g):
+        """Newton steps move zeta and xi only: eta and g come back exactly."""
+        seeds = [
+            c.center
+            for eta in (-0.5, 0.0, 0.25, 0.5)
+            for c in seed_eps_in_slice(eta, g, ((-1.4, 1.4), (-1.4, 1.4)), 64)
+        ]
+        assert seeds
+        for seed in seeds:
+            p = refine_ep(seed).point
+            assert (p.eta, p.g) == (seed.eta, seed.g)
 
     def test_hopeless_seed_raises(self):
         bad = ParamPoint(0.9, 1.4, 1.4, G)
@@ -153,7 +165,7 @@ class TestArcTracing:
 
     def test_no_drift(self, arcs_g061):
         for arc in arcs_g061:
-            assert verify_arc(arc) < 1e-10
+            assert max(q.residual for q in arc.points) < 1e-10
 
     def test_slice_consistency(self, arcs_g061):
         """Arc crossings of the eta = 0.33 plane match the slice refinement."""

@@ -8,13 +8,10 @@ from eptriad.model import ParamPoint, eigensystem
 from eptriad.permutations import element, identify, to_matrix
 from eptriad.transport import (
     berry_phase,
-    canonical_nabp,
     cycles_to_identity,
     discriminant_winding,
     eigenvalue_vorticity,
     match_assignment,
-    mu2_decomposition_run,
-    nabp,
     transport,
     transport_eigensystems,
 )
@@ -137,7 +134,7 @@ class TestCanonicalScenarios:
 
     def test_canonical_nabp_is_pattern(self, canonical_transports):
         r1 = canonical_transports["mu1"]
-        assert np.array_equal(canonical_nabp(r1), to_matrix(element("mu1")).astype(complex))
+        assert np.array_equal(to_matrix(r1.permutation).astype(complex), to_matrix(element("mu1")).astype(complex))
 
 
 class TestBerryPhaseFunction:
@@ -261,23 +258,33 @@ class TestVorticity:
 
 
 class TestExchangeDecomposition:
+    """The outer-pair-swap loop (mu2) shifted off the eta = 0 plane.
+
+    At eta = 0.055 the single merged crossing splits into three separate
+    branch-cut crossings whose transpositions compose to the same net
+    exchange of bands 1 and 3; at eta = 0 the crossings merge.
+    """
+
+    @staticmethod
+    def shifted_mu2(eta: float):
+        return transport(preset_loop("mu2", steps_per_segment=200, eta=eta))
+
     def test_shifted_plane_has_three_crossings(self):
-        rep = mu2_decomposition_run(eta=0.055, steps_per_segment=200)
-        assert rep.n_exchanges == 3
-        assert rep.permutation == "321"
+        res = self.shifted_mu2(0.055)
+        assert res.n_exchanges == 3
+        assert res.permutation.as_string() == "321"
         # lower pair, upper pair, lower pair: the generator chain of the swap
-        assert rep.swapped_rank_pairs == [(0, 1), (1, 2), (0, 1)]
+        assert [e.swapped_ranks for e in res.events] == [(0, 1), (1, 2), (0, 1)]
 
     def test_crossings_merge_at_zero(self):
-        rep = mu2_decomposition_run(eta=0.0, steps_per_segment=200)
-        assert rep.permutation == "321"
-        assert rep.n_exchanges == 1
-        assert rep.swapped_rank_pairs == [(0, 2)]
+        res = self.shifted_mu2(0.0)
+        assert res.permutation.as_string() == "321"
+        assert res.n_exchanges == 1
+        assert [e.swapped_ranks for e in res.events] == [(0, 2)]
 
     def test_far_plane_gives_different_outcome(self):
         """At eta = 0.33 the same (zeta, xi) loop no longer swaps bands 1, 3."""
-        rep = mu2_decomposition_run(eta=0.33, steps_per_segment=200)
-        assert rep.permutation != "321"
+        assert self.shifted_mu2(0.33).permutation.as_string() != "321"
 
 
 class TestErrorPaths:
@@ -303,10 +310,6 @@ class TestErrorPaths:
         singular = replace(es, right_vectors=v)
         with pytest.raises(NonUnimodularDeterminant):
             transport_eigensystems([es, es, es, singular], refine=False)
-
-    def test_nabp_requires_reliable_result(self):
-        res = transport(preset_loop("mu1", 200))
-        assert nabp(res) is res.holonomy
 
 
 class TestMatchAssignment:
