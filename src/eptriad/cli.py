@@ -33,6 +33,7 @@ from .spectral import (
     CavityConfig,
     FitConfig,
     NoiseSpec,
+    check_dataset,
     fit_loop,
     load_dataset,
     save_dataset,
@@ -277,6 +278,7 @@ def cmd_lab(args) -> int:
     if args.subcommand == "fit":
         with _reading_inputs():
             dataset = load_dataset(args.dataset)
+            check_dataset(dataset)
     if args.subcommand in ("fit", "pipeline"):
         fits, result = fit_loop(dataset, fit_config=fitcfg)
         report = {

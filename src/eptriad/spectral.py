@@ -87,14 +87,15 @@ def onsite_profile(config: CavityConfig) -> ModeProfile:
 
 
 def greens_3site(omega: complex, p: ParamPoint, scale: PhysicalScale | None = None) -> np.ndarray:
-    """Site-basis Green's function sum_j |R_j><L_j| / (omega - w_j), physical units."""
+    """Site-basis Green's function (omega - H_phys)^-1 in physical units: the
+    forward model's closed-form resolvent at one frequency, finite at EPs."""
     s = scale if scale is not None else PhysicalScale()
-    es = eigensystem(p)
-    wphys = to_physical(es.eigenvalues, s)
+    wphys = to_physical(eigensystem(p).eigenvalues, s)
     gaps = np.abs(omega - wphys)
     if gaps.min() < 1e-6 * abs(s.kappa):
         raise PoleProximity(f"omega within {gaps.min():.3e} rad/s of a pole")
-    return (es.right_vectors / (omega - wphys)) @ es.left_vectors
+    theta, at = _truth_vector(p, s), np.array([omega])
+    return np.stack([_response_matrix(theta, at, np.ones(1), src)[:, 0] for src in range(3)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -116,46 +117,39 @@ class SpectralDataset:
     steps: list[SpectralStep]
 
 
-def _response_matrix(theta: np.ndarray, freqs: np.ndarray, n_pos: int, src: int = 1) -> np.ndarray:
+def _response_matrix(theta: np.ndarray, freqs: np.ndarray, phi: np.ndarray, src: int = 1) -> np.ndarray:
     """Forward model for one 7-scalar parameter vector or a population of them.
 
     theta = (omega0, gamma0, kappa, eta, zeta, xi, g) with shape (7,) or
-    (7, S); the result has shape (3*n_pos, n_freq) or (S, 3*n_pos, n_freq).
-    Rows are probe positions stacked per site (B, A, C), columns are
-    frequencies; ``src`` is the 0-based driven site (default the middle
-    cavity A), excited at its top probe position.  The Hamiltonian is
-    assembled in the kappa = -1 convention without ParamPoint validation:
-    the optimizer explores far outside the validated regime, and the model
-    stays a total function there.  A single vector runs as a population of
+    (7, S); the result has shape (3*n_pos, n_freq) or (S, 3*n_pos, n_freq)
+    for the mode profile ``phi`` at n_pos probe heights.  Rows are probe
+    positions stacked per site (B, A, C); ``src`` is the 0-based driven site
+    (default cavity A), excited at its top probe.  The Green's function is
+    the adjugate column over the determinant of the tridiagonal
+    omega - H_phys, H_phys = omega0 + i gamma0 + |kappa| H: no eigen-solve,
+    and finite at EPs, where eigen-residues diverge and cancel.  It stays a
+    total function far outside the validated regime, kappa = 0 included,
+    where the optimizer explores.  A single vector runs as a population of
     one, so both shapes share every arithmetic step.
     """
     theta = np.asarray(theta, dtype=float)
-    single = theta.ndim == 1
-    w0, g0, kap, eta, zeta, xi, g = theta.reshape(7, -1)
+    w0, g0, kap, eta, zeta, xi, g = theta.reshape(7, -1, 1)
     s2 = np.sqrt(2.0)
-    # entry by entry and negated as a whole, so that each member rounds like
-    # the one-matrix reference model the tests compare against bit for bit
-    m = np.zeros((len(eta), 3, 3), dtype=complex)
-    m[:, 0, 0] = s2 * (1j + eta) + 1j * s2 * g
-    m[:, 1, 1] = 1j * zeta + xi
-    m[:, 2, 2] = -s2 * (1j + eta) - 1j * s2 * g
-    m[:, [0, 1, 1, 2], [1, 0, 2, 1]] = 1.0
-    w, v = np.linalg.eig(-m)                                     # (S, 3), (S, 3, 3)
-    v = v / np.linalg.norm(v, axis=1)[:, None, :]
-    bil = np.sum(v * v, axis=1)
-    wphys = (w0 + 1j * g0)[:, None] + np.abs(kap)[:, None] * w
-    z = (np.arange(1, n_pos + 1) - 0.5) / n_pos
-    phi = np.cos(2 * np.pi * z)
-    phi = phi / np.linalg.norm(phi)
-    # residue column for the driven site: num[s, j] = R[s,j] * R[src,j] / bil[j]
-    num = v * (v[:, src, :] / bil)[:, None, :]
-    gcol = num @ (1.0 / (freqs[None, None, :] - wphys[:, :, None]))   # (S, 3, n_freq)
+    # diagonal d + c m_kk, with m_kk the diagonal of -H; off-diagonal c
+    c, d = np.abs(kap), freqs - (w0 + 1j * g0)                       # (S, 1), (S, n_freq)
+    b0 = d + c * (s2 * (1j + eta) + 1j * s2 * g)
+    b1 = d + c * (1j * zeta + xi)
+    b2 = d + c * (-s2 * (1j + eta) - 1j * s2 * g)
+    c2 = c * c
+    adj = ((b1 * b2 - c2, -c * b2, c2) if src == 0 else      # column src of the adjugate,
+           (-c * b2, b0 * b2, -c * b0) if src == 1 else      # built for that column only
+           (c2, -c * b0, b0 * b1 - c2))
+    gcol = np.stack(np.broadcast_arrays(*adj), axis=1) / (b0 * b1 * b2 - c2 * (b0 + b2))[:, None, :]
     # scale real and imaginary parts by the real profile: the same values as
     # the complex products, without numpy's slow mixed-type broadcast
-    resp = phi[:, None] * gcol.view(float)[:, :, None, :]             # (S, 3, n_pos, 2 n_freq)
-    resp *= phi[-1]
-    resp = resp.view(complex).reshape(-1, 3 * n_pos, len(freqs))
-    return resp[0] if single else resp
+    resp = (phi * phi[-1])[:, None] * gcol.view(float)[:, :, None, :]   # (S, 3, n_pos, 2 n_freq)
+    resp = resp.view(complex).reshape(-1, 3 * len(phi), len(freqs))
+    return resp[0] if theta.ndim == 1 else resp
 
 
 def _truth_vector(p: ParamPoint, scale: PhysicalScale) -> np.ndarray:
@@ -175,11 +169,10 @@ def synthesize(
     """
     cfg = config if config is not None else CavityConfig()
     ns = noise if noise is not None else NoiseSpec()
-    freqs = cfg.frequencies()
+    freqs, phi = cfg.frequencies(), onsite_profile(cfg).samples
     steps = []
     for k, p in enumerate(points):
-        theta = _truth_vector(p, cfg.scale)
-        resp = _response_matrix(theta, freqs, cfg.n_positions_per_cavity, cfg.source_site - 1)
+        resp = _response_matrix(_truth_vector(p, cfg.scale), freqs, phi, cfg.source_site - 1)
         if ns.relative_amplitude > 0:
             rng = np.random.default_rng([ns.seed, k])
             mult = 1.0 + ns.relative_amplitude * (
@@ -188,6 +181,26 @@ def synthesize(
             resp = resp * mult
         steps.append(SpectralStep(responses=resp, param_truth=p))
     return SpectralDataset(config=cfg, noise_spec=ns, steps=steps)
+
+
+def _spectrum_norm2(responses: np.ndarray, config: CavityConfig) -> float:
+    """Squared norm of one measured spectrum; ValueError unless it is finite,
+    not all zero and sampled as ``config`` samples it."""
+    shape = (3 * config.n_positions_per_cavity, config.n_frequencies)
+    norm2 = float(np.sum(np.abs(responses) ** 2))
+    if responses.shape != shape or not 0 < norm2 < np.inf:
+        raise ValueError(f"need finite, not all-zero responses of shape {shape}, "
+                         f"got shape {responses.shape} and squared norm {norm2}")
+    return norm2
+
+
+def check_dataset(dataset: SpectralDataset) -> None:
+    """Raise ValueError unless every step of ``dataset`` can be fitted and
+    the steps are enough (8) to form a closed loop."""
+    if len(dataset.steps) < 8:
+        raise ValueError("need at least 8 steps forming a closed loop")
+    for st in dataset.steps:
+        _spectrum_norm2(np.asarray(st.responses), dataset.config)
 
 
 @dataclass(frozen=True)
@@ -213,22 +226,20 @@ class FittedParams:
         return _truth_vector(self.point, self.scale)
 
 
-def _gauss_newton(theta0, data, freqs, n_pos, norm2, iterations, src=1):
+def _gauss_newton(theta0, data, freqs, phi, norm2, iterations, src=1):
     """Damped Gauss-Newton on stacked real/imag residuals."""
     theta = np.array(theta0, float)
 
     def residuals(t):
-        return ((_response_matrix(t, freqs, n_pos, src) - data) / np.sqrt(norm2)).ravel()
+        """Flat residuals of a (7,) vector, or one row per column of a (7, S) population."""
+        return ((_response_matrix(t, freqs, phi, src) - data) / np.sqrt(norm2)).reshape(*t.shape[1:], -1)
 
     r = residuals(theta)
     cost = float(np.sum(np.abs(r) ** 2))
     for _ in range(iterations):
-        jac = np.empty((r.size, 7), dtype=complex)
-        for i in range(7):
-            h = 1e-7 * max(1.0, abs(theta[i]))
-            tp = theta.copy()
-            tp[i] += h
-            jac[:, i] = (residuals(tp) - r) / h
+        # the seven forward-difference probes theta + h_i e_i as one population
+        h = 1e-7 * np.maximum(1.0, np.abs(theta))
+        jac = ((residuals(theta[:, None] + np.diag(h)) - r) / h[:, None]).T
         jr = np.vstack([jac.real, jac.imag])
         rr = np.concatenate([r.real, r.imag])
         step, *_ = np.linalg.lstsq(jr, -rr, rcond=None)
@@ -275,18 +286,12 @@ def fit_step(
     cfg = config if config is not None else CavityConfig()
     fc = fit_config if fit_config is not None else FitConfig()
     data = np.asarray(responses, dtype=complex)
-    if not np.all(np.isfinite(data)):
-        raise ValueError("responses contain non-finite entries")
-    freqs = cfg.frequencies()
-    n_pos = cfg.n_positions_per_cavity
-    norm2 = float(np.sum(np.abs(data) ** 2))
-    if norm2 == 0:
-        raise ValueError("responses are identically zero")
-
+    norm2 = _spectrum_norm2(data, cfg)
+    freqs, phi = cfg.frequencies(), onsite_profile(cfg).samples
     src = cfg.source_site - 1
 
     def objective(population):
-        diff = _response_matrix(population, freqs, n_pos, src)         # (S, rows, n_freq)
+        diff = _response_matrix(population, freqs, phi, src)           # (S, rows, n_freq)
         diff -= data
         flat = diff.reshape(len(diff), -1).view(float)
         return np.einsum("ij,ij->i", flat, flat) / norm2
@@ -306,7 +311,7 @@ def fit_step(
         vectorized=True,
         updating="deferred",
     )
-    theta, cost = _gauss_newton(de.x, data, freqs, n_pos, norm2, fc.gauss_newton_iterations, src)
+    theta, cost = _gauss_newton(de.x, data, freqs, phi, norm2, fc.gauss_newton_iterations, src)
     if cost > fc.residual_threshold:
         raise FitDiverged(f"normalized residual {cost:.3e} above {fc.residual_threshold}")
 
@@ -331,22 +336,13 @@ def fit_step(
     # linear residue solve: responses ~ sum_j C_j(pos) / (omega - w_j)
     basis = 1.0 / (freqs[None, :] - wphys[:, None])            # (3, n_freq)
     coeffs, *_ = np.linalg.lstsq(basis.T, data.T, rcond=None)  # (3, n_positions)
-    phi = onsite_profile(cfg).samples
     # project each cavity block onto the mode profile: t_{j,s} = a_{j,s} * (b_{j,A} phi_top)
-    t = np.empty((3, 3), dtype=complex)                        # (site, state)
-    for s in range(3):
-        block = coeffs[:, s * n_pos : (s + 1) * n_pos]         # (3 states, n_pos)
-        t[s, :] = (block @ phi) / (phi @ phi)
-    a = np.empty_like(t)
-    b = np.empty((3, 3), dtype=complex)                        # (state, site)
-    for j in range(3):
-        vec = t[:, j]
-        nrm = np.linalg.norm(vec)
-        if nrm == 0:
-            raise FitDiverged(f"vanishing residue column for state {j + 1}")
-        vec = vec / nrm
-        a[:, j] = vec
-        b[j, :] = vec / (vec @ vec)
+    t = (coeffs.reshape(3, 3, -1) @ phi).T / (phi @ phi)       # (site, state)
+    nrm = np.linalg.norm(t, axis=0)
+    if not nrm.all():
+        raise FitDiverged(f"vanishing residue column for state {np.argmin(nrm) + 1}")
+    a = t / nrm
+    b = (a / np.sum(a * a, axis=0)).T                          # (state, site)
     return FittedParams(
         point=point,
         scale=scale,
@@ -384,8 +380,7 @@ def fit_loop(
     """
     from .transport import transport_eigensystems
 
-    if len(dataset.steps) < 8:
-        raise ValueError("need at least 8 steps forming a closed loop")
+    check_dataset(dataset)
     fits = [
         fit_step(st.responses, dataset.config, init_box, fit_config)
         for st in dataset.steps

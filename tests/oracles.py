@@ -1,13 +1,15 @@
 """Independent references that the tests compare the package against.
 
 These are the closed-form cubic solver, the Sylvester-matrix discriminant
-and its cubic-order small-parameter approximation.  The package computes
-eigenvalues with ``np.linalg.eig`` and the discriminant from the closed
-formula (``model.discriminant_values``); nothing in it calls these.
+and its cubic-order small-parameter approximation, and the Green's function
+by dense linear solves.  The package computes eigenvalues with
+``np.linalg.eig``, the discriminant from the closed formula
+(``model.discriminant_values``) and the Green's function from the closed-form
+adjugate of the tridiagonal resolvent; nothing in it calls these.
 """
 import numpy as np
 
-from eptriad.model import ParamPoint, PolyCoeffs, char_poly
+from eptriad.model import ParamPoint, PolyCoeffs, build_h_ep, char_poly
 
 
 def _cbrt_principal(z: complex) -> complex:
@@ -105,3 +107,28 @@ def discriminant_small_param(p: ParamPoint) -> complex:
         + 192 * eta * g**2
     )
     return re + 1j * im
+
+
+def solved_greens(theta, omega: complex) -> np.ndarray:
+    """(omega - H_phys)^-1 by ``np.linalg.solve``, H_phys = omega0 + i gamma0 + |kappa| H.
+
+    theta = (omega0, gamma0, kappa, eta, zeta, xi, g) and H is the package's
+    kappa = -1 Hamiltonian.  omega - omega0 is formed first: it is exact for
+    the frequencies near omega0 that the spectra sample.
+    """
+    w0, g0, kap, *p = theta
+    a = (omega - w0 - 1j * g0) * np.eye(3) - abs(kap) * build_h_ep(ParamPoint(*p))
+    return np.linalg.solve(a, np.eye(3))
+
+
+def solved_response(theta, freqs, n_pos: int, src: int) -> np.ndarray:
+    """The (3 * n_pos, n_freq) spectrum of the forward model, one solve per frequency.
+
+    Column ``src`` (0-based site) of :func:`solved_greens` at each frequency,
+    times cos(2 pi z) at n_pos equally spaced interior heights (unit norm) and
+    times that profile's top sample, stacked per site (B, A, C).
+    """
+    g = np.array([solved_greens(theta, w)[:, src] for w in freqs]).T     # (3 sites, n_freq)
+    v = np.cos(2 * np.pi * (np.arange(1, n_pos + 1) - 0.5) / n_pos)
+    phi = v / np.linalg.norm(v)
+    return np.concatenate([np.outer(phi * phi[-1], row) for row in g])

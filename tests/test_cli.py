@@ -123,6 +123,30 @@ class TestSurfaceCommand:
         assert len(lines) == 1 and lines[0].startswith("zeta,xi")
 
 
+def _not_a_dataset(doc):
+    return {"not": "a dataset"}
+
+
+def _three_steps(doc):
+    doc["steps"] = doc["steps"][:3]
+    return doc
+
+
+def _nan_response(doc):
+    doc["steps"][4]["responses"][0][0] = [float("nan"), 0.0]
+    return doc
+
+
+def _zero_responses(doc):
+    doc["steps"][4]["responses"] = [[[0.0, 0.0]] * len(row) for row in doc["steps"][4]["responses"]]
+    return doc
+
+
+def _missing_row(doc):
+    doc["steps"][4]["responses"].pop()
+    return doc
+
+
 class TestLabCommand:
     def test_synth_writes_dataset(self, tmp_path):
         code = run([
@@ -162,11 +186,19 @@ class TestLabCommand:
         assert code == EXIT_CONFIG
         assert not (tmp_path / "dataset.json").exists()
 
-    def test_fit_rejects_malformed_dataset(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{\"not\": \"a dataset\"}")
-        code = run(["lab", "fit", "--dataset", str(bad), "--out", str(tmp_path)])
+    @pytest.mark.parametrize(
+        "spoil",
+        [_not_a_dataset, _three_steps, _nan_response, _zero_responses, _missing_row],
+        ids=lambda f: f.__name__.lstrip("_"),
+    )
+    def test_fit_rejects_malformed_dataset(self, tmp_path, spoil):
+        """A dataset that cannot be fitted is a config error, found before any fit runs."""
+        assert run(["lab", "synth", "--noise", "0.0", "--out", str(tmp_path)]) == EXIT_OK
+        path = tmp_path / "dataset.json"
+        path.write_text(json.dumps(spoil(json.loads(path.read_text()))))
+        code = run(["lab", "fit", "--dataset", str(path), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
+        assert not (tmp_path / "fit_report.json").exists()
 
     def test_fit_requires_dataset(self):
         assert run(["lab", "fit"]) == EXIT_CONFIG

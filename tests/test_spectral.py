@@ -5,6 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 import eptriad.spectral as spectral
 from conftest import circular_distance
+from oracles import solved_greens, solved_response
 from eptriad.errors import FitDiverged, IdentifiabilityWarning, PoleProximity
 from eptriad.locate import refine_ep
 from eptriad.model import ParamPoint, PhysicalScale, build_h_ep, eigensystem, to_physical
@@ -148,30 +149,6 @@ class TestSynthesis:
         assert abs(freqs[np.argmax(total)] - sharp.real) <= spacing
 
 
-def _scalar_response(theta, freqs, n_pos, src):
-    """Reference forward model: one Hamiltonian and one eig per parameter vector."""
-    w0, g0, kap, eta, zeta, xi, g = theta
-    s2 = np.sqrt(2.0)
-    h = -np.array(
-        [
-            [s2 * (1j + eta) + 1j * s2 * g, 1.0, 0.0],
-            [1.0, 1j * zeta + xi, 1.0],
-            [0.0, 1.0, -s2 * (1j + eta) - 1j * s2 * g],
-        ],
-        dtype=complex,
-    )
-    w, v = np.linalg.eig(h)
-    v = v / np.linalg.norm(v, axis=0)
-    bil = np.sum(v * v, axis=0)
-    wphys = (w0 + 1j * g0) + abs(kap) * w
-    z = (np.arange(1, n_pos + 1) - 0.5) / n_pos
-    phi = np.cos(2 * np.pi * z)
-    phi = phi / np.linalg.norm(phi)
-    num = v * (v[src, :] / bil)[None, :]
-    gcol = num @ (1.0 / (freqs[None, :] - wphys[:, None]))
-    return (phi[:, None] * gcol[:, None, :]).reshape(3 * n_pos, len(freqs)) * phi[-1]
-
-
 def _thetas(size):
     """(7, S) parameter columns; the model scalars reach |p| = 1.5, past the validated regime."""
     scale_lo, scale_hi = (19600.0, 30.0, -75.0), (19860.0, 140.0, 75.0)
@@ -184,30 +161,74 @@ class TestBatchedForwardModel:
     @given(st.sampled_from([1, 64]).flatmap(_thetas), st.sampled_from([0, 1, 2]))
     @settings(max_examples=60, deadline=None)
     def test_population_equals_single_vectors(self, thetas, src):
-        freqs = CavityConfig().frequencies()
-        batch = spectral._response_matrix(thetas, freqs, 7, src)
+        cfg = CavityConfig()
+        freqs, phi = cfg.frequencies(), onsite_profile(cfg).samples
+        batch = spectral._response_matrix(thetas, freqs, phi, src)
         assert batch.shape == (thetas.shape[1], 21, len(freqs))
         for k in range(thetas.shape[1]):
-            single = spectral._response_matrix(thetas[:, k], freqs, 7, src)
-            assert np.array_equal(batch[k], single)
-            assert np.array_equal(single, _scalar_response(thetas[:, k], freqs, 7, src))
+            assert np.array_equal(batch[k], spectral._response_matrix(thetas[:, k], freqs, phi, src))
 
-    def test_synthesize_mu1_matches_scalar_reference(self):
+    def test_synthesize_mu1_is_the_forward_model_times_noise(self):
         from eptriad.loops import preset_loop
 
         cfg = CavityConfig()
-        freqs = cfg.frequencies()
+        freqs, phi = cfg.frequencies(), onsite_profile(cfg).samples
         pts = list(preset_loop("mu1", steps_per_segment=1).steps)
         noise = NoiseSpec(0.01, 23)
         ds = synthesize(pts, cfg, noise)
         for k, (p, step) in enumerate(zip(pts, ds.steps)):
             theta = np.array([cfg.scale.omega0, cfg.scale.gamma0, cfg.scale.kappa, p.eta, p.zeta, p.xi, p.g])
-            want = _scalar_response(theta, freqs, cfg.n_positions_per_cavity, cfg.source_site - 1)
             rng = np.random.default_rng([noise.seed, k])
-            want = want * (1.0 + noise.relative_amplitude * (
-                rng.standard_normal(want.shape) + 1j * rng.standard_normal(want.shape)
-            ) / np.sqrt(2.0))
+            mult = 1.0 + noise.relative_amplitude * (
+                rng.standard_normal(step.responses.shape) + 1j * rng.standard_normal(step.responses.shape)
+            ) / np.sqrt(2.0)
+            want = spectral._response_matrix(theta, freqs, phi, cfg.source_site - 1) * mult
             assert step.responses.tobytes() == want.tobytes()
+            _assert_matches_oracle(step.responses, solved_response(theta, freqs, 7, cfg.source_site - 1) * mult)
+
+
+#: largest deviation from the dense-solve oracle, relative to the largest
+#: oracle entry; the closed form and the solve differ by ~1e-15 at the
+#: points below, EPs included
+ORACLE_RTOL = 1e-12
+
+#: seeds that refine_ep polishes to points on the exceptional arcs
+EP_SEEDS = [(0.33, 0.3, 0.1, G), (0.33, -0.54, -0.4, G), (-0.2, 0.54, -0.24, G), (0.0, 0.22, 0.0, 0.3)]
+
+
+def _assert_matches_oracle(got, want):
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= ORACLE_RTOL * np.max(np.abs(want))
+
+
+class TestForwardModelOracle:
+    """The closed-form resolvent against one dense solve per frequency."""
+
+    @given(st.sampled_from([1, 8]).flatmap(_thetas), st.sampled_from([0, 1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_points(self, thetas, src):
+        cfg = CavityConfig()
+        freqs, phi = cfg.frequencies(), onsite_profile(cfg).samples
+        batch = spectral._response_matrix(thetas, freqs, phi, src)
+        for k in range(thetas.shape[1]):
+            _assert_matches_oracle(batch[k], solved_response(thetas[:, k], freqs, 7, src))
+
+    @pytest.mark.parametrize("source_site", [1, 2, 3])
+    @pytest.mark.parametrize("seed", EP_SEEDS)
+    def test_synthesize_at_refined_eps(self, seed, source_site):
+        ep = refine_ep(ParamPoint(*seed)).point
+        cfg = CavityConfig(source_site=source_site)
+        theta = np.array([cfg.scale.omega0, cfg.scale.gamma0, cfg.scale.kappa, ep.eta, ep.zeta, ep.xi, ep.g])
+        got = synthesize([ep], cfg).steps[0].responses
+        _assert_matches_oracle(got, solved_response(theta, cfg.frequencies(), 7, source_site - 1))
+
+    @pytest.mark.parametrize("seed", EP_SEEDS)
+    def test_greens_at_refined_eps(self, seed):
+        ep = refine_ep(ParamPoint(*seed)).point
+        scale = PhysicalScale()
+        theta = np.array([scale.omega0, scale.gamma0, scale.kappa, ep.eta, ep.zeta, ep.xi, ep.g])
+        for omega in CavityConfig().frequencies():
+            _assert_matches_oracle(greens_3site(omega, ep, scale), solved_greens(theta, omega))
 
 
 class TestDatasetIO:
