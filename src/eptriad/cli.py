@@ -3,9 +3,9 @@
 Subcommands: surface (band sheets + |disc| on a slice, CSV), loop
 (transport report for a preset or JSON config), ea (arc polylines), lab
 (synthesize / fit / full pipeline), group (Cayley table + verification).
-Every run writes a manifest (inputs, versions, seed, timestamp) next to its
-outputs; reports themselves carry no timestamps so identical configs yield
-byte-identical files.
+Every run writes a manifest (inputs, versions, seed, timestamp and, for
+lab fits, the work done) next to its outputs; reports themselves carry no
+timestamps so identical configs yield byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O failure.
 """
@@ -65,7 +65,10 @@ def _reading_inputs():
         raise _ConfigError(exc) from exc
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict, seed: int | None) -> None:
+def _write_manifest(out_dir: Path, command: str, args: dict, seed: int | None,
+                    stats: dict | None = None) -> None:
+    """Write manifest.json; ``stats`` (work counts of the run) go here, never
+    into the byte-stable reports."""
     clean = {k: v for k, v in args.items() if k != "func" and not callable(v)}
     manifest = {
         "command": command,
@@ -78,6 +81,8 @@ def _write_manifest(out_dir: Path, command: str, args: dict, seed: int | None) -
         },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    if stats is not None:
+        manifest["stats"] = stats
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
@@ -182,6 +187,10 @@ def cmd_loop(args) -> int:
         f"{name}: permutation {result.permutation.as_string()} "
         f"theta {result.berry_phase:+.6f} min_overlap {result.min_overlap:.3f}"
     )
+    if not result.reliable:
+        print(f"numerical failure: {name}: transport unreliable, smallest matched overlap "
+              f"{result.min_overlap:.3f}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -269,6 +278,7 @@ def cmd_lab(args) -> int:
     with _reading_inputs():
         cav, fitcfg = _lab_config(args)
     preset = args.loop_preset
+    stats = None                   # the fit's work counts, for the manifest
     if args.subcommand in ("synth", "pipeline"):
         loop = preset_loop(preset, steps_per_segment=1)
         points = list(loop.steps)
@@ -303,11 +313,13 @@ def cmd_lab(args) -> int:
             "transport": _transport_report(result),
         }
         _dump_json(out / "fit_report.json", report)
+        stats = {"de_searches": sum(f.searched for f in fits), "fitted_steps": len(fits)}
         print(
             f"fit {len(fits)} steps: permutation {result.permutation.as_string()} "
             f"theta {result.berry_phase:+.6f}"
         )
-    _write_manifest(out, f"lab-{args.subcommand}", {k: v for k, v in vars(args).items() if k != "func"}, args.seed)
+    _write_manifest(out, f"lab-{args.subcommand}", {k: v for k, v in vars(args).items() if k != "func"},
+                    args.seed, stats)
     return EXIT_OK
 
 

@@ -2,10 +2,13 @@
 
 The forward model samples the second-order cavity mode at n positions per
 cavity, drives cavity A from its top position, and evaluates the resolvent
-of the physical Hamiltonian on a frequency grid.  The inverse path is a
-seeded differential-evolution search over the seven scalars
-(omega0, gamma0, kappa, eta, zeta, xi, g) followed by damped Gauss-Newton,
-then a linear solve for the pole residues that reconstructs eigenvectors.
+of the physical Hamiltonian on a frequency grid.  The inverse path fits
+the seven scalars (omega0, gamma0, kappa, eta, zeta, xi, g) by damped
+Gauss-Newton, then solves linearly for the pole residues that reconstruct
+eigenvectors.  A loop fit is a numerical continuation: a seeded
+differential-evolution search finds the first step, and each later step's
+polish starts from the step before, falling back to the search only when
+that polish misses the residual threshold.
 """
 from __future__ import annotations
 
@@ -221,6 +224,7 @@ class FittedParams:
     mode_coeffs_right: np.ndarray    # (3 sites, 3 states) a_{j,s}
     mode_coeffs_left: np.ndarray     # (3 states, 3 sites) b_{j,s}
     identifiability_warning: bool = False
+    searched: bool = True            # differential evolution ran for this fit
 
     def theta(self) -> np.ndarray:
         return _truth_vector(self.point, self.scale)
@@ -273,15 +277,20 @@ def fit_step(
     config: CavityConfig | None = None,
     init_box=DEFAULT_INIT_BOX,
     fit_config: FitConfig | None = None,
+    start: np.ndarray | None = None,
 ) -> FittedParams:
     """Recover the seven model scalars and eigenvectors from one spectrum.
 
-    Phase 1 is a seeded differential-evolution search inside ``init_box``
-    that evaluates each generation in one batched forward-model call
-    (deferred updating); phase 2 a damped Gauss-Newton polish.  Pole
-    residues are then solved by linear least squares at the fitted
-    eigenvalues, and the right/left coefficient split uses the
-    complex-symmetry constraint b proportional to a.
+    With ``start`` (a 7-vector theta, for example the previous loop step's
+    ``FittedParams.theta()``) a damped Gauss-Newton polish starts from it.
+    Without ``start``, or when that polish ends above
+    ``fit_config.residual_threshold``, a seeded differential-evolution search
+    inside ``init_box`` (each generation in one batched forward-model call,
+    deferred updating) finds the start of the same polish instead, and a
+    polish still above the threshold raises ``FitDiverged``.  Pole residues
+    are then solved by linear least squares at the fitted eigenvalues, and
+    the right/left coefficient split uses the complex-symmetry constraint
+    b proportional to a.
     """
     cfg = config if config is not None else CavityConfig()
     fc = fit_config if fit_config is not None else FitConfig()
@@ -290,30 +299,35 @@ def fit_step(
     freqs, phi = cfg.frequencies(), onsite_profile(cfg).samples
     src = cfg.source_site - 1
 
-    def objective(population):
-        diff = _response_matrix(population, freqs, phi, src)           # (S, rows, n_freq)
-        diff -= data
-        flat = diff.reshape(len(diff), -1).view(float)
-        return np.einsum("ij,ij->i", flat, flat) / norm2
+    cost = np.inf
+    if start is not None:
+        theta, cost = _gauss_newton(start, data, freqs, phi, norm2, fc.gauss_newton_iterations, src)
+    searched = not cost <= fc.residual_threshold        # a NaN cost searches too
+    if searched:
+        def objective(population):
+            diff = _response_matrix(population, freqs, phi, src)           # (S, rows, n_freq)
+            diff -= data
+            flat = diff.reshape(len(diff), -1).view(float)
+            return np.einsum("ij,ij->i", flat, flat) / norm2
 
-    rng = np.random.default_rng(fc.seed)
-    lo = np.array([b[0] for b in init_box])
-    hi = np.array([b[1] for b in init_box])
-    init = lo + (hi - lo) * rng.random((max(fc.population, 8), 7))
-    de = differential_evolution(
-        objective,
-        bounds=list(init_box),
-        init=init,
-        maxiter=fc.generations,
-        tol=1e-10,
-        seed=fc.seed,
-        polish=False,
-        vectorized=True,
-        updating="deferred",
-    )
-    theta, cost = _gauss_newton(de.x, data, freqs, phi, norm2, fc.gauss_newton_iterations, src)
-    if cost > fc.residual_threshold:
-        raise FitDiverged(f"normalized residual {cost:.3e} above {fc.residual_threshold}")
+        rng = np.random.default_rng(fc.seed)
+        lo = np.array([b[0] for b in init_box])
+        hi = np.array([b[1] for b in init_box])
+        init = lo + (hi - lo) * rng.random((max(fc.population, 8), 7))
+        de = differential_evolution(
+            objective,
+            bounds=list(init_box),
+            init=init,
+            maxiter=fc.generations,
+            tol=1e-10,
+            seed=fc.seed,
+            polish=False,
+            vectorized=True,
+            updating="deferred",
+        )
+        theta, cost = _gauss_newton(de.x, data, freqs, phi, norm2, fc.gauss_newton_iterations, src)
+        if cost > fc.residual_threshold:
+            raise FitDiverged(f"normalized residual {cost:.3e} above {fc.residual_threshold}")
 
     w0, g0, kap, eta, zeta, xi, g = theta
     if kap == 0:
@@ -351,6 +365,7 @@ def fit_step(
         mode_coeffs_right=a,
         mode_coeffs_left=b,
         identifiability_warning=ident_flag,
+        searched=searched,
     )
 
 
@@ -375,16 +390,23 @@ def fit_loop(
 ):
     """Fit every step of a closed-loop dataset, then transport the fitted frames.
 
-    Returns (fits, transport_result); the transport pass consumes the
-    reconstructed eigenvectors exactly as it would analytic ones.
+    Consecutive steps lie close together on the loop, so the fit is a
+    numerical continuation: step 0 is fitted from a differential-evolution
+    search, and every later step takes the previous step's fit as its
+    predictor and the Gauss-Newton polish from it as its corrector,
+    searching again only where that polish misses the residual threshold
+    (``FittedParams.searched`` says where).  The model sees only |kappa|, so starting from the reported
+    kappa = -|kappa| loses nothing.  Returns (fits, transport_result); the
+    transport pass consumes the reconstructed eigenvectors exactly as it
+    would analytic ones.
     """
     from .transport import transport_eigensystems
 
     check_dataset(dataset)
-    fits = [
-        fit_step(st.responses, dataset.config, init_box, fit_config)
-        for st in dataset.steps
-    ]
+    fits = []
+    for st in dataset.steps:
+        start = fits[-1].theta() if fits else None
+        fits.append(fit_step(st.responses, dataset.config, init_box, fit_config, start=start))
     systems = [fitted_eigensystem(f) for f in fits]
     result = transport_eigensystems(systems, label="fitted-loop", refine=False)
     return fits, result

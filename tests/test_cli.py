@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,24 @@ class TestLabCommand:
     def test_fit_requires_dataset(self):
         assert run(["lab", "fit"]) == EXIT_CONFIG
 
+    def test_pipeline_at_cli_defaults_is_byte_stable(self, tmp_path):
+        """The pipeline's reports repeat byte for byte, and only the manifest
+        counts the work: one search for the whole mu1 loop."""
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            code = run([
+                "lab", "pipeline", "--loop-preset", "mu1", "--noise", "0.01",
+                "--seed", "1", "--out", str(out),
+            ])
+            assert code == EXIT_OK
+        for name in ("dataset.json", "fit_report.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+        report = json.loads((outs[0] / "fit_report.json").read_text())
+        assert report["transport"]["permutation"] == "132"
+        manifest = json.loads((outs[0] / "manifest.json").read_text())
+        assert manifest["stats"] == {"de_searches": 1, "fitted_steps": 9}
+        assert "de_searches" not in (outs[0] / "fit_report.json").read_text()
+
 
 class TestArcsCommand:
     def test_two_arcs_at_canonical_g(self, tmp_path):
@@ -228,6 +247,11 @@ class TestNumericalFailures:
         monkeypatch.setattr(eptriad.model.np.linalg, "eig", bad_eig)
         code = run(["loop", "--preset", "mu1", "--steps-per-segment", "8", "--out", str(tmp_path)])
         assert code == EXIT_NUMERICAL
+
+    def test_unreliable_loop_still_writes_its_report(self, tmp_path, monkeypatch, capsys):
+        assert run(_argv_unreliable_loop(tmp_path, monkeypatch)) == EXIT_NUMERICAL
+        assert json.loads((tmp_path / "loop_mu1.json").read_text())["reliable"] is False
+        assert capsys.readouterr().err.startswith("numerical failure: mu1: transport unreliable")
 
 
 def _argv_group(tmp_path, monkeypatch):
@@ -267,11 +291,18 @@ def _argv_fault_in_numerics(tmp_path, monkeypatch):
     return ["loop", "--preset", "mu1", "--steps-per-segment", "8", "--out", str(tmp_path)]
 
 
+def _argv_unreliable_loop(tmp_path, monkeypatch):
+    transport = eptriad.cli.transport
+    monkeypatch.setattr(eptriad.cli, "transport", lambda loop: replace(transport(loop), reliable=False))
+    return ["loop", "--preset", "mu1", "--steps-per-segment", "8", "--out", str(tmp_path)]
+
+
 @pytest.mark.parametrize("make_argv, code", [
     (_argv_group, EXIT_OK),
     (_argv_bad_lab_config, EXIT_CONFIG),
     (_argv_loop_through_ep, EXIT_NUMERICAL),     # PathTouchesEP
     (_argv_out_is_file, EXIT_IO),
+    (_argv_unreliable_loop, EXIT_NUMERICAL),     # the report is written, then exit 3
     (_argv_fault_in_numerics, ValueError),      # a program fault, not a config error
 ])
 def test_exit_code_matrix(tmp_path, monkeypatch, make_argv, code):

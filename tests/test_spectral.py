@@ -319,6 +319,55 @@ class TestFitLoop:
         assert res.permutation == analytic.permutation
         assert circular_distance(res.berry_phase, analytic.berry_phase) < 1e-6
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_warm_start_matches_a_search_at_every_step(self, seed):
+        """The warm-started loop fit agrees with a cold search per step, and searches once."""
+        from eptriad.loops import preset_loop
+
+        ds = synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), CavityConfig(), NoiseSpec(0.01, seed))
+        fc = FitConfig(seed=seed)
+        fits, res = fit_loop(ds, fit_config=fc)
+        cold = [fit_step(st.responses, ds.config, fit_config=fc) for st in ds.steps]
+        reference = transport_eigensystems([fitted_eigensystem(f) for f in cold], refine=False)
+        assert [f.searched for f in fits] == [True] + [False] * (len(fits) - 1)
+        for before, fit, st in zip(fits, fits[1:], ds.steps[1:]):      # each step continues the last
+            again = fit_step(st.responses, ds.config, fit_config=fc, start=before.theta())
+            assert np.array_equal(again.theta(), fit.theta())
+        assert res.permutation == reference.permutation
+        assert circular_distance(res.berry_phase, reference.berry_phase) < 1e-4
+        # relative error; the dimensionless (eta, zeta, xi, g), in units of
+        # |kappa|, against their unit scale
+        for warm, want in zip(fits, cold):
+            scale = np.maximum(np.abs(want.theta()), 1.0)
+            assert np.all(np.abs(warm.theta() - want.theta()) <= 1e-5 * scale)
+
+    def test_warm_polish_above_threshold_falls_back_to_the_search(self, monkeypatch):
+        """A warm start that polishes above the residual threshold runs the
+        search, and then fits exactly as a cold fit_step does."""
+        from dataclasses import fields
+
+        from eptriad.loops import preset_loop
+
+        ds = synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), CavityConfig(), NoiseSpec(0.01, 1))
+        start = fit_step(ds.steps[0].responses, ds.config, fit_config=FAST_FIT).theta()
+        responses = ds.steps[1].responses
+        assert not fit_step(responses, ds.config, fit_config=FAST_FIT, start=start).searched
+
+        polish = spectral._gauss_newton
+
+        def stuck_at_start(theta0, *args):
+            if np.array_equal(theta0, start):
+                return np.array(start), 10 * FAST_FIT.residual_threshold
+            return polish(theta0, *args)
+
+        monkeypatch.setattr(spectral, "_gauss_newton", stuck_at_start)
+        fallback = fit_step(responses, ds.config, fit_config=FAST_FIT, start=start)
+        cold = fit_step(responses, ds.config, fit_config=FAST_FIT)
+        assert fallback.searched and cold.searched
+        for f in fields(cold):
+            got, want = getattr(fallback, f.name), getattr(cold, f.name)
+            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, f.name
+
 
 @pytest.mark.slow
 class TestFittedCompositeLoops:
