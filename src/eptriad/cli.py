@@ -26,8 +26,8 @@ from . import __version__
 from .errors import AmbiguousMatch, EptriadError, FitDiverged, NoConvergence, NotAGroup
 from .locate import refine_ep, seed_eps_in_slice, trace_ea, track_sheets
 from .loops import PRESET_NAMES, LoopPath, interpolate_loop, preset_loop
-# eigensystem and match_assignment stay importable here for the benchmark's tracer
-from .model import ParamPoint, PhysicalScale, discriminant_formula, eigensystem
+# discriminant_formula, eigensystem and match_assignment stay importable here for the benchmark's tracer
+from .model import ParamPoint, PhysicalScale, discriminant_formula, discriminant_values, eigensystem
 from .permutations import all_elements, element, identify, to_matrix, verify_group
 from .spectral import (
     CavityConfig,
@@ -139,7 +139,11 @@ def cmd_surface(args) -> int:
         zz = np.linspace(args.window[0], args.window[1], nz)
         xx = np.linspace(args.window[2], args.window[3], nx)
         tracked = track_sheets(args.eta, args.g, zz, xx)
-        rows = [_surface_row(tracked[a, b], z, x, args) for a, z in enumerate(zz) for b, x in enumerate(xx)]
+        rows = [
+            _surface_row(w, z, x, args.eta, args.g)
+            for z, row in zip(zz.tolist(), tracked)
+            for x, w in zip(xx.tolist(), row.tolist())
+        ]
     path = out / "surface.csv"
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -150,14 +154,11 @@ def cmd_surface(args) -> int:
     return EXIT_OK
 
 
-def _surface_row(w, z, x, args) -> list[str]:
-    d = abs(discriminant_formula(ParamPoint(args.eta, z, x, args.g)))
-    return (
-        [f"{z:.10g}", f"{x:.10g}"]
-        + [f"{w[k].real:.12g}" for k in range(3)]
-        + [f"{w[k].imag:.12g}" for k in range(3)]
-        + [f"{d:.12g}"]
-    )
+def _surface_row(w: list[complex], z: float, x: float, eta: float, g: float) -> list[str]:
+    """One CSV row.  abs_disc is the scalar discriminant: one array call over
+    the grid rounds some rows' 12-digit text differently."""
+    d = abs(discriminant_values(eta, z, x, g))
+    return [f"{z:.10g}", f"{x:.10g}"] + [f"{c.real:.12g}" for c in w] + [f"{c.imag:.12g}" for c in w] + [f"{d:.12g}"]
 
 
 def _loop_from_args(args) -> tuple[LoopPath, str]:

@@ -6,6 +6,7 @@ in (eta, zeta, xi) at fixed g, followed by predictor-corrector continuation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,10 +15,9 @@ from . import model, transport
 from .errors import NoConvergence, NotAnEP
 from .model import (
     ParamPoint,
-    PolyCoeffs,
     char_poly,
     discriminant_formula,
-    discriminant_gradient,
+    discriminant_gradient_values,
     discriminant_values,
 )
 
@@ -107,13 +107,24 @@ def seed_eps_in_slice(
 
 
 def _jac_2x3(x: np.ndarray, g: float) -> np.ndarray:
-    grads = discriminant_gradient(ParamPoint(x[0], x[1], x[2], g))
-    cols = [grads["eta"], grads["zeta"], grads["xi"]]
-    return np.array([[c.real for c in cols], [c.imag for c in cols]])
+    """Re and Im rows of d(disc)/d(eta, zeta, xi) at x, evaluated on Python floats."""
+    d_eta, d_zeta, d_xi, _ = discriminant_gradient_values(*x.tolist(), g)
+    return np.array([[d_eta.real, d_zeta.real, d_xi.real], [d_eta.imag, d_zeta.imag, d_xi.imag]])
 
 
 def _disc_at(x: np.ndarray, g: float) -> complex:
-    return discriminant_formula(ParamPoint(x[0], x[1], x[2], g))
+    """The discriminant at (eta, zeta, xi) = x, evaluated on Python floats.
+
+    Infinite where x is not finite or the value overflows, so that a Newton
+    trial there counts as no decrease of |disc|.
+    """
+    eta, zeta, xi = x.tolist()
+    if not (math.isfinite(eta) and math.isfinite(zeta) and math.isfinite(xi) and math.isfinite(g)):
+        return complex(math.inf)
+    try:
+        return discriminant_values(eta, zeta, xi, g)
+    except OverflowError:
+        return complex(math.inf)
 
 
 def _newton(x: np.ndarray, g: float, basis: np.ndarray, max_iter: int = 25):
@@ -121,7 +132,8 @@ def _newton(x: np.ndarray, g: float, basis: np.ndarray, max_iter: int = 25):
 
     Steps stay in the plane spanned by the two rows of ``basis``: each solves
     (J @ basis.T) y = -r and moves x by basis.T @ y, halved up to 20 times
-    until |disc| decreases.  Returns (x, converged).
+    until |disc| decreases (a trial where it overflows never does).
+    Returns (x, converged).
     """
     val = _disc_at(x, g)
     for _ in range(max_iter):
@@ -144,45 +156,50 @@ def _newton(x: np.ndarray, g: float, basis: np.ndarray, max_iter: int = 25):
     return x, abs(val) < EP_RESIDUAL_TOL
 
 
-def _repeated_root(co: PolyCoeffs) -> complex:
-    crit = np.roots([3 * co.a3, 2 * co.a2, co.a1])
-    return complex(min(crit, key=lambda w: abs(co(w))))
+def _ep_points(points: list[ParamPoint]) -> list[EPPoint]:
+    """The EPPoints at ``points``, with one stacked root solve for all of them.
 
-
-def repeated_root(p: ParamPoint) -> complex:
-    """The repeated eigenvalue at a (near-)EP: the root of p' minimizing |p|."""
-    return _repeated_root(char_poly(p))
-
-
-def _ep_point(p: ParamPoint) -> EPPoint:
-    """The EPPoint at p, with the residual and the repeated root computed once.
-
-    Raises NotAnEP when |disc| exceeds the membership tolerance; the order is
-    3 when p' and p'' both vanish at the repeated root, else 2.
+    Raises NotAnEP when |disc| at a point exceeds the membership tolerance.
+    The repeated eigenvalue is the root of p' minimizing |p|; the roots of
+    every p' come from one ``np.linalg.eigvals`` over the companion matrices
+    that ``np.roots`` builds (``np.roots`` itself where p' has a zero root).
+    The order is 3 when p' and p'' both vanish at the repeated root, else 2.
     """
-    residual = abs(discriminant_formula(p))
-    if residual > EP_MEMBERSHIP_TOL:
-        raise NotAnEP(f"|disc| = {residual:.3e} at {p}")
-    co = char_poly(p)
-    w = _repeated_root(co)
-    flat = abs(co.derivative(w)) < ORDER3_TOL and abs(co.second_derivative(w)) < ORDER3_TOL
-    return EPPoint(point=p, repeated_eigenvalue=w, order=3 if flat else 2, residual=residual)
+    residuals = [abs(discriminant_formula(p)) for p in points]
+    for p, residual in zip(points, residuals):
+        if residual > EP_MEMBERSHIP_TOL:
+            raise NotAnEP(f"|disc| = {residual:.3e} at {p}")
+    polys = [char_poly(p) for p in points]
+    dp = np.array([[3 * co.a3, 2 * co.a2, co.a1] for co in polys], dtype=complex).reshape(-1, 3)
+    companion = np.zeros((len(dp), 2, 2), dtype=complex)
+    companion[:, 1, 0] = 1
+    companion[:, 0, :] = -dp[:, 1:] / dp[:, :1]
+    crit = np.linalg.eigvals(companion).tolist()
+    out = []
+    for co, row, coeffs, p, residual in zip(polys, crit, dp, points, residuals):
+        if coeffs[2] == 0:
+            row = np.roots(coeffs).tolist()
+        w = min(row, key=lambda w: abs(co(w)))
+        flat = abs(co.derivative(w)) < ORDER3_TOL and abs(co.second_derivative(w)) < ORDER3_TOL
+        out.append(EPPoint(point=p, repeated_eigenvalue=w, order=3 if flat else 2, residual=residual))
+    return out
 
 
 def ep_order(p: ParamPoint) -> int:
     """Classify an EP as order 2 or 3 from derivatives at the repeated root."""
-    return _ep_point(p).order
+    return _ep_points([p])[0].order
 
 
 def refine_ep(seed: ParamPoint, max_iter: int = 50) -> EPPoint:
     """Polish a seed to an EPPoint (|disc| < 1e-12) within its (zeta, xi) slice."""
-    val = abs(discriminant_formula(seed))
-    if val > BASIN_BOUND:
+    x = seed.as_array()[:3]
+    val = abs(_disc_at(x, seed.g))
+    if not val <= BASIN_BOUND:
         raise NoConvergence(f"seed outside basin, |disc| = {val:.3e}")
-    x, ok = _newton(seed.as_array()[:3], seed.g, _SLICE_PLANE, max_iter)
+    x, ok = _newton(x, seed.g, _SLICE_PLANE, max_iter)
     if not ok:
         raise NoConvergence(f"no EP reached from {seed}: |disc| = {abs(_disc_at(x, seed.g)):.3e}")
-    return _ep_point(ParamPoint(x[0], x[1], x[2], seed.g))
+    return _ep_points([ParamPoint(*x.tolist(), seed.g)])[0]
 
 
 def trace_ea(
@@ -220,12 +237,12 @@ def trace_ea(
         arc.rank_deficient_at = start
         return arc
 
-    sides: list[list[EPPoint]] = []
+    sides: list[list[ParamPoint]] = []
     terminations: list[str] = []
     for direction in (-1.0, 1.0):
         x, frame, t = x0.copy(), frame0, frame0[2] * direction
         sv2 = sv2_start
-        side: list[EPPoint] = []
+        side: list[ParamPoint] = []
         term = "max_points"
         for _ in range(max_points):
             # shrink the step as the Jacobian degenerates so the approach to a
@@ -238,7 +255,7 @@ def trace_ea(
                 break
             frame, sv2 = _frame(xn)
             tn = frame[2]
-            side.append(_ep_point(ParamPoint(float(xn[0]), float(xn[1]), float(xn[2]), g)))
+            side.append(ParamPoint(*xn.tolist(), g))
             if sv2 < rank_floor:
                 term = "rank_deficient"
                 break
@@ -255,13 +272,14 @@ def trace_ea(
         terminations.append(term)
 
     backward, forward = sides
-    arc.points = list(reversed(backward)) + [start] + forward
+    traced = _ep_points(backward[::-1] + forward)
+    arc.points = traced[:len(backward)] + [start] + traced[len(backward):]
     arc.closed = "closure" in terminations
     reasons = ("rank_deficient", "closure", "boundary", "no_convergence")
     arc.terminated = next((r for r in reasons if r in terminations), "max_points")
     if "rank_deficient" in terminations:
-        pool = backward if terminations[0] == "rank_deficient" else forward
-        arc.rank_deficient_at = pool[-1] if pool else start
+        # the last point traced on that side (the start when none was)
+        arc.rank_deficient_at = arc.points[0] if terminations[0] == "rank_deficient" else arc.points[-1]
     return arc
 
 

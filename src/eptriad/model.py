@@ -289,10 +289,17 @@ def discriminant_formula(p: ParamPoint) -> complex:
     return discriminant_values(p.eta, p.zeta, p.xi, p.g)
 
 
-def discriminant_gradient(p: ParamPoint) -> dict[str, complex]:
-    """Exact d(discriminant)/d(eta, zeta, xi, g) by the coefficient chain rule."""
-    b = p.xi + 1j * p.zeta
-    u = p.g - 1j * p.eta
+#: d(xi + i zeta) and d(g - i eta) along eta, zeta, xi and g
+_DB_DU = ((0.0, -1j), (1j, 0.0), (1.0, 0.0), (0.0, 1.0))
+
+
+def discriminant_gradient_values(eta, zeta, xi, g) -> tuple[complex, complex, complex, complex]:
+    """Exact d(discriminant)/d(eta, zeta, xi, g) by the coefficient chain rule.
+
+    Scalar arguments; on Python floats it is the locator's Newton Jacobian.
+    """
+    b = xi + 1j * zeta
+    u = g - 1j * eta
     c = 2 * u * (2 + u)
     d = 2 * b * (1 + u) ** 2
     disc_b = 18 * c * d - 12 * b**2 * d + 2 * b * c**2
@@ -301,12 +308,14 @@ def discriminant_gradient(p: ParamPoint) -> dict[str, complex]:
     dc_du = 4 + 4 * u
     dd_db = 2 * (1 + u) ** 2
     dd_du = 4 * b * (1 + u)
-    db = {"eta": 0.0, "zeta": 1j, "xi": 1.0, "g": 0.0}
-    du = {"eta": -1j, "zeta": 0.0, "xi": 0.0, "g": 1.0}
-    return {
-        k: disc_b * db[k] + disc_c * dc_du * du[k] + disc_d * (dd_db * db[k] + dd_du * du[k])
-        for k in ("eta", "zeta", "xi", "g")
-    }
+    return tuple(
+        disc_b * db + disc_c * dc_du * du + disc_d * (dd_db * db + dd_du * du) for db, du in _DB_DU
+    )
+
+
+def discriminant_gradient(p: ParamPoint) -> dict[str, complex]:
+    """:func:`discriminant_gradient_values` at one point, keyed by parameter name."""
+    return dict(zip(("eta", "zeta", "xi", "g"), discriminant_gradient_values(p.eta, p.zeta, p.xi, p.g)))
 
 
 def to_physical(omega_dimensionless: complex, scale: PhysicalScale | None = None) -> complex:

@@ -1,11 +1,12 @@
 """Independent references that the tests compare the package against.
 
 These are the closed-form cubic solver, the Sylvester-matrix discriminant
-and its cubic-order small-parameter approximation, and the Green's function
-by dense linear solves.  The package computes eigenvalues with
-``np.linalg.eig``, the discriminant from the closed formula
-(``model.discriminant_values``) and the Green's function from the closed-form
-adjugate of the tridiagonal resolvent; nothing in it calls these.
+and its cubic-order small-parameter approximation, the per-point repeated
+root by ``np.roots``, and the Green's function by dense linear solves.  The
+package computes eigenvalues with ``np.linalg.eig``, the discriminant from
+the closed formula (``model.discriminant_values``), repeated roots from one
+stacked ``np.linalg.eigvals`` per arc and the Green's function from the
+closed-form adjugate of the tridiagonal resolvent; nothing in it calls these.
 """
 import numpy as np
 
@@ -57,6 +58,14 @@ def cubic_roots(coeffs: PolyCoeffs) -> np.ndarray:
 def eigenvalues(p: ParamPoint) -> np.ndarray:
     """The three eigenvalues (no ordering guaranteed)."""
     return cubic_roots(char_poly(p))
+
+
+def repeated_root(p: ParamPoint) -> complex:
+    """The repeated eigenvalue at a (near-)EP: the root of p' minimizing |p|,
+    by one ``np.roots`` call at this point."""
+    co = char_poly(p)
+    crit = np.roots([3 * co.a3, 2 * co.a2, co.a1])
+    return complex(min(crit, key=lambda w: abs(co(w))))
 
 
 def sylvester_matrix(coeffs: PolyCoeffs) -> np.ndarray:

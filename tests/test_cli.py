@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import eptriad.cli
+import eptriad.locate
 import eptriad.model
 from eptriad.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from eptriad.locate import refine_ep
-from eptriad.model import ParamPoint
+from eptriad.model import ParamPoint, discriminant_formula
 
 
 def run(argv):
@@ -113,6 +114,30 @@ class TestSurfaceCommand:
         k1, k2 = np.argsort(disc)[:2]
         found = sorted([(z[k1], x[k1]), (z[k2], x[k2])])
         assert np.allclose(found, [(-0.5408, -0.3963), (0.5408, 0.3963)], atol=0.05)
+
+    @pytest.mark.parametrize("eta, g, window", [
+        (0.33, 0.61, (-1.0, 1.0, -1.0, 1.0)),
+        (-1.2, 0.3, (-1.5, 1.4, -1.3, 1.5)),        # beyond the validated regime |p| <= 1
+    ])
+    def test_csv_equals_the_per_point_reference(self, tmp_path, eta, g, window):
+        """Rows built from lists write the bytes of a row-by-row writer that
+        evaluates the ParamPoint discriminant and formats numpy scalars."""
+        argv = ["surface", "--eta", repr(eta), "--g", repr(g), "--grid", "21",
+                "--window", *map(repr, window), "--out", str(tmp_path / "cli")]
+        assert run(argv) == EXIT_OK
+        zz, xx = np.linspace(window[0], window[1], 21), np.linspace(window[2], window[3], 21)
+        tracked = eptriad.locate.track_sheets(eta, g, zz, xx)
+        ref = tmp_path / "reference.csv"
+        with ref.open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["zeta", "xi", "re_omega_1", "re_omega_2", "re_omega_3",
+                             "im_omega_1", "im_omega_2", "im_omega_3", "abs_disc"])
+            for a, z in enumerate(zz):
+                for b, x in enumerate(xx):
+                    w, d = tracked[a, b], abs(discriminant_formula(ParamPoint(eta, z, x, g)))
+                    writer.writerow([f"{z:.10g}", f"{x:.10g}"] + [f"{w[k].real:.12g}" for k in range(3)]
+                                    + [f"{w[k].imag:.12g}" for k in range(3)] + [f"{d:.12g}"])
+        assert (tmp_path / "cli" / "surface.csv").read_bytes() == ref.read_bytes()
 
     def test_empty_window_header_only(self, tmp_path):
         code = run([

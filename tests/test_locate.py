@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
+import eptriad.locate
 from eptriad.errors import NoConvergence, NotAnEP
 from eptriad.locate import (
     ORDER3_TOL,
-    _ep_point,
+    _disc_at,
+    _ep_points,
+    _jac_2x3,
     branch_cut_trace,
     ep_order,
     refine_ep,
-    repeated_root,
     seed_eps_in_slice,
     trace_ea,
     track_sheets,
 )
-from eptriad.model import ParamPoint, char_poly, discriminant_formula, eigensystem
+from eptriad.model import ParamPoint, char_poly, discriminant_formula, discriminant_gradient, eigensystem
+from oracles import repeated_root
 
 G = 0.61
 
@@ -90,6 +93,20 @@ class TestRefinement:
         with pytest.raises(NoConvergence):
             refine_ep(bad)
 
+    @pytest.mark.parametrize("eta", [1e80, 1e110])
+    def test_overflowing_seed_is_outside_the_basin(self, eta):
+        """A seed whose discriminant overflows fails typed, not with OverflowError."""
+        with pytest.raises(NoConvergence, match="outside basin"):
+            refine_ep(ParamPoint(eta, 0.3, 0.2, 0.6))
+
+    def test_overflowing_trial_is_a_rejected_step(self, monkeypatch):
+        """A Newton step into overflow is halved like one that does not lower
+        |disc|; refinement then gives up with NoConvergence."""
+        tiny = np.array([[0.0, 1e-200, 0.0], [0.0, 0.0, 1e-200]])     # steps of ~1e200
+        monkeypatch.setattr(eptriad.locate, "_jac_2x3", lambda x, g: tiny)
+        with pytest.raises(NoConvergence, match="no EP reached"):
+            refine_ep(ParamPoint(0.33, 0.5, 0.4, G))
+
 
 class TestOrderClassification:
     def test_origin(self):
@@ -110,8 +127,21 @@ def arcs_g061():
     return [trace_ea(G, e, step=0.02) for e in eps]
 
 
+def _bits(w: complex) -> tuple[str, str]:
+    return float(w.real).hex(), float(w.imag).hex()
+
+
+@pytest.fixture(scope="module")
+def arcs_g0():
+    """Every arc ``ea --g 0`` traces: four branches into the nexus, and the nexus."""
+    eps = [refine_ep(c.center) for eta in (-0.5, 0.0, 0.5)
+           for c in seed_eps_in_slice(eta, 0.0, ((-1.2, 1.2), (-1.2, 1.2)), 64)]
+    return [trace_ea(0.0, e, step=0.02) for e in eps]
+
+
 class TestEPPointHelper:
-    """``_ep_point`` builds every EPPoint; it must equal the separate calls."""
+    """``_ep_points`` builds every EPPoint from one stacked root solve; it must
+    equal, bit for bit, the separate per-point calls with ``np.roots``."""
 
     @staticmethod
     def assert_matches_separate_calls(p: ParamPoint, q) -> None:
@@ -119,16 +149,29 @@ class TestEPPointHelper:
         w = repeated_root(p)
         flat = abs(co.derivative(w)) < ORDER3_TOL and abs(co.second_derivative(w)) < ORDER3_TOL
         assert q.point == p
-        assert q.repeated_eigenvalue == w
+        assert _bits(q.repeated_eigenvalue) == _bits(w)
         assert q.order == ep_order(p) == (3 if flat else 2)
         assert q.residual == abs(discriminant_formula(p))
 
     def test_arc_points(self, arcs_g061):
         for arc in arcs_g061:
-            for q in arc.points[::25]:
+            for q in arc.points:
                 assert q.order == 2
                 self.assert_matches_separate_calls(q.point, q)
-                self.assert_matches_separate_calls(q.point, _ep_point(q.point))
+
+    def test_g0_arcs_and_nexus(self, arcs_g0):
+        points = [q for arc in arcs_g0 for q in arc.points]
+        assert sum(q.order == 3 for q in points) >= 1
+        for q in points:
+            self.assert_matches_separate_calls(q.point, q)
+
+    def test_one_batch_equals_single_points(self, arcs_g061, arcs_g0):
+        points = [q.point for arc in arcs_g061 + arcs_g0 for q in arc.points]
+        batch = _ep_points(points)
+        assert [(q.point, _bits(q.repeated_eigenvalue), q.order, q.residual) for q in batch] == [
+            (q.point, _bits(q.repeated_eigenvalue), q.order, q.residual) for p in points for q in _ep_points([p])
+        ]
+        assert _ep_points([]) == []
 
     def test_refined_seed(self):
         e = refine_ep(ParamPoint(0.33, 0.54, 0.40, G))
@@ -136,17 +179,44 @@ class TestEPPointHelper:
 
     def test_nexus(self):
         p = ParamPoint(0, 0, 0, 0)
-        q = _ep_point(p)
+        (q,) = _ep_points([p])
         assert q.order == 3
         self.assert_matches_separate_calls(p, q)
 
     def test_off_arc_raises_like_ep_order(self):
         p = ParamPoint(0.33, 0, 0, G)
         with pytest.raises(NotAnEP) as helper:
-            _ep_point(p)
+            _ep_points([refine_ep(ParamPoint(0.33, 0.54, 0.40, G)).point, p])
         with pytest.raises(NotAnEP) as order:
             ep_order(p)
         assert str(helper.value) == str(order.value) == f"|disc| = {abs(discriminant_formula(p)):.3e} at {p}"
+
+
+class TestFloatPaths:
+    """The Newton's discriminant and Jacobian run on Python floats; they must
+    equal the ParamPoint functions on numpy scalars exactly."""
+
+    @staticmethod
+    def _drawn_points(n=10_000, bound=1.5):
+        rng = np.random.default_rng(20261018)
+        pts = rng.uniform(-bound, bound, (n, 4))
+        pts[::7, rng.integers(0, 4)] = 0.0           # exact zeros in some coordinate
+        pts[1::11, rng.integers(0, 4)] = -0.0
+        return pts
+
+    def test_disc_and_jacobian_equal_the_param_point_forms(self):
+        for row in self._drawn_points():
+            eta, zeta, xi, g = (np.float64(v) for v in row)
+            p = ParamPoint(eta, zeta, xi, g)
+            x, gf = row[:3].copy(), float(row[3])
+            assert _bits(_disc_at(x, gf)) == _bits(discriminant_formula(p))
+            grads = discriminant_gradient(p)
+            want = [[grads[k].real for k in ("eta", "zeta", "xi")], [grads[k].imag for k in ("eta", "zeta", "xi")]]
+            assert _jac_2x3(x, gf).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("x", [[0.1, np.nan, 0.2], [0.1, 0.3, np.inf], [1e80, 0.3, 0.2]])
+    def test_non_finite_or_overflowing_point_is_infinite(self, x):
+        assert abs(_disc_at(np.array(x), G)) == np.inf
 
 
 class TestArcTracing:
