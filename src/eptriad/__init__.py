@@ -37,8 +37,6 @@ from .spectral import (
 )
 from .transport import (
     TransportResult,
-    berry_phase,
-    cycles_to_identity,
     discriminant_winding,
     eigenvalue_vorticity,
     transport,

@@ -39,12 +39,7 @@ from .spectral import (
     save_dataset,
     synthesize,
 )
-from .transport import (
-    cycles_to_identity,
-    match_assignment,
-    transport,
-    vorticity_table,
-)
+from .transport import match_assignment, transport, vorticity_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,7 +56,9 @@ def _reading_inputs():
     """Report a malformed input read inside the block as a config error (exit 2)."""
     try:
         yield
-    except (KeyError, ValueError) as exc:      # json.JSONDecodeError is a ValueError
+    # json.JSONDecodeError is a ValueError; a JSON value of the wrong type or
+    # shape raises TypeError or IndexError where it is used
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
         raise _ConfigError(exc) from exc
 
 
@@ -91,12 +88,16 @@ def _dump_json(path: Path, doc) -> None:
 
 
 def _transport_report(result) -> dict:
+    """The loop report.  A holonomy entry whose magnitude rounds to 0 is a
+    rounding residue; its phase carries no information and is written as 0."""
+    nabp_abs = np.abs(result.holonomy).round(12)
+    nabp_phase = np.where(nabp_abs == 0, 0.0, np.angle(result.holonomy).round(12))
     return {
         "label": result.label,
         "permutation": result.permutation.as_string(),
         "permutation_label": identify(result.permutation),
-        "nabp_abs": np.abs(result.holonomy).round(12).tolist(),
-        "nabp_phase": np.angle(result.holonomy).round(12).tolist(),
+        "nabp_abs": nabp_abs.tolist(),
+        "nabp_phase": nabp_phase.tolist(),
         "theta": result.berry_phase,
         "min_overlap": result.min_overlap,
         "reliable": result.reliable,
@@ -107,7 +108,7 @@ def _transport_report(result) -> dict:
             for e in result.events
         ],
         "vorticity": vorticity_table(result),
-        "cycles_to_identity": cycles_to_identity(result),
+        "cycles_to_identity": result.permutation.order(),
     }
 
 
@@ -265,12 +266,9 @@ def _lab_config(args) -> tuple[CavityConfig, FitConfig]:
     for k, v in fit.items():
         if type(v) is not int:
             raise ValueError(f"lab config: {k} must be an integer, got {v!r}")
-    try:
-        if "scale" in cav:
-            cav["scale"] = PhysicalScale(**cav["scale"])
-        return CavityConfig(**cav), FitConfig(seed=args.seed, **fit)
-    except TypeError as exc:      # a misnamed scale key or a value of the wrong type
-        raise ValueError(f"lab config: {exc}") from exc
+    if "scale" in cav:
+        cav["scale"] = PhysicalScale(**cav["scale"])
+    return CavityConfig(**cav), FitConfig(seed=args.seed, **fit)
 
 
 def cmd_lab(args) -> int:

@@ -9,7 +9,10 @@ each band stays phase-continuous.
 All steps are scored at once on the raw (Re-sorted, unrotated) frames: a
 score and its margin do not change when the tracked frame's rows are
 permuted or rotated in phase, so the tracked order follows by chaining the
-raw best assignments.  Only the phase compensation runs step by step.
+raw best assignments.  The compensation is in closed form too: rotating a
+tracked row by its phase rotates its matched overlap by the same phase, so
+a band's phase after step l is the sum of its matched raw overlaps' angles
+up to l.
 
 Two holonomy-level quantities are reported:
 
@@ -71,12 +74,9 @@ class ExchangeEvent:
 
 @dataclass
 class TransportResult:
-    loop: LoopPath | None
     label: str
     anchor: Eigensystem
     tracked_eigenvalues: np.ndarray       # (L, 3) complex, tracked band order
-    tracked_right_vectors: np.ndarray     # (L, 3, 3) complex, columns = tracked bands
-    step_transfer: np.ndarray             # (L-1, 3, 3) overlap matrices per step
     step_overlaps: np.ndarray             # (L-1, 3) matched |O|
     events: list[ExchangeEvent]
     permutation: PermutationElement
@@ -139,14 +139,6 @@ def _principal(theta: float) -> float:
     return (theta + np.pi) % (2 * np.pi) - np.pi
 
 
-def berry_phase(u: np.ndarray) -> float:
-    """Multiband Berry phase -Im[ln det U] of a (near-)unimodular matrix."""
-    det = complex(np.linalg.det(np.asarray(u, dtype=complex)))
-    if abs(abs(det) - 1.0) > 1e-6:
-        raise NonUnimodularDeterminant(f"|det U| = {abs(det):.8f}")
-    return -cmath.log(det).imag
-
-
 def _resolve_steps(stack: EigensystemStack, ambiguity_margin: float, refine: bool):
     """Raw overlaps and best assignments of every step of ``stack``.
 
@@ -174,8 +166,6 @@ def _resolve_steps(stack: EigensystemStack, ambiguity_margin: float, refine: boo
 def transport_eigensystems(
     systems,
     label: str = "",
-    loop: LoopPath | None = None,
-    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
     ambiguity_margin: float = DEFAULT_AMBIGUITY_MARGIN,
     refine: bool = True,
 ) -> TransportResult:
@@ -198,24 +188,10 @@ def transport_eigensystems(
     # m[l, j]: the raw (Re-sorted) band that tracked band j occupies at step l
     m = chain_assignments(best.tolist())
     at = np.arange(len(m))[:, None]
-    left = stack.left_vectors[at, m]                        # rows in tracked order
-    right = stack.right_vectors
-    # The phase of step l + 1 is read off the product of the phase-rotated
-    # tracked rows with the next frame, rotated before the product and step
-    # by step: the holonomy's off-pattern entries are rounding residues
-    # whose phases depend on every bit of this sweep, and reports pin them.
-    turn = np.zeros((len(m), 3), dtype=complex)             # i * phi
-    phi = turn.imag
-    transfer = np.empty_like(overlap)
-    flat = 3 * _BANDS + m[1:]                               # matched entries of each step
-    for l in range(len(overlap)):
-        np.matmul(left[l] * np.exp(turn[l])[:, None], right[l + 1], out=transfer[l])
-        z = transfer[l].take(flat[l])
-        phi[l + 1] = np.arctan2(z.imag, z.real)
-    matched = transfer[at[:-1], _BANDS, m[1:]]
-    matched = np.hypot(matched.real, matched.imag)          # rounds as abs() of one scalar
-    tracked_w = stack.eigenvalues[at, m]
-    tracked_r = right[at[:, None], _BANDS[:, None], m[:, None, :]] * np.exp(-1j * phi)[:, None, :]
+    matched = overlap[at[:-1], m[:-1], m[1:]]                # (L-1, 3) raw matched overlaps
+    # the holonomy needs only the end frame, compensated by each band's summed phase
+    phase = np.arctan2(matched.imag, matched.real).sum(axis=0)
+    tracked_end = stack.right_vectors[-1][:, m[-1]] * np.exp(-1j * phase)
 
     changed = np.flatnonzero((m[1:] != m[:-1]).any(axis=1))
     events = [
@@ -228,51 +204,36 @@ def transport_eigensystems(
         for l in changed
     ]
     permutation = PermutationElement(tuple(int(r) + 1 for r in m[-1]))
-    holonomy = anchor.left_vectors @ tracked_r[-1]
+    holonomy = anchor.left_vectors @ tracked_end
     det = complex(np.linalg.det(holonomy))
     parity = float(np.linalg.det(to_matrix(permutation)))
     if det == 0:
         raise NonUnimodularDeterminant("det U = 0: the tracked frame lost rank")
     theta = _principal(-cmath.log(parity * det).imag)
-    min_overlap = float(matched.min(initial=1.0))
+    step_overlaps = np.abs(matched)
+    min_overlap = float(step_overlaps.min(initial=1.0))
 
     return TransportResult(
-        loop=loop,
         label=label,
         anchor=anchor,
-        tracked_eigenvalues=tracked_w,
-        tracked_right_vectors=tracked_r,
-        step_transfer=transfer,
-        step_overlaps=matched,
+        tracked_eigenvalues=stack.eigenvalues[at, m],
+        step_overlaps=step_overlaps,
         events=events,
         permutation=permutation,
         holonomy=holonomy,
         berry_phase=theta,
         min_overlap=min_overlap,
-        reliable=min_overlap > overlap_floor,
+        reliable=min_overlap > DEFAULT_OVERLAP_FLOOR,
         min_gap=float(stack.min_gap.min()),
         disc_values=discriminant_values(*stack.params.T),
     )
 
 
-def transport(
-    loop: LoopPath,
-    overlap_floor: float = DEFAULT_OVERLAP_FLOOR,
-    ambiguity_margin: float = DEFAULT_AMBIGUITY_MARGIN,
-) -> TransportResult:
+def transport(loop: LoopPath, ambiguity_margin: float = DEFAULT_AMBIGUITY_MARGIN) -> TransportResult:
     """Transport the band frame around a LoopPath (band 1 = lowest Re at anchor)."""
     return transport_eigensystems(
-        eigensystems(loop.params),
-        label=loop.label,
-        loop=loop,
-        overlap_floor=overlap_floor,
-        ambiguity_margin=ambiguity_margin,
+        eigensystems(loop.params), label=loop.label, ambiguity_margin=ambiguity_margin
     )
-
-
-def cycles_to_identity(result: TransportResult) -> int:
-    """Smallest n >= 1 with the loop permutation to the n-th power trivial."""
-    return result.permutation.order()
 
 
 def eigenvalue_vorticity(result: TransportResult, pair: tuple[int, int]) -> float:

@@ -2,14 +2,19 @@
 
 These are the closed-form cubic solver, the Sylvester-matrix discriminant
 and its cubic-order small-parameter approximation, the per-point repeated
-root by ``np.roots``, and the Green's function by dense linear solves.  The
-package computes eigenvalues with ``np.linalg.eig``, the discriminant from
-the closed formula (``model.discriminant_values``), repeated roots from one
-stacked ``np.linalg.eigvals`` per arc and the Green's function from the
-closed-form adjugate of the tridiagonal resolvent; nothing in it calls these.
+root by ``np.roots``, the Green's function by dense linear solves and the
+multiband Berry phase of a unimodular matrix.  The package computes
+eigenvalues with ``np.linalg.eig``, the discriminant from the closed formula
+(``model.discriminant_values``), repeated roots from one stacked
+``np.linalg.eigvals`` per arc, the Green's function from the closed-form
+adjugate of the tridiagonal resolvent and Θ from the transported holonomy
+with its permutation parity divided out; nothing in it calls these.
 """
+import cmath
+
 import numpy as np
 
+from eptriad.errors import NonUnimodularDeterminant
 from eptriad.model import ParamPoint, PolyCoeffs, build_h_ep, char_poly
 
 
@@ -141,3 +146,11 @@ def solved_response(theta, freqs, n_pos: int, src: int) -> np.ndarray:
     v = np.cos(2 * np.pi * (np.arange(1, n_pos + 1) - 0.5) / n_pos)
     phi = v / np.linalg.norm(v)
     return np.concatenate([np.outer(phi * phi[-1], row) for row in g])
+
+
+def berry_phase(u: np.ndarray) -> float:
+    """Multiband Berry phase -Im[ln det U] of a (near-)unimodular matrix."""
+    det = complex(np.linalg.det(np.asarray(u, dtype=complex)))
+    if abs(abs(det) - 1.0) > 1e-6:
+        raise NonUnimodularDeterminant(f"|det U| = {abs(det):.8f}")
+    return -cmath.log(det).imag

@@ -14,13 +14,7 @@ from eptriad.loops import concat_loops, interpolate_loop, preset_loop, reverse_l
 from eptriad.model import ParamPoint, discriminant_formula, eigensystem
 from eptriad.permutations import PermutationElement, element, to_matrix, verify_group
 from eptriad.spectral import CavityConfig, FitConfig, NoiseSpec, fit_loop, fit_step, synthesize
-from eptriad.transport import (
-    cycles_to_identity,
-    discriminant_winding,
-    eigenvalue_vorticity,
-    transport,
-    transport_eigensystems,
-)
+from eptriad.transport import discriminant_winding, eigenvalue_vorticity, transport, transport_eigensystems
 from oracles import discriminant, discriminant_small_param, eigenvalues
 
 G = 0.61
@@ -104,9 +98,9 @@ def test_criterion_5_outer_swap_and_decomposition(runs):
 
 
 def test_criterion_6_cycle_structure(runs):
-    assert cycles_to_identity(runs["big"]) == 3
-    assert cycles_to_identity(runs["mu1"]) == 2
-    assert cycles_to_identity(runs["trivial"]) == 1
+    assert runs["big"].permutation.order() == 3
+    assert runs["mu1"].permutation.order() == 2
+    assert runs["trivial"].permutation.order() == 1
     vort = eigenvalue_vorticity(runs["mu1"], (2, 3))
     assert abs(abs(vort) - 0.5) < 1e-3
     _ok(6, "cycle counts 3/2/1 and |vorticity(2,3)| = 1/2 for the pair swap")

@@ -322,6 +322,35 @@ def _argv_unreliable_loop(tmp_path, monkeypatch):
     return ["loop", "--preset", "mu1", "--steps-per-segment", "8", "--out", str(tmp_path)]
 
 
+SMALL_LOOP = {
+    "label": "small",
+    "g": 0.61,
+    "steps_per_segment": 8,
+    "waypoints": [[0.33, z, x] for z, x in ((0.02, 0.02), (0.1, 0.02), (0.1, 0.1), (0.02, 0.1), (0.02, 0.02))],
+}
+
+
+def _loop_config(doc):
+    """An argv maker for ``loop --config`` with ``doc`` as the config."""
+    def make_argv(tmp_path, monkeypatch):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(doc))
+        return ["loop", "--config", str(path), "--out", str(tmp_path)]
+    return make_argv
+
+
+def _lab_dataset(corrupt):
+    """An argv maker for ``lab fit`` on a synthesized dataset that ``corrupt`` edits."""
+    def make_argv(tmp_path, monkeypatch):
+        assert run(["lab", "synth", "--out", str(tmp_path)]) == EXIT_OK
+        path = tmp_path / "dataset.json"
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        return ["lab", "fit", "--dataset", str(path), "--out", str(tmp_path)]
+    return make_argv
+
+
 @pytest.mark.parametrize("make_argv, code", [
     (_argv_group, EXIT_OK),
     (_argv_bad_lab_config, EXIT_CONFIG),
@@ -329,6 +358,18 @@ def _argv_unreliable_loop(tmp_path, monkeypatch):
     (_argv_out_is_file, EXIT_IO),
     (_argv_unreliable_loop, EXIT_NUMERICAL),     # the report is written, then exit 3
     (_argv_fault_in_numerics, ValueError),      # a program fault, not a config error
+    # malformed inputs that raise TypeError or IndexError while they are read
+    pytest.param(_loop_config([SMALL_LOOP]), EXIT_CONFIG, id="loop_config_is_a_list-2"),
+    pytest.param(_loop_config(SMALL_LOOP | {"steps_per_segment": 64.0}), EXIT_CONFIG,
+                 id="loop_config_float_steps-2"),
+    pytest.param(_loop_config(SMALL_LOOP | {"waypoints": [w[:2] for w in SMALL_LOOP["waypoints"]]}),
+                 EXIT_CONFIG, id="loop_config_short_waypoints-2"),
+    pytest.param(_loop_config(SMALL_LOOP | {"g": "0.61"}), EXIT_CONFIG, id="loop_config_string_g-2"),
+    pytest.param(_lab_dataset(lambda doc: doc["steps"][0].update(responses=[[1.0, 2.0]])), EXIT_CONFIG,
+                 id="dataset_response_row_of_two_values-2"),
+    pytest.param(_lab_dataset(lambda doc: doc.update(steps="x")), EXIT_CONFIG, id="dataset_string_steps-2"),
+    pytest.param(_lab_dataset(lambda doc: doc["config"].update(n_frequencies="31")), EXIT_CONFIG,
+                 id="dataset_string_n_frequencies-2"),
 ])
 def test_exit_code_matrix(tmp_path, monkeypatch, make_argv, code):
     argv = make_argv(tmp_path, monkeypatch)

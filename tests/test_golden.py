@@ -3,7 +3,11 @@
 ``tests/golden/`` holds the six ``loop --preset`` reports at 64 steps per
 segment, ``surface --grid 21`` at eta = 0.33, g = 0.61 and
 ``ea --g 0.61 --step 0.04``.  Strings, booleans and integers must match
-exactly; floats within 1e-9 (relative to their size when above 1).
+exactly; floats within 1e-9 (relative to their size when above 1).  A loop
+report writes the phase of a holonomy entry whose magnitude rounds to 0 as
+0, so the loop goldens pin no rounding residue and hold on any BLAS kernel.
+``test_arcs`` still depends on the kernel: off the SkylakeX kernel the
+traced arc 0 gains points.
 """
 import csv
 import json
