@@ -11,13 +11,12 @@ from .model import (
     ParamPoint,
     PhysicalScale,
     PolyCoeffs,
-    build_h_ep,
     char_poly,
     eigensystem,
     eigensystems,
     to_physical,
 )
-from .locate import EPPoint, EAPolyline, branch_cut_trace, ep_order, refine_ep, seed_eps_in_slice, trace_ea
+from .locate import EPPoint, EAPolyline, branch_cut_trace, refine_ep, seed_eps_in_slice, trace_ea
 from .loops import LoopPath, concat_loops, interpolate_loop, preset_loop, preset_waypoints, reverse_loop
 from .permutations import PermutationElement, compose, element, identify, to_matrix, verify_group
 from .spectral import (
@@ -29,7 +28,6 @@ from .spectral import (
     SpectralDataset,
     fit_loop,
     fit_step,
-    greens_3site,
     load_dataset,
     onsite_profile,
     save_dataset,

@@ -62,10 +62,18 @@ def _reading_inputs():
         raise _ConfigError(exc) from exc
 
 
+def _require_finite(args, *names: str) -> None:
+    """ValueError unless each named argument (a number or a list of them) is finite."""
+    for name in names:
+        if not np.all(np.isfinite(getattr(args, name))):
+            raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")
+
+
 def _write_manifest(out_dir: Path, command: str, args: dict, seed: int | None,
-                    stats: dict | None = None) -> None:
+                    stats: dict | None = None, versions: dict | None = None) -> None:
     """Write manifest.json; ``stats`` (work counts of the run) go here, never
-    into the byte-stable reports."""
+    into the byte-stable reports, and ``versions`` adds the versions of
+    libraries the run loaded beyond numpy."""
     clean = {k: v for k, v in args.items() if k != "func" and not callable(v)}
     manifest = {
         "command": command,
@@ -75,7 +83,7 @@ def _write_manifest(out_dir: Path, command: str, args: dict, seed: int | None,
             "eptriad": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
-        },
+        } | (versions or {}),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     if stats is not None:
@@ -124,10 +132,11 @@ def _parse_grid(spec: str) -> tuple[int, int]:
 
 
 def cmd_surface(args) -> int:
+    with _reading_inputs():
+        _require_finite(args, "eta", "g", "window")
+        nz, nx = _parse_grid(args.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with _reading_inputs():
-        nz, nx = _parse_grid(args.grid)
     header = (
         ["zeta", "xi"]
         + [f"re_omega_{k}" for k in (1, 2, 3)]
@@ -178,10 +187,10 @@ def _loop_from_args(args) -> tuple[LoopPath, str]:
 
 
 def cmd_loop(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with _reading_inputs():
         loop, name = _loop_from_args(args)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     result = transport(loop)
     _dump_json(out / f"loop_{name}.json", _transport_report(result))
     _write_manifest(out, "loop", {k: v for k, v in vars(args).items() if k != "func"}, None)
@@ -197,6 +206,10 @@ def cmd_loop(args) -> int:
 
 
 def cmd_ea(args) -> int:
+    with _reading_inputs():
+        _require_finite(args, "g")
+        if not 0 < args.step < np.inf:
+            raise ValueError(f"--step must be finite and positive, got {args.step}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     unique, kept = [], []          # kept arcs and their coordinates
@@ -272,12 +285,14 @@ def _lab_config(args) -> tuple[CavityConfig, FitConfig]:
 
 
 def cmd_lab(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     with _reading_inputs():
         cav, fitcfg = _lab_config(args)
+        if not 0 <= args.noise < np.inf:
+            raise ValueError(f"--noise must be finite and at least 0, got {args.noise}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     preset = args.loop_preset
-    stats = None                   # the fit's work counts, for the manifest
+    stats = versions = None        # the fit's work counts and scipy version, for the manifest
     if args.subcommand in ("synth", "pipeline"):
         loop = preset_loop(preset, steps_per_segment=1)
         points = list(loop.steps)
@@ -313,12 +328,16 @@ def cmd_lab(args) -> int:
         }
         _dump_json(out / "fit_report.json", report)
         stats = {"de_searches": sum(f.searched for f in fits), "fitted_steps": len(fits)}
+        # the fit's search loaded scipy, whose version sets the search's random stream
+        import scipy
+
+        versions = {"scipy": scipy.__version__}
         print(
             f"fit {len(fits)} steps: permutation {result.permutation.as_string()} "
             f"theta {result.berry_phase:+.6f}"
         )
     _write_manifest(out, f"lab-{args.subcommand}", {k: v for k, v in vars(args).items() if k != "func"},
-                    args.seed, stats)
+                    args.seed, stats, versions)
     return EXIT_OK
 
 

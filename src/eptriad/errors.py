@@ -33,10 +33,6 @@ class NonUnimodularDeterminant(EptriadError):
     """Holonomy determinant is not on the unit circle."""
 
 
-class PoleProximity(EptriadError):
-    """Green's function evaluated too close to a resonance pole."""
-
-
 class FitDiverged(EptriadError):
     """Spectral fit residual stayed above threshold after both phases."""
 

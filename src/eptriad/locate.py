@@ -185,11 +185,6 @@ def _ep_points(points: list[ParamPoint]) -> list[EPPoint]:
     return out
 
 
-def ep_order(p: ParamPoint) -> int:
-    """Classify an EP as order 2 or 3 from derivatives at the repeated root."""
-    return _ep_points([p])[0].order
-
-
 def refine_ep(seed: ParamPoint, max_iter: int = 50) -> EPPoint:
     """Polish a seed to an EPPoint (|disc| < 1e-12) within its (zeta, xi) slice."""
     x = seed.as_array()[:3]

@@ -133,11 +133,6 @@ class Eigensystem:
     min_gap: float
 
 
-def build_h_ep(p: ParamPoint) -> np.ndarray:
-    """Assemble the 3x3 dimensionless Hamiltonian (kappa = -1, sites B,A,C)."""
-    return _hamiltonians(p.as_array()[None])[0]
-
-
 #: the off-diagonal part of kappa * (m + gain), its zeros signed as that product signs them
 _H_HOPPING = -1.0 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
 _BANDS = np.arange(3)
@@ -311,11 +306,6 @@ def discriminant_gradient_values(eta, zeta, xi, g) -> tuple[complex, complex, co
     return tuple(
         disc_b * db + disc_c * dc_du * du + disc_d * (dd_db * db + dd_du * du) for db, du in _DB_DU
     )
-
-
-def discriminant_gradient(p: ParamPoint) -> dict[str, complex]:
-    """:func:`discriminant_gradient_values` at one point, keyed by parameter name."""
-    return dict(zip(("eta", "zeta", "xi", "g"), discriminant_gradient_values(p.eta, p.zeta, p.xi, p.g)))
 
 
 def to_physical(omega_dimensionless: complex, scale: PhysicalScale | None = None) -> complex:

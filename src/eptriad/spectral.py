@@ -18,9 +18,8 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import differential_evolution
 
-from .errors import FitDiverged, IdentifiabilityWarning, PoleProximity
+from .errors import FitDiverged, IdentifiabilityWarning
 from .model import (
     Eigensystem,
     ParamPoint,
@@ -87,18 +86,6 @@ def onsite_profile(config: CavityConfig) -> ModeProfile:
     if norm < 1e-12:
         raise ValueError(f"profile vanishes for n = {n}; use n >= 5")
     return ModeProfile(samples=v / norm)
-
-
-def greens_3site(omega: complex, p: ParamPoint, scale: PhysicalScale | None = None) -> np.ndarray:
-    """Site-basis Green's function (omega - H_phys)^-1 in physical units: the
-    forward model's closed-form resolvent at one frequency, finite at EPs."""
-    s = scale if scale is not None else PhysicalScale()
-    wphys = to_physical(eigensystem(p).eigenvalues, s)
-    gaps = np.abs(omega - wphys)
-    if gaps.min() < 1e-6 * abs(s.kappa):
-        raise PoleProximity(f"omega within {gaps.min():.3e} rad/s of a pole")
-    theta, at = _truth_vector(p, s), np.array([omega])
-    return np.stack([_response_matrix(theta, at, np.ones(1), src)[:, 0] for src in range(3)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -259,6 +246,18 @@ def _gauss_newton(theta0, data, freqs, phi, norm2, iterations, src=1):
         if not improved or np.linalg.norm(lam * step) < 1e-13:
             break
     return theta, cost
+
+
+def differential_evolution(*args, **kwargs):
+    """``scipy.optimize.differential_evolution``, imported at the first search.
+
+    scipy.optimize takes most of the package's import time and only a fit's
+    search needs it, so no other command loads it.  ``fit_step`` looks this
+    name up at call time.
+    """
+    from scipy.optimize import differential_evolution as search
+
+    return search(*args, **kwargs)
 
 
 DEFAULT_INIT_BOX = (

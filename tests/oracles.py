@@ -1,10 +1,12 @@
 """Independent references that the tests compare the package against.
 
-These are the closed-form cubic solver, the Sylvester-matrix discriminant
-and its cubic-order small-parameter approximation, the per-point repeated
-root by ``np.roots``, the Green's function by dense linear solves and the
-multiband Berry phase of a unimodular matrix.  The package computes
-eigenvalues with ``np.linalg.eig``, the discriminant from the closed formula
+These are the Hamiltonian written out entry by entry, the closed-form cubic
+solver, the Sylvester-matrix discriminant and its cubic-order
+small-parameter approximation, the per-point repeated root by ``np.roots``,
+the Green's function by dense linear solves and the multiband Berry phase
+of a unimodular matrix.  The package builds its Hamiltonians as one stacked
+array (``model._hamiltonians``), computes eigenvalues with
+``np.linalg.eig``, the discriminant from the closed formula
 (``model.discriminant_values``), repeated roots from one stacked
 ``np.linalg.eigvals`` per arc, the Green's function from the closed-form
 adjugate of the tridiagonal resolvent and Θ from the transported holonomy
@@ -15,7 +17,18 @@ import cmath
 import numpy as np
 
 from eptriad.errors import NonUnimodularDeterminant
-from eptriad.model import ParamPoint, PolyCoeffs, build_h_ep, char_poly
+from eptriad.model import ParamPoint, PolyCoeffs, char_poly
+
+
+def hamiltonian(p: ParamPoint) -> np.ndarray:
+    """The dimensionless Hamiltonian (kappa = -1, sites B, A, C) entry by entry.
+
+    H = kappa (M + G): onsite terms sqrt2 (eta + i), xi + i zeta and
+    -sqrt2 (eta + i), gain i sqrt2 g on B and -i sqrt2 g on C, and unit
+    hopping between neighbouring sites.
+    """
+    b = np.sqrt(2.0) * (p.eta + 1j + 1j * p.g)
+    return np.array([[-b, -1, 0], [-1, -(p.xi + 1j * p.zeta), -1], [0, -1, b]], dtype=complex)
 
 
 def _cbrt_principal(z: complex) -> complex:
@@ -126,12 +139,12 @@ def discriminant_small_param(p: ParamPoint) -> complex:
 def solved_greens(theta, omega: complex) -> np.ndarray:
     """(omega - H_phys)^-1 by ``np.linalg.solve``, H_phys = omega0 + i gamma0 + |kappa| H.
 
-    theta = (omega0, gamma0, kappa, eta, zeta, xi, g) and H is the package's
-    kappa = -1 Hamiltonian.  omega - omega0 is formed first: it is exact for
+    theta = (omega0, gamma0, kappa, eta, zeta, xi, g) and H is the kappa = -1
+    Hamiltonian of :func:`hamiltonian`.  omega - omega0 is formed first: it is exact for
     the frequencies near omega0 that the spectra sample.
     """
     w0, g0, kap, *p = theta
-    a = (omega - w0 - 1j * g0) * np.eye(3) - abs(kap) * build_h_ep(ParamPoint(*p))
+    a = (omega - w0 - 1j * g0) * np.eye(3) - abs(kap) * hamiltonian(ParamPoint(*p))
     return np.linalg.solve(a, np.eye(3))
 
 

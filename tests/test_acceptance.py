@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import circular_distance
-from eptriad.locate import ep_order, refine_ep, seed_eps_in_slice, trace_ea
+from eptriad.locate import refine_ep, seed_eps_in_slice, trace_ea
 from eptriad.loops import concat_loops, interpolate_loop, preset_loop, reverse_loop
 from eptriad.model import ParamPoint, discriminant_formula, eigensystem
 from eptriad.permutations import PermutationElement, element, to_matrix, verify_group
@@ -36,7 +36,7 @@ def runs(canonical_transports):
 def test_criterion_1_nexus_existence():
     roots = eigenvalues(ParamPoint(0, 0, 0, 0))
     assert np.max(np.abs(roots)) < 1e-10
-    assert ep_order(ParamPoint(0, 0, 0, 0)) == 3
+    assert refine_ep(ParamPoint(0, 0, 0, 0)).order == 3
     _ok(1, "triple coalescence at the origin with order 3")
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import eptriad.cli
 import eptriad.locate
@@ -182,6 +183,8 @@ class TestLabCommand:
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "dataset.json").read_text())
         assert len(doc["steps"]) == 9
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(manifest["versions"]) == ["eptriad", "numpy", "python"]
 
     def test_synth_applies_every_cavity_key(self, tmp_path):
         cfg = tmp_path / "lab.json"
@@ -245,6 +248,8 @@ class TestLabCommand:
         assert report["transport"]["permutation"] == "132"
         manifest = json.loads((outs[0] / "manifest.json").read_text())
         assert manifest["stats"] == {"de_searches": 1, "fitted_steps": 9}
+        # the search's random stream depends on scipy's version
+        assert manifest["versions"]["scipy"] == scipy.__version__
         assert "de_searches" not in (outs[0] / "fit_report.json").read_text()
 
 
@@ -339,6 +344,13 @@ def _loop_config(doc):
     return make_argv
 
 
+def _argv(*args):
+    """An argv maker for ``args`` with ``--out`` a new directory ``out`` in the test's directory."""
+    def make_argv(tmp_path, monkeypatch):
+        return [*args, "--out", str(tmp_path / "out")]
+    return make_argv
+
+
 def _lab_dataset(corrupt):
     """An argv maker for ``lab fit`` on a synthesized dataset that ``corrupt`` edits."""
     def make_argv(tmp_path, monkeypatch):
@@ -370,6 +382,19 @@ def _lab_dataset(corrupt):
     pytest.param(_lab_dataset(lambda doc: doc.update(steps="x")), EXIT_CONFIG, id="dataset_string_steps-2"),
     pytest.param(_lab_dataset(lambda doc: doc["config"].update(n_frequencies="31")), EXIT_CONFIG,
                  id="dataset_string_n_frequencies-2"),
+    # numeric arguments that are not finite or out of range
+    pytest.param(_argv("surface", "--eta", "nan", "--grid", "5"), EXIT_CONFIG, id="surface_nan_eta-2"),
+    pytest.param(_argv("surface", "--eta", "0.33", "--g", "inf", "--grid", "5"), EXIT_CONFIG,
+                 id="surface_infinite_g-2"),
+    pytest.param(_argv("surface", "--eta", "0.33", "--grid", "5", "--window", "-1", "nan", "-1", "1"),
+                 EXIT_CONFIG, id="surface_nan_window-2"),
+    pytest.param(_argv("ea", "--g", "nan"), EXIT_CONFIG, id="ea_nan_g-2"),
+    pytest.param(_argv("ea", "--g", "0.61", "--step", "0"), EXIT_CONFIG, id="ea_zero_step-2"),
+    pytest.param(_argv("ea", "--g", "0.61", "--step", "-0.02"), EXIT_CONFIG, id="ea_negative_step-2"),
+    pytest.param(_argv("ea", "--g", "0.61", "--step", "inf"), EXIT_CONFIG, id="ea_infinite_step-2"),
+    pytest.param(_argv("lab", "synth", "--noise", "nan"), EXIT_CONFIG, id="lab_nan_noise-2"),
+    pytest.param(_argv("lab", "synth", "--noise", "-0.5"), EXIT_CONFIG, id="lab_negative_noise-2"),
+    pytest.param(_argv("lab", "pipeline", "--noise", "inf"), EXIT_CONFIG, id="lab_infinite_noise-2"),
 ])
 def test_exit_code_matrix(tmp_path, monkeypatch, make_argv, code):
     argv = make_argv(tmp_path, monkeypatch)
@@ -378,6 +403,8 @@ def test_exit_code_matrix(tmp_path, monkeypatch, make_argv, code):
             run(argv)
     else:
         assert run(argv) == code
+    if code == EXIT_CONFIG:     # inputs are checked before the output directory is made
+        assert not (tmp_path / "out").exists()
 
 
 def test_regime_warnings_name_the_constructing_line(tmp_path):
@@ -395,3 +422,30 @@ def test_regime_warnings_name_the_constructing_line(tmp_path):
     assert sites, proc.stderr
     assert all(Path(site.rsplit(":", 1)[0]).name == "locate.py" for site in sites), sites
     assert len(sites) == len(set(sites)) <= 8
+
+
+def test_only_a_fit_imports_scipy_optimize(tmp_path):
+    """Importing eptriad and every command but a lab fit leave scipy.optimize
+    unloaded, and their manifests name no scipy version; a fit loads it."""
+    script = f"""
+import json, sys
+import eptriad
+from eptriad.cli import main
+
+out = {str(tmp_path)!r}
+runs = [["loop", "--preset", "mu1", "--steps-per-segment", "64"], ["surface", "--eta", "0.33", "--grid", "5"],
+        ["ea", "--g", "0.61"], ["group"], ["lab", "synth"]]
+codes = [main(argv + ["--out", f"{{out}}/{{k}}"]) for k, argv in enumerate(runs)]
+before = "scipy.optimize" in sys.modules
+codes.append(main(["lab", "pipeline", "--out", f"{{out}}/fit"]))
+print(json.dumps({{"codes": codes, "before": before, "after": "scipy.optimize" in sys.modules}}))
+"""
+    env = dict(os.environ)
+    src = str(Path(eptriad.model.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [EXIT_OK] * 6, "before": False, "after": True}
+    for k in range(5):
+        assert sorted(json.loads((tmp_path / str(k) / "manifest.json").read_text())["versions"]) == [
+            "eptriad", "numpy", "python"]

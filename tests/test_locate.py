@@ -9,13 +9,12 @@ from eptriad.locate import (
     _ep_points,
     _jac_2x3,
     branch_cut_trace,
-    ep_order,
     refine_ep,
     seed_eps_in_slice,
     trace_ea,
     track_sheets,
 )
-from eptriad.model import ParamPoint, char_poly, discriminant_formula, discriminant_gradient, eigensystem
+from eptriad.model import ParamPoint, char_poly, discriminant_formula, discriminant_gradient_values, eigensystem
 from oracles import repeated_root
 
 G = 0.61
@@ -110,15 +109,15 @@ class TestRefinement:
 
 class TestOrderClassification:
     def test_origin(self):
-        assert ep_order(ParamPoint(0, 0, 0, 0)) == 3
+        assert _ep_points([ParamPoint(0, 0, 0, 0)])[0].order == 3
 
     def test_slice_ep_is_order_2(self):
         e = refine_ep(ParamPoint(0.33, 0.54, 0.40, G))
-        assert ep_order(e.point) == 2
+        assert _ep_points([e.point])[0].order == 2
 
     def test_non_ep_rejected(self):
         with pytest.raises(NotAnEP):
-            ep_order(ParamPoint(0.33, 0, 0, G))
+            _ep_points([ParamPoint(0.33, 0, 0, G)])
 
 
 @pytest.fixture(scope="module")
@@ -150,7 +149,7 @@ class TestEPPointHelper:
         flat = abs(co.derivative(w)) < ORDER3_TOL and abs(co.second_derivative(w)) < ORDER3_TOL
         assert q.point == p
         assert _bits(q.repeated_eigenvalue) == _bits(w)
-        assert q.order == ep_order(p) == (3 if flat else 2)
+        assert q.order == (3 if flat else 2)
         assert q.residual == abs(discriminant_formula(p))
 
     def test_arc_points(self, arcs_g061):
@@ -183,13 +182,13 @@ class TestEPPointHelper:
         assert q.order == 3
         self.assert_matches_separate_calls(p, q)
 
-    def test_off_arc_raises_like_ep_order(self):
+    def test_off_arc_raises_like_a_single_point(self):
         p = ParamPoint(0.33, 0, 0, G)
-        with pytest.raises(NotAnEP) as helper:
+        with pytest.raises(NotAnEP) as batch:
             _ep_points([refine_ep(ParamPoint(0.33, 0.54, 0.40, G)).point, p])
-        with pytest.raises(NotAnEP) as order:
-            ep_order(p)
-        assert str(helper.value) == str(order.value) == f"|disc| = {abs(discriminant_formula(p)):.3e} at {p}"
+        with pytest.raises(NotAnEP) as single:
+            _ep_points([p])
+        assert str(batch.value) == str(single.value) == f"|disc| = {abs(discriminant_formula(p)):.3e} at {p}"
 
 
 class TestFloatPaths:
@@ -210,8 +209,8 @@ class TestFloatPaths:
             p = ParamPoint(eta, zeta, xi, g)
             x, gf = row[:3].copy(), float(row[3])
             assert _bits(_disc_at(x, gf)) == _bits(discriminant_formula(p))
-            grads = discriminant_gradient(p)
-            want = [[grads[k].real for k in ("eta", "zeta", "xi")], [grads[k].imag for k in ("eta", "zeta", "xi")]]
+            grads = discriminant_gradient_values(p.eta, p.zeta, p.xi, p.g)[:3]
+            want = [[d.real for d in grads], [d.imag for d in grads]]
             assert _jac_2x3(x, gf).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("x", [[0.1, np.nan, 0.2], [0.1, 0.3, np.inf], [1e80, 0.3, 0.2]])

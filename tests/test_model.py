@@ -7,15 +7,15 @@ from eptriad.model import (
     ParamPoint,
     PhysicalScale,
     PolyCoeffs,
-    build_h_ep,
+    _hamiltonians,
     char_poly,
     discriminant_formula,
-    discriminant_gradient,
+    discriminant_gradient_values,
     discriminant_values,
     eigensystem,
     to_physical,
 )
-from oracles import cubic_roots, discriminant, discriminant_small_param, eigenvalues, sylvester_matrix
+from oracles import cubic_roots, discriminant, discriminant_small_param, eigenvalues, hamiltonian, sylvester_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -40,35 +40,42 @@ class TestParamPoint:
         assert p.in_validated_regime
 
 
+def built_h(p: ParamPoint) -> np.ndarray:
+    """The package's Hamiltonian at one point: one row of the stacked builder."""
+    return _hamiltonians(p.as_array()[None])[0]
+
+
 class TestHamiltonian:
     def test_origin(self):
-        h = build_h_ep(ParamPoint(0, 0, 0, 0))
+        h = built_h(ParamPoint(0, 0, 0, 0))
         expected = np.array(
             [[-SQRT2 * 1j, -1, 0], [-1, 0, -1], [0, -1, SQRT2 * 1j]], dtype=complex
         )
         assert np.allclose(h, expected, atol=1e-15)
 
     def test_gain_term(self):
-        h = build_h_ep(ParamPoint(0, 0, 0, 0.61))
+        h = built_h(ParamPoint(0, 0, 0, 0.61))
         assert np.isclose(h[0, 0], -1.61 * SQRT2 * 1j)
         assert np.isclose(h[2, 2], 1.61 * SQRT2 * 1j)
         assert np.isclose(h[1, 1], 0)
 
     def test_detuned_corner(self):
-        h = build_h_ep(ParamPoint(0.33, 0, 0, 0.61))
+        h = built_h(ParamPoint(0.33, 0, 0, 0.61))
         assert np.isclose(h[0, 0], -SQRT2 * (0.33 + 1.61j))
         assert np.isclose(h[1, 1], 0)
 
     @given(params, params, params, params)
     @settings(max_examples=200, deadline=None)
     def test_complex_symmetric(self, eta, zeta, xi, g):
-        h = build_h_ep(ParamPoint(eta, zeta, xi, g))
+        p = ParamPoint(eta, zeta, xi, g)
+        h = built_h(p)
         assert np.allclose(h, h.T, atol=1e-15)
+        assert np.allclose(h, hamiltonian(p), rtol=0, atol=1e-14)
 
 
 def _coeffs_from_determinant(p: ParamPoint) -> np.ndarray:
     """Independent oracle: sample det(wI - H) and solve for the coefficients."""
-    h = build_h_ep(p)
+    h = hamiltonian(p)
     ws = np.array([0.7 + 0.3j, -1.1 + 0.9j, 1.9 - 1.3j, -0.4 - 2.1j])
     vals = np.array([np.linalg.det(w * np.eye(3) - h) for w in ws])
     vander = np.vander(ws, 4)   # columns w^3, w^2, w, 1
@@ -197,7 +204,7 @@ class TestEigensystem:
 
     def test_left_is_transpose_up_to_scale(self):
         es = eigensystem(ParamPoint(0.33, 0, 0, 0.61))
-        h = build_h_ep(es.point)
+        h = hamiltonian(es.point)
         for j in range(3):
             l, r = es.left_vectors[j], es.right_vectors[:, j]
             # genuine left eigenvector: l H = w l
@@ -215,7 +222,7 @@ class TestEigensystem:
     def test_residuals(self, eta, zeta, xi, g):
         p = ParamPoint(eta, zeta, xi, g)
         es = eigensystem(p)
-        h = build_h_ep(p)
+        h = hamiltonian(p)
         for j in range(3):
             res = np.linalg.norm(h @ es.right_vectors[:, j] - es.eigenvalues[j] * es.right_vectors[:, j])
             assert res < 1e-10 * max(1.0, np.linalg.norm(h))
@@ -267,7 +274,7 @@ class TestDiscriminant:
     @settings(max_examples=100, deadline=None)
     def test_gradient_matches_finite_differences(self, eta, zeta, xi, g):
         p = ParamPoint(eta, zeta, xi, g)
-        grads = discriminant_gradient(p)
+        grads = dict(zip(("eta", "zeta", "xi", "g"), discriminant_gradient_values(p.eta, p.zeta, p.xi, p.g)))
         h = 1e-6
         for name in ("eta", "zeta", "xi", "g"):
             fd = (

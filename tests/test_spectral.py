@@ -6,9 +6,9 @@ from hypothesis.extra import numpy as hnp
 import eptriad.spectral as spectral
 from conftest import circular_distance
 from oracles import solved_greens, solved_response
-from eptriad.errors import FitDiverged, IdentifiabilityWarning, PoleProximity
+from eptriad.errors import FitDiverged, IdentifiabilityWarning
 from eptriad.locate import refine_ep
-from eptriad.model import ParamPoint, PhysicalScale, build_h_ep, eigensystem, to_physical
+from eptriad.model import ParamPoint, PhysicalScale, _hamiltonians, eigensystem, to_physical
 from eptriad.spectral import (
     CavityConfig,
     FitConfig,
@@ -16,7 +16,6 @@ from eptriad.spectral import (
     fit_loop,
     fit_step,
     fitted_eigensystem,
-    greens_3site,
     load_dataset,
     onsite_profile,
     save_dataset,
@@ -50,6 +49,15 @@ class TestModeProfile:
         assert int(np.sum(np.sign(nz[:-1]) != np.sign(nz[1:]))) == 2
 
 
+def greens_3site(omega: float, p: ParamPoint, scale: PhysicalScale = PhysicalScale()) -> np.ndarray:
+    """The forward model's site-basis Green's function (omega - H_phys)^-1 at
+    one frequency: column ``src`` of ``_response_matrix`` with a one-position
+    unit profile, for each source site."""
+    theta = np.array([scale.omega0, scale.gamma0, scale.kappa, p.eta, p.zeta, p.xi, p.g])
+    at = np.array([omega])
+    return np.stack([spectral._response_matrix(theta, at, np.ones(1), src)[:, 0] for src in range(3)], axis=1)
+
+
 class TestGreensFunction:
     def test_symmetry(self):
         rng = np.random.default_rng(0)
@@ -78,13 +86,6 @@ class TestGreensFunction:
         tr = np.trace(g)
         assert abs(abs(tr) - 3.0 / d) < 0.01 * (3.0 / d)
 
-    def test_pole_proximity(self):
-        p = ParamPoint(0.33, 0.0, 0.0, G)
-        es = eigensystem(p)
-        w = to_physical(es.eigenvalues[1])
-        with pytest.raises(PoleProximity):
-            greens_3site(w + 1e-8, p)
-
 
 class TestIsolatedPoles:
     """The resonance pole of one decoupled cavity is its diagonal entry in rad/s."""
@@ -92,7 +93,7 @@ class TestIsolatedPoles:
     @staticmethod
     def pole(site: int, p: ParamPoint) -> complex:
         """``site`` indexes (B, A, C)."""
-        return to_physical(build_h_ep(p)[site, site])
+        return to_physical(_hamiltonians(p.as_array()[None])[0, site, site])
 
     def test_neutral_cavity_a(self):
         assert self.pole(1, ParamPoint(0.2, 0, 0, G)) == 19729.0 + 83.5j
@@ -300,6 +301,33 @@ class TestFitStep:
         resp = np.full((21, 31), np.nan, dtype=complex)
         with pytest.raises(ValueError):
             fit_step(resp)
+
+
+class TestDeferredSearchImport:
+    """``spectral.differential_evolution`` imports scipy.optimize at the first
+    search; the name stays module-level, where fit_step looks it up."""
+
+    def test_fit_step_searches_through_the_module_name(self, monkeypatch):
+        search, calls = spectral.differential_evolution, []
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "differential_evolution", spy)
+        p = ParamPoint(0.33, 0.0, 0.0, G)
+        ds = synthesize([p], noise=NoiseSpec(0.0, 0))
+        fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FAST_FIT)
+        assert fit.searched
+        assert [c["maxiter"] for c in calls] == [FAST_FIT.generations]
+
+    def test_returns_scipys_result(self):
+        from scipy.optimize import differential_evolution, rosen
+
+        kwargs = dict(bounds=[(-2.0, 2.0)] * 3, seed=5, maxiter=40, tol=1e-10, polish=False)
+        got, want = spectral.differential_evolution(rosen, **kwargs), differential_evolution(rosen, **kwargs)
+        assert got.x.tobytes() == want.x.tobytes()
+        assert (got.nfev, got.nit) == (want.nfev, want.nit)
 
 
 class TestFitLoop:
