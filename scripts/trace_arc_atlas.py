@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Trace the exceptional arcs for a sweep of g values and dump polylines.
+"""Trace the exceptional arcs for a sweep of g values.
 
 Shows the connectivity change through g = 0: for g > 0 the two arcs cross
 the eta = 0 plane on the zeta axis, for g < 0 on the xi axis, and at g = 0
 four branches meet at the order-3 nexus.
+
+Runs ``eptriad ea --g G`` once per g, writing each ``arcs.json`` (and its
+manifest) under --out/g+G.GG (default out/arcs).
 """
 import argparse
-import json
 from pathlib import Path
 
-from eptriad.locate import refine_ep, seed_eps_in_slice, trace_ea
-from eptriad.errors import NoConvergence
+from eptriad.cli import main as eptriad_main
 
 
 def main() -> int:
@@ -19,46 +20,13 @@ def main() -> int:
     ap.add_argument("--step", type=float, default=0.02)
     ap.add_argument("--out", default="out/arcs")
     args = ap.parse_args()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     for g in args.g:
-        arcs = []
-        covered = []
-        for eta in (-0.5, -0.1, 0.0, 0.1, 0.5):
-            for cand in seed_eps_in_slice(eta, g, ((-1.4, 1.4), (-1.4, 1.4)), 64):
-                try:
-                    ep = refine_ep(cand.center)
-                except NoConvergence:
-                    continue
-                here = (ep.point.eta, ep.point.zeta, ep.point.xi)
-                if any(
-                    min(
-                        sum((a - b) ** 2 for a, b in zip(here, (q.point.eta, q.point.zeta, q.point.xi)))
-                        for q in arc.points
-                    )
-                    < (2 * args.step) ** 2
-                    for arc in arcs
-                    if arc.points
-                ):
-                    continue
-                covered.append(here)
-                arcs.append(trace_ea(g, ep, step=args.step))
-        doc = {
-            "g": g,
-            "arcs": [
-                {
-                    "terminated": a.terminated,
-                    "n_points": len(a.points),
-                    "points": [
-                        [q.point.eta, q.point.zeta, q.point.xi] for q in a.points
-                    ],
-                }
-                for a in arcs
-            ],
-        }
-        (out / f"arcs_g{g:+.2f}.json").write_text(json.dumps(doc, indent=2))
-        print(f"g={g:+.2f}: {len(arcs)} trace(s), terminations {[a.terminated for a in arcs]}")
+        code = eptriad_main([
+            "ea", "--g", repr(g), "--step", repr(args.step),
+            "--out", str(Path(args.out) / f"g{g:+.2f}"),
+        ])
+        if code:
+            return code
     return 0
 
 

@@ -215,7 +215,7 @@ def cmd_ea(args) -> int:
     unique, kept = [], []          # kept arcs and their coordinates
     found: list[ParamPoint] = []
     for eta in (-0.5, 0.0, 0.5):
-        for cand in seed_eps_in_slice(eta, args.g, ((-1.2, 1.2), (-1.2, 1.2)), 64):
+        for cand in seed_eps_in_slice(eta, args.g, ((-1.4, 1.4), (-1.4, 1.4)), 64):
             try:
                 ep = refine_ep(cand.center)
             except NoConvergence:

@@ -1,37 +1,38 @@
 """Locating order-2 exceptional points and tracing arcs of them.
 
-EPs in a 2D parameter slice are the common zeros of Re(disc) and Im(disc);
-the arcs are the one-dimensional solution set of the same pair of equations
-in (eta, zeta, xi) at fixed g, followed by predictor-corrector continuation.
+The discriminant depends on (eta, zeta, xi, g) only through b = xi + i zeta
+and u = g - i eta.  With c = 2u(2 + u) and s = (1 + u)^2 it is a quadratic
+in b^2,
+
+    disc = -8s b^4 + (c^2 + 36cs - 108s^2) b^2 - 4c^3,
+
+so each (eta, g) slice holds exactly four EPs, b = +-sqrt(B+-), in closed
+form.  An arc at fixed g is one of them continued over eta: for g != 0 the
+four never meet at real eta, and at g = 0 two of them meet only at the
+order-3 nexus eta = b = 0.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model, transport
 from .errors import NoConvergence, NotAnEP
-from .model import (
-    ParamPoint,
-    char_poly,
-    discriminant_formula,
-    discriminant_gradient_values,
-    discriminant_values,
-)
+from .model import ParamPoint, char_poly, discriminant_formula, discriminant_values
 
-EP_RESIDUAL_TOL = 1e-12
 EP_MEMBERSHIP_TOL = 1e-10
 ORDER3_TOL = 1e-6
 DOMAIN_BOUND = 1.5
 #: |disc| above which a seed is too far from any EP to refine
 BASIN_BOUND = 1e3
-#: the zeta and xi unit rows: refinement steps stay in the seed's slice
-_SLICE_PLANE = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-#: relative collapse of the Jacobian's second singular value that flags the
-#: approach to a rank-deficient (order-3) meeting point during tracing
-RANK_RATIO_TOL = 1e-2
+#: the eta grid an arc is continued on: 1e-3 apart, reaching past the domain
+_ETA_GRID = np.arange(-1600, 1601) / 1000.0
+#: angles theta of the extra grid points eta = g tan(theta); near eta = 0 the
+#: small root B turns like (g - i eta)^3, so these resolve the close pass of
+#: two arcs at any g != 0
+_PASS_ANGLES = np.linspace(-1.5, 1.5, 201)
 
 
 @dataclass(frozen=True)
@@ -52,10 +53,12 @@ class SeedCandidate:
 @dataclass
 class EAPolyline:
     g: float
-    points: list[EPPoint] = field(default_factory=list)
-    closed: bool = False
-    terminated: str = "max_points"
+    points: list[EPPoint]
+    #: "boundary", or "rank_deficient" for an arc that ends at the g = 0 nexus
+    terminated: str
     rank_deficient_at: EPPoint | None = None
+    #: an arc is a graph over eta, so it never closes
+    closed: bool = False
 
     def coords(self) -> np.ndarray:
         return np.array([[q.point.eta, q.point.zeta, q.point.xi] for q in self.points])
@@ -106,54 +109,32 @@ def seed_eps_in_slice(
     return clusters
 
 
-def _jac_2x3(x: np.ndarray, g: float) -> np.ndarray:
-    """Re and Im rows of d(disc)/d(eta, zeta, xi) at x, evaluated on Python floats."""
-    d_eta, d_zeta, d_xi, _ = discriminant_gradient_values(*x.tolist(), g)
-    return np.array([[d_eta.real, d_zeta.real, d_xi.real], [d_eta.imag, d_zeta.imag, d_xi.imag]])
+def _continued(r: np.ndarray) -> np.ndarray:
+    """``r`` with signs flipped so that each entry lies within 90 degrees of the one before."""
+    flips = np.cumsum((r[1:] * r[:-1].conj()).real < 0) % 2
+    return r * np.concatenate([[1.0], 1.0 - 2.0 * flips])
 
 
-def _disc_at(x: np.ndarray, g: float) -> complex:
-    """The discriminant at (eta, zeta, xi) = x, evaluated on Python floats.
+def _slice_eps(eta, g: float, continued: bool = False) -> np.ndarray:
+    """b = xi + i zeta at the four EPs of each (eta, g) slice, shape eta.shape + (4,).
 
-    Infinite where x is not finite or the value overflows, so that a Newton
-    trial there counts as no decrease of |disc|.
+    The columns are +-sqrt(B+) and +-sqrt(B-), the smaller B taken from the
+    product of the two so that it keeps its relative accuracy.  With
+    ``continued``, ``eta`` is a fine 1-D grid and every square root is
+    signed for continuity along it, so each column is one branch b(eta).
+    Entries are not finite where the quartic degenerates (g = -1, eta = 0).
     """
-    eta, zeta, xi = x.tolist()
-    if not (math.isfinite(eta) and math.isfinite(zeta) and math.isfinite(xi) and math.isfinite(g)):
-        return complex(math.inf)
-    try:
-        return discriminant_values(eta, zeta, xi, g)
-    except OverflowError:
-        return complex(math.inf)
-
-
-def _newton(x: np.ndarray, g: float, basis: np.ndarray, max_iter: int = 25):
-    """Damped Newton on (Re disc, Im disc) = 0 over (eta, zeta, xi) at fixed g.
-
-    Steps stay in the plane spanned by the two rows of ``basis``: each solves
-    (J @ basis.T) y = -r and moves x by basis.T @ y, halved up to 20 times
-    until |disc| decreases (a trial where it overflows never does).
-    Returns (x, converged).
-    """
-    val = _disc_at(x, g)
-    for _ in range(max_iter):
-        if abs(val) < EP_RESIDUAL_TOL:
-            return x, True
-        try:
-            step = basis.T @ np.linalg.solve(_jac_2x3(x, g) @ basis.T, [-val.real, -val.imag])
-        except np.linalg.LinAlgError:
-            return x, False
-        lam = 1.0
-        for _ in range(20):
-            trial = x + lam * step
-            tv = _disc_at(trial, g)
-            if abs(tv) < abs(val):
-                x, val = trial, tv
-                break
-            lam *= 0.5
-        else:
-            return x, False
-    return x, abs(val) < EP_RESIDUAL_TOL
+    fix = _continued if continued else (lambda r: r)
+    u = g - 1j * np.asarray(eta, dtype=float)
+    c, s = 2 * u * (2 + u), (1 + u) ** 2
+    a, beta, gamma = -8 * s, c * c + 36 * c * s - 108 * s * s, -4 * c**3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = fix(np.sqrt(beta * beta - 4 * a * gamma))
+        bp, bm = (root - beta) / (2 * a), (-root - beta) / (2 * a)
+        big = abs(bp) >= abs(bm)
+        bp, bm = np.where(big, bp, gamma / (a * bm)), np.where(big, gamma / (a * bp), bm)
+        rp, rm = fix(np.sqrt(bp)), fix(np.sqrt(bm))
+    return np.stack([rp, -rp, rm, -rm], axis=-1)
 
 
 def _ep_points(points: list[ParamPoint]) -> list[EPPoint]:
@@ -185,97 +166,76 @@ def _ep_points(points: list[ParamPoint]) -> list[EPPoint]:
     return out
 
 
-def refine_ep(seed: ParamPoint, max_iter: int = 50) -> EPPoint:
-    """Polish a seed to an EPPoint (|disc| < 1e-12) within its (zeta, xi) slice."""
-    x = seed.as_array()[:3]
-    val = abs(_disc_at(x, seed.g))
+def refine_ep(seed: ParamPoint) -> EPPoint:
+    """The EP of the seed's (eta, g) slice nearest the seed, in closed form."""
+    try:
+        val = abs(discriminant_formula(seed))
+    except OverflowError:
+        val = math.inf
     if not val <= BASIN_BOUND:
         raise NoConvergence(f"seed outside basin, |disc| = {val:.3e}")
-    x, ok = _newton(x, seed.g, _SLICE_PLANE, max_iter)
-    if not ok:
-        raise NoConvergence(f"no EP reached from {seed}: |disc| = {abs(_disc_at(x, seed.g)):.3e}")
-    return _ep_points([ParamPoint(*x.tolist(), seed.g)])[0]
+    b = min(_slice_eps(seed.eta, seed.g).tolist(), key=lambda r: abs(r - complex(seed.xi, seed.zeta)))
+    return _ep_points([ParamPoint(seed.eta, b.imag, b.real, seed.g)])[0]
 
 
-def trace_ea(
-    g: float,
-    start: EPPoint,
-    step: float = 0.02,
-    max_points: int = 2000,
-) -> EAPolyline:
-    """Continue the arc of discriminant zeros through (eta, zeta, xi) at fixed g.
+def _continuation_grid(g: float) -> np.ndarray:
+    """The increasing eta grid that the branches at ``g`` are continued on."""
+    eta = np.union1d(_ETA_GRID, g * np.tan(_PASS_ANGLES))
+    return eta[abs(eta) <= _ETA_GRID[-1]]
 
-    Tangents come from the null space of the 2x3 Jacobian; each predictor
-    step is corrected back onto the arc in the orthogonal plane.  Tracing
-    runs both directions from the start and stops at closure, the domain
-    boundary (|coord| > 1.5), a rank-deficient Jacobian (arcs meeting, e.g.
-    at the order-3 nexus), or the point budget.
+
+def trace_ea(g: float, start: EPPoint, step: float = 0.02) -> EAPolyline:
+    """The arc of EPs at fixed g through ``start``: one branch b(eta) of the slice EPs.
+
+    The branch is continued over a fine eta grid in one array call, and its
+    in-domain run through the start is cut out.  The run ends at its first
+    grid point past |coord| > 1.5 or, at g = 0, at the nexus eta = 0, where
+    it meets another branch (``terminated`` is then "rank_deficient").
+    Points are re-solved in closed form at multiples of ``step`` in arc
+    length (along the grid's polyline) from one end of the run: its low-eta
+    end, or its point at |eta| = step next to the nexus.  So an arc does not
+    depend on the EP that found it.  At a boundary the arc ends at its first
+    point past |coord| > 1.5.
     """
     if start.residual > EP_MEMBERSHIP_TOL:
         raise NotAnEP(f"start residual {start.residual:.3e}")
-    x0 = np.array([start.point.eta, start.point.zeta, start.point.xi])
-    arc = EAPolyline(g=g)
-
-    def _frame(x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Right singular vectors (the plane normal to the arc, then the
-        tangent) and the second singular value of the Jacobian."""
-        _, sv, vt = np.linalg.svd(_jac_2x3(x, g))
-        return vt, sv[1]
-
-    frame0, sv2_start = _frame(x0)
-    # both Jacobian rows vanish together approaching the order-3 point, so a
-    # collapse of the second singular value relative to its start marks it
-    rank_floor = max(RANK_RATIO_TOL * sv2_start, 1e-10)
-    if sv2_start < 1e-10:
-        arc.points = [start]
-        arc.terminated = "rank_deficient"
-        arc.rank_deficient_at = start
-        return arc
-
-    sides: list[list[ParamPoint]] = []
-    terminations: list[str] = []
-    for direction in (-1.0, 1.0):
-        x, frame, t = x0.copy(), frame0, frame0[2] * direction
-        sv2 = sv2_start
-        side: list[ParamPoint] = []
-        term = "max_points"
-        for _ in range(max_points):
-            # shrink the step as the Jacobian degenerates so the approach to a
-            # meeting point is resolved instead of hopped over
-            eff = step * min(1.0, sv2 / (20.0 * rank_floor))
-            xp = x + eff * t
-            xn, ok = _newton(xp, g, frame[:2])
-            if not ok:
-                term = "rank_deficient" if sv2 < 100 * rank_floor else "no_convergence"
-                break
-            frame, sv2 = _frame(xn)
-            tn = frame[2]
-            side.append(ParamPoint(*xn.tolist(), g))
-            if sv2 < rank_floor:
-                term = "rank_deficient"
-                break
-            if np.dot(tn, t) < 0:
-                tn = -tn
-            if np.max(np.abs(xn)) > DOMAIN_BOUND:
-                term = "boundary"
-                break
-            if len(side) >= 10 and np.linalg.norm(xn - x0) < 2 * step:
-                term = "closure"
-                break
-            x, t = xn, tn
-        sides.append(side)
-        terminations.append(term)
-
-    backward, forward = sides
-    traced = _ep_points(backward[::-1] + forward)
-    arc.points = traced[:len(backward)] + [start] + traced[len(backward):]
-    arc.closed = "closure" in terminations
-    reasons = ("rank_deficient", "closure", "boundary", "no_convergence")
-    arc.terminated = next((r for r in reasons if r in terminations), "max_points")
-    if "rank_deficient" in terminations:
-        # the last point traced on that side (the start when none was)
-        arc.rank_deficient_at = arc.points[0] if terminations[0] == "rank_deficient" else arc.points[-1]
-    return arc
+    p = start.point
+    if g == 0 and p.eta == 0:
+        # the order-3 nexus, where the branches meet
+        return EAPolyline(g, [start], "rank_deficient", start)
+    eta = _continuation_grid(g)
+    if g == 0:
+        # continue the branch outward from the nexus, on the start's side of it
+        eta = eta[eta >= 0] if p.eta > 0 else eta[eta <= 0][::-1]
+    branches = _slice_eps(eta, g, continued=True)
+    k = int(np.argmin(abs(eta - p.eta)))
+    b = branches[:, np.argmin(abs(branches[k] - complex(p.xi, p.zeta)))]
+    xyz = np.stack([eta, b.imag, b.real], axis=1)
+    inside = abs(xyz).max(axis=1) <= DOMAIN_BOUND
+    if not inside[k]:
+        return EAPolyline(g, [start], "boundary")
+    out = np.flatnonzero(~inside)
+    lo, hi = out[out < k].max(initial=0), out[out > k].min()
+    # a run that reaches the start of the grid inside the domain ends at the nexus
+    nexus = bool(inside[lo])
+    run, b = xyz[lo:hi + 1], b[lo:hi + 1]
+    length = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(run, axis=0), axis=1))])
+    # from the nexus, sampling starts one step out along eta, the coordinate the arc is a graph over
+    origin = np.interp(step, abs(run[:, 0]), length) if nexus else 0.0
+    at = np.append(np.arange(origin, length[-1], step), length[-1])
+    eta_at, near = np.interp(at, length, run[:, 0]), np.interp(at, length, b)
+    roots = _slice_eps(eta_at, g)
+    b_at = roots[np.arange(len(at)), np.argmin(abs(roots - near[:, None]), axis=1)]
+    xyz = np.stack([eta_at, b_at.imag, b_at.real], axis=1)
+    # the arc runs from its last point past the boundary before the first one
+    # inside to the first one past after it (the run's last point is past)
+    past = abs(xyz).max(axis=1) > DOMAIN_BOUND
+    first = int(np.argmin(past))
+    xyz = xyz[max(first - 1, 0):first + int(np.argmax(past[first:])) + 1]
+    points = _ep_points([ParamPoint(*q, g) for q in xyz.tolist()])
+    if nexus:
+        return EAPolyline(g, points, "rank_deficient", points[0])
+    return EAPolyline(g, points, "boundary")
 
 
 def track_sheets(eta: float, g: float, zz: np.ndarray, xx: np.ndarray) -> np.ndarray:

@@ -278,34 +278,10 @@ def discriminant_values(eta, zeta, xi, g):
 def discriminant_formula(p: ParamPoint) -> complex:
     """:func:`discriminant_values` at one point.
 
-    Equal to the Sylvester-matrix discriminant, but cheap and exactly
-    differentiable; used by the locator's Newton iterations.
+    Equal to the Sylvester-matrix discriminant, but cheap; the locator
+    checks every EP it returns against it.
     """
     return discriminant_values(p.eta, p.zeta, p.xi, p.g)
-
-
-#: d(xi + i zeta) and d(g - i eta) along eta, zeta, xi and g
-_DB_DU = ((0.0, -1j), (1j, 0.0), (1.0, 0.0), (0.0, 1.0))
-
-
-def discriminant_gradient_values(eta, zeta, xi, g) -> tuple[complex, complex, complex, complex]:
-    """Exact d(discriminant)/d(eta, zeta, xi, g) by the coefficient chain rule.
-
-    Scalar arguments; on Python floats it is the locator's Newton Jacobian.
-    """
-    b = xi + 1j * zeta
-    u = g - 1j * eta
-    c = 2 * u * (2 + u)
-    d = 2 * b * (1 + u) ** 2
-    disc_b = 18 * c * d - 12 * b**2 * d + 2 * b * c**2
-    disc_c = 18 * b * d + 2 * b**2 * c - 12 * c**2
-    disc_d = 18 * b * c - 4 * b**3 - 54 * d
-    dc_du = 4 + 4 * u
-    dd_db = 2 * (1 + u) ** 2
-    dd_du = 4 * b * (1 + u)
-    return tuple(
-        disc_b * db + disc_c * dc_du * du + disc_d * (dd_db * db + dd_du * du) for db, du in _DB_DU
-    )
 
 
 def to_physical(omega_dimensionless: complex, scale: PhysicalScale | None = None) -> complex:

@@ -54,7 +54,7 @@ def test_criterion_2_arc_splitting():
     assert np.min(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)) > 0.5
     assert max(q.residual for arc in arcs for q in arc.points) < 1e-10
     nexus_branch = refine_ep(ParamPoint(0.1, 0.03, -0.04, 0.0))
-    arc0 = trace_ea(0.0, nexus_branch, step=0.02, max_points=600)
+    arc0 = trace_ea(0.0, nexus_branch, step=0.02)
     assert arc0.terminated == "rank_deficient"
     hit = arc0.rank_deficient_at.point
     assert np.linalg.norm([hit.eta, hit.zeta, hit.xi]) < 0.05

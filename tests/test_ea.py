@@ -20,7 +20,7 @@ def reference_arcs_doc(g: float, step: float) -> dict:
     """The ``arcs.json`` document from tracing every seed, then deduplicating."""
     arcs, found = [], []
     for eta in (-0.5, 0.0, 0.5):
-        for cand in seed_eps_in_slice(eta, g, ((-1.2, 1.2), (-1.2, 1.2)), 64):
+        for cand in seed_eps_in_slice(eta, g, ((-1.4, 1.4), (-1.4, 1.4)), 64):
             try:
                 ep = refine_ep(cand.center)
             except NoConvergence:
@@ -86,10 +86,6 @@ def test_seeds_on_a_kept_arc_are_not_traced(tmp_path, monkeypatch):
     assert len(json.loads((tmp_path / "arcs.json").read_text())["arcs"]) == 2
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the refined seeds at g = -0.61 lie at |zeta| or |xi| between 1.2 and 1.4: outside "
-    "ea's +-1.2 seeding window, though inside trace_ea's +-1.5 domain, so ea traces no arc"
-))
 def test_negative_g_arcs_are_found(tmp_path):
     assert main(["ea", "--g", "-0.61", "--out", str(tmp_path)]) == EXIT_OK
     assert len(json.loads((tmp_path / "arcs.json").read_text())["arcs"]) == 2

@@ -5,9 +5,9 @@ segment, ``surface --grid 21`` at eta = 0.33, g = 0.61 and
 ``ea --g 0.61 --step 0.04``.  Strings, booleans and integers must match
 exactly; floats within 1e-9 (relative to their size when above 1).  A loop
 report writes the phase of a holonomy entry whose magnitude rounds to 0 as
-0, so the loop goldens pin no rounding residue and hold on any BLAS kernel.
-``test_arcs`` still depends on the kernel: off the SkylakeX kernel the
-traced arc 0 gains points.
+0, so the loop goldens pin no rounding residue.  The arcs are closed-form
+roots sampled along a fixed eta grid, so no LAPACK call decides an arc's
+length.  Every golden holds on any BLAS kernel.
 """
 import csv
 import json

@@ -1,26 +1,26 @@
 import numpy as np
 import pytest
 
-import eptriad.locate
 from eptriad.errors import NoConvergence, NotAnEP
 from eptriad.locate import (
+    DOMAIN_BOUND,
     ORDER3_TOL,
-    _disc_at,
+    _continuation_grid,
     _ep_points,
-    _jac_2x3,
+    _slice_eps,
     branch_cut_trace,
     refine_ep,
     seed_eps_in_slice,
     trace_ea,
     track_sheets,
 )
-from eptriad.model import ParamPoint, char_poly, discriminant_formula, discriminant_gradient_values, eigensystem
-from oracles import repeated_root
+from eptriad.model import ParamPoint, char_poly, discriminant_formula, eigensystem
+from oracles import discriminant, repeated_root
 
 G = 0.61
 
-# regression fixtures: slice crossings of the two arcs, computed by the
-# Newton refinement itself and frozen (the source text never prints them)
+# regression fixtures: slice crossings of the two arcs, computed by a Newton
+# refinement and frozen (the source text never prints them)
 EP_SLICE_033 = (0.540816844, 0.396296821)
 EP_SLICE_000 = (0.559949094, 0.0)
 EP_SLICE_0055 = (0.559375966, 0.065185721)
@@ -75,7 +75,7 @@ class TestRefinement:
 
     @pytest.mark.parametrize("g", [-0.65, -0.3, 0.0, 0.13, 0.61])
     def test_refined_point_keeps_the_seed_slice(self, g):
-        """Newton steps move zeta and xi only: eta and g come back exactly."""
+        """The closed form solves for zeta and xi only: eta and g come back exactly."""
         seeds = [
             c.center
             for eta in (-0.5, 0.0, 0.25, 0.5)
@@ -97,14 +97,6 @@ class TestRefinement:
         """A seed whose discriminant overflows fails typed, not with OverflowError."""
         with pytest.raises(NoConvergence, match="outside basin"):
             refine_ep(ParamPoint(eta, 0.3, 0.2, 0.6))
-
-    def test_overflowing_trial_is_a_rejected_step(self, monkeypatch):
-        """A Newton step into overflow is halved like one that does not lower
-        |disc|; refinement then gives up with NoConvergence."""
-        tiny = np.array([[0.0, 1e-200, 0.0], [0.0, 0.0, 1e-200]])     # steps of ~1e200
-        monkeypatch.setattr(eptriad.locate, "_jac_2x3", lambda x, g: tiny)
-        with pytest.raises(NoConvergence, match="no EP reached"):
-            refine_ep(ParamPoint(0.33, 0.5, 0.4, G))
 
 
 class TestOrderClassification:
@@ -134,7 +126,7 @@ def _bits(w: complex) -> tuple[str, str]:
 def arcs_g0():
     """Every arc ``ea --g 0`` traces: four branches into the nexus, and the nexus."""
     eps = [refine_ep(c.center) for eta in (-0.5, 0.0, 0.5)
-           for c in seed_eps_in_slice(eta, 0.0, ((-1.2, 1.2), (-1.2, 1.2)), 64)]
+           for c in seed_eps_in_slice(eta, 0.0, ((-1.4, 1.4), (-1.4, 1.4)), 64)]
     return [trace_ea(0.0, e, step=0.02) for e in eps]
 
 
@@ -191,33 +183,6 @@ class TestEPPointHelper:
         assert str(batch.value) == str(single.value) == f"|disc| = {abs(discriminant_formula(p)):.3e} at {p}"
 
 
-class TestFloatPaths:
-    """The Newton's discriminant and Jacobian run on Python floats; they must
-    equal the ParamPoint functions on numpy scalars exactly."""
-
-    @staticmethod
-    def _drawn_points(n=10_000, bound=1.5):
-        rng = np.random.default_rng(20261018)
-        pts = rng.uniform(-bound, bound, (n, 4))
-        pts[::7, rng.integers(0, 4)] = 0.0           # exact zeros in some coordinate
-        pts[1::11, rng.integers(0, 4)] = -0.0
-        return pts
-
-    def test_disc_and_jacobian_equal_the_param_point_forms(self):
-        for row in self._drawn_points():
-            eta, zeta, xi, g = (np.float64(v) for v in row)
-            p = ParamPoint(eta, zeta, xi, g)
-            x, gf = row[:3].copy(), float(row[3])
-            assert _bits(_disc_at(x, gf)) == _bits(discriminant_formula(p))
-            grads = discriminant_gradient_values(p.eta, p.zeta, p.xi, p.g)[:3]
-            want = [[d.real for d in grads], [d.imag for d in grads]]
-            assert _jac_2x3(x, gf).tobytes() == np.array(want).tobytes()
-
-    @pytest.mark.parametrize("x", [[0.1, np.nan, 0.2], [0.1, 0.3, np.inf], [1e80, 0.3, 0.2]])
-    def test_non_finite_or_overflowing_point_is_infinite(self, x):
-        assert abs(_disc_at(np.array(x), G)) == np.inf
-
-
 class TestArcTracing:
     def test_two_disjoint_open_arcs(self, arcs_g061):
         assert len(arcs_g061) == 2
@@ -252,15 +217,15 @@ class TestArcTracing:
 
     def test_step_halving_converges(self):
         e = refine_ep(ParamPoint(0.0, 0.56, 0.0, G))
-        coarse = trace_ea(G, e, step=0.04, max_points=400).coords()
-        fine = trace_ea(G, e, step=0.02, max_points=800).coords()
+        coarse = trace_ea(G, e, step=0.04).coords()
+        fine = trace_ea(G, e, step=0.02).coords()
         # every coarse point lies on the finely traced curve
         d = np.min(np.linalg.norm(fine[None, :, :] - coarse[:, None, :], axis=2), axis=1)
         assert np.max(d) < 1e-3
 
     def test_nexus_termination_at_g0(self):
         e = refine_ep(ParamPoint(0.1, 0.03, -0.04, 0.0))
-        arc = trace_ea(0.0, e, step=0.02, max_points=600)
+        arc = trace_ea(0.0, e, step=0.02)
         assert arc.terminated == "rank_deficient"
         hit = arc.rank_deficient_at
         assert hit is not None
@@ -270,12 +235,12 @@ class TestArcTracing:
         """eta = 0 crossings sit on the zeta axis for g > 0, the xi axis for g < 0."""
         for g in (0.05, 0.2):
             zstar = np.sqrt(64 * g**3 / (27 + 72 * g))
-            e = refine_ep(ParamPoint(0.0, zstar, 0.0, g), max_iter=80)
+            e = refine_ep(ParamPoint(0.0, zstar, 0.0, g))
             assert abs(e.point.xi) < 1e-8
             assert abs(e.point.zeta) > 1e-3
         for g in (-0.05, -0.2):
             xstar = np.sqrt(64 * abs(g) ** 3 / 27)
-            e = refine_ep(ParamPoint(0.0, 0.0, xstar, g), max_iter=80)
+            e = refine_ep(ParamPoint(0.0, 0.0, xstar, g))
             assert abs(e.point.zeta) < 1e-8
             assert abs(e.point.xi) > 1e-3
 
@@ -291,9 +256,100 @@ class TestArcTracing:
         for eta0 in (0.05, -0.05):
             sign = 1.0 if eta0 > 0 else -1.0
             z = sign * np.sqrt(64 * abs(eta0) ** 3 / 54)
-            e = refine_ep(ParamPoint(eta0, z, -z, 0.0), max_iter=80)
-            arc = trace_ea(0.0, e, step=0.02, max_points=600)
+            e = refine_ep(ParamPoint(eta0, z, -z, 0.0))
+            arc = trace_ea(0.0, e, step=0.02)
             assert arc.terminated == "rank_deficient"
+
+
+def _sylvester_slice_zeros(eta: float, g: float) -> np.ndarray:
+    """The zeros in b = xi + i zeta of the Sylvester discriminant on the (eta, g) slice.
+
+    The discriminant is a quartic polynomial in b there, so five samples fix it.
+    """
+    nodes = np.array([0, 1, -1, 1j, -1j])
+    values = [discriminant(ParamPoint(eta, b.imag, b.real, g)) for b in nodes]
+    return np.roots(np.linalg.solve(np.vander(nodes, 5), values))
+
+
+def _ea_seeds(g: float) -> list:
+    """The refined seeds ``ea`` traces from (before its duplicate rules)."""
+    return [refine_ep(c.center) for eta in (-0.5, 0.0, 0.5)
+            for c in seed_eps_in_slice(eta, g, ((-1.4, 1.4), (-1.4, 1.4)), 64)]
+
+
+_DRAWN_SLICES = np.random.default_rng(20261019).uniform((-1.5, -0.95), (1.5, 1.0), (24, 2)).tolist()
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("eta, g", _DRAWN_SLICES + [[0.33, G], [0.0, G], [0.0, 0.05], [0.4, 0.0]])
+    def test_slice_eps_are_the_zeros_of_the_sylvester_discriminant(self, eta, g):
+        found, want = _slice_eps(eta, g), _sylvester_slice_zeros(eta, g)
+        scale = 1.0 + np.abs(want).max()
+        assert np.abs(found[:, None] - want[None, :]).min(axis=0).max() < 1e-9 * scale
+        assert np.abs(found[:, None] - want[None, :]).min(axis=1).max() < 1e-9 * scale
+
+    @pytest.mark.parametrize("eta, g", _DRAWN_SLICES[:8])
+    def test_refine_ep_is_the_nearest_slice_ep(self, eta, g):
+        zeros = _sylvester_slice_zeros(eta, g)
+        for seed_b in zeros + np.array([0.01, -0.01j, 0.02 + 0.01j, -0.01 - 0.02j]):
+            seed = ParamPoint(eta, seed_b.imag, seed_b.real, g)
+            e = refine_ep(seed)
+            want = zeros[np.argmin(np.abs(zeros - seed_b))]
+            assert (e.point.eta, e.point.g) == (eta, g)
+            assert abs(complex(e.point.xi, e.point.zeta) - want) < 1e-9 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("step", [0.02, 0.04])
+    @pytest.mark.parametrize("g", [0.0, 0.01, -0.01, 0.05, 0.13, 0.33, 0.61, 0.9, -0.2, -0.61])
+    def test_every_arc_point_is_an_ep_at_most_a_step_from_the_next(self, g, step):
+        """The Sylvester oracle vanishes on every point; consecutive points lie
+        ``step`` apart along the grid's polyline, which is within 1e-6 of the arc."""
+        for arc in (trace_ea(g, e, step=step) for e in _ea_seeds(g)):
+            for q in arc.points:
+                assert abs(discriminant(q.point)) < 1e-10
+            co = arc.coords()
+            if len(co) > 1:
+                assert np.linalg.norm(np.diff(co, axis=0), axis=1).max() <= step + 1e-5
+            past = np.abs(co).max(axis=1) > DOMAIN_BOUND
+            if arc.terminated == "boundary":
+                assert past[0] and past[-1] and not past[1:-1].any()
+            else:
+                assert g == 0 and not past[:-1].any()
+
+    @pytest.mark.parametrize("g", [0.61, 0.05, -0.2])
+    def test_an_arc_does_not_depend_on_its_start(self, g):
+        arc = trace_ea(g, _ea_seeds(g)[0])
+        for q in arc.points[1:-1:17]:
+            again = trace_ea(g, q)
+            assert again.terminated == arc.terminated
+            assert [(p.point, p.repeated_eigenvalue) for p in again.points] == [
+                (p.point, p.repeated_eigenvalue) for p in arc.points
+            ]
+
+    def test_a_start_past_the_boundary_is_its_own_arc(self):
+        b = min(_slice_eps(1.55, G), key=abs)
+        start = refine_ep(ParamPoint(1.55, b.imag, b.real, G))
+        arc = trace_ea(G, start)
+        assert arc.points == [start] and arc.terminated == "boundary"
+
+    @pytest.mark.parametrize("step", [0.02, 0.04])
+    def test_g0_branches_end_a_step_from_the_nexus(self, step):
+        """The four half-arcs at g = 0 start at |eta| = step and run to the boundary."""
+        halves = [trace_ea(0.0, e, step=step) for e in _ea_seeds(0.0) if e.point.eta != 0]
+        assert len(halves) == 4
+        for arc in halves:
+            first = arc.points[0].point
+            assert arc.terminated == "rank_deficient" and arc.rank_deficient_at is arc.points[0]
+            assert abs(abs(first.eta) - step) < 1e-12
+            assert np.abs(arc.coords()[-1]).max() > DOMAIN_BOUND
+
+    @pytest.mark.parametrize("g", [1e-6, -1e-6, 4e-5, 1e-3, 0.05, 0.61, -0.61, -0.9])
+    def test_branches_are_stable_under_grid_refinement(self, g):
+        """Each branch continued on the tracing grid is the branch continued on a
+        grid 16 times finer, so no step of the grid jumps between two EPs."""
+        eta = _continuation_grid(g)
+        fine = np.union1d(eta, (eta[:-1, None] + np.diff(eta)[:, None] * np.arange(1, 16) / 16).ravel())
+        coarse, refined = _slice_eps(eta, g, continued=True), _slice_eps(fine, g, continued=True)
+        assert np.array_equal(coarse, refined[np.searchsorted(fine, eta)])
 
 
 class TestBranchCuts:

@@ -10,7 +10,6 @@ from eptriad.model import (
     _hamiltonians,
     char_poly,
     discriminant_formula,
-    discriminant_gradient_values,
     discriminant_values,
     eigensystem,
     to_physical,
@@ -269,19 +268,6 @@ class TestDiscriminant:
         pointwise = [[discriminant_formula(ParamPoint(0.33, z, x, 0.61)) for x in xx] for z in zz]
         # numpy rounds array and scalar complex powers apart in the last bit
         np.testing.assert_allclose(grid, pointwise, rtol=1e-14, atol=1e-14)
-
-    @given(params, params, params, params)
-    @settings(max_examples=100, deadline=None)
-    def test_gradient_matches_finite_differences(self, eta, zeta, xi, g):
-        p = ParamPoint(eta, zeta, xi, g)
-        grads = dict(zip(("eta", "zeta", "xi", "g"), discriminant_gradient_values(p.eta, p.zeta, p.xi, p.g)))
-        h = 1e-6
-        for name in ("eta", "zeta", "xi", "g"):
-            fd = (
-                discriminant_formula(p.replace(**{name: getattr(p, name) + h}))
-                - discriminant_formula(p.replace(**{name: getattr(p, name) - h}))
-            ) / (2 * h)
-            assert abs(grads[name] - fd) < 1e-4 * max(1.0, abs(fd))
 
 
 class TestSmallParamDiscriminant:

@@ -31,9 +31,10 @@ def test_run_canonical_loops(tmp_path):
 
 
 def test_trace_arc_atlas(tmp_path):
-    proc = run_script("trace_arc_atlas.py", ["--g", "0.61", "--out", "arcs"], tmp_path)
-    assert [p.name for p in (tmp_path / "arcs").iterdir()] == ["arcs_g+0.61.json"]
-    assert proc.stdout.startswith("g=+0.61: 2 trace(s)")
+    proc = run_script("trace_arc_atlas.py", ["--g", "0.61", "-0.61", "--out", "arcs"], tmp_path)
+    for g in ("+0.61", "-0.61"):
+        assert sorted(p.name for p in (tmp_path / "arcs" / f"g{g}").iterdir()) == ["arcs.json", "manifest.json"]
+    assert proc.stdout.splitlines() == ["traced 2 arc(s) at g = 0.61", "traced 2 arc(s) at g = -0.61"]
 
 
 def test_virtual_experiment(tmp_path):

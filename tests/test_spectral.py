@@ -99,7 +99,9 @@ class TestIsolatedPoles:
         assert self.pole(1, ParamPoint(0.2, 0, 0, G)) == 19729.0 + 83.5j
 
     def test_detuned_cavity_a(self):
-        assert np.isclose(self.pole(1, ParamPoint(0, 0.5, 0.5, 0)), 19704.25 + (83.5 - 24.75) * 1j)
+        """The pole moves by -|kappa| (xi + i zeta): xi shifts the real part, zeta the imaginary part."""
+        pole = self.pole(1, ParamPoint(0, 0.3, 0.5, 0))       # zeta = 0.3, xi = 0.5
+        assert abs(pole - (19729.0 - 49.5 * 0.5 + (83.5 - 49.5 * 0.3) * 1j)) < 1e-9
 
     def test_b_c_mirror(self):
         p = ParamPoint(0.3, 0.1, -0.2, G)
