@@ -10,13 +10,11 @@ from .model import (
     EigensystemStack,
     ParamPoint,
     PhysicalScale,
-    PolyCoeffs,
-    char_poly,
     eigensystem,
     eigensystems,
     to_physical,
 )
-from .locate import EPPoint, EAPolyline, branch_cut_trace, refine_ep, seed_eps_in_slice, trace_ea
+from .locate import EPPoint, EAPolyline, arc_starts, branch_cut_trace, refine_ep, seed_eps_in_slice, trace_ea
 from .loops import LoopPath, concat_loops, interpolate_loop, preset_loop, preset_waypoints, reverse_loop
 from .permutations import PermutationElement, compose, element, identify, to_matrix, verify_group
 from .spectral import (

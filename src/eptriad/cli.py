@@ -24,9 +24,10 @@ import numpy as np
 
 from . import __version__
 from .errors import AmbiguousMatch, EptriadError, FitDiverged, NoConvergence, NotAGroup
-from .locate import refine_ep, seed_eps_in_slice, trace_ea, track_sheets
+# discriminant_formula, eigensystem, match_assignment, refine_ep and
+# seed_eps_in_slice stay importable here for the benchmark's tracer
+from .locate import arc_starts, refine_ep, seed_eps_in_slice, trace_ea, track_sheets
 from .loops import PRESET_NAMES, LoopPath, interpolate_loop, preset_loop
-# discriminant_formula, eigensystem and match_assignment stay importable here for the benchmark's tracer
 from .model import ParamPoint, PhysicalScale, discriminant_formula, discriminant_values, eigensystem
 from .permutations import all_elements, element, identify, to_matrix, verify_group
 from .spectral import (
@@ -212,30 +213,7 @@ def cmd_ea(args) -> int:
             raise ValueError(f"--step must be finite and positive, got {args.step}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    unique, kept = [], []          # kept arcs and their coordinates
-    found: list[ParamPoint] = []
-    for eta in (-0.5, 0.0, 0.5):
-        for cand in seed_eps_in_slice(eta, args.g, ((-1.4, 1.4), (-1.4, 1.4)), 64):
-            try:
-                ep = refine_ep(cand.center)
-            except NoConvergence:
-                continue
-            x = ep.point.as_array()
-            if any(np.linalg.norm(x - q.as_array()) < 1e-4 for q in found):
-                continue
-            found.append(ep.point)
-            # a seed within a step of a kept arc would trace that arc again
-            if any(np.min(np.linalg.norm(oc - x[:3], axis=1)) < args.step for oc in kept):
-                continue
-            arc = trace_ea(args.g, ep, step=args.step)
-            # drop an arc whose first points come within a step of a kept arc
-            c = arc.coords()
-            if not any(
-                np.min(np.linalg.norm(oc[:, None, :] - c[None, :len(oc), :], axis=2)) < args.step
-                for oc in kept
-            ):
-                unique.append(arc)
-                kept.append(c)
+    arcs = [trace_ea(args.g, start, step=args.step) for start in arc_starts(args.g)]
     doc = {
         "g": args.g,
         "arcs": [
@@ -254,12 +232,12 @@ def cmd_ea(args) -> int:
                     for q in arc.points
                 ],
             }
-            for arc in unique
+            for arc in arcs
         ],
     }
     _dump_json(out / "arcs.json", doc)
     _write_manifest(out, "ea", {k: v for k, v in vars(args).items() if k != "func"}, None)
-    print(f"traced {len(unique)} arc(s) at g = {args.g}")
+    print(f"traced {len(arcs)} arc(s) at g = {args.g}")
     return EXIT_OK
 
 

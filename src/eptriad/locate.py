@@ -20,7 +20,7 @@ import numpy as np
 
 from . import model, transport
 from .errors import NoConvergence, NotAnEP
-from .model import ParamPoint, char_poly, discriminant_formula, discriminant_values
+from .model import ParamPoint, discriminant_formula, discriminant_values
 
 EP_MEMBERSHIP_TOL = 1e-10
 ORDER3_TOL = 1e-6
@@ -138,32 +138,28 @@ def _slice_eps(eta, g: float, continued: bool = False) -> np.ndarray:
 
 
 def _ep_points(points: list[ParamPoint]) -> list[EPPoint]:
-    """The EPPoints at ``points``, with one stacked root solve for all of them.
+    """The EPPoints at ``points``, in closed form.
 
     Raises NotAnEP when |disc| at a point exceeds the membership tolerance.
-    The repeated eigenvalue is the root of p' minimizing |p|; the roots of
-    every p' come from one ``np.linalg.eigvals`` over the companion matrices
-    that ``np.roots`` builds (``np.roots`` itself where p' has a zero root).
-    The order is 3 when p' and p'' both vanish at the repeated root, else 2.
+    Where the discriminant of p(w) = w^3 + a2 w^2 + a1 w + a0 vanishes, its
+    repeated root is (9 a0 - a1 a2) / (2 (a2^2 - 3 a1)), or -a2 / 3 where
+    a2^2 = 3 a1 and the root is triple.  The order is 3 when p' and p''
+    both vanish at the repeated root, else 2.
     """
-    residuals = [abs(discriminant_formula(p)) for p in points]
-    for p, residual in zip(points, residuals):
-        if residual > EP_MEMBERSHIP_TOL:
-            raise NotAnEP(f"|disc| = {residual:.3e} at {p}")
-    polys = [char_poly(p) for p in points]
-    dp = np.array([[3 * co.a3, 2 * co.a2, co.a1] for co in polys], dtype=complex).reshape(-1, 3)
-    companion = np.zeros((len(dp), 2, 2), dtype=complex)
-    companion[:, 1, 0] = 1
-    companion[:, 0, :] = -dp[:, 1:] / dp[:, :1]
-    crit = np.linalg.eigvals(companion).tolist()
-    out = []
-    for co, row, coeffs, p, residual in zip(polys, crit, dp, points, residuals):
-        if coeffs[2] == 0:
-            row = np.roots(coeffs).tolist()
-        w = min(row, key=lambda w: abs(co(w)))
-        flat = abs(co.derivative(w)) < ORDER3_TOL and abs(co.second_derivative(w)) < ORDER3_TOL
-        out.append(EPPoint(point=p, repeated_eigenvalue=w, order=3 if flat else 2, residual=residual))
-    return out
+    params = np.array([[p.eta, p.zeta, p.xi, p.g] for p in points]).reshape(-1, 4).T
+    residuals = abs(discriminant_values(*params))
+    bad = np.flatnonzero(residuals > EP_MEMBERSHIP_TOL)
+    if len(bad):
+        raise NotAnEP(f"|disc| = {residuals[bad[0]]:.3e} at {points[bad[0]]}")
+    a2, a1, a0 = model._poly_coeffs(*params)
+    den = 2 * (a2 * a2 - 3 * a1)
+    # (0 - a2) / 3 rather than -a2 / 3, so the nexus root is +0, not -0
+    w = np.divide(9 * a0 - a1 * a2, den, out=(0 - a2) / 3, where=den != 0)
+    flat = (abs((3 * w + 2 * a2) * w + a1) < ORDER3_TOL) & (abs(6 * w + 2 * a2) < ORDER3_TOL)
+    return [
+        EPPoint(point=p, repeated_eigenvalue=wk, order=3 if f else 2, residual=r)
+        for p, wk, f, r in zip(points, w.tolist(), flat.tolist(), residuals.tolist())
+    ]
 
 
 def refine_ep(seed: ParamPoint) -> EPPoint:
@@ -178,10 +174,40 @@ def refine_ep(seed: ParamPoint) -> EPPoint:
     return _ep_points([ParamPoint(seed.eta, b.imag, b.real, seed.g)])[0]
 
 
-def _continuation_grid(g: float) -> np.ndarray:
-    """The increasing eta grid that the branches at ``g`` are continued on."""
+def _branches(g: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(eta, b, inside) on each eta grid that the branches at ``g`` are continued on.
+
+    The columns of ``b`` are the four branches b(eta), and ``inside`` marks
+    their points in the domain |coord| <= 1.5.  For g != 0 there is one
+    increasing grid.  At g = 0 there are two, each running out of the nexus
+    eta = 0: first the half eta >= 0, then the half eta <= 0.
+    """
     eta = np.union1d(_ETA_GRID, g * np.tan(_PASS_ANGLES))
-    return eta[abs(eta) <= _ETA_GRID[-1]]
+    eta = eta[abs(eta) <= _ETA_GRID[-1]]
+    out = []
+    for grid in [eta] if g != 0 else [eta[eta >= 0], eta[eta <= 0][::-1]]:
+        b = _slice_eps(grid, g, continued=True)
+        inside = np.maximum(abs(grid)[:, None], np.maximum(abs(b.real), abs(b.imag))) <= DOMAIN_BOUND
+        out.append((grid, b, inside))
+    return out
+
+
+def arc_starts(g: float) -> list[EPPoint]:
+    """One EP on each in-domain run of each branch at ``g``, to trace an arc from.
+
+    A start is its branch at the middle grid point of its run, so
+    :func:`trace_ea` picks out that branch again.  The order-3 nexus at
+    g = 0 is a start of its own, listed first.  At g = 0 the mirror -b of
+    each branch b is a branch too (the discriminant is a function of b^2),
+    and only b = +sqrt(B+-) is kept.
+    """
+    points = [ParamPoint(0.0, 0.0, 0.0, 0.0)] if g == 0 else []
+    for eta, b, inside in _branches(g):
+        for j in range(4) if g != 0 else (0, 2):
+            edges = np.flatnonzero(np.diff(np.concatenate([[0], inside[:, j], [0]])))
+            for k in ((edges[::2] + edges[1::2] - 1) // 2).tolist():
+                points.append(ParamPoint(float(eta[k]), float(b[k, j].imag), float(b[k, j].real), g))
+    return _ep_points(points)
 
 
 def trace_ea(g: float, start: EPPoint, step: float = 0.02) -> EAPolyline:
@@ -203,22 +229,18 @@ def trace_ea(g: float, start: EPPoint, step: float = 0.02) -> EAPolyline:
     if g == 0 and p.eta == 0:
         # the order-3 nexus, where the branches meet
         return EAPolyline(g, [start], "rank_deficient", start)
-    eta = _continuation_grid(g)
-    if g == 0:
-        # continue the branch outward from the nexus, on the start's side of it
-        eta = eta[eta >= 0] if p.eta > 0 else eta[eta <= 0][::-1]
-    branches = _slice_eps(eta, g, continued=True)
+    # at g = 0, the half-grid on the start's side of the nexus
+    eta, branches, inside = _branches(g)[int(g == 0 and p.eta < 0)]
     k = int(np.argmin(abs(eta - p.eta)))
-    b = branches[:, np.argmin(abs(branches[k] - complex(p.xi, p.zeta)))]
-    xyz = np.stack([eta, b.imag, b.real], axis=1)
-    inside = abs(xyz).max(axis=1) <= DOMAIN_BOUND
+    j = np.argmin(abs(branches[k] - complex(p.xi, p.zeta)))
+    b, inside = branches[:, j], inside[:, j]
     if not inside[k]:
         return EAPolyline(g, [start], "boundary")
     out = np.flatnonzero(~inside)
     lo, hi = out[out < k].max(initial=0), out[out > k].min()
     # a run that reaches the start of the grid inside the domain ends at the nexus
     nexus = bool(inside[lo])
-    run, b = xyz[lo:hi + 1], b[lo:hi + 1]
+    run, b = np.stack([eta, b.imag, b.real], axis=1)[lo:hi + 1], b[lo:hi + 1]
     length = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(run, axis=0), axis=1))])
     # from the nexus, sampling starts one step out along eta, the coordinate the arc is a graph over
     origin = np.interp(step, abs(run[:, 0]), length) if nexus else 0.0

@@ -81,29 +81,6 @@ def _outside_stacklevel() -> int:
 
 
 @dataclass(frozen=True)
-class PolyCoeffs:
-    """Monic cubic coefficients a3*w^3 + a2*w^2 + a1*w + a0 with a3 = 1."""
-
-    a3: complex
-    a2: complex
-    a1: complex
-    a0: complex
-
-    def __post_init__(self):
-        if self.a3 != 1:
-            raise ValueError("characteristic polynomial must be monic")
-
-    def __call__(self, w: complex) -> complex:
-        return ((self.a3 * w + self.a2) * w + self.a1) * w + self.a0
-
-    def derivative(self, w: complex) -> complex:
-        return (3 * self.a3 * w + 2 * self.a2) * w + self.a1
-
-    def second_derivative(self, w: complex) -> complex:
-        return 6 * self.a3 * w + 2 * self.a2
-
-
-@dataclass(frozen=True)
 class PhysicalScale:
     """Physical frequency scale: pole = (omega0 + i*gamma0) + |kappa| * w_dimless."""
 
@@ -161,11 +138,6 @@ def _poly_coeffs(eta, zeta, xi, g):
     a1 = -2.0 * (eta + 1j * g) * (eta + 1j * (2.0 + g))
     a0 = -2.0 * b * (eta + 1j * (1.0 + g)) ** 2
     return b, a1, a0
-
-
-def char_poly(p: ParamPoint) -> PolyCoeffs:
-    """Coefficients of det(wI - H) for the kappa = -1 Hamiltonian."""
-    return PolyCoeffs(1.0 + 0j, *_poly_coeffs(p.eta, p.zeta, p.xi, p.g))
 
 
 def eigensystem(p: ParamPoint) -> Eigensystem:

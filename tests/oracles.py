@@ -1,23 +1,52 @@
 """Independent references that the tests compare the package against.
 
-These are the Hamiltonian written out entry by entry, the closed-form cubic
-solver, the Sylvester-matrix discriminant and its cubic-order
-small-parameter approximation, the per-point repeated root by ``np.roots``,
-the Green's function by dense linear solves and the multiband Berry phase
-of a unimodular matrix.  The package builds its Hamiltonians as one stacked
+These are the Hamiltonian written out entry by entry, the characteristic
+polynomial as a callable cubic, the closed-form cubic solver, the
+Sylvester-matrix discriminant and its cubic-order small-parameter
+approximation, the per-point repeated root by ``np.roots``, the Green's
+function by dense linear solves and the multiband Berry phase of a
+unimodular matrix.  The package builds its Hamiltonians as one stacked
 array (``model._hamiltonians``), computes eigenvalues with
 ``np.linalg.eig``, the discriminant from the closed formula
-(``model.discriminant_values``), repeated roots from one stacked
-``np.linalg.eigvals`` per arc, the Green's function from the closed-form
-adjugate of the tridiagonal resolvent and Θ from the transported holonomy
-with its permutation parity divided out; nothing in it calls these.
+(``model.discriminant_values``), repeated roots from the closed-form double
+root of the cubic (``locate._ep_points``), the Green's function from the
+closed-form adjugate of the tridiagonal resolvent and Θ from the
+transported holonomy with its permutation parity divided out; nothing in
+it calls these.  The cubic's coefficients come from the package's formula
+(``model._poly_coeffs``), which ``test_model.TestCharPoly`` holds to a
+determinant expansion.
 """
 import cmath
+from dataclasses import dataclass
 
 import numpy as np
 
 from eptriad.errors import NonUnimodularDeterminant
-from eptriad.model import ParamPoint, PolyCoeffs, char_poly
+from eptriad.model import ParamPoint, _poly_coeffs
+
+
+@dataclass(frozen=True)
+class PolyCoeffs:
+    """The cubic a3*w^3 + a2*w^2 + a1*w + a0; monic (a3 = 1) wherever it is used."""
+
+    a3: complex
+    a2: complex
+    a1: complex
+    a0: complex
+
+    def __call__(self, w: complex) -> complex:
+        return ((self.a3 * w + self.a2) * w + self.a1) * w + self.a0
+
+    def derivative(self, w: complex) -> complex:
+        return (3 * self.a3 * w + 2 * self.a2) * w + self.a1
+
+    def second_derivative(self, w: complex) -> complex:
+        return 6 * self.a3 * w + 2 * self.a2
+
+
+def char_poly(p: ParamPoint) -> PolyCoeffs:
+    """det(wI - H) for the kappa = -1 Hamiltonian, from the package's coefficient formula."""
+    return PolyCoeffs(1.0 + 0j, *_poly_coeffs(p.eta, p.zeta, p.xi, p.g))
 
 
 def hamiltonian(p: ParamPoint) -> np.ndarray:
@@ -107,6 +136,16 @@ def discriminant(p: ParamPoint) -> complex:
     coeffs = char_poly(p)
     sign = (-1) ** (3 * 2 // 2)
     return sign * np.linalg.det(sylvester_matrix(coeffs))
+
+
+def slice_zeros(eta: float, g: float) -> np.ndarray:
+    """The zeros in b = xi + i zeta of the Sylvester discriminant on the (eta, g) slice.
+
+    The discriminant is a quartic polynomial in b there, so five samples fix it.
+    """
+    nodes = np.array([0, 1, -1, 1j, -1j])
+    values = [discriminant(ParamPoint(eta, b.imag, b.real, g)) for b in nodes]
+    return np.roots(np.linalg.solve(np.vander(nodes, 5), values))
 
 
 def discriminant_small_param(p: ParamPoint) -> complex:

