@@ -21,7 +21,6 @@ from .spectral import (
     CavityConfig,
     FitConfig,
     FittedParams,
-    ModeProfile,
     NoiseSpec,
     SpectralDataset,
     fit_loop,

@@ -16,8 +16,9 @@ import contextlib
 import csv
 import datetime
 import json
+import re
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import AmbiguousMatch, EptriadError, FitDiverged, NoConvergence, No
 # seed_eps_in_slice stay importable here for the benchmark's tracer
 from .locate import arc_starts, refine_ep, seed_eps_in_slice, trace_ea, track_sheets
 from .loops import PRESET_NAMES, LoopPath, interpolate_loop, preset_loop
-from .model import ParamPoint, PhysicalScale, discriminant_formula, discriminant_values, eigensystem
+from .model import ParamPoint, discriminant_formula, discriminant_values, eigensystem
 from .permutations import all_elements, element, identify, to_matrix, verify_group
 from .spectral import (
     CavityConfig,
@@ -37,6 +38,7 @@ from .spectral import (
     check_dataset,
     fit_loop,
     load_dataset,
+    read_cavity_config,
     save_dataset,
     synthesize,
 )
@@ -243,23 +245,16 @@ def cmd_ea(args) -> int:
 
 def _lab_config(args) -> tuple[CavityConfig, FitConfig]:
     """Cavity and fit settings: ``--config`` may set any CavityConfig field and
-    the DE budget; any other key is a config error."""
+    any FitConfig field but the seed, which ``--seed`` sets; any other key is a
+    config error."""
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(doc, dict):
         raise ValueError("lab config must be a JSON object")
-    cav_keys = {f.name for f in fields(CavityConfig)}
-    fit_keys = {"population", "generations"}
-    unknown = sorted(set(doc) - cav_keys - fit_keys)
-    if unknown:
-        raise ValueError(f"unknown lab config key(s): {', '.join(unknown)}")
-    cav = {k: v for k, v in doc.items() if k in cav_keys}
-    fit = {k: v for k, v in doc.items() if k in fit_keys}
+    fit = {f.name: doc.pop(f.name) for f in fields(FitConfig) if f.name != "seed" and f.name in doc}
     for k, v in fit.items():
         if type(v) is not int:
             raise ValueError(f"lab config: {k} must be an integer, got {v!r}")
-    if "scale" in cav:
-        cav["scale"] = PhysicalScale(**cav["scale"])
-    return CavityConfig(**cav), FitConfig(seed=args.seed, **fit)
+    return read_cavity_config(doc), FitConfig(seed=args.seed, **fit)
 
 
 def cmd_lab(args) -> int:
@@ -285,20 +280,9 @@ def cmd_lab(args) -> int:
         fits, result = fit_loop(dataset, fit_config=fitcfg)
         report = {
             "fit": [
-                {
-                    "eta": f.point.eta,
-                    "zeta": f.point.zeta,
-                    "xi": f.point.xi,
-                    "g": f.point.g,
-                    "omega0": f.scale.omega0,
-                    "gamma0": f.scale.gamma0,
-                    "kappa": f.scale.kappa,
+                asdict(f.point) | asdict(f.scale) | {
                     "residual": f.residual,
-                    "truth": (
-                        None
-                        if st.param_truth is None
-                        else [st.param_truth.eta, st.param_truth.zeta, st.param_truth.xi, st.param_truth.g]
-                    ),
+                    "truth": None if st.param_truth is None else st.param_truth.as_array().tolist(),
                 }
                 for f, st in zip(fits, dataset.steps)
             ],
@@ -384,6 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     gp = sub.add_parser("group", help="Cayley table and group verification")
     gp.add_argument("--out", default="out")
     gp.set_defaults(func=cmd_group)
+    # argparse before Python 3.13 reads a negative number in exponent form
+    # (-1e-6) as an option; take any "-digit" or "-.digit" for a value, as 3.13 does
+    for parser in (ap, *sub.choices.values()):
+        parser._negative_number_matcher = re.compile(r"-\.?\d")
     return ap
 
 

@@ -30,7 +30,7 @@ class AnchorMismatch(EptriadError):
 
 
 class NonUnimodularDeterminant(EptriadError):
-    """Holonomy determinant is not on the unit circle."""
+    """The tracked frame lost rank: the holonomy determinant det U is 0."""
 
 
 class FitDiverged(EptriadError):

@@ -122,13 +122,15 @@ def _slice_eps(eta, g: float, continued: bool = False) -> np.ndarray:
     product of the two so that it keeps its relative accuracy.  With
     ``continued``, ``eta`` is a fine 1-D grid and every square root is
     signed for continuity along it, so each column is one branch b(eta).
-    Entries are not finite where the quartic degenerates (g = -1, eta = 0).
+    Entries are not finite where the quartic degenerates (g = -1, eta = 0)
+    or where its coefficients overflow or underflow (|g| near 1e300 or
+    1e-300); the domain mask drops them.
     """
     fix = _continued if continued else (lambda r: r)
-    u = g - 1j * np.asarray(eta, dtype=float)
-    c, s = 2 * u * (2 + u), (1 + u) ** 2
-    a, beta, gamma = -8 * s, c * c + 36 * c * s - 108 * s * s, -4 * c**3
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        u = g - 1j * np.asarray(eta, dtype=float)
+        c, s = 2 * u * (2 + u), (1 + u) ** 2
+        a, beta, gamma = -8 * s, c * c + 36 * c * s - 108 * s * s, -4 * c**3
         root = fix(np.sqrt(beta * beta - 4 * a * gamma))
         bp, bm = (root - beta) / (2 * a), (-root - beta) / (2 * a)
         big = abs(bp) >= abs(bm)
@@ -143,8 +145,9 @@ def _ep_points(points: list[ParamPoint]) -> list[EPPoint]:
     Raises NotAnEP when |disc| at a point exceeds the membership tolerance.
     Where the discriminant of p(w) = w^3 + a2 w^2 + a1 w + a0 vanishes, its
     repeated root is (9 a0 - a1 a2) / (2 (a2^2 - 3 a1)), or -a2 / 3 where
-    a2^2 = 3 a1 and the root is triple.  The order is 3 when p' and p''
-    both vanish at the repeated root, else 2.
+    that quotient is not finite: where a2^2 = 3 a1 and the root is triple,
+    or within rounding of a triple root, where it overflows.  The order
+    is 3 when p' and p'' both vanish at the repeated root, else 2.
     """
     params = np.array([[p.eta, p.zeta, p.xi, p.g] for p in points]).reshape(-1, 4).T
     residuals = abs(discriminant_values(*params))
@@ -152,9 +155,10 @@ def _ep_points(points: list[ParamPoint]) -> list[EPPoint]:
     if len(bad):
         raise NotAnEP(f"|disc| = {residuals[bad[0]]:.3e} at {points[bad[0]]}")
     a2, a1, a0 = model._poly_coeffs(*params)
-    den = 2 * (a2 * a2 - 3 * a1)
+    with np.errstate(all="ignore"):
+        w = (9 * a0 - a1 * a2) / (2 * (a2 * a2 - 3 * a1))
     # (0 - a2) / 3 rather than -a2 / 3, so the nexus root is +0, not -0
-    w = np.divide(9 * a0 - a1 * a2, den, out=(0 - a2) / 3, where=den != 0)
+    w = np.where(np.isfinite(w), w, (0 - a2) / 3)
     flat = (abs((3 * w + 2 * a2) * w + a1) < ORDER3_TOL) & (abs(6 * w + 2 * a2) < ORDER3_TOL)
     return [
         EPPoint(point=p, repeated_eigenvalue=wk, order=3 if f else 2, residual=r)

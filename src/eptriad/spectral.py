@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +39,13 @@ class CavityConfig:
     geometry_metadata: str = "cavity height 110 mm, side 44 mm, coupling hole 17 mm^2"
 
     def __post_init__(self):
-        if self.n_positions_per_cavity < 2:
-            raise ValueError("need at least 2 probe positions per cavity")
+        # n = 2 samples the mode exactly at its two nodes
+        if self.n_positions_per_cavity < 3:
+            raise ValueError("need at least 3 probe positions per cavity")
         if self.n_frequencies < 7:
             raise ValueError("need at least 7 frequencies")
         if self.frequency_window <= 0:
             raise ValueError("frequency window must be positive")
-        onsite_profile(self)        # the probe heights must resolve the mode
 
     def frequencies(self) -> np.ndarray:
         half = self.frequency_window / 2
@@ -54,38 +54,16 @@ class CavityConfig:
         )
 
 
-@dataclass(frozen=True)
-class ModeProfile:
-    """Onsite mode sampled at the probe heights; two nodal planes, unit norm."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=float)
-        nz = s[np.abs(s) > 1e-12]
-        if nz.size == 0:
-            raise ValueError("mode profile vanishes at all probe positions")
-        flips = int(np.sum(np.sign(nz[:-1]) != np.sign(nz[1:])))
-        if flips != 2:
-            raise ValueError(f"expected exactly 2 sign changes, found {flips}")
-        if abs(np.linalg.norm(s) - 1.0) > 1e-9:
-            raise ValueError("mode profile must have unit norm")
-
-
-def onsite_profile(config: CavityConfig) -> ModeProfile:
+def onsite_profile(config: CavityConfig) -> np.ndarray:
     """cos(2 pi z / h) sampled at n equally spaced interior heights, unit norm.
 
-    The second-order mode has two nodal planes; fewer than 5 positions can
-    alias them away (n = 2 samples the nodes exactly), so 5 is the minimum
-    useful sampling.
+    The second-order mode has two nodal planes; every n >= 3 that
+    ``CavityConfig`` admits samples both sign changes.
     """
     n = config.n_positions_per_cavity
     z = (np.arange(1, n + 1) - 0.5) / n
     v = np.cos(2 * np.pi * z)
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        raise ValueError(f"profile vanishes for n = {n}; use n >= 5")
-    return ModeProfile(samples=v / norm)
+    return v / np.linalg.norm(v)
 
 
 @dataclass(frozen=True)
@@ -159,7 +137,7 @@ def synthesize(
     """
     cfg = config if config is not None else CavityConfig()
     ns = noise if noise is not None else NoiseSpec()
-    freqs, phi = cfg.frequencies(), onsite_profile(cfg).samples
+    freqs, phi = cfg.frequencies(), onsite_profile(cfg)
     steps = []
     for k, p in enumerate(points):
         resp = _response_matrix(_truth_vector(p, cfg.scale), freqs, phi, cfg.source_site - 1)
@@ -198,8 +176,10 @@ class FitConfig:
     population: int = 64
     generations: int = 200
     seed: int = 1
-    gauss_newton_iterations: int = 60
-    residual_threshold: float = 0.1
+
+
+GAUSS_NEWTON_ITERATIONS = 60
+RESIDUAL_THRESHOLD = 0.1     # normalized cost above which a polish has not converged
 
 
 @dataclass
@@ -217,7 +197,7 @@ class FittedParams:
         return _truth_vector(self.point, self.scale)
 
 
-def _gauss_newton(theta0, data, freqs, phi, norm2, iterations, src=1):
+def _gauss_newton(theta0, data, freqs, phi, norm2, src=1):
     """Damped Gauss-Newton on stacked real/imag residuals."""
     theta = np.array(theta0, float)
 
@@ -227,7 +207,7 @@ def _gauss_newton(theta0, data, freqs, phi, norm2, iterations, src=1):
 
     r = residuals(theta)
     cost = float(np.sum(np.abs(r) ** 2))
-    for _ in range(iterations):
+    for _ in range(GAUSS_NEWTON_ITERATIONS):
         # the seven forward-difference probes theta + h_i e_i as one population
         h = 1e-7 * np.maximum(1.0, np.abs(theta))
         jac = ((residuals(theta[:, None] + np.diag(h)) - r) / h[:, None]).T
@@ -260,7 +240,8 @@ def differential_evolution(*args, **kwargs):
     return search(*args, **kwargs)
 
 
-DEFAULT_INIT_BOX = (
+# the differential-evolution search's bounds
+INIT_BOX = (
     (19600.0, 19860.0),   # omega0
     (30.0, 140.0),        # gamma0
     (-75.0, -25.0),       # kappa
@@ -274,7 +255,6 @@ DEFAULT_INIT_BOX = (
 def fit_step(
     responses: np.ndarray,
     config: CavityConfig | None = None,
-    init_box=DEFAULT_INIT_BOX,
     fit_config: FitConfig | None = None,
     start: np.ndarray | None = None,
 ) -> FittedParams:
@@ -282,11 +262,11 @@ def fit_step(
 
     With ``start`` (a 7-vector theta, for example the previous loop step's
     ``FittedParams.theta()``) a damped Gauss-Newton polish starts from it.
-    Without ``start``, or when that polish ends above
-    ``fit_config.residual_threshold``, a seeded differential-evolution search
-    inside ``init_box`` (each generation in one batched forward-model call,
-    deferred updating) finds the start of the same polish instead, and a
-    polish still above the threshold raises ``FitDiverged``.  Pole residues
+    Without ``start``, or when that polish ends above ``RESIDUAL_THRESHOLD``,
+    a seeded differential-evolution search inside ``INIT_BOX`` (each
+    generation in one batched forward-model call, deferred updating) finds
+    the start of the same polish instead, and a polish still above the
+    threshold raises ``FitDiverged``.  Pole residues
     are then solved by linear least squares at the fitted eigenvalues, and
     the right/left coefficient split uses the complex-symmetry constraint
     b proportional to a.
@@ -295,13 +275,13 @@ def fit_step(
     fc = fit_config if fit_config is not None else FitConfig()
     data = np.asarray(responses, dtype=complex)
     norm2 = _spectrum_norm2(data, cfg)
-    freqs, phi = cfg.frequencies(), onsite_profile(cfg).samples
+    freqs, phi = cfg.frequencies(), onsite_profile(cfg)
     src = cfg.source_site - 1
 
     cost = np.inf
     if start is not None:
-        theta, cost = _gauss_newton(start, data, freqs, phi, norm2, fc.gauss_newton_iterations, src)
-    searched = not cost <= fc.residual_threshold        # a NaN cost searches too
+        theta, cost = _gauss_newton(start, data, freqs, phi, norm2, src)
+    searched = not cost <= RESIDUAL_THRESHOLD        # a NaN cost searches too
     if searched:
         def objective(population):
             diff = _response_matrix(population, freqs, phi, src)           # (S, rows, n_freq)
@@ -310,12 +290,11 @@ def fit_step(
             return np.einsum("ij,ij->i", flat, flat) / norm2
 
         rng = np.random.default_rng(fc.seed)
-        lo = np.array([b[0] for b in init_box])
-        hi = np.array([b[1] for b in init_box])
+        lo, hi = np.array(INIT_BOX).T
         init = lo + (hi - lo) * rng.random((max(fc.population, 8), 7))
         de = differential_evolution(
             objective,
-            bounds=list(init_box),
+            bounds=INIT_BOX,
             init=init,
             maxiter=fc.generations,
             tol=1e-10,
@@ -324,9 +303,9 @@ def fit_step(
             vectorized=True,
             updating="deferred",
         )
-        theta, cost = _gauss_newton(de.x, data, freqs, phi, norm2, fc.gauss_newton_iterations, src)
-        if cost > fc.residual_threshold:
-            raise FitDiverged(f"normalized residual {cost:.3e} above {fc.residual_threshold}")
+        theta, cost = _gauss_newton(de.x, data, freqs, phi, norm2, src)
+        if cost > RESIDUAL_THRESHOLD:
+            raise FitDiverged(f"normalized residual {cost:.3e} above {RESIDUAL_THRESHOLD}")
 
     w0, g0, kap, eta, zeta, xi, g = theta
     if kap == 0:
@@ -382,11 +361,7 @@ def fitted_eigensystem(fit: FittedParams) -> Eigensystem:
     )
 
 
-def fit_loop(
-    dataset: SpectralDataset,
-    init_box=DEFAULT_INIT_BOX,
-    fit_config: FitConfig | None = None,
-):
+def fit_loop(dataset: SpectralDataset, fit_config: FitConfig | None = None):
     """Fit every step of a closed-loop dataset, then transport the fitted frames.
 
     Consecutive steps lie close together on the loop, so the fit is a
@@ -405,7 +380,7 @@ def fit_loop(
     fits = []
     for st in dataset.steps:
         start = fits[-1].theta() if fits else None
-        fits.append(fit_step(st.responses, dataset.config, init_box, fit_config, start=start))
+        fits.append(fit_step(st.responses, dataset.config, fit_config, start=start))
     systems = [fitted_eigensystem(f) for f in fits]
     result = transport_eigensystems(systems, label="fitted-loop", refine=False)
     return fits, result
@@ -415,33 +390,25 @@ def fit_loop(
 # dataset (de)serialization: JSON with exact float round-trip
 
 
-def _complex_array_to_json(a: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-
-
-def _complex_array_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def read_cavity_config(doc: dict, complete: bool = False) -> CavityConfig:
+    """The CavityConfig that a JSON object describes, ``scale`` as an object
+    of PhysicalScale fields.  A key that names no field is a ValueError, and
+    so, when ``complete``, is a field without a key."""
+    names = {f.name for f in fields(CavityConfig)}
+    unknown, missing = set(doc) - names, names - set(doc) if complete else set()
+    if unknown or missing:
+        raise ValueError(f"cavity config: unknown key(s) {sorted(unknown)}, missing key(s) {sorted(missing)}")
+    return CavityConfig(**(doc | {"scale": PhysicalScale(**doc["scale"])} if "scale" in doc else doc))
 
 
 def save_dataset(dataset: SpectralDataset, path: str | Path) -> None:
     doc = {
-        "config": {
-            "scale": asdict(dataset.config.scale),
-            "n_positions_per_cavity": dataset.config.n_positions_per_cavity,
-            "n_frequencies": dataset.config.n_frequencies,
-            "frequency_window": dataset.config.frequency_window,
-            "source_site": dataset.config.source_site,
-            "geometry_metadata": dataset.config.geometry_metadata,
-        },
+        "config": asdict(dataset.config),
         "noise_spec": asdict(dataset.noise_spec),
         "steps": [
             {
-                "param_truth": (
-                    None
-                    if st.param_truth is None
-                    else [st.param_truth.eta, st.param_truth.zeta, st.param_truth.xi, st.param_truth.g]
-                ),
-                "responses": _complex_array_to_json(st.responses),
+                "param_truth": None if st.param_truth is None else st.param_truth.as_array().tolist(),
+                "responses": np.stack([st.responses.real, st.responses.imag], axis=-1).tolist(),
             }
             for st in dataset.steps
         ],
@@ -451,20 +418,11 @@ def save_dataset(dataset: SpectralDataset, path: str | Path) -> None:
 
 def load_dataset(path: str | Path) -> SpectralDataset:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    cfg_doc = doc["config"]
-    cfg = CavityConfig(
-        scale=PhysicalScale(**cfg_doc["scale"]),
-        n_positions_per_cavity=cfg_doc["n_positions_per_cavity"],
-        n_frequencies=cfg_doc["n_frequencies"],
-        frequency_window=cfg_doc["frequency_window"],
-        source_site=cfg_doc["source_site"],
-        geometry_metadata=cfg_doc["geometry_metadata"],
-    )
     steps = [
         SpectralStep(
-            responses=_complex_array_from_json(st["responses"]),
+            responses=np.array(st["responses"], dtype=float).view(complex)[..., 0],
             param_truth=None if st["param_truth"] is None else ParamPoint(*st["param_truth"]),
         )
         for st in doc["steps"]
     ]
-    return SpectralDataset(config=cfg, noise_spec=NoiseSpec(**doc["noise_spec"]), steps=steps)
+    return SpectralDataset(read_cavity_config(doc["config"], complete=True), NoiseSpec(**doc["noise_spec"]), steps)

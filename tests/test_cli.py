@@ -140,6 +140,16 @@ class TestSurfaceCommand:
                                     + [f"{w[k].imag:.12g}" for k in range(3)] + [f"{d:.12g}"])
         assert (tmp_path / "cli" / "surface.csv").read_bytes() == ref.read_bytes()
 
+    def test_negative_numbers_in_exponent_form_are_values(self, tmp_path):
+        code = run([
+            "surface", "--eta", "-1e-3", "--grid", "5",
+            "--window", "-1e-1", "1e-1", "-1e-1", "1e-1", "--out", str(tmp_path),
+        ])
+        assert code == EXIT_OK
+        with (tmp_path / "surface.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert (rows[0][:2], rows[-1][:2]) == (["-0.1", "-0.1"], ["0.1", "0.1"])
+
     def test_empty_window_header_only(self, tmp_path):
         code = run([
             "surface", "--eta", "0.33", "--grid", "41",
@@ -171,6 +181,16 @@ def _zero_responses(doc):
 
 def _missing_row(doc):
     doc["steps"][4]["responses"].pop()
+    return doc
+
+
+def _unknown_config_key(doc):
+    doc["config"]["n_position_per_cavity"] = 7
+    return doc
+
+
+def _missing_config_key(doc):
+    del doc["config"]["frequency_window"]
     return doc
 
 
@@ -217,7 +237,8 @@ class TestLabCommand:
 
     @pytest.mark.parametrize(
         "spoil",
-        [_not_a_dataset, _three_steps, _nan_response, _zero_responses, _missing_row],
+        [_not_a_dataset, _three_steps, _nan_response, _zero_responses, _missing_row,
+         _unknown_config_key, _missing_config_key],
         ids=lambda f: f.__name__.lstrip("_"),
     )
     def test_fit_rejects_malformed_dataset(self, tmp_path, spoil):
@@ -228,6 +249,18 @@ class TestLabCommand:
         code = run(["lab", "fit", "--dataset", str(path), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert not (tmp_path / "fit_report.json").exists()
+
+    def test_fit_of_a_pipeline_dataset_repeats_its_report(self, tmp_path):
+        """A dataset read back fits to the pipeline's fit_report.json byte for byte."""
+        args = ["--loop-preset", "mu1", "--noise", "0.01", "--seed", "1"]
+        assert run(["lab", "pipeline", *args, "--out", str(tmp_path / "p")]) == EXIT_OK
+        dataset = str(tmp_path / "p" / "dataset.json")
+        assert run(["lab", "fit", "--dataset", dataset, *args, "--out", str(tmp_path / "f")]) == EXIT_OK
+        assert (tmp_path / "p" / "fit_report.json").read_bytes() == (tmp_path / "f" / "fit_report.json").read_bytes()
+
+    def test_negative_noise_in_exponent_form_is_a_config_error(self, tmp_path, capsys):
+        assert run(["lab", "synth", "--noise", "-1e-3", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "--noise must be finite and at least 0" in capsys.readouterr().err
 
     def test_fit_requires_dataset(self):
         assert run(["lab", "fit"]) == EXIT_CONFIG

@@ -21,8 +21,7 @@ ETA_SLICE = 0.33
 
 
 def ea_doc(tmp_path, g: str, step: str = "0.02") -> dict:
-    # --g=G, so that argparse reads a negative G in exponent form as a value
-    assert main(["ea", f"--g={g}", "--step", step, "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["ea", "--g", g, "--step", step, "--out", str(tmp_path)]) == EXIT_OK
     return json.loads((tmp_path / "arcs.json").read_text())
 
 
@@ -101,3 +100,18 @@ def test_ea_traces_each_arc_once(tmp_path, monkeypatch, g, n_arcs):
 def test_negative_g_arcs_are_found(tmp_path):
     assert main(["ea", "--g", "-0.61", "--out", str(tmp_path)]) == EXIT_OK
     assert len(json.loads((tmp_path / "arcs.json").read_text())["arcs"]) == 2
+
+
+def test_negative_g_in_exponent_form_is_a_value(tmp_path):
+    assert main(["ea", "--g=-1e-6", "--out", str(tmp_path / "eq")]) == EXIT_OK
+    assert main(["ea", "--g", "-1e-6", "--out", str(tmp_path / "space")]) == EXIT_OK
+    assert (tmp_path / "eq" / "arcs.json").read_bytes() == (tmp_path / "space" / "arcs.json").read_bytes()
+
+
+@pytest.mark.parametrize("g, n_arcs", [("1e300", 0), ("5e-324", 2), ("1e-300", 2), ("-1e-300", 2)])
+def test_extreme_g_finds_the_arcs_without_overflow(tmp_path, g, n_arcs):
+    """The slice quartic's coefficients overflow or underflow at these g;
+    the roots that are not finite fall outside the domain, and no
+    RuntimeWarning (an error under this suite) escapes."""
+    arcs = ea_doc(tmp_path, g)["arcs"]
+    assert [(arc["terminated"], len(arc["points"])) for arc in arcs] == [("boundary", 204)] * n_arcs

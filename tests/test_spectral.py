@@ -30,8 +30,7 @@ FAST_FIT = FitConfig(population=48, generations=80, seed=11)
 
 class TestModeProfile:
     def test_default_sampling(self):
-        prof = onsite_profile(CavityConfig())
-        s = prof.samples
+        s = onsite_profile(CavityConfig())
         assert len(s) == 7
         # middle sample is the negative antinode
         assert s[3] == min(s)
@@ -43,9 +42,16 @@ class TestModeProfile:
         with pytest.raises(ValueError):
             onsite_profile(CavityConfig(n_positions_per_cavity=2))
 
+    def test_every_admitted_sampling_has_unit_norm_and_two_nodes(self):
+        for n in range(3, 60):
+            s = onsite_profile(CavityConfig(n_positions_per_cavity=n))
+            assert abs(np.linalg.norm(s) - 1) < 1e-12, n
+            nz = s[np.abs(s) > 1e-12]
+            assert int(np.sum(np.sign(nz[:-1]) != np.sign(nz[1:]))) == 2, n
+
     def test_many_positions_keep_two_nodes(self):
-        prof = onsite_profile(CavityConfig(n_positions_per_cavity=31))
-        nz = prof.samples[np.abs(prof.samples) > 1e-12]
+        s = onsite_profile(CavityConfig(n_positions_per_cavity=31))
+        nz = s[np.abs(s) > 1e-12]
         assert int(np.sum(np.sign(nz[:-1]) != np.sign(nz[1:]))) == 2
 
 
@@ -114,7 +120,7 @@ class TestSynthesis:
         cfg = CavityConfig()
         p = ParamPoint(0.33, 0.1, -0.1, G)
         ds = synthesize([p], cfg, NoiseSpec(0.0, 0))
-        phi = onsite_profile(cfg).samples
+        phi = onsite_profile(cfg)
         freqs = cfg.frequencies()
         resp = ds.steps[0].responses
         for fi in (0, 15, 30):
@@ -165,7 +171,7 @@ class TestBatchedForwardModel:
     @settings(max_examples=60, deadline=None)
     def test_population_equals_single_vectors(self, thetas, src):
         cfg = CavityConfig()
-        freqs, phi = cfg.frequencies(), onsite_profile(cfg).samples
+        freqs, phi = cfg.frequencies(), onsite_profile(cfg)
         batch = spectral._response_matrix(thetas, freqs, phi, src)
         assert batch.shape == (thetas.shape[1], 21, len(freqs))
         for k in range(thetas.shape[1]):
@@ -175,7 +181,7 @@ class TestBatchedForwardModel:
         from eptriad.loops import preset_loop
 
         cfg = CavityConfig()
-        freqs, phi = cfg.frequencies(), onsite_profile(cfg).samples
+        freqs, phi = cfg.frequencies(), onsite_profile(cfg)
         pts = list(preset_loop("mu1", steps_per_segment=1).steps)
         noise = NoiseSpec(0.01, 23)
         ds = synthesize(pts, cfg, noise)
@@ -211,7 +217,7 @@ class TestForwardModelOracle:
     @settings(max_examples=60, deadline=None)
     def test_drawn_points(self, thetas, src):
         cfg = CavityConfig()
-        freqs, phi = cfg.frequencies(), onsite_profile(cfg).samples
+        freqs, phi = cfg.frequencies(), onsite_profile(cfg)
         batch = spectral._response_matrix(thetas, freqs, phi, src)
         for k in range(thetas.shape[1]):
             _assert_matches_oracle(batch[k], solved_response(thetas[:, k], freqs, 7, src))
@@ -387,7 +393,7 @@ class TestFitLoop:
 
         def stuck_at_start(theta0, *args):
             if np.array_equal(theta0, start):
-                return np.array(start), 10 * FAST_FIT.residual_threshold
+                return np.array(start), 10 * spectral.RESIDUAL_THRESHOLD
             return polish(theta0, *args)
 
         monkeypatch.setattr(spectral, "_gauss_newton", stuck_at_start)
