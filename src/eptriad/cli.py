@@ -28,7 +28,7 @@ from .errors import AmbiguousMatch, EptriadError, FitDiverged, NoConvergence, No
 # discriminant_formula, eigensystem, match_assignment, refine_ep and
 # seed_eps_in_slice stay importable here for the benchmark's tracer
 from .locate import arc_starts, refine_ep, seed_eps_in_slice, trace_ea, track_sheets
-from .loops import PRESET_NAMES, LoopPath, interpolate_loop, preset_loop
+from .loops import MIN_STEPS, PRESET_NAMES, LoopPath, interpolate_loop, preset_loop, preset_waypoints
 from .model import ParamPoint, discriminant_formula, discriminant_values, eigensystem
 from .permutations import all_elements, element, identify, to_matrix, verify_group
 from .spectral import (
@@ -267,7 +267,9 @@ def cmd_lab(args) -> int:
     preset = args.loop_preset
     stats = versions = None        # the fit's work counts and scipy version, for the manifest
     if args.subcommand in ("synth", "pipeline"):
-        loop = preset_loop(preset, steps_per_segment=1)
+        # the fewest steps per segment that give a loop of MIN_STEPS steps
+        segments = len(preset_waypoints(preset)) - 1
+        loop = preset_loop(preset, steps_per_segment=-(-(MIN_STEPS - 1) // segments))
         points = list(loop.steps)
         dataset = synthesize(points, cav, NoiseSpec(args.noise, args.seed))
         save_dataset(dataset, out / "dataset.json")
@@ -290,10 +292,11 @@ def cmd_lab(args) -> int:
         }
         _dump_json(out / "fit_report.json", report)
         stats = {"de_searches": sum(f.searched for f in fits), "fitted_steps": len(fits)}
-        # the fit's search loaded scipy, whose version sets the search's random stream
-        import scipy
+        if stats["de_searches"]:
+            # the fallback search loaded scipy, whose version sets the search's random stream
+            import scipy
 
-        versions = {"scipy": scipy.__version__}
+            versions = {"scipy": scipy.__version__}
         print(
             f"fit {len(fits)} steps: permutation {result.permutation.as_string()} "
             f"theta {result.berry_phase:+.6f}"

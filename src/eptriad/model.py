@@ -89,8 +89,8 @@ class PhysicalScale:
     kappa: float = -49.5        # rad/s, hopping (negative)
 
     def __post_init__(self):
-        if not (self.omega0 > 0 and self.gamma0 >= 0 and self.kappa < 0):
-            raise ValueError("require omega0 > 0, gamma0 >= 0, kappa < 0")
+        if not (0 < self.omega0 < math.inf and 0 <= self.gamma0 < math.inf and -math.inf < self.kappa < 0):
+            raise ValueError("require finite omega0 > 0, gamma0 >= 0, kappa < 0")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,20 @@
 """Virtual measurement pipeline: Green's-function spectra and inverse fits.
 
 The forward model samples the second-order cavity mode at n positions per
-cavity, drives cavity A from its top position, and evaluates the resolvent
-of the physical Hamiltonian on a frequency grid.  The inverse path fits
-the seven scalars (omega0, gamma0, kappa, eta, zeta, xi, g) by damped
-Gauss-Newton, then solves linearly for the pole residues that reconstruct
-eigenvectors.  A loop fit is a numerical continuation: a seeded
-differential-evolution search finds the first step, and each later step's
-polish starts from the step before, falling back to the search only when
-that polish misses the residual threshold.
+cavity, drives one cavity (A by default) from its top position, and
+evaluates the resolvent of the physical Hamiltonian on a frequency grid.
+The inverse path fits the seven scalars (omega0, gamma0, kappa, eta, zeta,
+xi, g) of each spectrum on its own, in three stages:
+
+* start: a linear rational fit of the three site responses with one shared
+  cubic denominator, det(omega - H_phys), whose roots are the three poles;
+  a closed formula turns the poles into the seven scalars;
+* polish: damped Gauss-Newton from that start;
+* fallback: a seeded differential-evolution search, run only where the
+  polish misses the residual threshold or there is no closed-form start.
+
+It then solves linearly for the pole residues that reconstruct the
+eigenvectors.
 """
 from __future__ import annotations
 
@@ -39,13 +45,18 @@ class CavityConfig:
     geometry_metadata: str = "cavity height 110 mm, side 44 mm, coupling hole 17 mm^2"
 
     def __post_init__(self):
+        for name in ("n_positions_per_cavity", "n_frequencies", "source_site"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         # n = 2 samples the mode exactly at its two nodes
         if self.n_positions_per_cavity < 3:
             raise ValueError("need at least 3 probe positions per cavity")
         if self.n_frequencies < 7:
             raise ValueError("need at least 7 frequencies")
-        if self.frequency_window <= 0:
-            raise ValueError("frequency window must be positive")
+        if not 0 < self.frequency_window < np.inf:
+            raise ValueError(f"frequency window must be finite and positive, got {self.frequency_window!r}")
+        if self.source_site not in (1, 2, 3):
+            raise ValueError(f"source_site must be 1, 2 or 3 (cavity B, A or C), got {self.source_site}")
 
     def frequencies(self) -> np.ndarray:
         half = self.frequency_window / 2
@@ -191,7 +202,7 @@ class FittedParams:
     mode_coeffs_right: np.ndarray    # (3 sites, 3 states) a_{j,s}
     mode_coeffs_left: np.ndarray     # (3 states, 3 sites) b_{j,s}
     identifiability_warning: bool = False
-    searched: bool = True            # differential evolution ran for this fit
+    searched: bool = False           # differential evolution ran for this fit (the fallback)
 
     def theta(self) -> np.ndarray:
         return _truth_vector(self.point, self.scale)
@@ -232,8 +243,8 @@ def differential_evolution(*args, **kwargs):
     """``scipy.optimize.differential_evolution``, imported at the first search.
 
     scipy.optimize takes most of the package's import time and only a fit's
-    search needs it, so no other command loads it.  ``fit_step`` looks this
-    name up at call time.
+    fallback search needs it, so no other path loads it.  ``fit_step`` looks
+    this name up at call time.
     """
     from scipy.optimize import differential_evolution as search
 
@@ -251,25 +262,83 @@ INIT_BOX = (
     (-0.8, 0.8),          # g
 )
 
+#: Sanathanan-Koerner passes of the rational fit
+SK_PASSES = 3
+
+
+def _rational_start(data: np.ndarray, config: CavityConfig) -> np.ndarray:
+    """theta = (omega0, gamma0, kappa, eta, zeta, xi, g) of one spectrum in
+    closed form, not finite where there is no closed form.
+
+    Only a drive at cavity A (``source_site`` 2) has one.  Projecting each
+    cavity block on the mode profile gives one response y_s per site, and
+    y_s = N_s / D with D = det(omega - H_phys) a monic cubic and N_B, N_A,
+    N_C of degree 1, 2 and 1.  Levy's linearization y_s D - N_s = 0 is one
+    linear least-squares problem, its rows weighted by 1/|y_s| for the
+    multiplicative noise and, on each Sanathanan-Koerner pass, by 1/|D| of
+    the pass before; omega enters scaled to the window's half width, so the
+    Vandermonde columns stay well conditioned.  The roots of D are the
+    poles lambda_k.  With d = omega - c0, c0 = omega0 + i gamma0 and
+    p = |kappa| sqrt(2) (eta + i(1 + g)), the sites' diagonals are d + p,
+    d + |kappa|(xi + i zeta) and d - p, so y_B / y_C = (d - p) / (d + p),
+    which is linear in (c0, p).  The roots t_k = lambda_k - c0 of
+    D = (d^2 - p^2)(d + |kappa|(xi + i zeta)) - 2 |kappa|^2 d then give
+    |kappa|^2 = -Re(e2 + p^2) / 2 (e2 the second elementary symmetric
+    polynomial of the t_k), xi + i zeta = -sum(t_k) / |kappa| and
+    eta + i(1 + g) = p / (|kappa| sqrt(2)).  kappa is reported as -|kappa|.
+    """
+    if config.source_site != 2:
+        return np.full(7, np.nan)
+    freqs, phi = config.frequencies(), onsite_profile(config)
+    n = len(freqs)
+    y = data.reshape(3, len(phi), n).transpose(0, 2, 1) @ phi          # (site, freq): B, A, C
+    half = config.frequency_window / 2
+    vander = ((freqs - config.scale.omega0) / half)[:, None] ** np.arange(4)
+    # unknowns (d0, d1, d2) of D = d0 + d1 s + d2 s^2 + s^3, then the numerators' coefficients
+    lhs = np.zeros((3, n, 10), complex)
+    lhs[..., :3] = y[..., None] * vander[:, :3]
+    lhs[0, :, 3:5], lhs[1, :, 5:8], lhs[2, :, 8:] = -vander[:, :2], -vander[:, :3], -vander[:, :2]
+    rhs = -y * vander[:, 3]
+    try:
+        # a response that vanishes at some frequency, or |kappa|^2 <= 0, leaves no start
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            weight = 1 / np.abs(y)
+            for _ in range(SK_PASSES):
+                x, *_ = np.linalg.lstsq((lhs * weight[..., None]).reshape(-1, 10), (rhs * weight).ravel(), rcond=None)
+                weight = 1 / np.abs(y * (vander @ np.append(x[:3], 1)))
+            poles = config.scale.omega0 + half * np.roots(np.append(1, x[2::-1]))
+            y_b, y_a, y_c = y
+            # y_B (omega - c0 + p) = y_C (omega - c0 - p), rows weighted by 1/|y_A| for the noise
+            ratio = np.stack([y_b - y_c, -(y_b + y_c), freqs * (y_b - y_c)], axis=1) / np.abs(y_a)[:, None]
+            (c0, p), *_ = np.linalg.lstsq(ratio[:, :2], ratio[:, 2], rcond=None)
+            t = poles - c0
+            kappa = np.sqrt(-(t[0] * t[1] + t[0] * t[2] + t[1] * t[2] + p * p).real / 2)
+            xi_zeta = -t.sum() / kappa
+            eta_g = p / (kappa * np.sqrt(2.0))
+    except FloatingPointError:
+        return np.full(7, np.nan)
+    return np.array([c0.real, c0.imag, -kappa, eta_g.real, xi_zeta.imag, xi_zeta.real, eta_g.imag - 1])
+
 
 def fit_step(
     responses: np.ndarray,
     config: CavityConfig | None = None,
     fit_config: FitConfig | None = None,
-    start: np.ndarray | None = None,
 ) -> FittedParams:
     """Recover the seven model scalars and eigenvectors from one spectrum.
 
-    With ``start`` (a 7-vector theta, for example the previous loop step's
-    ``FittedParams.theta()``) a damped Gauss-Newton polish starts from it.
-    Without ``start``, or when that polish ends above ``RESIDUAL_THRESHOLD``,
-    a seeded differential-evolution search inside ``INIT_BOX`` (each
-    generation in one batched forward-model call, deferred updating) finds
-    the start of the same polish instead, and a polish still above the
-    threshold raises ``FitDiverged``.  Pole residues
-    are then solved by linear least squares at the fitted eigenvalues, and
-    the right/left coefficient split uses the complex-symmetry constraint
-    b proportional to a.
+    A damped Gauss-Newton polish starts from the closed-form rational fit
+    of ``_rational_start``.  A seeded differential-evolution search inside
+    ``INIT_BOX`` (each generation in one batched forward-model call,
+    deferred updating) finds the start of the same polish instead when the
+    polish ends above ``RESIDUAL_THRESHOLD``, when the closed-form start is
+    not finite, and when the source site has no closed form: a drive at
+    cavity B or C (``source_site`` 1 or 3) searches on every spectrum.
+    ``FittedParams.searched`` says whether the search ran, and a polish
+    from it still above the threshold raises ``FitDiverged``.  Pole
+    residues are then solved by linear least squares at the fitted
+    eigenvalues, and the right/left coefficient split uses the
+    complex-symmetry constraint b proportional to a.
     """
     cfg = config if config is not None else CavityConfig()
     fc = fit_config if fit_config is not None else FitConfig()
@@ -278,9 +347,9 @@ def fit_step(
     freqs, phi = cfg.frequencies(), onsite_profile(cfg)
     src = cfg.source_site - 1
 
-    cost = np.inf
-    if start is not None:
-        theta, cost = _gauss_newton(start, data, freqs, phi, norm2, src)
+    theta, cost = _rational_start(data, cfg), np.inf
+    if np.isfinite(theta).all():
+        theta, cost = _gauss_newton(theta, data, freqs, phi, norm2, src)
     searched = not cost <= RESIDUAL_THRESHOLD        # a NaN cost searches too
     if searched:
         def objective(population):
@@ -364,23 +433,16 @@ def fitted_eigensystem(fit: FittedParams) -> Eigensystem:
 def fit_loop(dataset: SpectralDataset, fit_config: FitConfig | None = None):
     """Fit every step of a closed-loop dataset, then transport the fitted frames.
 
-    Consecutive steps lie close together on the loop, so the fit is a
-    numerical continuation: step 0 is fitted from a differential-evolution
-    search, and every later step takes the previous step's fit as its
-    predictor and the Gauss-Newton polish from it as its corrector,
-    searching again only where that polish misses the residual threshold
-    (``FittedParams.searched`` says where).  The model sees only |kappa|, so starting from the reported
-    kappa = -|kappa| loses nothing.  Returns (fits, transport_result); the
-    transport pass consumes the reconstructed eigenvectors exactly as it
-    would analytic ones.
+    Each step is fitted from its own spectrum by ``fit_step`` (closed-form
+    start, polish, and the search only as a fallback), so no fit depends on
+    its neighbour.  Returns (fits, transport_result); the transport pass
+    consumes the reconstructed eigenvectors exactly as it would analytic
+    ones.
     """
     from .transport import transport_eigensystems
 
     check_dataset(dataset)
-    fits = []
-    for st in dataset.steps:
-        start = fits[-1].theta() if fits else None
-        fits.append(fit_step(st.responses, dataset.config, fit_config, start=start))
+    fits = [fit_step(st.responses, dataset.config, fit_config) for st in dataset.steps]
     systems = [fitted_eigensystem(f) for f in fits]
     result = transport_eigensystems(systems, label="fitted-loop", refine=False)
     return fits, result
@@ -393,12 +455,18 @@ def fit_loop(dataset: SpectralDataset, fit_config: FitConfig | None = None):
 def read_cavity_config(doc: dict, complete: bool = False) -> CavityConfig:
     """The CavityConfig that a JSON object describes, ``scale`` as an object
     of PhysicalScale fields.  A key that names no field is a ValueError, and
-    so, when ``complete``, is a field without a key."""
-    names = {f.name for f in fields(CavityConfig)}
-    unknown, missing = set(doc) - names, names - set(doc) if complete else set()
-    if unknown or missing:
-        raise ValueError(f"cavity config: unknown key(s) {sorted(unknown)}, missing key(s) {sorted(missing)}")
-    return CavityConfig(**(doc | {"scale": PhysicalScale(**doc["scale"])} if "scale" in doc else doc))
+    so, when ``complete``, is a field without a key, in ``scale`` too."""
+    def check_keys(doc, cls, where):
+        names = {f.name for f in fields(cls)}
+        unknown, missing = set(doc) - names, names - set(doc) if complete else set()
+        if unknown or missing:
+            raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}, missing key(s) {sorted(missing)}")
+
+    check_keys(doc, CavityConfig, "cavity config")
+    if "scale" not in doc:
+        return CavityConfig(**doc)
+    check_keys(doc["scale"], PhysicalScale, "cavity config scale")
+    return CavityConfig(**doc | {"scale": PhysicalScale(**doc["scale"])})
 
 
 def save_dataset(dataset: SpectralDataset, path: str | Path) -> None:

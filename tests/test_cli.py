@@ -15,6 +15,7 @@ import eptriad.locate
 import eptriad.model
 from eptriad.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from eptriad.locate import refine_ep
+from eptriad.loops import MIN_STEPS, PRESET_NAMES, preset_waypoints
 from eptriad.model import ParamPoint, discriminant_formula
 
 
@@ -194,6 +195,11 @@ def _missing_config_key(doc):
     return doc
 
 
+def _missing_scale_key(doc):
+    del doc["config"]["scale"]["kappa"]
+    return doc
+
+
 class TestLabCommand:
     def test_synth_writes_dataset(self, tmp_path):
         code = run([
@@ -205,6 +211,20 @@ class TestLabCommand:
         assert len(doc["steps"]) == 9
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert sorted(manifest["versions"]) == ["eptriad", "numpy", "python"]
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_synth_builds_every_loop_preset(self, tmp_path, preset):
+        """Each preset's lab loop has the fewest steps per segment that give MIN_STEPS steps."""
+        assert run(["lab", "synth", "--loop-preset", preset, "--out", str(tmp_path)]) == EXIT_OK
+        segments = len(preset_waypoints(preset)) - 1
+        n_steps = len(json.loads((tmp_path / "dataset.json").read_text())["steps"])
+        assert MIN_STEPS <= n_steps < MIN_STEPS + segments
+
+    def test_pipeline_of_big_recovers_its_permutation(self, tmp_path, canonical_transports):
+        code = run(["lab", "pipeline", "--loop-preset", "big", "--noise", "0.01", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "fit_report.json").read_text())
+        assert report["transport"]["permutation"] == canonical_transports["big"].permutation.as_string()
 
     def test_synth_applies_every_cavity_key(self, tmp_path):
         cfg = tmp_path / "lab.json"
@@ -227,10 +247,15 @@ class TestLabCommand:
         {"population": "x"},
         {"generations": 2.5},
         {"n_positions_per_cavity": 2},
+        {"source_site": 5},
+        '{"frequency_window": 1e400}',          # JSON text: the window reads as inf
+        {"n_frequencies": 7.5},
+        {"n_positions_per_cavity": 3.5},
+        '{"scale": {"omega0": 1e400, "gamma0": 83.5, "kappa": -49.5}}',
     ])
     def test_bad_config_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "lab.json"
-        cfg.write_text(json.dumps(bad))
+        cfg.write_text(bad if isinstance(bad, str) else json.dumps(bad))
         code = run(["lab", "synth", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert not (tmp_path / "dataset.json").exists()
@@ -238,7 +263,7 @@ class TestLabCommand:
     @pytest.mark.parametrize(
         "spoil",
         [_not_a_dataset, _three_steps, _nan_response, _zero_responses, _missing_row,
-         _unknown_config_key, _missing_config_key],
+         _unknown_config_key, _missing_config_key, _missing_scale_key],
         ids=lambda f: f.__name__.lstrip("_"),
     )
     def test_fit_rejects_malformed_dataset(self, tmp_path, spoil):
@@ -267,7 +292,7 @@ class TestLabCommand:
 
     def test_pipeline_at_cli_defaults_is_byte_stable(self, tmp_path):
         """The pipeline's reports repeat byte for byte, and only the manifest
-        counts the work: one search for the whole mu1 loop."""
+        counts the work: no fallback search on the mu1 loop, so no scipy."""
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
             code = run([
@@ -280,9 +305,8 @@ class TestLabCommand:
         report = json.loads((outs[0] / "fit_report.json").read_text())
         assert report["transport"]["permutation"] == "132"
         manifest = json.loads((outs[0] / "manifest.json").read_text())
-        assert manifest["stats"] == {"de_searches": 1, "fitted_steps": 9}
-        # the search's random stream depends on scipy's version
-        assert manifest["versions"]["scipy"] == scipy.__version__
+        assert manifest["stats"] == {"de_searches": 0, "fitted_steps": 9}
+        assert "scipy" not in manifest["versions"]
         assert "de_searches" not in (outs[0] / "fit_report.json").read_text()
 
 
@@ -457,9 +481,11 @@ def test_regime_warnings_name_the_constructing_line(tmp_path):
     assert len(sites) == len(set(sites)) <= 8
 
 
-def test_only_a_fit_imports_scipy_optimize(tmp_path):
-    """Importing eptriad and every command but a lab fit leave scipy.optimize
-    unloaded, and their manifests name no scipy version; a fit loads it."""
+def test_only_a_fallback_search_imports_scipy_optimize(tmp_path):
+    """Importing eptriad and every command, a default lab pipeline included,
+    leave scipy.optimize unloaded, and their manifests name no scipy version;
+    a fit that falls back to the search (a drive at cavity C) loads it."""
+    (tmp_path / "c.json").write_text(json.dumps({"source_site": 3}))
     script = f"""
 import json, sys
 import eptriad
@@ -467,10 +493,10 @@ from eptriad.cli import main
 
 out = {str(tmp_path)!r}
 runs = [["loop", "--preset", "mu1", "--steps-per-segment", "64"], ["surface", "--eta", "0.33", "--grid", "5"],
-        ["ea", "--g", "0.61"], ["group"], ["lab", "synth"]]
+        ["ea", "--g", "0.61"], ["group"], ["lab", "synth"], ["lab", "pipeline"]]
 codes = [main(argv + ["--out", f"{{out}}/{{k}}"]) for k, argv in enumerate(runs)]
 before = "scipy.optimize" in sys.modules
-codes.append(main(["lab", "pipeline", "--out", f"{{out}}/fit"]))
+codes.append(main(["lab", "pipeline", "--config", f"{{out}}/c.json", "--out", f"{{out}}/fit"]))
 print(json.dumps({{"codes": codes, "before": before, "after": "scipy.optimize" in sys.modules}}))
 """
     env = dict(os.environ)
@@ -478,7 +504,11 @@ print(json.dumps({{"codes": codes, "before": before, "after": "scipy.optimize" i
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [EXIT_OK] * 6, "before": False, "after": True}
-    for k in range(5):
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [EXIT_OK] * 7, "before": False, "after": True}
+    for k in range(6):
         assert sorted(json.loads((tmp_path / str(k) / "manifest.json").read_text())["versions"]) == [
             "eptriad", "numpy", "python"]
+    assert json.loads((tmp_path / "5" / "manifest.json").read_text())["stats"]["de_searches"] == 0
+    manifest = json.loads((tmp_path / "fit" / "manifest.json").read_text())
+    assert manifest["stats"] == {"de_searches": 9, "fitted_steps": 9}
+    assert manifest["versions"]["scipy"] == scipy.__version__

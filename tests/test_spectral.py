@@ -311,6 +311,51 @@ class TestFitStep:
             fit_step(resp)
 
 
+def _no_start(data, config):
+    """A ``_rational_start`` stand-in that finds no start, so every fit searches."""
+    return np.full(7, np.nan)
+
+
+class TestRationalStart:
+    """The closed-form start: a rational fit of the site responses, then the seven scalars."""
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_noiseless_start_is_the_truth_on_every_mu1_step(self, k):
+        from eptriad.loops import preset_loop
+
+        cfg = CavityConfig()
+        p = preset_loop("mu1", steps_per_segment=1).steps[k]
+        truth = np.array([cfg.scale.omega0, cfg.scale.gamma0, cfg.scale.kappa, p.eta, p.zeta, p.xi, p.g])
+        start = spectral._rational_start(synthesize([p], cfg).steps[0].responses, cfg)
+        # relative error against the unit scale of the dimensionless parameters
+        assert np.all(np.abs(start - truth) <= 1e-8 * np.maximum(np.abs(truth), 1.0)), start - truth
+
+    @pytest.mark.parametrize("source_site", [1, 3])
+    def test_sources_b_and_c_have_no_start_and_search(self, source_site):
+        p = ParamPoint(0.33, 0.1, -0.1, G)
+        cfg = CavityConfig(source_site=source_site)
+        responses = synthesize([p], cfg).steps[0].responses
+        assert np.isnan(spectral._rational_start(responses, cfg)).all()
+        fit = fit_step(responses, cfg, fit_config=FAST_FIT)
+        assert fit.searched
+        assert np.max(np.abs(fit.point.as_array() - p.as_array())) < 1e-4
+
+    def test_a_response_that_vanishes_leaves_no_start_and_searches(self):
+        p = ParamPoint(0.33, 0.1, -0.1, G)
+        responses = synthesize([p]).steps[0].responses.copy()
+        responses[:7, -1] = 0                   # cavity B silent at the last frequency
+        assert np.isnan(spectral._rational_start(responses, CavityConfig())).all()
+        assert fit_step(responses, fit_config=FAST_FIT).searched
+
+    def test_a_noisy_spectrum_fits_without_the_search(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(spectral, "differential_evolution", no_search)
+        ds = synthesize([ParamPoint(0.33, 0.1, -0.1, G)], noise=NoiseSpec(0.01, 4))
+        assert not fit_step(ds.steps[0].responses).searched
+
+
 class TestDeferredSearchImport:
     """``spectral.differential_evolution`` imports scipy.optimize at the first
     search; the name stays module-level, where fit_step looks it up."""
@@ -323,6 +368,7 @@ class TestDeferredSearchImport:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(spectral, "differential_evolution", spy)
+        monkeypatch.setattr(spectral, "_rational_start", _no_start)
         p = ParamPoint(0.33, 0.0, 0.0, G)
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
         fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FAST_FIT)
@@ -356,38 +402,38 @@ class TestFitLoop:
         assert circular_distance(res.berry_phase, analytic.berry_phase) < 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_warm_start_matches_a_search_at_every_step(self, seed):
-        """The warm-started loop fit agrees with a cold search per step, and searches once."""
+    def test_each_step_matches_a_search(self, seed, monkeypatch):
+        """Every loop fit starts in closed form, searches nowhere, and agrees
+        with the fit that a forced search finds for the same spectrum."""
         from eptriad.loops import preset_loop
 
         ds = synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), CavityConfig(), NoiseSpec(0.01, seed))
         fc = FitConfig(seed=seed)
         fits, res = fit_loop(ds, fit_config=fc)
-        cold = [fit_step(st.responses, ds.config, fit_config=fc) for st in ds.steps]
-        reference = transport_eigensystems([fitted_eigensystem(f) for f in cold], refine=False)
-        assert [f.searched for f in fits] == [True] + [False] * (len(fits) - 1)
-        for before, fit, st in zip(fits, fits[1:], ds.steps[1:]):      # each step continues the last
-            again = fit_step(st.responses, ds.config, fit_config=fc, start=before.theta())
-            assert np.array_equal(again.theta(), fit.theta())
+        monkeypatch.setattr(spectral, "_rational_start", _no_start)
+        searched = [fit_step(st.responses, ds.config, fit_config=fc) for st in ds.steps]
+        reference = transport_eigensystems([fitted_eigensystem(f) for f in searched], refine=False)
+        assert not any(f.searched for f in fits)
+        assert all(f.searched for f in searched)
         assert res.permutation == reference.permutation
         assert circular_distance(res.berry_phase, reference.berry_phase) < 1e-4
         # relative error; the dimensionless (eta, zeta, xi, g), in units of
         # |kappa|, against their unit scale
-        for warm, want in zip(fits, cold):
+        for fit, want in zip(fits, searched):
             scale = np.maximum(np.abs(want.theta()), 1.0)
-            assert np.all(np.abs(warm.theta() - want.theta()) <= 1e-5 * scale)
+            assert np.all(np.abs(fit.theta() - want.theta()) <= 1e-5 * scale)
 
-    def test_warm_polish_above_threshold_falls_back_to_the_search(self, monkeypatch):
-        """A warm start that polishes above the residual threshold runs the
-        search, and then fits exactly as a cold fit_step does."""
+    def test_polish_above_threshold_falls_back_to_the_search(self, monkeypatch):
+        """A start that polishes above the residual threshold runs the search,
+        and then fits exactly as a fit without a start does."""
         from dataclasses import fields
 
         from eptriad.loops import preset_loop
 
         ds = synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), CavityConfig(), NoiseSpec(0.01, 1))
-        start = fit_step(ds.steps[0].responses, ds.config, fit_config=FAST_FIT).theta()
         responses = ds.steps[1].responses
-        assert not fit_step(responses, ds.config, fit_config=FAST_FIT, start=start).searched
+        start = spectral._rational_start(responses, ds.config)
+        assert not fit_step(responses, ds.config, fit_config=FAST_FIT).searched
 
         polish = spectral._gauss_newton
 
@@ -397,11 +443,12 @@ class TestFitLoop:
             return polish(theta0, *args)
 
         monkeypatch.setattr(spectral, "_gauss_newton", stuck_at_start)
-        fallback = fit_step(responses, ds.config, fit_config=FAST_FIT, start=start)
-        cold = fit_step(responses, ds.config, fit_config=FAST_FIT)
-        assert fallback.searched and cold.searched
-        for f in fields(cold):
-            got, want = getattr(fallback, f.name), getattr(cold, f.name)
+        fallback = fit_step(responses, ds.config, fit_config=FAST_FIT)
+        monkeypatch.setattr(spectral, "_rational_start", _no_start)
+        searched = fit_step(responses, ds.config, fit_config=FAST_FIT)
+        assert fallback.searched and searched.searched
+        for f in fields(searched):
+            got, want = getattr(fallback, f.name), getattr(searched, f.name)
             assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, f.name
 
 
