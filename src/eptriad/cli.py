@@ -291,7 +291,8 @@ def cmd_lab(args) -> int:
             "transport": _transport_report(result),
         }
         _dump_json(out / "fit_report.json", report)
-        stats = {"de_searches": sum(f.searched for f in fits), "fitted_steps": len(fits)}
+        stats = {"de_searches": sum(f.searched for f in fits), "fitted_steps": len(fits),
+                 "gn_iterations": sum(f.gauss_newton_iterations for f in fits)}
         if stats["de_searches"]:
             # the fallback search loaded scipy, whose version sets the search's random stream
             import scipy

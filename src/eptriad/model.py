@@ -62,17 +62,12 @@ class ParamPoint:
     def as_array(self) -> np.ndarray:
         return np.array([self.eta, self.zeta, self.xi, self.g])
 
-    def replace(self, **kw) -> "ParamPoint":
-        d = {"eta": self.eta, "zeta": self.zeta, "xi": self.xi, "g": self.g}
-        d.update(kw)
-        return ParamPoint(**d)
-
 
 def _outside_stacklevel() -> int:
     """``stacklevel`` naming the first caller outside this module.
 
     Counted from the function that calls :func:`warnings.warn`; it skips the
-    dataclass-generated ``__init__`` and helpers such as ``replace``.
+    dataclass-generated ``__init__``.
     """
     level, frame = 1, sys._getframe(1)
     while frame is not None and frame.f_globals.get("__name__") == __name__:

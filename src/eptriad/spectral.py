@@ -9,7 +9,11 @@ xi, g) of each spectrum on its own, in three stages:
 * start: a linear rational fit of the three site responses with one shared
   cubic denominator, det(omega - H_phys), whose roots are the three poles;
   a closed formula turns the poles into the seven scalars;
-* polish: damped Gauss-Newton from that start;
+* polish: damped Gauss-Newton from that start, on the exact Jacobian of
+  the resolvent (dG/dtheta = -G (dA/dtheta) G for A = omega - H_phys),
+  stopped where the full step's predicted decrease reaches the rounding
+  floor, so it ends at the same least-squares optimum from any start in
+  its basin;
 * fallback: a seeded differential-evolution search, run only where the
   polish misses the residual threshold or there is no closed-form start.
 
@@ -27,6 +31,7 @@ import numpy as np
 
 from .errors import FitDiverged, IdentifiabilityWarning
 from .model import (
+    DEGENERACY_GAP,
     Eigensystem,
     ParamPoint,
     PhysicalScale,
@@ -96,6 +101,24 @@ class SpectralDataset:
     steps: list[SpectralStep]
 
 
+def _tridiagonal(theta: np.ndarray, freqs: np.ndarray):
+    """|kappa| and the diagonal (b0, b1, b2) of A = omega - H_phys, whose off-diagonal is |kappa|.
+
+    theta = (omega0, gamma0, kappa, eta, zeta, xi, g) with shape (7,) or
+    (7, S) gives |kappa| of shape (S, 1) and diagonals of shape (S, n_freq).
+    With H_phys = omega0 + i gamma0 + |kappa| H, the diagonal is
+    d + |kappa| m, d = omega - omega0 - i gamma0 and m = (sqrt2 (eta + i(1 + g)),
+    xi + i zeta, -sqrt2 (eta + i(1 + g))) the diagonal of -H.
+    """
+    w0, g0, kap, eta, zeta, xi, g = np.asarray(theta, dtype=float).reshape(7, -1, 1)
+    s2 = np.sqrt(2.0)
+    c, d = np.abs(kap), freqs - (w0 + 1j * g0)                       # (S, 1), (S, n_freq)
+    b0 = d + c * (s2 * (1j + eta) + 1j * s2 * g)
+    b1 = d + c * (1j * zeta + xi)
+    b2 = d + c * (-s2 * (1j + eta) - 1j * s2 * g)
+    return c, b0, b1, b2
+
+
 def _response_matrix(theta: np.ndarray, freqs: np.ndarray, phi: np.ndarray, src: int = 1) -> np.ndarray:
     """Forward model for one 7-scalar parameter vector or a population of them.
 
@@ -111,24 +134,61 @@ def _response_matrix(theta: np.ndarray, freqs: np.ndarray, phi: np.ndarray, src:
     where the optimizer explores.  A single vector runs as a population of
     one, so both shapes share every arithmetic step.
     """
-    theta = np.asarray(theta, dtype=float)
-    w0, g0, kap, eta, zeta, xi, g = theta.reshape(7, -1, 1)
-    s2 = np.sqrt(2.0)
-    # diagonal d + c m_kk, with m_kk the diagonal of -H; off-diagonal c
-    c, d = np.abs(kap), freqs - (w0 + 1j * g0)                       # (S, 1), (S, n_freq)
-    b0 = d + c * (s2 * (1j + eta) + 1j * s2 * g)
-    b1 = d + c * (1j * zeta + xi)
-    b2 = d + c * (-s2 * (1j + eta) - 1j * s2 * g)
+    c, b0, b1, b2 = _tridiagonal(theta, freqs)
     c2 = c * c
     adj = ((b1 * b2 - c2, -c * b2, c2) if src == 0 else      # column src of the adjugate,
            (-c * b2, b0 * b2, -c * b0) if src == 1 else      # built for that column only
            (c2, -c * b0, b0 * b1 - c2))
     gcol = np.stack(np.broadcast_arrays(*adj), axis=1) / (b0 * b1 * b2 - c2 * (b0 + b2))[:, None, :]
-    # scale real and imaginary parts by the real profile: the same values as
-    # the complex products, without numpy's slow mixed-type broadcast
-    resp = (phi * phi[-1])[:, None] * gcol.view(float)[:, :, None, :]   # (S, 3, n_pos, 2 n_freq)
-    resp = resp.view(complex).reshape(-1, 3 * len(phi), len(freqs))
-    return resp[0] if theta.ndim == 1 else resp
+    resp = _profile_rows(gcol, phi).reshape(-1, 3 * len(phi), len(freqs))
+    return resp[0] if np.ndim(theta) == 1 else resp
+
+
+def _profile_rows(sites: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(S, 3, n_pos, n_freq) probe rows phi * phi_top * sites[s, j] of (S, 3, n_freq) site values.
+
+    Scales real and imaginary parts by the real profile: the same values as
+    the complex products, without numpy's slow mixed-type broadcast.
+    """
+    rows = (phi * phi[-1])[:, None] * sites.view(float)[:, :, None, :]   # (S, 3, n_pos, 2 n_freq)
+    return rows.view(complex)
+
+
+#: the hopping pattern of A = omega - H_phys, in units of |kappa|
+_HOPPING = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+
+
+def _response_jacobian(theta: np.ndarray, freqs: np.ndarray, phi: np.ndarray, src: int = 1) -> np.ndarray:
+    """Exact derivative of ``_response_matrix`` at one (7,) vector: one
+    (3*n_pos, n_freq) spectrum per parameter, shape (7, 3*n_pos, n_freq).
+
+    With G = adj(A) / det(A) the resolvent of the tridiagonal
+    A = omega - H_phys and g = G e_src its driven column,
+    dg/dtheta_k = -G (dA/dtheta_k) g.  The seven dA/dtheta_k are -I for
+    omega0, -iI for gamma0, sign(kappa) (diag(m) + the hopping pattern) for
+    kappa (m as in ``_tridiagonal``), and |kappa| diag(sqrt2, 0, -sqrt2),
+    |kappa| diag(0, i, 0), |kappa| diag(0, 1, 0) and
+    |kappa| diag(i sqrt2, 0, -i sqrt2) for eta, zeta, xi and g.  All seven
+    products come from one batched G @ V over the frequencies.
+    """
+    c, b0, b1, b2 = (x[0] for x in _tridiagonal(theta, freqs))    # (1,), (n_freq,) each
+    c2, s2 = c * c, np.sqrt(2.0)
+    adj = np.empty((len(freqs), 3, 3), complex)                     # symmetric, as A is
+    adj[:, 0, 0], adj[:, 1, 1], adj[:, 2, 2] = b1 * b2 - c2, b0 * b2, b0 * b1 - c2
+    adj[:, 0, 1] = adj[:, 1, 0] = -c * b2
+    adj[:, 1, 2] = adj[:, 2, 1] = -c * b0
+    adj[:, 0, 2] = adj[:, 2, 0] = c2
+    green = adj / (b0 * b1 * b2 - c2 * (b0 + b2))[:, None, None]
+    gcol = green[:, :, src]                                          # (n_freq, 3)
+    kap, eta, zeta, xi, g = theta[2:]
+    sign, m = np.sign(kap), np.array([s2 * (eta + 1j * (1 + g)), xi + 1j * zeta, -s2 * (eta + 1j * (1 + g))])
+    diag = np.empty((3, 7), complex)                                 # the diagonals of the seven dA
+    diag[:, 0], diag[:, 1], diag[:, 2] = -1, -1j, sign * m
+    diag[:, 3:] = c * np.array([[s2, 0, 0, 1j * s2], [0, 1j, 1, 0], [-s2, 0, 0, -1j * s2]])
+    v = diag * gcol[:, :, None]                                      # (n_freq, 3, 7): dA_k g
+    v[:, :, 2] += sign * gcol @ _HOPPING
+    dg = -(green @ v)                                                # (n_freq, 3, 7)
+    return _profile_rows(np.ascontiguousarray(dg.transpose(2, 1, 0)), phi).reshape(7, 3 * len(phi), len(freqs))
 
 
 def _truth_vector(p: ParamPoint, scale: PhysicalScale) -> np.ndarray:
@@ -203,28 +263,38 @@ class FittedParams:
     mode_coeffs_left: np.ndarray     # (3 states, 3 sites) b_{j,s}
     identifiability_warning: bool = False
     searched: bool = False           # differential evolution ran for this fit (the fallback)
+    gauss_newton_iterations: int = 0  # Jacobians built by this fit's polishes, the fallback's included
 
     def theta(self) -> np.ndarray:
         return _truth_vector(self.point, self.scale)
 
 
 def _gauss_newton(theta0, data, freqs, phi, norm2, src=1):
-    """Damped Gauss-Newton on stacked real/imag residuals."""
-    theta = np.array(theta0, float)
+    """Damped Gauss-Newton on stacked real/imag residuals: (theta, cost, iterations).
+
+    Each iteration builds the exact Jacobian of the residuals at the current
+    point (``_response_jacobian``, one resolvent derivative) and solves the
+    linear least-squares step s.  The full step would lower the cost by
+    ||J s||^2 if the model were linear; when that is at or below 1e-15 of
+    the cost, the polish sits at the rounding floor and stops.  Otherwise
+    the step is halved up to 25 times until the cost falls, and the polish
+    stops when no halving lowers it, when the step taken is below 1e-13, or
+    after ``GAUSS_NEWTON_ITERATIONS``.  ``iterations`` counts the
+    Jacobians built.
+    """
+    theta, root = np.array(theta0, float), np.sqrt(norm2)
 
     def residuals(t):
-        """Flat residuals of a (7,) vector, or one row per column of a (7, S) population."""
-        return ((_response_matrix(t, freqs, phi, src) - data) / np.sqrt(norm2)).reshape(*t.shape[1:], -1)
+        return ((_response_matrix(t, freqs, phi, src) - data) / root).ravel()
 
     r = residuals(theta)
     cost = float(np.sum(np.abs(r) ** 2))
-    for _ in range(GAUSS_NEWTON_ITERATIONS):
-        # the seven forward-difference probes theta + h_i e_i as one population
-        h = 1e-7 * np.maximum(1.0, np.abs(theta))
-        jac = ((residuals(theta[:, None] + np.diag(h)) - r) / h[:, None]).T
-        jr = np.vstack([jac.real, jac.imag])
-        rr = np.concatenate([r.real, r.imag])
-        step, *_ = np.linalg.lstsq(jr, -rr, rcond=None)
+    for iterations in range(1, GAUSS_NEWTON_ITERATIONS + 1):
+        jac = _response_jacobian(theta, freqs, phi, src).reshape(7, -1) / root
+        jr = np.hstack([jac.real, jac.imag]).T
+        step, *_ = np.linalg.lstsq(jr, -np.concatenate([r.real, r.imag]), rcond=None)
+        if np.sum((jr @ step) ** 2) <= 1e-15 * cost:
+            break
         lam, improved = 1.0, False
         for _ in range(25):
             trial = theta + lam * step
@@ -236,7 +306,7 @@ def _gauss_newton(theta0, data, freqs, phi, norm2, src=1):
             lam *= 0.5
         if not improved or np.linalg.norm(lam * step) < 1e-13:
             break
-    return theta, cost
+    return theta, cost, iterations
 
 
 def differential_evolution(*args, **kwargs):
@@ -327,16 +397,18 @@ def fit_step(
 ) -> FittedParams:
     """Recover the seven model scalars and eigenvectors from one spectrum.
 
-    A damped Gauss-Newton polish starts from the closed-form rational fit
-    of ``_rational_start``.  A seeded differential-evolution search inside
-    ``INIT_BOX`` (each generation in one batched forward-model call,
-    deferred updating) finds the start of the same polish instead when the
-    polish ends above ``RESIDUAL_THRESHOLD``, when the closed-form start is
-    not finite, and when the source site has no closed form: a drive at
-    cavity B or C (``source_site`` 1 or 3) searches on every spectrum.
+    A damped Gauss-Newton polish on the exact Jacobian (``_gauss_newton``)
+    starts from the closed-form rational fit of ``_rational_start``.  A
+    seeded differential-evolution search inside ``INIT_BOX`` (each
+    generation in one batched forward-model call, deferred updating) finds
+    the start of the same polish instead when the polish ends above
+    ``RESIDUAL_THRESHOLD``, when the closed-form start is not finite, and
+    when the source site has no closed form: a drive at cavity B or C
+    (``source_site`` 1 or 3) searches on every spectrum.
     ``FittedParams.searched`` says whether the search ran, and a polish
-    from it still above the threshold raises ``FitDiverged``.  Pole
-    residues are then solved by linear least squares at the fitted
+    from it still above the threshold raises ``FitDiverged``;
+    ``gauss_newton_iterations`` counts the Jacobians of both polishes.
+    Pole residues are then solved by linear least squares at the fitted
     eigenvalues, and the right/left coefficient split uses the
     complex-symmetry constraint b proportional to a.
     """
@@ -347,9 +419,9 @@ def fit_step(
     freqs, phi = cfg.frequencies(), onsite_profile(cfg)
     src = cfg.source_site - 1
 
-    theta, cost = _rational_start(data, cfg), np.inf
+    theta, cost, iterations = _rational_start(data, cfg), np.inf, 0
     if np.isfinite(theta).all():
-        theta, cost = _gauss_newton(theta, data, freqs, phi, norm2, src)
+        theta, cost, iterations = _gauss_newton(theta, data, freqs, phi, norm2, src)
     searched = not cost <= RESIDUAL_THRESHOLD        # a NaN cost searches too
     if searched:
         def objective(population):
@@ -372,7 +444,8 @@ def fit_step(
             vectorized=True,
             updating="deferred",
         )
-        theta, cost = _gauss_newton(de.x, data, freqs, phi, norm2, src)
+        theta, cost, more = _gauss_newton(de.x, data, freqs, phi, norm2, src)
+        iterations += more
         if cost > RESIDUAL_THRESHOLD:
             raise FitDiverged(f"normalized residual {cost:.3e} above {RESIDUAL_THRESHOLD}")
 
@@ -413,6 +486,7 @@ def fit_step(
         mode_coeffs_left=b,
         identifiability_warning=ident_flag,
         searched=searched,
+        gauss_newton_iterations=iterations,
     )
 
 
@@ -425,7 +499,7 @@ def fitted_eigensystem(fit: FittedParams) -> Eigensystem:
         eigenvalues=fit.eigenvalues,
         right_vectors=fit.mode_coeffs_right,
         left_vectors=fit.mode_coeffs_left,
-        is_degenerate=min_gap < 1e-6,
+        is_degenerate=min_gap < DEGENERACY_GAP,
         min_gap=min_gap,
     )
 

@@ -4,17 +4,17 @@ These are the Hamiltonian written out entry by entry, the characteristic
 polynomial as a callable cubic, the closed-form cubic solver, the
 Sylvester-matrix discriminant and its cubic-order small-parameter
 approximation, the per-point repeated root by ``np.roots``, the Green's
-function by dense linear solves and the multiband Berry phase of a
-unimodular matrix.  The package builds its Hamiltonians as one stacked
-array (``model._hamiltonians``), computes eigenvalues with
-``np.linalg.eig``, the discriminant from the closed formula
-(``model.discriminant_values``), repeated roots from the closed-form double
-root of the cubic (``locate._ep_points``), the Green's function from the
-closed-form adjugate of the tridiagonal resolvent and Θ from the
-transported holonomy with its permutation parity divided out; nothing in
-it calls these.  The cubic's coefficients come from the package's formula
-(``model._poly_coeffs``), which ``test_model.TestCharPoly`` holds to a
-determinant expansion.
+function and its parameter derivative by dense linear solves and the
+multiband Berry phase of a unimodular matrix.  The package builds its
+Hamiltonians as one stacked array (``model._hamiltonians``), computes
+eigenvalues with ``np.linalg.eig``, the discriminant from the closed
+formula (``model.discriminant_values``), repeated roots from the
+closed-form double root of the cubic (``locate._ep_points``), the Green's
+function and its derivative from the closed-form adjugate of the
+tridiagonal resolvent and Θ from the transported holonomy with its
+permutation parity divided out; nothing in it calls these.  The cubic's
+coefficients come from the package's formula (``model._poly_coeffs``),
+which ``test_model.TestCharPoly`` holds to a determinant expansion.
 """
 import cmath
 from dataclasses import dataclass
@@ -194,7 +194,33 @@ def solved_response(theta, freqs, n_pos: int, src: int) -> np.ndarray:
     times cos(2 pi z) at n_pos equally spaced interior heights (unit norm) and
     times that profile's top sample, stacked per site (B, A, C).
     """
-    g = np.array([solved_greens(theta, w)[:, src] for w in freqs]).T     # (3 sites, n_freq)
+    return _probe_rows(np.array([solved_greens(theta, w)[:, src] for w in freqs]).T, n_pos)
+
+
+def solved_greens_derivative(theta, freqs, n_pos: int, src: int) -> np.ndarray:
+    """The (7, 3 * n_pos, n_freq) derivative of :func:`solved_response` by each
+    of the seven scalars in theta, one solve per frequency.
+
+    At each frequency it is -A^-1 (dA/dtheta_k) A^-1 e_src with
+    A = omega - omega0 - i gamma0 - |kappa| H and A^-1 from :func:`solved_greens`.
+    A is affine in omega0, gamma0 and the four model scalars and sees kappa
+    through |kappa|, so dA/domega0 = -I, dA/dgamma0 = -iI,
+    dA/dkappa = -sign(kappa) H and dA/dp = -|kappa| (H(e) - H(0)) for each
+    model scalar p, e its unit point.
+    """
+    w0, g0, kap, *p = theta
+    h0 = hamiltonian(ParamPoint(0.0, 0.0, 0.0, 0.0))
+    units = [hamiltonian(ParamPoint(*e)) - h0 for e in np.eye(4)]
+    da = [-np.eye(3), -1j * np.eye(3), -np.sign(kap) * hamiltonian(ParamPoint(*p))] + [-abs(kap) * u for u in units]
+    dg = []                                                          # (n_freq, 7, 3)
+    for w in freqs:
+        ainv = solved_greens(theta, w)
+        dg.append([-ainv @ d @ ainv[:, src] for d in da])
+    return np.stack([_probe_rows(col.T, n_pos) for col in np.array(dg).transpose(1, 0, 2)])
+
+
+def _probe_rows(g: np.ndarray, n_pos: int) -> np.ndarray:
+    """(3 * n_pos, n_freq) probe rows of (3 sites, n_freq) site values."""
     v = np.cos(2 * np.pi * (np.arange(1, n_pos + 1) - 0.5) / n_pos)
     phi = v / np.linalg.norm(v)
     return np.concatenate([np.outer(phi * phi[-1], row) for row in g])

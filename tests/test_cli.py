@@ -305,9 +305,9 @@ class TestLabCommand:
         report = json.loads((outs[0] / "fit_report.json").read_text())
         assert report["transport"]["permutation"] == "132"
         manifest = json.loads((outs[0] / "manifest.json").read_text())
-        assert manifest["stats"] == {"de_searches": 0, "fitted_steps": 9}
+        assert manifest["stats"] == {"de_searches": 0, "fitted_steps": 9, "gn_iterations": 43}
         assert "scipy" not in manifest["versions"]
-        assert "de_searches" not in (outs[0] / "fit_report.json").read_text()
+        assert all(k not in (outs[0] / "fit_report.json").read_text() for k in ("de_searches", "gn_iterations"))
 
 
 class TestArcsCommand:
@@ -510,5 +510,7 @@ print(json.dumps({{"codes": codes, "before": before, "after": "scipy.optimize" i
             "eptriad", "numpy", "python"]
     assert json.loads((tmp_path / "5" / "manifest.json").read_text())["stats"]["de_searches"] == 0
     manifest = json.loads((tmp_path / "fit" / "manifest.json").read_text())
-    assert manifest["stats"] == {"de_searches": 9, "fitted_steps": 9}
+    stats = manifest["stats"]
+    assert stats == {"de_searches": 9, "fitted_steps": 9, "gn_iterations": stats["gn_iterations"]}
+    assert stats["gn_iterations"] >= 9        # each search is polished
     assert manifest["versions"]["scipy"] == scipy.__version__

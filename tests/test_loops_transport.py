@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,7 +78,7 @@ class TestLoopConstruction:
     def test_concat_requires_shared_anchor(self):
         mu1 = preset_loop("mu1", 20)
         shifted = interpolate_loop(
-            [p.replace(zeta=p.zeta + 0.05) for p in preset_waypoints("mu3")], 20
+            [replace(p, zeta=p.zeta + 0.05) for p in preset_waypoints("mu3")], 20
         )
         with pytest.raises(AnchorMismatch):
             concat_loops(mu1, shifted)
@@ -193,8 +195,6 @@ class TestInvariances:
 
         rng = np.random.default_rng(5)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-        from dataclasses import replace
-
         anchor = systems[0]
         regauged = replace(
             anchor,
@@ -287,8 +287,6 @@ class TestExchangeDecomposition:
 
 class TestErrorPaths:
     def test_ambiguous_match_raises_without_refinement(self):
-        from dataclasses import replace
-
         es = eigensystem(ParamPoint(0.33, 0.1, 0.1, G))
         # rotate two right vectors by 45 degrees so both assignments tie
         v = es.right_vectors.copy()
@@ -300,8 +298,6 @@ class TestErrorPaths:
             transport_eigensystems([es, rotated, es], refine=False)
 
     def test_singular_final_frame_raises(self):
-        from dataclasses import replace
-
         es = eigensystem(ParamPoint(0.33, 0.1, 0.1, G))
         v = es.right_vectors.copy()
         v[:, 2] = 0.0

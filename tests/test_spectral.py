@@ -5,7 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 import eptriad.spectral as spectral
 from conftest import circular_distance
-from oracles import solved_greens, solved_response
+from oracles import solved_greens, solved_greens_derivative, solved_response
 from eptriad.errors import FitDiverged, IdentifiabilityWarning
 from eptriad.locate import refine_ep
 from eptriad.model import ParamPoint, PhysicalScale, _hamiltonians, eigensystem, to_physical
@@ -240,6 +240,37 @@ class TestForwardModelOracle:
             _assert_matches_oracle(greens_3site(omega, ep, scale), solved_greens(theta, omega))
 
 
+def _assert_jacobian_matches_oracle(theta, src):
+    cfg = CavityConfig()
+    freqs, phi = cfg.frequencies(), onsite_profile(cfg)
+    got = spectral._response_jacobian(theta, freqs, phi, src)
+    want = solved_greens_derivative(theta, freqs, 7, src)
+    assert got.shape == want.shape == (7, 21, len(freqs))
+    for k in range(7):
+        _assert_matches_oracle(got[k], want[k])
+
+
+class TestResponseJacobian:
+    """The polish's exact Jacobian against -A^-1 (dA/dtheta_k) A^-1 e_src by
+    dense solves, for every parameter and every source site."""
+
+    # kappa is drawn from both signs: the unbounded polish may cross 0
+    @given(st.sampled_from([1, 4]).flatmap(_thetas), st.sampled_from([0, 1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_points(self, thetas, src):
+        for theta in thetas.T:
+            _assert_jacobian_matches_oracle(theta, src)
+
+    @pytest.mark.parametrize("kappa", [-49.5, 49.5])
+    @pytest.mark.parametrize("src", [0, 1, 2])
+    @pytest.mark.parametrize("seed", EP_SEEDS)
+    def test_within_1e_6_of_an_arc(self, seed, src, kappa):
+        ep = refine_ep(ParamPoint(*seed)).point.as_array()
+        direction = np.random.default_rng(EP_SEEDS.index(seed)).standard_normal(4)
+        near = ep + 1e-6 * direction / np.linalg.norm(direction)
+        _assert_jacobian_matches_oracle(np.array([19729.0, 83.5, kappa, *near]), src)
+
+
 class TestDatasetIO:
     def test_bit_exact_round_trip(self, tmp_path):
         pts = [ParamPoint(0.33, 0.1, -0.2, G), ParamPoint(0.33, 0.2, -0.1, G)]
@@ -293,7 +324,7 @@ class TestFitStep:
         p = ParamPoint(0.33, 0.0, 0.0, G)
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
         polished = np.array([19729.0, 83.5, kappa, p.eta, p.zeta, p.xi, p.g])
-        monkeypatch.setattr(spectral, "_gauss_newton", lambda *args: (polished, 0.0))
+        monkeypatch.setattr(spectral, "_gauss_newton", lambda *args: (polished, 0.0, 1))
         fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FitConfig(population=8, generations=1))
         assert fit.scale.kappa == -49.5
 
@@ -301,7 +332,7 @@ class TestFitStep:
         p = ParamPoint(0.33, 0.0, 0.0, G)
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
         polished = np.array([19729.0, 83.5, 0.0, p.eta, p.zeta, p.xi, p.g])
-        monkeypatch.setattr(spectral, "_gauss_newton", lambda *args: (polished, 0.0))
+        monkeypatch.setattr(spectral, "_gauss_newton", lambda *args: (polished, 0.0, 1))
         with pytest.raises(FitDiverged):
             fit_step(ds.steps[0].responses, ds.config, fit_config=FitConfig(population=8, generations=1))
 
@@ -354,6 +385,45 @@ class TestRationalStart:
         monkeypatch.setattr(spectral, "differential_evolution", no_search)
         ds = synthesize([ParamPoint(0.33, 0.1, -0.1, G)], noise=NoiseSpec(0.01, 4))
         assert not fit_step(ds.steps[0].responses).searched
+
+
+class TestStartIndependence:
+    """The exact-Jacobian polish ends at the least cost wherever it starts:
+    polishes of one spectrum from different starts agree within 1e-8 in
+    (eta, zeta, xi, g)."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mu1_from_the_closed_form_start_and_from_the_truth(self, seed):
+        from eptriad.loops import preset_loop
+
+        cfg = CavityConfig()
+        freqs, phi = cfg.frequencies(), onsite_profile(cfg)
+        pts = list(preset_loop("mu1", steps_per_segment=1).steps)
+        for p, step in zip(pts, synthesize(pts, cfg, NoiseSpec(0.01, seed)).steps):
+            data, norm2 = step.responses, np.sum(np.abs(step.responses) ** 2)
+            start = spectral._rational_start(data, cfg)
+            from_start, *_ = spectral._gauss_newton(start, data, freqs, phi, norm2)
+            from_truth, *_ = spectral._gauss_newton(spectral._truth_vector(p, cfg.scale), data, freqs, phi, norm2)
+            assert np.max(np.abs(from_start[3:] - from_truth[3:])) <= 1e-8, (p, from_start - from_truth)
+
+    def test_rho1_from_the_search_and_from_a_neighbours_fit(self, monkeypatch):
+        """rho1 at 2 % noise, seed 0, step 7, where a difference-quotient
+        Jacobian left the polishes from the search and from the previous
+        step's fit 1.3e-5 apart."""
+        from eptriad.loops import preset_loop
+
+        cfg = CavityConfig()
+        freqs, phi = cfg.frequencies(), onsite_profile(cfg)
+        ds = synthesize(list(preset_loop("rho1", steps_per_segment=1).steps), cfg, NoiseSpec(0.02, 0))
+        data = ds.steps[7].responses
+        fit = fit_step(data, cfg)
+        neighbour = fit_step(ds.steps[6].responses, cfg)
+        from_neighbour, *_ = spectral._gauss_newton(neighbour.theta(), data, freqs, phi, np.sum(np.abs(data) ** 2))
+        monkeypatch.setattr(spectral, "_rational_start", _no_start)
+        searched = fit_step(data, cfg, fit_config=FAST_FIT)
+        assert searched.searched and not fit.searched
+        for other in (from_neighbour[3:], searched.point.as_array()):
+            assert np.max(np.abs(other - fit.point.as_array())) <= 1e-8, other - fit.point.as_array()
 
 
 class TestDeferredSearchImport:
@@ -439,7 +509,7 @@ class TestFitLoop:
 
         def stuck_at_start(theta0, *args):
             if np.array_equal(theta0, start):
-                return np.array(start), 10 * spectral.RESIDUAL_THRESHOLD
+                return np.array(start), 10 * spectral.RESIDUAL_THRESHOLD, 0
             return polish(theta0, *args)
 
         monkeypatch.setattr(spectral, "_gauss_newton", stuck_at_start)
