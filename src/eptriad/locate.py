@@ -56,7 +56,6 @@ class EAPolyline:
     points: list[EPPoint]
     #: "boundary", or "rank_deficient" for an arc that ends at the g = 0 nexus
     terminated: str
-    rank_deficient_at: EPPoint | None = None
     #: an arc is a graph over eta, so it never closes
     closed: bool = False
 
@@ -232,7 +231,7 @@ def trace_ea(g: float, start: EPPoint, step: float = 0.02) -> EAPolyline:
     p = start.point
     if g == 0 and p.eta == 0:
         # the order-3 nexus, where the branches meet
-        return EAPolyline(g, [start], "rank_deficient", start)
+        return EAPolyline(g, [start], "rank_deficient")
     # at g = 0, the half-grid on the start's side of the nexus
     eta, branches, inside = _branches(g)[int(g == 0 and p.eta < 0)]
     k = int(np.argmin(abs(eta - p.eta)))
@@ -259,9 +258,7 @@ def trace_ea(g: float, start: EPPoint, step: float = 0.02) -> EAPolyline:
     first = int(np.argmin(past))
     xyz = xyz[max(first - 1, 0):first + int(np.argmax(past[first:])) + 1]
     points = _ep_points([ParamPoint(*q, g) for q in xyz.tolist()])
-    if nexus:
-        return EAPolyline(g, points, "rank_deficient", points[0])
-    return EAPolyline(g, points, "boundary")
+    return EAPolyline(g, points, "rank_deficient" if nexus else "boundary")
 
 
 def track_sheets(eta: float, g: float, zz: np.ndarray, xx: np.ndarray) -> np.ndarray:

@@ -3,8 +3,10 @@
 The forward model samples the second-order cavity mode at n positions per
 cavity, drives one cavity (A by default) from its top position, and
 evaluates the resolvent of the physical Hamiltonian on a frequency grid.
-The inverse path fits the seven scalars (omega0, gamma0, kappa, eta, zeta,
-xi, g) of each spectrum on its own, in three stages:
+Only ``synthesize`` builds probe rows; the inverse path fits the seven
+scalars (omega0, gamma0, kappa, eta, zeta, xi, g) of each spectrum on its
+own, on the profile-projected site responses (``_site_responses``), in
+three stages:
 
 * start: a linear rational fit of the three site responses with one shared
   cubic denominator, det(omega - H_phys), whose roots are the three poles;
@@ -119,20 +121,19 @@ def _tridiagonal(theta: np.ndarray, freqs: np.ndarray):
     return c, b0, b1, b2
 
 
-def _response_matrix(theta: np.ndarray, freqs: np.ndarray, phi: np.ndarray, src: int = 1) -> np.ndarray:
+def _response_matrix(theta: np.ndarray, freqs: np.ndarray, src: int = 1) -> np.ndarray:
     """Forward model for one 7-scalar parameter vector or a population of them.
 
     theta = (omega0, gamma0, kappa, eta, zeta, xi, g) with shape (7,) or
-    (7, S); the result has shape (3*n_pos, n_freq) or (S, 3*n_pos, n_freq)
-    for the mode profile ``phi`` at n_pos probe heights.  Rows are probe
-    positions stacked per site (B, A, C); ``src`` is the 0-based driven site
-    (default cavity A), excited at its top probe.  The Green's function is
-    the adjugate column over the determinant of the tridiagonal
-    omega - H_phys, H_phys = omega0 + i gamma0 + |kappa| H: no eigen-solve,
-    and finite at EPs, where eigen-residues diverge and cancel.  It stays a
-    total function far outside the validated regime, kappa = 0 included,
-    where the optimizer explores.  A single vector runs as a population of
-    one, so both shapes share every arithmetic step.
+    (7, S); the result is the site responses (B, A, C), shape (3, n_freq)
+    or (S, 3, n_freq), to a drive at the 0-based site ``src`` (default
+    cavity A).  The Green's function column is the adjugate column over the
+    determinant of the tridiagonal omega - H_phys,
+    H_phys = omega0 + i gamma0 + |kappa| H: no eigen-solve, and finite at
+    EPs, where eigen-residues diverge and cancel.  It stays a total function
+    far outside the validated regime, kappa = 0 included, where the
+    optimizer explores.  A single vector runs as a population of one, so
+    both shapes share every arithmetic step.
     """
     c, b0, b1, b2 = _tridiagonal(theta, freqs)
     c2 = c * c
@@ -140,27 +141,16 @@ def _response_matrix(theta: np.ndarray, freqs: np.ndarray, phi: np.ndarray, src:
            (-c * b2, b0 * b2, -c * b0) if src == 1 else      # built for that column only
            (c2, -c * b0, b0 * b1 - c2))
     gcol = np.stack(np.broadcast_arrays(*adj), axis=1) / (b0 * b1 * b2 - c2 * (b0 + b2))[:, None, :]
-    resp = _profile_rows(gcol, phi).reshape(-1, 3 * len(phi), len(freqs))
-    return resp[0] if np.ndim(theta) == 1 else resp
-
-
-def _profile_rows(sites: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """(S, 3, n_pos, n_freq) probe rows phi * phi_top * sites[s, j] of (S, 3, n_freq) site values.
-
-    Scales real and imaginary parts by the real profile: the same values as
-    the complex products, without numpy's slow mixed-type broadcast.
-    """
-    rows = (phi * phi[-1])[:, None] * sites.view(float)[:, :, None, :]   # (S, 3, n_pos, 2 n_freq)
-    return rows.view(complex)
+    return gcol[0] if np.ndim(theta) == 1 else gcol
 
 
 #: the hopping pattern of A = omega - H_phys, in units of |kappa|
 _HOPPING = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
 
-def _response_jacobian(theta: np.ndarray, freqs: np.ndarray, phi: np.ndarray, src: int = 1) -> np.ndarray:
-    """Exact derivative of ``_response_matrix`` at one (7,) vector: one
-    (3*n_pos, n_freq) spectrum per parameter, shape (7, 3*n_pos, n_freq).
+def _response_jacobian(theta: np.ndarray, freqs: np.ndarray, src: int = 1) -> np.ndarray:
+    """Exact derivative of ``_response_matrix`` at one (7,) vector: the
+    site responses' derivative by each parameter, shape (7, 3, n_freq).
 
     With G = adj(A) / det(A) the resolvent of the tridiagonal
     A = omega - H_phys and g = G e_src its driven column,
@@ -187,8 +177,7 @@ def _response_jacobian(theta: np.ndarray, freqs: np.ndarray, phi: np.ndarray, sr
     diag[:, 3:] = c * np.array([[s2, 0, 0, 1j * s2], [0, 1j, 1, 0], [-s2, 0, 0, -1j * s2]])
     v = diag * gcol[:, :, None]                                      # (n_freq, 3, 7): dA_k g
     v[:, :, 2] += sign * gcol @ _HOPPING
-    dg = -(green @ v)                                                # (n_freq, 3, 7)
-    return _profile_rows(np.ascontiguousarray(dg.transpose(2, 1, 0)), phi).reshape(7, 3 * len(phi), len(freqs))
+    return -(green @ v).transpose(2, 1, 0)                           # (7, 3, n_freq)
 
 
 def _truth_vector(p: ParamPoint, scale: PhysicalScale) -> np.ndarray:
@@ -200,7 +189,8 @@ def synthesize(
     config: CavityConfig | None = None,
     noise: NoiseSpec | None = None,
 ) -> SpectralDataset:
-    """Synthetic pressure responses for a parameter sequence.
+    """Synthetic pressure responses for a parameter sequence: each cavity's
+    site response times phi * phi_top (phi the mode profile), stacked per site.
 
     Multiplicative complex Gaussian noise of the given relative amplitude is
     applied per step with an RNG stream derived from (seed, step index), so
@@ -211,7 +201,9 @@ def synthesize(
     freqs, phi = cfg.frequencies(), onsite_profile(cfg)
     steps = []
     for k, p in enumerate(points):
-        resp = _response_matrix(_truth_vector(p, cfg.scale), freqs, phi, cfg.source_site - 1)
+        sites = _response_matrix(_truth_vector(p, cfg.scale), freqs, cfg.source_site - 1)
+        # real and imaginary parts scaled by the real profile, without numpy's slow mixed-type broadcast
+        resp = ((phi * phi[-1])[:, None] * sites.view(float)[:, None, :]).view(complex).reshape(-1, len(freqs))
         if ns.relative_amplitude > 0:
             rng = np.random.default_rng([ns.seed, k])
             mult = 1.0 + ns.relative_amplitude * (
@@ -222,15 +214,28 @@ def synthesize(
     return SpectralDataset(config=cfg, noise_spec=ns, steps=steps)
 
 
-def _spectrum_norm2(responses: np.ndarray, config: CavityConfig) -> float:
-    """Squared norm of one measured spectrum; ValueError unless it is finite,
-    not all zero and sampled as ``config`` samples it."""
+def _site_responses(data: np.ndarray, config: CavityConfig):
+    """(y, norm2, floor), the fit's view of one spectrum; ValueError unless
+    ``data`` is finite, not all zero and sampled as ``config`` samples it.
+
+    A probe row is phi * phi_top times a site response (``synthesize``), so
+    the fit needs only y = (phi . block) / phi_top of each cavity block: the
+    (3, n_freq) site responses in the units of ``_response_matrix``.  For
+    any model g, ||data - rows(g)||^2 / ||data||^2 = ||y - g||^2 / norm2 +
+    floor, with norm2 = ||data||^2 / phi_top^2 and floor the out-of-profile
+    part ||data - phi (phi . data)||^2 / ||data||^2, summed directly: as a
+    difference of squared norms it would cancel to rounding noise.
+    """
     shape = (3 * config.n_positions_per_cavity, config.n_frequencies)
-    norm2 = float(np.sum(np.abs(responses) ** 2))
-    if responses.shape != shape or not 0 < norm2 < np.inf:
+    norm2 = float(np.sum(np.abs(data) ** 2))
+    if data.shape != shape or not 0 < norm2 < np.inf:
         raise ValueError(f"need finite, not all-zero responses of shape {shape}, "
-                         f"got shape {responses.shape} and squared norm {norm2}")
-    return norm2
+                         f"got shape {data.shape} and squared norm {norm2}")
+    phi = onsite_profile(config)
+    blocks = data.reshape(3, len(phi), -1)
+    proj = phi @ blocks                                               # (3, n_freq)
+    floor = float(np.sum(np.abs(blocks - phi[:, None] * proj[:, None, :]) ** 2)) / norm2
+    return proj / phi[-1], norm2 / phi[-1] ** 2, floor
 
 
 def check_dataset(dataset: SpectralDataset) -> None:
@@ -239,7 +244,7 @@ def check_dataset(dataset: SpectralDataset) -> None:
     if len(dataset.steps) < 8:
         raise ValueError("need at least 8 steps forming a closed loop")
     for st in dataset.steps:
-        _spectrum_norm2(np.asarray(st.responses), dataset.config)
+        _site_responses(np.asarray(st.responses), dataset.config)
 
 
 @dataclass(frozen=True)
@@ -269,31 +274,32 @@ class FittedParams:
         return _truth_vector(self.point, self.scale)
 
 
-def _gauss_newton(theta0, data, freqs, phi, norm2, src=1):
-    """Damped Gauss-Newton on stacked real/imag residuals: (theta, cost, iterations).
+def _gauss_newton(theta0, y, freqs, norm2, floor, src=1):
+    """Damped Gauss-Newton on the site responses ``y``: (theta, cost, iterations).
 
-    Each iteration builds the exact Jacobian of the residuals at the current
+    cost = ||y - g||^2 / norm2 + floor, as in ``_site_responses``.  Each
+    iteration builds the exact Jacobian of the residuals at the current
     point (``_response_jacobian``, one resolvent derivative) and solves the
     linear least-squares step s.  The full step would lower the cost by
     ||J s||^2 if the model were linear; when that is at or below 1e-15 of
     the cost, the polish sits at the rounding floor and stops.  Otherwise
     the step is halved up to 25 times until the cost falls, and the polish
     stops when no halving lowers it, when the step taken is below 1e-13, or
-    after ``GAUSS_NEWTON_ITERATIONS``.  ``iterations`` counts the
-    Jacobians built.
+    after ``GAUSS_NEWTON_ITERATIONS``.  ``iterations`` counts the Jacobians
+    built.
     """
     theta, root = np.array(theta0, float), np.sqrt(norm2)
 
     def residuals(t):
-        return ((_response_matrix(t, freqs, phi, src) - data) / root).ravel()
+        return ((_response_matrix(t, freqs, src) - y) / root).ravel()
 
     r = residuals(theta)
-    cost = float(np.sum(np.abs(r) ** 2))
+    cost = float(np.sum(np.abs(r) ** 2))                # the site part; floor does not move
     for iterations in range(1, GAUSS_NEWTON_ITERATIONS + 1):
-        jac = _response_jacobian(theta, freqs, phi, src).reshape(7, -1) / root
+        jac = _response_jacobian(theta, freqs, src).reshape(7, -1) / root
         jr = np.hstack([jac.real, jac.imag]).T
         step, *_ = np.linalg.lstsq(jr, -np.concatenate([r.real, r.imag]), rcond=None)
-        if np.sum((jr @ step) ** 2) <= 1e-15 * cost:
+        if np.sum((jr @ step) ** 2) <= 1e-15 * (cost + floor):
             break
         lam, improved = 1.0, False
         for _ in range(25):
@@ -306,7 +312,16 @@ def _gauss_newton(theta0, data, freqs, phi, norm2, src=1):
             lam *= 0.5
         if not improved or np.linalg.norm(lam * step) < 1e-13:
             break
-    return theta, cost, iterations
+    return theta, cost + floor, iterations
+
+
+def _site_cost(population, y, freqs, norm2, floor, src=1):
+    """The full normalised cost of each member of a (7, S) population, the
+    differential-evolution search's objective: (S,) values."""
+    diff = _response_matrix(population, freqs, src)                  # (S, 3, n_freq)
+    diff -= y
+    flat = diff.reshape(len(diff), -1).view(float)
+    return np.einsum("ij,ij->i", flat, flat) / norm2 + floor
 
 
 def differential_evolution(*args, **kwargs):
@@ -336,19 +351,19 @@ INIT_BOX = (
 SK_PASSES = 3
 
 
-def _rational_start(data: np.ndarray, config: CavityConfig) -> np.ndarray:
-    """theta = (omega0, gamma0, kappa, eta, zeta, xi, g) of one spectrum in
-    closed form, not finite where there is no closed form.
+def _rational_start(y: np.ndarray, config: CavityConfig) -> np.ndarray:
+    """theta = (omega0, gamma0, kappa, eta, zeta, xi, g) of one spectrum's
+    site responses ``y`` (``_site_responses``) in closed form, not finite
+    where there is no closed form.
 
-    Only a drive at cavity A (``source_site`` 2) has one.  Projecting each
-    cavity block on the mode profile gives one response y_s per site, and
-    y_s = N_s / D with D = det(omega - H_phys) a monic cubic and N_B, N_A,
-    N_C of degree 1, 2 and 1.  Levy's linearization y_s D - N_s = 0 is one
-    linear least-squares problem, its rows weighted by 1/|y_s| for the
-    multiplicative noise and, on each Sanathanan-Koerner pass, by 1/|D| of
-    the pass before; omega enters scaled to the window's half width, so the
-    Vandermonde columns stay well conditioned.  The roots of D are the
-    poles lambda_k.  With d = omega - c0, c0 = omega0 + i gamma0 and
+    Only a drive at cavity A (``source_site`` 2) has one.  Each site
+    response is y_s = N_s / D with D = det(omega - H_phys) a monic cubic
+    and N_B, N_A, N_C of degree 1, 2 and 1.  Levy's linearization
+    y_s D - N_s = 0 is one linear least-squares problem, its rows weighted
+    by 1/|y_s| for the multiplicative noise and, on each Sanathanan-Koerner
+    pass, by 1/|D| of the pass before; omega enters scaled to the window's
+    half width, so the Vandermonde columns stay well conditioned.  The
+    roots of D are the poles lambda_k.  With d = omega - c0, c0 = omega0 + i gamma0 and
     p = |kappa| sqrt(2) (eta + i(1 + g)), the sites' diagonals are d + p,
     d + |kappa|(xi + i zeta) and d - p, so y_B / y_C = (d - p) / (d + p),
     which is linear in (c0, p).  The roots t_k = lambda_k - c0 of
@@ -359,9 +374,8 @@ def _rational_start(data: np.ndarray, config: CavityConfig) -> np.ndarray:
     """
     if config.source_site != 2:
         return np.full(7, np.nan)
-    freqs, phi = config.frequencies(), onsite_profile(config)
+    freqs = config.frequencies()
     n = len(freqs)
-    y = data.reshape(3, len(phi), n).transpose(0, 2, 1) @ phi          # (site, freq): B, A, C
     half = config.frequency_window / 2
     vander = ((freqs - config.scale.omega0) / half)[:, None] ** np.arange(4)
     # unknowns (d0, d1, d2) of D = d0 + d1 s + d2 s^2 + s^3, then the numerators' coefficients
@@ -397,44 +411,38 @@ def fit_step(
 ) -> FittedParams:
     """Recover the seven model scalars and eigenvectors from one spectrum.
 
-    A damped Gauss-Newton polish on the exact Jacobian (``_gauss_newton``)
+    Every stage works on the profile-projected site responses
+    (``_site_responses``); ``residual`` is the full normalised cost.  A
+    damped Gauss-Newton polish on the exact Jacobian (``_gauss_newton``)
     starts from the closed-form rational fit of ``_rational_start``.  A
     seeded differential-evolution search inside ``INIT_BOX`` (each
     generation in one batched forward-model call, deferred updating) finds
     the start of the same polish instead when the polish ends above
     ``RESIDUAL_THRESHOLD``, when the closed-form start is not finite, and
     when the source site has no closed form: a drive at cavity B or C
-    (``source_site`` 1 or 3) searches on every spectrum.
-    ``FittedParams.searched`` says whether the search ran, and a polish
-    from it still above the threshold raises ``FitDiverged``;
-    ``gauss_newton_iterations`` counts the Jacobians of both polishes.
-    Pole residues are then solved by linear least squares at the fitted
-    eigenvalues, and the right/left coefficient split uses the
-    complex-symmetry constraint b proportional to a.
+    (``source_site`` 1 or 3) searches on every spectrum.  ``searched`` says
+    whether the search ran, and a polish from it still above the threshold
+    raises ``FitDiverged``; ``gauss_newton_iterations`` counts the
+    Jacobians of both polishes.  Pole residues are then solved by linear
+    least squares at the fitted eigenvalues, and the right/left coefficient
+    split uses the complex-symmetry constraint b proportional to a.
     """
     cfg = config if config is not None else CavityConfig()
     fc = fit_config if fit_config is not None else FitConfig()
-    data = np.asarray(responses, dtype=complex)
-    norm2 = _spectrum_norm2(data, cfg)
-    freqs, phi = cfg.frequencies(), onsite_profile(cfg)
-    src = cfg.source_site - 1
+    y, norm2, floor = _site_responses(np.asarray(responses, dtype=complex), cfg)
+    freqs, src = cfg.frequencies(), cfg.source_site - 1
 
-    theta, cost, iterations = _rational_start(data, cfg), np.inf, 0
+    theta, cost, iterations = _rational_start(y, cfg), np.inf, 0
     if np.isfinite(theta).all():
-        theta, cost, iterations = _gauss_newton(theta, data, freqs, phi, norm2, src)
+        theta, cost, iterations = _gauss_newton(theta, y, freqs, norm2, floor, src)
     searched = not cost <= RESIDUAL_THRESHOLD        # a NaN cost searches too
     if searched:
-        def objective(population):
-            diff = _response_matrix(population, freqs, phi, src)           # (S, rows, n_freq)
-            diff -= data
-            flat = diff.reshape(len(diff), -1).view(float)
-            return np.einsum("ij,ij->i", flat, flat) / norm2
-
         rng = np.random.default_rng(fc.seed)
         lo, hi = np.array(INIT_BOX).T
         init = lo + (hi - lo) * rng.random((max(fc.population, 8), 7))
         de = differential_evolution(
-            objective,
+            _site_cost,
+            args=(y, freqs, norm2, floor, src),
             bounds=INIT_BOX,
             init=init,
             maxiter=fc.generations,
@@ -444,7 +452,7 @@ def fit_step(
             vectorized=True,
             updating="deferred",
         )
-        theta, cost, more = _gauss_newton(de.x, data, freqs, phi, norm2, src)
+        theta, cost, more = _gauss_newton(de.x, y, freqs, norm2, floor, src)
         iterations += more
         if cost > RESIDUAL_THRESHOLD:
             raise FitDiverged(f"normalized residual {cost:.3e} above {RESIDUAL_THRESHOLD}")
@@ -467,11 +475,10 @@ def fit_step(
             stacklevel=2,
         )
 
-    # linear residue solve: responses ~ sum_j C_j(pos) / (omega - w_j)
+    # linear residue solve: y_s ~ sum_j t_{s,j} / (omega - w_j), t_{s,j} = a_{s,j} * b_{j,src}
     basis = 1.0 / (freqs[None, :] - wphys[:, None])            # (3, n_freq)
-    coeffs, *_ = np.linalg.lstsq(basis.T, data.T, rcond=None)  # (3, n_positions)
-    # project each cavity block onto the mode profile: t_{j,s} = a_{j,s} * (b_{j,A} phi_top)
-    t = (coeffs.reshape(3, 3, -1) @ phi).T / (phi @ phi)       # (site, state)
+    coeffs, *_ = np.linalg.lstsq(basis.T, y.T, rcond=None)     # (state, site)
+    t = coeffs.T                                               # (site, state)
     nrm = np.linalg.norm(t, axis=0)
     if not nrm.all():
         raise FitDiverged(f"vanishing residue column for state {np.argmin(nrm) + 1}")

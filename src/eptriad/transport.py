@@ -139,9 +139,10 @@ def _principal(theta: float) -> float:
     return (theta + np.pi) % (2 * np.pi) - np.pi
 
 
-def _resolve_steps(stack: EigensystemStack, ambiguity_margin: float, refine: bool):
+def _resolve_steps(stack: EigensystemStack, refine: bool):
     """Raw overlaps and best assignments of every step of ``stack``.
 
+    Steps whose margin is below ``DEFAULT_AMBIGUITY_MARGIN`` are ambiguous.
     Ambiguous steps are bisected level by level: each level inserts the
     midpoints of all steps still ambiguous, solved in one batch.  A step's
     margin depends only on its two end frames, so this inserts the same
@@ -150,7 +151,7 @@ def _resolve_steps(stack: EigensystemStack, ambiguity_margin: float, refine: boo
     for level in range(MAX_BISECTIONS + 1):
         overlap = stack.left_vectors[:-1] @ stack.right_vectors[1:]
         best, margin = best_assignments(overlap)
-        ambiguous = np.flatnonzero(margin < ambiguity_margin)
+        ambiguous = np.flatnonzero(margin < DEFAULT_AMBIGUITY_MARGIN)
         if not len(ambiguous):
             return stack, overlap, best
         if not refine or level == MAX_BISECTIONS:
@@ -163,12 +164,7 @@ def _resolve_steps(stack: EigensystemStack, ambiguity_margin: float, refine: boo
         stack = stack.insert(ambiguous + 1, mids)
 
 
-def transport_eigensystems(
-    systems,
-    label: str = "",
-    ambiguity_margin: float = DEFAULT_AMBIGUITY_MARGIN,
-    refine: bool = True,
-) -> TransportResult:
+def transport_eigensystems(systems, label: str = "", refine: bool = True) -> TransportResult:
     """Parallel transport over a closed eigensystem sequence.
 
     ``systems`` is an :class:`EigensystemStack` or a list of
@@ -183,7 +179,7 @@ def transport_eigensystems(
         stack, anchor = systems, systems.row(0)
     else:
         stack, anchor = EigensystemStack.of(systems), systems[0]
-    stack, overlap, best = _resolve_steps(stack, ambiguity_margin, refine)
+    stack, overlap, best = _resolve_steps(stack, refine)
 
     # m[l, j]: the raw (Re-sorted) band that tracked band j occupies at step l
     m = chain_assignments(best.tolist())
@@ -229,11 +225,9 @@ def transport_eigensystems(
     )
 
 
-def transport(loop: LoopPath, ambiguity_margin: float = DEFAULT_AMBIGUITY_MARGIN) -> TransportResult:
+def transport(loop: LoopPath) -> TransportResult:
     """Transport the band frame around a LoopPath (band 1 = lowest Re at anchor)."""
-    return transport_eigensystems(
-        eigensystems(loop.params), label=loop.label, ambiguity_margin=ambiguity_margin
-    )
+    return transport_eigensystems(eigensystems(loop.params), label=loop.label)
 
 
 def eigenvalue_vorticity(result: TransportResult, pair: tuple[int, int]) -> float:

@@ -187,19 +187,25 @@ def solved_greens(theta, omega: complex) -> np.ndarray:
     return np.linalg.solve(a, np.eye(3))
 
 
+def solved_sites(theta, freqs, src: int) -> np.ndarray:
+    """The (3, n_freq) site responses (B, A, C) of the forward model: column
+    ``src`` (0-based site) of :func:`solved_greens` at each frequency."""
+    return np.array([solved_greens(theta, w)[:, src] for w in freqs]).T
+
+
 def solved_response(theta, freqs, n_pos: int, src: int) -> np.ndarray:
     """The (3 * n_pos, n_freq) spectrum of the forward model, one solve per frequency.
 
-    Column ``src`` (0-based site) of :func:`solved_greens` at each frequency,
-    times cos(2 pi z) at n_pos equally spaced interior heights (unit norm) and
-    times that profile's top sample, stacked per site (B, A, C).
+    :func:`solved_sites` times cos(2 pi z) at n_pos equally spaced interior
+    heights (unit norm) and times that profile's top sample, stacked per
+    site (B, A, C).
     """
-    return _probe_rows(np.array([solved_greens(theta, w)[:, src] for w in freqs]).T, n_pos)
+    return probe_rows(solved_sites(theta, freqs, src), n_pos)
 
 
-def solved_greens_derivative(theta, freqs, n_pos: int, src: int) -> np.ndarray:
-    """The (7, 3 * n_pos, n_freq) derivative of :func:`solved_response` by each
-    of the seven scalars in theta, one solve per frequency.
+def solved_greens_derivative(theta, freqs, src: int) -> np.ndarray:
+    """The (7, 3, n_freq) derivative of :func:`solved_sites` by each of the
+    seven scalars in theta, one solve per frequency.
 
     At each frequency it is -A^-1 (dA/dtheta_k) A^-1 e_src with
     A = omega - omega0 - i gamma0 - |kappa| H and A^-1 from :func:`solved_greens`.
@@ -216,10 +222,10 @@ def solved_greens_derivative(theta, freqs, n_pos: int, src: int) -> np.ndarray:
     for w in freqs:
         ainv = solved_greens(theta, w)
         dg.append([-ainv @ d @ ainv[:, src] for d in da])
-    return np.stack([_probe_rows(col.T, n_pos) for col in np.array(dg).transpose(1, 0, 2)])
+    return np.array(dg).transpose(1, 2, 0)
 
 
-def _probe_rows(g: np.ndarray, n_pos: int) -> np.ndarray:
+def probe_rows(g: np.ndarray, n_pos: int) -> np.ndarray:
     """(3 * n_pos, n_freq) probe rows of (3 sites, n_freq) site values."""
     v = np.cos(2 * np.pi * (np.arange(1, n_pos + 1) - 0.5) / n_pos)
     phi = v / np.linalg.norm(v)

@@ -56,7 +56,7 @@ def test_criterion_2_arc_splitting():
     nexus_branch = refine_ep(ParamPoint(0.1, 0.03, -0.04, 0.0))
     arc0 = trace_ea(0.0, nexus_branch, step=0.02)
     assert arc0.terminated == "rank_deficient"
-    hit = arc0.rank_deficient_at.point
+    hit = arc0.points[0].point
     assert np.linalg.norm([hit.eta, hit.zeta, hit.xi]) < 0.05
     _ok(2, "two disjoint order-2 arcs at g=0.61; rank-deficient stop at the g=0 nexus")
 

@@ -294,22 +294,24 @@ def test_regauged_anchor_list_matches_the_sequential_sweep():
 
 
 @pytest.mark.parametrize("name, n, margin", [("mu1", 2, 1.0), ("rho1", 4, 1.5), ("big", 2, 1.95)])
-def test_bisection_inserts_the_same_points(name, n, margin):
+def test_bisection_inserts_the_same_points(name, n, margin, monkeypatch):
     """A coarse loop with a wide ambiguity margin bisects, on several levels
     for big; both sweeps must insert the same midpoints."""
     loop = preset_loop(name, n)
     ref = ref_loop_transport(loop, margin)
-    res = transport(loop, ambiguity_margin=margin)
+    monkeypatch.setattr(transport_module, "DEFAULT_AMBIGUITY_MARGIN", margin)
+    res = transport(loop)
     assert res.tracked_eigenvalues.shape[0] > loop.n_steps
     assert_same_transport(res, ref)
 
 
-def test_exhausted_bisection_raises_like_the_sequential_sweep():
+def test_exhausted_bisection_raises_like_the_sequential_sweep(monkeypatch):
     loop = preset_loop("mu1", 2)
     with pytest.raises(AmbiguousMatch, match="at step 0"):
         ref_loop_transport(loop, 2.5)
+    monkeypatch.setattr(transport_module, "DEFAULT_AMBIGUITY_MARGIN", 2.5)
     with pytest.raises(AmbiguousMatch, match="at step 0 "):
-        transport(loop, ambiguity_margin=2.5)
+        transport(loop)
 
 
 def test_a_mis_chained_copy_fails_the_gate(monkeypatch):

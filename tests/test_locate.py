@@ -226,9 +226,8 @@ class TestArcTracing:
         e = refine_ep(ParamPoint(0.1, 0.03, -0.04, 0.0))
         arc = trace_ea(0.0, e, step=0.02)
         assert arc.terminated == "rank_deficient"
-        hit = arc.rank_deficient_at
-        assert hit is not None
-        assert np.linalg.norm([hit.point.eta, hit.point.zeta, hit.point.xi]) < 0.05
+        hit = arc.points[0].point
+        assert np.linalg.norm([hit.eta, hit.zeta, hit.xi]) < 0.05
 
     def test_pairing_changes_with_sign_of_g(self):
         """eta = 0 crossings sit on the zeta axis for g > 0, the xi axis for g < 0."""
@@ -324,7 +323,7 @@ class TestClosedForm:
         assert len(halves) == 4
         for arc in halves:
             first = arc.points[0].point
-            assert arc.terminated == "rank_deficient" and arc.rank_deficient_at is arc.points[0]
+            assert arc.terminated == "rank_deficient"
             assert abs(abs(first.eta) - step) < 1e-12
             assert np.abs(arc.coords()[-1]).max() > DOMAIN_BOUND
 

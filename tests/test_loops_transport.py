@@ -6,7 +6,7 @@ import pytest
 from conftest import circular_distance
 from eptriad.errors import AmbiguousMatch, AnchorMismatch, NonUnimodularDeterminant, PathTouchesEP
 from eptriad.loops import PRESET_NAMES, concat_loops, interpolate_loop, preset_loop, preset_waypoints, reverse_loop
-from eptriad.model import ParamPoint, eigensystem
+from eptriad.model import ParamPoint, eigensystem, eigensystems
 from eptriad.permutations import element, identify, to_matrix
 from eptriad.transport import (
     discriminant_winding,
@@ -304,6 +304,31 @@ class TestErrorPaths:
         singular = replace(es, right_vectors=v)
         with pytest.raises(NonUnimodularDeterminant):
             transport_eigensystems([es, es, es, singular], refine=False)
+
+
+class TestBisectionIsReachable:
+    """A coarse loop at the default ambiguity margin that needs bisection: a
+    thin triangle at g = -0.4 that passes close to an exceptional arc.  At 5
+    steps per segment two steps are ambiguous; bisecting them gives the
+    permutation that 200 steps per segment give, and without bisection the
+    match is refused."""
+
+    G = -0.4
+    CORNERS = [(-0.152923, 0.383999, -0.371626), (-0.194721, 0.442178, -0.505061), (-0.139757, 0.477862, -0.424061)]
+
+    def loop(self, steps_per_segment):
+        wps = [ParamPoint(*c, self.G) for c in self.CORNERS]
+        return interpolate_loop(wps + wps[:1], steps_per_segment)
+
+    def test_bisection_gives_the_fine_loops_permutation(self):
+        coarse, fine = transport(self.loop(5)), transport(self.loop(200))
+        assert coarse.tracked_eigenvalues.shape[0] == self.loop(5).n_steps + 2
+        assert coarse.permutation.as_string() == fine.permutation.as_string() == "213"
+        assert coarse.reliable and fine.reliable
+
+    def test_without_bisection_the_match_is_refused(self):
+        with pytest.raises(AmbiguousMatch):
+            transport_eigensystems(eigensystems(self.loop(5).params), refine=False)
 
 
 class TestMatchAssignment:

@@ -5,7 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 import eptriad.spectral as spectral
 from conftest import circular_distance
-from oracles import solved_greens, solved_greens_derivative, solved_response
+from oracles import probe_rows, solved_greens, solved_greens_derivative, solved_response, solved_sites
 from eptriad.errors import FitDiverged, IdentifiabilityWarning
 from eptriad.locate import refine_ep
 from eptriad.model import ParamPoint, PhysicalScale, _hamiltonians, eigensystem, to_physical
@@ -57,11 +57,11 @@ class TestModeProfile:
 
 def greens_3site(omega: float, p: ParamPoint, scale: PhysicalScale = PhysicalScale()) -> np.ndarray:
     """The forward model's site-basis Green's function (omega - H_phys)^-1 at
-    one frequency: column ``src`` of ``_response_matrix`` with a one-position
-    unit profile, for each source site."""
+    one frequency: the site responses of ``_response_matrix`` to a drive at
+    each source site, as the columns."""
     theta = np.array([scale.omega0, scale.gamma0, scale.kappa, p.eta, p.zeta, p.xi, p.g])
     at = np.array([omega])
-    return np.stack([spectral._response_matrix(theta, at, np.ones(1), src)[:, 0] for src in range(3)], axis=1)
+    return np.stack([spectral._response_matrix(theta, at, src)[:, 0] for src in range(3)], axis=1)
 
 
 class TestGreensFunction:
@@ -170,12 +170,11 @@ class TestBatchedForwardModel:
     @given(st.sampled_from([1, 64]).flatmap(_thetas), st.sampled_from([0, 1, 2]))
     @settings(max_examples=60, deadline=None)
     def test_population_equals_single_vectors(self, thetas, src):
-        cfg = CavityConfig()
-        freqs, phi = cfg.frequencies(), onsite_profile(cfg)
-        batch = spectral._response_matrix(thetas, freqs, phi, src)
-        assert batch.shape == (thetas.shape[1], 21, len(freqs))
+        freqs = CavityConfig().frequencies()
+        batch = spectral._response_matrix(thetas, freqs, src)
+        assert batch.shape == (thetas.shape[1], 3, len(freqs))
         for k in range(thetas.shape[1]):
-            assert np.array_equal(batch[k], spectral._response_matrix(thetas[:, k], freqs, phi, src))
+            assert np.array_equal(batch[k], spectral._response_matrix(thetas[:, k], freqs, src))
 
     def test_synthesize_mu1_is_the_forward_model_times_noise(self):
         from eptriad.loops import preset_loop
@@ -191,8 +190,9 @@ class TestBatchedForwardModel:
             mult = 1.0 + noise.relative_amplitude * (
                 rng.standard_normal(step.responses.shape) + 1j * rng.standard_normal(step.responses.shape)
             ) / np.sqrt(2.0)
-            want = spectral._response_matrix(theta, freqs, phi, cfg.source_site - 1) * mult
-            assert step.responses.tobytes() == want.tobytes()
+            sites = spectral._response_matrix(theta, freqs, cfg.source_site - 1)
+            want = ((phi * phi[-1])[:, None] * sites[:, None, :]).reshape(21, -1) * mult
+            assert np.array_equal(step.responses, want)
             _assert_matches_oracle(step.responses, solved_response(theta, freqs, 7, cfg.source_site - 1) * mult)
 
 
@@ -216,11 +216,10 @@ class TestForwardModelOracle:
     @given(st.sampled_from([1, 8]).flatmap(_thetas), st.sampled_from([0, 1, 2]))
     @settings(max_examples=60, deadline=None)
     def test_drawn_points(self, thetas, src):
-        cfg = CavityConfig()
-        freqs, phi = cfg.frequencies(), onsite_profile(cfg)
-        batch = spectral._response_matrix(thetas, freqs, phi, src)
+        freqs = CavityConfig().frequencies()
+        batch = spectral._response_matrix(thetas, freqs, src)
         for k in range(thetas.shape[1]):
-            _assert_matches_oracle(batch[k], solved_response(thetas[:, k], freqs, 7, src))
+            _assert_matches_oracle(batch[k], solved_sites(thetas[:, k], freqs, src))
 
     @pytest.mark.parametrize("source_site", [1, 2, 3])
     @pytest.mark.parametrize("seed", EP_SEEDS)
@@ -241,11 +240,10 @@ class TestForwardModelOracle:
 
 
 def _assert_jacobian_matches_oracle(theta, src):
-    cfg = CavityConfig()
-    freqs, phi = cfg.frequencies(), onsite_profile(cfg)
-    got = spectral._response_jacobian(theta, freqs, phi, src)
-    want = solved_greens_derivative(theta, freqs, 7, src)
-    assert got.shape == want.shape == (7, 21, len(freqs))
+    freqs = CavityConfig().frequencies()
+    got = spectral._response_jacobian(theta, freqs, src)
+    want = solved_greens_derivative(theta, freqs, src)
+    assert got.shape == want.shape == (7, 3, len(freqs))
     for k in range(7):
         _assert_matches_oracle(got[k], want[k])
 
@@ -269,6 +267,57 @@ class TestResponseJacobian:
         direction = np.random.default_rng(EP_SEEDS.index(seed)).standard_normal(4)
         near = ep + 1e-6 * direction / np.linalg.norm(direction)
         _assert_jacobian_matches_oracle(np.array([19729.0, 83.5, kappa, *near]), src)
+
+
+def _probe_row_cost(data, theta, config):
+    """sum |R - model|^2 / ||R||^2 over every probe row of the spectrum ``data``."""
+    sites = spectral._response_matrix(theta, config.frequencies(), config.source_site - 1)
+    model = probe_rows(sites, config.n_positions_per_cavity)
+    return np.sum(np.abs(data - model) ** 2) / np.sum(np.abs(data) ** 2)
+
+
+class TestProfileProjection:
+    """The fit works on the profile-projected site responses: their cost plus
+    the out-of-profile constant is the cost over every probe row."""
+
+    @given(
+        st.sampled_from([1, 8]).flatmap(_thetas),
+        _thetas(1),
+        st.floats(1e-3, 0.1),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([3, 7, 12]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_site_cost_plus_floor_is_the_probe_row_cost(self, thetas, truth, noise, seed, source_site, n_pos):
+        cfg = CavityConfig(n_positions_per_cavity=n_pos, source_site=source_site)
+        data = solved_response(truth[:, 0], cfg.frequencies(), n_pos, source_site - 1)
+        rng = np.random.default_rng(seed)
+        data = data * (1 + noise * (rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)) / np.sqrt(2))
+        y, norm2, floor = spectral._site_responses(data, cfg)
+        got = spectral._site_cost(thetas, y, cfg.frequencies(), norm2, floor, source_site - 1)
+        want = np.array([_probe_row_cost(data, theta, cfg) for theta in thetas.T])
+        assert np.all(np.abs(got - want) <= 1e-12 * want), (got, want)
+
+    def test_a_noiseless_spectrum_has_no_out_of_profile_part(self):
+        """The floor is summed directly; as ||R||^2 - ||phi . R||^2 it would
+        be cancellation noise near 1e-16, far above a noiseless fit's cost."""
+        from eptriad.loops import preset_loop
+
+        ds = synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), CavityConfig())
+        for step in ds.steps:
+            assert spectral._site_responses(step.responses, ds.config)[2] < 1e-28
+            assert fit_step(step.responses, ds.config).residual < 1e-24
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_a_fits_residual_is_its_probe_row_cost(self, seed):
+        from eptriad.loops import preset_loop
+
+        ds = synthesize(list(preset_loop("rho1", steps_per_segment=1).steps), CavityConfig(), NoiseSpec(0.02, seed))
+        for step in ds.steps:
+            fit = fit_step(step.responses, ds.config)
+            want = _probe_row_cost(step.responses, fit.theta(), ds.config)
+            assert abs(fit.residual - want) <= 1e-12 * want, (fit.residual, want)
 
 
 class TestDatasetIO:
@@ -342,9 +391,14 @@ class TestFitStep:
             fit_step(resp)
 
 
-def _no_start(data, config):
+def _no_start(y, config):
     """A ``_rational_start`` stand-in that finds no start, so every fit searches."""
     return np.full(7, np.nan)
+
+
+def _sites(responses, config):
+    """The site responses that ``fit_step`` fits."""
+    return spectral._site_responses(responses, config)[0]
 
 
 class TestRationalStart:
@@ -357,7 +411,7 @@ class TestRationalStart:
         cfg = CavityConfig()
         p = preset_loop("mu1", steps_per_segment=1).steps[k]
         truth = np.array([cfg.scale.omega0, cfg.scale.gamma0, cfg.scale.kappa, p.eta, p.zeta, p.xi, p.g])
-        start = spectral._rational_start(synthesize([p], cfg).steps[0].responses, cfg)
+        start = spectral._rational_start(_sites(synthesize([p], cfg).steps[0].responses, cfg), cfg)
         # relative error against the unit scale of the dimensionless parameters
         assert np.all(np.abs(start - truth) <= 1e-8 * np.maximum(np.abs(truth), 1.0)), start - truth
 
@@ -366,7 +420,7 @@ class TestRationalStart:
         p = ParamPoint(0.33, 0.1, -0.1, G)
         cfg = CavityConfig(source_site=source_site)
         responses = synthesize([p], cfg).steps[0].responses
-        assert np.isnan(spectral._rational_start(responses, cfg)).all()
+        assert np.isnan(spectral._rational_start(_sites(responses, cfg), cfg)).all()
         fit = fit_step(responses, cfg, fit_config=FAST_FIT)
         assert fit.searched
         assert np.max(np.abs(fit.point.as_array() - p.as_array())) < 1e-4
@@ -375,7 +429,7 @@ class TestRationalStart:
         p = ParamPoint(0.33, 0.1, -0.1, G)
         responses = synthesize([p]).steps[0].responses.copy()
         responses[:7, -1] = 0                   # cavity B silent at the last frequency
-        assert np.isnan(spectral._rational_start(responses, CavityConfig())).all()
+        assert np.isnan(spectral._rational_start(_sites(responses, CavityConfig()), CavityConfig())).all()
         assert fit_step(responses, fit_config=FAST_FIT).searched
 
     def test_a_noisy_spectrum_fits_without_the_search(self, monkeypatch):
@@ -397,13 +451,13 @@ class TestStartIndependence:
         from eptriad.loops import preset_loop
 
         cfg = CavityConfig()
-        freqs, phi = cfg.frequencies(), onsite_profile(cfg)
+        freqs = cfg.frequencies()
         pts = list(preset_loop("mu1", steps_per_segment=1).steps)
         for p, step in zip(pts, synthesize(pts, cfg, NoiseSpec(0.01, seed)).steps):
-            data, norm2 = step.responses, np.sum(np.abs(step.responses) ** 2)
-            start = spectral._rational_start(data, cfg)
-            from_start, *_ = spectral._gauss_newton(start, data, freqs, phi, norm2)
-            from_truth, *_ = spectral._gauss_newton(spectral._truth_vector(p, cfg.scale), data, freqs, phi, norm2)
+            y, norm2, floor = spectral._site_responses(step.responses, cfg)
+            start = spectral._rational_start(y, cfg)
+            from_start, *_ = spectral._gauss_newton(start, y, freqs, norm2, floor)
+            from_truth, *_ = spectral._gauss_newton(spectral._truth_vector(p, cfg.scale), y, freqs, norm2, floor)
             assert np.max(np.abs(from_start[3:] - from_truth[3:])) <= 1e-8, (p, from_start - from_truth)
 
     def test_rho1_from_the_search_and_from_a_neighbours_fit(self, monkeypatch):
@@ -413,12 +467,12 @@ class TestStartIndependence:
         from eptriad.loops import preset_loop
 
         cfg = CavityConfig()
-        freqs, phi = cfg.frequencies(), onsite_profile(cfg)
         ds = synthesize(list(preset_loop("rho1", steps_per_segment=1).steps), cfg, NoiseSpec(0.02, 0))
         data = ds.steps[7].responses
         fit = fit_step(data, cfg)
         neighbour = fit_step(ds.steps[6].responses, cfg)
-        from_neighbour, *_ = spectral._gauss_newton(neighbour.theta(), data, freqs, phi, np.sum(np.abs(data) ** 2))
+        y, norm2, floor = spectral._site_responses(data, cfg)
+        from_neighbour, *_ = spectral._gauss_newton(neighbour.theta(), y, cfg.frequencies(), norm2, floor)
         monkeypatch.setattr(spectral, "_rational_start", _no_start)
         searched = fit_step(data, cfg, fit_config=FAST_FIT)
         assert searched.searched and not fit.searched
@@ -502,7 +556,7 @@ class TestFitLoop:
 
         ds = synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), CavityConfig(), NoiseSpec(0.01, 1))
         responses = ds.steps[1].responses
-        start = spectral._rational_start(responses, ds.config)
+        start = spectral._rational_start(_sites(responses, ds.config), ds.config)
         assert not fit_step(responses, ds.config, fit_config=FAST_FIT).searched
 
         polish = spectral._gauss_newton
