@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import datetime
 import json
 import re
@@ -138,40 +137,37 @@ def cmd_surface(args) -> int:
     with _reading_inputs():
         _require_finite(args, "eta", "g", "window")
         nz, nx = _parse_grid(args.grid)
+        zlo, zhi, xlo, xhi = args.window
+        empty = zlo >= zhi or xlo >= xhi
+        if empty:
+            nz = nx = 0
+        # linspace over a window near the float limit can overflow; a point
+        # that is not finite gives a |disc| that is not finite, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            zz, xx = np.linspace(zlo, zhi, nz), np.linspace(xlo, xhi, nx)
+        zs, xs = zz.tolist(), xx.tolist()
+        # the scalar discriminant: one array call over the grid rounds some
+        # points' 12-digit text differently.  No CSV may carry an inf or a nan
+        try:
+            abs_disc = np.array([[abs(discriminant_values(args.eta, z, x, args.g)) for x in xs] for z in zs])
+        except OverflowError as exc:    # complex ** and abs() raise where they overflow
+            raise ValueError(f"|disc| overflows on this slice ({exc})") from None
+        if not np.isfinite(abs_disc).all():
+            raise ValueError("|disc| is not finite on this slice's grid")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    header = (
-        ["zeta", "xi"]
-        + [f"re_omega_{k}" for k in (1, 2, 3)]
-        + [f"im_omega_{k}" for k in (1, 2, 3)]
-        + ["abs_disc"]
-    )
-    empty = args.window[0] >= args.window[1] or args.window[2] >= args.window[3]
-    rows = []
-    if not empty:
-        zz = np.linspace(args.window[0], args.window[1], nz)
-        xx = np.linspace(args.window[2], args.window[3], nx)
-        tracked = track_sheets(args.eta, args.g, zz, xx)
-        rows = [
-            _surface_row(w, z, x, args.eta, args.g)
-            for z, row in zip(zz.tolist(), tracked)
-            for x, w in zip(xx.tolist(), row.tolist())
-        ]
+    tracked = track_sheets(args.eta, args.g, zz, xx)
     path = out / "surface.csv"
+    # the bytes csv.writer wrote: no field needs quoting and lines end in
+    # \r\n.  A grid line's template is its zeta label joining these tails
+    tails = [""] + [f"{x:.10g}" + ",%.12g" * 7 + "\r\n" for x in xs]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("zeta,xi,re_omega_1,re_omega_2,re_omega_3,im_omega_1,im_omega_2,im_omega_3,abs_disc\r\n")
+        for z, w, d in zip(zs, tracked, abs_disc):
+            fh.write(f"{z:.10g},".join(tails) % tuple(np.column_stack((w.real, w.imag, d)).ravel().tolist()))
     _write_manifest(out, "surface", vars(args) | {"out": str(out)}, None)
-    print(f"wrote {path} " + ("(empty window, header only)" if empty else f"({len(rows)} rows)"))
+    print(f"wrote {path} " + ("(empty window, header only)" if empty else f"({nz * nx} rows)"))
     return EXIT_OK
-
-
-def _surface_row(w: list[complex], z: float, x: float, eta: float, g: float) -> list[str]:
-    """One CSV row.  abs_disc is the scalar discriminant: one array call over
-    the grid rounds some rows' 12-digit text differently."""
-    d = abs(discriminant_values(eta, z, x, g))
-    return [f"{z:.10g}", f"{x:.10g}"] + [f"{c.real:.12g}" for c in w] + [f"{c.imag:.12g}" for c in w] + [f"{d:.12g}"]
 
 
 def _loop_from_args(args) -> tuple[LoopPath, str]:

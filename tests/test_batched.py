@@ -343,6 +343,9 @@ def test_a_mis_chained_copy_fails_the_gate(monkeypatch):
         (0.33, G, np.linspace(-1, 1, 4), np.linspace(-1, 1, 1)),
         (0.33, G, np.linspace(-1, 1, 0), np.linspace(-1, 1, 5)),
         (0.33, G, np.linspace(-1, 1, 5), np.linspace(-1, 1, 0)),
+        # at 1024 points per solve: blocks of 17 rows, the last one ragged
+        (-1.2, 0.3, np.linspace(-1.5, 1.4, 41), np.linspace(-1.3, 1.5, 57)),
+        (0.33, G, np.linspace(-1, 1, 2), np.linspace(-1, 1, 1100)),     # a row longer than a block
     ],
 )
 def test_track_sheets_is_bit_equal_to_the_row_sweep(eta, g, zz, xx):

@@ -1,14 +1,17 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import example, given, settings, strategies as st
 
 import eptriad.cli
 import eptriad.locate
@@ -98,6 +101,10 @@ class TestLoopCommand:
         assert doc["permutation"] == "123"
 
 
+# any finite float, and often one of the slice's own scale
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-2, 2))
+
+
 class TestSurfaceCommand:
     def test_grid_csv(self, tmp_path):
         code = run([
@@ -117,17 +124,23 @@ class TestSurfaceCommand:
         found = sorted([(z[k1], x[k1]), (z[k2], x[k2])])
         assert np.allclose(found, [(-0.5408, -0.3963), (0.5408, 0.3963)], atol=0.05)
 
-    @pytest.mark.parametrize("eta, g, window", [
-        (0.33, 0.61, (-1.0, 1.0, -1.0, 1.0)),
-        (-1.2, 0.3, (-1.5, 1.4, -1.3, 1.5)),        # beyond the validated regime |p| <= 1
+    @pytest.mark.parametrize("eta, g, window, nz, nx", [
+        pytest.param(0.33, 0.61, (-1.0, 1.0, -1.0, 1.0), 21, 21, id="0.33-0.61-window0"),
+        # beyond the validated regime |p| <= 1
+        pytest.param(-1.2, 0.3, (-1.5, 1.4, -1.3, 1.5), 21, 21, id="-1.2-0.3-window1"),
+        pytest.param(0.2, 0.3, (-1.0, 0.9, -0.8, 1.0), 7, 13, id="7x13"),
+        pytest.param(0.33, 0.61, (-1.0, 1.0, -1.0, 1.0), 1, 9, id="1x9"),
+        pytest.param(0.33, 0.61, (-1.0, 1.0, -1.0, 1.0), 9, 1, id="9x1"),
+        # at 1024 points per solve: three blocks of rows, the last one ragged
+        pytest.param(0.37, 0.61, (-1.0, 1.0, -1.0, 1.0), 41, 57, id="41x57"),
     ])
-    def test_csv_equals_the_per_point_reference(self, tmp_path, eta, g, window):
-        """Rows built from lists write the bytes of a row-by-row writer that
-        evaluates the ParamPoint discriminant and formats numpy scalars."""
-        argv = ["surface", "--eta", repr(eta), "--g", repr(g), "--grid", "21",
+    def test_csv_equals_the_per_point_reference(self, tmp_path, eta, g, window, nz, nx):
+        """The streamed CSV has the bytes of csv.writer writing the rows one
+        by one, with the ParamPoint discriminant and numpy scalars formatted."""
+        argv = ["surface", "--eta", repr(eta), "--g", repr(g), "--grid", f"{nz}x{nx}",
                 "--window", *map(repr, window), "--out", str(tmp_path / "cli")]
         assert run(argv) == EXIT_OK
-        zz, xx = np.linspace(window[0], window[1], 21), np.linspace(window[2], window[3], 21)
+        zz, xx = np.linspace(window[0], window[1], nz), np.linspace(window[2], window[3], nx)
         tracked = eptriad.locate.track_sheets(eta, g, zz, xx)
         ref = tmp_path / "reference.csv"
         with ref.open("w", newline="") as fh:
@@ -150,6 +163,31 @@ class TestSurfaceCommand:
         with (tmp_path / "surface.csv").open() as fh:
             rows = list(csv.reader(fh))[1:]
         assert (rows[0][:2], rows[-1][:2]) == (["-0.1", "-0.1"], ["0.1", "0.1"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        eta=_FINITE, g=_FINITE, window=st.lists(_FINITE, min_size=4, max_size=4),
+        grid=st.one_of(
+            st.integers(-2, 5).map(str),
+            st.tuples(st.integers(-1, 5), st.integers(-1, 5)).map("{0[0]}x{0[1]}".format),
+            st.sampled_from(["", "x", "3x", "ax3", "2.5", "1e1", "1x2x3"]),
+        ),
+    )
+    @example(eta=1e300, g=-0.0, window=[-5e-324, 5e-324, -1.0, 1.0], grid="3")
+    @example(eta=-0.0, g=-1e300, window=[-1e300, 1e300, -0.0, 2.0], grid="2x5")
+    @example(eta=0.33, g=0.61, window=[0.0, 1.7976931348623157e308, -1.0, 0.0], grid="4")
+    def test_any_finite_input_exits_0_or_2(self, eta, g, window, grid):
+        """Finite arguments give a CSV free of inf and nan, or a config error
+        that leaves no output directory."""
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code = run(["surface", "--eta", repr(eta), "--g", repr(g), "--grid", grid,
+                        "--window", *map(repr, window), "--out", str(out)])
+            assert code in (EXIT_OK, EXIT_CONFIG)
+            if code == EXIT_CONFIG:
+                assert not out.exists()
+            else:
+                assert not re.search("nan|inf", (out / "surface.csv").read_text())
 
     def test_empty_window_header_only(self, tmp_path):
         code = run([
@@ -445,6 +483,15 @@ def _lab_dataset(corrupt):
                  id="surface_infinite_g-2"),
     pytest.param(_argv("surface", "--eta", "0.33", "--grid", "5", "--window", "-1", "nan", "-1", "1"),
                  EXIT_CONFIG, id="surface_nan_window-2"),
+    # finite arguments whose |disc| or grid overflows
+    pytest.param(_argv("surface", "--eta", "1e60", "--grid", "5"), EXIT_CONFIG, id="surface_huge_eta-2"),
+    pytest.param(_argv("surface", "--eta", "1e200", "--grid", "5"), EXIT_CONFIG, id="surface_huger_eta-2"),
+    pytest.param(_argv("surface", "--eta", "0.33", "--g", "1e300", "--grid", "5"), EXIT_CONFIG,
+                 id="surface_huge_g-2"),
+    pytest.param(_argv("surface", "--eta", "0.33", "--grid", "5", "--window", "-1", "1", "-1", "1e308"),
+                 EXIT_CONFIG, id="surface_huge_window_edge-2"),
+    pytest.param(_argv("surface", "--eta", "0.33", "--grid", "5", "--window", "-1e308", "1e308", "-1", "1"),
+                 EXIT_CONFIG, id="surface_window_span_overflows-2"),
     pytest.param(_argv("ea", "--g", "nan"), EXIT_CONFIG, id="ea_nan_g-2"),
     pytest.param(_argv("ea", "--g", "0.61", "--step", "0"), EXIT_CONFIG, id="ea_zero_step-2"),
     pytest.param(_argv("ea", "--g", "0.61", "--step", "-0.02"), EXIT_CONFIG, id="ea_negative_step-2"),
