@@ -258,8 +258,6 @@ def cmd_lab(args) -> int:
         cav, fitcfg = _lab_config(args)
         if not 0 <= args.noise < np.inf:
             raise ValueError(f"--noise must be finite and at least 0, got {args.noise}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     preset = args.loop_preset
     stats = versions = None        # the fit's work counts and scipy version, for the manifest
     if args.subcommand in ("synth", "pipeline"):
@@ -268,12 +266,18 @@ def cmd_lab(args) -> int:
         loop = preset_loop(preset, steps_per_segment=-(-(MIN_STEPS - 1) // segments))
         points = list(loop.steps)
         dataset = synthesize(points, cav, NoiseSpec(args.noise, args.seed))
-        save_dataset(dataset, out / "dataset.json")
-        print(f"synthesized {len(points)} steps (noise {args.noise:g}, seed {args.seed})")
-    if args.subcommand == "fit":
+    else:
         with _reading_inputs():
             dataset = load_dataset(args.dataset)
-            check_dataset(dataset)
+    # a dataset that cannot be fitted (one read from a file, or one synthesized at a
+    # noise level whose spectra overflow) is a config error, found before any write
+    with _reading_inputs():
+        check_dataset(dataset)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.subcommand in ("synth", "pipeline"):
+        save_dataset(dataset, out / "dataset.json")
+        print(f"synthesized {len(points)} steps (noise {args.noise:g}, seed {args.seed})")
     if args.subcommand in ("fit", "pipeline"):
         fits, result = fit_loop(dataset, fit_config=fitcfg)
         report = {

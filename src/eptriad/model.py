@@ -11,7 +11,9 @@ Conventions used throughout the toolkit:
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -25,6 +27,10 @@ SQRT2 = math.sqrt(2.0)
 #: gap below which an eigensystem is flagged degenerate and
 #: biorthonormalization is skipped
 DEGENERACY_GAP = 1e-6
+
+#: rows per chunk below which :func:`eigensystems` starts no thread: a stack
+#: is split only when each of at least two chunks gets this many rows
+_MIN_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -143,18 +149,62 @@ def eigensystem(p: ParamPoint) -> Eigensystem:
 def eigensystems(params) -> "EigensystemStack":
     """Eigensystems at the rows (eta, zeta, xi, g) of an (L, 4) array.
 
-    One stacked ``np.linalg.eig`` call; each row is ordered by ascending real
-    part.  Right vectors have unit Euclidean norm; left rows satisfy
-    L @ R = I away from degeneracies.  Raises nothing at EPs: the degenerate
-    flag is set and left vectors whose bilinear norm vanishes fall back to
-    plain (unscaled) transposes.  Raises InaccurateEigensystem when an
-    eigenpair of any row fails the residual check.
+    Each row is ordered by ascending real part.  Right vectors have unit
+    Euclidean norm; left rows satisfy L @ R = I away from degeneracies.
+    Raises nothing at EPs: the degenerate flag is set and left vectors whose
+    bilinear norm vanishes fall back to plain (unscaled) transposes.  Raises
+    InaccurateEigensystem, naming the first failing row, when an eigenpair of
+    any row fails the residual check.
+
+    A stack of at least ``2 * _MIN_CHUNK_ROWS`` rows is split into contiguous
+    chunks, one per usable CPU, solved on threads; a smaller one is one
+    stacked ``np.linalg.eig`` call.  Each row's eigensystem is the one a lone
+    solve gives, so the result does not depend on the chunking.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != 4:
         raise ValueError(f"expected an (L, 4) parameter array, got shape {params.shape}")
     if not np.isfinite(params).all():
         raise ValueError("non-finite parameters")
+    chunks = min(_usable_cpus(), len(params) // _MIN_CHUNK_ROWS) if len(params) >= 2 * _MIN_CHUNK_ROWS else 1
+    if chunks < 2:
+        w, v, left, degenerate, min_gap, resid2 = _solve_rows(params)
+    else:
+        w, v, left, degenerate, min_gap, resid2 = (
+            np.concatenate(part) for part in zip(*_solve_chunks(np.array_split(params, chunks)))
+        )
+    if (resid2 > 1e-20).any():
+        l, j = np.argwhere(resid2 > 1e-20)[0]
+        raise InaccurateEigensystem(f"eigen residual {np.sqrt(resid2[l, j]):.2e} at {ParamPoint(*params[l])}")
+    return EigensystemStack(params, w, v, left, degenerate, min_gap)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _solve_chunks(chunks: list) -> list:
+    """:func:`_solve_rows` of each chunk: the first on this thread, the rest on
+    a pool made for this call, each in a copy of this thread's context (its
+    ``np.errstate``).  numpy's eigensolver releases the GIL while it runs."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(chunks) - 1) as pool:
+        rest = [pool.submit(contextvars.copy_context().run, _solve_rows, chunk) for chunk in chunks[1:]]
+        first = _solve_rows(chunks[0])
+        return [first] + [future.result() for future in rest]
+
+
+def _solve_rows(params: np.ndarray) -> tuple:
+    """Sorted eigenvalues, normalized right vectors, left rows, degenerate
+    flags, smallest gaps and squared relative residual norms of each row.
+
+    Runs on worker threads: it must call no name that a tracer may rebind.
+    """
     h = _hamiltonians(params)
     w, v = np.linalg.eig(h)
     at = np.arange(len(params))[:, None]
@@ -182,10 +232,7 @@ def eigensystems(params) -> "EigensystemStack":
     # squared residual norms against (1e-10 * max(||H||_F, 1))^2
     r = h @ v - v * w[:, None, :]
     resid2 = (r.real**2 + r.imag**2).sum(axis=1) / np.maximum((h.real**2 + h.imag**2).sum(axis=(1, 2)), 1.0)[:, None]
-    if (resid2 > 1e-20).any():
-        l, j = np.argwhere(resid2 > 1e-20)[0]
-        raise InaccurateEigensystem(f"eigen residual {np.sqrt(resid2[l, j]):.2e} at {ParamPoint(*params[l])}")
-    return EigensystemStack(params, w, v, left, degenerate, min_gap)
+    return w, v, left, degenerate, min_gap, resid2
 
 
 @dataclass(frozen=True, eq=False)

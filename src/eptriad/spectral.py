@@ -214,6 +214,18 @@ def synthesize(
     return SpectralDataset(config=cfg, noise_spec=ns, steps=steps)
 
 
+def _squared_norm(data: np.ndarray, config: CavityConfig) -> float:
+    """||data||^2; ValueError unless ``data`` is finite, not all zero and
+    sampled as ``config`` samples it."""
+    shape = (3 * config.n_positions_per_cavity, config.n_frequencies)
+    with np.errstate(over="ignore"):        # an overflowing norm is rejected below
+        norm2 = float(np.sum(np.abs(data) ** 2))
+    if data.shape != shape or not 0 < norm2 < np.inf:
+        raise ValueError(f"need finite, not all-zero responses of shape {shape}, "
+                         f"got shape {data.shape} and squared norm {norm2}")
+    return norm2
+
+
 def _site_responses(data: np.ndarray, config: CavityConfig):
     """(y, norm2, floor), the fit's view of one spectrum; ValueError unless
     ``data`` is finite, not all zero and sampled as ``config`` samples it.
@@ -226,11 +238,7 @@ def _site_responses(data: np.ndarray, config: CavityConfig):
     part ||data - phi (phi . data)||^2 / ||data||^2, summed directly: as a
     difference of squared norms it would cancel to rounding noise.
     """
-    shape = (3 * config.n_positions_per_cavity, config.n_frequencies)
-    norm2 = float(np.sum(np.abs(data) ** 2))
-    if data.shape != shape or not 0 < norm2 < np.inf:
-        raise ValueError(f"need finite, not all-zero responses of shape {shape}, "
-                         f"got shape {data.shape} and squared norm {norm2}")
+    norm2 = _squared_norm(data, config)
     phi = onsite_profile(config)
     blocks = data.reshape(3, len(phi), -1)
     proj = phi @ blocks                                               # (3, n_freq)
@@ -244,7 +252,7 @@ def check_dataset(dataset: SpectralDataset) -> None:
     if len(dataset.steps) < 8:
         raise ValueError("need at least 8 steps forming a closed loop")
     for st in dataset.steps:
-        _site_responses(np.asarray(st.responses), dataset.config)
+        _squared_norm(np.asarray(st.responses), dataset.config)
 
 
 @dataclass(frozen=True)

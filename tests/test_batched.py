@@ -9,12 +9,14 @@ reliability) and reproduce their numbers within 1e-12.
 """
 import importlib
 import itertools
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eptriad.errors import AmbiguousMatch, InaccurateEigensystem, PathTouchesEP
+from eptriad import model
 from eptriad.locate import refine_ep, track_sheets
 from eptriad.loops import PRESET_NAMES, interpolate_loop, preset_loop, preset_waypoints
 from eptriad.model import (
@@ -223,6 +225,114 @@ def test_one_bad_row_fails_the_whole_batch(monkeypatch):
     with pytest.raises(InaccurateEigensystem, match="residual") as info:
         eigensystems(params)
     assert str(ParamPoint(*params[3])) in str(info.value)
+
+
+# a stack the threaded path splits into chunks of 367, 367 and 366 rows at
+# three usable CPUs, with the nexus and near-EP rows in every chunk
+CHUNKED_ROWS = 1100
+CHUNK_LENGTHS = [367, 367, 366]
+
+
+def _chunked_stack():
+    params = np.random.default_rng(12).uniform(-1.0, 1.0, (CHUNKED_ROWS, 4))
+    special = _probe_points()[-6:]                  # an EP, rows within 1e-9 of its arc, the nexus
+    for start in (0, 367, 734):
+        params[start + 100:start + 100 + len(special)] = special
+    params[-1] = 0.0                                # the nexus (0, 0, 0, 0) as the last row
+    return params
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three usable CPUs, so that any runner takes the threaded path; yields
+    the lengths of the chunks each solve was given."""
+    lengths = []
+    solve_rows = model._solve_rows
+
+    def recording(params):
+        lengths.append(len(params))
+        return solve_rows(params)
+
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(model, "_solve_rows", recording)
+    return lengths
+
+
+def _one_solve(params, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(model, "_usable_cpus", lambda: 1)
+        return eigensystems(params)
+
+
+def test_chunked_stack_is_bit_equal_to_one_solve(three_cpus, monkeypatch):
+    params = _chunked_stack()
+    chunked = eigensystems(params)
+    assert sorted(three_cpus, reverse=True) == CHUNK_LENGTHS
+    serial = _one_solve(params, monkeypatch)
+    assert chunked.is_degenerate[-1] and chunked.is_degenerate[100:106].any()
+    fields = ("params", "eigenvalues", "right_vectors", "left_vectors", "is_degenerate", "min_gap")
+    for f in fields:
+        assert np.array_equal(getattr(chunked, f), getattr(serial, f)), f
+    for l, row in enumerate(params):
+        single = eigensystem(ParamPoint(*row))
+        assert np.array_equal(chunked.params[l], single.point.as_array())
+        assert np.array_equal(chunked.eigenvalues[l], single.eigenvalues)
+        assert np.array_equal(chunked.right_vectors[l], single.right_vectors)
+        assert np.array_equal(chunked.left_vectors[l], single.left_vectors)
+        assert chunked.is_degenerate[l] == single.is_degenerate
+        assert chunked.min_gap[l] == single.min_gap
+
+
+def test_small_stacks_take_one_solve(three_cpus):
+    params = _chunked_stack()
+    eigensystems(params[:2 * model._MIN_CHUNK_ROWS - 1])
+    eigensystems(params[:2 * model._MIN_CHUNK_ROWS])
+    assert three_cpus == [2 * model._MIN_CHUNK_ROWS - 1] + [model._MIN_CHUNK_ROWS] * 2
+
+
+def _corrupting_eig(params, bad_rows):
+    """An ``np.linalg.eig`` that swaps a right vector of the rows ``bad_rows``
+    of ``params``, found by their Hamiltonians in whichever chunk holds them."""
+    eig = np.linalg.eig
+    targets = model._hamiltonians(params[bad_rows])
+
+    def bad_eig(h):
+        w, v = eig(h)
+        v = v.copy()
+        hit = (h[:, None] == targets[None]).all(axis=(2, 3)).any(axis=1)
+        v[hit, :, 0] = v[hit, :, 1]
+        return w, v
+
+    return bad_eig
+
+
+@pytest.mark.parametrize("bad_rows", [[1050], [1050, 700], [1050, 700, 5]], ids=["last-chunk", "two-chunks", "three-chunks"])
+def test_chunked_errors_name_the_first_bad_row(bad_rows, three_cpus, monkeypatch):
+    params = _chunked_stack()
+    monkeypatch.setattr(np.linalg, "eig", _corrupting_eig(params, bad_rows))
+    with pytest.raises(InaccurateEigensystem, match="residual") as chunked:
+        eigensystems(params)
+    assert len(three_cpus) == 3
+    with pytest.raises(InaccurateEigensystem) as serial:
+        _one_solve(params, monkeypatch)
+    assert str(chunked.value) == str(serial.value)
+    assert str(ParamPoint(*params[min(bad_rows)])) in str(chunked.value)
+
+
+def test_workers_see_the_callers_errstate(three_cpus, monkeypatch):
+    eig = np.linalg.eig
+    seen = []
+
+    def recording_eig(h):
+        seen.append((threading.get_ident(), np.geterr()["over"]))
+        return eig(h)
+
+    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    with np.errstate(over="raise"):
+        eigensystems(_chunked_stack())
+    idents = {ident for ident, _ in seen}
+    assert len(seen) == 3 and threading.get_ident() in idents and len(idents) >= 2
+    assert [over for _, over in seen] == ["raise"] * 3
 
 
 def test_rejects_malformed_parameter_arrays():

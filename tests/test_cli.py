@@ -499,6 +499,9 @@ def _lab_dataset(corrupt):
     pytest.param(_argv("lab", "synth", "--noise", "nan"), EXIT_CONFIG, id="lab_nan_noise-2"),
     pytest.param(_argv("lab", "synth", "--noise", "-0.5"), EXIT_CONFIG, id="lab_negative_noise-2"),
     pytest.param(_argv("lab", "pipeline", "--noise", "inf"), EXIT_CONFIG, id="lab_infinite_noise-2"),
+    # finite noise whose synthesized spectra overflow: no dataset is written
+    pytest.param(_argv("lab", "synth", "--noise", "1e300"), EXIT_CONFIG, id="lab_synth_overflowing_noise-2"),
+    pytest.param(_argv("lab", "pipeline", "--noise", "1e300"), EXIT_CONFIG, id="lab_pipeline_overflowing_noise-2"),
 ])
 def test_exit_code_matrix(tmp_path, monkeypatch, make_argv, code):
     argv = make_argv(tmp_path, monkeypatch)
@@ -526,6 +529,18 @@ def test_regime_warnings_name_the_constructing_line(tmp_path):
     assert sites, proc.stderr
     assert all(Path(site.rsplit(":", 1)[0]).name == "locate.py" for site in sites), sites
     assert len(sites) == len(set(sites)) <= 8
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    """``concurrent.futures`` is imported only by an eigen-solve large enough
+    to be split, so a cold ``import eptriad.cli`` does not pay for it."""
+    env = dict(os.environ)
+    src = str(Path(eptriad.model.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = "import sys, eptriad.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_only_a_fallback_search_imports_scipy_optimize(tmp_path):
