@@ -45,11 +45,11 @@ class LoopPath:
         close = np.flatnonzero(disc < EP_CLEARANCE)
         if len(close):
             l = close[0]
-            raise PathTouchesEP(f"|disc| = {disc[l]:.2e} at {ParamPoint(*self.params[l])}")
+            raise PathTouchesEP(f"|disc| = {disc[l]:.2e} at {ParamPoint.from_row(self.params[l])}")
 
     @property
     def steps(self) -> tuple[ParamPoint, ...]:
-        return tuple(ParamPoint(*row) for row in self.params)
+        return tuple(ParamPoint.from_row(row) for row in self.params)
 
     @property
     def n_steps(self) -> int:

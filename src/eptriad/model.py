@@ -68,6 +68,12 @@ class ParamPoint:
     def as_array(self) -> np.ndarray:
         return np.array([self.eta, self.zeta, self.xi, self.g])
 
+    @classmethod
+    def from_row(cls, row) -> "ParamPoint":
+        """The point of an array row (eta, zeta, xi, g), held as Python
+        floats so that its text names plain numbers, not ``np.float64``."""
+        return cls(*np.asarray(row, dtype=float).tolist())
+
 
 def _outside_stacklevel() -> int:
     """``stacklevel`` naming the first caller outside this module.
@@ -175,7 +181,7 @@ def eigensystems(params) -> "EigensystemStack":
         )
     if (resid2 > 1e-20).any():
         l, j = np.argwhere(resid2 > 1e-20)[0]
-        raise InaccurateEigensystem(f"eigen residual {np.sqrt(resid2[l, j]):.2e} at {ParamPoint(*params[l])}")
+        raise InaccurateEigensystem(f"eigen residual {np.sqrt(resid2[l, j]):.2e} at {ParamPoint.from_row(params[l])}")
     return EigensystemStack(params, w, v, left, degenerate, min_gap)
 
 
@@ -267,7 +273,7 @@ class EigensystemStack:
     def row(self, l: int, point: ParamPoint | None = None) -> Eigensystem:
         """Row ``l`` as an :class:`Eigensystem` (``point`` defaults to ``params[l]``)."""
         return Eigensystem(
-            point=ParamPoint(*self.params[l]) if point is None else point,
+            point=ParamPoint.from_row(self.params[l]) if point is None else point,
             eigenvalues=self.eigenvalues[l],
             right_vectors=self.right_vectors[l],
             left_vectors=self.left_vectors[l],

@@ -20,7 +20,12 @@ three stages:
   polish misses the residual threshold or there is no closed-form start.
 
 It then solves linearly for the pole residues that reconstruct the
-eigenvectors.
+eigenvectors.  A loop's spectra are fitted as one stack: one polish call
+takes every closed-form start, and each of its iterations builds the
+Jacobians of all spectra still iterating in one resolvent derivative and
+tries their steps in one forward-model call, while the least-squares
+step, the step halvings and the stops stay per spectrum, so each fit
+keeps the bits of a fit on its own.
 """
 from __future__ import annotations
 
@@ -149,8 +154,9 @@ _HOPPING = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
 
 def _response_jacobian(theta: np.ndarray, freqs: np.ndarray, src: int = 1) -> np.ndarray:
-    """Exact derivative of ``_response_matrix`` at one (7,) vector: the
-    site responses' derivative by each parameter, shape (7, 3, n_freq).
+    """Exact derivative of ``_response_matrix``: the site responses'
+    derivative by each parameter, shape (7, 3, n_freq) for theta of shape
+    (7,) and (S, 7, 3, n_freq) for a stack of shape (7, S).
 
     With G = adj(A) / det(A) the resolvent of the tridiagonal
     A = omega - H_phys and g = G e_src its driven column,
@@ -159,25 +165,29 @@ def _response_jacobian(theta: np.ndarray, freqs: np.ndarray, src: int = 1) -> np
     kappa (m as in ``_tridiagonal``), and |kappa| diag(sqrt2, 0, -sqrt2),
     |kappa| diag(0, i, 0), |kappa| diag(0, 1, 0) and
     |kappa| diag(i sqrt2, 0, -i sqrt2) for eta, zeta, xi and g.  All seven
-    products come from one batched G @ V over the frequencies.
+    products come from one batched G @ V over the frequencies (and the
+    stack).  A single vector runs as a stack of one, so both shapes share
+    every arithmetic step.
     """
-    c, b0, b1, b2 = (x[0] for x in _tridiagonal(theta, freqs))    # (1,), (n_freq,) each
+    c, b0, b1, b2 = _tridiagonal(theta, freqs)                       # (S, 1), (S, n_freq) each
     c2, s2 = c * c, np.sqrt(2.0)
-    adj = np.empty((len(freqs), 3, 3), complex)                     # symmetric, as A is
-    adj[:, 0, 0], adj[:, 1, 1], adj[:, 2, 2] = b1 * b2 - c2, b0 * b2, b0 * b1 - c2
-    adj[:, 0, 1] = adj[:, 1, 0] = -c * b2
-    adj[:, 1, 2] = adj[:, 2, 1] = -c * b0
-    adj[:, 0, 2] = adj[:, 2, 0] = c2
-    green = adj / (b0 * b1 * b2 - c2 * (b0 + b2))[:, None, None]
-    gcol = green[:, :, src]                                          # (n_freq, 3)
-    kap, eta, zeta, xi, g = theta[2:]
-    sign, m = np.sign(kap), np.array([s2 * (eta + 1j * (1 + g)), xi + 1j * zeta, -s2 * (eta + 1j * (1 + g))])
-    diag = np.empty((3, 7), complex)                                 # the diagonals of the seven dA
-    diag[:, 0], diag[:, 1], diag[:, 2] = -1, -1j, sign * m
-    diag[:, 3:] = c * np.array([[s2, 0, 0, 1j * s2], [0, 1j, 1, 0], [-s2, 0, 0, -1j * s2]])
-    v = diag * gcol[:, :, None]                                      # (n_freq, 3, 7): dA_k g
-    v[:, :, 2] += sign * gcol @ _HOPPING
-    return -(green @ v).transpose(2, 1, 0)                           # (7, 3, n_freq)
+    adj = np.empty(b0.shape + (3, 3), complex)                       # symmetric, as A is
+    adj[..., 0, 0], adj[..., 1, 1], adj[..., 2, 2] = b1 * b2 - c2, b0 * b2, b0 * b1 - c2
+    adj[..., 0, 1] = adj[..., 1, 0] = -c * b2
+    adj[..., 1, 2] = adj[..., 2, 1] = -c * b0
+    adj[..., 0, 2] = adj[..., 2, 0] = c2
+    green = adj / (b0 * b1 * b2 - c2 * (b0 + b2))[..., None, None]
+    gcol = green[..., src]                                           # (S, n_freq, 3)
+    kap, eta, zeta, xi, g = np.asarray(theta, dtype=float).reshape(7, -1)[2:]
+    sign, eg = np.sign(kap)[:, None], eta + 1j * (1 + g)
+    diag = np.empty((len(kap), 3, 7), complex)                       # the diagonals of the seven dA
+    diag[..., 0], diag[..., 1] = -1, -1j
+    diag[..., 2] = sign * np.stack([s2 * eg, xi + 1j * zeta, -s2 * eg], axis=1)
+    diag[..., 3:] = c[..., None] * np.array([[s2, 0, 0, 1j * s2], [0, 1j, 1, 0], [-s2, 0, 0, -1j * s2]])
+    v = diag[:, None] * gcol[..., None]                              # (S, n_freq, 3, 7): dA_k g
+    v[..., 2] += sign[..., None] * gcol @ _HOPPING
+    jac = -(green @ v).transpose(0, 3, 2, 1)                         # (S, 7, 3, n_freq)
+    return jac[0] if np.ndim(theta) == 1 else jac
 
 
 def _truth_vector(p: ParamPoint, scale: PhysicalScale) -> np.ndarray:
@@ -283,43 +293,61 @@ class FittedParams:
 
 
 def _gauss_newton(theta0, y, freqs, norm2, floor, src=1):
-    """Damped Gauss-Newton on the site responses ``y``: (theta, cost, iterations).
+    """Damped Gauss-Newton on a stack of spectra: (theta, cost, iterations).
 
-    cost = ||y - g||^2 / norm2 + floor, as in ``_site_responses``.  Each
-    iteration builds the exact Jacobian of the residuals at the current
-    point (``_response_jacobian``, one resolvent derivative) and solves the
-    linear least-squares step s.  The full step would lower the cost by
-    ||J s||^2 if the model were linear; when that is at or below 1e-15 of
-    the cost, the polish sits at the rounding floor and stops.  Otherwise
-    the step is halved up to 25 times until the cost falls, and the polish
-    stops when no halving lowers it, when the step taken is below 1e-13, or
-    after ``GAUSS_NEWTON_ITERATIONS``.  ``iterations`` counts the Jacobians
-    built.
+    ``theta0`` holds one start per spectrum, shape (S, 7); ``y`` their site
+    responses, shape (S, 3, n_freq); ``norm2`` and ``floor``, shape (S,),
+    their normalisation, as in ``_site_responses``, and cost = ||y - g||^2 /
+    norm2 + floor.  Each iteration builds the exact Jacobians of the spectra
+    still iterating in one ``_response_jacobian`` call (one resolvent
+    derivative each), and each trial of the line search evaluates their
+    residuals in one ``_response_matrix`` call.  Per spectrum, LAPACK's
+    lstsq solves the linear least-squares step s.  The full step would lower
+    the cost by ||J s||^2 if the model were linear; when that is at or below
+    1e-15 of the cost, the polish sits at the rounding floor and that
+    spectrum stops.  Otherwise its step is halved up to 25 times until its
+    cost falls, and it stops when no halving lowers it, when the step taken
+    is below 1e-13, or after ``GAUSS_NEWTON_ITERATIONS``.  ``iterations``
+    counts the Jacobians built for each spectrum.  No spectrum's arithmetic
+    depends on another's, so each ends with the bits of a polish on its own.
     """
     theta, root = np.array(theta0, float), np.sqrt(norm2)
 
-    def residuals(t):
-        return ((_response_matrix(t, freqs, src) - y) / root).ravel()
+    def residuals(t, at):                    # of the rows t of the spectra at, (len(at), 3, n_freq)
+        return (_response_matrix(t.T, freqs, src) - y[at]) / root[at, None, None]
 
-    r = residuals(theta)
-    cost = float(np.sum(np.abs(r) ** 2))                # the site part; floor does not move
-    for iterations in range(1, GAUSS_NEWTON_ITERATIONS + 1):
-        jac = _response_jacobian(theta, freqs, src).reshape(7, -1) / root
-        jr = np.hstack([jac.real, jac.imag]).T
-        step, *_ = np.linalg.lstsq(jr, -np.concatenate([r.real, r.imag]), rcond=None)
-        if np.sum((jr @ step) ** 2) <= 1e-15 * (cost + floor):
+    def costs(r):                            # the site part; floor does not move
+        return (np.abs(r) ** 2).reshape(len(r), -1).sum(axis=1)
+
+    live = np.arange(len(theta))
+    r = residuals(theta, live)
+    cost, iterations = costs(r), np.zeros(len(theta), int)
+    for it in range(1, GAUSS_NEWTON_ITERATIONS + 1):
+        if not len(live):
             break
-        lam, improved = 1.0, False
+        iterations[live] = it
+        jac = _response_jacobian(theta[live].T, freqs, src).reshape(len(live), 7, -1) / root[live, None, None]
+        step, above_floor = np.empty((len(live), 7)), np.empty(len(live), bool)
+        for i, k in enumerate(live):
+            jr, rk = np.hstack([jac[i].real, jac[i].imag]).T, r[k].ravel()
+            step[i], *_ = np.linalg.lstsq(jr, -np.concatenate([rk.real, rk.imag]), rcond=None)
+            above_floor[i] = not np.sum((jr @ step[i]) ** 2) <= 1e-15 * (cost[k] + floor[k])
+        live, step = live[above_floor], step[above_floor]
+        lam, improved, trying = np.ones(len(live)), np.zeros(len(live), bool), np.arange(len(live))
         for _ in range(25):
-            trial = theta + lam * step
-            rt = residuals(trial)
-            ct = float(np.sum(np.abs(rt) ** 2))
-            if ct < cost:
-                theta, r, cost, improved = trial, rt, ct, True
+            if not len(trying):
                 break
-            lam *= 0.5
-        if not improved or np.linalg.norm(lam * step) < 1e-13:
-            break
+            at = live[trying]
+            trial = theta[at] + lam[trying, None] * step[trying]
+            rt = residuals(trial, at)
+            ct = costs(rt)
+            lower = ct < cost[at]
+            theta[at[lower]], r[at[lower]], cost[at[lower]] = trial[lower], rt[lower], ct[lower]
+            improved[trying[lower]] = True
+            trying = trying[~lower]
+            lam[trying] *= 0.5
+        moved = [not np.linalg.norm(lam[i] * step[i]) < 1e-13 for i in range(len(live))]
+        live = live[improved & np.array(moved, bool)]
     return theta, cost + floor, iterations
 
 
@@ -435,74 +463,93 @@ def fit_step(
     least squares at the fitted eigenvalues, and the right/left coefficient
     split uses the complex-symmetry constraint b proportional to a.
     """
-    cfg = config if config is not None else CavityConfig()
+    return _fit_spectra([responses], config if config is not None else CavityConfig(), fit_config)[0]
+
+
+def _fit_spectra(spectra, cfg: CavityConfig, fit_config: FitConfig | None) -> list[FittedParams]:
+    """``fit_step`` of each spectrum in order, as one stack.
+
+    The closed-form starts are polished in one ``_gauss_newton`` call.  The
+    searches, the checks, the warnings and the residue solves then run
+    spectrum by spectrum in order, so a spectrum that fails raises, after
+    the warnings of the ones before it, what fitting the spectra one at a
+    time raises.
+    """
     fc = fit_config if fit_config is not None else FitConfig()
-    y, norm2, floor = _site_responses(np.asarray(responses, dtype=complex), cfg)
+    views = [_site_responses(np.asarray(r, dtype=complex), cfg) for r in spectra]
+    y, norm2, floor = (np.array(v) for v in zip(*views))
     freqs, src = cfg.frequencies(), cfg.source_site - 1
 
-    theta, cost, iterations = _rational_start(y, cfg), np.inf, 0
-    if np.isfinite(theta).all():
-        theta, cost, iterations = _gauss_newton(theta, y, freqs, norm2, floor, src)
-    searched = not cost <= RESIDUAL_THRESHOLD        # a NaN cost searches too
-    if searched:
-        rng = np.random.default_rng(fc.seed)
-        lo, hi = np.array(INIT_BOX).T
-        init = lo + (hi - lo) * rng.random((max(fc.population, 8), 7))
-        de = differential_evolution(
-            _site_cost,
-            args=(y, freqs, norm2, floor, src),
-            bounds=INIT_BOX,
-            init=init,
-            maxiter=fc.generations,
-            tol=1e-10,
-            seed=fc.seed,
-            polish=False,
-            vectorized=True,
-            updating="deferred",
-        )
-        theta, cost, more = _gauss_newton(de.x, y, freqs, norm2, floor, src)
-        iterations += more
-        if cost > RESIDUAL_THRESHOLD:
-            raise FitDiverged(f"normalized residual {cost:.3e} above {RESIDUAL_THRESHOLD}")
+    theta = np.array([_rational_start(yk, cfg) for yk in y])
+    cost, iterations = np.full(len(y), np.inf), np.zeros(len(y), int)
+    start = np.isfinite(theta).all(axis=1)
+    if start.any():
+        theta[start], cost[start], iterations[start] = _gauss_newton(
+            theta[start], y[start], freqs, norm2[start], floor[start], src)
 
-    w0, g0, kap, eta, zeta, xi, g = theta
-    if kap == 0:
-        raise FitDiverged("fitted hopping kappa collapsed to 0")
-    point = ParamPoint(eta, zeta, xi, g)
-    # the model sees only |kappa|, so the unbounded polish may cross 0
-    scale = PhysicalScale(omega0=w0, gamma0=g0, kappa=-abs(kap))
-    wphys = to_physical(eigensystem(point).eigenvalues, scale)
+    fits, spacing = [], freqs[1] - freqs[0]
+    for k in range(len(y)):
+        searched = not cost[k] <= RESIDUAL_THRESHOLD        # a NaN cost searches too
+        if searched:
+            rng = np.random.default_rng(fc.seed)
+            lo, hi = np.array(INIT_BOX).T
+            init = lo + (hi - lo) * rng.random((max(fc.population, 8), 7))
+            de = differential_evolution(
+                _site_cost,
+                args=(y[k], freqs, norm2[k], floor[k], src),
+                bounds=INIT_BOX,
+                init=init,
+                maxiter=fc.generations,
+                tol=1e-10,
+                seed=fc.seed,
+                polish=False,
+                vectorized=True,
+                updating="deferred",
+            )
+            (theta[k],), (cost[k],), (more,) = _gauss_newton(
+                de.x[None], y[k, None], freqs, norm2[k, None], floor[k, None], src)
+            iterations[k] += more
+            if cost[k] > RESIDUAL_THRESHOLD:
+                raise FitDiverged(f"normalized residual {cost[k]:.3e} above {RESIDUAL_THRESHOLD}")
 
-    spacing = freqs[1] - freqs[0]
-    gaps = [abs(wphys[i] - wphys[j]) for i in range(3) for j in range(i + 1, 3)]
-    ident_flag = min(gaps) < 3 * spacing
-    if ident_flag:
-        warnings.warn(
-            f"eigenvalue gap {min(gaps):.1f} rad/s below 3x frequency spacing",
-            IdentifiabilityWarning,
-            stacklevel=2,
-        )
+        w0, g0, kap, eta, zeta, xi, g = theta[k]
+        if kap == 0:
+            raise FitDiverged("fitted hopping kappa collapsed to 0")
+        point = ParamPoint(eta, zeta, xi, g)
+        # the model sees only |kappa|, so the unbounded polish may cross 0
+        scale = PhysicalScale(omega0=w0, gamma0=g0, kappa=-abs(kap))
+        wphys = to_physical(eigensystem(point).eigenvalues, scale)
 
-    # linear residue solve: y_s ~ sum_j t_{s,j} / (omega - w_j), t_{s,j} = a_{s,j} * b_{j,src}
-    basis = 1.0 / (freqs[None, :] - wphys[:, None])            # (3, n_freq)
-    coeffs, *_ = np.linalg.lstsq(basis.T, y.T, rcond=None)     # (state, site)
-    t = coeffs.T                                               # (site, state)
-    nrm = np.linalg.norm(t, axis=0)
-    if not nrm.all():
-        raise FitDiverged(f"vanishing residue column for state {np.argmin(nrm) + 1}")
-    a = t / nrm
-    b = (a / np.sum(a * a, axis=0)).T                          # (state, site)
-    return FittedParams(
-        point=point,
-        scale=scale,
-        eigenvalues=wphys,
-        residual=cost,
-        mode_coeffs_right=a,
-        mode_coeffs_left=b,
-        identifiability_warning=ident_flag,
-        searched=searched,
-        gauss_newton_iterations=iterations,
-    )
+        gaps = [abs(wphys[i] - wphys[j]) for i in range(3) for j in range(i + 1, 3)]
+        ident_flag = min(gaps) < 3 * spacing
+        if ident_flag:
+            warnings.warn(
+                f"eigenvalue gap {min(gaps):.1f} rad/s below 3x frequency spacing",
+                IdentifiabilityWarning,
+                stacklevel=3,
+            )
+
+        # linear residue solve: y_s ~ sum_j t_{s,j} / (omega - w_j), t_{s,j} = a_{s,j} * b_{j,src}
+        basis = 1.0 / (freqs[None, :] - wphys[:, None])            # (3, n_freq)
+        coeffs, *_ = np.linalg.lstsq(basis.T, y[k].T, rcond=None)  # (state, site)
+        t = coeffs.T                                               # (site, state)
+        nrm = np.linalg.norm(t, axis=0)
+        if not nrm.all():
+            raise FitDiverged(f"vanishing residue column for state {np.argmin(nrm) + 1}")
+        a = t / nrm
+        b = (a / np.sum(a * a, axis=0)).T                          # (state, site)
+        fits.append(FittedParams(
+            point=point,
+            scale=scale,
+            eigenvalues=wphys,
+            residual=float(cost[k]),
+            mode_coeffs_right=a,
+            mode_coeffs_left=b,
+            identifiability_warning=ident_flag,
+            searched=searched,
+            gauss_newton_iterations=int(iterations[k]),
+        ))
+    return fits
 
 
 def fitted_eigensystem(fit: FittedParams) -> Eigensystem:
@@ -522,16 +569,17 @@ def fitted_eigensystem(fit: FittedParams) -> Eigensystem:
 def fit_loop(dataset: SpectralDataset, fit_config: FitConfig | None = None):
     """Fit every step of a closed-loop dataset, then transport the fitted frames.
 
-    Each step is fitted from its own spectrum by ``fit_step`` (closed-form
-    start, polish, and the search only as a fallback), so no fit depends on
-    its neighbour.  Returns (fits, transport_result); the transport pass
+    Each step is fitted from its own spectrum as ``fit_step`` fits it
+    (closed-form start, polish, and the search only as a fallback), all of
+    them as one stack (``_fit_spectra``), so no fit depends on its
+    neighbour.  Returns (fits, transport_result); the transport pass
     consumes the reconstructed eigenvectors exactly as it would analytic
     ones.
     """
     from .transport import transport_eigensystems
 
     check_dataset(dataset)
-    fits = [fit_step(st.responses, dataset.config, fit_config) for st in dataset.steps]
+    fits = _fit_spectra([st.responses for st in dataset.steps], dataset.config, fit_config)
     systems = [fitted_eigensystem(f) for f in fits]
     result = transport_eigensystems(systems, label="fitted-loop", refine=False)
     return fits, result

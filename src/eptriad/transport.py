@@ -115,11 +115,22 @@ def chain_assignments(best) -> np.ndarray:
     l + 1.  Returns ``m`` with ``m[l, ..., j]`` the raw band that tracked
     band j occupies at frame l: m[0] is the identity and m[l + 1][j] =
     _PERMS[best[l]][m[l][j]].  Trailing axes of ``best`` are independent paths.
+
+    Most steps keep every band (index 0, the identity), and they leave the
+    order unchanged, so orders are composed only at the steps where some
+    path exchanges bands, and each run between them repeats the last order.
     """
-    k = np.zeros((len(best) + 1,) + np.shape(best)[1:], dtype=np.intp)
-    for l, b in enumerate(best):
-        k[l + 1] = _COMPOSE[b, k[l]]
-    return _PERM_ROWS[k]
+    best = np.asarray(best, dtype=np.intp)
+    exchanges = np.flatnonzero(best.any(axis=tuple(range(1, best.ndim))))
+    orders = [np.zeros(best.shape[1:], dtype=np.intp)]      # the identity, then after each exchange
+    for b in best[exchanges]:
+        orders.append(_COMPOSE[b, orders[-1]])
+    orders = np.array(orders)
+    if len(exchanges) < len(best):
+        after = np.zeros(len(best) + 1, dtype=np.intp)      # frame l takes the order after
+        after[exchanges + 1] = 1                             # the exchanges before it
+        orders = orders.take(np.cumsum(after), axis=0)
+    return _PERM_ROWS.take(orders, axis=0)                   # take: a faster gather than indexing
 
 
 def match_assignment(es_from: Eigensystem, es_to: Eigensystem):
@@ -158,7 +169,7 @@ def _resolve_steps(stack: EigensystemStack, refine: bool):
             l = ambiguous[0]
             raise AmbiguousMatch(
                 f"assignment margin {margin[l]:.2e} at step {l} "
-                f"({ParamPoint(*stack.params[l])} -> {ParamPoint(*stack.params[l + 1])})"
+                f"({ParamPoint.from_row(stack.params[l])} -> {ParamPoint.from_row(stack.params[l + 1])})"
             )
         mids = eigensystems(0.5 * (stack.params[ambiguous] + stack.params[ambiguous + 1]))
         stack = stack.insert(ambiguous + 1, mids)
@@ -182,7 +193,7 @@ def transport_eigensystems(systems, label: str = "", refine: bool = True) -> Tra
     stack, overlap, best = _resolve_steps(stack, refine)
 
     # m[l, j]: the raw (Re-sorted) band that tracked band j occupies at step l
-    m = chain_assignments(best.tolist())
+    m = chain_assignments(best)
     at = np.arange(len(m))[:, None]
     matched = overlap[at[:-1], m[:-1], m[1:]]                # (L-1, 3) raw matched overlaps
     # the holonomy needs only the end frame, compensated by each band's summed phase
@@ -193,7 +204,7 @@ def transport_eigensystems(systems, label: str = "", refine: bool = True) -> Tra
     events = [
         ExchangeEvent(
             step=int(l) + 1,
-            point=ParamPoint(*stack.params[l + 1]),
+            point=ParamPoint.from_row(stack.params[l + 1]),
             before=tuple(m[l].tolist()),
             after=tuple(m[l + 1].tolist()),
         )

@@ -5,24 +5,28 @@ polynomial as a callable cubic, the closed-form cubic solver, the
 Sylvester-matrix discriminant and its cubic-order small-parameter
 approximation, the per-point repeated root by ``np.roots``, the Green's
 function and its parameter derivative by dense linear solves and the
-multiband Berry phase of a unimodular matrix.  The package builds its
+multiband Berry phase of a unimodular matrix, and the spectral fit one
+spectrum at a time, each polish on its own.  The package builds its
 Hamiltonians as one stacked array (``model._hamiltonians``), computes
 eigenvalues with ``np.linalg.eig``, the discriminant from the closed
 formula (``model.discriminant_values``), repeated roots from the
 closed-form double root of the cubic (``locate._ep_points``), the Green's
 function and its derivative from the closed-form adjugate of the
 tridiagonal resolvent and Θ from the transported holonomy with its
-permutation parity divided out; nothing in it calls these.  The cubic's
+permutation parity divided out, and it polishes a loop's spectra as one
+stack; nothing in it calls these.  The cubic's
 coefficients come from the package's formula (``model._poly_coeffs``),
 which ``test_model.TestCharPoly`` holds to a determinant expansion.
 """
 import cmath
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from eptriad.errors import NonUnimodularDeterminant
-from eptriad.model import ParamPoint, _poly_coeffs
+from eptriad import spectral
+from eptriad.errors import FitDiverged, IdentifiabilityWarning, NonUnimodularDeterminant
+from eptriad.model import ParamPoint, PhysicalScale, _poly_coeffs, eigensystem, to_physical
 
 
 @dataclass(frozen=True)
@@ -238,3 +242,83 @@ def berry_phase(u: np.ndarray) -> float:
     if abs(abs(det) - 1.0) > 1e-6:
         raise NonUnimodularDeterminant(f"|det U| = {abs(det):.8f}")
     return -cmath.log(det).imag
+
+
+def serial_gauss_newton(theta0, y, freqs, norm2, floor, src=1):
+    """The polish of one spectrum on its own: (theta, cost, iterations).
+
+    The damped Gauss-Newton of ``spectral._gauss_newton`` for a single (7,)
+    start, its site responses ``y`` (3, n_freq) and scalar ``norm2`` and
+    ``floor``: one forward model and one Jacobian per call, the same stops.
+    """
+    theta, root = np.array(theta0, float), np.sqrt(norm2)
+
+    def residuals(t):
+        return ((spectral._response_matrix(t, freqs, src) - y) / root).ravel()
+
+    r = residuals(theta)
+    cost = float(np.sum(np.abs(r) ** 2))
+    for iterations in range(1, spectral.GAUSS_NEWTON_ITERATIONS + 1):
+        jac = spectral._response_jacobian(theta, freqs, src).reshape(7, -1) / root
+        jr = np.hstack([jac.real, jac.imag]).T
+        step, *_ = np.linalg.lstsq(jr, -np.concatenate([r.real, r.imag]), rcond=None)
+        if np.sum((jr @ step) ** 2) <= 1e-15 * (cost + floor):
+            break
+        lam, improved = 1.0, False
+        for _ in range(25):
+            trial = theta + lam * step
+            rt = residuals(trial)
+            ct = float(np.sum(np.abs(rt) ** 2))
+            if ct < cost:
+                theta, r, cost, improved = trial, rt, ct, True
+                break
+            lam *= 0.5
+        if not improved or np.linalg.norm(lam * step) < 1e-13:
+            break
+    return theta, cost + floor, iterations
+
+
+def serial_fit_step(responses, config, fit_config) -> spectral.FittedParams:
+    """``spectral.fit_step`` one spectrum at a time: the closed-form start, its
+    polish by :func:`serial_gauss_newton`, the seeded search where that polish
+    misses the threshold, then the eigenvalues of the fitted point by
+    ``eigensystem`` and the residue solve."""
+    y, norm2, floor = spectral._site_responses(np.asarray(responses, dtype=complex), config)
+    freqs, src = config.frequencies(), config.source_site - 1
+    theta, cost, iterations = spectral._rational_start(y, config), np.inf, 0
+    if np.isfinite(theta).all():
+        theta, cost, iterations = serial_gauss_newton(theta, y, freqs, norm2, floor, src)
+    searched = not cost <= spectral.RESIDUAL_THRESHOLD
+    if searched:
+        fc = fit_config
+        lo, hi = np.array(spectral.INIT_BOX).T
+        init = lo + (hi - lo) * np.random.default_rng(fc.seed).random((max(fc.population, 8), 7))
+        de = spectral.differential_evolution(
+            spectral._site_cost, args=(y, freqs, norm2, floor, src), bounds=spectral.INIT_BOX, init=init,
+            maxiter=fc.generations, tol=1e-10, seed=fc.seed, polish=False, vectorized=True, updating="deferred",
+        )
+        theta, cost, more = serial_gauss_newton(de.x, y, freqs, norm2, floor, src)
+        iterations += more
+        if cost > spectral.RESIDUAL_THRESHOLD:
+            raise FitDiverged(f"normalized residual {cost:.3e} above {spectral.RESIDUAL_THRESHOLD}")
+    w0, g0, kap, eta, zeta, xi, g = theta
+    if kap == 0:
+        raise FitDiverged("fitted hopping kappa collapsed to 0")
+    point = ParamPoint(eta, zeta, xi, g)
+    scale = PhysicalScale(omega0=w0, gamma0=g0, kappa=-abs(kap))
+    wphys = to_physical(eigensystem(point).eigenvalues, scale)
+    gaps = [abs(wphys[i] - wphys[j]) for i in range(3) for j in range(i + 1, 3)]
+    ident_flag = min(gaps) < 3 * (freqs[1] - freqs[0])
+    if ident_flag:
+        warnings.warn(f"eigenvalue gap {min(gaps):.1f} rad/s below 3x frequency spacing", IdentifiabilityWarning)
+    basis = 1.0 / (freqs[None, :] - wphys[:, None])
+    t = np.linalg.lstsq(basis.T, y.T, rcond=None)[0].T
+    nrm = np.linalg.norm(t, axis=0)
+    if not nrm.all():
+        raise FitDiverged(f"vanishing residue column for state {np.argmin(nrm) + 1}")
+    a = t / nrm
+    return spectral.FittedParams(
+        point=point, scale=scale, eigenvalues=wphys, residual=cost, mode_coeffs_right=a,
+        mode_coeffs_left=(a / np.sum(a * a, axis=0)).T, identifiability_warning=ident_flag,
+        searched=searched, gauss_newton_iterations=iterations,
+    )

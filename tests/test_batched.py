@@ -224,7 +224,7 @@ def test_one_bad_row_fails_the_whole_batch(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", bad_eig)
     with pytest.raises(InaccurateEigensystem, match="residual") as info:
         eigensystems(params)
-    assert str(ParamPoint(*params[3])) in str(info.value)
+    assert str(ParamPoint(*params[3].tolist())) in str(info.value)
 
 
 # a stack the threaded path splits into chunks of 367, 367 and 366 rows at
@@ -316,7 +316,7 @@ def test_chunked_errors_name_the_first_bad_row(bad_rows, three_cpus, monkeypatch
     with pytest.raises(InaccurateEigensystem) as serial:
         _one_solve(params, monkeypatch)
     assert str(chunked.value) == str(serial.value)
-    assert str(ParamPoint(*params[min(bad_rows)])) in str(chunked.value)
+    assert str(ParamPoint(*params[min(bad_rows)].tolist())) in str(chunked.value)
 
 
 def test_workers_see_the_callers_errstate(three_cpus, monkeypatch):
@@ -438,6 +438,69 @@ def test_a_mis_chained_copy_fails_the_gate(monkeypatch):
     monkeypatch.setattr(transport_module, "chain_assignments", mis_chained)
     with pytest.raises(AssertionError):
         assert_same_transport(transport(loop), ref)
+
+
+def ref_chain(best):
+    """Tracked band orders by the definition m[l + 1][j] = _PERMS[best[l]][m[l][j]],
+    one path and one step at a time."""
+    perms = list(itertools.permutations(range(3)))
+    best = np.asarray(best)
+    paths = best.reshape(len(best), int(np.prod(best.shape[1:]))).T
+    chained = []
+    for path in paths.tolist():
+        orders = [(0, 1, 2)]
+        for b in path:
+            orders.append(tuple(perms[b][j] for j in orders[-1]))
+        chained.append(orders)
+    m = np.array(chained, dtype=np.intp).reshape(len(paths), len(best) + 1, 3)
+    return m.transpose(1, 0, 2).reshape((len(best) + 1,) + best.shape[1:] + (3,))
+
+
+def _drawn_best(shape, exchange_rate, seed):
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(shape) < exchange_rate, rng.integers(1, 6, shape), 0)
+
+
+@pytest.mark.parametrize("exchange_rate", [0.0, 0.002, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("shape", [(0,), (1,), (9,), (3697,), (0, 4), (4, 0), (1, 7), (40, 11), (100, 101)])
+def test_chain_assignments_equals_the_step_by_step_chain(shape, exchange_rate):
+    """Orders composed only at the exchanges, the runs between them filled,
+    on 1-D (transport) and 2-D (``track_sheets``) paths, sparse to dense."""
+    best = _drawn_best(shape, exchange_rate, seed=len(shape) * 1000 + int(1000 * exchange_rate))
+    got = transport_module.chain_assignments(best)
+    assert got.shape == (shape[0] + 1,) + shape[1:] + (3,)
+    assert np.array_equal(got, ref_chain(best))
+
+
+def test_chain_assignments_of_a_transposed_grid():
+    """``track_sheets`` chains the transpose of its (rows, columns - 1) assignments."""
+    along = _drawn_best((21, 30), 0.05, seed=3)
+    assert np.array_equal(transport_module.chain_assignments(along.T), ref_chain(along.T))
+
+
+def test_error_messages_name_points_with_plain_floats(monkeypatch):
+    """Points in error messages, loop steps, stack rows and exchange events are
+    built from Python floats, so a message reads ParamPoint(eta=0.33, ...)."""
+    loop = preset_loop("mu1", 2)
+    with pytest.raises(PathTouchesEP) as touching:
+        ep = refine_ep(ParamPoint(0.33, 0.54, 0.40, G)).point
+        interpolate_loop([ParamPoint(0.33, ep.zeta + dz, ep.xi + dx, G)
+                          for dz, dx in ((-0.1, 0), (0, 0), (0.1, 0), (0, 0.1), (-0.1, 0))], 4)
+    params = _probe_points()[:8]
+    stack = eigensystems(params)
+    events = transport(preset_loop("rho1", 64)).events
+    monkeypatch.setattr(np.linalg, "eig", _corrupting_eig(params, [3]))
+    with pytest.raises(InaccurateEigensystem) as inaccurate:
+        eigensystems(params)
+    monkeypatch.undo()
+    monkeypatch.setattr(transport_module, "DEFAULT_AMBIGUITY_MARGIN", 2.5)
+    with pytest.raises(AmbiguousMatch) as ambiguous:
+        transport(loop)
+    assert events
+    texts = [str(e.value) for e in (touching, inaccurate, ambiguous)]
+    texts += [repr(loop.steps[1]), repr(stack.row(3).point)] + [repr(e.point) for e in events]
+    for text in texts:
+        assert "ParamPoint(eta=" in text and "np.float64" not in text, text
 
 
 # --------------------------------------------------------------------------

@@ -514,6 +514,17 @@ def test_exit_code_matrix(tmp_path, monkeypatch, make_argv, code):
         assert not (tmp_path / "out").exists()
 
 
+def test_a_numerical_failure_names_its_points_with_plain_floats(tmp_path, capsys):
+    """A frequency window too narrow to resolve any resonance leaves every
+    fitted frame alike, so transport stops at an ambiguous step; the message
+    names both ends as ParamPoint(eta=0.33, ...)."""
+    cfg = tmp_path / "lab.json"
+    cfg.write_text(json.dumps({"frequency_window": 1e-300}))
+    assert run(["lab", "pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "assignment margin" in err and "ParamPoint(eta=" in err and "np.float64" not in err, err
+
+
 def test_regime_warnings_name_the_constructing_line(tmp_path):
     """Out-of-regime points are reported once per constructing line of the
     caller, not once per point from the dataclass-generated __init__."""

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,8 +8,16 @@ from hypothesis.extra import numpy as hnp
 
 import eptriad.spectral as spectral
 from conftest import circular_distance
-from oracles import probe_rows, solved_greens, solved_greens_derivative, solved_response, solved_sites
-from eptriad.errors import FitDiverged, IdentifiabilityWarning
+from oracles import (
+    probe_rows,
+    serial_fit_step,
+    serial_gauss_newton,
+    solved_greens,
+    solved_greens_derivative,
+    solved_response,
+    solved_sites,
+)
+from eptriad.errors import FitDiverged, IdentifiabilityWarning, InaccurateEigensystem
 from eptriad.locate import refine_ep
 from eptriad.model import ParamPoint, PhysicalScale, _hamiltonians, eigensystem, to_physical
 from eptriad.spectral import (
@@ -176,6 +187,15 @@ class TestBatchedForwardModel:
         for k in range(thetas.shape[1]):
             assert np.array_equal(batch[k], spectral._response_matrix(thetas[:, k], freqs, src))
 
+    @given(st.sampled_from([1, 9]).flatmap(_thetas), st.sampled_from([0, 1, 2]))
+    @settings(max_examples=30, deadline=None)
+    def test_jacobian_stack_equals_single_vectors(self, thetas, src):
+        freqs = CavityConfig().frequencies()
+        batch = spectral._response_jacobian(thetas, freqs, src)
+        assert batch.shape == (thetas.shape[1], 7, 3, len(freqs))
+        for k in range(thetas.shape[1]):
+            assert np.array_equal(batch[k], spectral._response_jacobian(thetas[:, k], freqs, src))
+
     def test_synthesize_mu1_is_the_forward_model_times_noise(self):
         from eptriad.loops import preset_loop
 
@@ -334,6 +354,16 @@ class TestDatasetIO:
         assert back.noise_spec == ds.noise_spec
 
 
+def _polishing_to(theta):
+    """A ``_gauss_newton`` stand-in that polishes every start of its stack to
+    ``theta`` at zero cost in one iteration."""
+    def polish(theta0, *args):
+        n = len(theta0)
+        return np.tile(theta, (n, 1)), np.zeros(n), np.ones(n, int)
+
+    return polish
+
+
 class TestFitStep:
     def test_noiseless_round_trip(self):
         p = ParamPoint(0.33, 0.0, 0.0, G)
@@ -373,7 +403,7 @@ class TestFitStep:
         p = ParamPoint(0.33, 0.0, 0.0, G)
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
         polished = np.array([19729.0, 83.5, kappa, p.eta, p.zeta, p.xi, p.g])
-        monkeypatch.setattr(spectral, "_gauss_newton", lambda *args: (polished, 0.0, 1))
+        monkeypatch.setattr(spectral, "_gauss_newton", _polishing_to(polished))
         fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FitConfig(population=8, generations=1))
         assert fit.scale.kappa == -49.5
 
@@ -381,7 +411,7 @@ class TestFitStep:
         p = ParamPoint(0.33, 0.0, 0.0, G)
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
         polished = np.array([19729.0, 83.5, 0.0, p.eta, p.zeta, p.xi, p.g])
-        monkeypatch.setattr(spectral, "_gauss_newton", lambda *args: (polished, 0.0, 1))
+        monkeypatch.setattr(spectral, "_gauss_newton", _polishing_to(polished))
         with pytest.raises(FitDiverged):
             fit_step(ds.steps[0].responses, ds.config, fit_config=FitConfig(population=8, generations=1))
 
@@ -455,9 +485,9 @@ class TestStartIndependence:
         pts = list(preset_loop("mu1", steps_per_segment=1).steps)
         for p, step in zip(pts, synthesize(pts, cfg, NoiseSpec(0.01, seed)).steps):
             y, norm2, floor = spectral._site_responses(step.responses, cfg)
-            start = spectral._rational_start(y, cfg)
-            from_start, *_ = spectral._gauss_newton(start, y, freqs, norm2, floor)
-            from_truth, *_ = spectral._gauss_newton(spectral._truth_vector(p, cfg.scale), y, freqs, norm2, floor)
+            starts = [spectral._rational_start(y, cfg), spectral._truth_vector(p, cfg.scale)]
+            (from_start, from_truth), *_ = spectral._gauss_newton(
+                np.array(starts), np.array([y, y]), freqs, np.full(2, norm2), np.full(2, floor))
             assert np.max(np.abs(from_start[3:] - from_truth[3:])) <= 1e-8, (p, from_start - from_truth)
 
     def test_rho1_from_the_search_and_from_a_neighbours_fit(self, monkeypatch):
@@ -472,7 +502,8 @@ class TestStartIndependence:
         fit = fit_step(data, cfg)
         neighbour = fit_step(ds.steps[6].responses, cfg)
         y, norm2, floor = spectral._site_responses(data, cfg)
-        from_neighbour, *_ = spectral._gauss_newton(neighbour.theta(), y, cfg.frequencies(), norm2, floor)
+        (from_neighbour,), *_ = spectral._gauss_newton(
+            neighbour.theta()[None], y[None], cfg.frequencies(), np.array([norm2]), np.array([floor]))
         monkeypatch.setattr(spectral, "_rational_start", _no_start)
         searched = fit_step(data, cfg, fit_config=FAST_FIT)
         assert searched.searched and not fit.searched
@@ -562,9 +593,10 @@ class TestFitLoop:
         polish = spectral._gauss_newton
 
         def stuck_at_start(theta0, *args):
-            if np.array_equal(theta0, start):
-                return np.array(start), 10 * spectral.RESIDUAL_THRESHOLD, 0
-            return polish(theta0, *args)
+            theta, cost, iterations = polish(theta0, *args)
+            stuck = (theta0 == start).all(axis=1)
+            theta[stuck], cost[stuck], iterations[stuck] = start, 10 * spectral.RESIDUAL_THRESHOLD, 0
+            return theta, cost, iterations
 
         monkeypatch.setattr(spectral, "_gauss_newton", stuck_at_start)
         fallback = fit_step(responses, ds.config, fit_config=FAST_FIT)
@@ -574,6 +606,134 @@ class TestFitLoop:
         for f in fields(searched):
             got, want = getattr(fallback, f.name), getattr(searched, f.name)
             assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, f.name
+
+
+def _mu1_spectra(noise, seed):
+    """The nine spectra of the lab pipeline's mu1 loop."""
+    from eptriad.loops import preset_loop
+
+    pts = list(preset_loop("mu1", steps_per_segment=1).steps)
+    return [st.responses for st in synthesize(pts, CavityConfig(), NoiseSpec(noise, seed)).steps]
+
+
+def _recorded(fit, spectra, config, fit_config):
+    """What fitting ``spectra`` in order gives: the fits or (exception type,
+    message), and the IdentifiabilityWarning messages in the order emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = fit(spectra, config, fit_config)
+        except Exception as exc:
+            out = (type(exc), str(exc))
+    return out, [str(w.message) for w in caught if w.category is IdentifiabilityWarning]
+
+
+def _one_at_a_time(spectra, config, fit_config):
+    return [serial_fit_step(r, config, fit_config) for r in spectra]
+
+
+def _fit_loop_of(spectra, config, fit_config):
+    """The fits of ``fit_loop`` on a dataset of ``spectra``."""
+    dataset = spectral.SpectralDataset(config, NoiseSpec(), [spectral.SpectralStep(r) for r in spectra])
+    return fit_loop(dataset, fit_config)[0]
+
+
+def _assert_fits_as_one_at_a_time(spectra, config=CavityConfig(), fit_config=FitConfig(seed=1)):
+    """A stack of spectra fits bit for bit as each spectrum alone, in the
+    serial oracle: each polish's theta, cost and iterations, every
+    FittedParams field, and the warnings in their order."""
+    views = [spectral._site_responses(r, config) for r in spectra]
+    y, norm2, floor = (np.array(v) for v in zip(*views))
+    freqs, src = config.frequencies(), config.source_site - 1
+    starts = np.array([spectral._rational_start(yk, config) for yk in y])
+    ok = np.isfinite(starts).all(axis=1)
+    theta, cost, iterations = spectral._gauss_newton(starts[ok], y[ok], freqs, norm2[ok], floor[ok], src)
+    for i, k in enumerate(np.flatnonzero(ok)):
+        want = serial_gauss_newton(starts[k], y[k], freqs, norm2[k], floor[k], src)
+        assert np.array_equal(theta[i], want[0]) and cost[i] == want[1] and iterations[i] == want[2], k
+
+    (got, got_warned), (want, want_warned) = (
+        _recorded(fit, spectra, config, fit_config) for fit in (_fit_loop_of, _one_at_a_time))
+    assert got_warned == want_warned
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for f in fields(w):
+            a, b = getattr(g, f.name), getattr(w, f.name)
+            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f.name
+    return got
+
+
+class TestStackedPolish:
+    """A loop's spectra are polished as one stack, each with its own step
+    length and stops, so every fit keeps the bits of a fit on its own."""
+
+    # the lab workload's seeds
+    @pytest.mark.parametrize("seed", range(32))
+    def test_mu1_at_1_percent_noise(self, seed):
+        _assert_fits_as_one_at_a_time(_mu1_spectra(0.01, seed), fit_config=FitConfig(seed=seed))
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mu1_at_other_noise_levels(self, noise, seed):
+        _assert_fits_as_one_at_a_time(_mu1_spectra(noise, seed), fit_config=FitConfig(seed=seed))
+
+    def test_a_spectrum_without_a_start_searches_in_the_stack(self):
+        spectra = _mu1_spectra(0.01, 2)
+        spectra[3] = spectra[3].copy()
+        spectra[3][:7, -1] = 0                    # cavity B silent at the last frequency: no start
+        fits = _assert_fits_as_one_at_a_time(spectra, fit_config=FAST_FIT)
+        assert [f.searched for f in fits] == [k == 3 for k in range(len(fits))]
+
+
+class TestLoopOrderFailures:
+    """A loop whose fits fail raises what fitting its spectra one at a time
+    raises, after the same warnings in the same order."""
+
+    @staticmethod
+    def _near_ep(zeta_offset):
+        ep = refine_ep(ParamPoint(0.33, 0.54, 0.40, G)).point
+        return synthesize([ParamPoint(0.33, ep.zeta + zeta_offset, ep.xi, G)]).steps[0].responses
+
+    # the spectra that warn near an EP; a spectrum after the divergent one is never reached
+    @pytest.mark.parametrize("diverges, warns, warned", [(4, (1, 6), 1), (0, (2,), 0)],
+                             ids=["warning-divergence-warning", "divergence-warning"])
+    def test_a_divergence_raises_after_the_warnings_before_it(self, diverges, warns, warned):
+        rng = np.random.default_rng(3)
+        spectra = _mu1_spectra(0.01, 4)
+        spectra[diverges] = rng.standard_normal((21, 31)) + 1j * rng.standard_normal((21, 31))
+        for k, offset in zip(warns, (0.002, 0.003)):
+            spectra[k] = self._near_ep(offset)
+        cfg, fc = CavityConfig(), FitConfig(population=8, generations=5, seed=11)
+        got = _recorded(_fit_loop_of, spectra, cfg, fc)
+        assert got == _recorded(_one_at_a_time, spectra, cfg, fc)
+        (kind, message), warnings_seen = got
+        assert kind is FitDiverged and message.startswith("normalized residual")
+        assert len(warnings_seen) == warned
+
+    def test_an_inaccurate_eigensystem_raises_in_its_turn(self, monkeypatch):
+        """A fitted point whose eigen-solve fails the residual check raises
+        after the warnings of the steps before it, as a point-by-point solve
+        would."""
+        spectra = _mu1_spectra(0.01, 4)
+        spectra[1] = self._near_ep(0.002)
+        cfg, fc = CavityConfig(), FitConfig(seed=4)
+        bad = _fit_loop_of(spectra, cfg, fc)[3].point
+        target = _hamiltonians(bad.as_array()[None])
+        eig = np.linalg.eig
+
+        def corrupting_eig(h):
+            w, v = eig(h)
+            v = v.copy()
+            hit = (h == target).all(axis=(1, 2))
+            v[hit, :, 0] = v[hit, :, 1]
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eig", corrupting_eig)
+        got = _recorded(_fit_loop_of, spectra, cfg, fc)
+        assert got == _recorded(_one_at_a_time, spectra, cfg, fc)
+        (kind, message), warned = got
+        assert kind is InaccurateEigensystem and str(ParamPoint(*bad.as_array().tolist())) in message
+        assert len(warned) == 1
 
 
 @pytest.mark.slow
