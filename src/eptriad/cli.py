@@ -90,11 +90,12 @@ def _write_manifest(out_dir: Path, command: str, args: dict, seed: int | None,
     }
     if stats is not None:
         manifest["stats"] = stats
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _dump_json(out_dir / "manifest.json", manifest)
 
 
 def _dump_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    """Write ``doc`` as compact JSON with sorted keys (CPython's C encoder)."""
+    path.write_text(json.dumps(doc, sort_keys=True))
 
 
 def _transport_report(result) -> dict:
@@ -145,18 +146,17 @@ def cmd_surface(args) -> int:
         # that is not finite gives a |disc| that is not finite, rejected below
         with np.errstate(over="ignore", invalid="ignore"):
             zz, xx = np.linspace(zlo, zhi, nz), np.linspace(xlo, xhi, nx)
-        zs, xs = zz.tolist(), xx.tolist()
-        # the scalar discriminant: one array call over the grid rounds some
-        # points' 12-digit text differently.  No CSV may carry an inf or a nan
-        try:
-            abs_disc = np.array([[abs(discriminant_values(args.eta, z, x, args.g)) for x in xs] for z in zs])
-        except OverflowError as exc:    # complex ** and abs() raise where they overflow
-            raise ValueError(f"|disc| overflows on this slice ({exc})") from None
+            # one array call, each point with the bits of the scalar call; hypot
+            # rounds as abs() of a Python complex, np.abs does not.  No CSV may
+            # carry an inf or a nan
+            disc = discriminant_values(args.eta, zz[:, None], xx, args.g)
+            abs_disc = np.hypot(disc.real, disc.imag)
         if not np.isfinite(abs_disc).all():
             raise ValueError("|disc| is not finite on this slice's grid")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tracked = track_sheets(args.eta, args.g, zz, xx)
+    zs, xs = zz.tolist(), xx.tolist()
     path = out / "surface.csv"
     # the bytes csv.writer wrote: no field needs quoting and lines end in
     # \r\n.  A grid line's template is its zeta label joining these tails
@@ -217,17 +217,11 @@ def cmd_ea(args) -> int:
         "arcs": [
             {
                 "terminated": arc.terminated,
-                "closed": arc.closed,
                 "points": [
-                    {
-                        "eta": q.point.eta,
-                        "zeta": q.point.zeta,
-                        "xi": q.point.xi,
-                        "re_omega": q.repeated_eigenvalue.real,
-                        "im_omega": q.repeated_eigenvalue.imag,
-                        "order": q.order,
-                    }
-                    for q in arc.points
+                    {"eta": eta, "zeta": zeta, "xi": xi, "re_omega": re, "im_omega": im, "order": order}
+                    for (eta, zeta, xi), re, im, order in zip(
+                        arc.coords().tolist(), arc.omega.real.tolist(), arc.omega.imag.tolist(), arc.order.tolist()
+                    )
                 ],
             }
             for arc in arcs

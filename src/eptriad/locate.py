@@ -14,12 +14,13 @@ order-3 nexus eta = b = 0.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model, transport
-from .errors import NoConvergence, NotAnEP
+from .errors import NoConvergence, NotAnEP, RegimeWarning
 from .model import ParamPoint, discriminant_formula, discriminant_values
 
 EP_MEMBERSHIP_TOL = 1e-10
@@ -54,17 +55,35 @@ class SeedCandidate:
     center: ParamPoint
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EAPolyline:
+    """An arc of EPs at fixed g, held as arrays.
+
+    Row k of ``params`` is point k as (eta, zeta, xi, g); ``omega``,
+    ``order`` and ``residual`` are its repeated eigenvalue, order and |disc|.
+    """
+
     g: float
-    points: list[EPPoint]
+    params: np.ndarray             # (n, 4)
+    omega: np.ndarray              # (n,) complex
+    order: np.ndarray              # (n,) int
+    residual: np.ndarray           # (n,)
     #: "boundary", or "rank_deficient" for an arc that ends at the g = 0 nexus
     terminated: str
-    #: an arc is a graph over eta, so it never closes
-    closed: bool = False
+
+    @classmethod
+    def at(cls, g: float, start: EPPoint, terminated: str) -> "EAPolyline":
+        """The one-point arc of ``start``."""
+        return cls(g, start.point.as_array()[None], np.array([start.repeated_eigenvalue]),
+                   np.array([start.order]), np.array([start.residual]), terminated)
+
+    @property
+    def points(self) -> list[EPPoint]:
+        return _ep_points(self.params, self.omega, self.order, self.residual)
 
     def coords(self) -> np.ndarray:
-        return np.array([[q.point.eta, q.point.zeta, q.point.xi] for q in self.points])
+        """The (n, 3) rows (eta, zeta, xi)."""
+        return self.params[:, :3]
 
 
 def seed_eps_in_slice(
@@ -142,30 +161,43 @@ def _slice_eps(eta, g: float, continued: bool = False) -> np.ndarray:
     return np.stack([rp, -rp, rm, -rm], axis=-1)
 
 
-def _ep_points(points: list[ParamPoint]) -> list[EPPoint]:
-    """The EPPoints at ``points``, in closed form.
+def _ep_arrays(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Repeated eigenvalue, order and |disc| at each row (eta, zeta, xi, g)
+    of an (n, 4) array of EPs, in closed form.
 
-    Raises NotAnEP when |disc| at a point exceeds the membership tolerance.
+    Raises ValueError at a row that is not finite and NotAnEP where |disc|
+    is not within the membership tolerance.  A row outside the validated
+    regime |p| <= 1 gets one RegimeWarning per call, naming the caller's line.
     Where the discriminant of p(w) = w^3 + a2 w^2 + a1 w + a0 vanishes, its
     repeated root is (9 a0 - a1 a2) / (2 (a2^2 - 3 a1)), or -a2 / 3 where
     that quotient is not finite: where a2^2 = 3 a1 and the root is triple,
     or within rounding of a triple root, where it overflows.  The order
     is 3 when p' and p'' both vanish at the repeated root, else 2.
     """
-    params = np.array([[p.eta, p.zeta, p.xi, p.g] for p in points]).reshape(-1, 4).T
-    residuals = abs(discriminant_values(*params))
-    bad = np.flatnonzero(residuals > EP_MEMBERSHIP_TOL)
+    finite = np.isfinite(params).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite parameters {tuple(params[np.argmin(finite)].tolist())}")
+    if (abs(params) > 1.0).any():
+        warnings.warn(model.OUTSIDE_REGIME, RegimeWarning, stacklevel=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = abs(discriminant_values(*params.T))
+    bad = np.flatnonzero(~(residuals <= EP_MEMBERSHIP_TOL))
     if len(bad):
-        raise NotAnEP(f"|disc| = {residuals[bad[0]]:.3e} at {points[bad[0]]}")
-    a2, a1, a0 = model._poly_coeffs(*params)
+        raise NotAnEP(f"|disc| = {residuals[bad[0]]:.3e} at {ParamPoint.from_row(params[bad[0]])}")
+    a2, a1, a0 = model._poly_coeffs(*params.T)
     with np.errstate(all="ignore"):
         w = (9 * a0 - a1 * a2) / (2 * (a2 * a2 - 3 * a1))
     # (0 - a2) / 3 rather than -a2 / 3, so the nexus root is +0, not -0
     w = np.where(np.isfinite(w), w, (0 - a2) / 3)
     flat = (abs((3 * w + 2 * a2) * w + a1) < ORDER3_TOL) & (abs(6 * w + 2 * a2) < ORDER3_TOL)
+    return w, np.where(flat, 3, 2), residuals
+
+
+def _ep_points(params, omega, order, residual) -> list[EPPoint]:
+    """One EPPoint per row of the arrays of :func:`_ep_arrays`."""
     return [
-        EPPoint(point=p, repeated_eigenvalue=wk, order=3 if f else 2, residual=r)
-        for p, wk, f, r in zip(points, w.tolist(), flat.tolist(), residuals.tolist())
+        EPPoint(ParamPoint(*p), w, k, r)
+        for p, w, k, r in zip(params.tolist(), omega.tolist(), order.tolist(), residual.tolist())
     ]
 
 
@@ -173,12 +205,13 @@ def refine_ep(seed: ParamPoint) -> EPPoint:
     """The EP of the seed's (eta, g) slice nearest the seed, in closed form."""
     try:
         val = abs(discriminant_formula(seed))
-    except OverflowError:
+    except OverflowError:       # abs() of a finite disc too large for a float
         val = math.inf
     if not val <= BASIN_BOUND:
         raise NoConvergence(f"seed outside basin, |disc| = {val:.3e}")
     b = min(_slice_eps(seed.eta, seed.g).tolist(), key=lambda r: abs(r - complex(seed.xi, seed.zeta)))
-    return _ep_points([ParamPoint(seed.eta, b.imag, b.real, seed.g)])[0]
+    row = np.array([[seed.eta, b.imag, b.real, seed.g]])
+    return _ep_points(row, *_ep_arrays(row))[0]
 
 
 def _branches(g: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -208,13 +241,14 @@ def arc_starts(g: float) -> list[EPPoint]:
     each branch b is a branch too (the discriminant is a function of b^2),
     and only b = +sqrt(B+-) is kept.
     """
-    points = [ParamPoint(0.0, 0.0, 0.0, 0.0)] if g == 0 else []
+    rows = [[0.0, 0.0, 0.0, 0.0]] if g == 0 else []
     for eta, b, inside in _branches(g):
         for j in range(4) if g != 0 else (0, 2):
             edges = np.flatnonzero(np.diff(np.concatenate([[0], inside[:, j], [0]])))
             for k in ((edges[::2] + edges[1::2] - 1) // 2).tolist():
-                points.append(ParamPoint(float(eta[k]), float(b[k, j].imag), float(b[k, j].real), g))
-    return _ep_points(points)
+                rows.append([eta[k], b[k, j].imag, b[k, j].real, g])
+    params = np.array(rows, dtype=float).reshape(-1, 4)
+    return _ep_points(params, *_ep_arrays(params))
 
 
 def trace_ea(g: float, start: EPPoint, step: float = 0.02) -> EAPolyline:
@@ -235,14 +269,14 @@ def trace_ea(g: float, start: EPPoint, step: float = 0.02) -> EAPolyline:
     p = start.point
     if g == 0 and p.eta == 0:
         # the order-3 nexus, where the branches meet
-        return EAPolyline(g, [start], "rank_deficient")
+        return EAPolyline.at(g, start, "rank_deficient")
     # at g = 0, the half-grid on the start's side of the nexus
     eta, branches, inside = _branches(g)[int(g == 0 and p.eta < 0)]
     k = int(np.argmin(abs(eta - p.eta)))
     j = np.argmin(abs(branches[k] - complex(p.xi, p.zeta)))
     b, inside = branches[:, j], inside[:, j]
     if not inside[k]:
-        return EAPolyline(g, [start], "boundary")
+        return EAPolyline.at(g, start, "boundary")
     out = np.flatnonzero(~inside)
     lo, hi = out[out < k].max(initial=0), out[out > k].min()
     # a run that reaches the start of the grid inside the domain ends at the nexus
@@ -255,14 +289,13 @@ def trace_ea(g: float, start: EPPoint, step: float = 0.02) -> EAPolyline:
     eta_at, near = np.interp(at, length, run[:, 0]), np.interp(at, length, b)
     roots = _slice_eps(eta_at, g)
     b_at = roots[np.arange(len(at)), np.argmin(abs(roots - near[:, None]), axis=1)]
-    xyz = np.stack([eta_at, b_at.imag, b_at.real], axis=1)
+    params = np.stack([eta_at, b_at.imag, b_at.real, np.full(len(at), float(g))], axis=1)
     # the arc runs from its last point past the boundary before the first one
     # inside to the first one past after it (the run's last point is past)
-    past = abs(xyz).max(axis=1) > DOMAIN_BOUND
+    past = abs(params[:, :3]).max(axis=1) > DOMAIN_BOUND
     first = int(np.argmin(past))
-    xyz = xyz[max(first - 1, 0):first + int(np.argmax(past[first:])) + 1]
-    points = _ep_points([ParamPoint(*q, g) for q in xyz.tolist()])
-    return EAPolyline(g, points, "rank_deficient" if nexus else "boundary")
+    params = params[max(first - 1, 0):first + int(np.argmax(past[first:])) + 1]
+    return EAPolyline(g, params, *_ep_arrays(params), "rank_deficient" if nexus else "boundary")
 
 
 def track_sheets(eta: float, g: float, zz: np.ndarray, xx: np.ndarray) -> np.ndarray:

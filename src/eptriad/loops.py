@@ -7,7 +7,7 @@ the outer-pair swap at eta = 0, and a single large loop around both arcs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,8 @@ class LoopPath:
     waypoints: tuple[ParamPoint, ...]
     params: np.ndarray
     label: str = ""
+    #: the discriminant at each step: the clearance check's, reused by transport
+    disc: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.waypoints[0] != self.waypoints[-1]:
@@ -41,11 +43,18 @@ class LoopPath:
             raise ValueError("loop steps must close (first == last)")
         if len(self.params) < MIN_STEPS:
             raise ValueError(f"need at least {MIN_STEPS} steps, got {len(self.params)}")
-        disc = np.abs(discriminant_values(*self.params.T))
-        close = np.flatnonzero(disc < EP_CLEARANCE)
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = discriminant_values(*self.params.T)
+            size = np.abs(disc)
+        # a |disc| that overflows would reach the report's winding as a nan
+        bad = np.flatnonzero(~np.isfinite(size))
+        if len(bad):
+            raise ValueError(f"|disc| is not finite at {ParamPoint.from_row(self.params[bad[0]])}")
+        close = np.flatnonzero(size < EP_CLEARANCE)
         if len(close):
             l = close[0]
-            raise PathTouchesEP(f"|disc| = {disc[l]:.2e} at {ParamPoint.from_row(self.params[l])}")
+            raise PathTouchesEP(f"|disc| = {size[l]:.2e} at {ParamPoint.from_row(self.params[l])}")
+        object.__setattr__(self, "disc", disc)
 
     @property
     def steps(self) -> tuple[ParamPoint, ...]:

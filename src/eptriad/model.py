@@ -32,6 +32,9 @@ DEGENERACY_GAP = 1e-6
 #: is split only when each of at least two chunks gets this many rows
 _MIN_CHUNK_ROWS = 256
 
+#: the one RegimeWarning text, so the default filter reports each warning line once
+OUTSIDE_REGIME = "parameters outside the validated regime |p| <= 1"
+
 
 @dataclass(frozen=True)
 class ParamPoint:
@@ -53,13 +56,8 @@ class ParamPoint:
         if not all(math.isfinite(v) for v in vals):
             raise ValueError(f"non-finite parameters {vals}")
         if not self.in_validated_regime:
-            # one text for every point, so the default filter reports each
-            # constructing line once instead of once per point
-            warnings.warn(
-                "parameters outside the validated regime |p| <= 1",
-                RegimeWarning,
-                stacklevel=_outside_stacklevel(),
-            )
+            # reported once per constructing line, not once per point
+            warnings.warn(OUTSIDE_REGIME, RegimeWarning, stacklevel=_outside_stacklevel())
 
     @property
     def in_validated_regime(self) -> bool:
@@ -290,9 +288,61 @@ class EigensystemStack:
 
 
 def discriminant_values(eta, zeta, xi, g):
-    """Monic-cubic discriminant 18bcd - 4b^3 d + b^2 c^2 - 4c^3 - 27d^2; broadcasts."""
-    b, c, d = _poly_coeffs(eta, zeta, xi, g)
-    return 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
+    """Monic-cubic discriminant 18bcd - 4b^3 d + b^2 c^2 - 4c^3 - 27d^2; broadcasts.
+
+    (b, c, d) are those of :func:`_poly_coeffs`.  Each complex product, sum
+    and power is written out on real and imaginary parts as CPython computes
+    it on Python numbers (a real factor k is k + 0j; x**2 = 1 * (x x) and
+    x**3 = (1 * x)(x x)), so a call on floats has the bits of that complex
+    expression and an array call has the bits of the scalar call at every
+    entry.  An overflow gives a value that is not finite, not OverflowError;
+    an array call may warn (see ``np.errstate``).
+    """
+    # b = xi + 1j * zeta; zr, zi are 0.0 times b's parts
+    br, bi = xi + 0.0 * zeta, 0.0 + zeta
+    zr, zi = 0.0 * br, 0.0 * bi
+    # c = -2.0 * (eta + 1j * g) * (eta + 1j * (2.0 + g))
+    ur, ui = eta + 0.0 * g, 0.0 + g
+    mr, mi = -2.0 * ur - 0.0 * ui, -2.0 * ui + 0.0 * ur
+    s = 2.0 + g
+    ur, ui = eta + 0.0 * s, 0.0 + s
+    cr, ci = mr * ur - mi * ui, mr * ui + mi * ur
+    # d = -2.0 * b * (eta + 1j * (1.0 + g)) ** 2
+    s = 1.0 + g
+    ur, ui = eta + 0.0 * s, 0.0 + s
+    qr, qi = ur * ur - ui * ui, ur * ui + ui * ur
+    qr, qi = qr - 0.0 * qi, qi + 0.0 * qr
+    mr, mi = -2.0 * br - zi, -2.0 * bi + zr
+    dr, di = mr * qr - mi * qi, mr * qi + mi * qr
+    # 18 * b * c * d
+    tr, ti = 18.0 * br - zi, 18.0 * bi + zr
+    tr, ti = tr * cr - ti * ci, tr * ci + ti * cr
+    t1r, t1i = tr * dr - ti * di, tr * di + ti * dr
+    # 4 * b**3 * d
+    bbr, bbi = br * br - bi * bi, br * bi + bi * br
+    tr, ti = br - zi, bi + zr
+    tr, ti = tr * bbr - ti * bbi, tr * bbi + ti * bbr
+    tr, ti = 4.0 * tr - 0.0 * ti, 4.0 * ti + 0.0 * tr
+    t2r, t2i = tr * dr - ti * di, tr * di + ti * dr
+    # b**2 * c**2
+    pr, pi = bbr - 0.0 * bbi, bbi + 0.0 * bbr
+    ccr, cci = cr * cr - ci * ci, cr * ci + ci * cr
+    tr, ti = ccr - 0.0 * cci, cci + 0.0 * ccr
+    t3r, t3i = pr * tr - pi * ti, pr * ti + pi * tr
+    # 4 * c**3
+    tr, ti = cr - 0.0 * ci, ci + 0.0 * cr
+    tr, ti = tr * ccr - ti * cci, tr * cci + ti * ccr
+    t4r, t4i = 4.0 * tr - 0.0 * ti, 4.0 * ti + 0.0 * tr
+    # 27 * d**2
+    tr, ti = dr * dr - di * di, dr * di + di * dr
+    tr, ti = tr - 0.0 * ti, ti + 0.0 * tr
+    t5r, t5i = 27.0 * tr - 0.0 * ti, 27.0 * ti + 0.0 * tr
+    re, im = (((t1r - t2r) + t3r) - t4r) - t5r, (((t1i - t2i) + t3i) - t4i) - t5i
+    if isinstance(re, float):
+        return complex(re, im)
+    out = np.asarray(re, dtype=complex)
+    out.imag = im
+    return out
 
 
 def discriminant_formula(p: ParamPoint) -> complex:

@@ -175,7 +175,7 @@ def _resolve_steps(stack: EigensystemStack, refine: bool):
         stack = stack.insert(ambiguous + 1, mids)
 
 
-def transport_eigensystems(systems, label: str = "", refine: bool = True) -> TransportResult:
+def transport_eigensystems(systems, label: str = "", refine: bool = True, disc=None) -> TransportResult:
     """Parallel transport over a closed eigensystem sequence.
 
     ``systems`` is an :class:`EigensystemStack` or a list of
@@ -184,7 +184,8 @@ def transport_eigensystems(systems, label: str = "", refine: bool = True) -> Tra
     interpolated parameter points (up to 8 levels) before giving up with
     AmbiguousMatch.  Θ is not checked for unimodularity (fitted frames are
     only near-biorthonormal), but a singular final frame raises
-    NonUnimodularDeterminant.
+    NonUnimodularDeterminant.  ``disc``, the discriminant already computed
+    at the rows of ``systems``, is reused unless bisection inserted rows.
     """
     if isinstance(systems, EigensystemStack):
         stack, anchor = systems, systems.row(0)
@@ -232,13 +233,13 @@ def transport_eigensystems(systems, label: str = "", refine: bool = True) -> Tra
         min_overlap=min_overlap,
         reliable=min_overlap > DEFAULT_OVERLAP_FLOOR,
         min_gap=float(stack.min_gap.min()),
-        disc_values=discriminant_values(*stack.params.T),
+        disc_values=disc if disc is not None and len(disc) == len(stack) else discriminant_values(*stack.params.T),
     )
 
 
 def transport(loop: LoopPath) -> TransportResult:
     """Transport the band frame around a LoopPath (band 1 = lowest Re at anchor)."""
-    return transport_eigensystems(eigensystems(loop.params), label=loop.label)
+    return transport_eigensystems(eigensystems(loop.params), label=loop.label, disc=loop.disc)
 
 
 def eigenvalue_vorticity(result: TransportResult, pair: tuple[int, int]) -> float:

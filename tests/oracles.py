@@ -3,14 +3,17 @@
 These are the Hamiltonian written out entry by entry, the characteristic
 polynomial as a callable cubic, the closed-form cubic solver, the
 Sylvester-matrix discriminant and its cubic-order small-parameter
-approximation, the per-point repeated root by ``np.roots``, the Green's
+approximation, the discriminant as one complex expression on Python
+numbers, the arcs and their EPs built one ``ParamPoint`` at a time, the
+per-point repeated root by ``np.roots``, the Green's
 function and its parameter derivative by dense linear solves and the
 multiband Berry phase of a unimodular matrix, and the spectral fit one
 spectrum at a time, each polish on its own.  The package builds its
 Hamiltonians as one stacked array (``model._hamiltonians``), computes
 eigenvalues with ``np.linalg.eig``, the discriminant from the closed
-formula (``model.discriminant_values``), repeated roots from the
-closed-form double root of the cubic (``locate._ep_points``), the Green's
+formula in real arithmetic (``model.discriminant_values``), arcs as arrays
+and repeated roots from the closed-form double root of the cubic
+(``locate._ep_arrays``), the Green's
 function and its derivative from the closed-form adjugate of the
 tridiagonal resolvent and Θ from the transported holonomy with its
 permutation parity divided out, and it polishes a loop's spectra as one
@@ -24,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from eptriad import spectral
-from eptriad.errors import FitDiverged, IdentifiabilityWarning, NonUnimodularDeterminant
-from eptriad.model import ParamPoint, PhysicalScale, _poly_coeffs, eigensystem, to_physical
+from eptriad import locate, spectral
+from eptriad.errors import FitDiverged, IdentifiabilityWarning, NonUnimodularDeterminant, NotAnEP
+from eptriad.model import ParamPoint, PhysicalScale, _poly_coeffs, discriminant_values, eigensystem, to_physical
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,76 @@ def discriminant(p: ParamPoint) -> complex:
     coeffs = char_poly(p)
     sign = (-1) ** (3 * 2 // 2)
     return sign * np.linalg.det(sylvester_matrix(coeffs))
+
+
+def complex_discriminant(eta, zeta, xi, g) -> complex:
+    """18bcd - 4b^3 d + b^2 c^2 - 4c^3 - 27d^2 as one complex expression on
+    Python numbers, with (b, c, d) = ``_poly_coeffs``.  CPython raises
+    OverflowError where a complex power overflows."""
+    b = xi + 1j * zeta
+    c = -2.0 * (eta + 1j * g) * (eta + 1j * (2.0 + g))
+    d = -2.0 * b * (eta + 1j * (1.0 + g)) ** 2
+    return 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
+
+
+def per_point_eps(points: list) -> list:
+    """``locate.EPPoint``s at the ParamPoints ``points``: the closed-form
+    repeated root and order, and |disc|, with each point kept as given."""
+    params = np.array([[p.eta, p.zeta, p.xi, p.g] for p in points]).reshape(-1, 4).T
+    residuals = abs(discriminant_values(*params))
+    bad = np.flatnonzero(residuals > locate.EP_MEMBERSHIP_TOL)
+    if len(bad):
+        raise NotAnEP(f"|disc| = {residuals[bad[0]]:.3e} at {points[bad[0]]}")
+    a2, a1, a0 = _poly_coeffs(*params)
+    with np.errstate(all="ignore"):
+        w = (9 * a0 - a1 * a2) / (2 * (a2 * a2 - 3 * a1))
+    w = np.where(np.isfinite(w), w, (0 - a2) / 3)
+    flat = (abs((3 * w + 2 * a2) * w + a1) < locate.ORDER3_TOL) & (abs(6 * w + 2 * a2) < locate.ORDER3_TOL)
+    return [
+        locate.EPPoint(point=p, repeated_eigenvalue=wk, order=3 if f else 2, residual=r)
+        for p, wk, f, r in zip(points, w.tolist(), flat.tolist(), residuals.tolist())
+    ]
+
+
+def per_point_arc_starts(g: float) -> list:
+    """``locate.arc_starts`` with one ParamPoint built per start."""
+    points = [ParamPoint(0.0, 0.0, 0.0, 0.0)] if g == 0 else []
+    for eta, b, inside in locate._branches(g):
+        for j in range(4) if g != 0 else (0, 2):
+            edges = np.flatnonzero(np.diff(np.concatenate([[0], inside[:, j], [0]])))
+            for k in ((edges[::2] + edges[1::2] - 1) // 2).tolist():
+                points.append(ParamPoint(float(eta[k]), float(b[k, j].imag), float(b[k, j].real), g))
+    return per_point_eps(points)
+
+
+def per_point_arc(g: float, start, step: float = 0.02) -> tuple[list, str]:
+    """The EPPoints and termination of ``locate.trace_ea``'s arc through
+    ``start``, with one ParamPoint built per arc point."""
+    p = start.point
+    if g == 0 and p.eta == 0:
+        return [start], "rank_deficient"
+    eta, branches, inside = locate._branches(g)[int(g == 0 and p.eta < 0)]
+    k = int(np.argmin(abs(eta - p.eta)))
+    j = np.argmin(abs(branches[k] - complex(p.xi, p.zeta)))
+    b, inside = branches[:, j], inside[:, j]
+    if not inside[k]:
+        return [start], "boundary"
+    out = np.flatnonzero(~inside)
+    lo, hi = out[out < k].max(initial=0), out[out > k].min()
+    nexus = bool(inside[lo])
+    run, b = np.stack([eta, b.imag, b.real], axis=1)[lo:hi + 1], b[lo:hi + 1]
+    length = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(run, axis=0), axis=1))])
+    origin = np.interp(step, abs(run[:, 0]), length) if nexus else 0.0
+    at = np.append(np.arange(origin, length[-1], step), length[-1])
+    eta_at, near = np.interp(at, length, run[:, 0]), np.interp(at, length, b)
+    roots = locate._slice_eps(eta_at, g)
+    b_at = roots[np.arange(len(at)), np.argmin(abs(roots - near[:, None]), axis=1)]
+    xyz = np.stack([eta_at, b_at.imag, b_at.real], axis=1)
+    past = abs(xyz).max(axis=1) > locate.DOMAIN_BOUND
+    first = int(np.argmin(past))
+    xyz = xyz[max(first - 1, 0):first + int(np.argmax(past[first:])) + 1]
+    points = per_point_eps([ParamPoint(*q, g) for q in xyz.tolist()])
+    return points, "rank_deficient" if nexus else "boundary"
 
 
 def slice_zeros(eta: float, g: float) -> np.ndarray:

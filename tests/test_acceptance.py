@@ -49,7 +49,7 @@ def test_criterion_2_arc_splitting():
         assert all(e.order == 2 for e in eps)
         slice_eps[eta] = eps
     arcs = [trace_ea(G, e, step=0.02) for e in slice_eps[0.0]]
-    assert all(not a.closed and a.terminated == "boundary" for a in arcs)
+    assert all(a.terminated == "boundary" for a in arcs)
     a, b = (arc.coords() for arc in arcs)
     assert np.min(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)) > 0.5
     assert max(q.residual for arc in arcs for q in arc.points) < 1e-10

@@ -514,6 +514,16 @@ def test_exit_code_matrix(tmp_path, monkeypatch, make_argv, code):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("g", [1e60, 1e308])
+def test_a_loop_whose_disc_overflows_is_a_config_error(tmp_path, g):
+    """A |disc| that is not finite on the loop would reach the report's
+    winding as a nan: the loop is rejected before anything is written."""
+    cfg = tmp_path / "loop.json"
+    cfg.write_text(json.dumps({"g": g, "waypoints": [[0.3, 0, 0], [0.3, 0.5, 0], [0.3, 0.5, 0.5], [0.3, 0, 0]]}))
+    assert run(["loop", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_numerical_failure_names_its_points_with_plain_floats(tmp_path, capsys):
     """A frequency window too narrow to resolve any resonance leaves every
     fitted frame alike, so transport stops at an ambiguous step; the message

@@ -13,9 +13,9 @@ import pytest
 
 import eptriad.cli
 from eptriad.cli import EXIT_OK, main
-from eptriad.locate import DOMAIN_BOUND, trace_ea
+from eptriad.locate import DOMAIN_BOUND, arc_starts, trace_ea
 from eptriad.model import ParamPoint
-from oracles import discriminant, slice_zeros
+from oracles import discriminant, per_point_arc, per_point_arc_starts, slice_zeros
 
 ETA_SLICE = 0.33
 
@@ -34,10 +34,11 @@ def slice_crossing(points: list, eta: float):
     return None
 
 
+EA_G = ["0", "1e-6", "-1e-6", "0.01", "-0.01", "0.05", "-0.05", "0.055", "0.13", "0.61", "-0.61", "-0.65"]
+
+
 @pytest.mark.parametrize("step", ["0.02", "0.04"])
-@pytest.mark.parametrize(
-    "g", ["0", "1e-6", "-1e-6", "0.01", "-0.01", "0.05", "-0.05", "0.055", "0.13", "0.61", "-0.61", "-0.65"]
-)
+@pytest.mark.parametrize("g", EA_G)
 def test_arcs_are_eps_that_cross_each_slice_ep_once(tmp_path, g, step):
     doc = ea_doc(tmp_path, g, step)
     g = float(g)
@@ -59,6 +60,27 @@ def test_arcs_are_eps_that_cross_each_slice_ep_once(tmp_path, g, step):
     for b, k in zip(crossings, hit):
         # a chord of the arc misses the curve by at most ~step^2
         assert abs(zeros[k] - b) < float(step) ** 2
+
+
+def _ep_bits(q) -> tuple:
+    w = q.repeated_eigenvalue
+    p = (q.point.eta, q.point.zeta, q.point.xi, q.point.g)
+    return tuple(float(v).hex() for v in p), (w.real.hex(), w.imag.hex()), q.order, q.residual.hex()
+
+
+@pytest.mark.parametrize("step", [0.02, 0.04])
+@pytest.mark.parametrize("g", EA_G)
+def test_arcs_have_the_bits_of_the_per_point_path(g, step):
+    """Every start, and every arc held as arrays, gives the EPPoints (point,
+    repeated eigenvalue, order, residual) built one ParamPoint at a time."""
+    g = float(g)
+    starts = arc_starts(g)
+    assert [_ep_bits(q) for q in starts] == [_ep_bits(q) for q in per_point_arc_starts(g)]
+    for start in starts:
+        arc = trace_ea(g, start, step=step)
+        points, terminated = per_point_arc(g, start, step)
+        assert arc.terminated == terminated
+        assert [_ep_bits(q) for q in arc.points] == [_ep_bits(q) for q in points]
 
 
 @pytest.mark.parametrize(

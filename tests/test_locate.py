@@ -1,12 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from eptriad.errors import NoConvergence, NotAnEP
+from eptriad.errors import NoConvergence, NotAnEP, RegimeWarning
 from eptriad.locate import (
     DOMAIN_BOUND,
     EP_MEMBERSHIP_TOL,
     ORDER3_TOL,
     _branches,
+    _ep_arrays,
     _ep_points,
     _slice_eps,
     arc_starts,
@@ -101,15 +104,28 @@ class TestRefinement:
 
 class TestOrderClassification:
     def test_origin(self):
-        assert _ep_points([ParamPoint(0, 0, 0, 0)])[0].order == 3
+        assert ep_points(ParamPoint(0, 0, 0, 0))[0].order == 3
 
     def test_slice_ep_is_order_2(self):
         e = refine_ep(ParamPoint(0.33, 0.54, 0.40, G))
-        assert _ep_points([e.point])[0].order == 2
+        assert ep_points(e.point)[0].order == 2
 
     def test_non_ep_rejected(self):
         with pytest.raises(NotAnEP):
-            _ep_points([ParamPoint(0.33, 0, 0, G)])
+            ep_points(ParamPoint(0.33, 0, 0, G))
+
+    def test_rows_are_checked_like_param_points(self):
+        """A row that is not finite raises; an overflowing |disc| (nan here)
+        is no EP; rows outside |p| <= 1 warn once per call, at the caller."""
+        with pytest.raises(ValueError, match="non-finite"):
+            _ep_arrays(np.array([[0.33, 0.5, 0.4, G], [0.33, np.nan, 0.0, G]]))
+        with pytest.raises(NotAnEP, match="nan"), pytest.warns(RegimeWarning):
+            _ep_arrays(np.array([[1e150, 0.0, 0.0, 0.0]]))
+        b = _slice_eps(1.2, G)[0]
+        rows = np.array([[1.2, b.imag, b.real, G]] * 3)
+        with pytest.warns(RegimeWarning) as record:
+            _ep_arrays(rows)
+        assert [Path(w.filename).name for w in record] == ["test_locate.py"]
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +138,12 @@ def _bits(w: complex) -> tuple[str, str]:
     return float(w.real).hex(), float(w.imag).hex()
 
 
+def ep_points(*points: ParamPoint) -> list:
+    """The EPPoints of the locator's closed-form helper at ``points``, in one call."""
+    params = np.array([p.as_array() for p in points]).reshape(-1, 4)
+    return _ep_points(params, *_ep_arrays(params))
+
+
 @pytest.fixture(scope="module")
 def arcs_g0():
     """Every arc ``ea --g 0`` traces: the nexus, and one branch out of it on each side."""
@@ -129,7 +151,7 @@ def arcs_g0():
 
 
 class TestEPPointHelper:
-    """``_ep_points`` takes each repeated root from the closed-form double
+    """``_ep_arrays`` takes each repeated root from the closed-form double
     root of the cubic; it must agree with the per-point ``np.roots`` oracle
     and give the same order."""
 
@@ -157,11 +179,11 @@ class TestEPPointHelper:
 
     def test_one_batch_equals_single_points(self, arcs_g061, arcs_g0):
         points = [q.point for arc in arcs_g061 + arcs_g0 for q in arc.points]
-        batch = _ep_points(points)
+        batch = ep_points(*points)
         assert [(q.point, _bits(q.repeated_eigenvalue), q.order, q.residual) for q in batch] == [
-            (q.point, _bits(q.repeated_eigenvalue), q.order, q.residual) for p in points for q in _ep_points([p])
+            (q.point, _bits(q.repeated_eigenvalue), q.order, q.residual) for p in points for q in ep_points(p)
         ]
-        assert _ep_points([]) == []
+        assert ep_points() == []
 
     def test_refined_seed(self):
         e = refine_ep(ParamPoint(0.33, 0.54, 0.40, G))
@@ -169,16 +191,16 @@ class TestEPPointHelper:
 
     def test_nexus(self):
         p = ParamPoint(0, 0, 0, 0)
-        (q,) = _ep_points([p])
+        (q,) = ep_points(p)
         assert q.order == 3
         self.assert_matches_separate_calls(p, q)
 
     def test_off_arc_raises_like_a_single_point(self):
-        p = ParamPoint(0.33, 0, 0, G)
+        p = ParamPoint(0.33, 0.0, 0.0, G)
         with pytest.raises(NotAnEP) as batch:
-            _ep_points([refine_ep(ParamPoint(0.33, 0.54, 0.40, G)).point, p])
+            ep_points(refine_ep(ParamPoint(0.33, 0.54, 0.40, G)).point, p)
         with pytest.raises(NotAnEP) as single:
-            _ep_points([p])
+            ep_points(p)
         assert str(batch.value) == str(single.value) == f"|disc| = {abs(discriminant_formula(p)):.3e} at {p}"
 
 
@@ -187,7 +209,6 @@ class TestArcTracing:
         assert len(arcs_g061) == 2
         for arc in arcs_g061:
             assert arc.terminated == "boundary"
-            assert not arc.closed
             spacing = np.linalg.norm(np.diff(arc.coords(), axis=0), axis=1)
             assert spacing.max() < 1.6 * 0.02   # consecutive points within step bound
         a, b = (arc.coords() for arc in arcs_g061)
@@ -318,7 +339,7 @@ class TestClosedForm:
         """The four half-arcs at g = 0, the two that ``ea`` lists and their
         mirrors (eta, -zeta, -xi), start at |eta| = step and run to the boundary."""
         starts = [s for s in arc_starts(0.0) if s.point.eta != 0]
-        starts += _ep_points([ParamPoint(s.point.eta, -s.point.zeta, -s.point.xi, 0.0) for s in starts])
+        starts += ep_points(*(ParamPoint(s.point.eta, -s.point.zeta, -s.point.xi, 0.0) for s in starts))
         halves = [trace_ea(0.0, s, step=step) for s in starts]
         assert len(halves) == 4
         for arc in halves:

@@ -6,7 +6,7 @@ import pytest
 from conftest import circular_distance
 from eptriad.errors import AmbiguousMatch, AnchorMismatch, NonUnimodularDeterminant, PathTouchesEP
 from eptriad.loops import PRESET_NAMES, concat_loops, interpolate_loop, preset_loop, preset_waypoints, reverse_loop
-from eptriad.model import ParamPoint, eigensystem, eigensystems
+from eptriad.model import ParamPoint, discriminant_values, eigensystem, eigensystems
 from eptriad.permutations import element, identify, to_matrix
 from eptriad.transport import (
     discriminant_winding,
@@ -329,6 +329,16 @@ class TestBisectionIsReachable:
     def test_without_bisection_the_match_is_refused(self):
         with pytest.raises(AmbiguousMatch):
             transport_eigensystems(eigensystems(self.loop(5).params), refine=False)
+
+    def test_the_winding_reads_the_discriminant_of_every_transported_step(self):
+        """Transport reuses the loop's discriminant, and evaluates it anew
+        over a loop that bisection refined."""
+        fine, coarse = self.loop(200), self.loop(5)
+        assert np.array_equal(fine.disc, discriminant_values(*fine.params.T))
+        assert transport(fine).disc_values is fine.disc
+        res = transport(coarse)
+        assert len(res.disc_values) == res.tracked_eigenvalues.shape[0] == coarse.n_steps + 2
+        assert np.isin(coarse.disc, res.disc_values).all()
 
 
 class TestMatchAssignment:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from eptriad.model import (
 from oracles import (
     PolyCoeffs,
     char_poly,
+    complex_discriminant,
     cubic_roots,
     discriminant,
     discriminant_small_param,
@@ -269,8 +272,49 @@ class TestDiscriminant:
         zz, xx = np.linspace(-1.2, 1.2, 17), np.linspace(-1.2, 1.2, 13)
         grid = discriminant_values(0.33, zz[:, None], xx[None, :], 0.61)
         pointwise = [[discriminant_formula(ParamPoint(0.33, z, x, 0.61)) for x in xx] for z in zz]
-        # numpy rounds array and scalar complex powers apart in the last bit
-        np.testing.assert_allclose(grid, pointwise, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(grid, pointwise)
+
+
+def _bits(w: complex) -> tuple[str, str]:
+    return float(w.real).hex(), float(w.imag).hex()
+
+
+def _discriminant_draws() -> np.ndarray:
+    """Rows (eta, zeta, xi, g): in the domain |p| <= 1.5, with signed zeros,
+    and at magnitudes 1e-300 and 1e150, where products underflow or overflow."""
+    rng = np.random.default_rng(20261019)
+    signed_zeros = np.array(np.meshgrid(*[[0.0, -0.0]] * 4)).reshape(4, -1).T
+    signs = rng.choice([-1.0, 1.0], (2, 3000, 4))
+    return np.vstack([
+        rng.uniform(-1.5, 1.5, (20000, 4)),
+        signed_zeros,
+        rng.choice([0.0, -0.0, 1e-300, -1e-300, 0.33, -0.61, 1.5], (4000, 4)),
+        signs[0] * 1e-300 * rng.uniform(1.0, 10.0, (3000, 4)),
+        signs[1] * 1e150 * rng.uniform(1.0, 10.0, (3000, 4)),
+        rng.choice([0.0, -0.0, 1e150, -1e150, 0.33, -0.61], (3000, 4)),
+    ])
+
+
+class TestDiscriminantBits:
+    def test_an_array_call_has_the_bits_of_scalar_calls_and_of_the_complex_expression(self):
+        """The real arithmetic of ``discriminant_values`` mirrors CPython's
+        complex products, sums and small integer powers term by term."""
+        params = _discriminant_draws()
+        with np.errstate(over="ignore", invalid="ignore"):
+            array = discriminant_values(*params.T)
+        overflows = 0
+        for row, a in zip(params.tolist(), array.tolist()):
+            s = discriminant_values(*row)
+            assert type(s) is complex and _bits(a) == _bits(s), row
+            try:
+                want = complex_discriminant(*row)
+            except OverflowError:
+                # a complex power overflowed: the real arithmetic gives no finite value
+                overflows += 1
+                assert not (math.isfinite(s.real) and math.isfinite(s.imag)), row
+                continue
+            assert _bits(s) == _bits(want), row
+        assert 0 < overflows < len(params) // 4
 
 
 class TestSmallParamDiscriminant:
