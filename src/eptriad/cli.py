@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import re
 import sys
@@ -26,7 +27,7 @@ from . import __version__
 from .errors import AmbiguousMatch, EptriadError, FitDiverged, NoConvergence, NotAGroup
 # discriminant_formula, eigensystem, match_assignment, refine_ep and
 # seed_eps_in_slice stay importable here for the benchmark's tracer
-from .locate import arc_starts, refine_ep, seed_eps_in_slice, trace_ea, track_sheets
+from .locate import ETA_GRID_STEP, arc_starts, refine_ep, seed_eps_in_slice, trace_ea, track_sheets
 from .loops import MIN_STEPS, PRESET_NAMES, LoopPath, interpolate_loop, preset_loop, preset_waypoints
 from .model import ParamPoint, discriminant_formula, discriminant_values, eigensystem
 from .permutations import all_elements, element, identify, to_matrix, verify_group
@@ -207,8 +208,9 @@ def cmd_loop(args) -> int:
 def cmd_ea(args) -> int:
     with _reading_inputs():
         _require_finite(args, "g")
-        if not 0 < args.step < np.inf:
-            raise ValueError(f"--step must be finite and positive, got {args.step}")
+        if not ETA_GRID_STEP <= args.step < np.inf:
+            raise ValueError(f"--step must be finite and at least the eta grid spacing {ETA_GRID_STEP:g}, "
+                             f"got {args.step}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     arcs = [trace_ea(args.g, start, step=args.step) for start in arc_starts(args.g)]
@@ -327,7 +329,11 @@ def cmd_group(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each subcommand's
+    ``func`` is its ``cmd_*`` function, which reads the module's names when
+    it runs."""
     ap = argparse.ArgumentParser(prog="eptriad", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -335,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eta", type=float, required=True)
     sp.add_argument("--g", type=float, default=0.61)
     sp.add_argument("--grid", default="101x101", help="resolution N or NxM")
-    sp.add_argument("--window", type=float, nargs=4, default=[-1.0, 1.0, -1.0, 1.0],
+    sp.add_argument("--window", type=float, nargs=4, default=(-1.0, 1.0, -1.0, 1.0),
                     metavar=("ZLO", "ZHI", "XLO", "XHI"))
     sp.add_argument("--out", default="out")
     sp.set_defaults(func=cmd_surface)

@@ -13,6 +13,7 @@ order-3 nexus eta = b = 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +29,10 @@ ORDER3_TOL = 1e-6
 DOMAIN_BOUND = 1.5
 #: |disc| above which a seed is too far from any EP to refine
 BASIN_BOUND = 1e3
-#: the eta grid an arc is continued on: 1e-3 apart, reaching past the domain
+#: the spacing of the eta grid an arc is continued on, and the smallest step
+#: ``ea`` takes: a finer step adds only chords between the grid's points
+ETA_GRID_STEP = 1e-3
+#: the eta grid an arc is continued on: ETA_GRID_STEP apart, reaching past the domain
 _ETA_GRID = np.arange(-1600, 1601) / 1000.0
 #: angles theta of the extra grid points eta = g tan(theta); near eta = 0 the
 #: small root B turns like (g - i eta)^3, so these resolve the close pass of
@@ -214,22 +218,32 @@ def refine_ep(seed: ParamPoint) -> EPPoint:
     return _ep_points(row, *_ep_arrays(row))[0]
 
 
-def _branches(g: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _branches(g: float) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """(eta, b, inside) on each eta grid that the branches at ``g`` are continued on.
 
     The columns of ``b`` are the four branches b(eta), and ``inside`` marks
     their points in the domain |coord| <= 1.5.  For g != 0 there is one
     increasing grid.  At g = 0 there are two, each running out of the nexus
-    eta = 0: first the half eta >= 0, then the half eta <= 0.
+    eta = 0: first the half eta >= 0, then the half eta <= 0.  The arrays are
+    read-only: the branches of the last g are kept, so that the starts and
+    every arc of one ``ea`` command continue them once.
     """
+    return _branches_at(float(g).hex())     # the key tells -0.0 from 0.0
+
+
+@functools.lru_cache(maxsize=1)
+def _branches_at(key: str) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    g = float.fromhex(key)
     eta = np.union1d(_ETA_GRID, g * np.tan(_PASS_ANGLES))
     eta = eta[abs(eta) <= _ETA_GRID[-1]]
     out = []
     for grid in [eta] if g != 0 else [eta[eta >= 0], eta[eta <= 0][::-1]]:
         b = _slice_eps(grid, g, continued=True)
         inside = np.maximum(abs(grid)[:, None], np.maximum(abs(b.real), abs(b.imag))) <= DOMAIN_BOUND
+        for a in (grid, b, inside):
+            a.flags.writeable = False
         out.append((grid, b, inside))
-    return out
+    return tuple(out)
 
 
 def arc_starts(g: float) -> list[EPPoint]:

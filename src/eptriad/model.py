@@ -117,7 +117,6 @@ class Eigensystem:
 
 #: the off-diagonal part of kappa * (m + gain), its zeros signed as that product signs them
 _H_HOPPING = -1.0 * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-_BANDS = np.arange(3)
 _PAIR_I, _PAIR_J = np.array([0, 0, 1]), np.array([1, 2, 2])
 
 
@@ -207,15 +206,19 @@ def _solve_rows(params: np.ndarray) -> tuple:
     """Sorted eigenvalues, normalized right vectors, left rows, degenerate
     flags, smallest gaps and squared relative residual norms of each row.
 
-    Runs on worker threads: it must call no name that a tracer may rebind.
+    Runs on worker threads: it must call no name that a tracer may rebind,
+    and it makes no stacked complex matrix product, so H v is written out.
+    A stacked complex ``h @ v`` over 5 000 rows took 0.97 ms on one thread
+    and about 4.6 ms on each of two threads running it at once (one BLAS
+    thread each), while ``np.linalg.eig``, elementwise products and the
+    vector products of the bilinear forms below barely slowed down.
     """
     h = _hamiltonians(params)
     w, v = np.linalg.eig(h)
-    at = np.arange(len(params))[:, None]
     order = np.argsort(w.real, axis=1, kind="stable")
-    w = w[at, order]
-    v = v[at[:, None], _BANDS[:, None], order[:, None, :]]
-    v = v / np.linalg.norm(v, axis=1)[:, None, :]
+    w = np.take_along_axis(w, order, axis=1)
+    v = np.take_along_axis(v, order[:, None, :], axis=2)
+    v = v / np.sqrt((v.conj() * v).real.sum(axis=1))[:, None, :]
 
     gaps = w[:, _PAIR_I] - w[:, _PAIR_J]
     min_gap = np.hypot(gaps.real, gaps.imag).min(axis=1)    # rounds as abs() of one scalar
@@ -233,8 +236,10 @@ def _solve_rows(params: np.ndarray) -> tuple:
     plain = degenerate[:, None] & (np.abs(bil) < 1e-12)
     left = np.divide(rows, bil[:, :, None], out=rows.copy(), where=~plain[:, :, None])
 
-    # squared residual norms against (1e-10 * max(||H||_F, 1))^2
-    r = h @ v - v * w[:, None, :]
+    # squared residual norms against (1e-10 * max(||H||_F, 1))^2, with
+    # (H v)[l, i, j] = sum_k h[l, i, k] v[l, k, j] written out over k
+    hv = h[:, :, 0, None] * v[:, None, 0] + h[:, :, 1, None] * v[:, None, 1] + h[:, :, 2, None] * v[:, None, 2]
+    r = hv - v * w[:, None, :]
     resid2 = (r.real**2 + r.imag**2).sum(axis=1) / np.maximum((h.real**2 + h.imag**2).sum(axis=(1, 2)), 1.0)[:, None]
     return w, v, left, degenerate, min_gap, resid2
 

@@ -319,6 +319,39 @@ def test_chunked_errors_name_the_first_bad_row(bad_rows, three_cpus, monkeypatch
     assert str(ParamPoint(*params[min(bad_rows)].tolist())) in str(chunked.value)
 
 
+def _matmul_residuals(params, w, v):
+    """Relative residual norm ||H v_j - w_j v_j|| / max(||H||_F, 1) of each
+    eigenpair, with H v as a stacked ``@``."""
+    h = model._hamiltonians(params)
+    r = h @ v - v * w[:, None, :]
+    return np.linalg.norm(r, axis=1) / np.maximum(np.linalg.norm(h, axis=(1, 2)), 1.0)[:, None]
+
+
+def test_written_out_residuals_equal_the_matmul_residuals():
+    rng = np.random.default_rng(13)
+    params = np.concatenate([
+        rng.uniform(-1.0, 1.0, (2000, 4)),
+        rng.uniform(-1e3, 1e3, (200, 4)),                     # ||H||_F far above 1
+        *(preset_loop(name, 64).params for name in PRESET_NAMES),
+        _probe_points(),                                      # near-EP rows and the nexus
+    ])
+    w, v, *_, resid2 = model._solve_rows(params)
+    want = _matmul_residuals(params, w, v)
+    assert want.max() < 1e-13
+    assert np.abs(np.sqrt(resid2) - want).max() <= 8 * np.finfo(float).eps
+
+
+def test_written_out_residuals_flag_bad_rows_in_every_chunk(monkeypatch):
+    params, bad_rows = _chunked_stack(), [5, 700, 1050]
+    monkeypatch.setattr(np.linalg, "eig", _corrupting_eig(params, bad_rows))
+    chunks = np.array_split(params, len(CHUNK_LENGTHS))
+    starts = np.cumsum([0] + CHUNK_LENGTHS[:-1])
+    for start, chunk, bad in zip(starts, chunks, bad_rows):
+        w, v, *_, resid2 = model._solve_rows(chunk)
+        assert np.flatnonzero((resid2 > 1e-20).any(axis=1)).tolist() == [bad - start]
+        assert np.flatnonzero((_matmul_residuals(chunk, w, v) > 1e-10).any(axis=1)).tolist() == [bad - start]
+
+
 def test_workers_see_the_callers_errstate(three_cpus, monkeypatch):
     eig = np.linalg.eig
     seen = []

@@ -496,6 +496,10 @@ def _lab_dataset(corrupt):
     pytest.param(_argv("ea", "--g", "0.61", "--step", "0"), EXIT_CONFIG, id="ea_zero_step-2"),
     pytest.param(_argv("ea", "--g", "0.61", "--step", "-0.02"), EXIT_CONFIG, id="ea_negative_step-2"),
     pytest.param(_argv("ea", "--g", "0.61", "--step", "inf"), EXIT_CONFIG, id="ea_infinite_step-2"),
+    # a step finer than the eta grid the arcs are continued on
+    pytest.param(_argv("ea", "--g", "0.61", "--step", "1e-5"), EXIT_CONFIG, id="ea_step_below_grid_spacing-2"),
+    pytest.param(_argv("ea", "--g", "0.61", "--step", "0.000999"), EXIT_CONFIG, id="ea_step_just_below_grid_spacing-2"),
+    pytest.param(_argv("ea", "--g", "0.61", "--step", "0.001"), EXIT_OK, id="ea_step_at_grid_spacing-0"),
     pytest.param(_argv("lab", "synth", "--noise", "nan"), EXIT_CONFIG, id="lab_nan_noise-2"),
     pytest.param(_argv("lab", "synth", "--noise", "-0.5"), EXIT_CONFIG, id="lab_negative_noise-2"),
     pytest.param(_argv("lab", "pipeline", "--noise", "inf"), EXIT_CONFIG, id="lab_infinite_noise-2"),
@@ -550,6 +554,42 @@ def test_regime_warnings_name_the_constructing_line(tmp_path):
     assert sites, proc.stderr
     assert all(Path(site.rsplit(":", 1)[0]).name == "locate.py" for site in sites), sites
     assert len(sites) == len(set(sites)) <= 8
+
+
+def _lone_call(argv, out):
+    """Exit code, stdout and stderr of ``eptriad argv --out out`` in a process of its own."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    src = str(Path(eptriad.model.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "eptriad", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=600)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; a bad argument, a loop and an
+    ea run one after another give what each gives alone, and a rebound
+    command name still takes effect."""
+    assert eptriad.cli.build_parser() is eptriad.cli.build_parser()
+    bad = ["loop", "--steps-per-segment", "x"]
+    assert run(bad + ["--out", str(tmp_path / "bad")]) == EXIT_CONFIG
+    assert (EXIT_CONFIG, "", capsys.readouterr().err) == _lone_call(bad, tmp_path / "bad")
+    assert not (tmp_path / "bad").exists()
+    reports = {"loop_mu1.json": ["loop", "--preset", "mu1", "--steps-per-segment", "64"],
+               "arcs.json": ["ea", "--g", "0.61"]}
+    for report, argv in reports.items():
+        assert run(argv + ["--out", str(tmp_path / "in")]) == EXIT_OK
+        out = capsys.readouterr().out
+        code, lone_out, _ = _lone_call(argv, tmp_path / "lone")
+        assert (code, lone_out) == (EXIT_OK, out)
+        assert (tmp_path / "in" / report).read_bytes() == (tmp_path / "lone" / report).read_bytes()
+
+    def broken(loop):
+        raise ArithmeticError("rebound transport")
+
+    monkeypatch.setattr(eptriad.cli, "transport", broken)
+    with pytest.raises(ArithmeticError, match="rebound transport"):
+        run(reports["loop_mu1.json"] + ["--out", str(tmp_path / "in")])
 
 
 def test_importing_the_cli_loads_no_thread_pool():

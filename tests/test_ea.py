@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import eptriad.cli
+import eptriad.locate
 from eptriad.cli import EXIT_OK, main
 from eptriad.locate import DOMAIN_BOUND, arc_starts, trace_ea
 from eptriad.model import ParamPoint
@@ -117,6 +118,29 @@ def test_ea_traces_each_arc_once(tmp_path, monkeypatch, g, n_arcs):
     monkeypatch.setattr(eptriad.cli, "trace_ea", counted)
     assert len(ea_doc(tmp_path, g)["arcs"]) == n_arcs
     assert len(calls) == n_arcs
+
+
+@pytest.mark.parametrize("g, grids", [("0.61", 1), ("0", 2)])
+def test_ea_continues_the_branches_once(tmp_path, monkeypatch, g, grids):
+    """One ``ea`` command continues each branch grid once, for its starts and
+    all its arcs, into read-only arrays; a command at another g before it
+    leaves its bytes as they are alone."""
+    eptriad.locate._branches_at.cache_clear()
+    slice_eps, calls = eptriad.locate._slice_eps, []
+
+    def counted(eta, g, continued=False):
+        calls.append(continued)
+        return slice_eps(eta, g, continued)
+
+    monkeypatch.setattr(eptriad.locate, "_slice_eps", counted)
+    ea_doc(tmp_path / "lone", g)
+    assert sum(calls) == grids
+    ea_doc(tmp_path / "other", "0.05")
+    ea_doc(tmp_path / "after", g)
+    assert (tmp_path / "after" / "arcs.json").read_bytes() == (tmp_path / "lone" / "arcs.json").read_bytes()
+    assert sum(calls) == 2 * grids + 1
+    for grid in eptriad.locate._branches(float(g)):
+        assert not any(a.flags.writeable for a in grid)
 
 
 def test_negative_g_arcs_are_found(tmp_path):
