@@ -32,7 +32,6 @@ from .spectral import (
 )
 from .transport import (
     TransportResult,
-    discriminant_winding,
     eigenvalue_vorticity,
     transport,
     transport_eigensystems,

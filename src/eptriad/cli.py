@@ -42,7 +42,7 @@ from .spectral import (
     save_dataset,
     synthesize,
 )
-from .transport import match_assignment, transport, vorticity_table
+from .transport import DEFAULT_OVERLAP_FLOOR, match_assignment, transport, vorticity_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -193,14 +193,16 @@ def cmd_loop(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     result = transport(loop)
     _dump_json(out / f"loop_{name}.json", _transport_report(result))
-    _write_manifest(out, "loop", {k: v for k, v in vars(args).items() if k != "func"}, None)
+    _write_manifest(out, "loop", vars(args), None)
     print(
         f"{name}: permutation {result.permutation.as_string()} "
         f"theta {result.berry_phase:+.6f} min_overlap {result.min_overlap:.3f}"
     )
     if not result.reliable:
-        print(f"numerical failure: {name}: transport unreliable, smallest matched overlap "
-              f"{result.min_overlap:.3f}", file=sys.stderr)
+        # name the overlap floor if it failed, else the parity check of transport_eigensystems
+        why = (f"smallest matched overlap {result.min_overlap:.3f}" if result.min_overlap <= DEFAULT_OVERLAP_FLOOR
+               else f"permutation parity disagrees with the discriminant winding {result.disc_winding:+.3f}")
+        print(f"numerical failure: {name}: transport unreliable, {why}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -230,7 +232,7 @@ def cmd_ea(args) -> int:
         ],
     }
     _dump_json(out / "arcs.json", doc)
-    _write_manifest(out, "ea", {k: v for k, v in vars(args).items() if k != "func"}, None)
+    _write_manifest(out, "ea", vars(args), None)
     print(f"traced {len(arcs)} arc(s) at g = {args.g}")
     return EXIT_OK
 
@@ -298,8 +300,7 @@ def cmd_lab(args) -> int:
             f"fit {len(fits)} steps: permutation {result.permutation.as_string()} "
             f"theta {result.berry_phase:+.6f}"
         )
-    _write_manifest(out, f"lab-{args.subcommand}", {k: v for k, v in vars(args).items() if k != "func"},
-                    args.seed, stats, versions)
+    _write_manifest(out, f"lab-{args.subcommand}", vars(args), args.seed, stats, versions)
     return EXIT_OK
 
 
@@ -317,7 +318,7 @@ def cmd_group(args) -> int:
         "matrices": {lbl: to_matrix(element(lbl)).astype(int).tolist() for lbl in labels},
     }
     _dump_json(out / "group.json", doc)
-    _write_manifest(out, "group", {k: v for k, v in vars(args).items() if k != "func"}, None)
+    _write_manifest(out, "group", vars(args), None)
     width = max(len(x) for x in labels) + 1
     header = " " * width + "".join(x.ljust(width) for x in labels)
     print(header)

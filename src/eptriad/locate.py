@@ -52,13 +52,6 @@ class EPPoint:
     residual: float
 
 
-@dataclass(frozen=True)
-class SeedCandidate:
-    """A cluster of grid cells where both discriminant contours plausibly cross."""
-
-    center: ParamPoint
-
-
 @dataclass(frozen=True, eq=False)
 class EAPolyline:
     """An arc of EPs at fixed g, held as arrays.
@@ -95,11 +88,12 @@ def seed_eps_in_slice(
     g: float,
     window: tuple[tuple[float, float], tuple[float, float]] = ((-1.0, 1.0), (-1.0, 1.0)),
     resolution: int = 64,
-) -> list[SeedCandidate]:
+) -> list[ParamPoint]:
     """Scan a (zeta, xi) window for cells where Re(disc) and Im(disc) both flip sign.
 
-    Adjacent candidate cells are clustered; an empty list is a valid outcome
-    for slices the arcs do not visit.
+    Adjacent candidate cells are clustered, and each cluster's centre is
+    returned as a seed point; an empty list is a valid outcome for slices
+    the arcs do not visit.
     """
     if resolution < 32:
         raise ValueError("grid resolution must be at least 32")
@@ -115,7 +109,7 @@ def seed_eps_in_slice(
     mask = _cell_flips(vals.real) & _cell_flips(vals.imag)
     # flood-fill clustering of 4-connected candidate cells
     seen = np.zeros_like(mask, dtype=bool)
-    clusters: list[SeedCandidate] = []
+    clusters: list[ParamPoint] = []
     for i0, j0 in zip(*np.nonzero(mask)):
         if seen[i0, j0]:
             continue
@@ -131,7 +125,7 @@ def seed_eps_in_slice(
                     stack.append((a, b2))
         zc = float(np.mean([0.5 * (zz[i] + zz[i + 1]) for i, _ in cells]))
         xc = float(np.mean([0.5 * (xx[j] + xx[j + 1]) for _, j in cells]))
-        clusters.append(SeedCandidate(center=ParamPoint(eta, zc, xc, g)))
+        clusters.append(ParamPoint(eta, zc, xc, g))
     return clusters
 
 

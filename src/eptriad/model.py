@@ -261,18 +261,6 @@ class EigensystemStack:
     def __len__(self) -> int:
         return len(self.params)
 
-    @classmethod
-    def of(cls, systems) -> "EigensystemStack":
-        """Stack per-point eigensystems, e.g. fitted frames."""
-        return cls(
-            np.array([es.point.as_array() for es in systems]),
-            np.array([es.eigenvalues for es in systems]),
-            np.array([es.right_vectors for es in systems]),
-            np.array([es.left_vectors for es in systems]),
-            np.array([es.is_degenerate for es in systems]),
-            np.array([es.min_gap for es in systems]),
-        )
-
     def row(self, l: int, point: ParamPoint | None = None) -> Eigensystem:
         """Row ``l`` as an :class:`Eigensystem` (``point`` defaults to ``params[l]``)."""
         return Eigensystem(

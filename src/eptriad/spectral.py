@@ -39,7 +39,7 @@ import numpy as np
 from .errors import FitDiverged, IdentifiabilityWarning
 from .model import (
     DEGENERACY_GAP,
-    Eigensystem,
+    EigensystemStack,
     ParamPoint,
     PhysicalScale,
     eigensystem,
@@ -552,17 +552,20 @@ def _fit_spectra(spectra, cfg: CavityConfig, fit_config: FitConfig | None) -> li
     return fits
 
 
-def fitted_eigensystem(fit: FittedParams) -> Eigensystem:
-    """Package a fit as an Eigensystem usable by the transport machinery."""
-    gaps = [abs(fit.eigenvalues[i] - fit.eigenvalues[j]) for i in range(3) for j in range(i + 1, 3)]
-    min_gap = min(gaps) / abs(fit.scale.kappa)
-    return Eigensystem(
-        point=fit.point,
-        eigenvalues=fit.eigenvalues,
-        right_vectors=fit.mode_coeffs_right,
-        left_vectors=fit.mode_coeffs_left,
-        is_degenerate=min_gap < DEGENERACY_GAP,
-        min_gap=min_gap,
+def fitted_stack(fits: list[FittedParams]) -> EigensystemStack:
+    """The fits as one stack for the transport machinery: fitted points,
+    eigenvalues and residue-coefficient frames, and each smallest gap in
+    units of the fitted |kappa| (hypot rounds as abs() does)."""
+    w = np.array([f.eigenvalues for f in fits])
+    gaps = w[:, [0, 0, 1]] - w[:, [1, 2, 2]]
+    min_gap = np.hypot(gaps.real, gaps.imag).min(axis=1) / np.array([abs(f.scale.kappa) for f in fits])
+    return EigensystemStack(
+        np.array([f.point.as_array() for f in fits]),
+        w,
+        np.array([f.mode_coeffs_right for f in fits]),
+        np.array([f.mode_coeffs_left for f in fits]),
+        min_gap < DEGENERACY_GAP,
+        min_gap,
     )
 
 
@@ -572,16 +575,14 @@ def fit_loop(dataset: SpectralDataset, fit_config: FitConfig | None = None):
     Each step is fitted from its own spectrum as ``fit_step`` fits it
     (closed-form start, polish, and the search only as a fallback), all of
     them as one stack (``_fit_spectra``), so no fit depends on its
-    neighbour.  Returns (fits, transport_result); the transport pass
-    consumes the reconstructed eigenvectors exactly as it would analytic
-    ones.
+    neighbour.  Returns (fits, transport_result); the fitted frames are
+    stacked once (``fitted_stack``) and transported as an analytic stack is.
     """
     from .transport import transport_eigensystems
 
     check_dataset(dataset)
     fits = _fit_spectra([st.responses for st in dataset.steps], dataset.config, fit_config)
-    systems = [fitted_eigensystem(f) for f in fits]
-    result = transport_eigensystems(systems, label="fitted-loop", refine=False)
+    result = transport_eigensystems(fitted_stack(fits), label="fitted-loop", refine=False)
     return fits, result
 
 

@@ -75,7 +75,6 @@ class ExchangeEvent:
 @dataclass
 class TransportResult:
     label: str
-    anchor: Eigensystem
     tracked_eigenvalues: np.ndarray       # (L, 3) complex, tracked band order
     step_overlaps: np.ndarray             # (L-1, 3) matched |O|
     events: list[ExchangeEvent]
@@ -83,9 +82,10 @@ class TransportResult:
     holonomy: np.ndarray                  # (3, 3) complex
     berry_phase: float
     min_overlap: float
-    reliable: bool
+    reliable: bool                        # min_overlap above the floor, parity agreeing with disc_winding
     min_gap: float                        # smallest eigenvalue gap along the loop
     disc_values: np.ndarray               # (L,) complex discriminant along path
+    disc_winding: float                   # winding number (1/2pi) of arg(disc) along the loop
 
     @property
     def n_exchanges(self) -> int:
@@ -150,6 +150,11 @@ def _principal(theta: float) -> float:
     return (theta + np.pi) % (2 * np.pi) - np.pi
 
 
+def _winding(d: np.ndarray) -> float:
+    """Winding number (1/2pi) of arg(d) along the path of values ``d``."""
+    return float(np.angle(d[1:] / d[:-1]).sum() / (2 * np.pi))
+
+
 def _resolve_steps(stack: EigensystemStack, refine: bool):
     """Raw overlaps and best assignments of every step of ``stack``.
 
@@ -175,22 +180,25 @@ def _resolve_steps(stack: EigensystemStack, refine: bool):
         stack = stack.insert(ambiguous + 1, mids)
 
 
-def transport_eigensystems(systems, label: str = "", refine: bool = True, disc=None) -> TransportResult:
-    """Parallel transport over a closed eigensystem sequence.
+def transport_eigensystems(stack: EigensystemStack, label: str = "", refine: bool = True,
+                           disc=None) -> TransportResult:
+    """Parallel transport over the closed eigensystem sequence ``stack``
+    (analytic, or fitted frames from ``spectral.fitted_stack``).
 
-    ``systems`` is an :class:`EigensystemStack` or a list of
-    :class:`Eigensystem` (fitted frames), which is stacked first.  When
-    ``refine`` is set, ambiguous steps are bisected by inserting
+    When ``refine`` is set, ambiguous steps are bisected by inserting
     interpolated parameter points (up to 8 levels) before giving up with
     AmbiguousMatch.  Θ is not checked for unimodularity (fitted frames are
     only near-biorthonormal), but a singular final frame raises
     NonUnimodularDeterminant.  ``disc``, the discriminant already computed
-    at the rows of ``systems``, is reused unless bisection inserted rows.
+    at the rows of ``stack``, is reused unless bisection inserted rows.
+
+    The result is reliable when every matched overlap clears
+    ``DEFAULT_OVERLAP_FLOOR`` and the permutation's parity is (-1)^round(w)
+    for the discriminant's winding w.  The discriminant is V^2 for the
+    product V of the eigenvalue differences, and a loop multiplies V by the
+    sign of its permutation, so w is odd exactly when the permutation is:
+    a coarse loop whose steps miss or invent an exchange is flagged.
     """
-    if isinstance(systems, EigensystemStack):
-        stack, anchor = systems, systems.row(0)
-    else:
-        stack, anchor = EigensystemStack.of(systems), systems[0]
     stack, overlap, best = _resolve_steps(stack, refine)
 
     # m[l, j]: the raw (Re-sorted) band that tracked band j occupies at step l
@@ -212,7 +220,7 @@ def transport_eigensystems(systems, label: str = "", refine: bool = True, disc=N
         for l in changed
     ]
     permutation = PermutationElement(tuple(int(r) + 1 for r in m[-1]))
-    holonomy = anchor.left_vectors @ tracked_end
+    holonomy = stack.left_vectors[0] @ tracked_end
     det = complex(np.linalg.det(holonomy))
     parity = float(np.linalg.det(to_matrix(permutation)))
     if det == 0:
@@ -220,10 +228,12 @@ def transport_eigensystems(systems, label: str = "", refine: bool = True, disc=N
     theta = _principal(-cmath.log(parity * det).imag)
     step_overlaps = np.abs(matched)
     min_overlap = float(step_overlaps.min(initial=1.0))
+    disc_values = disc if disc is not None and len(disc) == len(stack) else discriminant_values(*stack.params.T)
+    winding = _winding(disc_values)
+    parity_agrees = cmath.isfinite(winding) and parity == (-1) ** round(winding)
 
     return TransportResult(
         label=label,
-        anchor=anchor,
         tracked_eigenvalues=stack.eigenvalues[at, m],
         step_overlaps=step_overlaps,
         events=events,
@@ -231,9 +241,10 @@ def transport_eigensystems(systems, label: str = "", refine: bool = True, disc=N
         holonomy=holonomy,
         berry_phase=theta,
         min_overlap=min_overlap,
-        reliable=min_overlap > DEFAULT_OVERLAP_FLOOR,
+        reliable=min_overlap > DEFAULT_OVERLAP_FLOOR and parity_agrees,
         min_gap=float(stack.min_gap.min()),
-        disc_values=disc if disc is not None and len(disc) == len(stack) else discriminant_values(*stack.params.T),
+        disc_values=disc_values,
+        disc_winding=winding,
     )
 
 
@@ -245,14 +256,7 @@ def transport(loop: LoopPath) -> TransportResult:
 def eigenvalue_vorticity(result: TransportResult, pair: tuple[int, int]) -> float:
     """Winding number (1/2pi) of arg(w_i - w_j) along the loop, tracked bands."""
     i, j = pair[0] - 1, pair[1] - 1
-    d = result.tracked_eigenvalues[:, i] - result.tracked_eigenvalues[:, j]
-    return float(np.angle(d[1:] / d[:-1]).sum() / (2 * np.pi))
-
-
-def discriminant_winding(result: TransportResult) -> float:
-    """Winding number (1/2pi) of arg(disc) along the loop (cross-check)."""
-    d = result.disc_values
-    return float(np.angle(d[1:] / d[:-1]).sum() / (2 * np.pi))
+    return _winding(result.tracked_eigenvalues[:, i] - result.tracked_eigenvalues[:, j])
 
 
 def vorticity_table(result: TransportResult) -> dict[str, float]:
@@ -260,5 +264,5 @@ def vorticity_table(result: TransportResult) -> dict[str, float]:
         f"{i}{j}": eigenvalue_vorticity(result, (i, j))
         for i, j in ((1, 2), (1, 3), (2, 3))
     }
-    table["discriminant"] = discriminant_winding(result)
+    table["discriminant"] = result.disc_winding
     return table

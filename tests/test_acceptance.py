@@ -11,10 +11,10 @@ import pytest
 from conftest import circular_distance
 from eptriad.locate import refine_ep, seed_eps_in_slice, trace_ea
 from eptriad.loops import concat_loops, interpolate_loop, preset_loop, reverse_loop
-from eptriad.model import ParamPoint, discriminant_formula, eigensystem
+from eptriad.model import ParamPoint, discriminant_formula, eigensystems
 from eptriad.permutations import PermutationElement, element, to_matrix, verify_group
 from eptriad.spectral import CavityConfig, FitConfig, NoiseSpec, fit_loop, fit_step, synthesize
-from eptriad.transport import discriminant_winding, eigenvalue_vorticity, transport, transport_eigensystems
+from eptriad.transport import eigenvalue_vorticity, transport, transport_eigensystems
 from oracles import discriminant, discriminant_small_param, eigenvalues
 
 G = 0.61
@@ -44,7 +44,7 @@ def test_criterion_2_arc_splitting():
     slice_eps = {}
     for eta in (0.33, 0.0):
         cands = seed_eps_in_slice(eta, G, ((-1, 1), (-1, 1)), 64)
-        eps = [refine_ep(c.center) for c in cands]
+        eps = [refine_ep(c) for c in cands]
         assert len(eps) == 2
         assert all(e.order == 2 for e in eps)
         slice_eps[eta] = eps
@@ -111,7 +111,7 @@ def test_criterion_7_cycle_loop_winding_equality(runs):
     v1 = sorted(eigenvalue_vorticity(r1, p) for p in ((1, 2), (1, 3), (2, 3)))
     v2 = sorted(eigenvalue_vorticity(r2, p) for p in ((1, 2), (1, 3), (2, 3)))
     assert np.allclose(v1, v2, atol=5e-3)
-    assert abs(discriminant_winding(r1) - discriminant_winding(r2)) < 1e-3
+    assert abs(r1.disc_winding - r2.disc_winding) < 1e-3
     assert circular_distance(r1.berry_phase, r2.berry_phase) < 1e-3
     assert r1.permutation != r2.permutation
     _ok(7, "rho1/rho2 winding sets and Theta agree while the permutations differ")
@@ -232,15 +232,13 @@ def test_criterion_11_robustness_suite():
     from dataclasses import replace
 
     loop = preset_loop("mu1", 200)
-    systems = [eigensystem(q) for q in loop.steps]
-    base = transport_eigensystems(systems, refine=False)
+    stack = eigensystems(loop.params)
+    base = transport_eigensystems(stack, refine=False)
     phases = np.exp(1j * np.array([0.4, -1.3, 2.2]))
-    anchor = replace(
-        systems[0],
-        right_vectors=systems[0].right_vectors * phases[None, :],
-        left_vectors=systems[0].left_vectors / phases[:, None],
-    )
-    alt = transport_eigensystems([anchor] + systems[1:-1] + [anchor], refine=False)
+    right, left = stack.right_vectors.copy(), stack.left_vectors.copy()
+    right[[0, -1]] = right[0] * phases[None, :]
+    left[[0, -1]] = left[0] / phases[:, None]
+    alt = transport_eigensystems(replace(stack, right_vectors=right, left_vectors=left), refine=False)
     assert alt.permutation == base.permutation
     assert np.max(np.abs(np.abs(alt.holonomy) - np.abs(base.holonomy))) < 1e-9
     assert circular_distance(alt.berry_phase, base.berry_phase) < 1e-9

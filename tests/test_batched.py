@@ -7,9 +7,11 @@ interpolation and the row sweep of the sheet tracker.  The batched code must
 make the same decisions (permutation, exchange steps, inserted points,
 reliability) and reproduce their numbers within 1e-12.
 """
+import cmath
 import importlib
 import itertools
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,6 +126,10 @@ def ref_transport(systems, ambiguity_margin=1e-3, refine=True):
     holonomy = anchor.left_vectors @ tracked.right_vectors
     parity = float(np.linalg.det(to_matrix(permutation)))
     theta = -np.angle(parity * np.linalg.det(holonomy))
+    # reliable also needs the permutation's parity to be (-1)^round(w) for the
+    # discriminant's winding w over every point swept, inserted ones too
+    disc = [discriminant_formula(es.point) for es in work]
+    winding = sum(cmath.phase(b / a) for a, b in zip(disc[:-1], disc[1:])) / (2 * np.pi)
     return {
         "permutation": permutation,
         "events": events,
@@ -131,7 +137,7 @@ def ref_transport(systems, ambiguity_margin=1e-3, refine=True):
         "holonomy": holonomy,
         "theta": theta,
         "min_overlap": min_overlap,
-        "reliable": min_overlap > transport_module.DEFAULT_OVERLAP_FLOOR,
+        "reliable": min_overlap > transport_module.DEFAULT_OVERLAP_FLOOR and parity == (-1) ** round(winding),
     }
 
 
@@ -418,22 +424,16 @@ def test_drawn_rectangles_match_the_sequential_sweep(eta, corner, size, n):
 
 
 def test_regauged_anchor_list_matches_the_sequential_sweep():
-    loop = preset_loop("mu1", 200)
-    systems = [eigensystem(q) for q in loop.steps]
+    """A stack whose anchor frame (first and last row) is re-phased: the
+    holonomy starts from the re-phased left rows, as the sweep's does."""
+    stack = eigensystems(preset_loop("mu1", 200).params)
     phases = np.exp(1j * np.random.default_rng(5).uniform(0, 2 * np.pi, 3))
-    anchor = systems[0]
-    regauged = Eigensystem(
-        anchor.point,
-        anchor.eigenvalues,
-        anchor.right_vectors * phases[None, :],
-        anchor.left_vectors / phases[:, None],
-        anchor.is_degenerate,
-        anchor.min_gap,
-    )
-    systems2 = [regauged] + systems[1:-1] + [regauged]
-    res = transport_eigensystems(systems2, refine=False)
-    assert_same_transport(res, ref_transport(systems2, refine=False))
-    assert res.anchor is regauged
+    right, left = stack.right_vectors.copy(), stack.left_vectors.copy()
+    right[[0, -1]] = right[0] * phases[None, :]
+    left[[0, -1]] = left[0] / phases[:, None]
+    regauged = replace(stack, right_vectors=right, left_vectors=left)
+    res = transport_eigensystems(regauged, refine=False)
+    assert_same_transport(res, ref_transport([regauged.row(l) for l in range(len(regauged))], refine=False))
 
 
 @pytest.mark.parametrize("name, n, margin", [("mu1", 2, 1.0), ("rho1", 4, 1.5), ("big", 2, 1.95)])

@@ -378,6 +378,20 @@ class TestNumericalFailures:
         assert json.loads((tmp_path / "loop_mu1.json").read_text())["reliable"] is False
         assert capsys.readouterr().err.startswith("numerical failure: mu1: transport unreliable")
 
+    def test_a_loop_that_misses_its_exchange_is_unreliable(self, tmp_path, capsys):
+        """The thin triangle of test_loops_transport's TestBisectionIsReachable at
+        3 steps per segment: each overlap clears the floor, but the even
+        permutation disagrees with the discriminant's odd winding."""
+        corners = [[-0.152923, 0.383999, -0.371626], [-0.194721, 0.442178, -0.505061], [-0.139757, 0.477862, -0.424061]]
+        cfg = tmp_path / "loop.json"
+        cfg.write_text(json.dumps({"label": "triangle", "g": -0.4, "waypoints": corners + corners[:1],
+                                   "steps_per_segment": 3}))
+        assert run(["loop", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_NUMERICAL
+        report = json.loads((tmp_path / "loop_triangle.json").read_text())
+        assert (report["permutation"], report["reliable"]) == ("123", False)
+        assert capsys.readouterr().err == ("numerical failure: triangle: transport unreliable, "
+                                           "permutation parity disagrees with the discriminant winding -1.000\n")
+
 
 def _argv_group(tmp_path, monkeypatch):
     return ["group", "--out", str(tmp_path)]

@@ -51,7 +51,7 @@ class TestSeeding:
 
 class TestRefinement:
     def test_eta_033_fixtures(self):
-        eps = [refine_ep(c.center) for c in seed_eps_in_slice(0.33, G, ((-1, 1), (-1, 1)), 64)]
+        eps = [refine_ep(c) for c in seed_eps_in_slice(0.33, G, ((-1, 1), (-1, 1)), 64)]
         found = sorted((e.point.zeta, e.point.xi) for e in eps)
         z, x = EP_SLICE_033
         assert np.allclose(found, [(-z, -x), (z, x)], atol=1e-6)
@@ -60,7 +60,7 @@ class TestRefinement:
             assert e.residual < 1e-10
 
     def test_eta_0_fixtures(self):
-        eps = [refine_ep(c.center) for c in seed_eps_in_slice(0.0, G, ((-1, 1), (-1, 1)), 64)]
+        eps = [refine_ep(c) for c in seed_eps_in_slice(0.0, G, ((-1, 1), (-1, 1)), 64)]
         found = sorted((e.point.zeta, e.point.xi) for e in eps)
         z, x = EP_SLICE_000
         assert np.allclose(found, [(-z, -x), (z, x)], atol=1e-6)
@@ -79,11 +79,8 @@ class TestRefinement:
     @pytest.mark.parametrize("g", [-0.65, -0.3, 0.0, 0.13, 0.61])
     def test_refined_point_keeps_the_seed_slice(self, g):
         """The closed form solves for zeta and xi only: eta and g come back exactly."""
-        seeds = [
-            c.center
-            for eta in (-0.5, 0.0, 0.25, 0.5)
-            for c in seed_eps_in_slice(eta, g, ((-1.4, 1.4), (-1.4, 1.4)), 64)
-        ]
+        seeds = [c for eta in (-0.5, 0.0, 0.25, 0.5)
+                 for c in seed_eps_in_slice(eta, g, ((-1.4, 1.4), (-1.4, 1.4)), 64)]
         assert seeds
         for seed in seeds:
             p = refine_ep(seed).point
@@ -130,7 +127,7 @@ class TestOrderClassification:
 
 @pytest.fixture(scope="module")
 def arcs_g061():
-    eps = [refine_ep(c.center) for c in seed_eps_in_slice(0.0, G, ((-1, 1), (-1, 1)), 64)]
+    eps = [refine_ep(c) for c in seed_eps_in_slice(0.0, G, ((-1, 1), (-1, 1)), 64)]
     return [trace_ea(G, e, step=0.02) for e in eps]
 
 
@@ -269,7 +266,7 @@ class TestArcTracing:
         for g in (-0.2, 0.2):
             seeds = seed_eps_in_slice(0.0, g, ((-1, 1), (-1, 1)), 64)
             assert len(seeds) == 2
-            arcs = [trace_ea(g, refine_ep(c.center), step=0.02) for c in seeds]
+            arcs = [trace_ea(g, refine_ep(c), step=0.02) for c in seeds]
             assert all(a.terminated == "boundary" for a in arcs)
         # g = 0: branches hit the rank-deficient nexus instead
         for eta0 in (0.05, -0.05):

@@ -9,7 +9,7 @@ from eptriad.loops import PRESET_NAMES, concat_loops, interpolate_loop, preset_l
 from eptriad.model import ParamPoint, discriminant_values, eigensystem, eigensystems
 from eptriad.permutations import element, identify, to_matrix
 from eptriad.transport import (
-    discriminant_winding,
+    DEFAULT_OVERLAP_FLOOR,
     eigenvalue_vorticity,
     match_assignment,
     transport,
@@ -121,7 +121,7 @@ class TestCanonicalScenarios:
         assert res.min_overlap > 0.99
         assert res.permutation.order() == 1
         assert pattern_close(res.holonomy, "e")
-        assert abs(discriminant_winding(res)) < 1e-3
+        assert abs(res.disc_winding) < 1e-3
         for pair in ((1, 2), (1, 3), (2, 3)):
             assert abs(eigenvalue_vorticity(res, pair)) < 1e-3
 
@@ -190,19 +190,16 @@ class TestInvariances:
 
     def test_gauge_invariance(self):
         loop = preset_loop("mu1", 200)
-        systems = [eigensystem(q) for q in loop.steps]
-        base = transport_eigensystems(systems, refine=False)
+        stack = eigensystems(loop.params)
+        base = transport_eigensystems(stack, refine=False)
 
         rng = np.random.default_rng(5)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
-        anchor = systems[0]
-        regauged = replace(
-            anchor,
-            right_vectors=anchor.right_vectors * phases[None, :],
-            left_vectors=anchor.left_vectors / phases[:, None],
-        )
-        systems2 = [regauged] + systems[1:-1] + [regauged]
-        alt = transport_eigensystems(systems2, refine=False)
+        # re-phase the anchor frame, which closes the loop too
+        right, left = stack.right_vectors.copy(), stack.left_vectors.copy()
+        right[[0, -1]] = right[0] * phases[None, :]
+        left[[0, -1]] = left[0] / phases[:, None]
+        alt = transport_eigensystems(replace(stack, right_vectors=right, left_vectors=left), refine=False)
         assert alt.permutation == base.permutation
         assert np.max(np.abs(np.abs(alt.holonomy) - np.abs(base.holonomy))) < 1e-9
         assert abs(np.linalg.det(alt.holonomy) - np.linalg.det(base.holonomy)) < 1e-9
@@ -240,19 +237,19 @@ class TestVorticity:
     def test_half_winding_for_swapped_pair(self, canonical_transports):
         res = canonical_transports["mu1"]
         assert abs(abs(eigenvalue_vorticity(res, (2, 3))) - 0.5) < 1e-3
-        assert abs(abs(discriminant_winding(res)) - 1.0) < 1e-3
+        assert abs(abs(res.disc_winding) - 1.0) < 1e-3
 
     def test_cycle_loops_same_vorticity_multiset(self, canonical_transports):
         r1, r2 = canonical_transports["rho1"], canonical_transports["rho2"]
         v1 = sorted(eigenvalue_vorticity(r1, p) for p in ((1, 2), (1, 3), (2, 3)))
         v2 = sorted(eigenvalue_vorticity(r2, p) for p in ((1, 2), (1, 3), (2, 3)))
         assert np.allclose(v1, v2, atol=5e-3)
-        assert abs(discriminant_winding(r1) - discriminant_winding(r2)) < 1e-3
+        assert abs(r1.disc_winding - r2.disc_winding) < 1e-3
 
     def test_winding_sum_is_half_disc_winding(self, canonical_transports):
         for res in canonical_transports.values():
             s = sum(eigenvalue_vorticity(res, p) for p in ((1, 2), (1, 3), (2, 3)))
-            assert abs(s - discriminant_winding(res) / 2) < 1e-3
+            assert abs(s - res.disc_winding / 2) < 1e-3
 
 
 class TestExchangeDecomposition:
@@ -286,24 +283,27 @@ class TestExchangeDecomposition:
 
 
 class TestErrorPaths:
+    @staticmethod
+    def frames(n):
+        """The eigensystem stack of one point repeated n times."""
+        return eigensystems(np.repeat([[0.33, 0.1, 0.1, G]], n, axis=0))
+
     def test_ambiguous_match_raises_without_refinement(self):
-        es = eigensystem(ParamPoint(0.33, 0.1, 0.1, G))
-        # rotate two right vectors by 45 degrees so both assignments tie
-        v = es.right_vectors.copy()
+        stack = self.frames(3)
+        # rotate two right vectors of the middle frame by 45 degrees so both assignments tie
+        right, left = stack.right_vectors.copy(), stack.left_vectors.copy()
         mix = np.array([[1, -1], [1, 1]]) / np.sqrt(2)
-        v[:, 1:] = v[:, 1:] @ mix
-        left = np.linalg.inv(v)
-        rotated = replace(es, right_vectors=v, left_vectors=left)
+        right[1, :, 1:] = right[1, :, 1:] @ mix
+        left[1] = np.linalg.inv(right[1])
         with pytest.raises(AmbiguousMatch):
-            transport_eigensystems([es, rotated, es], refine=False)
+            transport_eigensystems(replace(stack, right_vectors=right, left_vectors=left), refine=False)
 
     def test_singular_final_frame_raises(self):
-        es = eigensystem(ParamPoint(0.33, 0.1, 0.1, G))
-        v = es.right_vectors.copy()
-        v[:, 2] = 0.0
-        singular = replace(es, right_vectors=v)
+        stack = self.frames(4)
+        right = stack.right_vectors.copy()
+        right[3, :, 2] = 0.0
         with pytest.raises(NonUnimodularDeterminant):
-            transport_eigensystems([es, es, es, singular], refine=False)
+            transport_eigensystems(replace(stack, right_vectors=right), refine=False)
 
 
 class TestBisectionIsReachable:
@@ -325,6 +325,22 @@ class TestBisectionIsReachable:
         assert coarse.tracked_eigenvalues.shape[0] == self.loop(5).n_steps + 2
         assert coarse.permutation.as_string() == fine.permutation.as_string() == "213"
         assert coarse.reliable and fine.reliable
+
+    @pytest.mark.parametrize("steps_per_segment", [3, 4])
+    def test_a_coarse_loop_that_misses_the_exchange_is_unreliable(self, steps_per_segment):
+        """Every margin and overlap clears its bound, but the even (1 2 3)
+        disagrees with the discriminant's odd winding."""
+        res = transport(self.loop(steps_per_segment))
+        assert res.permutation.as_string() == "123"
+        assert res.min_overlap > DEFAULT_OVERLAP_FLOOR
+        assert round(res.disc_winding) == -1
+        assert not res.reliable
+
+    @pytest.mark.parametrize("steps_per_segment", [6, 10, 64])     # 5 and 200: the test above
+    def test_finer_loops_are_reliable_with_the_exchange(self, steps_per_segment):
+        res = transport(self.loop(steps_per_segment))
+        assert res.permutation.as_string() == "213"
+        assert res.reliable
 
     def test_without_bisection_the_match_is_refused(self):
         with pytest.raises(AmbiguousMatch):

@@ -19,14 +19,14 @@ from oracles import (
 )
 from eptriad.errors import FitDiverged, IdentifiabilityWarning, InaccurateEigensystem
 from eptriad.locate import refine_ep
-from eptriad.model import ParamPoint, PhysicalScale, _hamiltonians, eigensystem, to_physical
+from eptriad.model import ParamPoint, PhysicalScale, _hamiltonians, eigensystem, eigensystems, to_physical
 from eptriad.spectral import (
     CavityConfig,
     FitConfig,
     NoiseSpec,
     fit_loop,
     fit_step,
-    fitted_eigensystem,
+    fitted_stack,
     load_dataset,
     onsite_profile,
     save_dataset,
@@ -382,7 +382,7 @@ class TestFitStep:
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
         fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FAST_FIT)
         truth = eigensystem(p)
-        recon = fitted_eigensystem(fit)
+        recon = fitted_stack([fit]).row(0)
         # match fitted states to analytic ones by eigenvalue
         wt = to_physical(truth.eigenvalues)
         for j in range(3):
@@ -552,7 +552,7 @@ class TestFitLoop:
         pts = list(loop.steps)
         ds = synthesize(pts, noise=NoiseSpec(0.0, 0))
         fits, res = fit_loop(ds, fit_config=FAST_FIT)
-        analytic = transport_eigensystems([eigensystem(q) for q in pts], refine=False)
+        analytic = transport_eigensystems(eigensystems(loop.params), refine=False)
         assert res.permutation == analytic.permutation
         assert circular_distance(res.berry_phase, analytic.berry_phase) < 1e-6
 
@@ -567,7 +567,7 @@ class TestFitLoop:
         fits, res = fit_loop(ds, fit_config=fc)
         monkeypatch.setattr(spectral, "_rational_start", _no_start)
         searched = [fit_step(st.responses, ds.config, fit_config=fc) for st in ds.steps]
-        reference = transport_eigensystems([fitted_eigensystem(f) for f in searched], refine=False)
+        reference = transport_eigensystems(fitted_stack(searched), refine=False)
         assert not any(f.searched for f in fits)
         assert all(f.searched for f in searched)
         assert res.permutation == reference.permutation
