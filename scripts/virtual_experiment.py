@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from eptriad.loops import preset_loop
-from eptriad.spectral import CavityConfig, FitConfig, NoiseSpec, fit_loop, synthesize
+from eptriad.spectral import CavityConfig, NoiseSpec, fit_loop, synthesize
 
 
 def main() -> int:
@@ -22,7 +22,7 @@ def main() -> int:
     points = list(loop.steps)
     dataset = synthesize(points, CavityConfig(), NoiseSpec(args.noise, args.seed))
     t0 = time.time()
-    fits, result = fit_loop(dataset, fit_config=FitConfig(seed=args.seed + 1))
+    fits, result = fit_loop(dataset)
     dt = time.time() - t0
 
     errs = []

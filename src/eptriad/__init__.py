@@ -19,7 +19,6 @@ from .loops import LoopPath, concat_loops, interpolate_loop, preset_loop, preset
 from .permutations import PermutationElement, compose, element, identify, to_matrix, verify_group
 from .spectral import (
     CavityConfig,
-    FitConfig,
     FittedParams,
     NoiseSpec,
     SpectralDataset,

@@ -18,7 +18,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,6 @@ from .model import ParamPoint, discriminant_formula, discriminant_values, eigens
 from .permutations import all_elements, element, identify, to_matrix, verify_group
 from .spectral import (
     CavityConfig,
-    FitConfig,
     NoiseSpec,
     check_dataset,
     fit_loop,
@@ -72,11 +71,9 @@ def _require_finite(args, *names: str) -> None:
             raise ValueError(f"--{name} must be finite, got {getattr(args, name)}")
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict, seed: int | None,
-                    stats: dict | None = None, versions: dict | None = None) -> None:
+def _write_manifest(out_dir: Path, command: str, args: dict, seed: int | None, stats: dict | None = None) -> None:
     """Write manifest.json; ``stats`` (work counts of the run) go here, never
-    into the byte-stable reports, and ``versions`` adds the versions of
-    libraries the run loaded beyond numpy."""
+    into the byte-stable reports."""
     clean = {k: v for k, v in args.items() if k != "func" and not callable(v)}
     manifest = {
         "command": command,
@@ -86,7 +83,7 @@ def _write_manifest(out_dir: Path, command: str, args: dict, seed: int | None,
             "eptriad": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
-        } | (versions or {}),
+        },
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     if stats is not None:
@@ -171,18 +168,30 @@ def cmd_surface(args) -> int:
     return EXIT_OK
 
 
+#: the keys of a ``loop --config`` object
+LOOP_CONFIG_KEYS = ("eta", "eta_mode", "g", "label", "steps_per_segment", "waypoints")
+
+
 def _loop_from_args(args) -> tuple[LoopPath, str]:
-    """The loop ``eptriad loop`` transports, and its name: a preset or a JSON config."""
+    """The loop ``eptriad loop`` transports, and its name: a preset or a JSON
+    config.  A config key not in ``LOOP_CONFIG_KEYS``, an ``eta_mode`` other
+    than "fixed" or "per-point" and a label that is no string or holds a
+    path separator are ValueErrors."""
     if args.preset:
         return preset_loop(args.preset, steps_per_segment=args.steps_per_segment), args.preset
     cfg = json.loads(Path(args.config).read_text())
+    if not isinstance(cfg, dict) or set(cfg) - set(LOOP_CONFIG_KEYS):
+        raise ValueError(f"loop config must be a JSON object with keys among {LOOP_CONFIG_KEYS}")
+    name, mode = cfg.get("label", "loop"), cfg.get("eta_mode", "per-point")
+    if mode not in ("fixed", "per-point") or not isinstance(name, str) or {"/", "\\", "\0"} & set(name):
+        raise ValueError(f"loop config: eta_mode must be 'fixed' or 'per-point' and label a string "
+                         f"without a path separator, got {mode!r} and {name!r}")
     g = cfg["g"]
-    if cfg.get("eta_mode", "per-point") == "fixed":
+    if mode == "fixed":
         eta = cfg["eta"]
         waypoints = [ParamPoint(eta, w[-2], w[-1], g) for w in cfg["waypoints"]]
     else:
         waypoints = [ParamPoint(w[0], w[1], w[2], g) for w in cfg["waypoints"]]
-    name = cfg.get("label", "loop")
     return interpolate_loop(waypoints, cfg.get("steps_per_segment", args.steps_per_segment), label=name), name
 
 
@@ -237,27 +246,22 @@ def cmd_ea(args) -> int:
     return EXIT_OK
 
 
-def _lab_config(args) -> tuple[CavityConfig, FitConfig]:
-    """Cavity and fit settings: ``--config`` may set any CavityConfig field and
-    any FitConfig field but the seed, which ``--seed`` sets; any other key is a
-    config error."""
+def _lab_config(args) -> CavityConfig:
+    """The cavity settings: ``--config`` may set any CavityConfig field; any
+    other key is a config error."""
     doc = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(doc, dict):
         raise ValueError("lab config must be a JSON object")
-    fit = {f.name: doc.pop(f.name) for f in fields(FitConfig) if f.name != "seed" and f.name in doc}
-    for k, v in fit.items():
-        if type(v) is not int:
-            raise ValueError(f"lab config: {k} must be an integer, got {v!r}")
-    return read_cavity_config(doc), FitConfig(seed=args.seed, **fit)
+    return read_cavity_config(doc)
 
 
 def cmd_lab(args) -> int:
     with _reading_inputs():
-        cav, fitcfg = _lab_config(args)
+        cav = _lab_config(args)
         if not 0 <= args.noise < np.inf:
             raise ValueError(f"--noise must be finite and at least 0, got {args.noise}")
     preset = args.loop_preset
-    stats = versions = None        # the fit's work counts and scipy version, for the manifest
+    stats = None        # the fit's work counts, for the manifest
     if args.subcommand in ("synth", "pipeline"):
         # the fewest steps per segment that give a loop of MIN_STEPS steps
         segments = len(preset_waypoints(preset)) - 1
@@ -277,7 +281,7 @@ def cmd_lab(args) -> int:
         save_dataset(dataset, out / "dataset.json")
         print(f"synthesized {len(points)} steps (noise {args.noise:g}, seed {args.seed})")
     if args.subcommand in ("fit", "pipeline"):
-        fits, result = fit_loop(dataset, fit_config=fitcfg)
+        fits, result = fit_loop(dataset)
         report = {
             "fit": [
                 asdict(f.point) | asdict(f.scale) | {
@@ -289,18 +293,12 @@ def cmd_lab(args) -> int:
             "transport": _transport_report(result),
         }
         _dump_json(out / "fit_report.json", report)
-        stats = {"de_searches": sum(f.searched for f in fits), "fitted_steps": len(fits),
-                 "gn_iterations": sum(f.gauss_newton_iterations for f in fits)}
-        if stats["de_searches"]:
-            # the fallback search loaded scipy, whose version sets the search's random stream
-            import scipy
-
-            versions = {"scipy": scipy.__version__}
+        stats = {"fitted_steps": len(fits), "gn_iterations": sum(f.gauss_newton_iterations for f in fits)}
         print(
             f"fit {len(fits)} steps: permutation {result.permutation.as_string()} "
             f"theta {result.berry_phase:+.6f}"
         )
-    _write_manifest(out, f"lab-{args.subcommand}", vars(args), args.seed, stats, versions)
+    _write_manifest(out, f"lab-{args.subcommand}", vars(args), args.seed, stats)
     return EXIT_OK
 
 

@@ -6,22 +6,23 @@ evaluates the resolvent of the physical Hamiltonian on a frequency grid.
 Only ``synthesize`` builds probe rows; the inverse path fits the seven
 scalars (omega0, gamma0, kappa, eta, zeta, xi, g) of each spectrum on its
 own, on the profile-projected site responses (``_site_responses``), in
-three stages:
+two stages:
 
 * start: a linear rational fit of the three site responses with one shared
-  cubic denominator, det(omega - H_phys), whose roots are the three poles;
-  a closed formula turns the poles into the seven scalars;
+  cubic denominator, det(omega - H_phys), and numerators of the degrees
+  that the drive site sets; closed formulas turn the fit into the seven
+  scalars.  A drive at cavity B or C has a second start, tried where the
+  first one's polish misses the residual threshold;
 * polish: damped Gauss-Newton from that start, on the exact Jacobian of
   the resolvent (dG/dtheta = -G (dA/dtheta) G for A = omega - H_phys),
   stopped where the full step's predicted decrease reaches the rounding
   floor, so it ends at the same least-squares optimum from any start in
-  its basin;
-* fallback: a seeded differential-evolution search, run only where the
-  polish misses the residual threshold or there is no closed-form start.
+  its basin.
 
 It then solves linearly for the pole residues that reconstruct the
-eigenvectors.  A loop's spectra are fitted as one stack: one polish call
-takes every closed-form start, and each of its iterations builds the
+eigenvectors.  There is no search: a spectrum that no start polishes below
+the threshold raises ``FitDiverged``.  A loop's spectra are fitted as one
+stack: one polish call takes every first start, and each of its iterations builds the
 Jacobians of all spectra still iterating in one resolvent derivative and
 tries their steps in one forward-model call, while the least-squares
 step, the step halvings and the stops stay per spectrum, so each fit
@@ -265,13 +266,6 @@ def check_dataset(dataset: SpectralDataset) -> None:
         _squared_norm(np.asarray(st.responses), dataset.config)
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    population: int = 64
-    generations: int = 200
-    seed: int = 1
-
-
 GAUSS_NEWTON_ITERATIONS = 60
 RESIDUAL_THRESHOLD = 0.1     # normalized cost above which a polish has not converged
 
@@ -285,8 +279,7 @@ class FittedParams:
     mode_coeffs_right: np.ndarray    # (3 sites, 3 states) a_{j,s}
     mode_coeffs_left: np.ndarray     # (3 states, 3 sites) b_{j,s}
     identifiability_warning: bool = False
-    searched: bool = False           # differential evolution ran for this fit (the fallback)
-    gauss_newton_iterations: int = 0  # Jacobians built by this fit's polishes, the fallback's included
+    gauss_newton_iterations: int = 0  # Jacobians built by this fit's polishes, a second start's included
 
     def theta(self) -> np.ndarray:
         return _truth_vector(self.point, self.scale)
@@ -351,166 +344,150 @@ def _gauss_newton(theta0, y, freqs, norm2, floor, src=1):
     return theta, cost + floor, iterations
 
 
-def _site_cost(population, y, freqs, norm2, floor, src=1):
-    """The full normalised cost of each member of a (7, S) population, the
-    differential-evolution search's objective: (S,) values."""
-    diff = _response_matrix(population, freqs, src)                  # (S, 3, n_freq)
-    diff -= y
-    flat = diff.reshape(len(diff), -1).view(float)
-    return np.einsum("ij,ij->i", flat, flat) / norm2 + floor
-
-
 def differential_evolution(*args, **kwargs):
-    """``scipy.optimize.differential_evolution``, imported at the first search.
+    """``scipy.optimize.differential_evolution``, imported at the call.
 
-    scipy.optimize takes most of the package's import time and only a fit's
-    fallback search needs it, so no other path loads it.  ``fit_step`` looks
-    this name up at call time.
+    No fit calls it; the name stays importable here for the benchmark's tracer.
     """
     from scipy.optimize import differential_evolution as search
 
     return search(*args, **kwargs)
 
-
-# the differential-evolution search's bounds
-INIT_BOX = (
-    (19600.0, 19860.0),   # omega0
-    (30.0, 140.0),        # gamma0
-    (-75.0, -25.0),       # kappa
-    (-0.8, 0.8),          # eta
-    (-0.8, 0.8),          # zeta
-    (-0.8, 0.8),          # xi
-    (-0.8, 0.8),          # g
-)
-
 #: Sanathanan-Koerner passes of the rational fit
 SK_PASSES = 3
 
 
-def _rational_start(y: np.ndarray, config: CavityConfig) -> np.ndarray:
-    """theta = (omega0, gamma0, kappa, eta, zeta, xi, g) of one spectrum's
-    site responses ``y`` (``_site_responses``) in closed form, not finite
-    where there is no closed form.
+def _rational_starts(y: np.ndarray, config: CavityConfig) -> np.ndarray:
+    """Closed-form starts theta = (omega0, gamma0, kappa, eta, zeta, xi, g)
+    of one spectrum's site responses ``y`` (``_site_responses``), in the
+    order the fit tries them, shape (2, 7); a row that is not finite is no
+    start.
 
-    Only a drive at cavity A (``source_site`` 2) has one.  Each site
-    response is y_s = N_s / D with D = det(omega - H_phys) a monic cubic
-    and N_B, N_A, N_C of degree 1, 2 and 1.  Levy's linearization
+    Each site response is y_s = N_s / D with D = det(omega - H_phys) a monic
+    cubic and N_s the source's adjugate column: of degree 1, 2 and 1 in
+    (B, A, C) for a drive at A, 2, 1 and 0 for B, and 0, 1 and 2 for C, a
+    drive at B with the site order reversed.  Levy's linearization
     y_s D - N_s = 0 is one linear least-squares problem, its rows weighted
     by 1/|y_s| for the multiplicative noise and, on each Sanathanan-Koerner
     pass, by 1/|D| of the pass before; omega enters scaled to the window's
-    half width, so the Vandermonde columns stay well conditioned.  The
-    roots of D are the poles lambda_k.  With d = omega - c0, c0 = omega0 + i gamma0 and
-    p = |kappa| sqrt(2) (eta + i(1 + g)), the sites' diagonals are d + p,
-    d + |kappa|(xi + i zeta) and d - p, so y_B / y_C = (d - p) / (d + p),
-    which is linear in (c0, p).  The roots t_k = lambda_k - c0 of
-    D = (d^2 - p^2)(d + |kappa|(xi + i zeta)) - 2 |kappa|^2 d then give
-    |kappa|^2 = -Re(e2 + p^2) / 2 (e2 the second elementary symmetric
-    polynomial of the t_k), xi + i zeta = -sum(t_k) / |kappa| and
-    eta + i(1 + g) = p / (|kappa| sqrt(2)).  kappa is reported as -|kappa|.
+    half width, so the Vandermonde columns stay well conditioned.  With
+    c0 = omega0 + i gamma0 and p = |kappa| sqrt(2) (eta + i(1 + g)), H_phys
+    has the hopping |kappa| and the diagonal (h_B, h_A, h_C) =
+    (c0 - p, c0 - |kappa|(xi + i zeta), c0 + p).
+
+    * Drive at A (one start): y_B / y_C = (d - p) / (d + p), d = omega - c0,
+      is linear in (c0, p).  The roots t_k = lambda_k - c0 of
+      D = (d^2 - p^2)(d + |kappa|(xi + i zeta)) - 2 |kappa|^2 d then give
+      |kappa|^2 = -Re(e2 + p^2) / 2 (e2 the second elementary symmetric
+      polynomial of the t_k) and xi + i zeta = -sum(t_k) / |kappa|.
+    * Drive at B (two starts): y_A / y_C = -(omega - h_C) / |kappa| is
+      linear in (|kappa|, h_C).  The first start takes h_A from
+      (y_B + y_C) / y_C = (omega - h_A)(omega - h_C) / |kappa|^2, the second
+      from N_B's linear coefficient, -(h_A + h_C); the pole sum, the trace
+      of H_phys, gives h_B.
+
+    kappa is reported as -|kappa|.
     """
-    if config.source_site != 2:
-        return np.full(7, np.nan)
+    src = config.source_site - 1
     freqs = config.frequencies()
     n = len(freqs)
     half = config.frequency_window / 2
     vander = ((freqs - config.scale.omega0) / half)[:, None] ** np.arange(4)
-    # unknowns (d0, d1, d2) of D = d0 + d1 s + d2 s^2 + s^3, then the numerators' coefficients
-    lhs = np.zeros((3, n, 10), complex)
+    y = y[::-1] if src == 2 else y
+    degrees = (1, 2, 1) if src == 1 else (2, 1, 0)
+    # unknowns (d0, d1, d2) of D = d0 + d1 s + d2 s^2 + s^3, then each numerator's coefficients
+    cols = np.cumsum((3,) + tuple(d + 1 for d in degrees))
+    lhs = np.zeros((3, n, cols[-1]), complex)
     lhs[..., :3] = y[..., None] * vander[:, :3]
-    lhs[0, :, 3:5], lhs[1, :, 5:8], lhs[2, :, 8:] = -vander[:, :2], -vander[:, :3], -vander[:, :2]
+    for s, degree in enumerate(degrees):
+        lhs[s, :, cols[s]:cols[s + 1]] = -vander[:, :degree + 1]
     rhs = -y * vander[:, 3]
+    starts = np.full((2, 7), np.nan)
     try:
         # a response that vanishes at some frequency, or |kappa|^2 <= 0, leaves no start
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             weight = 1 / np.abs(y)
             for _ in range(SK_PASSES):
-                x, *_ = np.linalg.lstsq((lhs * weight[..., None]).reshape(-1, 10), (rhs * weight).ravel(), rcond=None)
+                x, *_ = np.linalg.lstsq((lhs * weight[..., None]).reshape(3 * n, -1), (rhs * weight).ravel(), rcond=None)
                 weight = 1 / np.abs(y * (vander @ np.append(x[:3], 1)))
-            poles = config.scale.omega0 + half * np.roots(np.append(1, x[2::-1]))
             y_b, y_a, y_c = y
-            # y_B (omega - c0 + p) = y_C (omega - c0 - p), rows weighted by 1/|y_A| for the noise
-            ratio = np.stack([y_b - y_c, -(y_b + y_c), freqs * (y_b - y_c)], axis=1) / np.abs(y_a)[:, None]
-            (c0, p), *_ = np.linalg.lstsq(ratio[:, :2], ratio[:, 2], rcond=None)
-            t = poles - c0
-            kappa = np.sqrt(-(t[0] * t[1] + t[0] * t[2] + t[1] * t[2] + p * p).real / 2)
-            xi_zeta = -t.sum() / kappa
-            eta_g = p / (kappa * np.sqrt(2.0))
+            if src == 1:
+                poles = config.scale.omega0 + half * np.roots(np.append(1, x[2::-1]))
+                # y_B (omega - c0 + p) = y_C (omega - c0 - p), rows weighted by 1/|y_A| for the noise
+                ratio = np.stack([y_b - y_c, -(y_b + y_c), freqs * (y_b - y_c)], axis=1) / np.abs(y_a)[:, None]
+                (c0, p), *_ = np.linalg.lstsq(ratio[:, :2], ratio[:, 2], rcond=None)
+                t = poles - c0
+                kappa = np.sqrt(-(t[0] * t[1] + t[0] * t[2] + t[1] * t[2] + p * p).real / 2)
+                xi_zeta = -t.sum() / kappa
+                eta_g = p / (kappa * np.sqrt(2.0))
+                starts[0] = c0.real, c0.imag, -kappa, eta_g.real, xi_zeta.imag, xi_zeta.real, eta_g.imag - 1
+                return starts
+            # with w = omega - omega0 and every h taken relative to omega0, |kappa| y_A - h_C y_C = -w y_C
+            # (rows weighted by 1/|y_A|) and h_A y_C (w - h_C) = y_C w (w - h_C) - (y_B + y_C) |kappa|^2 (by 1/|y_B|)
+            w = freqs - config.scale.omega0
+            (kappa, h_c), *_ = np.linalg.lstsq(np.stack([y_a, -y_c], axis=1) / np.abs(y_a)[:, None],
+                                               -w * y_c / np.abs(y_a), rcond=None)
+            kappa = kappa.real if kappa.real > 0 else np.nan      # a hopping at or below 0 leaves no start
+            a, b = y_c * (w - h_c) / np.abs(y_b), (y_c * w * (w - h_c) - (y_b + y_c) * kappa ** 2) / np.abs(y_b)
+            for row, h_a in enumerate((np.vdot(a, b) / np.vdot(a, a), -half * x[4] / x[5] - h_c)):
+                c0 = (-half * x[2] - h_a) / 2         # (h_B + h_C) / 2, the pole sum being h_B + h_A + h_C
+                # p = (h_C - h_B) / 2 is the far end's h less c0 times 1 - src: +1 for B, -1 for C (reversed)
+                eta_g, xi_zeta = (h_c - c0) * (1 - src) / (kappa * np.sqrt(2.0)), (c0 - h_a) / kappa
+                starts[row] = (config.scale.omega0 + c0.real, c0.imag, -kappa, eta_g.real, xi_zeta.imag,
+                               xi_zeta.real, eta_g.imag - 1)
     except FloatingPointError:
-        return np.full(7, np.nan)
-    return np.array([c0.real, c0.imag, -kappa, eta_g.real, xi_zeta.imag, xi_zeta.real, eta_g.imag - 1])
+        pass
+    return starts
 
 
-def fit_step(
-    responses: np.ndarray,
-    config: CavityConfig | None = None,
-    fit_config: FitConfig | None = None,
-) -> FittedParams:
+def fit_step(responses: np.ndarray, config: CavityConfig | None = None) -> FittedParams:
     """Recover the seven model scalars and eigenvectors from one spectrum.
 
     Every stage works on the profile-projected site responses
     (``_site_responses``); ``residual`` is the full normalised cost.  A
     damped Gauss-Newton polish on the exact Jacobian (``_gauss_newton``)
-    starts from the closed-form rational fit of ``_rational_start``.  A
-    seeded differential-evolution search inside ``INIT_BOX`` (each
-    generation in one batched forward-model call, deferred updating) finds
-    the start of the same polish instead when the polish ends above
-    ``RESIDUAL_THRESHOLD``, when the closed-form start is not finite, and
-    when the source site has no closed form: a drive at cavity B or C
-    (``source_site`` 1 or 3) searches on every spectrum.  ``searched`` says
-    whether the search ran, and a polish from it still above the threshold
-    raises ``FitDiverged``; ``gauss_newton_iterations`` counts the
-    Jacobians of both polishes.  Pole residues are then solved by linear
-    least squares at the fitted eigenvalues, and the right/left coefficient
-    split uses the complex-symmetry constraint b proportional to a.
+    starts from the first closed-form start of ``_rational_starts``; where
+    it ends above ``RESIDUAL_THRESHOLD`` or that start is not finite, the
+    second start (a drive at cavity B or C has one) is polished instead.
+    A spectrum that no start polishes below the threshold raises
+    ``FitDiverged``: among others, a cavity response exactly 0 at some
+    frequency and a window too narrow to resolve a pole.  ``gauss_newton_iterations``
+    counts the Jacobians of both polishes.  Pole residues are then solved
+    by linear least squares at the fitted eigenvalues, and the right/left
+    coefficient split uses the complex-symmetry constraint b proportional
+    to a.
     """
-    return _fit_spectra([responses], config if config is not None else CavityConfig(), fit_config)[0]
+    return _fit_spectra([responses], config if config is not None else CavityConfig())[0]
 
 
-def _fit_spectra(spectra, cfg: CavityConfig, fit_config: FitConfig | None) -> list[FittedParams]:
+def _fit_spectra(spectra, cfg: CavityConfig) -> list[FittedParams]:
     """``fit_step`` of each spectrum in order, as one stack.
 
-    The closed-form starts are polished in one ``_gauss_newton`` call.  The
-    searches, the checks, the warnings and the residue solves then run
-    spectrum by spectrum in order, so a spectrum that fails raises, after
-    the warnings of the ones before it, what fitting the spectra one at a
-    time raises.
+    The first closed-form starts are polished in one ``_gauss_newton`` call,
+    and the second starts of the spectra that polish missed in one more.
+    The checks, the warnings and the residue solves then run spectrum by
+    spectrum in order, so a spectrum that fails raises, after the warnings
+    of the ones before it, what fitting the spectra one at a time raises.
     """
-    fc = fit_config if fit_config is not None else FitConfig()
     views = [_site_responses(np.asarray(r, dtype=complex), cfg) for r in spectra]
     y, norm2, floor = (np.array(v) for v in zip(*views))
     freqs, src = cfg.frequencies(), cfg.source_site - 1
 
-    theta = np.array([_rational_start(yk, cfg) for yk in y])
-    cost, iterations = np.full(len(y), np.inf), np.zeros(len(y), int)
-    start = np.isfinite(theta).all(axis=1)
-    if start.any():
-        theta[start], cost[start], iterations[start] = _gauss_newton(
-            theta[start], y[start], freqs, norm2[start], floor[start], src)
+    starts = np.array([_rational_starts(yk, cfg) for yk in y])        # (S, 2, 7)
+    theta, cost, iterations = np.full((len(y), 7), np.nan), np.full(len(y), np.inf), np.zeros(len(y), int)
+    for start in starts.transpose(1, 0, 2):
+        # a NaN cost polishes the next start too
+        todo = ~(cost <= RESIDUAL_THRESHOLD) & np.isfinite(start).all(axis=1)
+        if todo.any():
+            theta[todo], cost[todo], more = _gauss_newton(start[todo], y[todo], freqs, norm2[todo], floor[todo], src)
+            iterations[todo] += more
 
     fits, spacing = [], freqs[1] - freqs[0]
     for k in range(len(y)):
-        searched = not cost[k] <= RESIDUAL_THRESHOLD        # a NaN cost searches too
-        if searched:
-            rng = np.random.default_rng(fc.seed)
-            lo, hi = np.array(INIT_BOX).T
-            init = lo + (hi - lo) * rng.random((max(fc.population, 8), 7))
-            de = differential_evolution(
-                _site_cost,
-                args=(y[k], freqs, norm2[k], floor[k], src),
-                bounds=INIT_BOX,
-                init=init,
-                maxiter=fc.generations,
-                tol=1e-10,
-                seed=fc.seed,
-                polish=False,
-                vectorized=True,
-                updating="deferred",
-            )
-            (theta[k],), (cost[k],), (more,) = _gauss_newton(
-                de.x[None], y[k, None], freqs, norm2[k, None], floor[k, None], src)
-            iterations[k] += more
-            if cost[k] > RESIDUAL_THRESHOLD:
-                raise FitDiverged(f"normalized residual {cost[k]:.3e} above {RESIDUAL_THRESHOLD}")
+        if np.isnan(theta[k]).any():
+            raise FitDiverged("no finite closed-form start")
+        if not cost[k] <= RESIDUAL_THRESHOLD:
+            raise FitDiverged(f"normalized residual {cost[k]:.3e} above {RESIDUAL_THRESHOLD}")
 
         w0, g0, kap, eta, zeta, xi, g = theta[k]
         if kap == 0:
@@ -546,7 +523,6 @@ def _fit_spectra(spectra, cfg: CavityConfig, fit_config: FitConfig | None) -> li
             mode_coeffs_right=a,
             mode_coeffs_left=b,
             identifiability_warning=ident_flag,
-            searched=searched,
             gauss_newton_iterations=int(iterations[k]),
         ))
     return fits
@@ -569,19 +545,18 @@ def fitted_stack(fits: list[FittedParams]) -> EigensystemStack:
     )
 
 
-def fit_loop(dataset: SpectralDataset, fit_config: FitConfig | None = None):
+def fit_loop(dataset: SpectralDataset):
     """Fit every step of a closed-loop dataset, then transport the fitted frames.
 
     Each step is fitted from its own spectrum as ``fit_step`` fits it
-    (closed-form start, polish, and the search only as a fallback), all of
-    them as one stack (``_fit_spectra``), so no fit depends on its
-    neighbour.  Returns (fits, transport_result); the fitted frames are
+    (closed-form start and polish), all of them as one stack
+    (``_fit_spectra``), so no fit depends on its neighbour.  Returns (fits, transport_result); the fitted frames are
     stacked once (``fitted_stack``) and transported as an analytic stack is.
     """
     from .transport import transport_eigensystems
 
     check_dataset(dataset)
-    fits = _fit_spectra([st.responses for st in dataset.steps], dataset.config, fit_config)
+    fits = _fit_spectra([st.responses for st in dataset.steps], dataset.config)
     result = transport_eigensystems(fitted_stack(fits), label="fitted-loop", refine=False)
     return fits, result
 

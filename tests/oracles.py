@@ -7,8 +7,9 @@ approximation, the discriminant as one complex expression on Python
 numbers, the arcs and their EPs built one ``ParamPoint`` at a time, the
 per-point repeated root by ``np.roots``, the Green's
 function and its parameter derivative by dense linear solves and the
-multiband Berry phase of a unimodular matrix, and the spectral fit one
-spectrum at a time, each polish on its own.  The package builds its
+multiband Berry phase of a unimodular matrix, the spectral fit one
+spectrum at a time, each polish on its own, and a fit found by a global
+search instead of a closed-form start.  The package builds its
 Hamiltonians as one stacked array (``model._hamiltonians``), computes
 eigenvalues with ``np.linalg.eig``, the discriminant from the closed
 formula in real arithmetic (``model.discriminant_values``), arcs as arrays
@@ -351,29 +352,22 @@ def serial_gauss_newton(theta0, y, freqs, norm2, floor, src=1):
     return theta, cost + floor, iterations
 
 
-def serial_fit_step(responses, config, fit_config) -> spectral.FittedParams:
-    """``spectral.fit_step`` one spectrum at a time: the closed-form start, its
-    polish by :func:`serial_gauss_newton`, the seeded search where that polish
-    misses the threshold, then the eigenvalues of the fitted point by
-    ``eigensystem`` and the residue solve."""
+def serial_fit_step(responses, config) -> spectral.FittedParams:
+    """``spectral.fit_step`` one spectrum at a time: the first closed-form
+    start, its polish by :func:`serial_gauss_newton`, the second start's
+    polish where that one misses the threshold, then the eigenvalues of the
+    fitted point by ``eigensystem`` and the residue solve."""
     y, norm2, floor = spectral._site_responses(np.asarray(responses, dtype=complex), config)
     freqs, src = config.frequencies(), config.source_site - 1
-    theta, cost, iterations = spectral._rational_start(y, config), np.inf, 0
-    if np.isfinite(theta).all():
-        theta, cost, iterations = serial_gauss_newton(theta, y, freqs, norm2, floor, src)
-    searched = not cost <= spectral.RESIDUAL_THRESHOLD
-    if searched:
-        fc = fit_config
-        lo, hi = np.array(spectral.INIT_BOX).T
-        init = lo + (hi - lo) * np.random.default_rng(fc.seed).random((max(fc.population, 8), 7))
-        de = spectral.differential_evolution(
-            spectral._site_cost, args=(y, freqs, norm2, floor, src), bounds=spectral.INIT_BOX, init=init,
-            maxiter=fc.generations, tol=1e-10, seed=fc.seed, polish=False, vectorized=True, updating="deferred",
-        )
-        theta, cost, more = serial_gauss_newton(de.x, y, freqs, norm2, floor, src)
-        iterations += more
-        if cost > spectral.RESIDUAL_THRESHOLD:
-            raise FitDiverged(f"normalized residual {cost:.3e} above {spectral.RESIDUAL_THRESHOLD}")
+    theta, cost, iterations = np.full(7, np.nan), np.inf, 0
+    for start in spectral._rational_starts(y, config):
+        if not cost <= spectral.RESIDUAL_THRESHOLD and np.isfinite(start).all():
+            theta, cost, more = serial_gauss_newton(start, y, freqs, norm2, floor, src)
+            iterations += more
+    if np.isnan(theta).any():
+        raise FitDiverged("no finite closed-form start")
+    if not cost <= spectral.RESIDUAL_THRESHOLD:
+        raise FitDiverged(f"normalized residual {cost:.3e} above {spectral.RESIDUAL_THRESHOLD}")
     w0, g0, kap, eta, zeta, xi, g = theta
     if kap == 0:
         raise FitDiverged("fitted hopping kappa collapsed to 0")
@@ -393,5 +387,30 @@ def serial_fit_step(responses, config, fit_config) -> spectral.FittedParams:
     return spectral.FittedParams(
         point=point, scale=scale, eigenvalues=wphys, residual=cost, mode_coeffs_right=a,
         mode_coeffs_left=(a / np.sum(a * a, axis=0)).T, identifiability_warning=ident_flag,
-        searched=searched, gauss_newton_iterations=iterations,
+        gauss_newton_iterations=iterations,
     )
+
+
+#: the box that :func:`searched_fit` searches: omega0, gamma0, kappa, then eta, zeta, xi and g
+SEARCH_BOX = ((19600.0, 19860.0), (30.0, 140.0), (-75.0, -25.0)) + ((-0.8, 0.8),) * 4
+
+
+def searched_fit(responses, config, seed) -> np.ndarray:
+    """theta of one spectrum found without the closed form: scipy's
+    differential evolution over :data:`SEARCH_BOX` (64 members, 200
+    generations) on the normalised site cost, then the polish of
+    :func:`serial_gauss_newton` from its best member."""
+    from scipy.optimize import differential_evolution
+
+    y, norm2, floor = spectral._site_responses(np.asarray(responses, dtype=complex), config)
+    freqs, src = config.frequencies(), config.source_site - 1
+
+    def cost(population):                    # (7, S) members -> (S,) costs
+        diff = spectral._response_matrix(population, freqs, src) - y
+        return np.sum(np.abs(diff) ** 2, axis=(1, 2)) / norm2 + floor
+
+    lo, hi = np.array(SEARCH_BOX).T
+    init = lo + (hi - lo) * np.random.default_rng(seed).random((64, 7))
+    de = differential_evolution(cost, bounds=SEARCH_BOX, init=init, maxiter=200, tol=1e-10, seed=seed,
+                                polish=False, vectorized=True, updating="deferred")
+    return serial_gauss_newton(de.x, y, freqs, norm2, floor, src)[0]

@@ -13,7 +13,7 @@ from eptriad.locate import refine_ep, seed_eps_in_slice, trace_ea
 from eptriad.loops import concat_loops, interpolate_loop, preset_loop, reverse_loop
 from eptriad.model import ParamPoint, discriminant_formula, eigensystems
 from eptriad.permutations import PermutationElement, element, to_matrix, verify_group
-from eptriad.spectral import CavityConfig, FitConfig, NoiseSpec, fit_loop, fit_step, synthesize
+from eptriad.spectral import CavityConfig, NoiseSpec, fit_loop, fit_step, synthesize
 from eptriad.transport import eigenvalue_vorticity, transport, transport_eigensystems
 from oracles import discriminant, discriminant_small_param, eigenvalues
 
@@ -173,9 +173,9 @@ def test_criterion_10_virtual_experiment():
     cfg = CavityConfig()
     truth = ParamPoint(0.33, 0.0, 0.0, G)
 
-    # noiseless round trip at the spec-default optimizer budget
+    # noiseless round trip
     ds0 = synthesize([truth], cfg, NoiseSpec(0.0, 0))
-    fit0 = fit_step(ds0.steps[0].responses, cfg, fit_config=FitConfig(seed=1))
+    fit0 = fit_step(ds0.steps[0].responses, cfg)
     for got, want in (
         (fit0.point.eta, truth.eta),
         (fit0.point.zeta, truth.zeta),
@@ -193,7 +193,7 @@ def test_criterion_10_virtual_experiment():
     good = 0
     for seed in range(20):
         ds = synthesize([truth], cfg, NoiseSpec(0.01, seed))
-        fit = fit_step(ds.steps[0].responses, cfg, fit_config=FitConfig(seed=seed + 1000))
+        fit = fit_step(ds.steps[0].responses, cfg)
         err = max(
             abs(fit.point.eta - truth.eta),
             abs(fit.point.zeta - truth.zeta),
@@ -212,7 +212,7 @@ def test_criterion_10_virtual_experiment():
     # full pipeline around the band-2/3 swap loop at 1% noise
     loop = preset_loop("mu1", steps_per_segment=8)
     ds = synthesize(list(loop.steps), cfg, NoiseSpec(0.01, 7))
-    fits, res = fit_loop(ds, fit_config=FitConfig(population=48, generations=80, seed=8))
+    fits, res = fit_loop(ds)
     assert res.permutation.as_string() == "132"
     assert circular_distance(res.berry_phase, -PI) < 0.05
     elapsed = time.time() - t_start

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import re
@@ -10,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import example, given, settings, strategies as st
 
 import eptriad.cli
@@ -20,6 +20,9 @@ from eptriad.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from eptriad.locate import refine_ep
 from eptriad.loops import MIN_STEPS, PRESET_NAMES, preset_waypoints
 from eptriad.model import ParamPoint, discriminant_formula
+from eptriad.spectral import CavityConfig, save_dataset, synthesize
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run(argv):
@@ -330,7 +333,7 @@ class TestLabCommand:
 
     def test_pipeline_at_cli_defaults_is_byte_stable(self, tmp_path):
         """The pipeline's reports repeat byte for byte, and only the manifest
-        counts the work: no fallback search on the mu1 loop, so no scipy."""
+        counts the work."""
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
             code = run([
@@ -343,9 +346,25 @@ class TestLabCommand:
         report = json.loads((outs[0] / "fit_report.json").read_text())
         assert report["transport"]["permutation"] == "132"
         manifest = json.loads((outs[0] / "manifest.json").read_text())
-        assert manifest["stats"] == {"de_searches": 0, "fitted_steps": 9, "gn_iterations": 43}
-        assert "scipy" not in manifest["versions"]
-        assert all(k not in (outs[0] / "fit_report.json").read_text() for k in ("de_searches", "gn_iterations"))
+        assert manifest["stats"] == {"fitted_steps": 9, "gn_iterations": 43}
+        assert sorted(manifest["versions"]) == ["eptriad", "numpy", "python"]
+        assert all(k not in (outs[0] / "fit_report.json").read_text() for k in ("fitted_steps", "gn_iterations"))
+
+    @pytest.mark.parametrize("source_site", [1, 3])
+    def test_drives_at_b_and_c_pass_the_benchmark_check_on_every_sweep_seed(self, tmp_path, monkeypatch, source_site):
+        """The benchmark's lab pipeline (mu1 at 1 % noise) driven at cavity B
+        or C, on every seed of its sweep, passes its fit-report check:
+        permutation (1 3 2), Berry phase and worst parameter error."""
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        cfg = tmp_path / "lab.json"
+        cfg.write_text(json.dumps({"source_site": source_site}))
+        for seed in workloads.LAB_SWEEP:
+            out = tmp_path / str(seed)
+            assert run(["lab", "pipeline", "--loop-preset", workloads.LAB_PRESET, "--noise", repr(workloads.LAB_NOISE),
+                        "--seed", str(seed), "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            problems, _ = workloads.check_fit_report(json.loads((out / "fit_report.json").read_text()))
+            assert not problems, (seed, problems)
 
 
 class TestArcsCommand:
@@ -449,7 +468,7 @@ def _loop_config(doc):
     def make_argv(tmp_path, monkeypatch):
         path = tmp_path / "loop.json"
         path.write_text(json.dumps(doc))
-        return ["loop", "--config", str(path), "--out", str(tmp_path)]
+        return ["loop", "--config", str(path), "--out", str(tmp_path / "out")]
     return make_argv
 
 
@@ -486,6 +505,11 @@ def _lab_dataset(corrupt):
     pytest.param(_loop_config(SMALL_LOOP | {"waypoints": [w[:2] for w in SMALL_LOOP["waypoints"]]}),
                  EXIT_CONFIG, id="loop_config_short_waypoints-2"),
     pytest.param(_loop_config(SMALL_LOOP | {"g": "0.61"}), EXIT_CONFIG, id="loop_config_string_g-2"),
+    # loop configs that would run on defaults or write outside --out
+    pytest.param(_loop_config(SMALL_LOOP | {"steps_per_segmnt": 7}), EXIT_CONFIG, id="loop_config_unknown_key-2"),
+    pytest.param(_loop_config(SMALL_LOOP | {"eta_mode": "fixd"}), EXIT_CONFIG, id="loop_config_unknown_eta_mode-2"),
+    pytest.param(_loop_config(SMALL_LOOP | {"label": "../x"}), EXIT_CONFIG, id="loop_config_label_with_a_slash-2"),
+    pytest.param(_loop_config(SMALL_LOOP | {"label": 7}), EXIT_CONFIG, id="loop_config_label_not_a_string-2"),
     pytest.param(_lab_dataset(lambda doc: doc["steps"][0].update(responses=[[1.0, 2.0]])), EXIT_CONFIG,
                  id="dataset_response_row_of_two_values-2"),
     pytest.param(_lab_dataset(lambda doc: doc.update(steps="x")), EXIT_CONFIG, id="dataset_string_steps-2"),
@@ -543,12 +567,15 @@ def test_a_loop_whose_disc_overflows_is_a_config_error(tmp_path, g):
 
 
 def test_a_numerical_failure_names_its_points_with_plain_floats(tmp_path, capsys):
-    """A frequency window too narrow to resolve any resonance leaves every
-    fitted frame alike, so transport stops at an ambiguous step; the message
-    names both ends as ParamPoint(eta=0.33, ...)."""
-    cfg = tmp_path / "lab.json"
-    cfg.write_text(json.dumps({"frequency_window": 1e-300}))
-    assert run(["lab", "pipeline", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
+    """A dataset that steps back and forth across an EP (1e-3 either side in
+    zeta) fits, but the fitted frames of a step have no clear assignment, so
+    transport stops at an ambiguous step; the message names both ends as
+    ParamPoint(eta=0.33, ...)."""
+    ep = refine_ep(ParamPoint(0.33, 0.54, 0.40, 0.61)).point
+    sides = [ParamPoint(ep.eta, ep.zeta + d, ep.xi, ep.g) for d in (1e-3, -1e-3)]
+    dataset = tmp_path / "dataset.json"
+    save_dataset(synthesize(sides * 4 + sides[:1], CavityConfig()), dataset)
+    assert run(["lab", "fit", "--dataset", str(dataset), "--out", str(tmp_path / "out")]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "assignment margin" in err and "ParamPoint(eta=" in err and "np.float64" not in err, err
 
@@ -618,11 +645,12 @@ def test_importing_the_cli_loads_no_thread_pool():
     assert proc.stdout.split() == ["False"]
 
 
-def test_only_a_fallback_search_imports_scipy_optimize(tmp_path):
-    """Importing eptriad and every command, a default lab pipeline included,
-    leave scipy.optimize unloaded, and their manifests name no scipy version;
-    a fit that falls back to the search (a drive at cavity C) loads it."""
-    (tmp_path / "c.json").write_text(json.dumps({"source_site": 3}))
+def test_no_command_imports_scipy_optimize(tmp_path):
+    """Importing eptriad and running every command, lab pipelines driven at
+    each cavity included, leave scipy.optimize unloaded, and no manifest
+    names a scipy version."""
+    for site in (1, 3):
+        (tmp_path / f"{site}.json").write_text(json.dumps({"source_site": site}))
     script = f"""
 import json, sys
 import eptriad
@@ -630,24 +658,20 @@ from eptriad.cli import main
 
 out = {str(tmp_path)!r}
 runs = [["loop", "--preset", "mu1", "--steps-per-segment", "64"], ["surface", "--eta", "0.33", "--grid", "5"],
-        ["ea", "--g", "0.61"], ["group"], ["lab", "synth"], ["lab", "pipeline"]]
+        ["ea", "--g", "0.61"], ["group"], ["lab", "synth"], ["lab", "pipeline"],
+        ["lab", "pipeline", "--config", f"{{out}}/1.json"], ["lab", "pipeline", "--config", f"{{out}}/3.json"]]
 codes = [main(argv + ["--out", f"{{out}}/{{k}}"]) for k, argv in enumerate(runs)]
-before = "scipy.optimize" in sys.modules
-codes.append(main(["lab", "pipeline", "--config", f"{{out}}/c.json", "--out", f"{{out}}/fit"]))
-print(json.dumps({{"codes": codes, "before": before, "after": "scipy.optimize" in sys.modules}}))
+print(json.dumps({{"codes": codes, "after": "scipy.optimize" in sys.modules}}))
 """
     env = dict(os.environ)
     src = str(Path(eptriad.model.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [EXIT_OK] * 7, "before": False, "after": True}
-    for k in range(6):
-        assert sorted(json.loads((tmp_path / str(k) / "manifest.json").read_text())["versions"]) == [
-            "eptriad", "numpy", "python"]
-    assert json.loads((tmp_path / "5" / "manifest.json").read_text())["stats"]["de_searches"] == 0
-    manifest = json.loads((tmp_path / "fit" / "manifest.json").read_text())
-    stats = manifest["stats"]
-    assert stats == {"de_searches": 9, "fitted_steps": 9, "gn_iterations": stats["gn_iterations"]}
-    assert stats["gn_iterations"] >= 9        # each search is polished
-    assert manifest["versions"]["scipy"] == scipy.__version__
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [EXIT_OK] * 8, "after": False}
+    for k in range(8):
+        manifest = json.loads((tmp_path / str(k) / "manifest.json").read_text())
+        assert sorted(manifest["versions"]) == ["eptriad", "numpy", "python"]
+    for k in (5, 6, 7):
+        assert sorted(json.loads((tmp_path / str(k) / "manifest.json").read_text())["stats"]) == [
+            "fitted_steps", "gn_iterations"]

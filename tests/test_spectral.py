@@ -10,6 +10,7 @@ import eptriad.spectral as spectral
 from conftest import circular_distance
 from oracles import (
     probe_rows,
+    searched_fit,
     serial_fit_step,
     serial_gauss_newton,
     solved_greens,
@@ -22,7 +23,6 @@ from eptriad.locate import refine_ep
 from eptriad.model import ParamPoint, PhysicalScale, _hamiltonians, eigensystem, eigensystems, to_physical
 from eptriad.spectral import (
     CavityConfig,
-    FitConfig,
     NoiseSpec,
     fit_loop,
     fit_step,
@@ -35,8 +35,6 @@ from eptriad.spectral import (
 from eptriad.transport import transport_eigensystems
 
 G = 0.61
-
-FAST_FIT = FitConfig(population=48, generations=80, seed=11)
 
 
 class TestModeProfile:
@@ -315,7 +313,8 @@ class TestProfileProjection:
         rng = np.random.default_rng(seed)
         data = data * (1 + noise * (rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)) / np.sqrt(2))
         y, norm2, floor = spectral._site_responses(data, cfg)
-        got = spectral._site_cost(thetas, y, cfg.frequencies(), norm2, floor, source_site - 1)
+        diff = spectral._response_matrix(thetas, cfg.frequencies(), source_site - 1) - y
+        got = np.sum(np.abs(diff) ** 2, axis=(1, 2)) / norm2 + floor
         want = np.array([_probe_row_cost(data, theta, cfg) for theta in thetas.T])
         assert np.all(np.abs(got - want) <= 1e-12 * want), (got, want)
 
@@ -368,7 +367,7 @@ class TestFitStep:
     def test_noiseless_round_trip(self):
         p = ParamPoint(0.33, 0.0, 0.0, G)
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
-        fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FAST_FIT)
+        fit = fit_step(ds.steps[0].responses, ds.config)
         assert fit.residual < 1e-10
         assert abs(fit.point.eta - p.eta) < 1e-4
         assert abs(fit.point.zeta - p.zeta) < 1e-4
@@ -380,7 +379,7 @@ class TestFitStep:
     def test_eigenvector_reconstruction(self):
         p = ParamPoint(0.33, 0.15, -0.1, G)
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
-        fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FAST_FIT)
+        fit = fit_step(ds.steps[0].responses, ds.config)
         truth = eigensystem(p)
         recon = fitted_stack([fit]).row(0)
         # match fitted states to analytic ones by eigenvalue
@@ -395,7 +394,7 @@ class TestFitStep:
         near = ParamPoint(0.33, ep.zeta + 0.002, ep.xi, G)
         ds = synthesize([near], noise=NoiseSpec(0.0, 0))
         with pytest.warns(IdentifiabilityWarning):
-            fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FAST_FIT)
+            fit = fit_step(ds.steps[0].responses, ds.config)
         assert fit.identifiability_warning
 
     @pytest.mark.parametrize("kappa", [49.5, -49.5])
@@ -404,7 +403,7 @@ class TestFitStep:
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
         polished = np.array([19729.0, 83.5, kappa, p.eta, p.zeta, p.xi, p.g])
         monkeypatch.setattr(spectral, "_gauss_newton", _polishing_to(polished))
-        fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FitConfig(population=8, generations=1))
+        fit = fit_step(ds.steps[0].responses, ds.config)
         assert fit.scale.kappa == -49.5
 
     def test_zero_kappa_diverges(self, monkeypatch):
@@ -413,7 +412,7 @@ class TestFitStep:
         polished = np.array([19729.0, 83.5, 0.0, p.eta, p.zeta, p.xi, p.g])
         monkeypatch.setattr(spectral, "_gauss_newton", _polishing_to(polished))
         with pytest.raises(FitDiverged):
-            fit_step(ds.steps[0].responses, ds.config, fit_config=FitConfig(population=8, generations=1))
+            fit_step(ds.steps[0].responses, ds.config)
 
     def test_rejects_bad_input(self):
         resp = np.full((21, 31), np.nan, dtype=complex)
@@ -421,54 +420,98 @@ class TestFitStep:
             fit_step(resp)
 
 
-def _no_start(y, config):
-    """A ``_rational_start`` stand-in that finds no start, so every fit searches."""
-    return np.full(7, np.nan)
-
-
 def _sites(responses, config):
     """The site responses that ``fit_step`` fits."""
     return spectral._site_responses(responses, config)[0]
 
 
-class TestRationalStart:
-    """The closed-form start: a rational fit of the site responses, then the seven scalars."""
+def _lab_spectra(preset, source_site, noise, seed):
+    """The spectra of the lab pipeline's loop around ``preset`` (the fewest
+    steps per segment that give 8 steps), driven at ``source_site``."""
+    from eptriad.loops import MIN_STEPS, preset_loop, preset_waypoints
 
-    @pytest.mark.parametrize("k", range(9))
-    def test_noiseless_start_is_the_truth_on_every_mu1_step(self, k):
+    segments = len(preset_waypoints(preset)) - 1
+    pts = list(preset_loop(preset, steps_per_segment=-(-(MIN_STEPS - 1) // segments)).steps)
+    ds = synthesize(pts, CavityConfig(source_site=source_site), NoiseSpec(noise, seed))
+    return [st.responses for st in ds.steps]
+
+
+#: a cavity-B spectrum whose first start polishes into another basin:
+#: the mu3 lab loop at 5 % noise, seed 11, step 6
+SECOND_START_CASE = ("mu3", 1, 0.05, 11), 6
+
+
+class TestRationalStart:
+    """The closed-form starts: a rational fit of the site responses, then the seven scalars."""
+
+    # the cavity-A ids stay the step index
+    @pytest.mark.parametrize("source_site, k", [(2, k) for k in range(9)] + [(s, k) for s in (1, 3) for k in range(9)],
+                             ids=[str(k) for k in range(9)] + [f"{s}-{k}" for s in "BC" for k in range(9)])
+    def test_noiseless_start_is_the_truth_on_every_mu1_step(self, source_site, k):
         from eptriad.loops import preset_loop
 
-        cfg = CavityConfig()
+        cfg = CavityConfig(source_site=source_site)
         p = preset_loop("mu1", steps_per_segment=1).steps[k]
         truth = np.array([cfg.scale.omega0, cfg.scale.gamma0, cfg.scale.kappa, p.eta, p.zeta, p.xi, p.g])
-        start = spectral._rational_start(_sites(synthesize([p], cfg).steps[0].responses, cfg), cfg)
-        # relative error against the unit scale of the dimensionless parameters
-        assert np.all(np.abs(start - truth) <= 1e-8 * np.maximum(np.abs(truth), 1.0)), start - truth
+        starts = spectral._rational_starts(_sites(synthesize([p], cfg).steps[0].responses, cfg), cfg)
+        # a drive at A has one start, a drive at B or C two
+        assert np.isfinite(starts).all(axis=1).tolist() == [True, source_site != 2]
+        for start in starts[:1 if source_site == 2 else 2]:
+            # relative error against the unit scale of the dimensionless parameters
+            assert np.all(np.abs(start - truth) <= 1e-8 * np.maximum(np.abs(truth), 1.0)), start - truth
 
     @pytest.mark.parametrize("source_site", [1, 3])
-    def test_sources_b_and_c_have_no_start_and_search(self, source_site):
+    def test_sources_b_and_c_fit_from_their_closed_form_start(self, source_site):
         p = ParamPoint(0.33, 0.1, -0.1, G)
         cfg = CavityConfig(source_site=source_site)
-        responses = synthesize([p], cfg).steps[0].responses
-        assert np.isnan(spectral._rational_start(_sites(responses, cfg), cfg)).all()
-        fit = fit_step(responses, cfg, fit_config=FAST_FIT)
-        assert fit.searched
-        assert np.max(np.abs(fit.point.as_array() - p.as_array())) < 1e-4
+        fit = fit_step(synthesize([p], cfg).steps[0].responses, cfg)
+        assert fit.residual < 1e-24
+        assert np.max(np.abs(fit.point.as_array() - p.as_array())) < 1e-10
 
-    def test_a_response_that_vanishes_leaves_no_start_and_searches(self):
+    def test_a_response_that_vanishes_leaves_no_start_and_diverges(self):
+        """A response exactly 0 at one frequency leaves no start for any
+        drive site, and the fit raises FitDiverged."""
         p = ParamPoint(0.33, 0.1, -0.1, G)
-        responses = synthesize([p]).steps[0].responses.copy()
-        responses[:7, -1] = 0                   # cavity B silent at the last frequency
-        assert np.isnan(spectral._rational_start(_sites(responses, CavityConfig()), CavityConfig())).all()
-        assert fit_step(responses, fit_config=FAST_FIT).searched
+        for source_site in (1, 2, 3):
+            cfg = CavityConfig(source_site=source_site)
+            responses = synthesize([p], cfg).steps[0].responses.copy()
+            responses[:7, -1] = 0                   # cavity B silent at the last frequency
+            assert np.isnan(spectral._rational_starts(_sites(responses, cfg), cfg)).all()
+            with pytest.raises(FitDiverged, match="no finite closed-form start"):
+                fit_step(responses, cfg)
 
-    def test_a_noisy_spectrum_fits_without_the_search(self, monkeypatch):
+    @pytest.mark.parametrize("source_site", [1, 2, 3])
+    def test_a_noisy_spectrum_fits_without_the_search(self, monkeypatch, source_site):
         def no_search(*args, **kwargs):
             raise AssertionError("searched")
 
         monkeypatch.setattr(spectral, "differential_evolution", no_search)
-        ds = synthesize([ParamPoint(0.33, 0.1, -0.1, G)], noise=NoiseSpec(0.01, 4))
-        assert not fit_step(ds.steps[0].responses).searched
+        cfg = CavityConfig(source_site=source_site)
+        ds = synthesize([ParamPoint(0.33, 0.1, -0.1, G)], cfg, NoiseSpec(0.01, 4))
+        assert fit_step(ds.steps[0].responses, cfg).residual < spectral.RESIDUAL_THRESHOLD
+
+    @pytest.mark.parametrize("source_site", [1, 3])
+    @pytest.mark.parametrize("noise", [0.03, 0.05])
+    def test_every_preset_at_high_noise_fits_below_the_threshold(self, source_site, noise):
+        """The six presets' lab loops driven at B or C, at 3 and 5 % noise,
+        seeds 0 and 11: every spectrum fits below the residual threshold.
+        On cavity B, some first starts polish above it (six in all), so the
+        second start is needed."""
+        from eptriad.loops import PRESET_NAMES
+
+        misses = 0
+        for preset in PRESET_NAMES:
+            for seed in (0, 11):
+                spectra = _lab_spectra(preset, source_site, noise, seed)
+                cfg = CavityConfig(source_site=source_site)
+                fits = spectral._fit_spectra(spectra, cfg)
+                assert max(f.residual for f in fits) <= spectral.RESIDUAL_THRESHOLD
+                views = [spectral._site_responses(r, cfg) for r in spectra]
+                y, norm2, floor = (np.array(v) for v in zip(*views))
+                first = np.array([spectral._rational_starts(yk, cfg)[0] for yk in y])
+                cost = spectral._gauss_newton(first, y, cfg.frequencies(), norm2, floor, source_site - 1)[1]
+                misses += int(np.sum(cost > spectral.RESIDUAL_THRESHOLD))
+        assert misses or source_site == 3           # the second start is exercised
 
 
 class TestStartIndependence:
@@ -485,14 +528,14 @@ class TestStartIndependence:
         pts = list(preset_loop("mu1", steps_per_segment=1).steps)
         for p, step in zip(pts, synthesize(pts, cfg, NoiseSpec(0.01, seed)).steps):
             y, norm2, floor = spectral._site_responses(step.responses, cfg)
-            starts = [spectral._rational_start(y, cfg), spectral._truth_vector(p, cfg.scale)]
+            starts = [spectral._rational_starts(y, cfg)[0], spectral._truth_vector(p, cfg.scale)]
             (from_start, from_truth), *_ = spectral._gauss_newton(
                 np.array(starts), np.array([y, y]), freqs, np.full(2, norm2), np.full(2, floor))
             assert np.max(np.abs(from_start[3:] - from_truth[3:])) <= 1e-8, (p, from_start - from_truth)
 
-    def test_rho1_from_the_search_and_from_a_neighbours_fit(self, monkeypatch):
+    def test_rho1_from_the_search_and_from_a_neighbours_fit(self):
         """rho1 at 2 % noise, seed 0, step 7, where a difference-quotient
-        Jacobian left the polishes from the search and from the previous
+        Jacobian left the polishes from a search and from the previous
         step's fit 1.3e-5 apart."""
         from eptriad.loops import preset_loop
 
@@ -504,31 +547,13 @@ class TestStartIndependence:
         y, norm2, floor = spectral._site_responses(data, cfg)
         (from_neighbour,), *_ = spectral._gauss_newton(
             neighbour.theta()[None], y[None], cfg.frequencies(), np.array([norm2]), np.array([floor]))
-        monkeypatch.setattr(spectral, "_rational_start", _no_start)
-        searched = fit_step(data, cfg, fit_config=FAST_FIT)
-        assert searched.searched and not fit.searched
-        for other in (from_neighbour[3:], searched.point.as_array()):
+        for other in (from_neighbour[3:], searched_fit(data, cfg, seed=11)[3:]):
             assert np.max(np.abs(other - fit.point.as_array())) <= 1e-8, other - fit.point.as_array()
 
 
 class TestDeferredSearchImport:
-    """``spectral.differential_evolution`` imports scipy.optimize at the first
-    search; the name stays module-level, where fit_step looks it up."""
-
-    def test_fit_step_searches_through_the_module_name(self, monkeypatch):
-        search, calls = spectral.differential_evolution, []
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs)
-            return search(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "differential_evolution", spy)
-        monkeypatch.setattr(spectral, "_rational_start", _no_start)
-        p = ParamPoint(0.33, 0.0, 0.0, G)
-        ds = synthesize([p], noise=NoiseSpec(0.0, 0))
-        fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FAST_FIT)
-        assert fit.searched
-        assert [c["maxiter"] for c in calls] == [FAST_FIT.generations]
+    """``spectral.differential_evolution`` is scipy's search, imported at
+    the call; no fit calls it."""
 
     def test_returns_scipys_result(self):
         from scipy.optimize import differential_evolution, rosen
@@ -551,101 +576,92 @@ class TestFitLoop:
         loop = preset_loop("mu1", steps_per_segment=1)
         pts = list(loop.steps)
         ds = synthesize(pts, noise=NoiseSpec(0.0, 0))
-        fits, res = fit_loop(ds, fit_config=FAST_FIT)
+        fits, res = fit_loop(ds)
         analytic = transport_eigensystems(eigensystems(loop.params), refine=False)
         assert res.permutation == analytic.permutation
         assert circular_distance(res.berry_phase, analytic.berry_phase) < 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_each_step_matches_a_search(self, seed, monkeypatch):
-        """Every loop fit starts in closed form, searches nowhere, and agrees
-        with the fit that a forced search finds for the same spectrum."""
+        """Every loop fit, from its closed-form start, agrees with the fit
+        that a global search (``oracles.searched_fit``) finds for the same
+        spectrum."""
         from eptriad.loops import preset_loop
 
         ds = synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), CavityConfig(), NoiseSpec(0.01, seed))
-        fc = FitConfig(seed=seed)
-        fits, res = fit_loop(ds, fit_config=fc)
-        monkeypatch.setattr(spectral, "_rational_start", _no_start)
-        searched = [fit_step(st.responses, ds.config, fit_config=fc) for st in ds.steps]
-        reference = transport_eigensystems(fitted_stack(searched), refine=False)
-        assert not any(f.searched for f in fits)
-        assert all(f.searched for f in searched)
+        fits, res = fit_loop(ds)
+        searched = [searched_fit(st.responses, ds.config, seed) for st in ds.steps]
+        # the loop fitted from the searched thetas in place of the closed-form starts
+        starts = iter(searched)
+        monkeypatch.setattr(spectral, "_rational_starts",
+                            lambda y, config: np.array([next(starts), np.full(7, np.nan)]))
+        _, reference = fit_loop(ds)
         assert res.permutation == reference.permutation
         assert circular_distance(res.berry_phase, reference.berry_phase) < 1e-4
         # relative error; the dimensionless (eta, zeta, xi, g), in units of
         # |kappa|, against their unit scale
         for fit, want in zip(fits, searched):
-            scale = np.maximum(np.abs(want.theta()), 1.0)
-            assert np.all(np.abs(fit.theta() - want.theta()) <= 1e-5 * scale)
+            scale = np.maximum(np.abs(want), 1.0)
+            assert np.all(np.abs(fit.theta() - want) <= 1e-5 * scale)
 
-    def test_polish_above_threshold_falls_back_to_the_search(self, monkeypatch):
-        """A start that polishes above the residual threshold runs the search,
-        and then fits exactly as a fit without a start does."""
-        from dataclasses import fields
-
-        from eptriad.loops import preset_loop
-
-        ds = synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), CavityConfig(), NoiseSpec(0.01, 1))
-        responses = ds.steps[1].responses
-        start = spectral._rational_start(_sites(responses, ds.config), ds.config)
-        assert not fit_step(responses, ds.config, fit_config=FAST_FIT).searched
-
-        polish = spectral._gauss_newton
-
-        def stuck_at_start(theta0, *args):
-            theta, cost, iterations = polish(theta0, *args)
-            stuck = (theta0 == start).all(axis=1)
-            theta[stuck], cost[stuck], iterations[stuck] = start, 10 * spectral.RESIDUAL_THRESHOLD, 0
-            return theta, cost, iterations
-
-        monkeypatch.setattr(spectral, "_gauss_newton", stuck_at_start)
-        fallback = fit_step(responses, ds.config, fit_config=FAST_FIT)
-        monkeypatch.setattr(spectral, "_rational_start", _no_start)
-        searched = fit_step(responses, ds.config, fit_config=FAST_FIT)
-        assert fallback.searched and searched.searched
-        for f in fields(searched):
-            got, want = getattr(fallback, f.name), getattr(searched, f.name)
-            assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, f.name
+    def test_polish_above_threshold_falls_back_to_the_second_start(self, monkeypatch):
+        """A cavity-B spectrum whose first start polishes above the residual
+        threshold fits from its second start, exactly as a fit that has
+        only that start does, with the first polish's Jacobians counted."""
+        case, k = SECOND_START_CASE
+        responses = _lab_spectra(*case)[k]
+        cfg = CavityConfig(source_site=case[1])
+        y, norm2, floor = spectral._site_responses(responses, cfg)
+        first, second = spectral._rational_starts(y, cfg)
+        _, (cost,), (spent,) = spectral._gauss_newton(
+            first[None], y[None], cfg.frequencies(), np.array([norm2]), np.array([floor]), cfg.source_site - 1)
+        assert cost > spectral.RESIDUAL_THRESHOLD
+        fit = fit_step(responses, cfg)
+        monkeypatch.setattr(spectral, "_rational_starts", lambda y, config: np.array([second, np.full(7, np.nan)]))
+        alone = fit_step(responses, cfg)
+        assert fit.residual <= spectral.RESIDUAL_THRESHOLD
+        assert fit.gauss_newton_iterations == spent + alone.gauss_newton_iterations
+        for f in fields(alone):
+            if f.name != "gauss_newton_iterations":
+                got, want = getattr(fit, f.name), getattr(alone, f.name)
+                assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want, f.name
 
 
 def _mu1_spectra(noise, seed):
     """The nine spectra of the lab pipeline's mu1 loop."""
-    from eptriad.loops import preset_loop
-
-    pts = list(preset_loop("mu1", steps_per_segment=1).steps)
-    return [st.responses for st in synthesize(pts, CavityConfig(), NoiseSpec(noise, seed)).steps]
+    return _lab_spectra("mu1", 2, noise, seed)
 
 
-def _recorded(fit, spectra, config, fit_config):
+def _recorded(fit, spectra, config):
     """What fitting ``spectra`` in order gives: the fits or (exception type,
     message), and the IdentifiabilityWarning messages in the order emitted."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out = fit(spectra, config, fit_config)
+            out = fit(spectra, config)
         except Exception as exc:
             out = (type(exc), str(exc))
     return out, [str(w.message) for w in caught if w.category is IdentifiabilityWarning]
 
 
-def _one_at_a_time(spectra, config, fit_config):
-    return [serial_fit_step(r, config, fit_config) for r in spectra]
+def _one_at_a_time(spectra, config):
+    return [serial_fit_step(r, config) for r in spectra]
 
 
-def _fit_loop_of(spectra, config, fit_config):
+def _fit_loop_of(spectra, config):
     """The fits of ``fit_loop`` on a dataset of ``spectra``."""
     dataset = spectral.SpectralDataset(config, NoiseSpec(), [spectral.SpectralStep(r) for r in spectra])
-    return fit_loop(dataset, fit_config)[0]
+    return fit_loop(dataset)[0]
 
 
-def _assert_fits_as_one_at_a_time(spectra, config=CavityConfig(), fit_config=FitConfig(seed=1)):
+def _assert_fits_as_one_at_a_time(spectra, config=CavityConfig()):
     """A stack of spectra fits bit for bit as each spectrum alone, in the
-    serial oracle: each polish's theta, cost and iterations, every
+    serial oracle: each first polish's theta, cost and iterations, every
     FittedParams field, and the warnings in their order."""
     views = [spectral._site_responses(r, config) for r in spectra]
     y, norm2, floor = (np.array(v) for v in zip(*views))
     freqs, src = config.frequencies(), config.source_site - 1
-    starts = np.array([spectral._rational_start(yk, config) for yk in y])
+    starts = np.array([spectral._rational_starts(yk, config)[0] for yk in y])
     ok = np.isfinite(starts).all(axis=1)
     theta, cost, iterations = spectral._gauss_newton(starts[ok], y[ok], freqs, norm2[ok], floor[ok], src)
     for i, k in enumerate(np.flatnonzero(ok)):
@@ -653,7 +669,7 @@ def _assert_fits_as_one_at_a_time(spectra, config=CavityConfig(), fit_config=Fit
         assert np.array_equal(theta[i], want[0]) and cost[i] == want[1] and iterations[i] == want[2], k
 
     (got, got_warned), (want, want_warned) = (
-        _recorded(fit, spectra, config, fit_config) for fit in (_fit_loop_of, _one_at_a_time))
+        _recorded(fit, spectra, config) for fit in (_fit_loop_of, _one_at_a_time))
     assert got_warned == want_warned
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -670,19 +686,28 @@ class TestStackedPolish:
     # the lab workload's seeds
     @pytest.mark.parametrize("seed", range(32))
     def test_mu1_at_1_percent_noise(self, seed):
-        _assert_fits_as_one_at_a_time(_mu1_spectra(0.01, seed), fit_config=FitConfig(seed=seed))
+        _assert_fits_as_one_at_a_time(_mu1_spectra(0.01, seed))
 
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     @pytest.mark.parametrize("seed", range(4))
     def test_mu1_at_other_noise_levels(self, noise, seed):
-        _assert_fits_as_one_at_a_time(_mu1_spectra(noise, seed), fit_config=FitConfig(seed=seed))
+        _assert_fits_as_one_at_a_time(_mu1_spectra(noise, seed))
 
-    def test_a_spectrum_without_a_start_searches_in_the_stack(self):
+    @pytest.mark.parametrize("source_site", [1, 3])
+    def test_sources_b_and_c_with_a_second_start_in_the_stack(self, source_site):
+        """The loop that holds ``SECOND_START_CASE``, driven at B (one
+        spectrum polishes its second start) and at C."""
+        (preset, _, noise, seed), _ = SECOND_START_CASE
+        _assert_fits_as_one_at_a_time(_lab_spectra(preset, source_site, noise, seed),
+                                      CavityConfig(source_site=source_site))
+
+    def test_a_spectrum_without_a_start_diverges_in_its_turn(self):
         spectra = _mu1_spectra(0.01, 2)
         spectra[3] = spectra[3].copy()
         spectra[3][:7, -1] = 0                    # cavity B silent at the last frequency: no start
-        fits = _assert_fits_as_one_at_a_time(spectra, fit_config=FAST_FIT)
-        assert [f.searched for f in fits] == [k == 3 for k in range(len(fits))]
+        got = _recorded(_fit_loop_of, spectra, CavityConfig())
+        assert got == _recorded(_one_at_a_time, spectra, CavityConfig())
+        assert got[0] == (FitDiverged, "no finite closed-form start")
 
 
 class TestLoopOrderFailures:
@@ -703,9 +728,9 @@ class TestLoopOrderFailures:
         spectra[diverges] = rng.standard_normal((21, 31)) + 1j * rng.standard_normal((21, 31))
         for k, offset in zip(warns, (0.002, 0.003)):
             spectra[k] = self._near_ep(offset)
-        cfg, fc = CavityConfig(), FitConfig(population=8, generations=5, seed=11)
-        got = _recorded(_fit_loop_of, spectra, cfg, fc)
-        assert got == _recorded(_one_at_a_time, spectra, cfg, fc)
+        cfg = CavityConfig()
+        got = _recorded(_fit_loop_of, spectra, cfg)
+        assert got == _recorded(_one_at_a_time, spectra, cfg)
         (kind, message), warnings_seen = got
         assert kind is FitDiverged and message.startswith("normalized residual")
         assert len(warnings_seen) == warned
@@ -716,8 +741,8 @@ class TestLoopOrderFailures:
         would."""
         spectra = _mu1_spectra(0.01, 4)
         spectra[1] = self._near_ep(0.002)
-        cfg, fc = CavityConfig(), FitConfig(seed=4)
-        bad = _fit_loop_of(spectra, cfg, fc)[3].point
+        cfg = CavityConfig()
+        bad = _fit_loop_of(spectra, cfg)[3].point
         target = _hamiltonians(bad.as_array()[None])
         eig = np.linalg.eig
 
@@ -729,8 +754,8 @@ class TestLoopOrderFailures:
             return w, v
 
         monkeypatch.setattr(np.linalg, "eig", corrupting_eig)
-        got = _recorded(_fit_loop_of, spectra, cfg, fc)
-        assert got == _recorded(_one_at_a_time, spectra, cfg, fc)
+        got = _recorded(_fit_loop_of, spectra, cfg)
+        assert got == _recorded(_one_at_a_time, spectra, cfg)
         (kind, message), warned = got
         assert kind is InaccurateEigensystem and str(ParamPoint(*bad.as_array().tolist())) in message
         assert len(warned) == 1
@@ -746,7 +771,7 @@ class TestFittedCompositeLoops:
         for name in ("rho1", "rho2"):
             loop = preset_loop(name, steps_per_segment=1)
             ds = synthesize(list(loop.steps), noise=NoiseSpec(0.0, 0))
-            _, res = fit_loop(ds, fit_config=FAST_FIT)
+            _, res = fit_loop(ds)
             perms[name] = res.permutation.as_string()
         assert perms == {"rho1": "231", "rho2": "312"}
 
@@ -758,7 +783,7 @@ def test_lab_mu1_seed_23_recovers_132():
 
     pts = list(preset_loop("mu1", steps_per_segment=1).steps)
     ds = synthesize(pts, CavityConfig(), NoiseSpec(0.01, 23))
-    _, res = fit_loop(ds, fit_config=FitConfig(seed=23))
+    _, res = fit_loop(ds)
     assert res.permutation.as_string() == "132"
 
 
@@ -772,7 +797,7 @@ class TestStatisticalChecks:
         for k in range(n_total):
             p = ParamPoint(*(rng.uniform(-0.6, 0.6, 3)), rng.uniform(0.05, 0.7))
             ds = synthesize([p], noise=NoiseSpec(0.0, k))
-            fit = fit_step(ds.steps[0].responses, ds.config, fit_config=FitConfig(population=48, generations=80, seed=k))
+            fit = fit_step(ds.steps[0].responses, ds.config)
             err = max(
                 abs(fit.point.eta - p.eta),
                 abs(fit.point.zeta - p.zeta),
@@ -791,10 +816,7 @@ class TestStatisticalChecks:
             errs = []
             for seed in range(5):
                 ds = synthesize([p], noise=NoiseSpec(level, seed))
-                fit = fit_step(
-                    ds.steps[0].responses, ds.config,
-                    fit_config=FitConfig(population=48, generations=80, seed=seed + 50),
-                )
+                fit = fit_step(ds.steps[0].responses, ds.config)
                 errs.append(
                     max(
                         abs(fit.point.eta - p.eta),
