@@ -260,6 +260,7 @@ def cmd_lab(args) -> int:
         cav = _lab_config(args)
         if not 0 <= args.noise < np.inf:
             raise ValueError(f"--noise must be finite and at least 0, got {args.noise}")
+        noise = NoiseSpec(args.noise, args.seed)
     preset = args.loop_preset
     stats = None        # the fit's work counts, for the manifest
     if args.subcommand in ("synth", "pipeline"):
@@ -267,7 +268,7 @@ def cmd_lab(args) -> int:
         segments = len(preset_waypoints(preset)) - 1
         loop = preset_loop(preset, steps_per_segment=-(-(MIN_STEPS - 1) // segments))
         points = list(loop.steps)
-        dataset = synthesize(points, cav, NoiseSpec(args.noise, args.seed))
+        dataset = synthesize(points, cav, noise)
     else:
         with _reading_inputs():
             dataset = load_dataset(args.dataset)
@@ -298,7 +299,8 @@ def cmd_lab(args) -> int:
             f"fit {len(fits)} steps: permutation {result.permutation.as_string()} "
             f"theta {result.berry_phase:+.6f}"
         )
-    _write_manifest(out, f"lab-{args.subcommand}", vars(args), args.seed, stats)
+    # the seed of the dataset's noise: a fit reads it from the dataset, not from --seed
+    _write_manifest(out, f"lab-{args.subcommand}", vars(args), dataset.noise_spec.seed, stats)
     return EXIT_OK
 
 

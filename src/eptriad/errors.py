@@ -6,7 +6,12 @@ class EptriadError(Exception):
 
 
 class InaccurateEigensystem(EptriadError):
-    """Eigenpairs returned by the solver fail the residual check H v = w v."""
+    """Eigenpairs returned by the solver fail the residual check H v = w v;
+    ``row`` is the index of the first failing row of the solved stack."""
+
+    def __init__(self, message: str, row: int = 0):
+        self.row = row
+        super().__init__(message)
 
 
 class NoConvergence(EptriadError):

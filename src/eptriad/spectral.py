@@ -30,20 +30,22 @@ keeps the bits of a fit on its own.
 """
 from __future__ import annotations
 
+import binascii
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FitDiverged, IdentifiabilityWarning
+from .errors import FitDiverged, IdentifiabilityWarning, InaccurateEigensystem
 from .model import (
     DEGENERACY_GAP,
     EigensystemStack,
     ParamPoint,
     PhysicalScale,
-    eigensystem,
+    eigensystems,
     to_physical,
 )
 
@@ -94,6 +96,13 @@ def onsite_profile(config: CavityConfig) -> np.ndarray:
 class NoiseSpec:
     relative_amplitude: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        # the seed starts numpy's RNG streams, which take only non-negative integers
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"noise seed must be a non-negative integer, got {self.seed!r}")
+        if not 0 <= self.relative_amplitude < np.inf:
+            raise ValueError(f"noise amplitude must be finite and at least 0, got {self.relative_amplitude!r}")
 
 
 @dataclass
@@ -203,25 +212,30 @@ def synthesize(
     """Synthetic pressure responses for a parameter sequence: each cavity's
     site response times phi * phi_top (phi the mode profile), stacked per site.
 
-    Multiplicative complex Gaussian noise of the given relative amplitude is
-    applied per step with an RNG stream derived from (seed, step index), so
-    datasets are reproducible under concurrent generation.
+    Every step's site responses come from one population call of the
+    forward model.  Multiplicative complex Gaussian noise of the given
+    relative amplitude is applied per step with an RNG stream derived from
+    (seed, step index), so datasets are reproducible under concurrent
+    generation.
     """
     cfg = config if config is not None else CavityConfig()
     ns = noise if noise is not None else NoiseSpec()
     freqs, phi = cfg.frequencies(), onsite_profile(cfg)
+    theta = np.array([_truth_vector(p, cfg.scale) for p in points]).reshape(-1, 7).T
+    sites = _response_matrix(theta, freqs, cfg.source_site - 1)                  # (S, 3, n_freq)
+    # real and imaginary parts scaled by the real profile, without numpy's slow mixed-type broadcast
+    scaled = (phi * phi[-1])[:, None] * sites.view(float)[:, :, None, :]       # (S, 3, n_pos, 2 n_freq)
+    resp = scaled.view(complex).reshape(len(points), -1, len(freqs))
     steps = []
     for k, p in enumerate(points):
-        sites = _response_matrix(_truth_vector(p, cfg.scale), freqs, cfg.source_site - 1)
-        # real and imaginary parts scaled by the real profile, without numpy's slow mixed-type broadcast
-        resp = ((phi * phi[-1])[:, None] * sites.view(float)[:, None, :]).view(complex).reshape(-1, len(freqs))
+        rk = resp[k]
         if ns.relative_amplitude > 0:
             rng = np.random.default_rng([ns.seed, k])
             mult = 1.0 + ns.relative_amplitude * (
-                rng.standard_normal(resp.shape) + 1j * rng.standard_normal(resp.shape)
+                rng.standard_normal(rk.shape) + 1j * rng.standard_normal(rk.shape)
             ) / np.sqrt(2.0)
-            resp = resp * mult
-        steps.append(SpectralStep(responses=resp, param_truth=p))
+            rk = rk * mult
+        steps.append(SpectralStep(responses=rk, param_truth=p))
     return SpectralDataset(config=cfg, noise_spec=ns, steps=steps)
 
 
@@ -464,8 +478,9 @@ def _fit_spectra(spectra, cfg: CavityConfig) -> list[FittedParams]:
     """``fit_step`` of each spectrum in order, as one stack.
 
     The first closed-form starts are polished in one ``_gauss_newton`` call,
-    and the second starts of the spectra that polish missed in one more.
-    The checks, the warnings and the residue solves then run spectrum by
+    and the second starts of the spectra that polish missed in one more;
+    one ``eigensystems`` call gives the fitted points' eigenvalues.  The
+    checks, the warnings and the residue solves then run spectrum by
     spectrum in order, so a spectrum that fails raises, after the warnings
     of the ones before it, what fitting the spectra one at a time raises.
     """
@@ -482,20 +497,24 @@ def _fit_spectra(spectra, cfg: CavityConfig) -> list[FittedParams]:
             theta[todo], cost[todo], more = _gauss_newton(start[todo], y[todo], freqs, norm2[todo], floor[todo], src)
             iterations[todo] += more
 
-    fits, spacing = [], freqs[1] - freqs[0]
-    for k in range(len(y)):
-        if np.isnan(theta[k]).any():
-            raise FitDiverged("no finite closed-form start")
-        if not cost[k] <= RESIDUAL_THRESHOLD:
-            raise FitDiverged(f"normalized residual {cost[k]:.3e} above {RESIDUAL_THRESHOLD}")
+    # the fits before the first that diverges share one eigen-solve.  A row that
+    # fails its residual check, and then that divergence, raise only after the
+    # rows before them have warned and checked their residues
+    why = [_divergence(t, c) for t, c in zip(theta, cost)]
+    n_fit = next((k for k, reason in enumerate(why) if reason), len(why))
+    inaccurate = None
+    try:
+        w = eigensystems(theta[:n_fit, 3:]).eigenvalues
+    except InaccurateEigensystem as exc:
+        inaccurate, w = exc, eigensystems(theta[:exc.row, 3:]).eigenvalues
 
+    fits, spacing = [], freqs[1] - freqs[0]
+    for k, wk in enumerate(w):
         w0, g0, kap, eta, zeta, xi, g = theta[k]
-        if kap == 0:
-            raise FitDiverged("fitted hopping kappa collapsed to 0")
         point = ParamPoint(eta, zeta, xi, g)
         # the model sees only |kappa|, so the unbounded polish may cross 0
         scale = PhysicalScale(omega0=w0, gamma0=g0, kappa=-abs(kap))
-        wphys = to_physical(eigensystem(point).eigenvalues, scale)
+        wphys = to_physical(wk, scale)
 
         gaps = [abs(wphys[i] - wphys[j]) for i in range(3) for j in range(i + 1, 3)]
         ident_flag = min(gaps) < 3 * spacing
@@ -525,7 +544,22 @@ def _fit_spectra(spectra, cfg: CavityConfig) -> list[FittedParams]:
             identifiability_warning=ident_flag,
             gauss_newton_iterations=int(iterations[k]),
         ))
+    if inaccurate is not None:
+        raise inaccurate
+    if n_fit < len(y):
+        raise FitDiverged(why[n_fit])
     return fits
+
+
+def _divergence(theta: np.ndarray, cost: float) -> str | None:
+    """Why a polish that ended at ``theta`` with ``cost`` is no fit, or None."""
+    if np.isnan(theta).any():
+        return "no finite closed-form start"
+    if not cost <= RESIDUAL_THRESHOLD:
+        return f"normalized residual {cost:.3e} above {RESIDUAL_THRESHOLD}"
+    if theta[2] == 0:
+        return "fitted hopping kappa collapsed to 0"
+    return None
 
 
 def fitted_stack(fits: list[FittedParams]) -> EigensystemStack:
@@ -562,7 +596,9 @@ def fit_loop(dataset: SpectralDataset):
 
 
 # ----------------------------------------------------------------------
-# dataset (de)serialization: JSON with exact float round-trip
+# dataset (de)serialization: JSON for the config, noise spec and truths,
+# and the responses as base64 of their raw little-endian complex128 bytes,
+# which read back bit for bit
 
 
 def read_cavity_config(doc: dict, complete: bool = False) -> CavityConfig:
@@ -582,28 +618,55 @@ def read_cavity_config(doc: dict, complete: bool = False) -> CavityConfig:
     return CavityConfig(**doc | {"scale": PhysicalScale(**doc["scale"])})
 
 
+#: the element type of a dataset's responses: little-endian complex128
+RESPONSE_DTYPE = "<c16"
+
+#: the keys of a dataset.json object
+DATASET_KEYS = ("config", "noise_spec", "param_truth", "responses")
+
+
 def save_dataset(dataset: SpectralDataset, path: str | Path) -> None:
+    """Write ``dataset`` as one JSON object: ``config`` and ``noise_spec``
+    from their dataclasses, ``param_truth`` (per step [eta, zeta, xi, g] or
+    null) and ``responses``, every step's responses stacked into one array
+    of shape (steps, 3 n_pos, n_freq) and written as {"dtype": "<c16",
+    "shape": [...], "base64": ...}: its little-endian complex128 bytes."""
+    responses = np.stack([st.responses for st in dataset.steps]).astype(RESPONSE_DTYPE, copy=False)
     doc = {
         "config": asdict(dataset.config),
         "noise_spec": asdict(dataset.noise_spec),
-        "steps": [
-            {
-                "param_truth": None if st.param_truth is None else st.param_truth.as_array().tolist(),
-                "responses": np.stack([st.responses.real, st.responses.imag], axis=-1).tolist(),
-            }
-            for st in dataset.steps
-        ],
+        "param_truth": [None if st.param_truth is None else st.param_truth.as_array().tolist()
+                        for st in dataset.steps],
+        "responses": {
+            "dtype": RESPONSE_DTYPE,
+            "shape": list(responses.shape),
+            "base64": binascii.b2a_base64(responses.tobytes(), newline=False).decode("ascii"),
+        },
     }
     Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
 def load_dataset(path: str | Path) -> SpectralDataset:
+    """The dataset that ``save_dataset`` wrote to ``path``.  An object whose
+    keys are not ``DATASET_KEYS`` (the older per-step form among them), a
+    dtype tag other than "<c16", a shape that is not three non-negative
+    integers, text that is not base64, a byte count that disagrees with the
+    shape and a ``param_truth`` count other than the number of steps are
+    ValueErrors."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    steps = [
-        SpectralStep(
-            responses=np.array(st["responses"], dtype=float).view(complex)[..., 0],
-            param_truth=None if st["param_truth"] is None else ParamPoint(*st["param_truth"]),
-        )
-        for st in doc["steps"]
-    ]
+    if not isinstance(doc, dict) or set(doc) != set(DATASET_KEYS):
+        raise ValueError(f"a dataset is a JSON object with the keys {DATASET_KEYS}")
+    block, truths = doc["responses"], doc["param_truth"]
+    shape = block["shape"]
+    if block["dtype"] != RESPONSE_DTYPE:
+        raise ValueError(f"responses dtype must be {RESPONSE_DTYPE!r}, got {block['dtype']!r}")
+    if not (isinstance(shape, list) and len(shape) == 3 and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"responses shape must be three non-negative integers, got {shape!r}")
+    raw = binascii.a2b_base64(block["base64"], strict_mode=True)
+    if len(raw) != 16 * math.prod(shape):
+        raise ValueError(f"{len(raw)} response bytes do not hold a complex128 array of shape {shape}")
+    if not isinstance(truths, list) or len(truths) != shape[0]:
+        raise ValueError(f"need one param_truth entry per step ({shape[0]})")
+    responses = np.frombuffer(raw, RESPONSE_DTYPE).astype(complex).reshape(shape)
+    steps = [SpectralStep(r, None if t is None else ParamPoint(*t)) for r, t in zip(responses, truths)]
     return SpectralDataset(read_cavity_config(doc["config"], complete=True), NoiseSpec(**doc["noise_spec"]), steps)

@@ -1,3 +1,4 @@
+import base64
 import csv
 import importlib
 import json
@@ -206,24 +207,80 @@ def _not_a_dataset(doc):
     return {"not": "a dataset"}
 
 
-def _three_steps(doc):
-    doc["steps"] = doc["steps"][:3]
+def _responses(doc):
+    """The responses array of a dataset document, decoded."""
+    block = doc["responses"]
+    return np.frombuffer(base64.b64decode(block["base64"]), block["dtype"]).reshape(block["shape"]).copy()
+
+
+def _encoded(doc, responses):
+    """``doc`` holding ``responses``, encoded as ``save_dataset`` encodes them."""
+    doc["responses"] = {"dtype": "<c16", "shape": list(responses.shape),
+                        "base64": base64.b64encode(responses.astype("<c16").tobytes()).decode("ascii")}
     return doc
+
+
+def _three_steps(doc):
+    doc["param_truth"] = doc["param_truth"][:3]
+    return _encoded(doc, _responses(doc)[:3])
 
 
 def _nan_response(doc):
-    doc["steps"][4]["responses"][0][0] = [float("nan"), 0.0]
-    return doc
+    r = _responses(doc)
+    r[4, 0, 0] = complex(float("nan"), 0.0)
+    return _encoded(doc, r)
 
 
 def _zero_responses(doc):
-    doc["steps"][4]["responses"] = [[[0.0, 0.0]] * len(row) for row in doc["steps"][4]["responses"]]
-    return doc
+    r = _responses(doc)
+    r[4] = 0
+    return _encoded(doc, r)
 
 
 def _missing_row(doc):
-    doc["steps"][4]["responses"].pop()
+    return _encoded(doc, _responses(doc)[:, :-1])
+
+
+def _not_base64(doc):
+    doc["responses"]["base64"] = "not base64!" + doc["responses"]["base64"]
     return doc
+
+
+def _shape_disagrees_with_bytes(doc):
+    doc["responses"]["shape"][2] -= 1
+    return doc
+
+
+def _complex64_tag(doc):
+    doc["responses"]["dtype"] = "<c8"
+    return doc
+
+
+def _one_truth_short(doc):
+    doc["param_truth"].pop()
+    return doc
+
+
+def _per_step_pairs(doc):
+    """The older dataset form: a ``steps`` list, each response as [re, im] pairs."""
+    r = _responses(doc)
+    steps = [{"param_truth": t, "responses": np.stack([rk.real, rk.imag], axis=-1).tolist()}
+             for t, rk in zip(doc["param_truth"], r)]
+    return {"config": doc["config"], "noise_spec": doc["noise_spec"], "steps": steps}
+
+
+def _string_noise_seed(doc):
+    doc["noise_spec"]["seed"] = "x"
+    return doc
+
+
+def _shape_spoiler(shape):
+    """A mutator that writes ``shape`` as the responses' shape."""
+    def spoil(doc):
+        doc["responses"]["shape"] = shape
+        return doc
+    spoil.__name__ = f"_shape_{str(shape).replace(' ', '')}"
+    return spoil
 
 
 def _unknown_config_key(doc):
@@ -249,7 +306,8 @@ class TestLabCommand:
         ])
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "dataset.json").read_text())
-        assert len(doc["steps"]) == 9
+        assert doc["responses"]["shape"] == [9, 21, 31] and len(doc["param_truth"]) == 9
+        assert _responses(doc).shape == (9, 21, 31)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert sorted(manifest["versions"]) == ["eptriad", "numpy", "python"]
 
@@ -258,7 +316,9 @@ class TestLabCommand:
         """Each preset's lab loop has the fewest steps per segment that give MIN_STEPS steps."""
         assert run(["lab", "synth", "--loop-preset", preset, "--out", str(tmp_path)]) == EXIT_OK
         segments = len(preset_waypoints(preset)) - 1
-        n_steps = len(json.loads((tmp_path / "dataset.json").read_text())["steps"])
+        doc = json.loads((tmp_path / "dataset.json").read_text())
+        n_steps = doc["responses"]["shape"][0]
+        assert len(doc["param_truth"]) == n_steps
         assert MIN_STEPS <= n_steps < MIN_STEPS + segments
 
     def test_pipeline_of_big_recovers_its_permutation(self, tmp_path, canonical_transports):
@@ -304,7 +364,12 @@ class TestLabCommand:
     @pytest.mark.parametrize(
         "spoil",
         [_not_a_dataset, _three_steps, _nan_response, _zero_responses, _missing_row,
-         _unknown_config_key, _missing_config_key, _missing_scale_key],
+         _unknown_config_key, _missing_config_key, _missing_scale_key,
+         _not_base64, _shape_disagrees_with_bytes, _complex64_tag, _one_truth_short, _per_step_pairs,
+         _string_noise_seed,
+         # shapes that are not three non-negative integers; [-9, -21, 31] has the right product
+         *(_shape_spoiler(shape) for shape in ([9, 651], [9, 21, 31, 1], [-9, -21, 31], [9, 21, 31.0],
+                                                [9, 21, True], "9x21x31"))],
         ids=lambda f: f.__name__.lstrip("_"),
     )
     def test_fit_rejects_malformed_dataset(self, tmp_path, spoil):
@@ -323,6 +388,14 @@ class TestLabCommand:
         dataset = str(tmp_path / "p" / "dataset.json")
         assert run(["lab", "fit", "--dataset", dataset, *args, "--out", str(tmp_path / "f")]) == EXIT_OK
         assert (tmp_path / "p" / "fit_report.json").read_bytes() == (tmp_path / "f" / "fit_report.json").read_bytes()
+
+    def test_fit_manifest_records_the_dataset_seed(self, tmp_path):
+        """``lab fit`` reads no --seed: its manifest names the seed of the
+        dataset's noise, not the --seed default."""
+        assert run(["lab", "synth", "--noise", "0.01", "--seed", "5", "--out", str(tmp_path / "s")]) == EXIT_OK
+        dataset = str(tmp_path / "s" / "dataset.json")
+        assert run(["lab", "fit", "--dataset", dataset, "--out", str(tmp_path / "f")]) == EXIT_OK
+        assert json.loads((tmp_path / "f" / "manifest.json").read_text())["seed"] == 5
 
     def test_negative_noise_in_exponent_form_is_a_config_error(self, tmp_path, capsys):
         assert run(["lab", "synth", "--noise", "-1e-3", "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -510,9 +583,9 @@ def _lab_dataset(corrupt):
     pytest.param(_loop_config(SMALL_LOOP | {"eta_mode": "fixd"}), EXIT_CONFIG, id="loop_config_unknown_eta_mode-2"),
     pytest.param(_loop_config(SMALL_LOOP | {"label": "../x"}), EXIT_CONFIG, id="loop_config_label_with_a_slash-2"),
     pytest.param(_loop_config(SMALL_LOOP | {"label": 7}), EXIT_CONFIG, id="loop_config_label_not_a_string-2"),
-    pytest.param(_lab_dataset(lambda doc: doc["steps"][0].update(responses=[[1.0, 2.0]])), EXIT_CONFIG,
-                 id="dataset_response_row_of_two_values-2"),
-    pytest.param(_lab_dataset(lambda doc: doc.update(steps="x")), EXIT_CONFIG, id="dataset_string_steps-2"),
+    pytest.param(_lab_dataset(lambda doc: _encoded(doc, np.full((len(doc["param_truth"]), 1, 1), 1 + 2j))),
+                 EXIT_CONFIG, id="dataset_response_row_of_two_values-2"),
+    pytest.param(_lab_dataset(lambda doc: doc.update(responses="x")), EXIT_CONFIG, id="dataset_string_responses-2"),
     pytest.param(_lab_dataset(lambda doc: doc["config"].update(n_frequencies="31")), EXIT_CONFIG,
                  id="dataset_string_n_frequencies-2"),
     # numeric arguments that are not finite or out of range
@@ -541,6 +614,8 @@ def _lab_dataset(corrupt):
     pytest.param(_argv("lab", "synth", "--noise", "nan"), EXIT_CONFIG, id="lab_nan_noise-2"),
     pytest.param(_argv("lab", "synth", "--noise", "-0.5"), EXIT_CONFIG, id="lab_negative_noise-2"),
     pytest.param(_argv("lab", "pipeline", "--noise", "inf"), EXIT_CONFIG, id="lab_infinite_noise-2"),
+    # numpy's RNG streams take no negative seed
+    pytest.param(_argv("lab", "synth", "--noise", "0.01", "--seed", "-1"), EXIT_CONFIG, id="lab_negative_seed-2"),
     # finite noise whose synthesized spectra overflow: no dataset is written
     pytest.param(_argv("lab", "synth", "--noise", "1e300"), EXIT_CONFIG, id="lab_synth_overflowing_noise-2"),
     pytest.param(_argv("lab", "pipeline", "--noise", "1e300"), EXIT_CONFIG, id="lab_pipeline_overflowing_noise-2"),

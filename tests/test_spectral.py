@@ -341,13 +341,19 @@ class TestProfileProjection:
 
 class TestDatasetIO:
     def test_bit_exact_round_trip(self, tmp_path):
+        """Every response reads back with its bits: signed zeros, a
+        subnormal and numbers at the float limit among them."""
         pts = [ParamPoint(0.33, 0.1, -0.2, G), ParamPoint(0.33, 0.2, -0.1, G)]
         ds = synthesize(pts, noise=NoiseSpec(0.01, 3))
+        ds.steps[0].responses[0, :3] = [complex(-0.0, 5e-324), complex(1e308, -1e308), complex(-0.0, -0.0)]
+        ds.steps[1].param_truth = None
         path = tmp_path / "ds.json"
         save_dataset(ds, path)
         back = load_dataset(path)
+        assert len(back.steps) == len(ds.steps)
         for a, b in zip(ds.steps, back.steps):
-            assert np.array_equal(a.responses, b.responses)
+            assert b.responses.dtype == complex and b.responses.shape == a.responses.shape
+            assert np.array_equal(a.responses.view(np.uint64), b.responses.view(np.uint64))
             assert a.param_truth == b.param_truth
         assert back.config == ds.config
         assert back.noise_spec == ds.noise_spec
@@ -710,6 +716,37 @@ class TestStackedPolish:
         assert got[0] == (FitDiverged, "no finite closed-form start")
 
 
+def _corrupt_eig_at(monkeypatch, point):
+    """Make ``np.linalg.eig`` return a wrong eigenvector at ``point``'s Hamiltonian."""
+    target = _hamiltonians(point.as_array()[None])
+    eig = np.linalg.eig
+
+    def corrupting_eig(h):
+        w, v = eig(h)
+        v = v.copy()
+        hit = (h == target).all(axis=(1, 2))
+        v[hit, :, 0] = v[hit, :, 1]
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eig", corrupting_eig)
+
+
+def _vanish_residues_of(monkeypatch, spectrum, config):
+    """Make the residue solve of ``spectrum`` (the one ``np.linalg.lstsq``
+    call whose right-hand side is its site responses) give state 2 no residue."""
+    target = spectral._site_responses(spectrum, config)[0].T
+    lstsq = np.linalg.lstsq
+
+    def vanishing_lstsq(a, b, **kwargs):
+        x, *rest = lstsq(a, b, **kwargs)
+        if np.shape(b) == target.shape and np.array_equal(b, target):
+            x = x.copy()
+            x[1] = 0
+        return (x, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", vanishing_lstsq)
+
+
 class TestLoopOrderFailures:
     """A loop whose fits fail raises what fitting its spectra one at a time
     raises, after the same warnings in the same order."""
@@ -759,6 +796,39 @@ class TestLoopOrderFailures:
         (kind, message), warned = got
         assert kind is InaccurateEigensystem and str(ParamPoint(*bad.as_array().tolist())) in message
         assert len(warned) == 1
+
+    @pytest.mark.parametrize("diverges, inaccurate, kind", [(2, 6, FitDiverged), (6, 2, InaccurateEigensystem)],
+                             ids=["divergence-then-inaccurate", "inaccurate-then-divergence"])
+    def test_an_inaccurate_eigensystem_and_a_divergence(self, monkeypatch, diverges, inaccurate, kind):
+        """The fitted points share one eigen-solve, which solves no point
+        after a divergence; of the two failures the earlier one raises."""
+        spectra = _mu1_spectra(0.01, 4)
+        cfg = CavityConfig()
+        bad = _fit_loop_of(spectra, cfg)[inaccurate].point
+        rng = np.random.default_rng(3)
+        spectra[diverges] = rng.standard_normal((21, 31)) + 1j * rng.standard_normal((21, 31))
+        _corrupt_eig_at(monkeypatch, bad)
+        got = _recorded(_fit_loop_of, spectra, cfg)
+        assert got == _recorded(_one_at_a_time, spectra, cfg)
+        assert got[0][0] is kind
+
+    @pytest.mark.parametrize("inaccurate, vanishes, kind", [(3, 6, InaccurateEigensystem), (6, 3, FitDiverged)],
+                             ids=["inaccurate-then-vanishing", "vanishing-then-inaccurate"])
+    def test_an_inaccurate_eigensystem_and_a_vanishing_residue(self, monkeypatch, inaccurate, vanishes, kind):
+        """A point that fails the shared eigen-solve raises after the residue
+        checks of the steps before it, and before those of the steps after it."""
+        spectra = _mu1_spectra(0.01, 4)
+        spectra[1] = self._near_ep(0.002)
+        cfg = CavityConfig()
+        bad = _fit_loop_of(spectra, cfg)[inaccurate].point
+        _corrupt_eig_at(monkeypatch, bad)
+        _vanish_residues_of(monkeypatch, spectra[vanishes], cfg)
+        got = _recorded(_fit_loop_of, spectra, cfg)
+        assert got == _recorded(_one_at_a_time, spectra, cfg)
+        (raised, message), warned = got
+        assert raised is kind and len(warned) == 1
+        if kind is FitDiverged:
+            assert message == "vanishing residue column for state 2"
 
 
 @pytest.mark.slow
