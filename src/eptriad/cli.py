@@ -258,12 +258,12 @@ def _lab_config(args) -> CavityConfig:
 def cmd_lab(args) -> int:
     with _reading_inputs():
         cav = _lab_config(args)
-        if not 0 <= args.noise < np.inf:
-            raise ValueError(f"--noise must be finite and at least 0, got {args.noise}")
-        noise = NoiseSpec(args.noise, args.seed)
     preset = args.loop_preset
     stats = None        # the fit's work counts, for the manifest
     if args.subcommand in ("synth", "pipeline"):
+        # --noise and --seed make the noise of synthesized spectra; a fit reads it from the dataset
+        with _reading_inputs():
+            noise = NoiseSpec(args.noise, args.seed)
         # the fewest steps per segment that give a loop of MIN_STEPS steps
         segments = len(preset_waypoints(preset)) - 1
         loop = preset_loop(preset, steps_per_segment=-(-(MIN_STEPS - 1) // segments))

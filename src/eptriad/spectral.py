@@ -33,6 +33,7 @@ from __future__ import annotations
 import binascii
 import json
 import math
+import re
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -624,6 +625,10 @@ RESPONSE_DTYPE = "<c16"
 #: the keys of a dataset.json object
 DATASET_KEYS = ("config", "noise_spec", "param_truth", "responses")
 
+#: base64 text with nothing outside the alphabet and at most two padding
+#: characters at the end; a length that is a multiple of 4 completes the check
+_BASE64 = re.compile(r"[A-Za-z0-9+/]*={0,2}")
+
 
 def save_dataset(dataset: SpectralDataset, path: str | Path) -> None:
     """Write ``dataset`` as one JSON object: ``config`` and ``noise_spec``
@@ -662,7 +667,12 @@ def load_dataset(path: str | Path) -> SpectralDataset:
         raise ValueError(f"responses dtype must be {RESPONSE_DTYPE!r}, got {block['dtype']!r}")
     if not (isinstance(shape, list) and len(shape) == 3 and all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError(f"responses shape must be three non-negative integers, got {shape!r}")
-    raw = binascii.a2b_base64(block["base64"], strict_mode=True)
+    # a2b_base64 skips characters outside the alphabet, so the text is checked first
+    text = block["base64"]
+    if len(text) % 4 or not _BASE64.fullmatch(text):
+        raise ValueError("responses base64 must be the base64 alphabet, at most two '=' at the end "
+                         "and a length that is a multiple of 4")
+    raw = binascii.a2b_base64(text)
     if len(raw) != 16 * math.prod(shape):
         raise ValueError(f"{len(raw)} response bytes do not hold a complex128 array of shape {shape}")
     if not isinstance(truths, list) or len(truths) != shape[0]:

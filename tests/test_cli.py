@@ -399,7 +399,7 @@ class TestLabCommand:
 
     def test_negative_noise_in_exponent_form_is_a_config_error(self, tmp_path, capsys):
         assert run(["lab", "synth", "--noise", "-1e-3", "--out", str(tmp_path)]) == EXIT_CONFIG
-        assert "--noise must be finite and at least 0" in capsys.readouterr().err
+        assert "noise amplitude must be finite and at least 0" in capsys.readouterr().err
 
     def test_fit_requires_dataset(self):
         assert run(["lab", "fit"]) == EXIT_CONFIG

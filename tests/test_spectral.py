@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import fields
 
@@ -357,6 +358,31 @@ class TestDatasetIO:
             assert a.param_truth == b.param_truth
         assert back.config == ds.config
         assert back.noise_spec == ds.noise_spec
+
+    @pytest.mark.parametrize("spoil", [
+        lambda t: "not base64!" + t,            # characters outside the alphabet
+        lambda t: t[:40] + "\n" + t[40:],       # a line break, which a lenient decoder skips
+        lambda t: t[:40] + " " + t[40:],
+        lambda t: t + "AAAA",                   # data after the padding
+        lambda t: t.rstrip("="),                # padding missing
+        lambda t: t + "=",                      # a length that is not a multiple of 4
+    ], ids=["foreign_characters", "line_break", "space", "data_after_padding", "missing_padding",
+            "extra_padding"])
+    def test_responses_that_are_not_strict_base64_are_rejected(self, tmp_path, spoil):
+        """Only the base64 text that ``save_dataset`` writes reads back: a
+        character outside the alphabet, misplaced padding or a length that is
+        not a multiple of 4 is a ValueError that names the base64 text."""
+        ds = synthesize([ParamPoint(0.33, 0.1, -0.2, G)], noise=NoiseSpec(0.0, 0))
+        # one response row fewer: a byte count that is not a multiple of 3, so the text ends in padding
+        ds.steps[0].responses = ds.steps[0].responses[:-1]
+        path = tmp_path / "ds.json"
+        save_dataset(ds, path)
+        doc = json.loads(path.read_text())
+        assert doc["responses"]["base64"].endswith("=")
+        doc["responses"]["base64"] = spoil(doc["responses"]["base64"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="base64"):
+            load_dataset(path)
 
 
 def _polishing_to(theta):
