@@ -175,8 +175,9 @@ LOOP_CONFIG_KEYS = ("eta", "eta_mode", "g", "label", "steps_per_segment", "waypo
 def _loop_from_args(args) -> tuple[LoopPath, str]:
     """The loop ``eptriad loop`` transports, and its name: a preset or a JSON
     config.  A config key not in ``LOOP_CONFIG_KEYS``, an ``eta_mode`` other
-    than "fixed" or "per-point" and a label that is no string or holds a
-    path separator are ValueErrors."""
+    than "fixed" or "per-point", a label that is no string or holds a path
+    separator, a waypoint row other than (eta, zeta, xi), or (zeta, xi) at a
+    fixed eta, and a JSON boolean for a number are ValueErrors."""
     if args.preset:
         return preset_loop(args.preset, steps_per_segment=args.steps_per_segment), args.preset
     cfg = json.loads(Path(args.config).read_text())
@@ -186,12 +187,13 @@ def _loop_from_args(args) -> tuple[LoopPath, str]:
     if mode not in ("fixed", "per-point") or not isinstance(name, str) or {"/", "\\", "\0"} & set(name):
         raise ValueError(f"loop config: eta_mode must be 'fixed' or 'per-point' and label a string "
                          f"without a path separator, got {mode!r} and {name!r}")
-    g = cfg["g"]
-    if mode == "fixed":
-        eta = cfg["eta"]
-        waypoints = [ParamPoint(eta, w[-2], w[-1], g) for w in cfg["waypoints"]]
-    else:
-        waypoints = [ParamPoint(w[0], w[1], w[2], g) for w in cfg["waypoints"]]
+    g, rows = cfg["g"], cfg["waypoints"]
+    eta = [cfg["eta"]] if mode == "fixed" else []
+    # Python reads JSON true and false as the numbers 1 and 0
+    numbers = [g, *eta, cfg.get("steps_per_segment"), *sum(rows, [])]
+    if any(len(w) != 3 - len(eta) for w in rows) or any(isinstance(v, bool) for v in numbers):
+        raise ValueError(f"loop config: a {mode} waypoint is {3 - len(eta)} numbers, and no number is a boolean")
+    waypoints = [ParamPoint(*eta, *w, g) for w in rows]
     return interpolate_loop(waypoints, cfg.get("steps_per_segment", args.steps_per_segment), label=name), name
 
 
@@ -267,8 +269,7 @@ def cmd_lab(args) -> int:
         # the fewest steps per segment that give a loop of MIN_STEPS steps
         segments = len(preset_waypoints(preset)) - 1
         loop = preset_loop(preset, steps_per_segment=-(-(MIN_STEPS - 1) // segments))
-        points = list(loop.steps)
-        dataset = synthesize(points, cav, noise)
+        dataset = synthesize(list(loop.steps), cav, noise)
     else:
         with _reading_inputs():
             dataset = load_dataset(args.dataset)
@@ -280,16 +281,16 @@ def cmd_lab(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.subcommand in ("synth", "pipeline"):
         save_dataset(dataset, out / "dataset.json")
-        print(f"synthesized {len(points)} steps (noise {args.noise:g}, seed {args.seed})")
+        print(f"synthesized {len(dataset.responses)} steps (noise {args.noise:g}, seed {args.seed})")
     if args.subcommand in ("fit", "pipeline"):
         fits, result = fit_loop(dataset)
         report = {
             "fit": [
                 asdict(f.point) | asdict(f.scale) | {
                     "residual": f.residual,
-                    "truth": None if st.param_truth is None else st.param_truth.as_array().tolist(),
+                    "truth": None if truth is None else truth.as_array().tolist(),
                 }
-                for f, st in zip(fits, dataset.steps)
+                for f, truth in zip(fits, dataset.param_truth)
             ],
             "transport": _transport_report(result),
         }

@@ -155,8 +155,17 @@ _BIG_ZX = [
 ]
 
 
-def _to_waypoints(zx: list[tuple[float, float]], eta: float, g: float) -> list[ParamPoint]:
-    return [ParamPoint(eta, z, x, g) for (z, x) in zx]
+#: name: ((zeta, xi) waypoint table, default eta); rho1 runs mu3 first, then mu1
+_PRESETS = {
+    "mu1": (_MU1_ZX, ETA_GENERATORS),
+    "mu2": (_MU2_ZX, 0.0),
+    "mu3": (_MU3_ZX, ETA_GENERATORS),
+    "rho1": (_MU3_ZX[:-1] + _MU1_ZX, ETA_GENERATORS),
+    "rho2": (_RHO2_NEG_ZX[:-1] + _RHO2_POS_ZX, ETA_GENERATORS),
+    "big": (_BIG_ZX, ETA_GENERATORS),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_waypoints(name: str, eta: float | None = None, g: float = G_CANONICAL) -> list[ParamPoint]:
@@ -169,27 +178,11 @@ def preset_waypoints(name: str, eta: float | None = None, g: float = G_CANONICAL
     mu2  -- quadrilateral around the negative-zeta crossing at eta = 0
     big  -- one rectangle enclosing both arc crossings at eta = 0.33
     """
-    if name in ("mu1", "mu3", "rho1", "rho2", "big"):
-        e = ETA_GENERATORS if eta is None else eta
-    elif name == "mu2":
-        e = 0.0 if eta is None else eta
-    else:
+    if name not in _PRESETS:
         raise KeyError(f"unknown preset {name!r}")
-    if name == "mu1":
-        return _to_waypoints(_MU1_ZX, e, g)
-    if name == "mu3":
-        return _to_waypoints(_MU3_ZX, e, g)
-    if name == "rho1":
-        # generator order: mu3 first, then mu1
-        return _to_waypoints(_MU3_ZX[:-1] + _MU1_ZX, e, g)
-    if name == "rho2":
-        return _to_waypoints(_RHO2_NEG_ZX[:-1] + _RHO2_POS_ZX, e, g)
-    if name == "mu2":
-        return _to_waypoints(_MU2_ZX, e, g)
-    return _to_waypoints(_BIG_ZX, e, g)
-
-
-PRESET_NAMES = ("mu1", "mu2", "mu3", "rho1", "rho2", "big")
+    zx, default_eta = _PRESETS[name]
+    e = default_eta if eta is None else eta
+    return [ParamPoint(e, z, x, g) for z, x in zx]
 
 
 def preset_loop(name: str, steps_per_segment: int = 200, eta: float | None = None,

@@ -222,8 +222,7 @@ def _solve_rows(params: np.ndarray) -> tuple:
     v = np.take_along_axis(v, order[:, None, :], axis=2)
     v = v / np.sqrt((v.conj() * v).real.sum(axis=1))[:, None, :]
 
-    gaps = w[:, _PAIR_I] - w[:, _PAIR_J]
-    min_gap = np.hypot(gaps.real, gaps.imag).min(axis=1)    # rounds as abs() of one scalar
+    min_gap = min_gaps(w)
     degenerate = min_gap < DEGENERACY_GAP
     # an exact EP splits numerically by ~eps^(1/2) or eps^(1/3), so the gap
     # test alone can miss it; the discriminant vanishes analytically there.
@@ -244,6 +243,13 @@ def _solve_rows(params: np.ndarray) -> tuple:
     r = hv - v * w[:, None, :]
     resid2 = (r.real**2 + r.imag**2).sum(axis=1) / np.maximum((h.real**2 + h.imag**2).sum(axis=(1, 2)), 1.0)[:, None]
     return w, v, left, degenerate, min_gap, resid2
+
+
+def min_gaps(w: np.ndarray) -> np.ndarray:
+    """The smallest distance between the three eigenvalues of each row of an
+    (L, 3) array; hypot rounds as abs() of one complex scalar does."""
+    gaps = w[:, _PAIR_I] - w[:, _PAIR_J]
+    return np.hypot(gaps.real, gaps.imag).min(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,6 +47,7 @@ from .model import (
     ParamPoint,
     PhysicalScale,
     eigensystems,
+    min_gaps,
     to_physical,
 )
 
@@ -107,16 +108,18 @@ class NoiseSpec:
 
 
 @dataclass
-class SpectralStep:
-    responses: np.ndarray                  # (3*n_pos, n_freq) complex
-    param_truth: ParamPoint | None = None
-
-
-@dataclass
 class SpectralDataset:
+    """A loop's spectra: ``responses`` of shape (steps, 3 n_pos, n_freq), each
+    step's probe rows, and ``param_truth``, each step's true point or None."""
     config: CavityConfig
     noise_spec: NoiseSpec
-    steps: list[SpectralStep]
+    responses: np.ndarray
+    param_truth: list[ParamPoint | None]
+
+    def __post_init__(self):
+        if np.ndim(self.responses) != 3 or len(self.param_truth) != len(self.responses):
+            raise ValueError(f"need responses of shape (steps, 3 n_pos, n_freq) and one param_truth entry "
+                             f"per step, got shape {np.shape(self.responses)} and {len(self.param_truth)} entries")
 
 
 def _tridiagonal(theta: np.ndarray, freqs: np.ndarray):
@@ -137,26 +140,33 @@ def _tridiagonal(theta: np.ndarray, freqs: np.ndarray):
     return c, b0, b1, b2
 
 
+def _resolvent(theta: np.ndarray, freqs: np.ndarray):
+    """|kappa|, shape (S, 1), and G = adj(A) / det(A), shape (S, n_freq, 3, 3), for
+    A = omega - H_phys as in ``_tridiagonal``; G is complex symmetric, as A is."""
+    c, b0, b1, b2 = _tridiagonal(theta, freqs)                       # (S, 1), (S, n_freq) each
+    c2 = c * c
+    adj = np.empty(b0.shape + (3, 3), complex)
+    adj[..., 0, 0], adj[..., 1, 1], adj[..., 2, 2] = b1 * b2 - c2, b0 * b2, b0 * b1 - c2
+    adj[..., 0, 1] = adj[..., 1, 0] = -c * b2
+    adj[..., 1, 2] = adj[..., 2, 1] = -c * b0
+    adj[..., 0, 2] = adj[..., 2, 0] = c2
+    return c, adj / (b0 * b1 * b2 - c2 * (b0 + b2))[..., None, None]
+
+
 def _response_matrix(theta: np.ndarray, freqs: np.ndarray, src: int = 1) -> np.ndarray:
     """Forward model for one 7-scalar parameter vector or a population of them.
 
     theta = (omega0, gamma0, kappa, eta, zeta, xi, g) with shape (7,) or
     (7, S); the result is the site responses (B, A, C), shape (3, n_freq)
     or (S, 3, n_freq), to a drive at the 0-based site ``src`` (default
-    cavity A).  The Green's function column is the adjugate column over the
-    determinant of the tridiagonal omega - H_phys,
-    H_phys = omega0 + i gamma0 + |kappa| H: no eigen-solve, and finite at
+    cavity A): the driven column of the resolvent (``_resolvent``) of
+    H_phys = omega0 + i gamma0 + |kappa| H.  No eigen-solve, and finite at
     EPs, where eigen-residues diverge and cancel.  It stays a total function
     far outside the validated regime, kappa = 0 included, where the
     optimizer explores.  A single vector runs as a population of one, so
     both shapes share every arithmetic step.
     """
-    c, b0, b1, b2 = _tridiagonal(theta, freqs)
-    c2 = c * c
-    adj = ((b1 * b2 - c2, -c * b2, c2) if src == 0 else      # column src of the adjugate,
-           (-c * b2, b0 * b2, -c * b0) if src == 1 else      # built for that column only
-           (c2, -c * b0, b0 * b1 - c2))
-    gcol = np.stack(np.broadcast_arrays(*adj), axis=1) / (b0 * b1 * b2 - c2 * (b0 + b2))[:, None, :]
+    gcol = np.ascontiguousarray(_resolvent(theta, freqs)[1][..., src].transpose(0, 2, 1))
     return gcol[0] if np.ndim(theta) == 1 else gcol
 
 
@@ -169,26 +179,18 @@ def _response_jacobian(theta: np.ndarray, freqs: np.ndarray, src: int = 1) -> np
     derivative by each parameter, shape (7, 3, n_freq) for theta of shape
     (7,) and (S, 7, 3, n_freq) for a stack of shape (7, S).
 
-    With G = adj(A) / det(A) the resolvent of the tridiagonal
-    A = omega - H_phys and g = G e_src its driven column,
-    dg/dtheta_k = -G (dA/dtheta_k) g.  The seven dA/dtheta_k are -I for
-    omega0, -iI for gamma0, sign(kappa) (diag(m) + the hopping pattern) for
-    kappa (m as in ``_tridiagonal``), and |kappa| diag(sqrt2, 0, -sqrt2),
+    With G the resolvent (``_resolvent``) and g = G e_src its driven
+    column, dg/dtheta_k = -G (dA/dtheta_k) g.  The seven dA/dtheta_k are -I
+    for omega0, -iI for gamma0, sign(kappa) (diag(m) + the hopping pattern)
+    for kappa (m as in ``_tridiagonal``), and |kappa| diag(sqrt2, 0, -sqrt2),
     |kappa| diag(0, i, 0), |kappa| diag(0, 1, 0) and
     |kappa| diag(i sqrt2, 0, -i sqrt2) for eta, zeta, xi and g.  All seven
     products come from one batched G @ V over the frequencies (and the
     stack).  A single vector runs as a stack of one, so both shapes share
     every arithmetic step.
     """
-    c, b0, b1, b2 = _tridiagonal(theta, freqs)                       # (S, 1), (S, n_freq) each
-    c2, s2 = c * c, np.sqrt(2.0)
-    adj = np.empty(b0.shape + (3, 3), complex)                       # symmetric, as A is
-    adj[..., 0, 0], adj[..., 1, 1], adj[..., 2, 2] = b1 * b2 - c2, b0 * b2, b0 * b1 - c2
-    adj[..., 0, 1] = adj[..., 1, 0] = -c * b2
-    adj[..., 1, 2] = adj[..., 2, 1] = -c * b0
-    adj[..., 0, 2] = adj[..., 2, 0] = c2
-    green = adj / (b0 * b1 * b2 - c2 * (b0 + b2))[..., None, None]
-    gcol = green[..., src]                                           # (S, n_freq, 3)
+    c, green = _resolvent(theta, freqs)
+    gcol, s2 = green[..., src], np.sqrt(2.0)                         # (S, n_freq, 3)
     kap, eta, zeta, xi, g = np.asarray(theta, dtype=float).reshape(7, -1)[2:]
     sign, eg = np.sign(kap)[:, None], eta + 1j * (1 + g)
     diag = np.empty((len(kap), 3, 7), complex)                       # the diagonals of the seven dA
@@ -215,9 +217,9 @@ def synthesize(
 
     Every step's site responses come from one population call of the
     forward model.  Multiplicative complex Gaussian noise of the given
-    relative amplitude is applied per step with an RNG stream derived from
-    (seed, step index), so datasets are reproducible under concurrent
-    generation.
+    relative amplitude is applied in place, step by step, with an RNG stream
+    derived from (seed, step index), so datasets are reproducible under
+    concurrent generation.
     """
     cfg = config if config is not None else CavityConfig()
     ns = noise if noise is not None else NoiseSpec()
@@ -226,18 +228,14 @@ def synthesize(
     sites = _response_matrix(theta, freqs, cfg.source_site - 1)                  # (S, 3, n_freq)
     # real and imaginary parts scaled by the real profile, without numpy's slow mixed-type broadcast
     scaled = (phi * phi[-1])[:, None] * sites.view(float)[:, :, None, :]       # (S, 3, n_pos, 2 n_freq)
-    resp = scaled.view(complex).reshape(len(points), -1, len(freqs))
-    steps = []
-    for k, p in enumerate(points):
-        rk = resp[k]
-        if ns.relative_amplitude > 0:
+    responses = scaled.view(complex).reshape(len(points), -1, len(freqs))
+    if ns.relative_amplitude > 0:
+        for k, rk in enumerate(responses):
             rng = np.random.default_rng([ns.seed, k])
-            mult = 1.0 + ns.relative_amplitude * (
+            rk *= 1.0 + ns.relative_amplitude * (
                 rng.standard_normal(rk.shape) + 1j * rng.standard_normal(rk.shape)
             ) / np.sqrt(2.0)
-            rk = rk * mult
-        steps.append(SpectralStep(responses=rk, param_truth=p))
-    return SpectralDataset(config=cfg, noise_spec=ns, steps=steps)
+    return SpectralDataset(cfg, ns, responses, list(points))
 
 
 def _squared_norm(data: np.ndarray, config: CavityConfig) -> float:
@@ -275,10 +273,10 @@ def _site_responses(data: np.ndarray, config: CavityConfig):
 def check_dataset(dataset: SpectralDataset) -> None:
     """Raise ValueError unless every step of ``dataset`` can be fitted and
     the steps are enough (8) to form a closed loop."""
-    if len(dataset.steps) < 8:
+    if len(dataset.responses) < 8:
         raise ValueError("need at least 8 steps forming a closed loop")
-    for st in dataset.steps:
-        _squared_norm(np.asarray(st.responses), dataset.config)
+    for responses in dataset.responses:
+        _squared_norm(responses, dataset.config)
 
 
 GAUSS_NEWTON_ITERATIONS = 60
@@ -300,6 +298,8 @@ class FittedParams:
         return _truth_vector(self.point, self.scale)
 
 
+# a rejected trial step may overflow the model; its cost, not finite, does not lower the cost
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _gauss_newton(theta0, y, freqs, norm2, floor, src=1):
     """Damped Gauss-Newton on a stack of spectra: (theta, cost, iterations).
 
@@ -315,9 +315,10 @@ def _gauss_newton(theta0, y, freqs, norm2, floor, src=1):
     1e-15 of the cost, the polish sits at the rounding floor and that
     spectrum stops.  Otherwise its step is halved up to 25 times until its
     cost falls, and it stops when no halving lowers it, when the step taken
-    is below 1e-13, or after ``GAUSS_NEWTON_ITERATIONS``.  ``iterations``
-    counts the Jacobians built for each spectrum.  No spectrum's arithmetic
-    depends on another's, so each ends with the bits of a polish on its own.
+    is below 1e-13, or after ``GAUSS_NEWTON_ITERATIONS``; a trial whose
+    cost is not finite never lowers it.  ``iterations`` counts the
+    Jacobians built for each spectrum.  No spectrum's arithmetic depends on
+    another's, so each ends with the bits of a polish on its own.
     """
     theta, root = np.array(theta0, float), np.sqrt(norm2)
 
@@ -517,11 +518,11 @@ def _fit_spectra(spectra, cfg: CavityConfig) -> list[FittedParams]:
         scale = PhysicalScale(omega0=w0, gamma0=g0, kappa=-abs(kap))
         wphys = to_physical(wk, scale)
 
-        gaps = [abs(wphys[i] - wphys[j]) for i in range(3) for j in range(i + 1, 3)]
-        ident_flag = min(gaps) < 3 * spacing
+        gap = min_gaps(wphys[None])[0]
+        ident_flag = gap < 3 * spacing
         if ident_flag:
             warnings.warn(
-                f"eigenvalue gap {min(gaps):.1f} rad/s below 3x frequency spacing",
+                f"eigenvalue gap {gap:.1f} rad/s below 3x frequency spacing",
                 IdentifiabilityWarning,
                 stacklevel=3,
             )
@@ -566,10 +567,9 @@ def _divergence(theta: np.ndarray, cost: float) -> str | None:
 def fitted_stack(fits: list[FittedParams]) -> EigensystemStack:
     """The fits as one stack for the transport machinery: fitted points,
     eigenvalues and residue-coefficient frames, and each smallest gap in
-    units of the fitted |kappa| (hypot rounds as abs() does)."""
+    units of the fitted |kappa|."""
     w = np.array([f.eigenvalues for f in fits])
-    gaps = w[:, [0, 0, 1]] - w[:, [1, 2, 2]]
-    min_gap = np.hypot(gaps.real, gaps.imag).min(axis=1) / np.array([abs(f.scale.kappa) for f in fits])
+    min_gap = min_gaps(w) / np.array([abs(f.scale.kappa) for f in fits])
     return EigensystemStack(
         np.array([f.point.as_array() for f in fits]),
         w,
@@ -591,7 +591,7 @@ def fit_loop(dataset: SpectralDataset):
     from .transport import transport_eigensystems
 
     check_dataset(dataset)
-    fits = _fit_spectra([st.responses for st in dataset.steps], dataset.config)
+    fits = _fit_spectra(dataset.responses, dataset.config)
     result = transport_eigensystems(fitted_stack(fits), label="fitted-loop", refine=False)
     return fits, result
 
@@ -633,15 +633,14 @@ _BASE64 = re.compile(r"[A-Za-z0-9+/]*={0,2}")
 def save_dataset(dataset: SpectralDataset, path: str | Path) -> None:
     """Write ``dataset`` as one JSON object: ``config`` and ``noise_spec``
     from their dataclasses, ``param_truth`` (per step [eta, zeta, xi, g] or
-    null) and ``responses``, every step's responses stacked into one array
-    of shape (steps, 3 n_pos, n_freq) and written as {"dtype": "<c16",
-    "shape": [...], "base64": ...}: its little-endian complex128 bytes."""
-    responses = np.stack([st.responses for st in dataset.steps]).astype(RESPONSE_DTYPE, copy=False)
+    null) and ``responses``, the (steps, 3 n_pos, n_freq) array written as
+    {"dtype": "<c16", "shape": [...], "base64": ...}: its little-endian
+    complex128 bytes."""
+    responses = dataset.responses.astype(RESPONSE_DTYPE, copy=False)
     doc = {
         "config": asdict(dataset.config),
         "noise_spec": asdict(dataset.noise_spec),
-        "param_truth": [None if st.param_truth is None else st.param_truth.as_array().tolist()
-                        for st in dataset.steps],
+        "param_truth": [None if p is None else p.as_array().tolist() for p in dataset.param_truth],
         "responses": {
             "dtype": RESPONSE_DTYPE,
             "shape": list(responses.shape),
@@ -661,7 +660,7 @@ def load_dataset(path: str | Path) -> SpectralDataset:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or set(doc) != set(DATASET_KEYS):
         raise ValueError(f"a dataset is a JSON object with the keys {DATASET_KEYS}")
-    block, truths = doc["responses"], doc["param_truth"]
+    block = doc["responses"]
     shape = block["shape"]
     if block["dtype"] != RESPONSE_DTYPE:
         raise ValueError(f"responses dtype must be {RESPONSE_DTYPE!r}, got {block['dtype']!r}")
@@ -675,8 +674,7 @@ def load_dataset(path: str | Path) -> SpectralDataset:
     raw = binascii.a2b_base64(text)
     if len(raw) != 16 * math.prod(shape):
         raise ValueError(f"{len(raw)} response bytes do not hold a complex128 array of shape {shape}")
-    if not isinstance(truths, list) or len(truths) != shape[0]:
-        raise ValueError(f"need one param_truth entry per step ({shape[0]})")
     responses = np.frombuffer(raw, RESPONSE_DTYPE).astype(complex).reshape(shape)
-    steps = [SpectralStep(r, None if t is None else ParamPoint(*t)) for r, t in zip(responses, truths)]
-    return SpectralDataset(read_cavity_config(doc["config"], complete=True), NoiseSpec(**doc["noise_spec"]), steps)
+    truths = [None if t is None else ParamPoint(*t) for t in doc["param_truth"]]
+    return SpectralDataset(read_cavity_config(doc["config"], complete=True), NoiseSpec(**doc["noise_spec"]),
+                           responses, truths)

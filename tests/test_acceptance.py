@@ -175,7 +175,7 @@ def test_criterion_10_virtual_experiment():
 
     # noiseless round trip
     ds0 = synthesize([truth], cfg, NoiseSpec(0.0, 0))
-    fit0 = fit_step(ds0.steps[0].responses, cfg)
+    fit0 = fit_step(ds0.responses[0], cfg)
     for got, want in (
         (fit0.point.eta, truth.eta),
         (fit0.point.zeta, truth.zeta),
@@ -193,7 +193,7 @@ def test_criterion_10_virtual_experiment():
     good = 0
     for seed in range(20):
         ds = synthesize([truth], cfg, NoiseSpec(0.01, seed))
-        fit = fit_step(ds.steps[0].responses, cfg)
+        fit = fit_step(ds.responses[0], cfg)
         err = max(
             abs(fit.point.eta - truth.eta),
             abs(fit.point.zeta - truth.zeta),

@@ -536,6 +536,11 @@ SMALL_LOOP = {
 }
 
 
+#: eight segments around the small loop's square: one step per segment makes a loop of 9 steps
+OCTAGON = [[0.33, z, x] for z, x in ((0.02, 0.02), (0.06, 0.0), (0.1, 0.02), (0.12, 0.06), (0.1, 0.1), (0.06, 0.12),
+                                      (0.02, 0.1), (0.0, 0.06), (0.02, 0.02))]
+
+
 def _loop_config(doc):
     """An argv maker for ``loop --config`` with ``doc`` as the config."""
     def make_argv(tmp_path, monkeypatch):
@@ -583,6 +588,24 @@ def _lab_dataset(corrupt):
     pytest.param(_loop_config(SMALL_LOOP | {"eta_mode": "fixd"}), EXIT_CONFIG, id="loop_config_unknown_eta_mode-2"),
     pytest.param(_loop_config(SMALL_LOOP | {"label": "../x"}), EXIT_CONFIG, id="loop_config_label_with_a_slash-2"),
     pytest.param(_loop_config(SMALL_LOOP | {"label": 7}), EXIT_CONFIG, id="loop_config_label_not_a_string-2"),
+    # waypoint rows of the wrong width, and JSON booleans, which Python reads as 1 and 0
+    pytest.param(_loop_config(SMALL_LOOP | {"waypoints": [w + [5] for w in SMALL_LOOP["waypoints"]]}),
+                 EXIT_CONFIG, id="loop_config_per_point_row_of_four-2"),
+    pytest.param(_loop_config(SMALL_LOOP | {"eta_mode": "fixed", "eta": 0.33}), EXIT_CONFIG,
+                 id="loop_config_fixed_row_of_three-2"),
+    pytest.param(_loop_config(SMALL_LOOP | {"g": True}), EXIT_CONFIG, id="loop_config_boolean_g-2"),
+    pytest.param(_loop_config(SMALL_LOOP | {"eta_mode": "fixed", "eta": False,
+                                            "waypoints": [w[1:] for w in SMALL_LOOP["waypoints"]]}),
+                 EXIT_CONFIG, id="loop_config_boolean_fixed_eta-2"),
+    pytest.param(_loop_config(SMALL_LOOP | {"waypoints": [[True, *w[1:]] for w in SMALL_LOOP["waypoints"]]}),
+                 EXIT_CONFIG, id="loop_config_boolean_waypoint_entries-2"),
+    pytest.param(_loop_config(SMALL_LOOP | {"steps_per_segment": True, "waypoints": OCTAGON}), EXIT_CONFIG,
+                 id="loop_config_boolean_steps_per_segment-2"),
+    pytest.param(_loop_config(SMALL_LOOP | {"steps_per_segment": 1, "waypoints": OCTAGON}), EXIT_OK,
+                 id="loop_config_one_step_per_segment-0"),
+    pytest.param(_loop_config(SMALL_LOOP | {"eta_mode": "fixed", "eta": 0.33,
+                                            "waypoints": [w[1:] for w in SMALL_LOOP["waypoints"]]}),
+                 EXIT_OK, id="loop_config_fixed_rows_of_two-0"),
     pytest.param(_lab_dataset(lambda doc: _encoded(doc, np.full((len(doc["param_truth"]), 1, 1), 1 + 2j))),
                  EXIT_CONFIG, id="dataset_response_row_of_two_values-2"),
     pytest.param(_lab_dataset(lambda doc: doc.update(responses="x")), EXIT_CONFIG, id="dataset_string_responses-2"),
@@ -619,6 +642,9 @@ def _lab_dataset(corrupt):
     # finite noise whose synthesized spectra overflow: no dataset is written
     pytest.param(_argv("lab", "synth", "--noise", "1e300"), EXIT_CONFIG, id="lab_synth_overflowing_noise-2"),
     pytest.param(_argv("lab", "pipeline", "--noise", "1e300"), EXIT_CONFIG, id="lab_pipeline_overflowing_noise-2"),
+    # a polish whose rejected trial steps overflow the forward model diverges without a RuntimeWarning
+    pytest.param(_argv("lab", "pipeline", "--noise", "0.5", "--seed", "1"), EXIT_NUMERICAL,
+                 id="lab_pipeline_overflowing_trial_steps-3"),
 ])
 def test_exit_code_matrix(tmp_path, monkeypatch, make_argv, code):
     argv = make_argv(tmp_path, monkeypatch)
@@ -720,14 +746,16 @@ def test_importing_the_cli_loads_no_thread_pool():
     assert proc.stdout.split() == ["False"]
 
 
-def test_no_command_imports_scipy_optimize(tmp_path):
-    """Importing eptriad and running every command, lab pipelines driven at
-    each cavity included, leave scipy.optimize unloaded, and no manifest
-    names a scipy version."""
+def test_no_command_imports_scipy(tmp_path):
+    """With scipy blocked, importing eptriad and running every command, lab
+    pipelines driven at each cavity included, succeed and load no scipy
+    module, and no manifest names a scipy version: the package needs numpy
+    alone."""
     for site in (1, 3):
         (tmp_path / f"{site}.json").write_text(json.dumps({"source_site": site}))
     script = f"""
 import json, sys
+sys.modules["scipy"] = None     # any import of scipy or a submodule raises ImportError
 import eptriad
 from eptriad.cli import main
 
@@ -736,14 +764,15 @@ runs = [["loop", "--preset", "mu1", "--steps-per-segment", "64"], ["surface", "-
         ["ea", "--g", "0.61"], ["group"], ["lab", "synth"], ["lab", "pipeline"],
         ["lab", "pipeline", "--config", f"{{out}}/1.json"], ["lab", "pipeline", "--config", f"{{out}}/3.json"]]
 codes = [main(argv + ["--out", f"{{out}}/{{k}}"]) for k, argv in enumerate(runs)]
-print(json.dumps({{"codes": codes, "after": "scipy.optimize" in sys.modules}}))
+print(json.dumps({{"codes": codes, "after": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"
+                                                and sys.modules[m] is not None)}}))
 """
     env = dict(os.environ)
     src = str(Path(eptriad.model.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [EXIT_OK] * 8, "after": False}
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [EXIT_OK] * 8, "after": []}
     for k in range(8):
         manifest = json.loads((tmp_path / str(k) / "manifest.json").read_text())
         assert sorted(manifest["versions"]) == ["eptriad", "numpy", "python"]

@@ -1,6 +1,6 @@
 import json
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -132,7 +132,7 @@ class TestSynthesis:
         ds = synthesize([p], cfg, NoiseSpec(0.0, 0))
         phi = onsite_profile(cfg)
         freqs = cfg.frequencies()
-        resp = ds.steps[0].responses
+        resp = ds.responses[0]
         for fi in (0, 15, 30):
             g3 = greens_3site(freqs[fi], p, cfg.scale)
             for site in range(3):
@@ -142,8 +142,8 @@ class TestSynthesis:
 
     def test_deterministic(self):
         pts = [ParamPoint(0.33, 0.1, 0.0, G)]
-        a = synthesize(pts, noise=NoiseSpec(0.01, 42)).steps[0].responses
-        b = synthesize(pts, noise=NoiseSpec(0.01, 42)).steps[0].responses
+        a = synthesize(pts, noise=NoiseSpec(0.01, 42)).responses[0]
+        b = synthesize(pts, noise=NoiseSpec(0.01, 42)).responses[0]
         assert np.array_equal(a, b)
 
     def test_resonances_inside_window_and_sharp_mode_peak(self):
@@ -159,7 +159,7 @@ class TestSynthesis:
         p = ParamPoint(0.33, 0.0, 0.0, G)
         ds = synthesize([p], cfg, NoiseSpec(0.0, 0))
         freqs = cfg.frequencies()
-        total = np.abs(ds.steps[0].responses).sum(axis=0)
+        total = np.abs(ds.responses[0]).sum(axis=0)
         es = eigensystem(p)
         spacing = freqs[1] - freqs[0]
         peaks = [to_physical(w) for w in es.eigenvalues]
@@ -203,16 +203,17 @@ class TestBatchedForwardModel:
         pts = list(preset_loop("mu1", steps_per_segment=1).steps)
         noise = NoiseSpec(0.01, 23)
         ds = synthesize(pts, cfg, noise)
-        for k, (p, step) in enumerate(zip(pts, ds.steps)):
+        assert ds.param_truth == pts
+        for k, (p, responses) in enumerate(zip(pts, ds.responses)):
             theta = np.array([cfg.scale.omega0, cfg.scale.gamma0, cfg.scale.kappa, p.eta, p.zeta, p.xi, p.g])
             rng = np.random.default_rng([noise.seed, k])
             mult = 1.0 + noise.relative_amplitude * (
-                rng.standard_normal(step.responses.shape) + 1j * rng.standard_normal(step.responses.shape)
+                rng.standard_normal(responses.shape) + 1j * rng.standard_normal(responses.shape)
             ) / np.sqrt(2.0)
             sites = spectral._response_matrix(theta, freqs, cfg.source_site - 1)
             want = ((phi * phi[-1])[:, None] * sites[:, None, :]).reshape(21, -1) * mult
-            assert np.array_equal(step.responses, want)
-            _assert_matches_oracle(step.responses, solved_response(theta, freqs, 7, cfg.source_site - 1) * mult)
+            assert np.array_equal(responses, want)
+            _assert_matches_oracle(responses, solved_response(theta, freqs, 7, cfg.source_site - 1) * mult)
 
 
 #: largest deviation from the dense-solve oracle, relative to the largest
@@ -246,7 +247,7 @@ class TestForwardModelOracle:
         ep = refine_ep(ParamPoint(*seed)).point
         cfg = CavityConfig(source_site=source_site)
         theta = np.array([cfg.scale.omega0, cfg.scale.gamma0, cfg.scale.kappa, ep.eta, ep.zeta, ep.xi, ep.g])
-        got = synthesize([ep], cfg).steps[0].responses
+        got = synthesize([ep], cfg).responses[0]
         _assert_matches_oracle(got, solved_response(theta, cfg.frequencies(), 7, source_site - 1))
 
     @pytest.mark.parametrize("seed", EP_SEEDS)
@@ -288,6 +289,25 @@ class TestResponseJacobian:
         _assert_jacobian_matches_oracle(np.array([19729.0, 83.5, kappa, *near]), src)
 
 
+class TestResolvent:
+    """One closed-form resolvent serves the forward model and its Jacobian."""
+
+    @given(st.sampled_from([1, 8]).flatmap(_thetas))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_solves_and_the_forward_model_is_its_driven_column(self, thetas):
+        freqs = CavityConfig().frequencies()
+        c, green = spectral._resolvent(thetas, freqs)
+        assert c.shape == (thetas.shape[1], 1) and green.shape == (thetas.shape[1], len(freqs), 3, 3)
+        assert np.array_equal(c[:, 0], np.abs(thetas[2]))
+        for k, theta in enumerate(thetas.T):
+            for f, omega in enumerate(freqs):
+                _assert_matches_oracle(green[k, f], solved_greens(theta, omega))
+        for src in range(3):
+            sites = spectral._response_matrix(thetas, freqs, src)
+            assert sites.flags.c_contiguous
+            assert np.array_equal(sites, green[..., src].transpose(0, 2, 1))
+
+
 def _probe_row_cost(data, theta, config):
     """sum |R - model|^2 / ||R||^2 over every probe row of the spectrum ``data``."""
     sites = spectral._response_matrix(theta, config.frequencies(), config.source_site - 1)
@@ -325,37 +345,42 @@ class TestProfileProjection:
         from eptriad.loops import preset_loop
 
         ds = synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), CavityConfig())
-        for step in ds.steps:
-            assert spectral._site_responses(step.responses, ds.config)[2] < 1e-28
-            assert fit_step(step.responses, ds.config).residual < 1e-24
+        for responses in ds.responses:
+            assert spectral._site_responses(responses, ds.config)[2] < 1e-28
+            assert fit_step(responses, ds.config).residual < 1e-24
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_a_fits_residual_is_its_probe_row_cost(self, seed):
         from eptriad.loops import preset_loop
 
         ds = synthesize(list(preset_loop("rho1", steps_per_segment=1).steps), CavityConfig(), NoiseSpec(0.02, seed))
-        for step in ds.steps:
-            fit = fit_step(step.responses, ds.config)
-            want = _probe_row_cost(step.responses, fit.theta(), ds.config)
+        for responses in ds.responses:
+            fit = fit_step(responses, ds.config)
+            want = _probe_row_cost(responses, fit.theta(), ds.config)
             assert abs(fit.residual - want) <= 1e-12 * want, (fit.residual, want)
 
 
 class TestDatasetIO:
+    @pytest.mark.parametrize("shape, n_truths",
+                             [((2, 21, 31), 1), ((2, 21, 31), 3), ((21, 31), 21), ((1, 2, 21, 31), 1)],
+                             ids=["one_truth_short", "one_truth_over", "two_dimensional", "four_dimensional"])
+    def test_a_dataset_needs_3d_responses_and_one_truth_per_step(self, shape, n_truths):
+        with pytest.raises(ValueError, match="one param_truth entry per step"):
+            spectral.SpectralDataset(CavityConfig(), NoiseSpec(), np.ones(shape, complex), [None] * n_truths)
+
     def test_bit_exact_round_trip(self, tmp_path):
         """Every response reads back with its bits: signed zeros, a
         subnormal and numbers at the float limit among them."""
         pts = [ParamPoint(0.33, 0.1, -0.2, G), ParamPoint(0.33, 0.2, -0.1, G)]
         ds = synthesize(pts, noise=NoiseSpec(0.01, 3))
-        ds.steps[0].responses[0, :3] = [complex(-0.0, 5e-324), complex(1e308, -1e308), complex(-0.0, -0.0)]
-        ds.steps[1].param_truth = None
+        ds.responses[0, 0, :3] = [complex(-0.0, 5e-324), complex(1e308, -1e308), complex(-0.0, -0.0)]
+        ds.param_truth[1] = None
         path = tmp_path / "ds.json"
         save_dataset(ds, path)
         back = load_dataset(path)
-        assert len(back.steps) == len(ds.steps)
-        for a, b in zip(ds.steps, back.steps):
-            assert b.responses.dtype == complex and b.responses.shape == a.responses.shape
-            assert np.array_equal(a.responses.view(np.uint64), b.responses.view(np.uint64))
-            assert a.param_truth == b.param_truth
+        assert back.responses.dtype == complex and back.responses.shape == ds.responses.shape == (2, 21, 31)
+        assert np.array_equal(ds.responses.view(np.uint64), back.responses.view(np.uint64))
+        assert back.param_truth == ds.param_truth == [pts[0], None]
         assert back.config == ds.config
         assert back.noise_spec == ds.noise_spec
 
@@ -374,7 +399,7 @@ class TestDatasetIO:
         not a multiple of 4 is a ValueError that names the base64 text."""
         ds = synthesize([ParamPoint(0.33, 0.1, -0.2, G)], noise=NoiseSpec(0.0, 0))
         # one response row fewer: a byte count that is not a multiple of 3, so the text ends in padding
-        ds.steps[0].responses = ds.steps[0].responses[:-1]
+        ds = replace(ds, responses=ds.responses[:, :-1])
         path = tmp_path / "ds.json"
         save_dataset(ds, path)
         doc = json.loads(path.read_text())
@@ -399,7 +424,7 @@ class TestFitStep:
     def test_noiseless_round_trip(self):
         p = ParamPoint(0.33, 0.0, 0.0, G)
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
-        fit = fit_step(ds.steps[0].responses, ds.config)
+        fit = fit_step(ds.responses[0], ds.config)
         assert fit.residual < 1e-10
         assert abs(fit.point.eta - p.eta) < 1e-4
         assert abs(fit.point.zeta - p.zeta) < 1e-4
@@ -411,7 +436,7 @@ class TestFitStep:
     def test_eigenvector_reconstruction(self):
         p = ParamPoint(0.33, 0.15, -0.1, G)
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
-        fit = fit_step(ds.steps[0].responses, ds.config)
+        fit = fit_step(ds.responses[0], ds.config)
         truth = eigensystem(p)
         recon = fitted_stack([fit]).row(0)
         # match fitted states to analytic ones by eigenvalue
@@ -426,7 +451,7 @@ class TestFitStep:
         near = ParamPoint(0.33, ep.zeta + 0.002, ep.xi, G)
         ds = synthesize([near], noise=NoiseSpec(0.0, 0))
         with pytest.warns(IdentifiabilityWarning):
-            fit = fit_step(ds.steps[0].responses, ds.config)
+            fit = fit_step(ds.responses[0], ds.config)
         assert fit.identifiability_warning
 
     @pytest.mark.parametrize("kappa", [49.5, -49.5])
@@ -435,7 +460,7 @@ class TestFitStep:
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
         polished = np.array([19729.0, 83.5, kappa, p.eta, p.zeta, p.xi, p.g])
         monkeypatch.setattr(spectral, "_gauss_newton", _polishing_to(polished))
-        fit = fit_step(ds.steps[0].responses, ds.config)
+        fit = fit_step(ds.responses[0], ds.config)
         assert fit.scale.kappa == -49.5
 
     def test_zero_kappa_diverges(self, monkeypatch):
@@ -444,7 +469,7 @@ class TestFitStep:
         polished = np.array([19729.0, 83.5, 0.0, p.eta, p.zeta, p.xi, p.g])
         monkeypatch.setattr(spectral, "_gauss_newton", _polishing_to(polished))
         with pytest.raises(FitDiverged):
-            fit_step(ds.steps[0].responses, ds.config)
+            fit_step(ds.responses[0], ds.config)
 
     def test_rejects_bad_input(self):
         resp = np.full((21, 31), np.nan, dtype=complex)
@@ -465,7 +490,7 @@ def _lab_spectra(preset, source_site, noise, seed):
     segments = len(preset_waypoints(preset)) - 1
     pts = list(preset_loop(preset, steps_per_segment=-(-(MIN_STEPS - 1) // segments)).steps)
     ds = synthesize(pts, CavityConfig(source_site=source_site), NoiseSpec(noise, seed))
-    return [st.responses for st in ds.steps]
+    return list(ds.responses)
 
 
 #: a cavity-B spectrum whose first start polishes into another basin:
@@ -485,7 +510,7 @@ class TestRationalStart:
         cfg = CavityConfig(source_site=source_site)
         p = preset_loop("mu1", steps_per_segment=1).steps[k]
         truth = np.array([cfg.scale.omega0, cfg.scale.gamma0, cfg.scale.kappa, p.eta, p.zeta, p.xi, p.g])
-        starts = spectral._rational_starts(_sites(synthesize([p], cfg).steps[0].responses, cfg), cfg)
+        starts = spectral._rational_starts(_sites(synthesize([p], cfg).responses[0], cfg), cfg)
         # a drive at A has one start, a drive at B or C two
         assert np.isfinite(starts).all(axis=1).tolist() == [True, source_site != 2]
         for start in starts[:1 if source_site == 2 else 2]:
@@ -496,7 +521,7 @@ class TestRationalStart:
     def test_sources_b_and_c_fit_from_their_closed_form_start(self, source_site):
         p = ParamPoint(0.33, 0.1, -0.1, G)
         cfg = CavityConfig(source_site=source_site)
-        fit = fit_step(synthesize([p], cfg).steps[0].responses, cfg)
+        fit = fit_step(synthesize([p], cfg).responses[0], cfg)
         assert fit.residual < 1e-24
         assert np.max(np.abs(fit.point.as_array() - p.as_array())) < 1e-10
 
@@ -506,7 +531,7 @@ class TestRationalStart:
         p = ParamPoint(0.33, 0.1, -0.1, G)
         for source_site in (1, 2, 3):
             cfg = CavityConfig(source_site=source_site)
-            responses = synthesize([p], cfg).steps[0].responses.copy()
+            responses = synthesize([p], cfg).responses[0].copy()
             responses[:7, -1] = 0                   # cavity B silent at the last frequency
             assert np.isnan(spectral._rational_starts(_sites(responses, cfg), cfg)).all()
             with pytest.raises(FitDiverged, match="no finite closed-form start"):
@@ -520,7 +545,7 @@ class TestRationalStart:
         monkeypatch.setattr(spectral, "differential_evolution", no_search)
         cfg = CavityConfig(source_site=source_site)
         ds = synthesize([ParamPoint(0.33, 0.1, -0.1, G)], cfg, NoiseSpec(0.01, 4))
-        assert fit_step(ds.steps[0].responses, cfg).residual < spectral.RESIDUAL_THRESHOLD
+        assert fit_step(ds.responses[0], cfg).residual < spectral.RESIDUAL_THRESHOLD
 
     @pytest.mark.parametrize("source_site", [1, 3])
     @pytest.mark.parametrize("noise", [0.03, 0.05])
@@ -558,8 +583,8 @@ class TestStartIndependence:
         cfg = CavityConfig()
         freqs = cfg.frequencies()
         pts = list(preset_loop("mu1", steps_per_segment=1).steps)
-        for p, step in zip(pts, synthesize(pts, cfg, NoiseSpec(0.01, seed)).steps):
-            y, norm2, floor = spectral._site_responses(step.responses, cfg)
+        for p, responses in zip(pts, synthesize(pts, cfg, NoiseSpec(0.01, seed)).responses):
+            y, norm2, floor = spectral._site_responses(responses, cfg)
             starts = [spectral._rational_starts(y, cfg)[0], spectral._truth_vector(p, cfg.scale)]
             (from_start, from_truth), *_ = spectral._gauss_newton(
                 np.array(starts), np.array([y, y]), freqs, np.full(2, norm2), np.full(2, floor))
@@ -573,9 +598,9 @@ class TestStartIndependence:
 
         cfg = CavityConfig()
         ds = synthesize(list(preset_loop("rho1", steps_per_segment=1).steps), cfg, NoiseSpec(0.02, 0))
-        data = ds.steps[7].responses
+        data = ds.responses[7]
         fit = fit_step(data, cfg)
-        neighbour = fit_step(ds.steps[6].responses, cfg)
+        neighbour = fit_step(ds.responses[6], cfg)
         y, norm2, floor = spectral._site_responses(data, cfg)
         (from_neighbour,), *_ = spectral._gauss_newton(
             neighbour.theta()[None], y[None], cfg.frequencies(), np.array([norm2]), np.array([floor]))
@@ -622,7 +647,7 @@ class TestFitLoop:
 
         ds = synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), CavityConfig(), NoiseSpec(0.01, seed))
         fits, res = fit_loop(ds)
-        searched = [searched_fit(st.responses, ds.config, seed) for st in ds.steps]
+        searched = [searched_fit(responses, ds.config, seed) for responses in ds.responses]
         # the loop fitted from the searched thetas in place of the closed-form starts
         starts = iter(searched)
         monkeypatch.setattr(spectral, "_rational_starts",
@@ -682,7 +707,7 @@ def _one_at_a_time(spectra, config):
 
 def _fit_loop_of(spectra, config):
     """The fits of ``fit_loop`` on a dataset of ``spectra``."""
-    dataset = spectral.SpectralDataset(config, NoiseSpec(), [spectral.SpectralStep(r) for r in spectra])
+    dataset = spectral.SpectralDataset(config, NoiseSpec(), np.array(spectra), [None] * len(spectra))
     return fit_loop(dataset)[0]
 
 
@@ -780,7 +805,7 @@ class TestLoopOrderFailures:
     @staticmethod
     def _near_ep(zeta_offset):
         ep = refine_ep(ParamPoint(0.33, 0.54, 0.40, G)).point
-        return synthesize([ParamPoint(0.33, ep.zeta + zeta_offset, ep.xi, G)]).steps[0].responses
+        return synthesize([ParamPoint(0.33, ep.zeta + zeta_offset, ep.xi, G)]).responses[0]
 
     # the spectra that warn near an EP; a spectrum after the divergent one is never reached
     @pytest.mark.parametrize("diverges, warns, warned", [(4, (1, 6), 1), (0, (2,), 0)],
@@ -893,7 +918,7 @@ class TestStatisticalChecks:
         for k in range(n_total):
             p = ParamPoint(*(rng.uniform(-0.6, 0.6, 3)), rng.uniform(0.05, 0.7))
             ds = synthesize([p], noise=NoiseSpec(0.0, k))
-            fit = fit_step(ds.steps[0].responses, ds.config)
+            fit = fit_step(ds.responses[0], ds.config)
             err = max(
                 abs(fit.point.eta - p.eta),
                 abs(fit.point.zeta - p.zeta),
@@ -912,7 +937,7 @@ class TestStatisticalChecks:
             errs = []
             for seed in range(5):
                 ds = synthesize([p], noise=NoiseSpec(level, seed))
-                fit = fit_step(ds.steps[0].responses, ds.config)
+                fit = fit_step(ds.responses[0], ds.config)
                 errs.append(
                     max(
                         abs(fit.point.eta - p.eta),
