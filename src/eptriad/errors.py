@@ -23,7 +23,7 @@ class NotAnEP(EptriadError):
 
 
 class PathTouchesEP(EptriadError):
-    """A loop step is too close to a degeneracy for safe transport."""
+    """A loop segment passes too close to a degeneracy for safe transport."""
 
 
 class AmbiguousMatch(EptriadError):

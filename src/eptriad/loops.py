@@ -13,9 +13,9 @@ import numpy as np
 
 from .errors import AnchorMismatch, PathTouchesEP
 # discriminant_formula stays importable here for the benchmark's tracer
-from .model import ParamPoint, discriminant_formula, discriminant_values
+from .model import ParamPoint, discriminant_formula, discriminant_roots
 
-#: loop steps must keep |disc| above this bound
+#: no root t of a segment's discriminant may come this close to the segment's [0, 1]
 EP_CLEARANCE = 1e-8
 
 MIN_STEPS = 8
@@ -23,7 +23,8 @@ MIN_STEPS = 8
 
 @dataclass(frozen=True, eq=False)
 class LoopPath:
-    """A closed loop: its waypoints and the (L, 4) array of its steps.
+    """A closed loop: its waypoints, the (L, 4) array of its steps and the
+    number of equal steps on each waypoint segment, from its first waypoint.
 
     Row l of ``params`` is step l as (eta, zeta, xi, g); the first and last
     rows coincide.
@@ -32,9 +33,10 @@ class LoopPath:
     g: float
     waypoints: tuple[ParamPoint, ...]
     params: np.ndarray
+    segment_steps: tuple[int, ...]
     label: str = ""
-    #: the discriminant at each step: the clearance check's, reused by transport
-    disc: np.ndarray = field(init=False, repr=False)
+    #: (n_segments, 6) roots t of the discriminant along each waypoint segment
+    roots: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.waypoints[0] != self.waypoints[-1]:
@@ -43,18 +45,14 @@ class LoopPath:
             raise ValueError("loop steps must close (first == last)")
         if len(self.params) < MIN_STEPS:
             raise ValueError(f"need at least {MIN_STEPS} steps, got {len(self.params)}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            disc = discriminant_values(*self.params.T)
-            size = np.abs(disc)
-        # a |disc| that overflows would reach the report's winding as a nan
-        bad = np.flatnonzero(~np.isfinite(size))
-        if len(bad):
-            raise ValueError(f"|disc| is not finite at {ParamPoint.from_row(self.params[bad[0]])}")
-        close = np.flatnonzero(size < EP_CLEARANCE)
-        if len(close):
-            l = close[0]
-            raise PathTouchesEP(f"|disc| = {size[l]:.2e} at {ParamPoint.from_row(self.params[l])}")
-        object.__setattr__(self, "disc", disc)
+        ends = np.array([p.as_array() for p in self.waypoints])
+        # a discriminant that overflows would reach the report's winding as a nan: ValueError
+        object.__setattr__(self, "roots", discriminant_roots(ends))
+        gap = np.abs(self.roots - np.clip(self.roots.real, 0, 1)).min(axis=1)
+        if gap.min() < EP_CLEARANCE:
+            k = int(np.argmin(gap))
+            raise PathTouchesEP(f"a discriminant root {gap[k]:.2e} from the segment "
+                                f"{ParamPoint.from_row(ends[k])} -> {ParamPoint.from_row(ends[k + 1])}")
 
     @property
     def steps(self) -> tuple[ParamPoint, ...]:
@@ -79,8 +77,6 @@ def interpolate_loop(
     pts = tuple(waypoints)
     if len(set(pts)) < 3:
         raise ValueError("need at least 3 distinct waypoints")
-    if pts[0] != pts[-1]:
-        raise ValueError("waypoints must form a closed loop (first == last)")
     gs = {p.g for p in pts}
     if len(gs) != 1:
         raise ValueError("all waypoints must share g")
@@ -89,7 +85,7 @@ def interpolate_loop(
     f = (np.array(range(steps_per_segment), dtype=float) / steps_per_segment)[None, :, None]
     segments = (1 - f) * ends[:-1, None, :] + f * ends[1:, None, :]
     params = np.vstack([segments.reshape(-1, 4), ends[-1:]])
-    return LoopPath(g=pts[0].g, waypoints=pts, params=params, label=label)
+    return LoopPath(pts[0].g, pts, params, (steps_per_segment,) * (len(pts) - 1), label)
 
 
 def concat_loops(a: LoopPath, b: LoopPath) -> LoopPath:
@@ -105,16 +101,12 @@ def concat_loops(a: LoopPath, b: LoopPath) -> LoopPath:
     waypoints = b.waypoints[:-1] + a.waypoints
     params = np.vstack([b.params[:-1], a.params])
     label = f"{a.label or 'a'}_after_{b.label or 'b'}"
-    return LoopPath(g=a.g, waypoints=waypoints, params=params, label=label)
+    return LoopPath(a.g, waypoints, params, b.segment_steps + a.segment_steps, label)
 
 
 def reverse_loop(loop: LoopPath) -> LoopPath:
-    return LoopPath(
-        g=loop.g,
-        waypoints=tuple(reversed(loop.waypoints)),
-        params=loop.params[::-1],
-        label=f"{loop.label}-reversed" if loop.label else "reversed",
-    )
+    return LoopPath(loop.g, loop.waypoints[::-1], loop.params[::-1], loop.segment_steps[::-1],
+                    f"{loop.label}-reversed" if loop.label else "reversed")
 
 
 # --------------------------------------------------------------------------

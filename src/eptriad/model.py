@@ -280,13 +280,6 @@ class EigensystemStack:
             min_gap=float(self.min_gap[l]),
         )
 
-    def insert(self, index, other: "EigensystemStack") -> "EigensystemStack":
-        """A new stack with the rows of ``other`` inserted before rows ``index``."""
-        return EigensystemStack(*(
-            np.insert(getattr(self, f), index, getattr(other, f), axis=0)
-            for f in ("params", "eigenvalues", "right_vectors", "left_vectors", "is_degenerate", "min_gap")
-        ))
-
 
 def discriminant_values(eta, zeta, xi, g):
     """Monic-cubic discriminant 18bcd - 4b^3 d + b^2 c^2 - 4c^3 - 27d^2; broadcasts.
@@ -344,6 +337,32 @@ def discriminant_values(eta, zeta, xi, g):
     out = np.asarray(re, dtype=complex)
     out.imag = im
     return out
+
+
+#: Chebyshev-Lobatto nodes t of a segment, and the inverse Vandermonde matrix in s = 2t - 1
+_NODES = (1 + np.cos(np.pi * np.arange(7) / 6)[:, None]) / 2
+_INV_VANDERMONDE = np.linalg.inv(np.vander(2 * _NODES[:, 0] - 1, increasing=True))
+
+
+def discriminant_roots(points: np.ndarray) -> np.ndarray:
+    """The roots t of disc((1 - t) p + t q) on each segment p -> q of the polygon through
+    the (K + 1, 4) ``points``: (K, 6) complex, inf where the degree is below 6.  H is affine in
+    (eta, zeta, xi, g), so disc is a polynomial of degree at most 6 in t, which 7 nodes give,
+    and its roots are its companion matrix's eigenvalues.  ValueError if it is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = discriminant_values(*((1 - _NODES) * points[:-1, None] + _NODES * points[1:, None]).T)
+        coef = (_INV_VANDERMONDE @ disc).T                                   # (K, 7), ascending in s
+    if not np.isfinite(coef).all():
+        raise ValueError("the discriminant along a loop segment is not finite")
+    roots, full = np.full((len(coef), 6), np.inf, dtype=complex), coef[:, 6] != 0
+    companion = np.repeat(np.eye(6, k=-1, dtype=complex)[None], full.sum(), axis=0)
+    companion[:, 0] = -coef[full, 5::-1] / coef[full, 6:]
+    roots[full] = (1 + np.linalg.eigvals(companion)) / 2
+    for k in np.flatnonzero(~full):     # np.roots drops the zero leading coefficients
+        s = np.roots(coef[k, ::-1])
+        roots[k, :len(s)] = (1 + s) / 2
+    return roots
 
 
 def discriminant_formula(p: ParamPoint) -> complex:

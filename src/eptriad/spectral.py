@@ -583,16 +583,17 @@ def fitted_stack(fits: list[FittedParams]) -> EigensystemStack:
 def fit_loop(dataset: SpectralDataset):
     """Fit every step of a closed-loop dataset, then transport the fitted frames.
 
-    Each step is fitted from its own spectrum as ``fit_step`` fits it
-    (closed-form start and polish), all of them as one stack
-    (``_fit_spectra``), so no fit depends on its neighbour.  Returns (fits, transport_result); the fitted frames are
-    stacked once (``fitted_stack``) and transported as an analytic stack is.
+    Each step is fitted from its own spectrum as ``fit_step`` fits it (closed-form start and
+    polish), all of them as one stack (``_fit_spectra``), so no fit depends on its neighbour.
+    Returns (fits, transport_result); the fitted frames are stacked once (``fitted_stack``) and
+    transported as an analytic stack is, with the winding of the polygon of the fitted points.
     """
     from .transport import transport_eigensystems
 
-    check_dataset(dataset)
+    if len(dataset.responses) < 8:
+        raise ValueError("need at least 8 steps forming a closed loop")
     fits = _fit_spectra(dataset.responses, dataset.config)
-    result = transport_eigensystems(fitted_stack(fits), label="fitted-loop", refine=False)
+    result = transport_eigensystems(fitted_stack(fits), label="fitted-loop")
     return fits, result
 
 

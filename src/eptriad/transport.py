@@ -4,7 +4,8 @@ The tracked frame starts from the anchor eigensystem ordered by ascending
 real part.  At each step the 3x3 biorthogonal overlap matrix is formed, the
 band assignment maximizing the total squared overlap is chosen, and the
 arbitrary per-step excitation phase Im[ln <L_j | R_j'>] is compensated so
-each band stays phase-continuous.
+each band stays phase-continuous.  A loop's steps are refined at the roots
+of its segments' discriminants before they are solved (:func:`transport`).
 
 All steps are scored at once on the raw (Re-sorted, unrotated) frames: a
 score and its margin do not change when the tracked frame's rows are
@@ -36,15 +37,8 @@ import numpy as np
 from .errors import AmbiguousMatch, NonUnimodularDeterminant
 from .loops import LoopPath
 # eigensystem and discriminant_formula stay importable here for the benchmark's tracer
-from .model import (
-    Eigensystem,
-    EigensystemStack,
-    ParamPoint,
-    discriminant_formula,
-    discriminant_values,
-    eigensystem,
-    eigensystems,
-)
+from .model import (Eigensystem, EigensystemStack, ParamPoint, discriminant_formula, discriminant_roots,
+                    eigensystem, eigensystems)
 from .permutations import PermutationElement, to_matrix
 
 _PERMS = tuple(itertools.permutations(range(3)))
@@ -55,7 +49,6 @@ _COMPOSE = np.array([[_PERMS.index(tuple(pb[k] for k in pa)) for pa in _PERMS] f
 
 DEFAULT_OVERLAP_FLOOR = 0.5
 DEFAULT_AMBIGUITY_MARGIN = 1e-3
-MAX_BISECTIONS = 8
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,6 @@ class TransportResult:
     min_overlap: float
     reliable: bool                        # min_overlap above the floor, parity agreeing with disc_winding
     min_gap: float                        # smallest eigenvalue gap along the loop
-    disc_values: np.ndarray               # (L,) complex discriminant along path
     disc_winding: float                   # winding number (1/2pi) of arg(disc) along the loop
 
     @property
@@ -146,60 +138,36 @@ def match_assignment(es_from: Eigensystem, es_to: Eigensystem):
     return _PERMS[best], overlap, margin
 
 
-def _principal(theta: float) -> float:
-    return (theta + np.pi) % (2 * np.pi) - np.pi
+def root_winding(roots: np.ndarray) -> float:
+    """Winding number (1/2pi) of arg(disc) along a polygon whose segments'
+    discriminants have the roots t ``roots`` (``model.discriminant_roots``):
+    on a segment, arg(t - r) turns by arg((1 - r) / (0 - r)) = arg(1 - 1/r)."""
+    return float(np.angle(1 - 1 / roots).sum() / (2 * np.pi))
 
 
-def _winding(d: np.ndarray) -> float:
-    """Winding number (1/2pi) of arg(d) along the path of values ``d``."""
-    return float(np.angle(d[1:] / d[:-1]).sum() / (2 * np.pi))
-
-
-def _resolve_steps(stack: EigensystemStack, refine: bool):
-    """Raw overlaps and best assignments of every step of ``stack``.
-
-    Steps whose margin is below ``DEFAULT_AMBIGUITY_MARGIN`` are ambiguous.
-    Ambiguous steps are bisected level by level: each level inserts the
-    midpoints of all steps still ambiguous, solved in one batch.  A step's
-    margin depends only on its two end frames, so this inserts the same
-    points as bisecting one step at a time.  Returns the refined stack too.
-    """
-    for level in range(MAX_BISECTIONS + 1):
-        overlap = stack.left_vectors[:-1] @ stack.right_vectors[1:]
-        best, margin = best_assignments(overlap)
-        ambiguous = np.flatnonzero(margin < DEFAULT_AMBIGUITY_MARGIN)
-        if not len(ambiguous):
-            return stack, overlap, best
-        if not refine or level == MAX_BISECTIONS:
-            l = ambiguous[0]
-            raise AmbiguousMatch(
-                f"assignment margin {margin[l]:.2e} at step {l} "
-                f"({ParamPoint.from_row(stack.params[l])} -> {ParamPoint.from_row(stack.params[l + 1])})"
-            )
-        mids = eigensystems(0.5 * (stack.params[ambiguous] + stack.params[ambiguous + 1]))
-        stack = stack.insert(ambiguous + 1, mids)
-
-
-def transport_eigensystems(stack: EigensystemStack, label: str = "", refine: bool = True,
-                           disc=None) -> TransportResult:
+def transport_eigensystems(stack: EigensystemStack, label: str = "", roots=None) -> TransportResult:
     """Parallel transport over the closed eigensystem sequence ``stack``
     (analytic, or fitted frames from ``spectral.fitted_stack``).
 
-    When ``refine`` is set, ambiguous steps are bisected by inserting
-    interpolated parameter points (up to 8 levels) before giving up with
-    AmbiguousMatch.  Θ is not checked for unimodularity (fitted frames are
-    only near-biorthonormal), but a singular final frame raises
-    NonUnimodularDeterminant.  ``disc``, the discriminant already computed
-    at the rows of ``stack``, is reused unless bisection inserted rows.
+    A step whose assignment margin is below ``DEFAULT_AMBIGUITY_MARGIN``
+    raises AmbiguousMatch.  Θ is not checked for unimodularity (fitted
+    frames are only near-biorthonormal), but a singular final frame raises
+    NonUnimodularDeterminant.  ``roots`` are the discriminant's roots on the
+    loop's segments (``LoopPath.roots``), by default on those between rows.
 
     The result is reliable when every matched overlap clears
     ``DEFAULT_OVERLAP_FLOOR`` and the permutation's parity is (-1)^round(w)
     for the discriminant's winding w.  The discriminant is V^2 for the
     product V of the eigenvalue differences, and a loop multiplies V by the
     sign of its permutation, so w is odd exactly when the permutation is:
-    a coarse loop whose steps miss or invent an exchange is flagged.
+    frames whose steps miss or invent an exchange are flagged.
     """
-    stack, overlap, best = _resolve_steps(stack, refine)
+    overlap = stack.left_vectors[:-1] @ stack.right_vectors[1:]
+    best, margin = best_assignments(overlap)
+    if (margin < DEFAULT_AMBIGUITY_MARGIN).any():
+        l = int(np.argmax(margin < DEFAULT_AMBIGUITY_MARGIN))
+        a, b = ParamPoint.from_row(stack.params[l]), ParamPoint.from_row(stack.params[l + 1])
+        raise AmbiguousMatch(f"assignment margin {margin[l]:.2e} at step {l} ({a} -> {b})")
 
     # m[l, j]: the raw (Re-sorted) band that tracked band j occupies at step l
     m = chain_assignments(best)
@@ -209,27 +177,18 @@ def transport_eigensystems(stack: EigensystemStack, label: str = "", refine: boo
     phase = np.arctan2(matched.imag, matched.real).sum(axis=0)
     tracked_end = stack.right_vectors[-1][:, m[-1]] * np.exp(-1j * phase)
 
-    changed = np.flatnonzero((m[1:] != m[:-1]).any(axis=1))
-    events = [
-        ExchangeEvent(
-            step=int(l) + 1,
-            point=ParamPoint.from_row(stack.params[l + 1]),
-            before=tuple(m[l].tolist()),
-            after=tuple(m[l + 1].tolist()),
-        )
-        for l in changed
-    ]
+    events = [ExchangeEvent(int(l) + 1, ParamPoint.from_row(stack.params[l + 1]), tuple(m[l].tolist()),
+                            tuple(m[l + 1].tolist())) for l in np.flatnonzero((m[1:] != m[:-1]).any(axis=1))]
     permutation = PermutationElement(tuple(int(r) + 1 for r in m[-1]))
     holonomy = stack.left_vectors[0] @ tracked_end
     det = complex(np.linalg.det(holonomy))
     parity = float(np.linalg.det(to_matrix(permutation)))
     if det == 0:
         raise NonUnimodularDeterminant("det U = 0: the tracked frame lost rank")
-    theta = _principal(-cmath.log(parity * det).imag)
+    theta = (np.pi - cmath.log(parity * det).imag) % (2 * np.pi) - np.pi     # in [-pi, pi)
     step_overlaps = np.abs(matched)
     min_overlap = float(step_overlaps.min(initial=1.0))
-    disc_values = disc if disc is not None and len(disc) == len(stack) else discriminant_values(*stack.params.T)
-    winding = _winding(disc_values)
+    winding = root_winding(discriminant_roots(stack.params) if roots is None else roots)
     parity_agrees = cmath.isfinite(winding) and parity == (-1) ** round(winding)
 
     return TransportResult(
@@ -243,20 +202,49 @@ def transport_eigensystems(stack: EigensystemStack, label: str = "", refine: boo
         min_overlap=min_overlap,
         reliable=min_overlap > DEFAULT_OVERLAP_FLOOR and parity_agrees,
         min_gap=float(stack.min_gap.min()),
-        disc_values=disc_values,
         disc_winding=winding,
     )
 
 
 def transport(loop: LoopPath) -> TransportResult:
-    """Transport the band frame around a LoopPath (band 1 = lowest Re at anchor)."""
-    return transport_eigensystems(eigensystems(loop.params), label=loop.label, disc=loop.disc)
+    """Transport the band frame around a LoopPath (band 1 = lowest Re at anchor).
+
+    Midpoints are first inserted until each step's length in t is at most
+    its distance to the nearest discriminant root of its segment, so no step
+    passes an EP closer than its own length; then one ``eigensystems`` call
+    solves every step.  A segment of n steps whose roots lie 1/n or more
+    from [0, 1] needs no point and costs nothing more.
+    """
+    return transport_eigensystems(eigensystems(_refined(loop)), label=loop.label, roots=loop.roots)
+
+
+def _refined(loop: LoopPath) -> np.ndarray:
+    """``loop.params`` with the midpoints that :func:`transport` inserts."""
+    n = np.array(loop.segment_steps)
+    near = np.flatnonzero(n * np.abs(loop.roots - np.clip(loop.roots.real, 0, 1)).min(axis=1) < 1)
+    if not len(near):
+        return loop.params
+    seg, i = np.repeat(near, n[near]), np.concatenate([np.arange(n[k]) for k in near])
+    lo, hi, mids = i / n[seg], (i + 1) / n[seg], []
+    while len(seg):
+        roots = loop.roots[seg]
+        split = hi - lo > np.abs(roots - np.clip(roots.real, lo[:, None], hi[:, None])).min(axis=1)
+        seg, lo, hi = seg[split], lo[split], hi[split]
+        t = (lo + hi) / 2
+        mids.append((seg, t))
+        seg, lo, hi = np.tile(seg, 2), np.concatenate([lo, t]), np.concatenate([t, hi])
+    seg, t = (np.concatenate(x) for x in zip(*mids))
+    ends = np.array([p.as_array() for p in loop.waypoints])
+    # row l of the loop sits at l, a midpoint at its segment's first row plus t times its step count
+    at = np.concatenate([np.arange(len(loop.params)), (np.cumsum(n) - n)[seg] + t * n[seg]])
+    rows = np.concatenate([loop.params, (1 - t[:, None]) * ends[seg] + t[:, None] * ends[seg + 1]])
+    return rows[np.argsort(at, kind="stable")]
 
 
 def eigenvalue_vorticity(result: TransportResult, pair: tuple[int, int]) -> float:
     """Winding number (1/2pi) of arg(w_i - w_j) along the loop, tracked bands."""
-    i, j = pair[0] - 1, pair[1] - 1
-    return _winding(result.tracked_eigenvalues[:, i] - result.tracked_eigenvalues[:, j])
+    d = result.tracked_eigenvalues[:, pair[0] - 1] - result.tracked_eigenvalues[:, pair[1] - 1]
+    return float(np.angle(d[1:] / d[:-1]).sum() / (2 * np.pi))
 
 
 def vorticity_table(result: TransportResult) -> dict[str, float]:

@@ -233,12 +233,12 @@ def test_criterion_11_robustness_suite():
 
     loop = preset_loop("mu1", 200)
     stack = eigensystems(loop.params)
-    base = transport_eigensystems(stack, refine=False)
+    base = transport_eigensystems(stack)
     phases = np.exp(1j * np.array([0.4, -1.3, 2.2]))
     right, left = stack.right_vectors.copy(), stack.left_vectors.copy()
     right[[0, -1]] = right[0] * phases[None, :]
     left[[0, -1]] = left[0] / phases[:, None]
-    alt = transport_eigensystems(replace(stack, right_vectors=right, left_vectors=left), refine=False)
+    alt = transport_eigensystems(replace(stack, right_vectors=right, left_vectors=left))
     assert alt.permutation == base.permutation
     assert np.max(np.abs(np.abs(alt.holonomy) - np.abs(base.holonomy))) < 1e-9
     assert circular_distance(alt.berry_phase, base.berry_phase) < 1e-9

@@ -1,8 +1,10 @@
 """Differential gate for the batched eigensystem layer.
 
 The references below are the one-point-at-a-time implementations that the
-batched layer replaced: the scalar eigensystem, the sequential transport
-sweep (match, reorder and bisect one step at a time), the per-step loop
+batched layer replaced: the scalar eigensystem, the step-by-step refinement
+of a loop (each step split recursively, its segment's discriminant roots
+from ``np.polyfit`` and ``np.roots``), the sequential transport sweep over
+the refined steps (match and reorder one step at a time), the per-step loop
 interpolation and the row sweep of the sheet tracker.  The batched code must
 make the same decisions (permutation, exchange steps, inserted points,
 reliability) and reproduce their numbers within 1e-12.
@@ -26,6 +28,7 @@ from eptriad.model import (
     Eigensystem,
     ParamPoint,
     discriminant_formula,
+    discriminant_values,
     eigensystem,
     eigensystems,
 )
@@ -96,23 +99,48 @@ def ref_reorder(es, order, phases=None):
     return Eigensystem(es.point, es.eigenvalues[idx], right, left, es.is_degenerate, es.min_gap)
 
 
-def ref_transport(systems, ambiguity_margin=1e-3, refine=True):
+def ref_roots(a, b):
+    """Roots t of disc((1 - t) a + t b): a degree-6 least-squares fit at 25 points."""
+    t = np.linspace(0.0, 1.0, 25)
+    return np.roots(np.polyfit(t, [discriminant_values(*((1 - s) * a + s * b)) for s in t], 6))
+
+
+def ref_winding(points):
+    """Winding number (1/2pi) of arg(disc) along the polygon through ``points``:
+    on each segment, arg(t - r) turns by the phase of (1 - r) / (0 - r)."""
+    phases = [cmath.phase((1 - r) / -r) for a, b in zip(points[:-1], points[1:]) for r in ref_roots(a, b)]
+    return sum(phases) / (2 * np.pi)
+
+
+def ref_refined_steps(loop):
+    """The loop's steps with, in each step, the midpoints that split it,
+    recursively, while its length in t exceeds its distance to the nearest
+    root of its segment's discriminant."""
+    ends = [p.as_array() for p in loop.waypoints]
+
+    def split(k, roots, lo, hi):
+        if hi - lo <= min(abs(r - min(max(r.real, lo), hi)) for r in roots):
+            return []
+        t = (lo + hi) / 2
+        return split(k, roots, lo, t) + [(1 - t) * ends[k] + t * ends[k + 1]] + split(k, roots, t, hi)
+
+    steps, l = [loop.params[0]], 0
+    for k, n in enumerate(loop.segment_steps):
+        roots = ref_roots(ends[k], ends[k + 1])
+        for i in range(n):
+            l += 1
+            steps += split(k, roots, i / n, (i + 1) / n) + [loop.params[l]]
+    return steps
+
+
+def ref_transport(systems, winding, ambiguity_margin=1e-3):
     """The sequential sweep: match each step against the tracked frame."""
-    work = list(systems)
-    depth = [0] * (len(work) - 1)
-    anchor = tracked = work[0]
+    anchor = tracked = systems[0]
     m = (0, 1, 2)
     events, tracked_w, min_overlap = [], [anchor.eigenvalues], 1.0
-    l = 0
-    while l < len(work) - 1:
-        nxt = work[l + 1]
+    for l, nxt in enumerate(systems[1:]):
         assign, overlap, margin = ref_match(tracked, nxt)
         if margin < ambiguity_margin:
-            if refine and depth[l] < transport_module.MAX_BISECTIONS:
-                mid = 0.5 * (tracked.point.as_array() + nxt.point.as_array())
-                work.insert(l + 1, ref_eigensystem(ParamPoint(*mid)))
-                depth[l : l + 1] = [depth[l] + 1, depth[l] + 1]
-                continue
             raise AmbiguousMatch(f"at step {l}")
         phases = np.array([np.angle(overlap[j, assign[j]]) for j in range(3)])
         min_overlap = min(min_overlap, min(abs(overlap[j, assign[j]]) for j in range(3)))
@@ -121,15 +149,11 @@ def ref_transport(systems, ambiguity_margin=1e-3, refine=True):
             m = assign
         tracked = ref_reorder(nxt, assign, phases)
         tracked_w.append(tracked.eigenvalues)
-        l += 1
     permutation = PermutationElement(tuple(r + 1 for r in m))
     holonomy = anchor.left_vectors @ tracked.right_vectors
     parity = float(np.linalg.det(to_matrix(permutation)))
     theta = -np.angle(parity * np.linalg.det(holonomy))
-    # reliable also needs the permutation's parity to be (-1)^round(w) for the
-    # discriminant's winding w over every point swept, inserted ones too
-    disc = [discriminant_formula(es.point) for es in work]
-    winding = sum(cmath.phase(b / a) for a, b in zip(disc[:-1], disc[1:])) / (2 * np.pi)
+    # reliable also needs the permutation's parity to be (-1)^round(w) for the discriminant's winding w
     return {
         "permutation": permutation,
         "events": events,
@@ -186,7 +210,8 @@ def assert_same_transport(res, ref):
 
 
 def ref_loop_transport(loop, ambiguity_margin=1e-3):
-    return ref_transport([ref_eigensystem(q) for q in loop.steps], ambiguity_margin)
+    systems = [ref_eigensystem(ParamPoint.from_row(q)) for q in ref_refined_steps(loop)]
+    return ref_transport(systems, ref_winding([p.as_array() for p in loop.waypoints]), ambiguity_margin)
 
 
 # --------------------------------------------------------------------------
@@ -432,23 +457,29 @@ def test_regauged_anchor_list_matches_the_sequential_sweep():
     right[[0, -1]] = right[0] * phases[None, :]
     left[[0, -1]] = left[0] / phases[:, None]
     regauged = replace(stack, right_vectors=right, left_vectors=left)
-    res = transport_eigensystems(regauged, refine=False)
-    assert_same_transport(res, ref_transport([regauged.row(l) for l in range(len(regauged))], refine=False))
+    res = transport_eigensystems(regauged)
+    assert_same_transport(res, ref_transport([regauged.row(l) for l in range(len(regauged))],
+                                             ref_winding(regauged.params)))
 
 
-@pytest.mark.parametrize("name, n, margin", [("mu1", 2, 1.0), ("rho1", 4, 1.5), ("big", 2, 1.95)])
-def test_bisection_inserts_the_same_points(name, n, margin, monkeypatch):
-    """A coarse loop with a wide ambiguity margin bisects, on several levels
-    for big; both sweeps must insert the same midpoints."""
-    loop = preset_loop(name, n)
-    ref = ref_loop_transport(loop, margin)
-    monkeypatch.setattr(transport_module, "DEFAULT_AMBIGUITY_MARGIN", margin)
+TRIANGLE = [(-0.152923, 0.383999, -0.371626), (-0.194721, 0.442178, -0.505061), (-0.139757, 0.477862, -0.424061)]
+
+
+@pytest.mark.parametrize("loop", [
+    preset_loop("mu1", 1), preset_loop("rho1", 2), preset_loop("big", 2), preset_loop("rho2", 23),
+    interpolate_loop([ParamPoint(*c, -0.4) for c in TRIANGLE + TRIANGLE[:1]], 3),
+    interpolate_loop([ParamPoint(*c, -0.4) for c in TRIANGLE + TRIANGLE[:1]], 200),
+], ids=["mu1-1", "rho1-2", "big-2", "rho2-23", "triangle-3", "triangle-200"])
+def test_refinement_inserts_the_same_points(loop):
+    """Coarse loops, and the thin triangle of test_loops_transport's
+    TestRootRefinement even at 200 steps per segment, get midpoints before
+    the solve, on several levels; both sweeps must insert the same ones."""
     res = transport(loop)
     assert res.tracked_eigenvalues.shape[0] > loop.n_steps
-    assert_same_transport(res, ref)
+    assert_same_transport(res, ref_loop_transport(loop))
 
 
-def test_exhausted_bisection_raises_like_the_sequential_sweep(monkeypatch):
+def test_an_ambiguous_step_raises_like_the_sequential_sweep(monkeypatch):
     loop = preset_loop("mu1", 2)
     with pytest.raises(AmbiguousMatch, match="at step 0"):
         ref_loop_transport(loop, 2.5)

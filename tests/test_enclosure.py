@@ -14,6 +14,7 @@ odd number of times (ray casting).  Enclosing no EP gives the identity,
 one EP a transposition, and both a 3-cycle, which of the two set by the
 order of the crossings: at eta = 0.33, 312 when the loop crosses the
 negative EP's cut first, 231 when it crosses the positive one's first.
+The discriminant's exact winding counts the enclosed EPs.
 """
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from eptriad.loops import interpolate_loop
 from eptriad.model import ParamPoint
 from eptriad.permutations import PermutationElement, compose
-from eptriad.transport import transport
+from eptriad.transport import root_winding, transport
 from oracles import slice_zeros
 
 # (eta, g): the transpositions of the cuts of the EP with zeta > 0 and of the one with zeta < 0
@@ -69,12 +70,10 @@ def clearance(polygon: np.ndarray, eps: np.ndarray) -> float:
     return float(np.min(np.linalg.norm(eps[:, None] - (a + t[..., None] * ab), axis=-1)))
 
 
-@pytest.mark.parametrize("eta, g", list(SLICES))
-@settings(max_examples=80, deadline=None)
-@given(vertices=st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=4, unique=True))
-@example(vertices=BOTH_POSITIVE_FIRST)
-@example(vertices=BOTH_NEGATIVE_FIRST)
-def test_permutation_is_the_product_of_the_crossed_cuts(eta, g, vertices):
+def drawn_polygon(eta, g, vertices):
+    """The origin and the drawn vertices ordered counter-clockwise about their
+    centroid, starting at the origin, and the slice's EPs; Hypothesis
+    rejects a draw without a clear order or that comes too close to an EP."""
     points = np.array([(0.0, 0.0), *vertices])
     centroid = points.mean(axis=0)
     angles = np.arctan2(*(points - centroid).T[::-1])
@@ -83,7 +82,16 @@ def test_permutation_is_the_product_of_the_crossed_cuts(eta, g, vertices):
     polygon = np.roll(points[order], -int(np.flatnonzero(order == 0)[0]), axis=0)
     eps = slice_eps(eta, g)
     assume(clearance(polygon, eps) >= CLEARANCE)
+    return polygon, eps
 
+
+@pytest.mark.parametrize("eta, g", list(SLICES))
+@settings(max_examples=80, deadline=None)
+@given(vertices=st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=4, unique=True))
+@example(vertices=BOTH_POSITIVE_FIRST)
+@example(vertices=BOTH_NEGATIVE_FIRST)
+def test_permutation_is_the_product_of_the_crossed_cuts(eta, g, vertices):
+    polygon, eps = drawn_polygon(eta, g, vertices)
     crossed = cut_crossings(polygon, eps)
     want = PermutationElement.identity()
     for k in crossed:
@@ -94,3 +102,20 @@ def test_permutation_is_the_product_of_the_crossed_cuts(eta, g, vertices):
     assert result.reliable
     assert result.permutation.as_string() == want.as_string()
     assert result.permutation.order() == (1, 2, 3)[enclosed]
+
+
+@pytest.mark.parametrize("eta, g", list(SLICES))
+@settings(max_examples=200, deadline=None)
+@given(vertices=st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=4, unique=True))
+@example(vertices=BOTH_POSITIVE_FIRST)
+@example(vertices=BOTH_NEGATIVE_FIRST)
+def test_exact_winding_counts_the_enclosed_eps(eta, g, vertices):
+    """The discriminant is a polynomial in xi + i zeta with a simple zero at
+    each EP of the slice, so the exact winding (from each segment's roots)
+    is minus the number of EPs the loop encloses: (zeta, xi) to xi + i zeta
+    reverses the orientation."""
+    polygon, eps = drawn_polygon(eta, g, vertices)
+    crossed = cut_crossings(polygon, eps)
+    enclosed = sum(crossed.count(k) % 2 for k in range(len(eps)))
+    loop = interpolate_loop([ParamPoint(eta, z, x, g) for z, x in [*polygon, polygon[0]]], steps_per_segment=8)
+    assert abs(root_winding(loop.roots) + enclosed) < 1e-9

@@ -5,13 +5,21 @@ import pytest
 
 from conftest import circular_distance
 from eptriad.errors import AmbiguousMatch, AnchorMismatch, NonUnimodularDeterminant, PathTouchesEP
-from eptriad.loops import PRESET_NAMES, concat_loops, interpolate_loop, preset_loop, preset_waypoints, reverse_loop
-from eptriad.model import ParamPoint, discriminant_values, eigensystem, eigensystems
+from eptriad.loops import (
+    PRESET_NAMES,
+    concat_loops,
+    interpolate_loop,
+    preset_loop,
+    preset_waypoints,
+    reverse_loop,
+)
+from eptriad.model import ParamPoint, discriminant_roots, discriminant_values, eigensystem, eigensystems
 from eptriad.permutations import element, identify, to_matrix
 from eptriad.transport import (
     DEFAULT_OVERLAP_FLOOR,
     eigenvalue_vorticity,
     match_assignment,
+    root_winding,
     transport,
     transport_eigensystems,
 )
@@ -191,7 +199,7 @@ class TestInvariances:
     def test_gauge_invariance(self):
         loop = preset_loop("mu1", 200)
         stack = eigensystems(loop.params)
-        base = transport_eigensystems(stack, refine=False)
+        base = transport_eigensystems(stack)
 
         rng = np.random.default_rng(5)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
@@ -199,7 +207,7 @@ class TestInvariances:
         right, left = stack.right_vectors.copy(), stack.left_vectors.copy()
         right[[0, -1]] = right[0] * phases[None, :]
         left[[0, -1]] = left[0] / phases[:, None]
-        alt = transport_eigensystems(replace(stack, right_vectors=right, left_vectors=left), refine=False)
+        alt = transport_eigensystems(replace(stack, right_vectors=right, left_vectors=left))
         assert alt.permutation == base.permutation
         assert np.max(np.abs(np.abs(alt.holonomy) - np.abs(base.holonomy))) < 1e-9
         assert abs(np.linalg.det(alt.holonomy) - np.linalg.det(base.holonomy)) < 1e-9
@@ -252,6 +260,35 @@ class TestVorticity:
             assert abs(s - res.disc_winding / 2) < 1e-3
 
 
+class TestDiscriminantRoots:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_exact_winding_equals_the_finely_sampled_winding(self, name):
+        """The winding from each segment's roots against the phase sum of the
+        discriminant sampled at 1000 steps per segment."""
+        loop = preset_loop(name, 1000)
+        disc = discriminant_values(*loop.params.T)
+        sampled = np.angle(disc[1:] / disc[:-1]).sum() / (2 * PI)
+        assert abs(root_winding(loop.roots) - sampled) < 1e-9
+        assert round(sampled) == (-1 if name.startswith("mu") else -2)
+
+    def test_a_zero_leading_coefficient_lowers_the_degree(self, monkeypatch):
+        """On a segment at fixed eta and g the discriminant has degree 4 in t;
+        with its two top coefficients exactly 0, the roots are those of the
+        degree-4 polynomial, and the rest are inf."""
+        import eptriad.model as model
+
+        ends = np.array([p.as_array() for p in preset_waypoints("mu1")])
+        want = discriminant_roots(ends)
+        inverse = model._INV_VANDERMONDE.copy()
+        inverse[5:] = 0.0
+        monkeypatch.setattr(model, "_INV_VANDERMONDE", inverse)
+        got = discriminant_roots(ends)
+        assert np.isinf(got[:, 4:]).all() and np.isfinite(got[:, :4]).all() and np.isfinite(want).all()
+        assert abs(root_winding(got) - root_winding(want)) < 1e-12
+        gaps = [np.abs(r - np.clip(r.real, 0, 1)).min(axis=1) for r in (got, want)]
+        assert np.allclose(*gaps, rtol=1e-9, atol=0)
+
+
 class TestExchangeDecomposition:
     """The outer-pair-swap loop (mu2) shifted off the eta = 0 plane.
 
@@ -296,22 +333,23 @@ class TestErrorPaths:
         right[1, :, 1:] = right[1, :, 1:] @ mix
         left[1] = np.linalg.inv(right[1])
         with pytest.raises(AmbiguousMatch):
-            transport_eigensystems(replace(stack, right_vectors=right, left_vectors=left), refine=False)
+            transport_eigensystems(replace(stack, right_vectors=right, left_vectors=left))
 
     def test_singular_final_frame_raises(self):
         stack = self.frames(4)
         right = stack.right_vectors.copy()
         right[3, :, 2] = 0.0
         with pytest.raises(NonUnimodularDeterminant):
-            transport_eigensystems(replace(stack, right_vectors=right), refine=False)
+            transport_eigensystems(replace(stack, right_vectors=right))
 
 
-class TestBisectionIsReachable:
-    """A coarse loop at the default ambiguity margin that needs bisection: a
-    thin triangle at g = -0.4 that passes close to an exceptional arc.  At 5
-    steps per segment two steps are ambiguous; bisecting them gives the
-    permutation that 200 steps per segment give, and without bisection the
-    match is refused."""
+class TestRootRefinement:
+    """A thin triangle at g = -0.4 that passes close to an exceptional arc.
+    Sampled as given, at 3 to 5 steps per segment, it steps over its
+    exchange or has ambiguous steps; transport first inserts midpoints until
+    each step is no longer, in t, than its distance to the nearest root of
+    its segment's discriminant, and every step count then gives the
+    permutation (2 1 3) of the fine loop."""
 
     G = -0.4
     CORNERS = [(-0.152923, 0.383999, -0.371626), (-0.194721, 0.442178, -0.505061), (-0.139757, 0.477862, -0.424061)]
@@ -320,41 +358,36 @@ class TestBisectionIsReachable:
         wps = [ParamPoint(*c, self.G) for c in self.CORNERS]
         return interpolate_loop(wps + wps[:1], steps_per_segment)
 
-    def test_bisection_gives_the_fine_loops_permutation(self):
-        coarse, fine = transport(self.loop(5)), transport(self.loop(200))
-        assert coarse.tracked_eigenvalues.shape[0] == self.loop(5).n_steps + 2
-        assert coarse.permutation.as_string() == fine.permutation.as_string() == "213"
-        assert coarse.reliable and fine.reliable
+    @pytest.mark.parametrize("steps_per_segment", [3, 4, 5, 6, 10, 64, 200])
+    def test_every_step_count_is_reliable_with_the_exchange(self, steps_per_segment):
+        loop = self.loop(steps_per_segment)
+        res = transport(loop)
+        assert res.permutation.as_string() == "213"
+        assert res.reliable and res.min_overlap > DEFAULT_OVERLAP_FLOOR
+        assert abs(res.disc_winding + 1) < 1e-12
+        assert res.tracked_eigenvalues.shape[0] > loop.n_steps
 
     @pytest.mark.parametrize("steps_per_segment", [3, 4])
-    def test_a_coarse_loop_that_misses_the_exchange_is_unreliable(self, steps_per_segment):
+    def test_the_unrefined_steps_miss_the_exchange(self, steps_per_segment):
         """Every margin and overlap clears its bound, but the even (1 2 3)
         disagrees with the discriminant's odd winding."""
-        res = transport(self.loop(steps_per_segment))
+        loop = self.loop(steps_per_segment)
+        res = transport_eigensystems(eigensystems(loop.params), roots=loop.roots)
         assert res.permutation.as_string() == "123"
         assert res.min_overlap > DEFAULT_OVERLAP_FLOOR
-        assert round(res.disc_winding) == -1
         assert not res.reliable
 
-    @pytest.mark.parametrize("steps_per_segment", [6, 10, 64])     # 5 and 200: the test above
-    def test_finer_loops_are_reliable_with_the_exchange(self, steps_per_segment):
-        res = transport(self.loop(steps_per_segment))
-        assert res.permutation.as_string() == "213"
-        assert res.reliable
-
-    def test_without_bisection_the_match_is_refused(self):
+    def test_the_unrefined_steps_are_refused(self):
         with pytest.raises(AmbiguousMatch):
-            transport_eigensystems(eigensystems(self.loop(5).params), refine=False)
+            transport_eigensystems(eigensystems(self.loop(5).params))
 
-    def test_the_winding_reads_the_discriminant_of_every_transported_step(self):
-        """Transport reuses the loop's discriminant, and evaluates it anew
-        over a loop that bisection refined."""
-        fine, coarse = self.loop(200), self.loop(5)
-        assert np.array_equal(fine.disc, discriminant_values(*fine.params.T))
-        assert transport(fine).disc_values is fine.disc
-        res = transport(coarse)
-        assert len(res.disc_values) == res.tracked_eigenvalues.shape[0] == coarse.n_steps + 2
-        assert np.isin(coarse.disc, res.disc_values).all()
+    def test_the_winding_reads_the_loops_roots(self):
+        """Transport takes the loop's winding from the roots of its waypoint
+        segments, whatever its steps; the polygon of its steps winds alike."""
+        coarse, fine = self.loop(3), self.loop(200)
+        assert np.array_equal(coarse.roots, fine.roots)
+        assert transport(coarse).disc_winding == transport(fine).disc_winding == root_winding(fine.roots)
+        assert abs(root_winding(discriminant_roots(fine.params)) + 1) < 1e-12
 
 
 class TestMatchAssignment:

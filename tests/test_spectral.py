@@ -634,7 +634,7 @@ class TestFitLoop:
         pts = list(loop.steps)
         ds = synthesize(pts, noise=NoiseSpec(0.0, 0))
         fits, res = fit_loop(ds)
-        analytic = transport_eigensystems(eigensystems(loop.params), refine=False)
+        analytic = transport_eigensystems(eigensystems(loop.params))
         assert res.permutation == analytic.permutation
         assert circular_distance(res.berry_phase, analytic.berry_phase) < 1e-6
 
