@@ -121,6 +121,15 @@ def _transport_report(result) -> dict:
     }
 
 
+def _unreliable(name: str, result) -> int:
+    """Name the check that unreliable ``result`` failed on stderr; the exit code."""
+    # the overlap floor if it failed, else the parity check of transport_eigensystems
+    why = (f"smallest matched overlap {result.min_overlap:.3f}" if result.min_overlap <= DEFAULT_OVERLAP_FLOOR
+           else f"permutation parity disagrees with the discriminant winding {result.disc_winding:+.3f}")
+    print(f"numerical failure: {name}: transport unreliable, {why}", file=sys.stderr)
+    return EXIT_NUMERICAL
+
+
 def _parse_grid(spec: str) -> tuple[int, int]:
     if "x" in spec.lower():
         a, b = spec.lower().split("x")
@@ -209,13 +218,7 @@ def cmd_loop(args) -> int:
         f"{name}: permutation {result.permutation.as_string()} "
         f"theta {result.berry_phase:+.6f} min_overlap {result.min_overlap:.3f}"
     )
-    if not result.reliable:
-        # name the overlap floor if it failed, else the parity check of transport_eigensystems
-        why = (f"smallest matched overlap {result.min_overlap:.3f}" if result.min_overlap <= DEFAULT_OVERLAP_FLOOR
-               else f"permutation parity disagrees with the discriminant winding {result.disc_winding:+.3f}")
-        print(f"numerical failure: {name}: transport unreliable, {why}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_OK if result.reliable else _unreliable(name, result)
 
 
 def cmd_ea(args) -> int:
@@ -302,6 +305,8 @@ def cmd_lab(args) -> int:
         )
     # the seed of the dataset's noise: a fit reads it from the dataset, not from --seed
     _write_manifest(out, f"lab-{args.subcommand}", vars(args), dataset.noise_spec.seed, stats)
+    if args.subcommand != "synth" and not result.reliable:
+        return _unreliable(result.label, result)
     return EXIT_OK
 
 

@@ -15,18 +15,19 @@ two stages:
   first one's polish misses the residual threshold;
 * polish: damped Gauss-Newton from that start, on the exact Jacobian of
   the resolvent (dG/dtheta = -G (dA/dtheta) G for A = omega - H_phys),
-  stopped where the full step's predicted decrease reaches the rounding
-  floor, so it ends at the same least-squares optimum from any start in
-  its basin.
+  stopped where the full step's predicted decrease falls to just above the
+  cost's rounding noise, so it ends at the same least-squares optimum from
+  any start in its basin.
 
 It then solves linearly for the pole residues that reconstruct the
 eigenvectors.  There is no search: a spectrum that no start polishes below
 the threshold raises ``FitDiverged``.  A loop's spectra are fitted as one
-stack: one polish call takes every first start, and each of its iterations builds the
-Jacobians of all spectra still iterating in one resolvent derivative and
-tries their steps in one forward-model call, while the least-squares
-step, the step halvings and the stops stay per spectrum, so each fit
-keeps the bits of a fit on its own.
+stack: one call gives every start, one polish call takes every first
+start, each of its iterations builds all Jacobians in one resolvent
+derivative, solves all steps in one stacked QR least-squares call
+(``_lstsq``) and tries them in one forward-model call, and one more
+``_lstsq`` call gives the residues.  No spectrum's arithmetic depends on
+another's, so each fit keeps the bits of a fit on its own.
 """
 from __future__ import annotations
 
@@ -48,7 +49,6 @@ from .model import (
     PhysicalScale,
     eigensystems,
     min_gaps,
-    to_physical,
 )
 
 
@@ -298,6 +298,20 @@ class FittedParams:
         return _truth_vector(self.point, self.scale)
 
 
+def _lstsq(a: np.ndarray, b: np.ndarray):
+    """(x, Q^H b) of the least-squares problems min ||a x - b|| of a stack:
+    ``a`` (S, m, n), m >= n, real or complex, and ``b`` (S, m) or (S, m, k);
+    ||Q^H b||^2 = ||a x||^2.  One QR of the stack, one solve of its R factors.
+    A row whose R is not finite or has a zero diagonal entry gets NaN, and
+    never makes the stack raise; no row's arithmetic depends on another's."""
+    q, r = np.linalg.qr(a)
+    qb = q.conj().transpose(0, 2, 1) @ (b[..., None] if b.ndim == 2 else b)
+    bad = ~(np.isfinite(r).all(axis=(1, 2)) & np.diagonal(r, axis1=1, axis2=2).all(axis=1))
+    r[bad], qb[bad] = np.eye(r.shape[-1]), np.nan
+    x = np.linalg.solve(r, qb)
+    return (x[..., 0], qb[..., 0]) if b.ndim == 2 else (x, qb)
+
+
 # a rejected trial step may overflow the model; its cost, not finite, does not lower the cost
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _gauss_newton(theta0, y, freqs, norm2, floor, src=1):
@@ -307,18 +321,18 @@ def _gauss_newton(theta0, y, freqs, norm2, floor, src=1):
     responses, shape (S, 3, n_freq); ``norm2`` and ``floor``, shape (S,),
     their normalisation, as in ``_site_responses``, and cost = ||y - g||^2 /
     norm2 + floor.  Each iteration builds the exact Jacobians of the spectra
-    still iterating in one ``_response_jacobian`` call (one resolvent
-    derivative each), and each trial of the line search evaluates their
-    residuals in one ``_response_matrix`` call.  Per spectrum, LAPACK's
-    lstsq solves the linear least-squares step s.  The full step would lower
-    the cost by ||J s||^2 if the model were linear; when that is at or below
-    1e-15 of the cost, the polish sits at the rounding floor and that
-    spectrum stops.  Otherwise its step is halved up to 25 times until its
-    cost falls, and it stops when no halving lowers it, when the step taken
-    is below 1e-13, or after ``GAUSS_NEWTON_ITERATIONS``; a trial whose
-    cost is not finite never lowers it.  ``iterations`` counts the
-    Jacobians built for each spectrum.  No spectrum's arithmetic depends on
-    another's, so each ends with the bits of a polish on its own.
+    still iterating in one ``_response_jacobian`` call, solves their
+    least-squares steps s in one ``_lstsq`` call and evaluates each trial of
+    the line search in one ``_response_matrix`` call.  A spectrum stops when
+    ||J s||^2 = ||Q^T r||^2, the decrease the full step predicts, is at or
+    below 1e-14 of the cost, above its rounding noise (a few 1e-15, where
+    rounding, and so the BLAS kernel, decides whether a trial lowers it), or
+    not finite (a singular J); when no halving of its step (up to 25) lowers
+    the cost, which a trial whose cost is not finite never does; when the
+    step taken is below 1e-13; or after ``GAUSS_NEWTON_ITERATIONS``.
+    ``iterations`` counts the Jacobians built for each spectrum.  No
+    spectrum's arithmetic depends on another's, so each ends with the bits
+    of a polish on its own.
     """
     theta, root = np.array(theta0, float), np.sqrt(norm2)
 
@@ -336,11 +350,9 @@ def _gauss_newton(theta0, y, freqs, norm2, floor, src=1):
             break
         iterations[live] = it
         jac = _response_jacobian(theta[live].T, freqs, src).reshape(len(live), 7, -1) / root[live, None, None]
-        step, above_floor = np.empty((len(live), 7)), np.empty(len(live), bool)
-        for i, k in enumerate(live):
-            jr, rk = np.hstack([jac[i].real, jac[i].imag]).T, r[k].ravel()
-            step[i], *_ = np.linalg.lstsq(jr, -np.concatenate([rk.real, rk.imag]), rcond=None)
-            above_floor[i] = not np.sum((jr @ step[i]) ** 2) <= 1e-15 * (cost[k] + floor[k])
+        # the real least-squares problem of each spectrum, its rows the real and imaginary parts in turn
+        step, qb = _lstsq(jac.view(float).transpose(0, 2, 1), -r[live].reshape(len(live), -1).view(float))
+        above_floor = np.sum(qb ** 2, axis=1) > 1e-14 * (cost[live] + floor[live])
         live, step = live[above_floor], step[above_floor]
         lam, improved, trying = np.ones(len(live)), np.zeros(len(live), bool), np.arange(len(live))
         for _ in range(25):
@@ -355,8 +367,8 @@ def _gauss_newton(theta0, y, freqs, norm2, floor, src=1):
             improved[trying[lower]] = True
             trying = trying[~lower]
             lam[trying] *= 0.5
-        moved = [not np.linalg.norm(lam[i] * step[i]) < 1e-13 for i in range(len(live))]
-        live = live[improved & np.array(moved, bool)]
+        moved = ~(np.linalg.norm(lam[:, None] * step, axis=1) < 1e-13)
+        live = live[improved & moved]
     return theta, cost + floor, iterations
 
 
@@ -375,9 +387,9 @@ SK_PASSES = 3
 
 def _rational_starts(y: np.ndarray, config: CavityConfig) -> np.ndarray:
     """Closed-form starts theta = (omega0, gamma0, kappa, eta, zeta, xi, g)
-    of one spectrum's site responses ``y`` (``_site_responses``), in the
-    order the fit tries them, shape (2, 7); a row that is not finite is no
-    start.
+    of a stack of spectra's site responses ``y``, shape (S, 3, n_freq)
+    (``_site_responses``), in the order the fit tries them, shape (S, 2, 7);
+    a row that is not finite is no start.
 
     Each site response is y_s = N_s / D with D = det(omega - H_phys) a monic
     cubic and N_s the source's adjugate column: of degree 1, 2 and 1 in
@@ -402,57 +414,61 @@ def _rational_starts(y: np.ndarray, config: CavityConfig) -> np.ndarray:
       from N_B's linear coefficient, -(h_A + h_C); the pole sum, the trace
       of H_phys, gives h_B.
 
+    Each least-squares problem is one ``_lstsq`` call, the poles one ``eigvals``
+    call.  A spectrum whose weights are not finite and positive (0 is an overflowed
+    |y D|), whose D or start is not finite or whose hopping is <= 0 has no start.
+
     kappa is reported as -|kappa|.
     """
-    src = config.source_site - 1
-    freqs = config.frequencies()
-    n = len(freqs)
-    half = config.frequency_window / 2
-    vander = ((freqs - config.scale.omega0) / half)[:, None] ** np.arange(4)
-    y = y[::-1] if src == 2 else y
+    src, s2 = config.source_site - 1, np.sqrt(2.0)
+    # every h and pole taken relative to omega0
+    w, half = config.frequencies() - config.scale.omega0, config.frequency_window / 2
+    vander = (w / half)[:, None] ** np.arange(4)
+    y = y[:, ::-1] if src == 2 else y
     degrees = (1, 2, 1) if src == 1 else (2, 1, 0)
     # unknowns (d0, d1, d2) of D = d0 + d1 s + d2 s^2 + s^3, then each numerator's coefficients
     cols = np.cumsum((3,) + tuple(d + 1 for d in degrees))
-    lhs = np.zeros((3, n, cols[-1]), complex)
+    lhs = np.zeros(y.shape + (cols[-1],), complex)
     lhs[..., :3] = y[..., None] * vander[:, :3]
     for s, degree in enumerate(degrees):
-        lhs[s, :, cols[s]:cols[s + 1]] = -vander[:, :degree + 1]
+        lhs[:, s, :, cols[s]:cols[s + 1]] = -vander[:, :degree + 1]
     rhs = -y * vander[:, 3]
-    starts = np.full((2, 7), np.nan)
-    try:
-        # a response that vanishes at some frequency, or |kappa|^2 <= 0, leaves no start
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            weight = 1 / np.abs(y)
-            for _ in range(SK_PASSES):
-                x, *_ = np.linalg.lstsq((lhs * weight[..., None]).reshape(3 * n, -1), (rhs * weight).ravel(), rcond=None)
-                weight = 1 / np.abs(y * (vander @ np.append(x[:3], 1)))
-            y_b, y_a, y_c = y
-            if src == 1:
-                poles = config.scale.omega0 + half * np.roots(np.append(1, x[2::-1]))
-                # y_B (omega - c0 + p) = y_C (omega - c0 - p), rows weighted by 1/|y_A| for the noise
-                ratio = np.stack([y_b - y_c, -(y_b + y_c), freqs * (y_b - y_c)], axis=1) / np.abs(y_a)[:, None]
-                (c0, p), *_ = np.linalg.lstsq(ratio[:, :2], ratio[:, 2], rcond=None)
-                t = poles - c0
-                kappa = np.sqrt(-(t[0] * t[1] + t[0] * t[2] + t[1] * t[2] + p * p).real / 2)
-                xi_zeta = -t.sum() / kappa
-                eta_g = p / (kappa * np.sqrt(2.0))
-                starts[0] = c0.real, c0.imag, -kappa, eta_g.real, xi_zeta.imag, xi_zeta.real, eta_g.imag - 1
-                return starts
-            # with w = omega - omega0 and every h taken relative to omega0, |kappa| y_A - h_C y_C = -w y_C
-            # (rows weighted by 1/|y_A|) and h_A y_C (w - h_C) = y_C w (w - h_C) - (y_B + y_C) |kappa|^2 (by 1/|y_B|)
-            w = freqs - config.scale.omega0
-            (kappa, h_c), *_ = np.linalg.lstsq(np.stack([y_a, -y_c], axis=1) / np.abs(y_a)[:, None],
-                                               -w * y_c / np.abs(y_a), rcond=None)
-            kappa = kappa.real if kappa.real > 0 else np.nan      # a hopping at or below 0 leaves no start
-            a, b = y_c * (w - h_c) / np.abs(y_b), (y_c * w * (w - h_c) - (y_b + y_c) * kappa ** 2) / np.abs(y_b)
-            for row, h_a in enumerate((np.vdot(a, b) / np.vdot(a, a), -half * x[4] / x[5] - h_c)):
-                c0 = (-half * x[2] - h_a) / 2         # (h_B + h_C) / 2, the pole sum being h_B + h_A + h_C
+    starts = np.full((len(y), 2, 7), np.nan)
+    with np.errstate(all="ignore"):
+        weight = 1 / np.abs(y)
+        for _ in range(SK_PASSES):
+            weight[~((0 < weight) & (weight < np.inf)).all(axis=(1, 2))] = np.nan
+            x, _ = _lstsq((lhs * weight[..., None]).reshape(len(y), -1, cols[-1]), (rhs * weight).reshape(len(y), -1))
+            weight = 1 / np.abs(y * (vander[:, :3] @ x[:, :3, None] + vander[:, 3:])[:, None, :, 0])
+        y_b, y_a, y_c = y.transpose(1, 0, 2)
+        if src == 1:
+            # the poles: eigvals of each D's companion matrix, as np.roots takes them; eigvals takes only finite input
+            finite = np.isfinite(x[:, :3]).all(axis=1)
+            companion = np.repeat(np.eye(3, k=-1, dtype=complex)[None], len(y), axis=0)
+            companion[finite, 0] = -x[finite, 2::-1]
+            # y_B (w - c0 + p) = y_C (w - c0 - p), rows weighted by 1/|y_A| for the noise
+            ratio = np.stack([y_b - y_c, -(y_b + y_c), w * (y_b - y_c)], axis=2) / np.abs(y_a)[..., None]
+            c0, p = _lstsq(ratio[..., :2], ratio[..., 2])[0].T
+            t = np.where(finite[:, None], half * np.linalg.eigvals(companion), np.nan) - c0[:, None]
+            kappa = np.sqrt(-(t[:, 0] * t[:, 1] + t[:, 0] * t[:, 2] + t[:, 1] * t[:, 2] + p * p).real / 2)
+            found = [(c0, p, -t.sum(axis=1))]              # (c0, p, |kappa|(xi + i zeta)) of each start
+        else:
+            # |kappa| y_A - h_C y_C = -w y_C (rows weighted by 1/|y_A|) and
+            # h_A y_C (w - h_C) = y_C w (w - h_C) - (y_B + y_C) |kappa|^2 (by 1/|y_B|)
+            sol, _ = _lstsq(np.stack([y_a, -y_c], axis=2) / np.abs(y_a)[..., None], -w * y_c / np.abs(y_a))
+            kappa, h_c = np.where(sol[:, 0].real > 0, sol[:, 0].real, np.nan), sol[:, 1]
+            a = y_c * (w - h_c[:, None]) / np.abs(y_b)
+            b = (y_c * w * (w - h_c[:, None]) - (y_b + y_c) * kappa[:, None] ** 2) / np.abs(y_b)
+            found = []
+            for h_a in (np.sum(a.conj() * b, axis=1) / np.sum(a.conj() * a, axis=1), -half * x[:, 4] / x[:, 5] - h_c):
+                c0 = (-half * x[:, 2] - h_a) / 2         # (h_B + h_C) / 2, the pole sum being h_B + h_A + h_C
                 # p = (h_C - h_B) / 2 is the far end's h less c0 times 1 - src: +1 for B, -1 for C (reversed)
-                eta_g, xi_zeta = (h_c - c0) * (1 - src) / (kappa * np.sqrt(2.0)), (c0 - h_a) / kappa
-                starts[row] = (config.scale.omega0 + c0.real, c0.imag, -kappa, eta_g.real, xi_zeta.imag,
-                               xi_zeta.real, eta_g.imag - 1)
-    except FloatingPointError:
-        pass
+                found.append((c0, (h_c - c0) * (1 - src), c0 - h_a))
+        for row, (c0, p, xz) in enumerate(found):
+            eta_g, xi_zeta = p / (kappa * s2), xz / kappa
+            starts[:, row] = np.stack([config.scale.omega0 + c0.real, c0.imag, -kappa, eta_g.real, xi_zeta.imag,
+                                       xi_zeta.real, eta_g.imag - 1], axis=1)
+    starts[~np.isfinite(starts).all(axis=2)] = np.nan
     return starts
 
 
@@ -479,18 +495,18 @@ def fit_step(responses: np.ndarray, config: CavityConfig | None = None) -> Fitte
 def _fit_spectra(spectra, cfg: CavityConfig) -> list[FittedParams]:
     """``fit_step`` of each spectrum in order, as one stack.
 
-    The first closed-form starts are polished in one ``_gauss_newton`` call,
-    and the second starts of the spectra that polish missed in one more;
-    one ``eigensystems`` call gives the fitted points' eigenvalues.  The
-    checks, the warnings and the residue solves then run spectrum by
-    spectrum in order, so a spectrum that fails raises, after the warnings
-    of the ones before it, what fitting the spectra one at a time raises.
+    The first starts are polished in one ``_gauss_newton`` call, the second
+    starts of the spectra that polish missed in one more; one ``eigensystems``
+    call and one ``_lstsq`` call give the fitted points' eigenvalues and
+    residues.  The checks and the warnings then run spectrum by spectrum in
+    order, so a spectrum that fails raises, after the warnings of the ones
+    before it, what fitting the spectra one at a time raises.
     """
     views = [_site_responses(np.asarray(r, dtype=complex), cfg) for r in spectra]
     y, norm2, floor = (np.array(v) for v in zip(*views))
     freqs, src = cfg.frequencies(), cfg.source_site - 1
 
-    starts = np.array([_rational_starts(yk, cfg) for yk in y])        # (S, 2, 7)
+    starts = _rational_starts(y, cfg)                                  # (S, 2, 7)
     theta, cost, iterations = np.full((len(y), 7), np.nan), np.full(len(y), np.inf), np.zeros(len(y), int)
     for start in starts.transpose(1, 0, 2):
         # a NaN cost polishes the next start too
@@ -510,36 +526,30 @@ def _fit_spectra(spectra, cfg: CavityConfig) -> list[FittedParams]:
     except InaccurateEigensystem as exc:
         inaccurate, w = exc, eigensystems(theta[:exc.row, 3:]).eigenvalues
 
+    # model.to_physical of each fit; the model sees only |kappa|, so the unbounded polish may cross 0
+    wphys = theta[:len(w), :1] + 1j * theta[:len(w), 1:2] + abs(theta[:len(w), 2:3]) * w
+    # linear residue solve: y_s ~ sum_j t_{s,j} / (omega - w_j), t_{s,j} = a_{s,j} * b_{j,src}
+    coeffs, _ = _lstsq(1.0 / (freqs[:, None] - wphys[:, None, :]), y[:len(w)].transpose(0, 2, 1))   # (state, site)
     fits, spacing = [], freqs[1] - freqs[0]
-    for k, wk in enumerate(w):
-        w0, g0, kap, eta, zeta, xi, g = theta[k]
-        point = ParamPoint(eta, zeta, xi, g)
-        # the model sees only |kappa|, so the unbounded polish may cross 0
-        scale = PhysicalScale(omega0=w0, gamma0=g0, kappa=-abs(kap))
-        wphys = to_physical(wk, scale)
-
-        gap = min_gaps(wphys[None])[0]
+    for k, (wk, ck) in enumerate(zip(wphys, coeffs)):
+        # a polish that ends below gamma0 = 0 raises here, in its turn
+        scale = PhysicalScale(omega0=theta[k, 0], gamma0=theta[k, 1], kappa=-abs(theta[k, 2]))
+        gap = min_gaps(wk[None])[0]
         ident_flag = gap < 3 * spacing
         if ident_flag:
-            warnings.warn(
-                f"eigenvalue gap {gap:.1f} rad/s below 3x frequency spacing",
-                IdentifiabilityWarning,
-                stacklevel=3,
-            )
-
-        # linear residue solve: y_s ~ sum_j t_{s,j} / (omega - w_j), t_{s,j} = a_{s,j} * b_{j,src}
-        basis = 1.0 / (freqs[None, :] - wphys[:, None])            # (3, n_freq)
-        coeffs, *_ = np.linalg.lstsq(basis.T, y[k].T, rcond=None)  # (state, site)
-        t = coeffs.T                                               # (site, state)
+            warnings.warn(f"eigenvalue gap {gap:.1f} rad/s below 3x frequency spacing",
+                          IdentifiabilityWarning, stacklevel=3)
+        t = ck.T                                                   # (site, state)
         nrm = np.linalg.norm(t, axis=0)
-        if not nrm.all():
+        # a NaN column is a residue solve on a singular basis
+        if not (nrm > 0).all():
             raise FitDiverged(f"vanishing residue column for state {np.argmin(nrm) + 1}")
         a = t / nrm
         b = (a / np.sum(a * a, axis=0)).T                          # (state, site)
         fits.append(FittedParams(
-            point=point,
+            point=ParamPoint(*theta[k, 3:]),
             scale=scale,
-            eigenvalues=wphys,
+            eigenvalues=wk,
             residual=float(cost[k]),
             mode_coeffs_right=a,
             mode_coeffs_left=b,

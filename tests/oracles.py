@@ -8,8 +8,9 @@ numbers, the arcs and their EPs built one ``ParamPoint`` at a time, the
 per-point repeated root by ``np.roots``, the Green's
 function and its parameter derivative by dense linear solves and the
 multiband Berry phase of a unimodular matrix, the spectral fit one
-spectrum at a time, each polish on its own, and a fit found by a global
-search instead of a closed-form start.  The package builds its
+spectrum at a time, each polish on its own, the same fit with every
+least-squares problem solved by LAPACK's ``lstsq``, and a fit found by a
+global search instead of a closed-form start.  The package builds its
 Hamiltonians as one stacked array (``model._hamiltonians``), computes
 eigenvalues with ``np.linalg.eig``, the discriminant from the closed
 formula in real arithmetic (``model.discriminant_values``), arcs as arrays
@@ -17,8 +18,9 @@ and repeated roots from the closed-form double root of the cubic
 (``locate._ep_arrays``), the Green's
 function and its derivative from the closed-form adjugate of the
 tridiagonal resolvent and Θ from the transported holonomy with its
-permutation parity divided out, and it polishes a loop's spectra as one
-stack; nothing in it calls these.  The cubic's
+permutation parity divided out, and it fits a loop's spectra as one
+stack, every least-squares problem by one stacked QR; nothing in it calls
+these.  The cubic's
 coefficients come from the package's formula (``model._poly_coeffs``),
 which ``test_model.TestCharPoly`` holds to a determinant expansion.
 """
@@ -318,13 +320,12 @@ def berry_phase(u: np.ndarray) -> float:
     return -cmath.log(det).imag
 
 
-def serial_gauss_newton(theta0, y, freqs, norm2, floor, src=1):
-    """The polish of one spectrum on its own: (theta, cost, iterations).
-
-    The damped Gauss-Newton of ``spectral._gauss_newton`` for a single (7,)
+def _polish(theta0, y, freqs, norm2, floor, src, solve, stop=1e-14):
+    """The damped Gauss-Newton of ``spectral._gauss_newton`` for a single (7,)
     start, its site responses ``y`` (3, n_freq) and scalar ``norm2`` and
-    ``floor``: one forward model and one Jacobian per call, the same stops.
-    """
+    ``floor``: one forward model and one Jacobian per call, the same stops,
+    the predicted decrease's floor at ``stop`` of the cost.  ``solve(jr,
+    rhs)`` gives the least-squares step and ||jr step||^2."""
     theta, root = np.array(theta0, float), np.sqrt(norm2)
 
     def residuals(t):
@@ -334,9 +335,8 @@ def serial_gauss_newton(theta0, y, freqs, norm2, floor, src=1):
     cost = float(np.sum(np.abs(r) ** 2))
     for iterations in range(1, spectral.GAUSS_NEWTON_ITERATIONS + 1):
         jac = spectral._response_jacobian(theta, freqs, src).reshape(7, -1) / root
-        jr = np.hstack([jac.real, jac.imag]).T
-        step, *_ = np.linalg.lstsq(jr, -np.concatenate([r.real, r.imag]), rcond=None)
-        if np.sum((jr @ step) ** 2) <= 1e-15 * (cost + floor):
+        step, decrease = solve(jac.view(float).T, -r.view(float))
+        if not decrease > stop * (cost + floor):
             break
         lam, improved = 1.0, False
         for _ in range(25):
@@ -347,22 +347,103 @@ def serial_gauss_newton(theta0, y, freqs, norm2, floor, src=1):
                 theta, r, cost, improved = trial, rt, ct, True
                 break
             lam *= 0.5
-        if not improved or np.linalg.norm(lam * step) < 1e-13:
+        if not improved or np.linalg.norm(lam * step, axis=0) < 1e-13:
             break
     return theta, cost + floor, iterations
 
 
-def serial_fit_step(responses, config) -> spectral.FittedParams:
-    """``spectral.fit_step`` one spectrum at a time: the first closed-form
-    start, its polish by :func:`serial_gauss_newton`, the second start's
-    polish where that one misses the threshold, then the eigenvalues of the
-    fitted point by ``eigensystem`` and the residue solve."""
+def _stack_of_one(a, b):
+    """``spectral._lstsq`` of one problem, looked up at the call: (x, qb)."""
+    (x,), (qb,) = spectral._lstsq(a[None], b[None])
+    return x, qb
+
+
+def serial_gauss_newton(theta0, y, freqs, norm2, floor, src=1):
+    """The polish of one spectrum on its own: (theta, cost, iterations), each
+    step by ``spectral._lstsq`` on a stack of one and ||J s||^2 read as
+    ||Q^T r||^2, as the stacked polish reads them."""
+    def solve(jr, rhs):
+        step, qb = _stack_of_one(jr, rhs)
+        return step, np.sum(qb ** 2)
+
+    return _polish(theta0, y, freqs, norm2, floor, src, solve)
+
+
+def lstsq_gauss_newton(theta0, y, freqs, norm2, floor, src=1):
+    """The polish of one spectrum as it was before the stacked solves: each
+    step from LAPACK's SVD-based ``np.linalg.lstsq``, ||J s||^2 from the
+    product J s, and the floor at 1e-15 of the cost."""
+    def solve(jr, rhs):
+        step = np.linalg.lstsq(jr, rhs, rcond=None)[0]
+        return step, np.sum((jr @ step) ** 2)
+
+    return _polish(theta0, y, freqs, norm2, floor, src, solve, stop=1e-15)
+
+
+def lstsq_rational_starts(y: np.ndarray, config) -> np.ndarray:
+    """``spectral._rational_starts`` of one spectrum's site responses ``y``
+    (3, n_freq), shape (2, 7): the same rational fit and closed formulas,
+    with each least-squares problem solved by ``np.linalg.lstsq``, the
+    poles by ``np.roots``, and any floating-point fault (a division by 0,
+    an overflow, an invalid operation) leaving no start."""
+    src = config.source_site - 1
+    freqs = config.frequencies()
+    n = len(freqs)
+    half = config.frequency_window / 2
+    vander = ((freqs - config.scale.omega0) / half)[:, None] ** np.arange(4)
+    y = y[::-1] if src == 2 else y
+    degrees = (1, 2, 1) if src == 1 else (2, 1, 0)
+    cols = np.cumsum((3,) + tuple(d + 1 for d in degrees))
+    lhs = np.zeros((3, n, cols[-1]), complex)
+    lhs[..., :3] = y[..., None] * vander[:, :3]
+    for s, degree in enumerate(degrees):
+        lhs[s, :, cols[s]:cols[s + 1]] = -vander[:, :degree + 1]
+    rhs = -y * vander[:, 3]
+    starts = np.full((2, 7), np.nan)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            weight = 1 / np.abs(y)
+            for _ in range(spectral.SK_PASSES):
+                x, *_ = np.linalg.lstsq((lhs * weight[..., None]).reshape(3 * n, -1), (rhs * weight).ravel(),
+                                        rcond=None)
+                weight = 1 / np.abs(y * (vander @ np.append(x[:3], 1)))
+            y_b, y_a, y_c = y
+            if src == 1:
+                poles = config.scale.omega0 + half * np.roots(np.append(1, x[2::-1]))
+                ratio = np.stack([y_b - y_c, -(y_b + y_c), freqs * (y_b - y_c)], axis=1) / np.abs(y_a)[:, None]
+                (c0, p), *_ = np.linalg.lstsq(ratio[:, :2], ratio[:, 2], rcond=None)
+                t = poles - c0
+                kappa = np.sqrt(-(t[0] * t[1] + t[0] * t[2] + t[1] * t[2] + p * p).real / 2)
+                xi_zeta = -t.sum() / kappa
+                eta_g = p / (kappa * np.sqrt(2.0))
+                starts[0] = c0.real, c0.imag, -kappa, eta_g.real, xi_zeta.imag, xi_zeta.real, eta_g.imag - 1
+                return starts
+            w = freqs - config.scale.omega0
+            (kappa, h_c), *_ = np.linalg.lstsq(np.stack([y_a, -y_c], axis=1) / np.abs(y_a)[:, None],
+                                               -w * y_c / np.abs(y_a), rcond=None)
+            kappa = kappa.real if kappa.real > 0 else np.nan
+            a, b = y_c * (w - h_c) / np.abs(y_b), (y_c * w * (w - h_c) - (y_b + y_c) * kappa ** 2) / np.abs(y_b)
+            for row, h_a in enumerate((np.vdot(a, b) / np.vdot(a, a), -half * x[4] / x[5] - h_c)):
+                c0 = (-half * x[2] - h_a) / 2
+                eta_g, xi_zeta = (h_c - c0) * (1 - src) / (kappa * np.sqrt(2.0)), (c0 - h_a) / kappa
+                starts[row] = (config.scale.omega0 + c0.real, c0.imag, -kappa, eta_g.real, xi_zeta.imag,
+                               xi_zeta.real, eta_g.imag - 1)
+    except FloatingPointError:
+        pass
+    return starts
+
+
+def _fit_one(responses, config, starts, polish, solve) -> spectral.FittedParams:
+    """One spectrum's fit as ``spectral.fit_step`` makes it, from the
+    ``starts`` of its site responses, each polished by ``polish`` where the
+    one before misses the threshold, then the eigenvalues of the fitted
+    point by ``eigensystem`` and the residues by ``solve(a, b)``."""
     y, norm2, floor = spectral._site_responses(np.asarray(responses, dtype=complex), config)
     freqs, src = config.frequencies(), config.source_site - 1
     theta, cost, iterations = np.full(7, np.nan), np.inf, 0
-    for start in spectral._rational_starts(y, config):
+    for start in starts(y):
         if not cost <= spectral.RESIDUAL_THRESHOLD and np.isfinite(start).all():
-            theta, cost, more = serial_gauss_newton(start, y, freqs, norm2, floor, src)
+            theta, cost, more = polish(start, y, freqs, norm2, floor, src)
             iterations += more
     if np.isnan(theta).any():
         raise FitDiverged("no finite closed-form start")
@@ -379,9 +460,9 @@ def serial_fit_step(responses, config) -> spectral.FittedParams:
     if ident_flag:
         warnings.warn(f"eigenvalue gap {min(gaps):.1f} rad/s below 3x frequency spacing", IdentifiabilityWarning)
     basis = 1.0 / (freqs[None, :] - wphys[:, None])
-    t = np.linalg.lstsq(basis.T, y.T, rcond=None)[0].T
+    t = solve(basis.T, y.T)[0].T
     nrm = np.linalg.norm(t, axis=0)
-    if not nrm.all():
+    if not (nrm > 0).all():
         raise FitDiverged(f"vanishing residue column for state {np.argmin(nrm) + 1}")
     a = t / nrm
     return spectral.FittedParams(
@@ -389,6 +470,23 @@ def serial_fit_step(responses, config) -> spectral.FittedParams:
         mode_coeffs_left=(a / np.sum(a * a, axis=0)).T, identifiability_warning=ident_flag,
         gauss_newton_iterations=iterations,
     )
+
+
+def serial_fit_step(responses, config) -> spectral.FittedParams:
+    """``spectral.fit_step`` one spectrum at a time: the closed-form starts
+    of a stack of one, their polishes by :func:`serial_gauss_newton`, and
+    the residues by ``spectral._lstsq`` on a stack of one."""
+    return _fit_one(responses, config, lambda y: spectral._rational_starts(y[None], config)[0],
+                    serial_gauss_newton, _stack_of_one)
+
+
+def lstsq_fit_step(responses, config) -> spectral.FittedParams:
+    """The fit of one spectrum as it was before the stacked solves, every
+    least-squares problem solved by ``np.linalg.lstsq``: the starts of
+    :func:`lstsq_rational_starts`, the polishes of :func:`lstsq_gauss_newton`
+    and the residues."""
+    return _fit_one(responses, config, lambda y: lstsq_rational_starts(y, config),
+                    lstsq_gauss_newton, lambda a, b: np.linalg.lstsq(a, b, rcond=None))
 
 
 #: the box that :func:`searched_fit` searches: omega0, gamma0, kappa, then eta, zeta, xi and g

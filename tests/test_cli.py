@@ -432,7 +432,7 @@ class TestLabCommand:
         report = json.loads((outs[0] / "fit_report.json").read_text())
         assert report["transport"]["permutation"] == "132"
         manifest = json.loads((outs[0] / "manifest.json").read_text())
-        assert manifest["stats"] == {"fitted_steps": 9, "gn_iterations": 43}
+        assert manifest["stats"] == {"fitted_steps": 9, "gn_iterations": 41}
         assert sorted(manifest["versions"]) == ["eptriad", "numpy", "python"]
         assert all(k not in (outs[0] / "fit_report.json").read_text() for k in ("fitted_steps", "gn_iterations"))
 
@@ -483,6 +483,16 @@ class TestNumericalFailures:
         assert json.loads((tmp_path / "loop_mu1.json").read_text())["reliable"] is False
         assert capsys.readouterr().err == ("numerical failure: mu1: transport unreliable, "
                                            "permutation parity disagrees with the discriminant winding -1.000\n")
+
+    def test_unreliable_fit_still_writes_its_report(self, tmp_path, monkeypatch, capsys):
+        """``lab pipeline`` on a fitted loop whose transport is unreliable
+        writes the dataset, the fit report and the manifest, then exits 3
+        naming the failed check as ``loop`` names it."""
+        assert run(_argv_unreliable_fit(tmp_path, monkeypatch)) == EXIT_NUMERICAL
+        assert json.loads((tmp_path / "fit_report.json").read_text())["transport"]["reliable"] is False
+        assert (tmp_path / "dataset.json").exists() and (tmp_path / "manifest.json").exists()
+        assert capsys.readouterr().err == ("numerical failure: fitted-loop: transport unreliable, "
+                                           "smallest matched overlap 0.250\n")
 
     def test_a_coarse_loop_near_an_ep_is_refined(self, tmp_path, capsys):
         """The thin triangle of test_loops_transport's TestRootRefinement at 3
@@ -542,6 +552,17 @@ def _argv_unreliable_loop(tmp_path, monkeypatch):
     return ["loop", "--preset", "mu1", "--steps-per-segment", "8", "--out", str(tmp_path)]
 
 
+def _argv_unreliable_fit(tmp_path, monkeypatch):
+    fit_loop = eptriad.cli.fit_loop
+
+    def unreliable(dataset):
+        fits, result = fit_loop(dataset)
+        return fits, replace(result, reliable=False, min_overlap=0.25)
+
+    monkeypatch.setattr(eptriad.cli, "fit_loop", unreliable)
+    return ["lab", "pipeline", "--out", str(tmp_path)]
+
+
 SMALL_LOOP = {
     "label": "small",
     "g": 0.61,
@@ -589,6 +610,7 @@ def _lab_dataset(corrupt):
     (_argv_loop_through_ep, EXIT_NUMERICAL),     # PathTouchesEP
     (_argv_out_is_file, EXIT_IO),
     (_argv_unreliable_loop, EXIT_NUMERICAL),     # the report is written, then exit 3
+    (_argv_unreliable_fit, EXIT_NUMERICAL),      # so is a fitted loop's
     (_argv_fault_in_numerics, ValueError),      # a program fault, not a config error
     # malformed inputs that raise TypeError or IndexError while they are read
     pytest.param(_loop_config([SMALL_LOOP]), EXIT_CONFIG, id="loop_config_is_a_list-2"),

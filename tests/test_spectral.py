@@ -10,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 import eptriad.spectral as spectral
 from conftest import circular_distance
 from oracles import (
+    lstsq_fit_step,
+    lstsq_rational_starts,
     probe_rows,
     searched_fit,
     serial_fit_step,
@@ -21,6 +23,7 @@ from oracles import (
 )
 from eptriad.errors import FitDiverged, IdentifiabilityWarning, InaccurateEigensystem
 from eptriad.locate import refine_ep
+from eptriad.loops import PRESET_NAMES
 from eptriad.model import ParamPoint, PhysicalScale, _hamiltonians, eigensystem, eigensystems, to_physical
 from eptriad.spectral import (
     CavityConfig,
@@ -510,7 +513,7 @@ class TestRationalStart:
         cfg = CavityConfig(source_site=source_site)
         p = preset_loop("mu1", steps_per_segment=1).steps[k]
         truth = np.array([cfg.scale.omega0, cfg.scale.gamma0, cfg.scale.kappa, p.eta, p.zeta, p.xi, p.g])
-        starts = spectral._rational_starts(_sites(synthesize([p], cfg).responses[0], cfg), cfg)
+        starts = spectral._rational_starts(_sites(synthesize([p], cfg).responses[0], cfg)[None], cfg)[0]
         # a drive at A has one start, a drive at B or C two
         assert np.isfinite(starts).all(axis=1).tolist() == [True, source_site != 2]
         for start in starts[:1 if source_site == 2 else 2]:
@@ -533,7 +536,7 @@ class TestRationalStart:
             cfg = CavityConfig(source_site=source_site)
             responses = synthesize([p], cfg).responses[0].copy()
             responses[:7, -1] = 0                   # cavity B silent at the last frequency
-            assert np.isnan(spectral._rational_starts(_sites(responses, cfg), cfg)).all()
+            assert np.isnan(spectral._rational_starts(_sites(responses, cfg)[None], cfg)).all()
             with pytest.raises(FitDiverged, match="no finite closed-form start"):
                 fit_step(responses, cfg)
 
@@ -565,10 +568,51 @@ class TestRationalStart:
                 assert max(f.residual for f in fits) <= spectral.RESIDUAL_THRESHOLD
                 views = [spectral._site_responses(r, cfg) for r in spectra]
                 y, norm2, floor = (np.array(v) for v in zip(*views))
-                first = np.array([spectral._rational_starts(yk, cfg)[0] for yk in y])
+                first = spectral._rational_starts(y, cfg)[:, 0]
                 cost = spectral._gauss_newton(first, y, cfg.frequencies(), norm2, floor, source_site - 1)[1]
                 misses += int(np.sum(cost > spectral.RESIDUAL_THRESHOLD))
         assert misses or source_site == 3           # the second start is exercised
+
+
+class TestStackedStarts:
+    """The starts of a stack of spectra come from stacked solves: each row
+    keeps the bits of its stack of one, agrees with the per-spectrum
+    ``np.linalg.lstsq`` reference, and a fault in one spectrum leaves only
+    that spectrum without a start."""
+
+    @pytest.mark.parametrize("source_site", [1, 2, 3])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_every_row_is_its_stack_of_one_and_near_the_lstsq_starts(self, source_site, noise):
+        cfg = CavityConfig(source_site=source_site)
+        y = np.array([_sites(r, cfg) for r in _lab_spectra("rho1", source_site, noise, 3)])
+        starts = spectral._rational_starts(y, cfg)
+        for yk, got in zip(y, starts):
+            assert np.array_equal(got, spectral._rational_starts(yk[None], cfg)[0], equal_nan=True)
+            want = lstsq_rational_starts(yk, cfg)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.nanmax(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("source_site, fault", [
+        (2, "zero"), (1, "zero"), (3, "zero"), (2, "overflow"), (1, "overflow"), (1, "hopping"), (3, "hopping")])
+    def test_a_fault_leaves_only_its_own_row_without_a_start(self, source_site, fault):
+        """A site response exactly 0 at one frequency (an infinite weight),
+        one whose magnitude overflows (a weight of 0), and, for a drive at B
+        or C, a cavity-A response of the wrong sign, whose hopping comes out
+        below 0."""
+        cfg = CavityConfig(source_site=source_site)
+        y = np.array([_sites(r, cfg) for r in _lab_spectra("mu1", source_site, 0.01, 0)])
+        k = 4
+        if fault == "zero":
+            y[k, 0, -1] = 0
+        elif fault == "overflow":
+            y[k, 1, 3] = 1.5e308 * (1 + 1j)
+        else:
+            y[k, 1] *= -1
+        starts = spectral._rational_starts(y, cfg)
+        assert np.isnan(starts[k]).all()
+        for j in np.flatnonzero(np.arange(len(y)) != k):
+            assert np.isfinite(starts[j, 0]).all()
+            assert np.array_equal(starts[j], spectral._rational_starts(y[j][None], cfg)[0], equal_nan=True), j
 
 
 class TestStartIndependence:
@@ -585,7 +629,7 @@ class TestStartIndependence:
         pts = list(preset_loop("mu1", steps_per_segment=1).steps)
         for p, responses in zip(pts, synthesize(pts, cfg, NoiseSpec(0.01, seed)).responses):
             y, norm2, floor = spectral._site_responses(responses, cfg)
-            starts = [spectral._rational_starts(y, cfg)[0], spectral._truth_vector(p, cfg.scale)]
+            starts = [spectral._rational_starts(y[None], cfg)[0, 0], spectral._truth_vector(p, cfg.scale)]
             (from_start, from_truth), *_ = spectral._gauss_newton(
                 np.array(starts), np.array([y, y]), freqs, np.full(2, norm2), np.full(2, floor))
             assert np.max(np.abs(from_start[3:] - from_truth[3:])) <= 1e-8, (p, from_start - from_truth)
@@ -649,9 +693,8 @@ class TestFitLoop:
         fits, res = fit_loop(ds)
         searched = [searched_fit(responses, ds.config, seed) for responses in ds.responses]
         # the loop fitted from the searched thetas in place of the closed-form starts
-        starts = iter(searched)
         monkeypatch.setattr(spectral, "_rational_starts",
-                            lambda y, config: np.array([next(starts), np.full(7, np.nan)]))
+                            lambda y, config: np.array([[start, np.full(7, np.nan)] for start in searched]))
         _, reference = fit_loop(ds)
         assert res.permutation == reference.permutation
         assert circular_distance(res.berry_phase, reference.berry_phase) < 1e-4
@@ -669,12 +712,12 @@ class TestFitLoop:
         responses = _lab_spectra(*case)[k]
         cfg = CavityConfig(source_site=case[1])
         y, norm2, floor = spectral._site_responses(responses, cfg)
-        first, second = spectral._rational_starts(y, cfg)
+        first, second = spectral._rational_starts(y[None], cfg)[0]
         _, (cost,), (spent,) = spectral._gauss_newton(
             first[None], y[None], cfg.frequencies(), np.array([norm2]), np.array([floor]), cfg.source_site - 1)
         assert cost > spectral.RESIDUAL_THRESHOLD
         fit = fit_step(responses, cfg)
-        monkeypatch.setattr(spectral, "_rational_starts", lambda y, config: np.array([second, np.full(7, np.nan)]))
+        monkeypatch.setattr(spectral, "_rational_starts", lambda y, config: np.array([[second, np.full(7, np.nan)]]))
         alone = fit_step(responses, cfg)
         assert fit.residual <= spectral.RESIDUAL_THRESHOLD
         assert fit.gauss_newton_iterations == spent + alone.gauss_newton_iterations
@@ -718,7 +761,7 @@ def _assert_fits_as_one_at_a_time(spectra, config=CavityConfig()):
     views = [spectral._site_responses(r, config) for r in spectra]
     y, norm2, floor = (np.array(v) for v in zip(*views))
     freqs, src = config.frequencies(), config.source_site - 1
-    starts = np.array([spectral._rational_starts(yk, config)[0] for yk in y])
+    starts = np.array([spectral._rational_starts(yk[None], config)[0, 0] for yk in y])
     ok = np.isfinite(starts).all(axis=1)
     theta, cost, iterations = spectral._gauss_newton(starts[ok], y[ok], freqs, norm2[ok], floor[ok], src)
     for i, k in enumerate(np.flatnonzero(ok)):
@@ -758,6 +801,23 @@ class TestStackedPolish:
         _assert_fits_as_one_at_a_time(_lab_spectra(preset, source_site, noise, seed),
                                       CavityConfig(source_site=source_site))
 
+    def test_a_singular_jacobian_stops_only_its_own_spectrum(self):
+        """A start at kappa = 0, whose Jacobian has exactly zero columns (the
+        kappa, eta, zeta, xi and g derivatives), in a stack of nine: it stops
+        without a step and raises nothing, and every other spectrum keeps
+        the bits of its polish on its own."""
+        cfg = CavityConfig()
+        views = [spectral._site_responses(r, cfg) for r in _mu1_spectra(0.01, 0)]
+        y, norm2, floor = (np.array(v) for v in zip(*views))
+        freqs = cfg.frequencies()
+        starts = spectral._rational_starts(y, cfg)[:, 0]
+        starts[4, 2] = 0.0
+        theta, cost, iterations = spectral._gauss_newton(starts, y, freqs, norm2, floor)
+        assert np.array_equal(theta[4], starts[4]) and iterations[4] == 1 and np.isfinite(cost[4])
+        for k in np.flatnonzero(np.arange(9) != 4):
+            want = serial_gauss_newton(starts[k], y[k], freqs, norm2[k], floor[k])
+            assert np.array_equal(theta[k], want[0]) and cost[k] == want[1] and iterations[k] == want[2], k
+
     def test_a_spectrum_without_a_start_diverges_in_its_turn(self):
         spectra = _mu1_spectra(0.01, 2)
         spectra[3] = spectra[3].copy()
@@ -765,6 +825,30 @@ class TestStackedPolish:
         got = _recorded(_fit_loop_of, spectra, CavityConfig())
         assert got == _recorded(_one_at_a_time, spectra, CavityConfig())
         assert got[0] == (FitDiverged, "no finite closed-form start")
+
+
+class TestLstsqReference:
+    """The stacked QR solves and the polish's floor at 1e-14 in place of
+    1e-15 move a fit only by rounding: every fit stays within 1e-7 in (eta,
+    zeta, xi, g), 1e-5 rad/s in (omega0, gamma0, kappa) and 1e-12 relative in
+    the residual of the fit whose every least-squares problem LAPACK's
+    ``lstsq`` solves, with the floor at 1e-15 (``oracles.lstsq_fit_step``)."""
+
+    @pytest.mark.parametrize("preset, source_site, noise, seed",
+                             [("mu1", 2, 0.01, seed) for seed in range(8)]
+                             + [("mu1", site, 0.01, seed) for site in (1, 3) for seed in range(2)]
+                             + [(preset, 2, 0.03, 5) for preset in PRESET_NAMES])
+    def test_fits_within_the_bounds_of_the_lstsq_fit(self, preset, source_site, noise, seed):
+        spectra = _lab_spectra(preset, source_site, noise, seed)
+        cfg = CavityConfig(source_site=source_site)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IdentifiabilityWarning)
+            got = spectral._fit_spectra(spectra, cfg)
+            want = [lstsq_fit_step(r, cfg) for r in spectra]
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert np.max(np.abs(g.point.as_array() - w.point.as_array())) <= 1e-7, k
+            assert np.max(np.abs(g.theta()[:3] - w.theta()[:3])) <= 1e-5, k
+            assert abs(g.residual - w.residual) <= 1e-12 * w.residual, k
 
 
 def _corrupt_eig_at(monkeypatch, point):
@@ -783,19 +867,19 @@ def _corrupt_eig_at(monkeypatch, point):
 
 
 def _vanish_residues_of(monkeypatch, spectrum, config):
-    """Make the residue solve of ``spectrum`` (the one ``np.linalg.lstsq``
+    """Make the residue solve of ``spectrum`` (the row of a ``spectral._lstsq``
     call whose right-hand side is its site responses) give state 2 no residue."""
     target = spectral._site_responses(spectrum, config)[0].T
-    lstsq = np.linalg.lstsq
+    lstsq = spectral._lstsq
 
-    def vanishing_lstsq(a, b, **kwargs):
-        x, *rest = lstsq(a, b, **kwargs)
-        if np.shape(b) == target.shape and np.array_equal(b, target):
+    def vanishing_lstsq(a, b):
+        x, qb = lstsq(a, b)
+        if b.shape[1:] == target.shape:
             x = x.copy()
-            x[1] = 0
-        return (x, *rest)
+            x[(b == target).all(axis=(1, 2)), 1] = 0
+        return x, qb
 
-    monkeypatch.setattr(np.linalg, "lstsq", vanishing_lstsq)
+    monkeypatch.setattr(spectral, "_lstsq", vanishing_lstsq)
 
 
 class TestLoopOrderFailures:
@@ -880,6 +964,25 @@ class TestLoopOrderFailures:
         assert raised is kind and len(warned) == 1
         if kind is FitDiverged:
             assert message == "vanishing residue column for state 2"
+
+    @pytest.mark.parametrize("vanishes, kind", [(2, FitDiverged), (8, ValueError)],
+                             ids=["vanishing-then-negative-loss", "negative-loss-then-vanishing"])
+    def test_a_fitted_loss_below_0_raises_in_its_turn(self, monkeypatch, vanishes, kind):
+        """The polish is unbounded, so at a true gamma0 of 1 rad/s step 7 of
+        the mu1 loop (3 % noise, seed 3) ends below gamma0 = 0, which no
+        PhysicalScale takes: its ValueError raises after the residue checks
+        of the steps before it, and before those of the steps after it."""
+        from eptriad.loops import preset_loop
+
+        cfg = CavityConfig(scale=PhysicalScale(gamma0=1.0))
+        spectra = list(synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), cfg,
+                                  NoiseSpec(0.03, 3)).responses)
+        _vanish_residues_of(monkeypatch, spectra[vanishes], cfg)
+        got = _recorded(_fit_loop_of, spectra, cfg)
+        assert got == _recorded(_one_at_a_time, spectra, cfg)
+        assert got[0][0] is kind
+        if kind is ValueError:
+            assert "gamma0" in got[0][1]
 
 
 @pytest.mark.slow
