@@ -32,7 +32,6 @@ from .loops import MIN_STEPS, PRESET_NAMES, LoopPath, interpolate_loop, preset_l
 from .model import ParamPoint, discriminant_formula, discriminant_values, eigensystem
 from .permutations import all_elements, element, identify, to_matrix, verify_group
 from .spectral import (
-    CavityConfig,
     NoiseSpec,
     check_dataset,
     fit_loop,
@@ -251,18 +250,10 @@ def cmd_ea(args) -> int:
     return EXIT_OK
 
 
-def _lab_config(args) -> CavityConfig:
-    """The cavity settings: ``--config`` may set any CavityConfig field; any
-    other key is a config error."""
-    doc = json.loads(Path(args.config).read_text()) if args.config else {}
-    if not isinstance(doc, dict):
-        raise ValueError("lab config must be a JSON object")
-    return read_cavity_config(doc)
-
-
 def cmd_lab(args) -> int:
     with _reading_inputs():
-        cav = _lab_config(args)
+        # --config may set any CavityConfig field; any other key is a config error
+        cav = read_cavity_config(json.loads(Path(args.config).read_text()) if args.config else {})
     preset = args.loop_preset
     stats = None        # the fit's work counts, for the manifest
     if args.subcommand in ("synth", "pipeline"):

@@ -6,12 +6,7 @@ class EptriadError(Exception):
 
 
 class InaccurateEigensystem(EptriadError):
-    """Eigenpairs returned by the solver fail the residual check H v = w v;
-    ``row`` is the index of the first failing row of the solved stack."""
-
-    def __init__(self, message: str, row: int = 0):
-        self.row = row
-        super().__init__(message)
+    """Eigenpairs returned by the solver fail the residual check H v = w v."""
 
 
 class NoConvergence(EptriadError):
@@ -43,11 +38,7 @@ class FitDiverged(EptriadError):
 
 
 class NotAGroup(EptriadError):
-    """Group verification failed; carries the violated axiom."""
-
-    def __init__(self, axiom: str, detail: str = ""):
-        self.axiom = axiom
-        super().__init__(f"{axiom} fails" + (f": {detail}" if detail else ""))
+    """Group verification failed; the message names the violated axiom."""
 
 
 class RegimeWarning(UserWarning):

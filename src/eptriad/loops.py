@@ -160,8 +160,9 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-def preset_waypoints(name: str, eta: float | None = None, g: float = G_CANONICAL) -> list[ParamPoint]:
-    """Waypoint list for a named preset loop.
+def preset_waypoints(name: str, eta: float | None = None) -> list[ParamPoint]:
+    """Waypoint list for a named preset loop at g = G_CANONICAL; ``eta``
+    moves it off its default plane.
 
     mu1  -- negative-quadrant rectangle at eta = 0.33 (swaps bands 2, 3)
     mu3  -- positive-quadrant rectangle at eta = 0.33 (swaps bands 1, 2)
@@ -174,9 +175,8 @@ def preset_waypoints(name: str, eta: float | None = None, g: float = G_CANONICAL
         raise KeyError(f"unknown preset {name!r}")
     zx, default_eta = _PRESETS[name]
     e = default_eta if eta is None else eta
-    return [ParamPoint(e, z, x, g) for z, x in zx]
+    return [ParamPoint(e, z, x, G_CANONICAL) for z, x in zx]
 
 
-def preset_loop(name: str, steps_per_segment: int = 200, eta: float | None = None,
-                g: float = G_CANONICAL) -> LoopPath:
-    return interpolate_loop(preset_waypoints(name, eta=eta, g=g), steps_per_segment, label=name)
+def preset_loop(name: str, steps_per_segment: int = 200, eta: float | None = None) -> LoopPath:
+    return interpolate_loop(preset_waypoints(name, eta=eta), steps_per_segment, label=name)

@@ -156,9 +156,8 @@ def eigensystems(params) -> "EigensystemStack":
     Euclidean norm; left rows satisfy L @ R = I away from degeneracies.
     Raises nothing at EPs: the degenerate flag is set and left vectors whose
     bilinear norm vanishes fall back to plain (unscaled) transposes.  Raises
-    InaccurateEigensystem, naming the first failing row (its point in the
-    message, its index as ``row``), when an eigenpair of any row fails the
-    residual check.
+    InaccurateEigensystem, naming the first failing row's point, when an
+    eigenpair of any row fails the residual check.
 
     A stack of at least ``2 * _MIN_CHUNK_ROWS`` rows is split into contiguous
     chunks, one per usable CPU, solved on threads; a smaller one is one
@@ -179,8 +178,7 @@ def eigensystems(params) -> "EigensystemStack":
         )
     if (resid2 > 1e-20).any():
         l, j = np.argwhere(resid2 > 1e-20)[0]
-        raise InaccurateEigensystem(f"eigen residual {np.sqrt(resid2[l, j]):.2e} at {ParamPoint.from_row(params[l])}",
-                                    int(l))
+        raise InaccurateEigensystem(f"eigen residual {np.sqrt(resid2[l, j]):.2e} at {ParamPoint.from_row(params[l])}")
     return EigensystemStack(params, w, v, left, degenerate, min_gap)
 
 

@@ -102,25 +102,20 @@ class GroupReport:
 def verify_group(elements: set[PermutationElement] | tuple[PermutationElement, ...]) -> GroupReport:
     """Check the group axioms on a set of permutations; raise NotAGroup on failure.
 
+    Only identity and closure can fail: composing permutations is
+    associative, and in a finite set closed under composition each a has
+    its inverse a^(order - 1).
+
     The report carries element orders, the Cayley table, and a
     non-commuting witness pair (the generator pair is preferred when present).
     """
     elems = list(dict.fromkeys(elements))
     ident = PermutationElement.identity()
     if ident not in elems:
-        raise NotAGroup("identity", "identity element missing")
+        raise NotAGroup("identity fails: identity element missing")
     for a, b in itertools.product(elems, repeat=2):
         if compose(a, b) not in elems:
-            raise NotAGroup(
-                "closure",
-                f"{identify(a)} o {identify(b)} = {identify(compose(a, b))} missing",
-            )
-    for a in elems:
-        if a.inverse() not in elems:
-            raise NotAGroup("inverses", f"inverse of {identify(a)} missing")
-    for a, b, c in itertools.product(elems, repeat=3):
-        if compose(compose(a, b), c) != compose(a, compose(b, c)):
-            raise NotAGroup("associativity", f"({identify(a)},{identify(b)},{identify(c)})")
+            raise NotAGroup(f"closure fails: {identify(a)} o {identify(b)} = {identify(compose(a, b))} missing")
 
     witness = None
     mu1, mu3 = element("mu1"), element("mu3")

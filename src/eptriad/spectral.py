@@ -41,7 +41,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FitDiverged, IdentifiabilityWarning, InaccurateEigensystem
+from .errors import FitDiverged, IdentifiabilityWarning
+from .loops import MIN_STEPS
 from .model import (
     DEGENERACY_GAP,
     EigensystemStack,
@@ -272,9 +273,9 @@ def _site_responses(data: np.ndarray, config: CavityConfig):
 
 def check_dataset(dataset: SpectralDataset) -> None:
     """Raise ValueError unless every step of ``dataset`` can be fitted and
-    the steps are enough (8) to form a closed loop."""
-    if len(dataset.responses) < 8:
-        raise ValueError("need at least 8 steps forming a closed loop")
+    the steps are enough (``MIN_STEPS``) to form a closed loop."""
+    if len(dataset.responses) < MIN_STEPS:
+        raise ValueError(f"need at least {MIN_STEPS} steps forming a closed loop")
     for responses in dataset.responses:
         _squared_norm(responses, dataset.config)
 
@@ -493,14 +494,15 @@ def fit_step(responses: np.ndarray, config: CavityConfig | None = None) -> Fitte
 
 
 def _fit_spectra(spectra, cfg: CavityConfig) -> list[FittedParams]:
-    """``fit_step`` of each spectrum in order, as one stack.
+    """``fit_step`` of each spectrum, as one stack, stage by stage.
 
     The first starts are polished in one ``_gauss_newton`` call, the second
     starts of the spectra that polish missed in one more; one ``eigensystems``
-    call and one ``_lstsq`` call give the fitted points' eigenvalues and
-    residues.  The checks and the warnings then run spectrum by spectrum in
-    order, so a spectrum that fails raises, after the warnings of the ones
-    before it, what fitting the spectra one at a time raises.
+    call and one ``_lstsq`` call give every fitted point's eigenvalues and
+    residues.  Each stage checks every spectrum before the next one runs:
+    the polishes (``_divergence``), the eigen-solve, then the residues.  So
+    a loop with one failing spectrum raises what fitting that spectrum alone
+    raises, and the warnings come only once every spectrum has fitted.
     """
     views = [_site_responses(np.asarray(r, dtype=complex), cfg) for r in spectra]
     y, norm2, floor = (np.array(v) for v in zip(*views))
@@ -514,52 +516,37 @@ def _fit_spectra(spectra, cfg: CavityConfig) -> list[FittedParams]:
         if todo.any():
             theta[todo], cost[todo], more = _gauss_newton(start[todo], y[todo], freqs, norm2[todo], floor[todo], src)
             iterations[todo] += more
-
-    # the fits before the first that diverges share one eigen-solve.  A row that
-    # fails its residual check, and then that divergence, raise only after the
-    # rows before them have warned and checked their residues
-    why = [_divergence(t, c) for t, c in zip(theta, cost)]
-    n_fit = next((k for k, reason in enumerate(why) if reason), len(why))
-    inaccurate = None
-    try:
-        w = eigensystems(theta[:n_fit, 3:]).eigenvalues
-    except InaccurateEigensystem as exc:
-        inaccurate, w = exc, eigensystems(theta[:exc.row, 3:]).eigenvalues
+    for why in map(_divergence, theta, cost):
+        if why:
+            raise FitDiverged(why)
 
     # model.to_physical of each fit; the model sees only |kappa|, so the unbounded polish may cross 0
-    wphys = theta[:len(w), :1] + 1j * theta[:len(w), 1:2] + abs(theta[:len(w), 2:3]) * w
+    wphys = theta[:, :1] + 1j * theta[:, 1:2] + abs(theta[:, 2:3]) * eigensystems(theta[:, 3:]).eigenvalues
     # linear residue solve: y_s ~ sum_j t_{s,j} / (omega - w_j), t_{s,j} = a_{s,j} * b_{j,src}
-    coeffs, _ = _lstsq(1.0 / (freqs[:, None] - wphys[:, None, :]), y[:len(w)].transpose(0, 2, 1))   # (state, site)
-    fits, spacing = [], freqs[1] - freqs[0]
-    for k, (wk, ck) in enumerate(zip(wphys, coeffs)):
-        # a polish that ends below gamma0 = 0 raises here, in its turn
-        scale = PhysicalScale(omega0=theta[k, 0], gamma0=theta[k, 1], kappa=-abs(theta[k, 2]))
-        gap = min_gaps(wk[None])[0]
-        ident_flag = gap < 3 * spacing
+    coeffs, _ = _lstsq(1.0 / (freqs[:, None] - wphys[:, None, :]), y.transpose(0, 2, 1))   # (step, state, site)
+    nrm = np.linalg.norm(coeffs, axis=2)
+    # a NaN column is a residue solve on a singular basis
+    vanishing = ~(nrm > 0).all(axis=1)
+    if vanishing.any():
+        raise FitDiverged(f"vanishing residue column for state {np.argmin(nrm[vanishing][0]) + 1}")
+    a = coeffs.transpose(0, 2, 1) / nrm[:, None, :]                        # (step, site, state)
+    b = (a / np.sum(a * a, axis=1)[:, None, :]).transpose(0, 2, 1)         # (step, state, site)
+
+    fits, gaps = [], min_gaps(wphys)
+    for k, ident_flag in enumerate(gaps < 3 * (freqs[1] - freqs[0])):
         if ident_flag:
-            warnings.warn(f"eigenvalue gap {gap:.1f} rad/s below 3x frequency spacing",
+            warnings.warn(f"eigenvalue gap {gaps[k]:.1f} rad/s below 3x frequency spacing",
                           IdentifiabilityWarning, stacklevel=3)
-        t = ck.T                                                   # (site, state)
-        nrm = np.linalg.norm(t, axis=0)
-        # a NaN column is a residue solve on a singular basis
-        if not (nrm > 0).all():
-            raise FitDiverged(f"vanishing residue column for state {np.argmin(nrm) + 1}")
-        a = t / nrm
-        b = (a / np.sum(a * a, axis=0)).T                          # (state, site)
         fits.append(FittedParams(
             point=ParamPoint(*theta[k, 3:]),
-            scale=scale,
-            eigenvalues=wk,
+            scale=PhysicalScale(omega0=theta[k, 0], gamma0=theta[k, 1], kappa=-abs(theta[k, 2])),
+            eigenvalues=wphys[k],
             residual=float(cost[k]),
-            mode_coeffs_right=a,
-            mode_coeffs_left=b,
+            mode_coeffs_right=a[k],
+            mode_coeffs_left=b[k],
             identifiability_warning=ident_flag,
             gauss_newton_iterations=int(iterations[k]),
         ))
-    if inaccurate is not None:
-        raise inaccurate
-    if n_fit < len(y):
-        raise FitDiverged(why[n_fit])
     return fits
 
 
@@ -571,6 +558,9 @@ def _divergence(theta: np.ndarray, cost: float) -> str | None:
         return f"normalized residual {cost:.3e} above {RESIDUAL_THRESHOLD}"
     if theta[2] == 0:
         return "fitted hopping kappa collapsed to 0"
+    # the unbounded polish may end outside PhysicalScale's domain
+    if not (theta[0] > 0 and theta[1] >= 0):
+        return f"fitted omega0 = {theta[0]:.6g} rad/s, gamma0 = {theta[1]:.6g} rad/s: need omega0 > 0, gamma0 >= 0"
     return None
 
 
@@ -600,8 +590,8 @@ def fit_loop(dataset: SpectralDataset):
     """
     from .transport import transport_eigensystems
 
-    if len(dataset.responses) < 8:
-        raise ValueError("need at least 8 steps forming a closed loop")
+    if len(dataset.responses) < MIN_STEPS:
+        raise ValueError(f"need at least {MIN_STEPS} steps forming a closed loop")
     fits = _fit_spectra(dataset.responses, dataset.config)
     result = transport_eigensystems(fitted_stack(fits), label="fitted-loop")
     return fits, result
@@ -616,18 +606,24 @@ def fit_loop(dataset: SpectralDataset):
 def read_cavity_config(doc: dict, complete: bool = False) -> CavityConfig:
     """The CavityConfig that a JSON object describes, ``scale`` as an object
     of PhysicalScale fields.  A key that names no field is a ValueError, and
-    so, when ``complete``, is a field without a key, in ``scale`` too."""
+    so, when ``complete``, is a field without a key, in ``scale`` too; so are
+    a JSON boolean for a number and a ``geometry_metadata`` that is no string."""
     def check_keys(doc, cls, where):
+        if not isinstance(doc, dict):
+            raise ValueError(f"{where} must be a JSON object")
         names = {f.name for f in fields(cls)}
         unknown, missing = set(doc) - names, names - set(doc) if complete else set()
         if unknown or missing:
             raise ValueError(f"{where}: unknown key(s) {sorted(unknown)}, missing key(s) {sorted(missing)}")
 
     check_keys(doc, CavityConfig, "cavity config")
-    if "scale" not in doc:
-        return CavityConfig(**doc)
-    check_keys(doc["scale"], PhysicalScale, "cavity config scale")
-    return CavityConfig(**doc | {"scale": PhysicalScale(**doc["scale"])})
+    scale = doc.get("scale", {})
+    check_keys(scale, PhysicalScale, "cavity config scale")
+    # Python reads JSON true and false as the numbers 1 and 0, and JSON NaN as a float
+    if any(isinstance(v, bool) for v in (*doc.values(), *scale.values())) or not isinstance(
+            doc.get("geometry_metadata", ""), str):
+        raise ValueError("cavity config: no number may be a boolean, and geometry_metadata must be a string")
+    return CavityConfig(**doc | {"scale": PhysicalScale(**scale)})
 
 
 #: the element type of a dataset's responses: little-endian complex128

@@ -437,7 +437,10 @@ def _fit_one(responses, config, starts, polish, solve) -> spectral.FittedParams:
     """One spectrum's fit as ``spectral.fit_step`` makes it, from the
     ``starts`` of its site responses, each polished by ``polish`` where the
     one before misses the threshold, then the eigenvalues of the fitted
-    point by ``eigensystem`` and the residues by ``solve(a, b)``."""
+    point by ``eigensystem`` and the residues by ``solve(a, b)``.  It fails
+    by stage: a polish that diverges or ends outside ``PhysicalScale``'s
+    domain, then the eigen-solve, then a vanishing residue; it warns only
+    when it has fitted."""
     y, norm2, floor = spectral._site_responses(np.asarray(responses, dtype=complex), config)
     freqs, src = config.frequencies(), config.source_site - 1
     theta, cost, iterations = np.full(7, np.nan), np.inf, 0
@@ -452,18 +455,20 @@ def _fit_one(responses, config, starts, polish, solve) -> spectral.FittedParams:
     w0, g0, kap, eta, zeta, xi, g = theta
     if kap == 0:
         raise FitDiverged("fitted hopping kappa collapsed to 0")
+    if not (w0 > 0 and g0 >= 0):
+        raise FitDiverged(f"fitted omega0 = {w0:.6g} rad/s, gamma0 = {g0:.6g} rad/s: need omega0 > 0, gamma0 >= 0")
     point = ParamPoint(eta, zeta, xi, g)
     scale = PhysicalScale(omega0=w0, gamma0=g0, kappa=-abs(kap))
     wphys = to_physical(eigensystem(point).eigenvalues, scale)
-    gaps = [abs(wphys[i] - wphys[j]) for i in range(3) for j in range(i + 1, 3)]
-    ident_flag = min(gaps) < 3 * (freqs[1] - freqs[0])
-    if ident_flag:
-        warnings.warn(f"eigenvalue gap {min(gaps):.1f} rad/s below 3x frequency spacing", IdentifiabilityWarning)
     basis = 1.0 / (freqs[None, :] - wphys[:, None])
     t = solve(basis.T, y.T)[0].T
     nrm = np.linalg.norm(t, axis=0)
     if not (nrm > 0).all():
         raise FitDiverged(f"vanishing residue column for state {np.argmin(nrm) + 1}")
+    gaps = [abs(wphys[i] - wphys[j]) for i in range(3) for j in range(i + 1, 3)]
+    ident_flag = min(gaps) < 3 * (freqs[1] - freqs[0])
+    if ident_flag:
+        warnings.warn(f"eigenvalue gap {min(gaps):.1f} rad/s below 3x frequency spacing", IdentifiabilityWarning)
     a = t / nrm
     return spectral.FittedParams(
         point=point, scale=scale, eigenvalues=wphys, residual=cost, mode_coeffs_right=a,

@@ -366,6 +366,11 @@ class TestLabCommand:
         {"n_frequencies": 7.5},
         {"n_positions_per_cavity": 3.5},
         '{"scale": {"omega0": 1e400, "gamma0": 83.5, "kappa": -49.5}}',
+        # JSON booleans, which Python reads as 1 and 0, and a geometry that is no string
+        {"scale": {"omega0": True, "gamma0": 83.5, "kappa": -49.5}},
+        {"frequency_window": True},
+        '{"geometry_metadata": NaN}',
+        {"geometry_metadata": ["cavity height 110 mm"]},
     ])
     def test_bad_config_is_config_error(self, tmp_path, bad):
         cfg = tmp_path / "lab.json"
@@ -493,6 +498,18 @@ class TestNumericalFailures:
         assert (tmp_path / "dataset.json").exists() and (tmp_path / "manifest.json").exists()
         assert capsys.readouterr().err == ("numerical failure: fitted-loop: transport unreliable, "
                                            "smallest matched overlap 0.250\n")
+
+    def test_a_fitted_loss_below_0_exits_numerical(self, tmp_path, capsys):
+        """At a true gamma0 of 1 rad/s, 3 % noise and seed 3, the unbounded
+        polish of one mu1 step ends below gamma0 = 0, which no PhysicalScale
+        takes: the pipeline writes its dataset, then exits 3 naming gamma0."""
+        cfg = tmp_path / "lab.json"
+        cfg.write_text(json.dumps({"scale": {"omega0": 19729.0, "gamma0": 1.0, "kappa": -49.5}}))
+        out = tmp_path / "out"
+        assert run(["lab", "pipeline", "--config", str(cfg), "--noise", "0.03", "--seed", "3",
+                    "--out", str(out)]) == EXIT_NUMERICAL
+        assert re.fullmatch(r"numerical failure: .*gamma0 = -0\.46\d* rad/s.*\n", capsys.readouterr().err)
+        assert (out / "dataset.json").exists() and not (out / "fit_report.json").exists()
 
     def test_a_coarse_loop_near_an_ep_is_refined(self, tmp_path, capsys):
         """The thin triangle of test_loops_transport's TestRootRefinement at 3
@@ -647,6 +664,12 @@ def _lab_dataset(corrupt):
     pytest.param(_lab_dataset(lambda doc: doc.update(responses="x")), EXIT_CONFIG, id="dataset_string_responses-2"),
     pytest.param(_lab_dataset(lambda doc: doc["config"].update(n_frequencies="31")), EXIT_CONFIG,
                  id="dataset_string_n_frequencies-2"),
+    pytest.param(_lab_dataset(lambda doc: doc["config"].update(frequency_window=True)), EXIT_CONFIG,
+                 id="dataset_boolean_frequency_window-2"),
+    pytest.param(_lab_dataset(lambda doc: doc["config"]["scale"].update(gamma0=True)), EXIT_CONFIG,
+                 id="dataset_boolean_gamma0-2"),
+    pytest.param(_lab_dataset(lambda doc: doc["config"].update(geometry_metadata=float("nan"))), EXIT_CONFIG,
+                 id="dataset_nan_geometry_metadata-2"),
     # numeric arguments that are not finite or out of range
     pytest.param(_argv("surface", "--eta", "nan", "--grid", "5"), EXIT_CONFIG, id="surface_nan_eta-2"),
     pytest.param(_argv("surface", "--eta", "0.33", "--g", "inf", "--grid", "5"), EXIT_CONFIG,

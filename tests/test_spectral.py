@@ -882,107 +882,91 @@ def _vanish_residues_of(monkeypatch, spectrum, config):
     monkeypatch.setattr(spectral, "_lstsq", vanishing_lstsq)
 
 
+def _low_loss_mu1_spectra():
+    """The lab pipeline's mu1 loop at a true gamma0 of 1 rad/s, 3 % noise and
+    seed 3: the unbounded polish of step 7 ends at gamma0 = -0.46 rad/s, and
+    step 4 warns when it fits."""
+    from eptriad.loops import preset_loop
+
+    cfg = CavityConfig(scale=PhysicalScale(gamma0=1.0))
+    return list(synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), cfg, NoiseSpec(0.03, 3)).responses), cfg
+
+
 class TestLoopOrderFailures:
-    """A loop whose fits fail raises what fitting its spectra one at a time
-    raises, after the same warnings in the same order."""
+    """A loop's fits fail by stage: the first spectrum whose polish diverges
+    (``_divergence``), else the first whose eigen-solve fails its residual
+    check, else the first with a vanishing residue column.  So a loop with
+    one failing spectrum raises what fitting that spectrum alone raises,
+    and no loop that fails warns."""
 
     @staticmethod
     def _near_ep(zeta_offset):
         ep = refine_ep(ParamPoint(0.33, 0.54, 0.40, G)).point
         return synthesize([ParamPoint(0.33, ep.zeta + zeta_offset, ep.xi, G)]).responses[0]
 
-    # the spectra that warn near an EP; a spectrum after the divergent one is never reached
-    @pytest.mark.parametrize("diverges, warns, warned", [(4, (1, 6), 1), (0, (2,), 0)],
-                             ids=["warning-divergence-warning", "divergence-warning"])
-    def test_a_divergence_raises_after_the_warnings_before_it(self, diverges, warns, warned):
-        rng = np.random.default_rng(3)
-        spectra = _mu1_spectra(0.01, 4)
-        spectra[diverges] = rng.standard_normal((21, 31)) + 1j * rng.standard_normal((21, 31))
-        for k, offset in zip(warns, (0.002, 0.003)):
-            spectra[k] = self._near_ep(offset)
-        cfg = CavityConfig()
-        got = _recorded(_fit_loop_of, spectra, cfg)
-        assert got == _recorded(_one_at_a_time, spectra, cfg)
-        (kind, message), warnings_seen = got
-        assert kind is FitDiverged and message.startswith("normalized residual")
-        assert len(warnings_seen) == warned
-
-    def test_an_inaccurate_eigensystem_raises_in_its_turn(self, monkeypatch):
-        """A fitted point whose eigen-solve fails the residual check raises
-        after the warnings of the steps before it, as a point-by-point solve
-        would."""
-        spectra = _mu1_spectra(0.01, 4)
-        spectra[1] = self._near_ep(0.002)
-        cfg = CavityConfig()
-        bad = _fit_loop_of(spectra, cfg)[3].point
-        target = _hamiltonians(bad.as_array()[None])
-        eig = np.linalg.eig
-
-        def corrupting_eig(h):
-            w, v = eig(h)
-            v = v.copy()
-            hit = (h == target).all(axis=(1, 2))
-            v[hit, :, 0] = v[hit, :, 1]
-            return w, v
-
-        monkeypatch.setattr(np.linalg, "eig", corrupting_eig)
-        got = _recorded(_fit_loop_of, spectra, cfg)
-        assert got == _recorded(_one_at_a_time, spectra, cfg)
-        (kind, message), warned = got
-        assert kind is InaccurateEigensystem and str(ParamPoint(*bad.as_array().tolist())) in message
-        assert len(warned) == 1
-
-    @pytest.mark.parametrize("diverges, inaccurate, kind", [(2, 6, FitDiverged), (6, 2, InaccurateEigensystem)],
-                             ids=["divergence-then-inaccurate", "inaccurate-then-divergence"])
-    def test_an_inaccurate_eigensystem_and_a_divergence(self, monkeypatch, diverges, inaccurate, kind):
-        """The fitted points share one eigen-solve, which solves no point
-        after a divergence; of the two failures the earlier one raises."""
-        spectra = _mu1_spectra(0.01, 4)
-        cfg = CavityConfig()
-        bad = _fit_loop_of(spectra, cfg)[inaccurate].point
-        rng = np.random.default_rng(3)
-        spectra[diverges] = rng.standard_normal((21, 31)) + 1j * rng.standard_normal((21, 31))
-        _corrupt_eig_at(monkeypatch, bad)
-        got = _recorded(_fit_loop_of, spectra, cfg)
-        assert got == _recorded(_one_at_a_time, spectra, cfg)
-        assert got[0][0] is kind
-
-    @pytest.mark.parametrize("inaccurate, vanishes, kind", [(3, 6, InaccurateEigensystem), (6, 3, FitDiverged)],
-                             ids=["inaccurate-then-vanishing", "vanishing-then-inaccurate"])
-    def test_an_inaccurate_eigensystem_and_a_vanishing_residue(self, monkeypatch, inaccurate, vanishes, kind):
-        """A point that fails the shared eigen-solve raises after the residue
-        checks of the steps before it, and before those of the steps after it."""
-        spectra = _mu1_spectra(0.01, 4)
-        spectra[1] = self._near_ep(0.002)
-        cfg = CavityConfig()
-        bad = _fit_loop_of(spectra, cfg)[inaccurate].point
-        _corrupt_eig_at(monkeypatch, bad)
-        _vanish_residues_of(monkeypatch, spectra[vanishes], cfg)
-        got = _recorded(_fit_loop_of, spectra, cfg)
-        assert got == _recorded(_one_at_a_time, spectra, cfg)
-        (raised, message), warned = got
-        assert raised is kind and len(warned) == 1
+    @staticmethod
+    def _spoil(monkeypatch, kind, spectra, k, cfg):
+        """Make spectrum k fail at the stage of ``kind``."""
         if kind is FitDiverged:
-            assert message == "vanishing residue column for state 2"
+            rng = np.random.default_rng(3)
+            spectra[k] = rng.standard_normal((21, 31)) + 1j * rng.standard_normal((21, 31))
+        elif kind is InaccurateEigensystem:
+            _corrupt_eig_at(monkeypatch, serial_fit_step(spectra[k], cfg).point)
+        else:
+            _vanish_residues_of(monkeypatch, spectra[k], cfg)
 
-    @pytest.mark.parametrize("vanishes, kind", [(2, FitDiverged), (8, ValueError)],
-                             ids=["vanishing-then-negative-loss", "negative-loss-then-vanishing"])
-    def test_a_fitted_loss_below_0_raises_in_its_turn(self, monkeypatch, vanishes, kind):
-        """The polish is unbounded, so at a true gamma0 of 1 rad/s step 7 of
-        the mu1 loop (3 % noise, seed 3) ends below gamma0 = 0, which no
-        PhysicalScale takes: its ValueError raises after the residue checks
-        of the steps before it, and before those of the steps after it."""
-        from eptriad.loops import preset_loop
+    @staticmethod
+    def _alone(spectra, k, cfg):
+        """What fitting spectrum k alone gives, as ``_recorded`` records it."""
+        return _recorded(lambda s, c: [serial_fit_step(s[k], c)], spectra, cfg)
 
-        cfg = CavityConfig(scale=PhysicalScale(gamma0=1.0))
-        spectra = list(synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), cfg,
-                                  NoiseSpec(0.03, 3)).responses)
+    # "vanishing" spoils the residue solve, its error a FitDiverged too
+    @pytest.mark.parametrize("kind, message", [(FitDiverged, "normalized residual"),
+                                               (InaccurateEigensystem, "eigen residual"),
+                                               ("vanishing", "vanishing residue column for state 2")],
+                             ids=["divergence", "inaccurate", "vanishing"])
+    def test_one_failure_raises_as_its_spectrum_alone(self, monkeypatch, kind, message):
+        """Step 6 fails, with no warning from the steps before it, which warn
+        when the spectra are fitted one at a time."""
+        spectra, cfg = _mu1_spectra(0.01, 4), CavityConfig()
+        spectra[1] = self._near_ep(0.002)
+        self._spoil(monkeypatch, kind, spectra, 6, cfg)
+        got = _recorded(_fit_loop_of, spectra, cfg)
+        assert got == self._alone(spectra, 6, cfg)
+        (raised, text), warned = got
+        assert raised is (FitDiverged if kind == "vanishing" else kind) and text.startswith(message)
+        assert warned == [] and _recorded(_one_at_a_time, spectra, cfg)[1]
+
+    def test_a_fitted_loss_below_0_diverges(self):
+        """No PhysicalScale takes the gamma0 < 0 of step 7: it diverges, named
+        by its value, as fitting step 7 alone does, without step 4's warning."""
+        spectra, cfg = _low_loss_mu1_spectra()
+        got = _recorded(_fit_loop_of, spectra, cfg)
+        assert got == self._alone(spectra, 7, cfg)
+        assert got == ((FitDiverged, "fitted omega0 = 19729.8 rad/s, gamma0 = -0.461788 rad/s: "
+                                     "need omega0 > 0, gamma0 >= 0"), [])
+        assert _recorded(_one_at_a_time, spectra, cfg)[1]
+
+    @pytest.mark.parametrize("steps", [(3, 6), (6, 3)], ids=["earlier-stage-first", "earlier-stage-last"])
+    @pytest.mark.parametrize("earlier, later", [(FitDiverged, InaccurateEigensystem), (FitDiverged, "vanishing"),
+                                                (InaccurateEigensystem, "vanishing")],
+                             ids=["divergence-inaccurate", "divergence-vanishing", "inaccurate-vanishing"])
+    def test_of_two_failures_the_earlier_stage_raises(self, monkeypatch, earlier, later, steps):
+        spectra, cfg = _mu1_spectra(0.01, 4), CavityConfig()
+        spectra[1] = self._near_ep(0.002)
+        for kind, k in zip((earlier, later), steps):
+            self._spoil(monkeypatch, kind, spectra, k, cfg)
+        got = _recorded(_fit_loop_of, spectra, cfg)
+        assert got == self._alone(spectra, steps[0], cfg)
+        assert got[0][0] is earlier and got[1] == []
+
+    @pytest.mark.parametrize("vanishes", [2, 8])
+    def test_a_fitted_loss_below_0_diverges_before_any_residue_check(self, monkeypatch, vanishes):
+        spectra, cfg = _low_loss_mu1_spectra()
         _vanish_residues_of(monkeypatch, spectra[vanishes], cfg)
         got = _recorded(_fit_loop_of, spectra, cfg)
-        assert got == _recorded(_one_at_a_time, spectra, cfg)
-        assert got[0][0] is kind
-        if kind is ValueError:
-            assert "gamma0" in got[0][1]
+        assert got == self._alone(spectra, 7, cfg)
+        assert "gamma0 = -0.461788" in got[0][1]
 
 
 @pytest.mark.slow
