@@ -164,6 +164,24 @@ def eigensystems(params) -> "EigensystemStack":
     stacked ``np.linalg.eig`` call.  Each row's eigensystem is the one a lone
     solve gives, so the result does not depend on the chunking.
     """
+    return _stack(params, _solve_rows)
+
+
+def sheet_frames(params) -> "EigensystemStack":
+    """:func:`eigensystems` with closed-form right vectors, for band matching.
+
+    The eigenvalues are one stacked ``np.linalg.eigvals``, which gives the
+    bits of ``np.linalg.eig``'s; each right vector is the largest column of
+    the adjugate of H - w, so it differs from LAPACK's by a phase and
+    rounding.  The left rows, degenerate flags, smallest gaps, residual
+    check and chunking are those of :func:`eigensystems`.
+    """
+    return _stack(params, _sheet_rows)
+
+
+def _stack(params, solve) -> "EigensystemStack":
+    """The :class:`EigensystemStack` that the row solver ``solve`` gives at
+    ``params``, chunked and residual-checked as :func:`eigensystems` says."""
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != 4:
         raise ValueError(f"expected an (L, 4) parameter array, got shape {params.shape}")
@@ -171,10 +189,10 @@ def eigensystems(params) -> "EigensystemStack":
         raise ValueError("non-finite parameters")
     chunks = min(_usable_cpus(), len(params) // _MIN_CHUNK_ROWS) if len(params) >= 2 * _MIN_CHUNK_ROWS else 1
     if chunks < 2:
-        w, v, left, degenerate, min_gap, resid2 = _solve_rows(params)
+        w, v, left, degenerate, min_gap, resid2 = solve(params)
     else:
         w, v, left, degenerate, min_gap, resid2 = (
-            np.concatenate(part) for part in zip(*_solve_chunks(np.array_split(params, chunks)))
+            np.concatenate(part) for part in zip(*_solve_chunks(np.array_split(params, chunks), solve))
         )
     if (resid2 > 1e-20).any():
         l, j = np.argwhere(resid2 > 1e-20)[0]
@@ -190,15 +208,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _solve_chunks(chunks: list) -> list:
-    """:func:`_solve_rows` of each chunk: the first on this thread, the rest on
-    a pool made for this call, each in a copy of this thread's context (its
-    ``np.errstate``).  numpy's eigensolver releases the GIL while it runs."""
+def _solve_chunks(chunks: list, solve) -> list:
+    """The row solver ``solve`` on each chunk: the first on this thread, the
+    rest on a pool made for this call, each in a copy of this thread's context
+    (its ``np.errstate``).  numpy's eigensolvers release the GIL while they run."""
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(len(chunks) - 1) as pool:
-        rest = [pool.submit(contextvars.copy_context().run, _solve_rows, chunk) for chunk in chunks[1:]]
-        first = _solve_rows(chunks[0])
+        rest = [pool.submit(contextvars.copy_context().run, solve, chunk) for chunk in chunks[1:]]
+        first = solve(chunks[0])
         return [first] + [future.result() for future in rest]
 
 
@@ -206,19 +224,79 @@ def _solve_rows(params: np.ndarray) -> tuple:
     """Sorted eigenvalues, normalized right vectors, left rows, degenerate
     flags, smallest gaps and squared relative residual norms of each row.
 
-    Runs on worker threads: it must call no name that a tracer may rebind,
-    and it makes no stacked complex matrix product, so H v is written out.
-    A stacked complex ``h @ v`` over 5 000 rows took 0.97 ms on one thread
-    and about 4.6 ms on each of two threads running it at once (one BLAS
-    thread each), while ``np.linalg.eig``, elementwise products and the
-    vector products of the bilinear forms below barely slowed down.
+    Runs on worker threads: it must call no name that a tracer may rebind.
     """
     h = _hamiltonians(params)
     w, v = np.linalg.eig(h)
     order = np.argsort(w.real, axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
     v = np.take_along_axis(v, order[:, None, :], axis=2)
-    v = v / np.sqrt((v.conj() * v).real.sum(axis=1))[:, None, :]
+    return _frames(params, h, w, v)
+
+
+def _sheet_rows(params: np.ndarray) -> tuple:
+    """:func:`_solve_rows` with the eigenvalues of ``np.linalg.eigvals`` and
+    each right vector the largest adjugate column of H - w
+    (:func:`_adjugate_vectors`); it too runs on worker threads."""
+    h = _hamiltonians(params)
+    w = np.linalg.eigvals(h)
+    w = np.take_along_axis(w, np.argsort(w.real, axis=1, kind="stable"), axis=1)
+    return _frames(params, h, w, _adjugate_vectors(h, w))
+
+
+def _adjugate_vectors(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Right vectors (columns) of the Hamiltonians ``h`` for their eigenvalues ``w``.
+
+    H - w is tridiagonal with (a, b, c) on its diagonal and the hopping -1
+    off it, so its adjugate has the columns (bc - 1, c, 1), (c, ac, a) and
+    (1, a, ab - 1), each a multiple of the eigenvector of a simple w.  One
+    may vanish (the middle one where a = c = 0, as for w = 0 at eta = 0,
+    g = -1), so the one of largest norm is taken.
+
+    Only directions matter.  As LAPACK's ``geev`` scales a matrix whose
+    entries leave a safe range, a stack where a real or imaginary part of
+    a, b or c reaches 2^100 is solved scaled: a, b and c by a power of two
+    s <= 1 that puts their parts below 1 (the columns then scale by s^2,
+    and each 1 becomes s^2), and each chosen column by a power of two that
+    puts its largest part in [0.5, 1).  Unscaled, |a c|^2 overflowed once
+    |xi| passed about 1e77; below 2^100 no product overflows, and no norm
+    underflows, as each column holds a 1.  While no part turns subnormal,
+    the scales change no bit of a normalized column.
+    """
+    a, b, c = (h[:, i, i, None] - w for i in range(3))             # (L, 3) each, per eigenvalue
+    abc = np.stack((a, b, c), axis=1)
+    scaled = not np.abs(abc.view(float)).max() < 2.0**100
+    s = np.ldexp(1.0, -_exponents(abc).clip(0)) if scaled else 1.0
+    a, b, c, one = a * s, b * s, c * s, s * s
+    bc, ab = b * c - one, a * b - one
+    a2, c2 = a.real**2 + a.imag**2, c.real**2 + c.imag**2
+    k = np.argmax([bc.real**2 + bc.imag**2 + c2 * one + one * one, (a2 + one) * c2 + a2 * one,
+                   a2 * one + ab.real**2 + ab.imag**2 + one * one], axis=0)
+    v = np.stack([np.choose(k, (bc, c * s, one)), np.choose(k, (c * s, a * c, a * s)),
+                  np.choose(k, (one, a * s, ab))], axis=1)
+    # the clip keeps 2^-e finite
+    return v * np.ldexp(1.0, -_exponents(v).clip(-1000))[:, None, :] if scaled else v
+
+
+def _exponents(z: np.ndarray) -> np.ndarray:
+    """The binary exponent e (``np.frexp``'s) of the largest real or
+    imaginary part along axis 1 of the complex array ``z``: each part is
+    below 2^e, and the largest at least 2^(e - 1)."""
+    return np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)).max(axis=1))[1]
+
+
+def _frames(params: np.ndarray, h: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple:
+    """What a row solver returns for the sorted eigenvalues ``w`` and the right
+    vectors ``v`` (columns, any length, normalized in place) of the
+    Hamiltonians ``h`` at ``params``.
+
+    It makes no stacked complex matrix product, so H v is written out.  A
+    stacked complex ``h @ v`` over 5 000 rows took 0.97 ms on one thread and
+    about 4.6 ms on each of two threads running it at once (one BLAS thread
+    each), while ``np.linalg.eig``, elementwise products and the vector
+    products of the bilinear forms below barely slowed down.
+    """
+    v /= np.sqrt((v.conj() * v).real.sum(axis=1))[:, None, :]
 
     min_gap = min_gaps(w)
     degenerate = min_gap < DEGENERACY_GAP

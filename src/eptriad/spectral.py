@@ -104,8 +104,10 @@ class NoiseSpec:
         # the seed starts numpy's RNG streams, which take only non-negative integers
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError(f"noise seed must be a non-negative integer, got {self.seed!r}")
-        if not 0 <= self.relative_amplitude < np.inf:
-            raise ValueError(f"noise amplitude must be finite and at least 0, got {self.relative_amplitude!r}")
+        # Python reads JSON true and false as the numbers 1 and 0
+        if isinstance(self.relative_amplitude, bool) or not 0 <= self.relative_amplitude < np.inf:
+            raise ValueError(f"noise amplitude must be finite and at least 0, and no boolean, "
+                             f"got {self.relative_amplitude!r}")
 
 
 @dataclass
@@ -226,9 +228,12 @@ def synthesize(
     ns = noise if noise is not None else NoiseSpec()
     freqs, phi = cfg.frequencies(), onsite_profile(cfg)
     theta = np.array([_truth_vector(p, cfg.scale) for p in points]).reshape(-1, 7).T
-    sites = _response_matrix(theta, freqs, cfg.source_site - 1)                  # (S, 3, n_freq)
-    # real and imaginary parts scaled by the real profile, without numpy's slow mixed-type broadcast
-    scaled = (phi * phi[-1])[:, None] * sites.view(float)[:, :, None, :]       # (S, 3, n_pos, 2 n_freq)
+    # a window that overflows the forward model gives responses that are not
+    # finite, which ``check_dataset`` rejects, so they are made without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        sites = _response_matrix(theta, freqs, cfg.source_site - 1)              # (S, 3, n_freq)
+        # real and imaginary parts scaled by the real profile, without numpy's slow mixed-type broadcast
+        scaled = (phi * phi[-1])[:, None] * sites.view(float)[:, :, None, :]   # (S, 3, n_pos, 2 n_freq)
     responses = scaled.view(complex).reshape(len(points), -1, len(freqs))
     if ns.relative_amplitude > 0:
         for k, rk in enumerate(responses):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eptriad.errors import AmbiguousMatch, InaccurateEigensystem, PathTouchesEP
-from eptriad import model
+from eptriad import locate, model
 from eptriad.locate import refine_ep, track_sheets
 from eptriad.loops import PRESET_NAMES, interpolate_loop, preset_loop, preset_waypoints
 from eptriad.model import (
@@ -583,7 +583,92 @@ def test_error_messages_name_points_with_plain_floats(monkeypatch):
         # at 1024 points per solve: blocks of 17 rows, the last one ragged
         (-1.2, 0.3, np.linspace(-1.5, 1.4, 41), np.linspace(-1.3, 1.5, 57)),
         (0.33, G, np.linspace(-1, 1, 2), np.linspace(-1, 1, 1100)),     # a row longer than a block
+        # exact ties on the row zeta = 0: steps that rounding alone decides, and the closed-form
+        # frames decide some of them otherwise than LAPACK's (on the OpenBLAS kernels SkylakeX and
+        # Haswell at g = -0.43, Haswell and Prescott at g = -0.3), so track_sheets takes LAPACK's
+        (0.0, -0.3, np.linspace(-1, 1, 101), np.linspace(-1, 1, 101)),
+        (0.0, -0.43, np.linspace(-1, 1, 101), np.linspace(-1, 1, 101)),
+        # a = c = 0 for the eigenvalue 0 at every point, where the middle adjugate column vanishes
+        (0.0, -1.0, np.linspace(-1, 1, 101), np.linspace(-1, 1, 101)),
+        # |xi| ~ 1e77 and 1e100 with |disc| finite: unscaled, the adjugate's |a c|^2 overflows; at
+        # 1e100 the column of a = c = 0, scaled to (-s^2, 0, s^2), also needs its own scale
+        (0.0, -0.9, np.linspace(-1, 1, 11), np.linspace(1.5e77, 2e77, 11)),
+        (0.0, -1.0, np.linspace(-1, 1, 11), np.linspace(1e100, 2e100, 11)),
     ],
 )
 def test_track_sheets_is_bit_equal_to_the_row_sweep(eta, g, zz, xx):
     assert np.array_equal(track_sheets(eta, g, zz, xx), ref_track_sheets(eta, g, zz, xx))
+
+
+def test_tie_slices_hold_steps_below_the_sure_margin():
+    """The tie cases above exercise the LAPACK decision: their closed-form margins fall below it."""
+    zz = np.linspace(-1, 1, 101)
+    for g in (-0.3, -0.43):
+        frames = model.sheet_frames(np.stack(np.broadcast_arrays(0.0, 0.0, zz, g), axis=-1))
+        _, margin = transport_module.best_assignments(frames.left_vectors[:-1] @ frames.right_vectors[1:])
+        assert (margin < locate.SURE_MARGIN).any()
+
+
+def _slices(etas, gs, n=101):
+    zz = np.linspace(-1, 1, n)
+    return [np.stack(np.broadcast_arrays(eta, zz[:, None], zz, g), axis=-1).reshape(-1, 4) for eta in etas for g in gs]
+
+
+def test_eigvals_gives_the_eigenvalue_bits_of_eig():
+    """``sheet_frames`` takes its eigenvalues from ``np.linalg.eigvals``; the
+    surface's bits rest on their being ``np.linalg.eig``'s, in its order."""
+    params = np.concatenate([np.random.default_rng(14).uniform(-1.5, 1.5, (200_000, 4)),
+                             *_slices((0.0, 0.33, -0.7), (-1.0, 0.0, G))])
+    h = model._hamiltonians(params)
+    assert np.array_equal(np.linalg.eigvals(h), np.linalg.eig(h)[0])
+
+
+def test_sheet_frames_are_the_eigensystems_up_to_phase():
+    params = np.concatenate([_chunked_stack(), *_slices((0.0,), (-1.0, -0.3))])
+    sheets, exact = model.sheet_frames(params), eigensystems(params)
+    for f in ("params", "eigenvalues", "is_degenerate", "min_gap"):
+        assert np.array_equal(getattr(sheets, f), getattr(exact, f)), f
+    far = exact.min_gap >= locate.SURE_GAP
+    right, want = sheets.right_vectors[far], exact.right_vectors[far]
+    phase = (right.conj() * want).sum(axis=1)                        # (rows, bands)
+    assert np.allclose(abs(phase), 1.0, rtol=0, atol=1e-12)
+    assert np.abs(right * phase[:, None, :] - want).max() < 1e-12
+    assert np.abs(sheets.left_vectors[far] @ right - np.eye(3)).max() < 1e-12
+
+
+def _corrupting_eigvals(params, bad_rows):
+    """An ``np.linalg.eigvals`` that moves the first eigenvalue of the rows
+    ``bad_rows`` of ``params`` by 1e-3, found by their Hamiltonians in
+    whichever chunk holds them."""
+    eigvals = np.linalg.eigvals
+    targets = model._hamiltonians(params[bad_rows])
+
+    def bad_eigvals(h):
+        w = eigvals(h).copy()
+        w[(h[:, None] == targets[None]).all(axis=(2, 3)).any(axis=1), 0] += 1e-3
+        return w
+
+    return bad_eigvals
+
+
+def test_track_sheets_checks_the_closed_form_residuals(monkeypatch):
+    eta, zz, xx = 0.33, np.linspace(-1, 1, 21), np.linspace(-1, 1, 30)     # 630 points: chunked on 2+ CPUs
+    params = np.stack(np.broadcast_arrays(eta, zz[:, None], xx, G), axis=-1).reshape(-1, 4)
+    monkeypatch.setattr(np.linalg, "eigvals", _corrupting_eigvals(params, [317, 500]))
+    with pytest.raises(InaccurateEigensystem, match="residual") as raised:
+        track_sheets(eta, G, zz, xx)
+    assert f"at {ParamPoint.from_row(params[317])}" in str(raised.value)
+    assert "ParamPoint(eta=" in str(raised.value) and "np.float64" not in str(raised.value)
+
+
+def test_steps_with_nan_closed_form_scores_take_lapacks():
+    """A NaN margin is below no bound, so ``_assignments`` must send its step
+    to the LAPACK frames rather than keep the NaN scores' pick."""
+    zz = np.linspace(-1, 1, 41)
+    params = np.stack(np.broadcast_arrays(0.33, 0.2, zz, G), axis=-1)
+    frames, exact = model.sheet_frames(params), eigensystems(params)
+    start, end = np.arange(40), np.arange(1, 41)
+    want, _ = transport_module.best_assignments(exact.left_vectors[:-1] @ exact.right_vectors[1:])
+    assert want.any()                                                # the row holds exchanges
+    spoiled = replace(frames, right_vectors=np.full_like(frames.right_vectors, np.nan))
+    assert np.array_equal(locate._assignments(spoiled, start, end), want)

@@ -274,6 +274,11 @@ def _string_noise_seed(doc):
     return doc
 
 
+def _boolean_noise_amplitude(doc):
+    doc["noise_spec"]["relative_amplitude"] = True
+    return doc
+
+
 def _shape_spoiler(shape):
     """A mutator that writes ``shape`` as the responses' shape."""
     def spoil(doc):
@@ -384,7 +389,7 @@ class TestLabCommand:
         [_not_a_dataset, _three_steps, _nan_response, _zero_responses, _missing_row,
          _unknown_config_key, _missing_config_key, _missing_scale_key,
          _not_base64, _shape_disagrees_with_bytes, _complex64_tag, _one_truth_short, _per_step_pairs,
-         _string_noise_seed,
+         _string_noise_seed, _boolean_noise_amplitude,
          # shapes that are not three non-negative integers; [-9, -21, 31] has the right product
          *(_shape_spoiler(shape) for shape in ([9, 651], [9, 21, 31, 1], [-9, -21, 31], [9, 21, 31.0],
                                                 [9, 21, True], "9x21x31"))],
@@ -530,10 +535,13 @@ def _argv_group(tmp_path, monkeypatch):
     return ["group", "--out", str(tmp_path)]
 
 
-def _argv_bad_lab_config(tmp_path, monkeypatch):
-    cfg = tmp_path / "lab.json"
-    cfg.write_text(json.dumps({"population": "x"}))
-    return ["lab", "pipeline", "--config", str(cfg), "--out", str(tmp_path)]
+def _lab_config(doc):
+    """An argv maker for ``lab pipeline --config`` with ``doc`` as the config."""
+    def make_argv(tmp_path, monkeypatch):
+        path = tmp_path / "lab.json"
+        path.write_text(json.dumps(doc))
+        return ["lab", "pipeline", "--config", str(path), "--out", str(tmp_path / "out")]
+    return make_argv
 
 
 def _argv_loop_through_ep(tmp_path, monkeypatch):
@@ -623,7 +631,9 @@ def _lab_dataset(corrupt):
 
 @pytest.mark.parametrize("make_argv, code", [
     (_argv_group, EXIT_OK),
-    (_argv_bad_lab_config, EXIT_CONFIG),
+    pytest.param(_lab_config({"population": "x"}), EXIT_CONFIG, id="lab_config_string_population-2"),
+    # a window whose forward model overflows: no RuntimeWarning (an error under this suite) escapes
+    pytest.param(_lab_config({"frequency_window": 1e308}), EXIT_CONFIG, id="lab_config_overflowing_window-2"),
     (_argv_loop_through_ep, EXIT_NUMERICAL),     # PathTouchesEP
     (_argv_out_is_file, EXIT_IO),
     (_argv_unreliable_loop, EXIT_NUMERICAL),     # the report is written, then exit 3
