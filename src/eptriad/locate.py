@@ -360,10 +360,9 @@ def _assignments(frames: model.EigensystemStack, start: np.ndarray, end: np.ndar
     # written so that a NaN margin or gap is unsure too
     unsure = ~(margin >= SURE_MARGIN) | ~(np.minimum(frames.min_gap[start], frames.min_gap[end]) >= SURE_GAP)
     if unsure.any():
-        ends, at = np.unique(np.concatenate([start[unsure], end[unsure]]), return_inverse=True)
-        exact = model.eigensystems(frames.params[ends])
-        at_start, at_end = at.reshape(2, -1)
-        best[unsure], _ = transport.best_assignments(exact.left_vectors[at_start] @ exact.right_vectors[at_end])
+        n = np.count_nonzero(unsure)
+        exact = model.eigensystems(frames.params[np.concatenate([start[unsure], end[unsure]])])
+        best[unsure], _ = transport.best_assignments(exact.left_vectors[:n] @ exact.right_vectors[n:])
     return best
 
 

@@ -174,9 +174,15 @@ def sheet_frames(params) -> "EigensystemStack":
     bits of ``np.linalg.eig``'s; each right vector is the largest column of
     the adjugate of H - w, so it differs from LAPACK's by a phase and
     rounding.  The left rows, degenerate flags, smallest gaps, residual
-    check and chunking are those of :func:`eigensystems`.
+    check and chunking are those of :func:`eigensystems`.  A stack with a
+    parameter of magnitude 2^97 or more gets the frames of :func:`eigensystems`:
+    below it, each part of H's diagonal is below 2^98, so |w| < 2^98.5 + 2
+    (Gershgorin) and each part of H - w is below the 2^100 that
+    :func:`_sheet_rows` needs.
     """
-    return _stack(params, _sheet_rows)
+    params = np.asarray(params, dtype=float)
+    closed_form = np.abs(params).max(initial=0.0) < 2.0**97
+    return _stack(params, _sheet_rows if closed_form else _solve_rows)
 
 
 def _stack(params, solve) -> "EigensystemStack":
@@ -236,53 +242,26 @@ def _solve_rows(params: np.ndarray) -> tuple:
 
 def _sheet_rows(params: np.ndarray) -> tuple:
     """:func:`_solve_rows` with the eigenvalues of ``np.linalg.eigvals`` and
-    each right vector the largest adjugate column of H - w
-    (:func:`_adjugate_vectors`); it too runs on worker threads."""
-    h = _hamiltonians(params)
-    w = np.linalg.eigvals(h)
-    w = np.take_along_axis(w, np.argsort(w.real, axis=1, kind="stable"), axis=1)
-    return _frames(params, h, w, _adjugate_vectors(h, w))
-
-
-def _adjugate_vectors(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Right vectors (columns) of the Hamiltonians ``h`` for their eigenvalues ``w``.
+    closed-form right vectors; it too runs on worker threads.
 
     H - w is tridiagonal with (a, b, c) on its diagonal and the hopping -1
     off it, so its adjugate has the columns (bc - 1, c, 1), (c, ac, a) and
     (1, a, ab - 1), each a multiple of the eigenvector of a simple w.  One
     may vanish (the middle one where a = c = 0, as for w = 0 at eta = 0,
-    g = -1), so the one of largest norm is taken.
-
-    Only directions matter.  As LAPACK's ``geev`` scales a matrix whose
-    entries leave a safe range, a stack where a real or imaginary part of
-    a, b or c reaches 2^100 is solved scaled: a, b and c by a power of two
-    s <= 1 that puts their parts below 1 (the columns then scale by s^2,
-    and each 1 becomes s^2), and each chosen column by a power of two that
-    puts its largest part in [0.5, 1).  Unscaled, |a c|^2 overflowed once
-    |xi| passed about 1e77; below 2^100 no product overflows, and no norm
-    underflows, as each column holds a 1.  While no part turns subnormal,
-    the scales change no bit of a normalized column.
+    g = -1), so the one of largest norm is taken.  Every real and imaginary
+    part of a, b and c must be below 2^100 (:func:`sheet_frames` gives the
+    other stacks LAPACK's frames): then no product overflows, and no norm
+    underflows, as each column holds a 1.
     """
+    h = _hamiltonians(params)
+    w = np.linalg.eigvals(h)
+    w = np.take_along_axis(w, np.argsort(w.real, axis=1, kind="stable"), axis=1)
     a, b, c = (h[:, i, i, None] - w for i in range(3))             # (L, 3) each, per eigenvalue
-    abc = np.stack((a, b, c), axis=1)
-    scaled = not np.abs(abc.view(float)).max() < 2.0**100
-    s = np.ldexp(1.0, -_exponents(abc).clip(0)) if scaled else 1.0
-    a, b, c, one = a * s, b * s, c * s, s * s
-    bc, ab = b * c - one, a * b - one
+    bc, ab = b * c - 1, a * b - 1
     a2, c2 = a.real**2 + a.imag**2, c.real**2 + c.imag**2
-    k = np.argmax([bc.real**2 + bc.imag**2 + c2 * one + one * one, (a2 + one) * c2 + a2 * one,
-                   a2 * one + ab.real**2 + ab.imag**2 + one * one], axis=0)
-    v = np.stack([np.choose(k, (bc, c * s, one)), np.choose(k, (c * s, a * c, a * s)),
-                  np.choose(k, (one, a * s, ab))], axis=1)
-    # the clip keeps 2^-e finite
-    return v * np.ldexp(1.0, -_exponents(v).clip(-1000))[:, None, :] if scaled else v
-
-
-def _exponents(z: np.ndarray) -> np.ndarray:
-    """The binary exponent e (``np.frexp``'s) of the largest real or
-    imaginary part along axis 1 of the complex array ``z``: each part is
-    below 2^e, and the largest at least 2^(e - 1)."""
-    return np.frexp(np.maximum(np.abs(z.real), np.abs(z.imag)).max(axis=1))[1]
+    k = np.argmax([bc.real**2 + bc.imag**2 + c2 + 1, (a2 + 1) * c2 + a2, a2 + ab.real**2 + ab.imag**2 + 1], axis=0)
+    v = np.stack([np.choose(k, (bc, c, 1)), np.choose(k, (c, a * c, a)), np.choose(k, (1, a, ab))], axis=1)
+    return _frames(params, h, w, v)
 
 
 def _frames(params: np.ndarray, h: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple:

@@ -667,8 +667,8 @@ def load_dataset(path: str | Path) -> SpectralDataset:
     keys are not ``DATASET_KEYS`` (the older per-step form among them), a
     dtype tag other than "<c16", a shape that is not three non-negative
     integers, text that is not base64, a byte count that disagrees with the
-    shape and a ``param_truth`` count other than the number of steps are
-    ValueErrors."""
+    shape, a ``param_truth`` count other than the number of steps and a truth
+    that is not null or four numbers (a JSON boolean is none) are ValueErrors."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or set(doc) != set(DATASET_KEYS):
         raise ValueError(f"a dataset is a JSON object with the keys {DATASET_KEYS}")
@@ -687,6 +687,10 @@ def load_dataset(path: str | Path) -> SpectralDataset:
     if len(raw) != 16 * math.prod(shape):
         raise ValueError(f"{len(raw)} response bytes do not hold a complex128 array of shape {shape}")
     responses = np.frombuffer(raw, RESPONSE_DTYPE).astype(complex).reshape(shape)
-    truths = [None if t is None else ParamPoint(*t) for t in doc["param_truth"]]
+    truths = doc["param_truth"]
+    if not all(t is None or type(t) is list and len(t) == 4 and {type(v) for v in t} <= {int, float}
+               for t in truths):
+        raise ValueError("param_truth: each step's truth must be null or four numbers, none of them a boolean")
+    truths = [None if t is None else ParamPoint(*t) for t in truths]
     return SpectralDataset(read_cavity_config(doc["config"], complete=True), NoiseSpec(**doc["noise_spec"]),
                            responses, truths)

@@ -13,7 +13,7 @@ import cmath
 import importlib
 import itertools
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -242,6 +242,7 @@ def test_batched_rows_equal_per_point_rows():
             assert batch.min_gap[l] == single.min_gap
 
 
+@pytest.mark.kernels
 def test_one_bad_row_fails_the_whole_batch(monkeypatch):
     params = _probe_points()[:8]
     eig = np.linalg.eig
@@ -295,6 +296,7 @@ def _one_solve(params, monkeypatch):
         return eigensystems(params)
 
 
+@pytest.mark.kernels
 def test_chunked_stack_is_bit_equal_to_one_solve(three_cpus, monkeypatch):
     params = _chunked_stack()
     chunked = eigensystems(params)
@@ -338,6 +340,7 @@ def _corrupting_eig(params, bad_rows):
 
 
 @pytest.mark.parametrize("bad_rows", [[1050], [1050, 700], [1050, 700, 5]], ids=["last-chunk", "two-chunks", "three-chunks"])
+@pytest.mark.kernels
 def test_chunked_errors_name_the_first_bad_row(bad_rows, three_cpus, monkeypatch):
     params = _chunked_stack()
     monkeypatch.setattr(np.linalg, "eig", _corrupting_eig(params, bad_rows))
@@ -358,6 +361,7 @@ def _matmul_residuals(params, w, v):
     return np.linalg.norm(r, axis=1) / np.maximum(np.linalg.norm(h, axis=(1, 2)), 1.0)[:, None]
 
 
+@pytest.mark.kernels
 def test_written_out_residuals_equal_the_matmul_residuals():
     rng = np.random.default_rng(13)
     params = np.concatenate([
@@ -372,6 +376,7 @@ def test_written_out_residuals_equal_the_matmul_residuals():
     assert np.abs(np.sqrt(resid2) - want).max() <= 8 * np.finfo(float).eps
 
 
+@pytest.mark.kernels
 def test_written_out_residuals_flag_bad_rows_in_every_chunk(monkeypatch):
     params, bad_rows = _chunked_stack(), [5, 700, 1050]
     monkeypatch.setattr(np.linalg, "eig", _corrupting_eig(params, bad_rows))
@@ -470,6 +475,7 @@ TRIANGLE = [(-0.152923, 0.383999, -0.371626), (-0.194721, 0.442178, -0.505061), 
     interpolate_loop([ParamPoint(*c, -0.4) for c in TRIANGLE + TRIANGLE[:1]], 3),
     interpolate_loop([ParamPoint(*c, -0.4) for c in TRIANGLE + TRIANGLE[:1]], 200),
 ], ids=["mu1-1", "rho1-2", "big-2", "rho2-23", "triangle-3", "triangle-200"])
+@pytest.mark.kernels
 def test_refinement_inserts_the_same_points(loop):
     """Coarse loops, and the thin triangle of test_loops_transport's
     TestRootRefinement even at 200 steps per segment, get midpoints before
@@ -570,6 +576,13 @@ def test_error_messages_name_points_with_plain_floats(monkeypatch):
 # --------------------------------------------------------------------------
 # sheet tracking
 
+# |xi| ~ 1e77 and 1e100 with |disc| finite: far past the 2^100 below which the closed-form
+# frames hold (here their |a c|^2 overflows), so sheet_frames takes eig's frames
+FAR_SLICES = [
+    (0.0, -0.9, np.linspace(-1, 1, 11), np.linspace(1.5e77, 2e77, 11)),
+    (0.0, -1.0, np.linspace(-1, 1, 11), np.linspace(1e100, 2e100, 11)),
+]
+
 
 @pytest.mark.parametrize(
     "eta, g, zz, xx",
@@ -590,16 +603,36 @@ def test_error_messages_name_points_with_plain_floats(monkeypatch):
         (0.0, -0.43, np.linspace(-1, 1, 101), np.linspace(-1, 1, 101)),
         # a = c = 0 for the eigenvalue 0 at every point, where the middle adjugate column vanishes
         (0.0, -1.0, np.linspace(-1, 1, 101), np.linspace(-1, 1, 101)),
-        # |xi| ~ 1e77 and 1e100 with |disc| finite: unscaled, the adjugate's |a c|^2 overflows; at
-        # 1e100 the column of a = c = 0, scaled to (-s^2, 0, s^2), also needs its own scale
-        (0.0, -0.9, np.linspace(-1, 1, 11), np.linspace(1.5e77, 2e77, 11)),
-        (0.0, -1.0, np.linspace(-1, 1, 11), np.linspace(1e100, 2e100, 11)),
+        *FAR_SLICES,
     ],
 )
+@pytest.mark.kernels
 def test_track_sheets_is_bit_equal_to_the_row_sweep(eta, g, zz, xx):
     assert np.array_equal(track_sheets(eta, g, zz, xx), ref_track_sheets(eta, g, zz, xx))
 
 
+@pytest.mark.parametrize("eta, g, zz, xx", FAR_SLICES)
+def test_sheet_frames_past_the_closed_form_range_are_the_eigensystems(eta, g, zz, xx):
+    params = np.stack(np.broadcast_arrays(eta, zz[:, None], xx, g), axis=-1).reshape(-1, 4)
+    sheets, exact = model.sheet_frames(params), eigensystems(params)
+    for f in fields(model.EigensystemStack):
+        assert np.array_equal(getattr(sheets, f.name), getattr(exact, f.name)), f.name
+
+
+def test_sheet_frames_in_the_closed_form_range_call_no_eig(monkeypatch):
+    """The closed form serves every stack below the range bound: the atlas's
+    |p| <= 1.5, and a window out to |zeta|, |xi| = 1e29, just inside 2^97."""
+    def no_eig(h):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    window = np.linspace(-1e29, 1e29, 21)
+    for params in (np.random.default_rng(14).uniform(-1.5, 1.5, (2000, 4)),
+                   np.stack(np.broadcast_arrays(0.33, window[:, None], window, G), axis=-1).reshape(-1, 4)):
+        assert np.isfinite(model.sheet_frames(params).left_vectors).all()
+
+
+@pytest.mark.kernels
 def test_tie_slices_hold_steps_below_the_sure_margin():
     """The tie cases above exercise the LAPACK decision: their closed-form margins fall below it."""
     zz = np.linspace(-1, 1, 101)
@@ -614,6 +647,7 @@ def _slices(etas, gs, n=101):
     return [np.stack(np.broadcast_arrays(eta, zz[:, None], zz, g), axis=-1).reshape(-1, 4) for eta in etas for g in gs]
 
 
+@pytest.mark.kernels
 def test_eigvals_gives_the_eigenvalue_bits_of_eig():
     """``sheet_frames`` takes its eigenvalues from ``np.linalg.eigvals``; the
     surface's bits rest on their being ``np.linalg.eig``'s, in its order."""
@@ -623,6 +657,7 @@ def test_eigvals_gives_the_eigenvalue_bits_of_eig():
     assert np.array_equal(np.linalg.eigvals(h), np.linalg.eig(h)[0])
 
 
+@pytest.mark.kernels
 def test_sheet_frames_are_the_eigensystems_up_to_phase():
     params = np.concatenate([_chunked_stack(), *_slices((0.0,), (-1.0, -0.3))])
     sheets, exact = model.sheet_frames(params), eigensystems(params)
@@ -651,6 +686,7 @@ def _corrupting_eigvals(params, bad_rows):
     return bad_eigvals
 
 
+@pytest.mark.kernels
 def test_track_sheets_checks_the_closed_form_residuals(monkeypatch):
     eta, zz, xx = 0.33, np.linspace(-1, 1, 21), np.linspace(-1, 1, 30)     # 630 points: chunked on 2+ CPUs
     params = np.stack(np.broadcast_arrays(eta, zz[:, None], xx, G), axis=-1).reshape(-1, 4)
@@ -661,6 +697,7 @@ def test_track_sheets_checks_the_closed_form_residuals(monkeypatch):
     assert "ParamPoint(eta=" in str(raised.value) and "np.float64" not in str(raised.value)
 
 
+@pytest.mark.kernels
 def test_steps_with_nan_closed_form_scores_take_lapacks():
     """A NaN margin is below no bound, so ``_assignments`` must send its step
     to the LAPACK frames rather than keep the NaN scores' pick."""

@@ -138,6 +138,7 @@ class TestSurfaceCommand:
         # at 1024 points per solve: three blocks of rows, the last one ragged
         pytest.param(0.37, 0.61, (-1.0, 1.0, -1.0, 1.0), 41, 57, id="41x57"),
     ])
+    @pytest.mark.kernels
     def test_csv_equals_the_per_point_reference(self, tmp_path, eta, g, window, nz, nx):
         """The streamed CSV has the bytes of csv.writer writing the rows one
         by one, with the ParamPoint discriminant and numpy scalars formatted."""
@@ -427,6 +428,7 @@ class TestLabCommand:
     def test_fit_requires_dataset(self):
         assert run(["lab", "fit"]) == EXIT_CONFIG
 
+    @pytest.mark.kernels
     def test_pipeline_at_cli_defaults_is_byte_stable(self, tmp_path):
         """The pipeline's reports repeat byte for byte, and only the manifest
         counts the work."""
@@ -680,6 +682,11 @@ def _lab_dataset(corrupt):
                  id="dataset_boolean_gamma0-2"),
     pytest.param(_lab_dataset(lambda doc: doc["config"].update(geometry_metadata=float("nan"))), EXIT_CONFIG,
                  id="dataset_nan_geometry_metadata-2"),
+    # a truth of three numbers would take g = 0 from ParamPoint's default, and a boolean would read as 1
+    pytest.param(_lab_dataset(lambda doc: doc.update(param_truth=[[0.33, 0.0, 0.0]] + doc["param_truth"][1:])),
+                 EXIT_CONFIG, id="dataset_truth_of_three_numbers-2"),
+    pytest.param(_lab_dataset(lambda doc: doc.update(param_truth=[[True, 0, 0, 0.61]] + doc["param_truth"][1:])),
+                 EXIT_CONFIG, id="dataset_boolean_truth-2"),
     # numeric arguments that are not finite or out of range
     pytest.param(_argv("surface", "--eta", "nan", "--grid", "5"), EXIT_CONFIG, id="surface_nan_eta-2"),
     pytest.param(_argv("surface", "--eta", "0.33", "--g", "inf", "--grid", "5"), EXIT_CONFIG,

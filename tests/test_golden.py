@@ -43,6 +43,7 @@ def assert_same(got, want, where="$"):
 
 
 @pytest.mark.parametrize("preset", PRESET_NAMES)
+@pytest.mark.kernels
 def test_loop_report(tmp_path, preset):
     argv = ["loop", "--preset", preset, "--steps-per-segment", "64", "--out", str(tmp_path)]
     assert main(argv) == EXIT_OK
@@ -59,6 +60,7 @@ def test_surface_csv(tmp_path):
     assert_same([[float(c) for c in r] for r in got[1:]], [[float(c) for c in r] for r in want[1:]])
 
 
+@pytest.mark.kernels
 def test_arcs(tmp_path):
     assert main(["ea", "--g", "0.61", "--step", "0.04", "--out", str(tmp_path)]) == EXIT_OK
     assert_same(load(tmp_path / "arcs.json"), load(GOLDEN / "arcs.json"))

@@ -260,6 +260,7 @@ class TestVorticity:
             assert abs(s - res.disc_winding / 2) < 1e-3
 
 
+@pytest.mark.kernels
 class TestDiscriminantRoots:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_exact_winding_equals_the_finely_sampled_winding(self, name):
@@ -343,6 +344,7 @@ class TestErrorPaths:
             transport_eigensystems(replace(stack, right_vectors=right))
 
 
+@pytest.mark.kernels
 class TestRootRefinement:
     """A thin triangle at g = -0.4 that passes close to an exceptional arc.
     Sampled as given, at 3 to 5 steps per segment, it steps over its

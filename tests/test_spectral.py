@@ -191,6 +191,7 @@ class TestBatchedForwardModel:
 
     @given(st.sampled_from([1, 9]).flatmap(_thetas), st.sampled_from([0, 1, 2]))
     @settings(max_examples=30, deadline=None)
+    @pytest.mark.kernels
     def test_jacobian_stack_equals_single_vectors(self, thetas, src):
         freqs = CavityConfig().frequencies()
         batch = spectral._response_jacobian(thetas, freqs, src)
@@ -271,6 +272,7 @@ def _assert_jacobian_matches_oracle(theta, src):
         _assert_matches_oracle(got[k], want[k])
 
 
+@pytest.mark.kernels
 class TestResponseJacobian:
     """The polish's exact Jacobian against -A^-1 (dA/dtheta_k) A^-1 e_src by
     dense solves, for every parameter and every source site."""
@@ -318,6 +320,7 @@ def _probe_row_cost(data, theta, config):
     return np.sum(np.abs(data - model) ** 2) / np.sum(np.abs(data) ** 2)
 
 
+@pytest.mark.kernels
 class TestProfileProjection:
     """The fit works on the profile-projected site responses: their cost plus
     the out-of-profile constant is the cost over every probe row."""
@@ -501,6 +504,7 @@ def _lab_spectra(preset, source_site, noise, seed):
 SECOND_START_CASE = ("mu3", 1, 0.05, 11), 6
 
 
+@pytest.mark.kernels
 class TestRationalStart:
     """The closed-form starts: a rational fit of the site responses, then the seven scalars."""
 
@@ -574,6 +578,7 @@ class TestRationalStart:
         assert misses or source_site == 3           # the second start is exercised
 
 
+@pytest.mark.kernels
 class TestStackedStarts:
     """The starts of a stack of spectra come from stacked solves: each row
     keeps the bits of its stack of one, agrees with the per-spectrum
@@ -615,6 +620,7 @@ class TestStackedStarts:
             assert np.array_equal(starts[j], spectral._rational_starts(y[j][None], cfg)[0], equal_nan=True), j
 
 
+@pytest.mark.kernels
 class TestStartIndependence:
     """The exact-Jacobian polish ends at the least cost wherever it starts:
     polishes of one spectrum from different starts agree within 1e-8 in
@@ -704,6 +710,7 @@ class TestFitLoop:
             scale = np.maximum(np.abs(want), 1.0)
             assert np.all(np.abs(fit.theta() - want) <= 1e-5 * scale)
 
+    @pytest.mark.kernels
     def test_polish_above_threshold_falls_back_to_the_second_start(self, monkeypatch):
         """A cavity-B spectrum whose first start polishes above the residual
         threshold fits from its second start, exactly as a fit that has
@@ -779,6 +786,7 @@ def _assert_fits_as_one_at_a_time(spectra, config=CavityConfig()):
     return got
 
 
+@pytest.mark.kernels
 class TestStackedPolish:
     """A loop's spectra are polished as one stack, each with its own step
     length and stops, so every fit keeps the bits of a fit on its own."""
@@ -827,6 +835,7 @@ class TestStackedPolish:
         assert got[0] == (FitDiverged, "no finite closed-form start")
 
 
+@pytest.mark.kernels
 class TestLstsqReference:
     """The stacked QR solves and the polish's floor at 1e-14 in place of
     1e-15 move a fit only by rounding: every fit stays within 1e-7 in (eta,
