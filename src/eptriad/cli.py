@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import AmbiguousMatch, EptriadError, FitDiverged, NoConvergence, NotAGroup
+from .errors import EptriadError
 # discriminant_formula, eigensystem, match_assignment, refine_ep and
 # seed_eps_in_slice stay importable here for the benchmark's tracer
 from .locate import ETA_GRID_STEP, arc_starts, refine_ep, seed_eps_in_slice, trace_ea, track_sheets
@@ -394,11 +394,8 @@ def main(argv=None) -> int:
     except _ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NoConvergence, FitDiverged, AmbiguousMatch, NotAGroup) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except EptriadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

@@ -71,8 +71,10 @@ class CavityConfig:
             raise ValueError("need at least 3 probe positions per cavity")
         if self.n_frequencies < 7:
             raise ValueError("need at least 7 frequencies")
-        if not 0 < self.frequency_window < np.inf:
-            raise ValueError(f"frequency window must be finite and positive, got {self.frequency_window!r}")
+        # every sampled frequency above 0 rad/s
+        if not 0 < self.frequency_window < 2 * self.scale.omega0:
+            raise ValueError(f"frequency window must be positive and below 2 omega0 = {2 * self.scale.omega0!r} "
+                             f"rad/s, got {self.frequency_window!r}")
         if self.source_site not in (1, 2, 3):
             raise ValueError(f"source_site must be 1, 2 or 3 (cavity B, A or C), got {self.source_site}")
 
@@ -244,21 +246,11 @@ def synthesize(
     return SpectralDataset(cfg, ns, responses, list(points))
 
 
-def _squared_norm(data: np.ndarray, config: CavityConfig) -> float:
-    """||data||^2; ValueError unless ``data`` is finite, not all zero and
-    sampled as ``config`` samples it."""
-    shape = (3 * config.n_positions_per_cavity, config.n_frequencies)
-    with np.errstate(over="ignore"):        # an overflowing norm is rejected below
-        norm2 = float(np.sum(np.abs(data) ** 2))
-    if data.shape != shape or not 0 < norm2 < np.inf:
-        raise ValueError(f"need finite, not all-zero responses of shape {shape}, "
-                         f"got shape {data.shape} and squared norm {norm2}")
-    return norm2
-
-
 def _site_responses(data: np.ndarray, config: CavityConfig):
-    """(y, norm2, floor), the fit's view of one spectrum; ValueError unless
-    ``data`` is finite, not all zero and sampled as ``config`` samples it.
+    """(y, norm2, floor), the fit's view of a stack of spectra, shapes
+    (S, 3, n_freq), (S,) and (S,); ValueError unless ``data`` has the shape
+    (S, 3 n_pos, n_freq) that ``config`` samples, or naming the first step
+    that is not finite or all zero.
 
     A probe row is phi * phi_top times a site response (``synthesize``), so
     the fit needs only y = (phi . block) / phi_top of each cavity block: the
@@ -268,11 +260,18 @@ def _site_responses(data: np.ndarray, config: CavityConfig):
     part ||data - phi (phi . data)||^2 / ||data||^2, summed directly: as a
     difference of squared norms it would cancel to rounding noise.
     """
-    norm2 = _squared_norm(data, config)
+    shape = (3 * config.n_positions_per_cavity, config.n_frequencies)
+    if np.ndim(data) != 3 or data.shape[1:] != shape:
+        raise ValueError(f"need responses of shape (steps, {shape[0]}, {shape[1]}), got shape {np.shape(data)}")
+    with np.errstate(over="ignore"):        # an overflowing norm is rejected below
+        norm2 = np.sum(np.abs(data) ** 2, axis=(1, 2))
+    bad = np.flatnonzero(~((0 < norm2) & (norm2 < np.inf)))
+    if len(bad):
+        raise ValueError(f"need finite, not all-zero responses, got squared norm {norm2[bad[0]]} at step {bad[0]}")
     phi = onsite_profile(config)
-    blocks = data.reshape(3, len(phi), -1)
-    proj = phi @ blocks                                               # (3, n_freq)
-    floor = float(np.sum(np.abs(blocks - phi[:, None] * proj[:, None, :]) ** 2)) / norm2
+    blocks = data.reshape(len(data), 3, len(phi), -1)
+    proj = phi @ blocks                                               # (S, 3, n_freq)
+    floor = np.sum(np.abs(blocks - phi[:, None] * proj[:, :, None, :]) ** 2, axis=(1, 2, 3)) / norm2
     return proj / phi[-1], norm2 / phi[-1] ** 2, floor
 
 
@@ -281,8 +280,7 @@ def check_dataset(dataset: SpectralDataset) -> None:
     the steps are enough (``MIN_STEPS``) to form a closed loop."""
     if len(dataset.responses) < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps forming a closed loop")
-    for responses in dataset.responses:
-        _squared_norm(responses, dataset.config)
+    _site_responses(dataset.responses, dataset.config)
 
 
 GAUSS_NEWTON_ITERATIONS = 60
@@ -495,11 +493,16 @@ def fit_step(responses: np.ndarray, config: CavityConfig | None = None) -> Fitte
     coefficient split uses the complex-symmetry constraint b proportional
     to a.
     """
-    return _fit_spectra([responses], config if config is not None else CavityConfig())[0]
+    cfg = config if config is not None else CavityConfig()
+    return _fit_spectra(np.asarray(responses, dtype=complex)[None], cfg)[0][0]
 
 
-def _fit_spectra(spectra, cfg: CavityConfig) -> list[FittedParams]:
-    """``fit_step`` of each spectrum, as one stack, stage by stage.
+def _fit_spectra(responses: np.ndarray, cfg: CavityConfig) -> tuple[list[FittedParams], EigensystemStack]:
+    """``fit_step`` of each spectrum of the stack ``responses``, shape
+    (S, 3 n_pos, n_freq), stage by stage: (fits, frames), ``frames`` the
+    fitted points, eigenvalues and residue-coefficient frames as one stack
+    for the transport machinery, with each smallest gap in units of the
+    fitted |kappa|.
 
     The first starts are polished in one ``_gauss_newton`` call, the second
     starts of the spectra that polish missed in one more; one ``eigensystems``
@@ -509,8 +512,7 @@ def _fit_spectra(spectra, cfg: CavityConfig) -> list[FittedParams]:
     a loop with one failing spectrum raises what fitting that spectrum alone
     raises, and the warnings come only once every spectrum has fitted.
     """
-    views = [_site_responses(np.asarray(r, dtype=complex), cfg) for r in spectra]
-    y, norm2, floor = (np.array(v) for v in zip(*views))
+    y, norm2, floor = _site_responses(responses, cfg)
     freqs, src = cfg.frequencies(), cfg.source_site - 1
 
     starts = _rational_starts(y, cfg)                                  # (S, 2, 7)
@@ -552,7 +554,8 @@ def _fit_spectra(spectra, cfg: CavityConfig) -> list[FittedParams]:
             identifiability_warning=ident_flag,
             gauss_newton_iterations=int(iterations[k]),
         ))
-    return fits
+    gap = gaps / abs(theta[:, 2])
+    return fits, EigensystemStack(theta[:, 3:], wphys, a, b, gap < DEGENERACY_GAP, gap)
 
 
 def _divergence(theta: np.ndarray, cost: float) -> str | None:
@@ -569,37 +572,19 @@ def _divergence(theta: np.ndarray, cost: float) -> str | None:
     return None
 
 
-def fitted_stack(fits: list[FittedParams]) -> EigensystemStack:
-    """The fits as one stack for the transport machinery: fitted points,
-    eigenvalues and residue-coefficient frames, and each smallest gap in
-    units of the fitted |kappa|."""
-    w = np.array([f.eigenvalues for f in fits])
-    min_gap = min_gaps(w) / np.array([abs(f.scale.kappa) for f in fits])
-    return EigensystemStack(
-        np.array([f.point.as_array() for f in fits]),
-        w,
-        np.array([f.mode_coeffs_right for f in fits]),
-        np.array([f.mode_coeffs_left for f in fits]),
-        min_gap < DEGENERACY_GAP,
-        min_gap,
-    )
-
-
 def fit_loop(dataset: SpectralDataset):
     """Fit every step of a closed-loop dataset, then transport the fitted frames.
 
     Each step is fitted from its own spectrum as ``fit_step`` fits it (closed-form start and
     polish), all of them as one stack (``_fit_spectra``), so no fit depends on its neighbour.
-    Returns (fits, transport_result); the fitted frames are stacked once (``fitted_stack``) and
+    Returns (fits, transport_result); the fitted frames that ``_fit_spectra`` returns are
     transported as an analytic stack is, with the winding of the polygon of the fitted points.
     """
     from .transport import transport_eigensystems
 
-    if len(dataset.responses) < MIN_STEPS:
-        raise ValueError(f"need at least {MIN_STEPS} steps forming a closed loop")
-    fits = _fit_spectra(dataset.responses, dataset.config)
-    result = transport_eigensystems(fitted_stack(fits), label="fitted-loop")
-    return fits, result
+    check_dataset(dataset)
+    fits, frames = _fit_spectra(dataset.responses, dataset.config)
+    return fits, transport_eigensystems(frames, label="fitted-loop")
 
 
 # ----------------------------------------------------------------------

@@ -147,7 +147,7 @@ def root_winding(roots: np.ndarray) -> float:
 
 def transport_eigensystems(stack: EigensystemStack, label: str = "", roots=None) -> TransportResult:
     """Parallel transport over the closed eigensystem sequence ``stack``
-    (analytic, or fitted frames from ``spectral.fitted_stack``).
+    (analytic, or the fitted frames that ``spectral._fit_spectra`` returns).
 
     A step whose assignment margin is below ``DEFAULT_AMBIGUITY_MARGIN``
     raises AmbiguousMatch.  Θ is not checked for unimodularity (fitted

@@ -441,7 +441,7 @@ def _fit_one(responses, config, starts, polish, solve) -> spectral.FittedParams:
     by stage: a polish that diverges or ends outside ``PhysicalScale``'s
     domain, then the eigen-solve, then a vanishing residue; it warns only
     when it has fitted."""
-    y, norm2, floor = spectral._site_responses(np.asarray(responses, dtype=complex), config)
+    (y,), (norm2,), (floor,) = spectral._site_responses(np.asarray(responses, dtype=complex)[None], config)
     freqs, src = config.frequencies(), config.source_site - 1
     theta, cost, iterations = np.full(7, np.nan), np.inf, 0
     for start in starts(y):
@@ -505,7 +505,7 @@ def searched_fit(responses, config, seed) -> np.ndarray:
     :func:`serial_gauss_newton` from its best member."""
     from scipy.optimize import differential_evolution
 
-    y, norm2, floor = spectral._site_responses(np.asarray(responses, dtype=complex), config)
+    (y,), (norm2,), (floor,) = spectral._site_responses(np.asarray(responses, dtype=complex)[None], config)
     freqs, src = config.frequencies(), config.source_site - 1
 
     def cost(population):                    # (7, S) members -> (S,) costs

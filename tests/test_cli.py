@@ -238,6 +238,13 @@ def _zero_responses(doc):
     return _encoded(doc, r)
 
 
+def _two_bad_steps(doc):
+    """Step 3 all zero and step 6 with a NaN: the check names step 3."""
+    r = _responses(doc)
+    r[3], r[6, 0, 0] = 0, complex(float("nan"), 0.0)
+    return _encoded(doc, r)
+
+
 def _missing_row(doc):
     return _encoded(doc, _responses(doc)[:, :-1])
 
@@ -627,7 +634,7 @@ def _lab_dataset(corrupt):
         doc = json.loads(path.read_text())
         corrupt(doc)
         path.write_text(json.dumps(doc))
-        return ["lab", "fit", "--dataset", str(path), "--out", str(tmp_path)]
+        return ["lab", "fit", "--dataset", str(path), "--out", str(tmp_path / "out")]
     return make_argv
 
 
@@ -636,7 +643,11 @@ def _lab_dataset(corrupt):
     pytest.param(_lab_config({"population": "x"}), EXIT_CONFIG, id="lab_config_string_population-2"),
     # a window whose forward model overflows: no RuntimeWarning (an error under this suite) escapes
     pytest.param(_lab_config({"frequency_window": 1e308}), EXIT_CONFIG, id="lab_config_overflowing_window-2"),
-    (_argv_loop_through_ep, EXIT_NUMERICAL),     # PathTouchesEP
+    # a window of 2 omega0 samples 0 rad/s
+    pytest.param(_lab_config({"frequency_window": 2 * 19729.0}), EXIT_CONFIG, id="lab_config_window_of_2_omega0-2"),
+    # PathTouchesEP, a numerical failure like every other EptriadError
+    pytest.param(_argv_loop_through_ep, (EXIT_NUMERICAL, "numerical failure: a discriminant root"),
+                 id="_argv_loop_through_ep-3"),
     (_argv_out_is_file, EXIT_IO),
     (_argv_unreliable_loop, EXIT_NUMERICAL),     # the report is written, then exit 3
     (_argv_unreliable_fit, EXIT_NUMERICAL),      # so is a fitted loop's
@@ -674,6 +685,12 @@ def _lab_dataset(corrupt):
     pytest.param(_lab_dataset(lambda doc: _encoded(doc, np.full((len(doc["param_truth"]), 1, 1), 1 + 2j))),
                  EXIT_CONFIG, id="dataset_response_row_of_two_values-2"),
     pytest.param(_lab_dataset(lambda doc: doc.update(responses="x")), EXIT_CONFIG, id="dataset_string_responses-2"),
+    pytest.param(_lab_dataset(_two_bad_steps),
+                 (EXIT_CONFIG, "config error: need finite, not all-zero responses, got squared norm 0.0 at step 3\n"),
+                 id="dataset_first_bad_step_named-2"),
+    # a window of 1e308 rad/s would sample frequencies below 0 rad/s
+    pytest.param(_lab_dataset(lambda doc: doc["config"].update(frequency_window=1e308)), EXIT_CONFIG,
+                 id="dataset_window_below_0_rad_per_s-2"),
     pytest.param(_lab_dataset(lambda doc: doc["config"].update(n_frequencies="31")), EXIT_CONFIG,
                  id="dataset_string_n_frequencies-2"),
     pytest.param(_lab_dataset(lambda doc: doc["config"].update(frequency_window=True)), EXIT_CONFIG,
@@ -722,13 +739,17 @@ def _lab_dataset(corrupt):
     pytest.param(_argv("lab", "pipeline", "--noise", "0.5", "--seed", "1"), EXIT_NUMERICAL,
                  id="lab_pipeline_overflowing_trial_steps-3"),
 ])
-def test_exit_code_matrix(tmp_path, monkeypatch, make_argv, code):
+def test_exit_code_matrix(tmp_path, monkeypatch, capsys, make_argv, code):
+    """``code`` is the exit code, the exception raised, or (exit code, the start of stderr)."""
     argv = make_argv(tmp_path, monkeypatch)
+    code, err = code if isinstance(code, tuple) else (code, "")
+    capsys.readouterr()
     if isinstance(code, type):
         with pytest.raises(code):
             run(argv)
     else:
         assert run(argv) == code
+        assert capsys.readouterr().err.startswith(err)
     if code == EXIT_CONFIG:     # inputs are checked before the output directory is made
         assert not (tmp_path / "out").exists()
 

@@ -24,13 +24,21 @@ from oracles import (
 from eptriad.errors import FitDiverged, IdentifiabilityWarning, InaccurateEigensystem
 from eptriad.locate import refine_ep
 from eptriad.loops import PRESET_NAMES
-from eptriad.model import ParamPoint, PhysicalScale, _hamiltonians, eigensystem, eigensystems, to_physical
+from eptriad.model import (
+    DEGENERACY_GAP,
+    ParamPoint,
+    PhysicalScale,
+    _hamiltonians,
+    eigensystem,
+    eigensystems,
+    min_gaps,
+    to_physical,
+)
 from eptriad.spectral import (
     CavityConfig,
     NoiseSpec,
     fit_loop,
     fit_step,
-    fitted_stack,
     load_dataset,
     onsite_profile,
     save_dataset,
@@ -54,6 +62,16 @@ class TestModeProfile:
     def test_two_positions_rejected(self):
         with pytest.raises(ValueError):
             onsite_profile(CavityConfig(n_positions_per_cavity=2))
+
+    @pytest.mark.parametrize("omega0, window", [(19729.0, 2 * 19729.0), (19729.0, 1e308), (100.0, 200.0),
+                                                (100.0, 0.0), (100.0, np.inf), (100.0, np.nan)])
+    def test_a_window_that_reaches_0_rad_per_s_is_rejected(self, omega0, window):
+        with pytest.raises(ValueError, match="frequency window must be positive and below 2 omega0"):
+            CavityConfig(scale=PhysicalScale(omega0=omega0), frequency_window=window)
+
+    def test_the_widest_window_samples_above_0_rad_per_s(self):
+        cfg = CavityConfig(frequency_window=np.nextafter(2 * 19729.0, 0))
+        assert cfg.frequencies()[0] > 0
 
     def test_every_admitted_sampling_has_unit_norm_and_two_nodes(self):
         for n in range(3, 60):
@@ -339,7 +357,7 @@ class TestProfileProjection:
         data = solved_response(truth[:, 0], cfg.frequencies(), n_pos, source_site - 1)
         rng = np.random.default_rng(seed)
         data = data * (1 + noise * (rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)) / np.sqrt(2))
-        y, norm2, floor = spectral._site_responses(data, cfg)
+        y, norm2, floor = spectral._site_responses(data[None], cfg)
         diff = spectral._response_matrix(thetas, cfg.frequencies(), source_site - 1) - y
         got = np.sum(np.abs(diff) ** 2, axis=(1, 2)) / norm2 + floor
         want = np.array([_probe_row_cost(data, theta, cfg) for theta in thetas.T])
@@ -351,8 +369,8 @@ class TestProfileProjection:
         from eptriad.loops import preset_loop
 
         ds = synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), CavityConfig())
+        assert np.all(spectral._site_responses(ds.responses, ds.config)[2] < 1e-28)
         for responses in ds.responses:
-            assert spectral._site_responses(responses, ds.config)[2] < 1e-28
             assert fit_step(responses, ds.config).residual < 1e-24
 
     @pytest.mark.parametrize("seed", [0, 5])
@@ -364,6 +382,20 @@ class TestProfileProjection:
             fit = fit_step(responses, ds.config)
             want = _probe_row_cost(responses, fit.theta(), ds.config)
             assert abs(fit.residual - want) <= 1e-12 * want, (fit.residual, want)
+
+    @pytest.mark.parametrize("source_site", [1, 2, 3])
+    @pytest.mark.parametrize("n_pos", [3, 7, 12])
+    def test_each_row_of_a_stacked_view_is_its_stack_of_one(self, source_site, n_pos):
+        """The fit views a loop's spectra as one stack; each row has the bits
+        of the view of its spectrum alone."""
+        from eptriad.loops import preset_loop
+
+        cfg = CavityConfig(n_positions_per_cavity=n_pos, source_site=source_site)
+        responses = synthesize(list(preset_loop("rho1", steps_per_segment=3).steps), cfg, NoiseSpec(0.03, 5)).responses
+        views = spectral._site_responses(responses, cfg)
+        for k in range(len(responses)):
+            for got, want in zip(views, spectral._site_responses(responses[k:k + 1], cfg)):
+                assert got[k:k + 1].tobytes() == want.tobytes(), k
 
 
 class TestDatasetIO:
@@ -442,9 +474,9 @@ class TestFitStep:
     def test_eigenvector_reconstruction(self):
         p = ParamPoint(0.33, 0.15, -0.1, G)
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
-        fit = fit_step(ds.responses[0], ds.config)
+        _, frames = spectral._fit_spectra(ds.responses, ds.config)
         truth = eigensystem(p)
-        recon = fitted_stack([fit]).row(0)
+        recon = frames.row(0)
         # match fitted states to analytic ones by eigenvalue
         wt = to_physical(truth.eigenvalues)
         for j in range(3):
@@ -482,9 +514,14 @@ class TestFitStep:
         with pytest.raises(ValueError):
             fit_step(resp)
 
+    @pytest.mark.parametrize("shape", [(21, 30), (24, 31), (31,), (9, 21, 31)])
+    def test_a_spectrum_of_the_wrong_shape_names_the_shape(self, shape):
+        with pytest.raises(ValueError, match=r"need responses of shape \(steps, 21, 31\)"):
+            fit_step(np.ones(shape, dtype=complex))
+
 
 def _sites(responses, config):
-    """The site responses that ``fit_step`` fits."""
+    """The site responses that ``fit_step`` fits, of a stack of spectra."""
     return spectral._site_responses(responses, config)[0]
 
 
@@ -495,8 +532,7 @@ def _lab_spectra(preset, source_site, noise, seed):
 
     segments = len(preset_waypoints(preset)) - 1
     pts = list(preset_loop(preset, steps_per_segment=-(-(MIN_STEPS - 1) // segments)).steps)
-    ds = synthesize(pts, CavityConfig(source_site=source_site), NoiseSpec(noise, seed))
-    return list(ds.responses)
+    return synthesize(pts, CavityConfig(source_site=source_site), NoiseSpec(noise, seed)).responses
 
 
 #: a cavity-B spectrum whose first start polishes into another basin:
@@ -517,7 +553,7 @@ class TestRationalStart:
         cfg = CavityConfig(source_site=source_site)
         p = preset_loop("mu1", steps_per_segment=1).steps[k]
         truth = np.array([cfg.scale.omega0, cfg.scale.gamma0, cfg.scale.kappa, p.eta, p.zeta, p.xi, p.g])
-        starts = spectral._rational_starts(_sites(synthesize([p], cfg).responses[0], cfg)[None], cfg)[0]
+        starts = spectral._rational_starts(_sites(synthesize([p], cfg).responses, cfg), cfg)[0]
         # a drive at A has one start, a drive at B or C two
         assert np.isfinite(starts).all(axis=1).tolist() == [True, source_site != 2]
         for start in starts[:1 if source_site == 2 else 2]:
@@ -538,11 +574,11 @@ class TestRationalStart:
         p = ParamPoint(0.33, 0.1, -0.1, G)
         for source_site in (1, 2, 3):
             cfg = CavityConfig(source_site=source_site)
-            responses = synthesize([p], cfg).responses[0].copy()
-            responses[:7, -1] = 0                   # cavity B silent at the last frequency
-            assert np.isnan(spectral._rational_starts(_sites(responses, cfg)[None], cfg)).all()
+            responses = synthesize([p], cfg).responses
+            responses[0, :7, -1] = 0                # cavity B silent at the last frequency
+            assert np.isnan(spectral._rational_starts(_sites(responses, cfg), cfg)).all()
             with pytest.raises(FitDiverged, match="no finite closed-form start"):
-                fit_step(responses, cfg)
+                fit_step(responses[0], cfg)
 
     @pytest.mark.parametrize("source_site", [1, 2, 3])
     def test_a_noisy_spectrum_fits_without_the_search(self, monkeypatch, source_site):
@@ -568,10 +604,9 @@ class TestRationalStart:
             for seed in (0, 11):
                 spectra = _lab_spectra(preset, source_site, noise, seed)
                 cfg = CavityConfig(source_site=source_site)
-                fits = spectral._fit_spectra(spectra, cfg)
+                fits, _ = spectral._fit_spectra(spectra, cfg)
                 assert max(f.residual for f in fits) <= spectral.RESIDUAL_THRESHOLD
-                views = [spectral._site_responses(r, cfg) for r in spectra]
-                y, norm2, floor = (np.array(v) for v in zip(*views))
+                y, norm2, floor = spectral._site_responses(spectra, cfg)
                 first = spectral._rational_starts(y, cfg)[:, 0]
                 cost = spectral._gauss_newton(first, y, cfg.frequencies(), norm2, floor, source_site - 1)[1]
                 misses += int(np.sum(cost > spectral.RESIDUAL_THRESHOLD))
@@ -589,7 +624,7 @@ class TestStackedStarts:
     @pytest.mark.parametrize("noise", [0.0, 0.05])
     def test_every_row_is_its_stack_of_one_and_near_the_lstsq_starts(self, source_site, noise):
         cfg = CavityConfig(source_site=source_site)
-        y = np.array([_sites(r, cfg) for r in _lab_spectra("rho1", source_site, noise, 3)])
+        y = _sites(_lab_spectra("rho1", source_site, noise, 3), cfg)
         starts = spectral._rational_starts(y, cfg)
         for yk, got in zip(y, starts):
             assert np.array_equal(got, spectral._rational_starts(yk[None], cfg)[0], equal_nan=True)
@@ -605,7 +640,7 @@ class TestStackedStarts:
         or C, a cavity-A response of the wrong sign, whose hopping comes out
         below 0."""
         cfg = CavityConfig(source_site=source_site)
-        y = np.array([_sites(r, cfg) for r in _lab_spectra("mu1", source_site, 0.01, 0)])
+        y = _sites(_lab_spectra("mu1", source_site, 0.01, 0), cfg)
         k = 4
         if fault == "zero":
             y[k, 0, -1] = 0
@@ -633,8 +668,8 @@ class TestStartIndependence:
         cfg = CavityConfig()
         freqs = cfg.frequencies()
         pts = list(preset_loop("mu1", steps_per_segment=1).steps)
-        for p, responses in zip(pts, synthesize(pts, cfg, NoiseSpec(0.01, seed)).responses):
-            y, norm2, floor = spectral._site_responses(responses, cfg)
+        views = spectral._site_responses(synthesize(pts, cfg, NoiseSpec(0.01, seed)).responses, cfg)
+        for p, y, norm2, floor in zip(pts, *views):
             starts = [spectral._rational_starts(y[None], cfg)[0, 0], spectral._truth_vector(p, cfg.scale)]
             (from_start, from_truth), *_ = spectral._gauss_newton(
                 np.array(starts), np.array([y, y]), freqs, np.full(2, norm2), np.full(2, floor))
@@ -651,9 +686,8 @@ class TestStartIndependence:
         data = ds.responses[7]
         fit = fit_step(data, cfg)
         neighbour = fit_step(ds.responses[6], cfg)
-        y, norm2, floor = spectral._site_responses(data, cfg)
-        (from_neighbour,), *_ = spectral._gauss_newton(
-            neighbour.theta()[None], y[None], cfg.frequencies(), np.array([norm2]), np.array([floor]))
+        y, norm2, floor = spectral._site_responses(data[None], cfg)
+        (from_neighbour,), *_ = spectral._gauss_newton(neighbour.theta()[None], y, cfg.frequencies(), norm2, floor)
         for other in (from_neighbour[3:], searched_fit(data, cfg, seed=11)[3:]):
             assert np.max(np.abs(other - fit.point.as_array())) <= 1e-8, other - fit.point.as_array()
 
@@ -676,6 +710,20 @@ class TestFitLoop:
         ds = synthesize([ParamPoint(0.33, 0.1, 0, G)] * 3, noise=NoiseSpec(0, 0))
         with pytest.raises(ValueError):
             fit_loop(ds)
+
+    @pytest.mark.parametrize("preset, noise", [("mu1", 0.01), ("rho1", 0.03)])
+    def test_the_frames_are_the_fits_as_one_stack(self, preset, noise):
+        """The frames that the fit hands to transport hold each fit's fitted
+        point, eigenvalues and residue frames, and its smallest gap in units
+        of its fitted |kappa|, bit for bit."""
+        fits, frames = spectral._fit_spectra(_lab_spectra(preset, 2, noise, 1), CavityConfig())
+        assert np.array_equal(frames.params, [f.point.as_array() for f in fits])
+        assert np.array_equal(frames.eigenvalues, [f.eigenvalues for f in fits])
+        assert np.array_equal(frames.right_vectors, [f.mode_coeffs_right for f in fits])
+        assert np.array_equal(frames.left_vectors, [f.mode_coeffs_left for f in fits])
+        gap = min_gaps(frames.eigenvalues) / np.array([abs(f.scale.kappa) for f in fits])
+        assert np.array_equal(frames.min_gap, gap)
+        assert np.array_equal(frames.is_degenerate, gap < DEGENERACY_GAP)
 
     def test_noiseless_matches_analytic_transport(self):
         from eptriad.loops import preset_loop
@@ -718,10 +766,10 @@ class TestFitLoop:
         case, k = SECOND_START_CASE
         responses = _lab_spectra(*case)[k]
         cfg = CavityConfig(source_site=case[1])
-        y, norm2, floor = spectral._site_responses(responses, cfg)
-        first, second = spectral._rational_starts(y[None], cfg)[0]
-        _, (cost,), (spent,) = spectral._gauss_newton(
-            first[None], y[None], cfg.frequencies(), np.array([norm2]), np.array([floor]), cfg.source_site - 1)
+        y, norm2, floor = spectral._site_responses(responses[None], cfg)
+        first, second = spectral._rational_starts(y, cfg)[0]
+        _, (cost,), (spent,) = spectral._gauss_newton(first[None], y, cfg.frequencies(), norm2, floor,
+                                                      cfg.source_site - 1)
         assert cost > spectral.RESIDUAL_THRESHOLD
         fit = fit_step(responses, cfg)
         monkeypatch.setattr(spectral, "_rational_starts", lambda y, config: np.array([[second, np.full(7, np.nan)]]))
@@ -765,8 +813,7 @@ def _assert_fits_as_one_at_a_time(spectra, config=CavityConfig()):
     """A stack of spectra fits bit for bit as each spectrum alone, in the
     serial oracle: each first polish's theta, cost and iterations, every
     FittedParams field, and the warnings in their order."""
-    views = [spectral._site_responses(r, config) for r in spectra]
-    y, norm2, floor = (np.array(v) for v in zip(*views))
+    y, norm2, floor = spectral._site_responses(spectra, config)
     freqs, src = config.frequencies(), config.source_site - 1
     starts = np.array([spectral._rational_starts(yk[None], config)[0, 0] for yk in y])
     ok = np.isfinite(starts).all(axis=1)
@@ -815,8 +862,7 @@ class TestStackedPolish:
         without a step and raises nothing, and every other spectrum keeps
         the bits of its polish on its own."""
         cfg = CavityConfig()
-        views = [spectral._site_responses(r, cfg) for r in _mu1_spectra(0.01, 0)]
-        y, norm2, floor = (np.array(v) for v in zip(*views))
+        y, norm2, floor = spectral._site_responses(_mu1_spectra(0.01, 0), cfg)
         freqs = cfg.frequencies()
         starts = spectral._rational_starts(y, cfg)[:, 0]
         starts[4, 2] = 0.0
@@ -828,8 +874,7 @@ class TestStackedPolish:
 
     def test_a_spectrum_without_a_start_diverges_in_its_turn(self):
         spectra = _mu1_spectra(0.01, 2)
-        spectra[3] = spectra[3].copy()
-        spectra[3][:7, -1] = 0                    # cavity B silent at the last frequency: no start
+        spectra[3, :7, -1] = 0                    # cavity B silent at the last frequency: no start
         got = _recorded(_fit_loop_of, spectra, CavityConfig())
         assert got == _recorded(_one_at_a_time, spectra, CavityConfig())
         assert got[0] == (FitDiverged, "no finite closed-form start")
@@ -852,7 +897,7 @@ class TestLstsqReference:
         cfg = CavityConfig(source_site=source_site)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IdentifiabilityWarning)
-            got = spectral._fit_spectra(spectra, cfg)
+            got, _ = spectral._fit_spectra(spectra, cfg)
             want = [lstsq_fit_step(r, cfg) for r in spectra]
         for k, (g, w) in enumerate(zip(got, want)):
             assert np.max(np.abs(g.point.as_array() - w.point.as_array())) <= 1e-7, k
@@ -878,7 +923,7 @@ def _corrupt_eig_at(monkeypatch, point):
 def _vanish_residues_of(monkeypatch, spectrum, config):
     """Make the residue solve of ``spectrum`` (the row of a ``spectral._lstsq``
     call whose right-hand side is its site responses) give state 2 no residue."""
-    target = spectral._site_responses(spectrum, config)[0].T
+    target = spectral._site_responses(spectrum[None], config)[0][0].T
     lstsq = spectral._lstsq
 
     def vanishing_lstsq(a, b):
@@ -898,7 +943,7 @@ def _low_loss_mu1_spectra():
     from eptriad.loops import preset_loop
 
     cfg = CavityConfig(scale=PhysicalScale(gamma0=1.0))
-    return list(synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), cfg, NoiseSpec(0.03, 3)).responses), cfg
+    return synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), cfg, NoiseSpec(0.03, 3)).responses, cfg
 
 
 class TestLoopOrderFailures:
