@@ -251,32 +251,29 @@ def cmd_ea(args) -> int:
 
 
 def cmd_lab(args) -> int:
-    with _reading_inputs():
-        # --config may set any CavityConfig field; any other key is a config error
-        cav = read_cavity_config(json.loads(Path(args.config).read_text()) if args.config else {})
-    preset = args.loop_preset
     stats = None        # the fit's work counts, for the manifest
-    if args.subcommand in ("synth", "pipeline"):
-        # --noise and --seed make the noise of synthesized spectra; a fit reads it from the dataset
-        with _reading_inputs():
-            noise = NoiseSpec(args.noise, args.seed)
-        # the fewest steps per segment that give a loop of MIN_STEPS steps
-        segments = len(preset_waypoints(preset)) - 1
-        loop = preset_loop(preset, steps_per_segment=-(-(MIN_STEPS - 1) // segments))
-        dataset = synthesize(list(loop.steps), cav, noise)
-    else:
+    if args.subcommand == "fit":
         with _reading_inputs():
             dataset = load_dataset(args.dataset)
+    else:
+        with _reading_inputs():
+            # --config may set any CavityConfig field; any other key is a config error
+            cav = read_cavity_config(json.loads(Path(args.config).read_text()) if args.config else {})
+            noise = NoiseSpec(args.noise, args.seed)
+        # the fewest steps per segment that give a loop of MIN_STEPS steps
+        segments = len(preset_waypoints(args.loop_preset)) - 1
+        loop = preset_loop(args.loop_preset, steps_per_segment=-(-(MIN_STEPS - 1) // segments))
+        dataset = synthesize(list(loop.steps), cav, noise)
     # a dataset that cannot be fitted (one read from a file, or one synthesized at a
     # noise level whose spectra overflow) is a config error, found before any write
     with _reading_inputs():
         check_dataset(dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.subcommand in ("synth", "pipeline"):
+    if args.subcommand != "fit":
         save_dataset(dataset, out / "dataset.json")
         print(f"synthesized {len(dataset.responses)} steps (noise {args.noise:g}, seed {args.seed})")
-    if args.subcommand in ("fit", "pipeline"):
+    if args.subcommand != "synth":
         fits, result = fit_loop(dataset)
         report = {
             "fit": [
@@ -294,7 +291,7 @@ def cmd_lab(args) -> int:
             f"fit {len(fits)} steps: permutation {result.permutation.as_string()} "
             f"theta {result.berry_phase:+.6f}"
         )
-    # the seed of the dataset's noise: a fit reads it from the dataset, not from --seed
+    # the seed of the dataset's noise, which a fit reads from the dataset
     _write_manifest(out, f"lab-{args.subcommand}", vars(args), dataset.noise_spec.seed, stats)
     if args.subcommand != "synth" and not result.reliable:
         return _unreliable(result.label, result)
@@ -345,8 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_surface)
 
     lp = sub.add_parser("loop", help="transport a loop and report the permutation")
-    lp.add_argument("--preset", choices=PRESET_NAMES)
-    lp.add_argument("--config", help="JSON loop config path")
+    source = lp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=PRESET_NAMES)
+    source.add_argument("--config", help="JSON loop config path")
     lp.add_argument("--steps-per-segment", type=int, default=200)
     lp.add_argument("--out", default="out")
     lp.set_defaults(func=cmd_loop)
@@ -358,13 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     ep.set_defaults(func=cmd_ea)
 
     lb = sub.add_parser("lab", help="virtual experiment: synth / fit / pipeline")
-    lb.add_argument("subcommand", choices=("synth", "fit", "pipeline"))
-    lb.add_argument("--loop-preset", default="mu1", choices=PRESET_NAMES)
-    lb.add_argument("--dataset", help="dataset JSON (for fit)")
-    lb.add_argument("--config", help="JSON lab config path")
-    lb.add_argument("--noise", type=float, default=0.0)
-    lb.add_argument("--seed", type=int, default=0)
-    lb.add_argument("--out", default="out")
+    lab = lb.add_subparsers(dest="subcommand", required=True)
+    fp = lab.add_parser("fit", help="fit a dataset file and transport the fitted loop")
+    fp.add_argument("--dataset", required=True, help="dataset JSON path")
+    fp.add_argument("--out", default="out")
+    for name, what in (("synth", "synthesize a preset loop's spectra"), ("pipeline", "synth, then fit")):
+        mp = lab.add_parser(name, help=what)
+        mp.add_argument("--loop-preset", default="mu1", choices=PRESET_NAMES)
+        mp.add_argument("--config", help="JSON lab config path")
+        mp.add_argument("--noise", type=float, default=0.0)
+        mp.add_argument("--seed", type=int, default=0)
+        mp.add_argument("--out", default="out")
     lb.set_defaults(func=cmd_lab)
 
     gp = sub.add_parser("group", help="Cayley table and group verification")
@@ -372,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.set_defaults(func=cmd_group)
     # argparse before Python 3.13 reads a negative number in exponent form
     # (-1e-6) as an option; take any "-digit" or "-.digit" for a value, as 3.13 does
-    for parser in (ap, *sub.choices.values()):
+    for parser in (ap, *sub.choices.values(), *lab.choices.values()):
         parser._negative_number_matcher = re.compile(r"-\.?\d")
     return ap
 
@@ -384,12 +386,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "loop" and not (args.preset or args.config):
-            print("loop: provide --preset or --config", file=sys.stderr)
-            return EXIT_CONFIG
-        if args.command == "lab" and args.subcommand == "fit" and not args.dataset:
-            print("lab fit: provide --dataset", file=sys.stderr)
-            return EXIT_CONFIG
         return args.func(args)
     except _ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

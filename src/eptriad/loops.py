@@ -70,9 +70,9 @@ def interpolate_loop(
 ) -> LoopPath:
     """Densify a closed waypoint sequence by linear interpolation.
 
-    Requires at least 3 distinct waypoints and exact closure.  The total
-    step count is n_segments * steps_per_segment + 1 with both endpoints
-    included (and equal).
+    Requires at least 3 distinct waypoints, exact closure and at least one
+    step per segment.  The total step count is n_segments *
+    steps_per_segment + 1 with both endpoints included (and equal).
     """
     pts = tuple(waypoints)
     if len(set(pts)) < 3:
@@ -82,7 +82,10 @@ def interpolate_loop(
         raise ValueError("all waypoints must share g")
     ends = np.array([p.as_array() for p in pts])
     # range() rejects a non-integer step count
-    f = (np.array(range(steps_per_segment), dtype=float) / steps_per_segment)[None, :, None]
+    steps = range(steps_per_segment)
+    if not steps:
+        raise ValueError(f"steps_per_segment must be at least 1, got {steps_per_segment}")
+    f = (np.array(steps, dtype=float) / steps_per_segment)[None, :, None]
     segments = (1 - f) * ends[:-1, None, :] + f * ends[1:, None, :]
     params = np.vstack([segments.reshape(-1, 4), ends[-1:]])
     return LoopPath(pts[0].g, pts, params, (steps_per_segment,) * (len(pts) - 1), label)

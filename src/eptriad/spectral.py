@@ -230,9 +230,9 @@ def synthesize(
     ns = noise if noise is not None else NoiseSpec()
     freqs, phi = cfg.frequencies(), onsite_profile(cfg)
     theta = np.array([_truth_vector(p, cfg.scale) for p in points]).reshape(-1, 7).T
-    # a window that overflows the forward model gives responses that are not
-    # finite, which ``check_dataset`` rejects, so they are made without warnings
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a window that overflows the forward model, or a pole on the frequency grid, gives
+    # responses that are not finite, which ``check_dataset`` rejects, so they are made without warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sites = _response_matrix(theta, freqs, cfg.source_site - 1)              # (S, 3, n_freq)
         # real and imaginary parts scaled by the real profile, without numpy's slow mixed-type broadcast
         scaled = (phi * phi[-1])[:, None] * sites.view(float)[:, :, None, :]   # (S, 3, n_pos, 2 n_freq)
@@ -275,12 +275,12 @@ def _site_responses(data: np.ndarray, config: CavityConfig):
     return proj / phi[-1], norm2 / phi[-1] ** 2, floor
 
 
-def check_dataset(dataset: SpectralDataset) -> None:
-    """Raise ValueError unless every step of ``dataset`` can be fitted and
-    the steps are enough (``MIN_STEPS``) to form a closed loop."""
+def check_dataset(dataset: SpectralDataset):
+    """The fit's view (y, norm2, floor) of ``dataset`` (``_site_responses``); ValueError unless
+    every step can be fitted and the steps are enough (``MIN_STEPS``) to form a closed loop."""
     if len(dataset.responses) < MIN_STEPS:
         raise ValueError(f"need at least {MIN_STEPS} steps forming a closed loop")
-    _site_responses(dataset.responses, dataset.config)
+    return _site_responses(dataset.responses, dataset.config)
 
 
 GAUSS_NEWTON_ITERATIONS = 60
@@ -494,13 +494,13 @@ def fit_step(responses: np.ndarray, config: CavityConfig | None = None) -> Fitte
     to a.
     """
     cfg = config if config is not None else CavityConfig()
-    return _fit_spectra(np.asarray(responses, dtype=complex)[None], cfg)[0][0]
+    return _fit_spectra(_site_responses(np.asarray(responses, dtype=complex)[None], cfg), cfg)[0][0]
 
 
-def _fit_spectra(responses: np.ndarray, cfg: CavityConfig) -> tuple[list[FittedParams], EigensystemStack]:
-    """``fit_step`` of each spectrum of the stack ``responses``, shape
-    (S, 3 n_pos, n_freq), stage by stage: (fits, frames), ``frames`` the
-    fitted points, eigenvalues and residue-coefficient frames as one stack
+def _fit_spectra(view, cfg: CavityConfig) -> tuple[list[FittedParams], EigensystemStack]:
+    """``fit_step`` of each spectrum of a stack, from the stack's fit view
+    (y, norm2, floor) (``_site_responses``), stage by stage: (fits, frames),
+    ``frames`` the fitted points, eigenvalues and residue-coefficient frames as one stack
     for the transport machinery, with each smallest gap in units of the
     fitted |kappa|.
 
@@ -512,7 +512,7 @@ def _fit_spectra(responses: np.ndarray, cfg: CavityConfig) -> tuple[list[FittedP
     a loop with one failing spectrum raises what fitting that spectrum alone
     raises, and the warnings come only once every spectrum has fitted.
     """
-    y, norm2, floor = _site_responses(responses, cfg)
+    y, norm2, floor = view
     freqs, src = cfg.frequencies(), cfg.source_site - 1
 
     starts = _rational_starts(y, cfg)                                  # (S, 2, 7)
@@ -582,8 +582,7 @@ def fit_loop(dataset: SpectralDataset):
     """
     from .transport import transport_eigensystems
 
-    check_dataset(dataset)
-    fits, frames = _fit_spectra(dataset.responses, dataset.config)
+    fits, frames = _fit_spectra(check_dataset(dataset), dataset.config)
     return fits, transport_eigensystems(frames, label="fitted-loop")
 
 

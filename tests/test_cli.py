@@ -417,7 +417,7 @@ class TestLabCommand:
         args = ["--loop-preset", "mu1", "--noise", "0.01", "--seed", "1"]
         assert run(["lab", "pipeline", *args, "--out", str(tmp_path / "p")]) == EXIT_OK
         dataset = str(tmp_path / "p" / "dataset.json")
-        assert run(["lab", "fit", "--dataset", dataset, *args, "--out", str(tmp_path / "f")]) == EXIT_OK
+        assert run(["lab", "fit", "--dataset", dataset, "--out", str(tmp_path / "f")]) == EXIT_OK
         assert (tmp_path / "p" / "fit_report.json").read_bytes() == (tmp_path / "f" / "fit_report.json").read_bytes()
 
     def test_fit_manifest_records_the_dataset_seed(self, tmp_path):
@@ -626,16 +626,25 @@ def _argv(*args):
     return make_argv
 
 
-def _lab_dataset(corrupt):
-    """An argv maker for ``lab fit`` on a synthesized dataset that ``corrupt`` edits."""
+def _lab_dataset(corrupt, *args):
+    """An argv maker for ``lab fit`` with ``args`` on a synthesized dataset that ``corrupt`` edits."""
     def make_argv(tmp_path, monkeypatch):
         assert run(["lab", "synth", "--out", str(tmp_path)]) == EXIT_OK
         path = tmp_path / "dataset.json"
         doc = json.loads(path.read_text())
         corrupt(doc)
         path.write_text(json.dumps(doc))
-        return ["lab", "fit", "--dataset", str(path), "--out", str(tmp_path / "out")]
+        return ["lab", "fit", "--dataset", str(path), *args, "--out", str(tmp_path / "out")]
     return make_argv
+
+
+def _with_config(make_argv, doc):
+    """The argv of ``make_argv`` followed by ``--config`` a file that holds ``doc``."""
+    def with_config(tmp_path, monkeypatch):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        return [*make_argv(tmp_path, monkeypatch), "--config", str(path)]
+    return with_config
 
 
 @pytest.mark.parametrize("make_argv, code", [
@@ -682,6 +691,23 @@ def _lab_dataset(corrupt):
     pytest.param(_loop_config(SMALL_LOOP | {"eta_mode": "fixed", "eta": 0.33,
                                             "waypoints": [w[1:] for w in SMALL_LOOP["waypoints"]]}),
                  EXIT_OK, id="loop_config_fixed_rows_of_two-0"),
+    # a step count below 1 is named as it was given
+    pytest.param(_loop_config(SMALL_LOOP | {"steps_per_segment": 0}),
+                 (EXIT_CONFIG, "config error: steps_per_segment must be at least 1, got 0\n"),
+                 id="loop_config_zero_steps_per_segment-2"),
+    *(pytest.param(_argv("loop", "--preset", "mu1", "--steps-per-segment", steps),
+                   (EXIT_CONFIG, f"config error: steps_per_segment must be at least 1, got {steps}\n"),
+                   id=f"loop_preset_{steps}_steps_per_segment-2") for steps in ("-3", "0")),
+    # each command takes only the inputs it reads, and a loop exactly one source
+    pytest.param(_argv("loop"), (EXIT_CONFIG, "usage: eptriad loop"), id="loop_without_a_source-2"),
+    pytest.param(_with_config(_argv("loop", "--preset", "mu1", "--steps-per-segment", "8"), SMALL_LOOP),
+                 (EXIT_CONFIG, "usage: eptriad loop"), id="loop_preset_and_config-2"),
+    pytest.param(_lab_dataset(lambda doc: None, "--seed", "3"), (EXIT_CONFIG, "usage: eptriad"),
+                 id="lab_fit_with_a_seed-2"),
+    pytest.param(_with_config(_lab_dataset(lambda doc: None), {}), (EXIT_CONFIG, "usage: eptriad"),
+                 id="lab_fit_with_a_config-2"),
+    pytest.param(_argv("lab", "synth", "--dataset", "dataset.json"), (EXIT_CONFIG, "usage: eptriad"),
+                 id="lab_synth_with_a_dataset-2"),
     pytest.param(_lab_dataset(lambda doc: _encoded(doc, np.full((len(doc["param_truth"]), 1, 1), 1 + 2j))),
                  EXIT_CONFIG, id="dataset_response_row_of_two_values-2"),
     pytest.param(_lab_dataset(lambda doc: doc.update(responses="x")), EXIT_CONFIG, id="dataset_string_responses-2"),
@@ -735,6 +761,9 @@ def _lab_dataset(corrupt):
     # finite noise whose synthesized spectra overflow: no dataset is written
     pytest.param(_argv("lab", "synth", "--noise", "1e300"), EXIT_CONFIG, id="lab_synth_overflowing_noise-2"),
     pytest.param(_argv("lab", "pipeline", "--noise", "1e300"), EXIT_CONFIG, id="lab_pipeline_overflowing_noise-2"),
+    # a lossless cavity puts a pole on the frequency grid: no RuntimeWarning escapes
+    pytest.param(_with_config(_argv("lab", "synth"), {"scale": {"gamma0": 0}}),
+                 (EXIT_CONFIG, "config error: need finite"), id="lab_synth_lossless_cavity-2"),
     # a polish whose rejected trial steps overflow the forward model diverges without a RuntimeWarning
     pytest.param(_argv("lab", "pipeline", "--noise", "0.5", "--seed", "1"), EXIT_NUMERICAL,
                  id="lab_pipeline_overflowing_trial_steps-3"),

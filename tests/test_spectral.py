@@ -474,7 +474,7 @@ class TestFitStep:
     def test_eigenvector_reconstruction(self):
         p = ParamPoint(0.33, 0.15, -0.1, G)
         ds = synthesize([p], noise=NoiseSpec(0.0, 0))
-        _, frames = spectral._fit_spectra(ds.responses, ds.config)
+        _, frames = spectral._fit_spectra(spectral._site_responses(ds.responses, ds.config), ds.config)
         truth = eigensystem(p)
         recon = frames.row(0)
         # match fitted states to analytic ones by eigenvalue
@@ -604,9 +604,10 @@ class TestRationalStart:
             for seed in (0, 11):
                 spectra = _lab_spectra(preset, source_site, noise, seed)
                 cfg = CavityConfig(source_site=source_site)
-                fits, _ = spectral._fit_spectra(spectra, cfg)
+                view = spectral._site_responses(spectra, cfg)
+                fits, _ = spectral._fit_spectra(view, cfg)
                 assert max(f.residual for f in fits) <= spectral.RESIDUAL_THRESHOLD
-                y, norm2, floor = spectral._site_responses(spectra, cfg)
+                y, norm2, floor = view
                 first = spectral._rational_starts(y, cfg)[:, 0]
                 cost = spectral._gauss_newton(first, y, cfg.frequencies(), norm2, floor, source_site - 1)[1]
                 misses += int(np.sum(cost > spectral.RESIDUAL_THRESHOLD))
@@ -711,12 +712,23 @@ class TestFitLoop:
         with pytest.raises(ValueError):
             fit_loop(ds)
 
+    def test_the_responses_are_projected_once(self, monkeypatch):
+        """``fit_loop`` fits the view that ``check_dataset`` made of the
+        dataset's responses: one ``_site_responses`` call per loop."""
+        from eptriad.loops import preset_loop
+
+        calls, project = [], spectral._site_responses
+        monkeypatch.setattr(spectral, "_site_responses", lambda *args: calls.append(1) or project(*args))
+        fit_loop(synthesize(list(preset_loop("mu1", steps_per_segment=1).steps), CavityConfig(), NoiseSpec(0.01, 0)))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("preset, noise", [("mu1", 0.01), ("rho1", 0.03)])
     def test_the_frames_are_the_fits_as_one_stack(self, preset, noise):
         """The frames that the fit hands to transport hold each fit's fitted
         point, eigenvalues and residue frames, and its smallest gap in units
         of its fitted |kappa|, bit for bit."""
-        fits, frames = spectral._fit_spectra(_lab_spectra(preset, 2, noise, 1), CavityConfig())
+        cfg = CavityConfig()
+        fits, frames = spectral._fit_spectra(spectral._site_responses(_lab_spectra(preset, 2, noise, 1), cfg), cfg)
         assert np.array_equal(frames.params, [f.point.as_array() for f in fits])
         assert np.array_equal(frames.eigenvalues, [f.eigenvalues for f in fits])
         assert np.array_equal(frames.right_vectors, [f.mode_coeffs_right for f in fits])
@@ -897,7 +909,7 @@ class TestLstsqReference:
         cfg = CavityConfig(source_site=source_site)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IdentifiabilityWarning)
-            got, _ = spectral._fit_spectra(spectra, cfg)
+            got, _ = spectral._fit_spectra(spectral._site_responses(spectra, cfg), cfg)
             want = [lstsq_fit_step(r, cfg) for r in spectra]
         for k, (g, w) in enumerate(zip(got, want)):
             assert np.max(np.abs(g.point.as_array() - w.point.as_array())) <= 1e-7, k
