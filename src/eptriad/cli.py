@@ -258,7 +258,7 @@ def cmd_lab(args) -> int:
     else:
         with _reading_inputs():
             # --config may set any CavityConfig field; any other key is a config error
-            cav = read_cavity_config(json.loads(Path(args.config).read_text()) if args.config else {})
+            cav = read_cavity_config(json.loads(Path(args.config).read_text()) if args.config is not None else {})
             noise = NoiseSpec(args.noise, args.seed)
         # the fewest steps per segment that give a loop of MIN_STEPS steps
         segments = len(preset_waypoints(args.loop_preset)) - 1

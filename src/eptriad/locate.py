@@ -42,10 +42,9 @@ _PASS_ANGLES = np.linspace(-1.5, 1.5, 201)
 #: eigensolver temporaries (a whole 101 x 101 grid at once raised the atlas
 #: benchmark's peak RSS by 9.2 %)
 _BLOCK_POINTS = 1024
-#: the closed-form assignment margin, and the smallest gap at either end of a
-#: step, below which :func:`track_sheets` decides the step from LAPACK frames
+#: the closed-form assignment margin below which :func:`track_sheets` decides
+#: a step from LAPACK frames
 SURE_MARGIN = 1e-8
-SURE_GAP = 0.1
 
 
 @dataclass(frozen=True)
@@ -316,10 +315,10 @@ def track_sheets(eta: float, g: float, zz: np.ndarray, xx: np.ndarray) -> np.nda
     Each point takes the band order that :func:`transport.best_assignments`
     finds against its left neighbour; the first point of a row matches the
     first point of the row above.  Whole rows are solved together, about
-    ``_BLOCK_POINTS`` points per :func:`model.sheet_frames` call (at least
+    ``_BLOCK_POINTS`` points per :func:`model.eigensystems` call (at least
     one row), and the first points of all rows in one more; each point's
     eigenvalues are the ones a lone ``eig`` gives, and each assignment the
-    one :func:`model.eigensystems` frames give (see :func:`_assignments`).
+    one LAPACK's frames give (see :func:`_assignments`).
     Returns a (len(zz), len(xx), 3) array.
     """
     nz, nx = len(zz), len(xx)
@@ -331,12 +330,12 @@ def track_sheets(eta: float, g: float, zz: np.ndarray, xx: np.ndarray) -> np.nda
     for a in range(0, nz, rows_per_block):
         block = slice(a, a + rows_per_block)
         params = np.stack(np.broadcast_arrays(eta, zz[block, None], xx, g), axis=-1)    # (rows, nx, 4)
-        frames = model.sheet_frames(params.reshape(-1, 4))
+        frames = model.eigensystems(params.reshape(-1, 4))
         at = np.arange(len(frames)).reshape(-1, nx)
         along[block] = _assignments(frames, at[:, :-1], at[:, 1:])
         w[block] = frames.eigenvalues.reshape(-1, nx, 3)
     first = np.arange(nz)
-    frames = model.sheet_frames(np.stack(np.broadcast_arrays(eta, zz, xx[0], g), axis=-1))
+    frames = model.eigensystems(np.stack(np.broadcast_arrays(eta, zz, xx[0], g), axis=-1))
     column = transport.chain_assignments(_assignments(frames, first[:-1], first[1:]))
     rows = transport.chain_assignments(along.T).swapaxes(0, 1)        # (nz, nx, 3), from column 0
     return np.take_along_axis(w, np.take_along_axis(rows, column[:, None, :], axis=2), axis=2)
@@ -344,24 +343,21 @@ def track_sheets(eta: float, g: float, zz: np.ndarray, xx: np.ndarray) -> np.nda
 
 def _assignments(frames: model.EigensystemStack, start: np.ndarray, end: np.ndarray) -> np.ndarray:
     """Best assignments of the steps from row ``start`` to row ``end`` of the
-    :func:`model.sheet_frames` ``frames``, as :func:`model.eigensystems` frames
-    give them.
+    :func:`model.eigensystems` ``frames``, as LAPACK's frames give them.
 
     The closed-form scores drift from LAPACK's by at most 2.0e-13 on the
     5.6 M steps of 549 slices at 101 x 101 whose ends have smallest gaps of
     0.1 or more, and by at most 5.6e-13 on 17 740 steps near EPs with gaps
-    in [0.1, 0.2).  Below 0.1 the drift grows as the gap shrinks (5.1e-10
-    on steps near EPs with gaps in [1e-2, 2e-2)).  So a step decides from
-    the closed-form scores when its margin is at least ``SURE_MARGIN`` and
-    both its ends have a smallest gap of at least ``SURE_GAP``; the other
-    steps decide from one ``eigensystems`` call on their ends.
+    in [0.1, 0.2); the rows with smaller gaps hold LAPACK's frames already
+    (``model.SURE_GAP``).  So a step decides from the scores of ``frames``
+    when its margin is at least ``SURE_MARGIN``; the other steps decide
+    from one every-row-exact ``eigensystems`` call on their ends.
     """
     best, margin = transport.best_assignments(frames.left_vectors[start] @ frames.right_vectors[end])
-    # written so that a NaN margin or gap is unsure too
-    unsure = ~(margin >= SURE_MARGIN) | ~(np.minimum(frames.min_gap[start], frames.min_gap[end]) >= SURE_GAP)
+    unsure = ~(margin >= SURE_MARGIN)           # a NaN margin is unsure too
     if unsure.any():
         n = np.count_nonzero(unsure)
-        exact = model.eigensystems(frames.params[np.concatenate([start[unsure], end[unsure]])])
+        exact = model.eigensystems(frames.params[np.concatenate([start[unsure], end[unsure]])], exact=slice(None))
         best[unsure], _ = transport.best_assignments(exact.left_vectors[:n] @ exact.right_vectors[n:])
     return best
 

@@ -28,6 +28,9 @@ SQRT2 = math.sqrt(2.0)
 #: biorthonormalization is skipped
 DEGENERACY_GAP = 1e-6
 
+#: smallest gap below which :func:`eigensystems` takes LAPACK's right vectors
+SURE_GAP = 0.1
+
 #: rows per chunk below which :func:`eigensystems` starts no thread: a stack
 #: is split only when each of at least two chunks gets this many rows
 _MIN_CHUNK_ROWS = 256
@@ -145,11 +148,12 @@ def _poly_coeffs(eta, zeta, xi, g):
 
 
 def eigensystem(p: ParamPoint) -> Eigensystem:
-    """Full eigensystem at one point: :func:`eigensystems` on a single row."""
-    return eigensystems(p.as_array()[None]).row(0, p)
+    """Full eigensystem at one point: :func:`eigensystems` on a single row,
+    with LAPACK's right vectors."""
+    return eigensystems(p.as_array()[None], exact=[0]).row(0, p)
 
 
-def eigensystems(params) -> "EigensystemStack":
+def eigensystems(params, exact=None) -> "EigensystemStack":
     """Eigensystems at the rows (eta, zeta, xi, g) of an (L, 4) array.
 
     Each row is ordered by ascending real part.  Right vectors have unit
@@ -159,46 +163,35 @@ def eigensystems(params) -> "EigensystemStack":
     InaccurateEigensystem, naming the first failing row's point, when an
     eigenpair of any row fails the residual check.
 
+    The eigenvalues are one stacked ``np.linalg.eigvals``, which gives the
+    bits of ``np.linalg.eig``'s.  Each right vector is the largest column of
+    the adjugate of H - w, so it differs from LAPACK's by a phase and
+    rounding, except on the rows that take ``np.linalg.eig``'s eigenvalues
+    and vectors: those that ``exact`` indexes (row numbers, a slice or a
+    mask), those whose smallest gap is below ``SURE_GAP`` (the closed form
+    drifts from LAPACK's frames as the gap shrinks), and those with a
+    parameter of magnitude 2^97 or more (see :func:`_solve_rows`).
+
     A stack of at least ``2 * _MIN_CHUNK_ROWS`` rows is split into contiguous
     chunks, one per usable CPU, solved on threads; a smaller one is one
-    stacked ``np.linalg.eig`` call.  Each row's eigensystem is the one a lone
-    solve gives, so the result does not depend on the chunking.
+    solve.  Each row's eigensystem is the one a lone solve gives, so the
+    result does not depend on the chunking.
     """
-    return _stack(params, _solve_rows)
-
-
-def sheet_frames(params) -> "EigensystemStack":
-    """:func:`eigensystems` with closed-form right vectors, for band matching.
-
-    The eigenvalues are one stacked ``np.linalg.eigvals``, which gives the
-    bits of ``np.linalg.eig``'s; each right vector is the largest column of
-    the adjugate of H - w, so it differs from LAPACK's by a phase and
-    rounding.  The left rows, degenerate flags, smallest gaps, residual
-    check and chunking are those of :func:`eigensystems`.  A stack with a
-    parameter of magnitude 2^97 or more gets the frames of :func:`eigensystems`:
-    below it, each part of H's diagonal is below 2^98, so |w| < 2^98.5 + 2
-    (Gershgorin) and each part of H - w is below the 2^100 that
-    :func:`_sheet_rows` needs.
-    """
-    params = np.asarray(params, dtype=float)
-    closed_form = np.abs(params).max(initial=0.0) < 2.0**97
-    return _stack(params, _sheet_rows if closed_form else _solve_rows)
-
-
-def _stack(params, solve) -> "EigensystemStack":
-    """The :class:`EigensystemStack` that the row solver ``solve`` gives at
-    ``params``, chunked and residual-checked as :func:`eigensystems` says."""
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != 4:
         raise ValueError(f"expected an (L, 4) parameter array, got shape {params.shape}")
     if not np.isfinite(params).all():
         raise ValueError("non-finite parameters")
+    lapack = np.zeros(len(params), dtype=bool)
+    if exact is not None:
+        lapack[exact] = True
     chunks = min(_usable_cpus(), len(params) // _MIN_CHUNK_ROWS) if len(params) >= 2 * _MIN_CHUNK_ROWS else 1
     if chunks < 2:
-        w, v, left, degenerate, min_gap, resid2 = solve(params)
+        w, v, left, degenerate, min_gap, resid2 = _solve_rows(params, lapack)
     else:
         w, v, left, degenerate, min_gap, resid2 = (
-            np.concatenate(part) for part in zip(*_solve_chunks(np.array_split(params, chunks), solve))
+            np.concatenate(part) for part in
+            zip(*_solve_chunks(list(zip(np.array_split(params, chunks), np.array_split(lapack, chunks)))))
         )
     if (resid2 > 1e-20).any():
         l, j = np.argwhere(resid2 > 1e-20)[0]
@@ -214,53 +207,57 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _solve_chunks(chunks: list, solve) -> list:
-    """The row solver ``solve`` on each chunk: the first on this thread, the
-    rest on a pool made for this call, each in a copy of this thread's context
-    (its ``np.errstate``).  numpy's eigensolvers release the GIL while they run."""
+def _solve_chunks(chunks: list) -> list:
+    """:func:`_solve_rows` on each (params, exact) chunk: the first on this
+    thread, the rest on a pool made for this call, each in a copy of this
+    thread's context (its ``np.errstate``).  numpy's eigensolvers release the
+    GIL while they run."""
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(len(chunks) - 1) as pool:
-        rest = [pool.submit(contextvars.copy_context().run, solve, chunk) for chunk in chunks[1:]]
-        first = solve(chunks[0])
+        rest = [pool.submit(contextvars.copy_context().run, _solve_rows, *chunk) for chunk in chunks[1:]]
+        first = _solve_rows(*chunks[0])
         return [first] + [future.result() for future in rest]
 
 
-def _solve_rows(params: np.ndarray) -> tuple:
+def _solve_rows(params: np.ndarray, exact: np.ndarray) -> tuple:
     """Sorted eigenvalues, normalized right vectors, left rows, degenerate
     flags, smallest gaps and squared relative residual norms of each row.
-
-    Runs on worker threads: it must call no name that a tracer may rebind.
-    """
-    h = _hamiltonians(params)
-    w, v = np.linalg.eig(h)
-    order = np.argsort(w.real, axis=1, kind="stable")
-    w = np.take_along_axis(w, order, axis=1)
-    v = np.take_along_axis(v, order[:, None, :], axis=2)
-    return _frames(params, h, w, v)
-
-
-def _sheet_rows(params: np.ndarray) -> tuple:
-    """:func:`_solve_rows` with the eigenvalues of ``np.linalg.eigvals`` and
-    closed-form right vectors; it too runs on worker threads.
+    The rows of the mask ``exact``, those whose smallest gap is below
+    ``SURE_GAP`` and those with a parameter of magnitude 2^97 or more take
+    ``np.linalg.eig``'s eigenvalues and vectors; the others take a
+    closed-form right vector for each eigenvalue of ``np.linalg.eigvals``.
 
     H - w is tridiagonal with (a, b, c) on its diagonal and the hopping -1
     off it, so its adjugate has the columns (bc - 1, c, 1), (c, ac, a) and
     (1, a, ab - 1), each a multiple of the eigenvector of a simple w.  One
     may vanish (the middle one where a = c = 0, as for w = 0 at eta = 0,
     g = -1), so the one of largest norm is taken.  Every real and imaginary
-    part of a, b and c must be below 2^100 (:func:`sheet_frames` gives the
-    other stacks LAPACK's frames): then no product overflows, and no norm
-    underflows, as each column holds a 1.
+    part of a, b and c must be below 2^100: then no product overflows, and
+    no norm underflows, as each column holds a 1.  Below 2^97 in each
+    parameter, each part of H's diagonal is below 2^98, so |w| < 2^98.5 + 2
+    (Gershgorin) and that bound holds; the other rows take LAPACK's.
+
+    Runs on worker threads: it must call no name that a tracer may rebind.
     """
     h = _hamiltonians(params)
     w = np.linalg.eigvals(h)
     w = np.take_along_axis(w, np.argsort(w.real, axis=1, kind="stable"), axis=1)
-    a, b, c = (h[:, i, i, None] - w for i in range(3))             # (L, 3) each, per eigenvalue
-    bc, ab = b * c - 1, a * b - 1
-    a2, c2 = a.real**2 + a.imag**2, c.real**2 + c.imag**2
-    k = np.argmax([bc.real**2 + bc.imag**2 + c2 + 1, (a2 + 1) * c2 + a2, a2 + ab.real**2 + ab.imag**2 + 1], axis=0)
-    v = np.stack([np.choose(k, (bc, c, 1)), np.choose(k, (c, a * c, a)), np.choose(k, (1, a, ab))], axis=1)
+    # written so that a NaN gap takes LAPACK's too
+    lapack = exact | ~(min_gaps(w) >= SURE_GAP) | (np.abs(params) >= 2.0**97).any(axis=1)
+    # every row in closed form, which costs less than gathering the others; the
+    # rows past 2^97, where the products may overflow, are overwritten below
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b, c = (h[:, i, i, None] - w for i in range(3))             # (L, 3) each, per eigenvalue
+        bc, ab = b * c - 1, a * b - 1
+        a2, c2 = a.real**2 + a.imag**2, c.real**2 + c.imag**2
+        k = np.argmax([bc.real**2 + bc.imag**2 + c2 + 1, (a2 + 1) * c2 + a2, a2 + ab.real**2 + ab.imag**2 + 1], axis=0)
+        v = np.stack([np.choose(k, (bc, c, 1)), np.choose(k, (c, a * c, a)), np.choose(k, (1, a, ab))], axis=1)
+    if lapack.any():
+        we, ve = np.linalg.eig(h[lapack])
+        order = np.argsort(we.real, axis=1, kind="stable")
+        w[lapack] = np.take_along_axis(we, order, axis=1)
+        v[lapack] = np.take_along_axis(ve, order[:, None, :], axis=2)
     return _frames(params, h, w, v)
 
 
@@ -311,7 +308,10 @@ def min_gaps(w: np.ndarray) -> np.ndarray:
 class EigensystemStack:
     """Eigensystems at L parameter points, stacked along a leading axis.
 
-    Row l holds what :func:`eigensystem` returns at the point ``params[l]``.
+    Row l holds what :func:`eigensystem` returns at the point ``params[l]``,
+    up to the phase of each right vector and the rounding of the closed form
+    (:func:`eigensystems`); a row that :func:`eigensystems` solves exactly
+    holds its bits.
     """
 
     params: np.ndarray             # (L, 4) rows (eta, zeta, xi, g)

@@ -213,9 +213,12 @@ def transport(loop: LoopPath) -> TransportResult:
     its distance to the nearest discriminant root of its segment, so no step
     passes an EP closer than its own length; then one ``eigensystems`` call
     solves every step.  A segment of n steps whose roots lie 1/n or more
-    from [0, 1] needs no point and costs nothing more.
+    from [0, 1] needs no point and costs nothing more.  Only the anchor rows
+    (the first and the last) carry their eigenvector gauge into the
+    holonomy, so only they must take LAPACK's frames; the phase compensation
+    cancels the gauge of every other row's closed-form frames.
     """
-    return transport_eigensystems(eigensystems(_refined(loop)), label=loop.label, roots=loop.roots)
+    return transport_eigensystems(eigensystems(_refined(loop), exact=[0, -1]), label=loop.label, roots=loop.roots)
 
 
 def _refined(loop: LoopPath) -> np.ndarray:

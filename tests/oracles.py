@@ -32,7 +32,7 @@ import numpy as np
 
 from eptriad import locate, spectral
 from eptriad.errors import FitDiverged, IdentifiabilityWarning, NonUnimodularDeterminant, NotAnEP
-from eptriad.model import ParamPoint, PhysicalScale, _poly_coeffs, discriminant_values, eigensystem, to_physical
+from eptriad.model import ParamPoint, PhysicalScale, _poly_coeffs, discriminant_values, eigensystems, to_physical
 
 
 @dataclass(frozen=True)
@@ -437,10 +437,11 @@ def _fit_one(responses, config, starts, polish, solve) -> spectral.FittedParams:
     """One spectrum's fit as ``spectral.fit_step`` makes it, from the
     ``starts`` of its site responses, each polished by ``polish`` where the
     one before misses the threshold, then the eigenvalues of the fitted
-    point by ``eigensystem`` and the residues by ``solve(a, b)``.  It fails
-    by stage: a polish that diverges or ends outside ``PhysicalScale``'s
-    domain, then the eigen-solve, then a vanishing residue; it warns only
-    when it has fitted."""
+    point by ``eigensystems`` on that point alone, as the fit solves them,
+    and the residues by ``solve(a, b)``.  It fails by stage: a polish that
+    diverges or ends outside ``PhysicalScale``'s domain, then the
+    eigen-solve, then a vanishing residue; it warns only when it has
+    fitted."""
     (y,), (norm2,), (floor,) = spectral._site_responses(np.asarray(responses, dtype=complex)[None], config)
     freqs, src = config.frequencies(), config.source_site - 1
     theta, cost, iterations = np.full(7, np.nan), np.inf, 0
@@ -459,7 +460,7 @@ def _fit_one(responses, config, starts, polish, solve) -> spectral.FittedParams:
         raise FitDiverged(f"fitted omega0 = {w0:.6g} rad/s, gamma0 = {g0:.6g} rad/s: need omega0 > 0, gamma0 >= 0")
     point = ParamPoint(eta, zeta, xi, g)
     scale = PhysicalScale(omega0=w0, gamma0=g0, kappa=-abs(kap))
-    wphys = to_physical(eigensystem(point).eigenvalues, scale)
+    wphys = to_physical(eigensystems(point.as_array()[None]).eigenvalues[0], scale)
     basis = 1.0 / (freqs[None, :] - wphys[:, None])
     t = solve(basis.T, y.T)[0].T
     nrm = np.linalg.norm(t, axis=0)

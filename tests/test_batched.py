@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eptriad.errors import AmbiguousMatch, InaccurateEigensystem, PathTouchesEP
-from eptriad import locate, model
+from eptriad import cli, locate, model
 from eptriad.locate import refine_ep, track_sheets
 from eptriad.loops import PRESET_NAMES, interpolate_loop, preset_loop, preset_waypoints
 from eptriad.model import (
@@ -227,35 +227,97 @@ def _probe_points():
     return np.array(pts)
 
 
+def _assert_frames_up_to_phase(frames, exact):
+    """``frames`` hold the params, eigenvalues, degenerate flags and smallest
+    gaps of the every-row-exact ``exact``, its frames bit for bit on the rows
+    whose gap is below ``SURE_GAP``, and its right vectors up to a phase on
+    the others, with left rows that invert them."""
+    for f in ("params", "eigenvalues", "is_degenerate", "min_gap"):
+        assert np.array_equal(getattr(frames, f), getattr(exact, f)), f
+    near = ~(exact.min_gap >= model.SURE_GAP)
+    assert np.array_equal(frames.right_vectors[near], exact.right_vectors[near])
+    assert np.array_equal(frames.left_vectors[near], exact.left_vectors[near])
+    right, want = frames.right_vectors[~near], exact.right_vectors[~near]
+    phase = (right.conj() * want).sum(axis=1)                        # (rows, bands)
+    assert np.allclose(abs(phase), 1.0, rtol=0, atol=1e-12)
+    assert np.abs(right * phase[:, None, :] - want).max() < 1e-12
+    assert np.abs(frames.left_vectors[~near] @ right - np.eye(3)).max() < 1e-12
+
+
 def test_batched_rows_equal_per_point_rows():
+    """Every-row-exact rows have the bits of ``eigensystem`` and of the
+    reference; default rows have them up to the phase of each right vector."""
     params = _probe_points()
-    batch = eigensystems(params)
-    assert len(batch) == len(params)
-    assert batch.is_degenerate[-2]
+    batch, exact = eigensystems(params), eigensystems(params, exact=slice(None))
+    assert len(batch) == len(exact) == len(params)
+    assert exact.is_degenerate[-2]
     for l, row in enumerate(params):
         p = ParamPoint(*row)
         for single in (eigensystem(p), ref_eigensystem(p)):
-            assert np.array_equal(batch.eigenvalues[l], single.eigenvalues)
-            assert np.array_equal(batch.right_vectors[l], single.right_vectors)
-            assert np.array_equal(batch.left_vectors[l], single.left_vectors)
-            assert batch.is_degenerate[l] == single.is_degenerate
-            assert batch.min_gap[l] == single.min_gap
+            assert np.array_equal(exact.eigenvalues[l], single.eigenvalues)
+            assert np.array_equal(exact.right_vectors[l], single.right_vectors)
+            assert np.array_equal(exact.left_vectors[l], single.left_vectors)
+            assert exact.is_degenerate[l] == single.is_degenerate
+            assert exact.min_gap[l] == single.min_gap
+    _assert_frames_up_to_phase(batch, exact)
 
 
-@pytest.mark.kernels
-def test_one_bad_row_fails_the_whole_batch(monkeypatch):
-    params = _probe_points()[:8]
+def _corrupting_eig(params, bad_rows):
+    """An ``np.linalg.eig`` that swaps a right vector of the rows ``bad_rows``
+    of ``params``, found by their Hamiltonians in whichever chunk holds them."""
     eig = np.linalg.eig
+    targets = model._hamiltonians(params[bad_rows])
 
     def bad_eig(h):
         w, v = eig(h)
         v = v.copy()
-        v[3, :, 0] = v[3, :, 1]
+        hit = (h[:, None] == targets[None]).all(axis=(2, 3)).any(axis=1)
+        v[hit, :, 0] = v[hit, :, 1]
         return w, v
 
-    monkeypatch.setattr(np.linalg, "eig", bad_eig)
+    return bad_eig
+
+
+def _corrupting_eigvals(params, bad_rows):
+    """An ``np.linalg.eigvals`` that moves the first eigenvalue of the rows
+    ``bad_rows`` of ``params`` by 1e-3, found by their Hamiltonians in
+    whichever chunk holds them."""
+    eigvals = np.linalg.eigvals
+    targets = model._hamiltonians(params[bad_rows])
+
+    def bad_eigvals(h):
+        w = eigvals(h).copy()
+        w[(h[:, None] == targets[None]).all(axis=(2, 3)).any(axis=1), 0] += 1e-3
+        return w
+
+    return bad_eigvals
+
+
+#: the two ways a bad eigenpair reaches a row: through ``eigvals`` on the
+#: closed-form rows of a default solve, and through ``eig`` on the rows of an
+#: every-row-exact one
+FAULTS = ["closed-form", "lapack"]
+
+
+def _spoil(monkeypatch, fault, params, bad_rows):
+    """Corrupt the rows ``bad_rows`` of ``params`` on the path ``fault``;
+    returns the ``exact`` of the solves that take that path."""
+    if fault == "lapack":
+        monkeypatch.setattr(np.linalg, "eig", _corrupting_eig(params, bad_rows))
+        return slice(None)
+    # the rows a default solve gives in closed form
+    assert (eigensystems(params[bad_rows]).min_gap >= model.SURE_GAP).all()
+    monkeypatch.setattr(np.linalg, "eigvals", _corrupting_eigvals(params, bad_rows))
+    return None
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.kernels
+def test_one_bad_row_fails_the_whole_batch(fault, monkeypatch):
+    params = _probe_points()[:8]
+    exact = _spoil(monkeypatch, fault, params, [3])
     with pytest.raises(InaccurateEigensystem, match="residual") as info:
-        eigensystems(params)
+        eigensystems(params, exact=exact)
     assert str(ParamPoint(*params[3].tolist())) in str(info.value)
 
 
@@ -281,33 +343,39 @@ def three_cpus(monkeypatch):
     lengths = []
     solve_rows = model._solve_rows
 
-    def recording(params):
+    def recording(params, exact):
         lengths.append(len(params))
-        return solve_rows(params)
+        return solve_rows(params, exact)
 
     monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(model, "_solve_rows", recording)
     return lengths
 
 
-def _one_solve(params, monkeypatch):
+def _one_solve(params, monkeypatch, exact=None):
     with monkeypatch.context() as m:
         m.setattr(model, "_usable_cpus", lambda: 1)
-        return eigensystems(params)
+        return eigensystems(params, exact=exact)
 
 
+@pytest.mark.parametrize("exact", [None, [0, 400, -1], slice(None)], ids=["default", "named-rows", "every-row-exact"])
 @pytest.mark.kernels
-def test_chunked_stack_is_bit_equal_to_one_solve(three_cpus, monkeypatch):
+def test_chunked_stack_is_bit_equal_to_one_solve(exact, three_cpus, monkeypatch):
+    """Each row, chunked, is the row a lone solve gives: ``eigensystem``'s
+    where ``exact`` names it, a lone default solve's elsewhere."""
     params = _chunked_stack()
-    chunked = eigensystems(params)
+    chunked = eigensystems(params, exact=exact)
     assert sorted(three_cpus, reverse=True) == CHUNK_LENGTHS
-    serial = _one_solve(params, monkeypatch)
+    serial = _one_solve(params, monkeypatch, exact)
     assert chunked.is_degenerate[-1] and chunked.is_degenerate[100:106].any()
     fields = ("params", "eigenvalues", "right_vectors", "left_vectors", "is_degenerate", "min_gap")
     for f in fields:
         assert np.array_equal(getattr(chunked, f), getattr(serial, f)), f
+    named = np.zeros(len(params), dtype=bool)
+    if exact is not None:
+        named[exact] = True
     for l, row in enumerate(params):
-        single = eigensystem(ParamPoint(*row))
+        single = eigensystem(ParamPoint(*row)) if named[l] else eigensystems(row[None]).row(0)
         assert np.array_equal(chunked.params[l], single.point.as_array())
         assert np.array_equal(chunked.eigenvalues[l], single.eigenvalues)
         assert np.array_equal(chunked.right_vectors[l], single.right_vectors)
@@ -323,32 +391,18 @@ def test_small_stacks_take_one_solve(three_cpus):
     assert three_cpus == [2 * model._MIN_CHUNK_ROWS - 1] + [model._MIN_CHUNK_ROWS] * 2
 
 
-def _corrupting_eig(params, bad_rows):
-    """An ``np.linalg.eig`` that swaps a right vector of the rows ``bad_rows``
-    of ``params``, found by their Hamiltonians in whichever chunk holds them."""
-    eig = np.linalg.eig
-    targets = model._hamiltonians(params[bad_rows])
-
-    def bad_eig(h):
-        w, v = eig(h)
-        v = v.copy()
-        hit = (h[:, None] == targets[None]).all(axis=(2, 3)).any(axis=1)
-        v[hit, :, 0] = v[hit, :, 1]
-        return w, v
-
-    return bad_eig
-
-
+@pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("bad_rows", [[1050], [1050, 700], [1050, 700, 5]], ids=["last-chunk", "two-chunks", "three-chunks"])
 @pytest.mark.kernels
-def test_chunked_errors_name_the_first_bad_row(bad_rows, three_cpus, monkeypatch):
+def test_chunked_errors_name_the_first_bad_row(bad_rows, fault, three_cpus, monkeypatch):
     params = _chunked_stack()
-    monkeypatch.setattr(np.linalg, "eig", _corrupting_eig(params, bad_rows))
+    exact = _spoil(monkeypatch, fault, params, bad_rows)
+    three_cpus.clear()
     with pytest.raises(InaccurateEigensystem, match="residual") as chunked:
-        eigensystems(params)
+        eigensystems(params, exact=exact)
     assert len(three_cpus) == 3
     with pytest.raises(InaccurateEigensystem) as serial:
-        _one_solve(params, monkeypatch)
+        _one_solve(params, monkeypatch, exact)
     assert str(chunked.value) == str(serial.value)
     assert str(ParamPoint(*params[min(bad_rows)].tolist())) in str(chunked.value)
 
@@ -361,8 +415,9 @@ def _matmul_residuals(params, w, v):
     return np.linalg.norm(r, axis=1) / np.maximum(np.linalg.norm(h, axis=(1, 2)), 1.0)[:, None]
 
 
+@pytest.mark.parametrize("lapack", [False, True], ids=["default", "every-row-exact"])
 @pytest.mark.kernels
-def test_written_out_residuals_equal_the_matmul_residuals():
+def test_written_out_residuals_equal_the_matmul_residuals(lapack):
     rng = np.random.default_rng(13)
     params = np.concatenate([
         rng.uniform(-1.0, 1.0, (2000, 4)),
@@ -370,33 +425,34 @@ def test_written_out_residuals_equal_the_matmul_residuals():
         *(preset_loop(name, 64).params for name in PRESET_NAMES),
         _probe_points(),                                      # near-EP rows and the nexus
     ])
-    w, v, *_, resid2 = model._solve_rows(params)
+    w, v, *_, resid2 = model._solve_rows(params, np.full(len(params), lapack))
     want = _matmul_residuals(params, w, v)
     assert want.max() < 1e-13
     assert np.abs(np.sqrt(resid2) - want).max() <= 8 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.kernels
-def test_written_out_residuals_flag_bad_rows_in_every_chunk(monkeypatch):
+def test_written_out_residuals_flag_bad_rows_in_every_chunk(fault, monkeypatch):
     params, bad_rows = _chunked_stack(), [5, 700, 1050]
-    monkeypatch.setattr(np.linalg, "eig", _corrupting_eig(params, bad_rows))
+    exact = _spoil(monkeypatch, fault, params, bad_rows)
     chunks = np.array_split(params, len(CHUNK_LENGTHS))
     starts = np.cumsum([0] + CHUNK_LENGTHS[:-1])
     for start, chunk, bad in zip(starts, chunks, bad_rows):
-        w, v, *_, resid2 = model._solve_rows(chunk)
+        w, v, *_, resid2 = model._solve_rows(chunk, np.full(len(chunk), exact is not None))
         assert np.flatnonzero((resid2 > 1e-20).any(axis=1)).tolist() == [bad - start]
         assert np.flatnonzero((_matmul_residuals(chunk, w, v) > 1e-10).any(axis=1)).tolist() == [bad - start]
 
 
 def test_workers_see_the_callers_errstate(three_cpus, monkeypatch):
-    eig = np.linalg.eig
+    eigvals = np.linalg.eigvals
     seen = []
 
-    def recording_eig(h):
+    def recording_eigvals(h):
         seen.append((threading.get_ident(), np.geterr()["over"]))
-        return eig(h)
+        return eigvals(h)
 
-    monkeypatch.setattr(np.linalg, "eig", recording_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
     with np.errstate(over="raise"):
         eigensystems(_chunked_stack())
     idents = {ident for ident, _ in seen}
@@ -485,6 +541,46 @@ def test_refinement_inserts_the_same_points(loop):
     assert_same_transport(res, ref_loop_transport(loop))
 
 
+def _assert_same_report(got, want, key=""):
+    """Loop reports with the same strings, integers and booleans, ``theta``
+    and ``min_overlap`` within 1e-12, each 12-digit ``nabp_*`` entry within
+    one unit of its last digit, and every other float the same."""
+    assert type(got) is type(want), key
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), key
+        for k in want:
+            _assert_same_report(got[k], want[k], k)
+    elif isinstance(want, list):
+        assert len(got) == len(want), key
+        for g, w in zip(got, want):
+            _assert_same_report(g, w, key)
+    elif isinstance(want, float) and key in ("theta", "min_overlap"):
+        assert abs(got - want) <= 1e-12, key
+    elif isinstance(want, float) and key.startswith("nabp_"):
+        assert round(abs(got - want) * 1e12) <= 1, key
+    else:
+        assert got == want, key
+
+
+def _triangle(n):
+    return interpolate_loop([ParamPoint(*c, -0.4) for c in TRIANGLE + TRIANGLE[:1]], n)
+
+
+@pytest.mark.parametrize("name, n", [
+    *((name, n) for n in (1, 2, 3, 5, 8, 16, 64, 200, 256) for name in PRESET_NAMES if (name, n) != ("big", 1)),
+    *(("triangle", n) for n in (3, 5, 8, 16, 64, 200, 256)),       # fewer steps make no loop of 8
+])
+@pytest.mark.kernels
+def test_loop_reports_equal_those_of_lapacks_frames(name, n):
+    """Transport takes LAPACK's frames only at the anchors (and the rows
+    ``eigensystems`` names): its loop report must be the one that LAPACK's
+    frames on every row give, up to the rounding of the closed form."""
+    loop = _triangle(n) if name == "triangle" else preset_loop(name, n)
+    exact = eigensystems(transport_module._refined(loop), exact=slice(None))
+    want = transport_eigensystems(exact, label=loop.label, roots=loop.roots)
+    _assert_same_report(cli._transport_report(transport(loop)), cli._transport_report(want))
+
+
 def test_an_ambiguous_step_raises_like_the_sequential_sweep(monkeypatch):
     loop = preset_loop("mu1", 2)
     with pytest.raises(AmbiguousMatch, match="at step 0"):
@@ -559,15 +655,18 @@ def test_error_messages_name_points_with_plain_floats(monkeypatch):
     params = _probe_points()[:8]
     stack = eigensystems(params)
     events = transport(preset_loop("rho1", 64)).events
-    monkeypatch.setattr(np.linalg, "eig", _corrupting_eig(params, [3]))
-    with pytest.raises(InaccurateEigensystem) as inaccurate:
-        eigensystems(params)
-    monkeypatch.undo()
+    inaccurate = []
+    for fault in FAULTS:
+        exact = _spoil(monkeypatch, fault, params, [3])
+        with pytest.raises(InaccurateEigensystem) as raised:
+            eigensystems(params, exact=exact)
+        inaccurate.append(raised)
+        monkeypatch.undo()
     monkeypatch.setattr(transport_module, "DEFAULT_AMBIGUITY_MARGIN", 2.5)
     with pytest.raises(AmbiguousMatch) as ambiguous:
         transport(loop)
     assert events
-    texts = [str(e.value) for e in (touching, inaccurate, ambiguous)]
+    texts = [str(e.value) for e in (touching, *inaccurate, ambiguous)]
     texts += [repr(loop.steps[1]), repr(stack.row(3).point)] + [repr(e.point) for e in events]
     for text in texts:
         assert "ParamPoint(eta=" in text and "np.float64" not in text, text
@@ -577,7 +676,7 @@ def test_error_messages_name_points_with_plain_floats(monkeypatch):
 # sheet tracking
 
 # |xi| ~ 1e77 and 1e100 with |disc| finite: far past the 2^100 below which the closed-form
-# frames hold (here their |a c|^2 overflows), so sheet_frames takes eig's frames
+# frames hold (here their |a c|^2 overflows), so these rows take eig's frames
 FAR_SLICES = [
     (0.0, -0.9, np.linspace(-1, 1, 11), np.linspace(1.5e77, 2e77, 11)),
     (0.0, -1.0, np.linspace(-1, 1, 11), np.linspace(1e100, 2e100, 11)),
@@ -611,25 +710,61 @@ def test_track_sheets_is_bit_equal_to_the_row_sweep(eta, g, zz, xx):
     assert np.array_equal(track_sheets(eta, g, zz, xx), ref_track_sheets(eta, g, zz, xx))
 
 
-@pytest.mark.parametrize("eta, g, zz, xx", FAR_SLICES)
-def test_sheet_frames_past_the_closed_form_range_are_the_eigensystems(eta, g, zz, xx):
-    params = np.stack(np.broadcast_arrays(eta, zz[:, None], xx, g), axis=-1).reshape(-1, 4)
-    sheets, exact = model.sheet_frames(params), eigensystems(params)
+def _far_rows():
+    """The rows of ``FAR_SLICES``, every one with a parameter past 2^97."""
+    return np.concatenate([np.stack(np.broadcast_arrays(eta, zz[:, None], xx, g), axis=-1).reshape(-1, 4)
+                           for eta, g, zz, xx in FAR_SLICES])
+
+
+def test_rows_past_the_closed_form_range_take_lapacks_frames():
+    """A stack of far rows is its every-row-exact stack; a far row among
+    rows inside the range takes LAPACK's frame and leaves theirs closed-form."""
+    far = _far_rows()
+    default, exact = eigensystems(far), eigensystems(far, exact=slice(None))
     for f in fields(model.EigensystemStack):
-        assert np.array_equal(getattr(sheets, f.name), getattr(exact, f.name)), f.name
+        assert np.array_equal(getattr(default, f.name), getattr(exact, f.name)), f.name
+    near = np.random.default_rng(15).uniform(-1.5, 1.5, (200, 4))
+    mixed = eigensystems(np.insert(near, 50, far[7], axis=0))
+    alone, rest = eigensystems(far[7:8], exact=[0]), eigensystems(near)
+    for f in fields(model.EigensystemStack):
+        got = getattr(mixed, f.name)
+        assert np.array_equal(got[50], getattr(alone, f.name)[0]), f.name
+        assert np.array_equal(np.delete(got, 50, axis=0), getattr(rest, f.name)), f.name
 
 
-def test_sheet_frames_in_the_closed_form_range_call_no_eig(monkeypatch):
-    """The closed form serves every stack below the range bound: the atlas's
-    |p| <= 1.5, and a window out to |zeta|, |xi| = 1e29, just inside 2^97."""
-    def no_eig(h):
-        raise AssertionError("np.linalg.eig called")
-
-    monkeypatch.setattr(np.linalg, "eig", no_eig)
+def test_eig_sees_only_the_rows_that_take_lapacks_frames(monkeypatch):
+    """``np.linalg.eig`` solves, in one call, exactly the rows that ``exact``
+    names, whose smallest gap is below ``SURE_GAP`` or that hold a parameter
+    of magnitude 2^97 or more, and is not called where there are none: on
+    the atlas's |p| <= 1.5 and on a window out to |zeta|, |xi| = 1e29 (just
+    inside 2^97), with and without named rows, near-EP rows and far rows."""
     window = np.linspace(-1e29, 1e29, 21)
-    for params in (np.random.default_rng(14).uniform(-1.5, 1.5, (2000, 4)),
-                   np.stack(np.broadcast_arrays(0.33, window[:, None], window, G), axis=-1).reshape(-1, 4)):
-        assert np.isfinite(model.sheet_frames(params).left_vectors).all()
+    inside = np.random.default_rng(14).uniform(-1.5, 1.5, (2000, 4))
+    cases = [
+        (inside, None),
+        (inside, [0, 1999]),
+        (np.stack(np.broadcast_arrays(0.33, window[:, None], window, G), axis=-1).reshape(-1, 4), None),
+        (np.concatenate([inside[:300], _probe_points(), _far_rows()[::10], inside[300:600]]), [3]),
+    ]
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+    eig, seen = np.linalg.eig, []
+
+    def recording_eig(h):
+        seen.append(h.copy())
+        return eig(h)
+
+    for params, exact in cases:
+        want = ~(eigensystems(params, exact=slice(None)).min_gap >= model.SURE_GAP)
+        want |= np.abs(params).max(axis=1) >= 2.0**97
+        if exact is not None:
+            want[exact] = True
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eig", recording_eig)
+            frames = eigensystems(params, exact=exact)
+        assert not want.all() and len(seen) == want.any()
+        assert np.array_equal(np.concatenate(seen or [np.empty((0, 3, 3))]), model._hamiltonians(params[want]))
+        assert np.isfinite(frames.left_vectors).all()
 
 
 @pytest.mark.kernels
@@ -637,7 +772,7 @@ def test_tie_slices_hold_steps_below_the_sure_margin():
     """The tie cases above exercise the LAPACK decision: their closed-form margins fall below it."""
     zz = np.linspace(-1, 1, 101)
     for g in (-0.3, -0.43):
-        frames = model.sheet_frames(np.stack(np.broadcast_arrays(0.0, 0.0, zz, g), axis=-1))
+        frames = eigensystems(np.stack(np.broadcast_arrays(0.0, 0.0, zz, g), axis=-1))
         _, margin = transport_module.best_assignments(frames.left_vectors[:-1] @ frames.right_vectors[1:])
         assert (margin < locate.SURE_MARGIN).any()
 
@@ -649,7 +784,7 @@ def _slices(etas, gs, n=101):
 
 @pytest.mark.kernels
 def test_eigvals_gives_the_eigenvalue_bits_of_eig():
-    """``sheet_frames`` takes its eigenvalues from ``np.linalg.eigvals``; the
+    """``eigensystems`` takes its eigenvalues from ``np.linalg.eigvals``; the
     surface's bits rest on their being ``np.linalg.eig``'s, in its order."""
     params = np.concatenate([np.random.default_rng(14).uniform(-1.5, 1.5, (200_000, 4)),
                              *_slices((0.0, 0.33, -0.7), (-1.0, 0.0, G))])
@@ -658,32 +793,9 @@ def test_eigvals_gives_the_eigenvalue_bits_of_eig():
 
 
 @pytest.mark.kernels
-def test_sheet_frames_are_the_eigensystems_up_to_phase():
+def test_default_frames_are_the_exact_frames_up_to_phase():
     params = np.concatenate([_chunked_stack(), *_slices((0.0,), (-1.0, -0.3))])
-    sheets, exact = model.sheet_frames(params), eigensystems(params)
-    for f in ("params", "eigenvalues", "is_degenerate", "min_gap"):
-        assert np.array_equal(getattr(sheets, f), getattr(exact, f)), f
-    far = exact.min_gap >= locate.SURE_GAP
-    right, want = sheets.right_vectors[far], exact.right_vectors[far]
-    phase = (right.conj() * want).sum(axis=1)                        # (rows, bands)
-    assert np.allclose(abs(phase), 1.0, rtol=0, atol=1e-12)
-    assert np.abs(right * phase[:, None, :] - want).max() < 1e-12
-    assert np.abs(sheets.left_vectors[far] @ right - np.eye(3)).max() < 1e-12
-
-
-def _corrupting_eigvals(params, bad_rows):
-    """An ``np.linalg.eigvals`` that moves the first eigenvalue of the rows
-    ``bad_rows`` of ``params`` by 1e-3, found by their Hamiltonians in
-    whichever chunk holds them."""
-    eigvals = np.linalg.eigvals
-    targets = model._hamiltonians(params[bad_rows])
-
-    def bad_eigvals(h):
-        w = eigvals(h).copy()
-        w[(h[:, None] == targets[None]).all(axis=(2, 3)).any(axis=1), 0] += 1e-3
-        return w
-
-    return bad_eigvals
+    _assert_frames_up_to_phase(eigensystems(params), eigensystems(params, exact=slice(None)))
 
 
 @pytest.mark.kernels
@@ -703,7 +815,7 @@ def test_steps_with_nan_closed_form_scores_take_lapacks():
     to the LAPACK frames rather than keep the NaN scores' pick."""
     zz = np.linspace(-1, 1, 41)
     params = np.stack(np.broadcast_arrays(0.33, 0.2, zz, G), axis=-1)
-    frames, exact = model.sheet_frames(params), eigensystems(params)
+    frames, exact = eigensystems(params), eigensystems(params, exact=slice(None))
     start, end = np.arange(40), np.arange(1, 41)
     want, _ = transport_module.best_assignments(exact.left_vectors[:-1] @ exact.right_vectors[1:])
     assert want.any()                                                # the row holds exchanges

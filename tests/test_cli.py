@@ -626,6 +626,14 @@ def _argv(*args):
     return make_argv
 
 
+def _empty_config_path(*args):
+    """An argv maker for ``args`` with ``--config ""``, run in the test's directory."""
+    def make_argv(tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        return [*args, "--config", "", "--out", str(tmp_path / "out")]
+    return make_argv
+
+
 def _lab_dataset(corrupt, *args):
     """An argv maker for ``lab fit`` with ``args`` on a synthesized dataset that ``corrupt`` edits."""
     def make_argv(tmp_path, monkeypatch):
@@ -767,11 +775,15 @@ def _with_config(make_argv, doc):
     # a polish whose rejected trial steps overflow the forward model diverges without a RuntimeWarning
     pytest.param(_argv("lab", "pipeline", "--noise", "0.5", "--seed", "1"), EXIT_NUMERICAL,
                  id="lab_pipeline_overflowing_trial_steps-3"),
+    # an empty config path is read as given, the (empty) working directory: an i/o failure
+    pytest.param(_empty_config_path("loop"), (EXIT_IO, "i/o failure: "), id="loop_empty_config_path-4"),
+    pytest.param(_empty_config_path("lab", "synth"), (EXIT_IO, "i/o failure: "), id="lab_synth_empty_config_path-4"),
 ])
 def test_exit_code_matrix(tmp_path, monkeypatch, capsys, make_argv, code):
     """``code`` is the exit code, the exception raised, or (exit code, the start of stderr)."""
     argv = make_argv(tmp_path, monkeypatch)
     code, err = code if isinstance(code, tuple) else (code, "")
+    before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     if isinstance(code, type):
         with pytest.raises(code):
@@ -779,8 +791,8 @@ def test_exit_code_matrix(tmp_path, monkeypatch, capsys, make_argv, code):
     else:
         assert run(argv) == code
         assert capsys.readouterr().err.startswith(err)
-    if code == EXIT_CONFIG:     # inputs are checked before the output directory is made
-        assert not (tmp_path / "out").exists()
+    if code in (EXIT_CONFIG, EXIT_IO):      # inputs are read before anything is written
+        assert not (tmp_path / "out").exists() and sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("g", [1e60, 1e308])

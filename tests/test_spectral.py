@@ -917,10 +917,12 @@ class TestLstsqReference:
             assert abs(g.residual - w.residual) <= 1e-12 * w.residual, k
 
 
-def _corrupt_eig_at(monkeypatch, point):
-    """Make ``np.linalg.eig`` return a wrong eigenvector at ``point``'s Hamiltonian."""
+def _corrupt_eigensolves_at(monkeypatch, point):
+    """Make ``np.linalg.eigvals`` return a wrong eigenvalue, and ``np.linalg.eig``
+    a wrong eigenvector, at ``point``'s Hamiltonian, so its row fails the
+    residual check whether its frame is closed-form or LAPACK's."""
     target = _hamiltonians(point.as_array()[None])
-    eig = np.linalg.eig
+    eig, eigvals = np.linalg.eig, np.linalg.eigvals
 
     def corrupting_eig(h):
         w, v = eig(h)
@@ -929,7 +931,13 @@ def _corrupt_eig_at(monkeypatch, point):
         v[hit, :, 0] = v[hit, :, 1]
         return w, v
 
+    def corrupting_eigvals(h):
+        w = eigvals(h).copy()
+        w[(h == target).all(axis=(1, 2)), 0] += 1e-3
+        return w
+
     monkeypatch.setattr(np.linalg, "eig", corrupting_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", corrupting_eigvals)
 
 
 def _vanish_residues_of(monkeypatch, spectrum, config):
@@ -977,7 +985,7 @@ class TestLoopOrderFailures:
             rng = np.random.default_rng(3)
             spectra[k] = rng.standard_normal((21, 31)) + 1j * rng.standard_normal((21, 31))
         elif kind is InaccurateEigensystem:
-            _corrupt_eig_at(monkeypatch, serial_fit_step(spectra[k], cfg).point)
+            _corrupt_eigensolves_at(monkeypatch, serial_fit_step(spectra[k], cfg).point)
         else:
             _vanish_residues_of(monkeypatch, spectra[k], cfg)
 
